@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pop_model import PotentialOutcomeTable, table_from_arrays
+from .pop_model import PotentialOutcomeTable, grouped_moments, table_from_arrays
 
 DGPS = ("linear", "indep", "odd")
 
@@ -158,14 +158,9 @@ def make_blocks_random(n: int, sizes, rng: np.random.Generator) -> np.ndarray:
 
 def between_total_ss(values: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
     """Between-group and total sums of squares around the grand mean."""
-    values = np.asarray(values, dtype=float)
-    grand = float(np.mean(values))
-    total = float(np.sum((values - grand) ** 2))
-    between = 0.0
-    for g in np.unique(groups):
-        members = values[groups == g]
-        between += len(members) * (float(np.mean(members)) - grand) ** 2
-    return between, total
+    counts, moments = grouped_moments(values, groups)
+    between = float(counts @ moments.dev**2)
+    return between, float(moments.ss.sum()) + between
 
 
 def r2_blocks(table: PotentialOutcomeTable) -> float | None:
@@ -175,9 +170,8 @@ def r2_blocks(table: PotentialOutcomeTable) -> float | None:
     groups, so both control-mean spread and effect spread register. ``None``
     when the stacked vector is constant (zero total sum of squares).
     """
-    blocks = np.asarray(table.blocks)
     stacked = np.concatenate([table.y_c, table.y_t])
-    groups = np.concatenate([blocks, blocks + table.num_blocks])
+    groups = np.concatenate([table.labels, table.labels + table.num_blocks])
     between, total = between_total_ss(stacked, groups)
     if total == 0:
         return None
@@ -186,17 +180,13 @@ def r2_blocks(table: PotentialOutcomeTable) -> float | None:
 
 def within_variance_ratio(values, labels) -> float | None:
     """Average within-block sample variance over the overall sample variance."""
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels)
-    overall = float(np.var(values, ddof=1))
-    if overall == 0:
+    counts, moments = grouped_moments(values, labels)
+    total = float(moments.ss.sum()) + float(counts @ moments.dev**2)
+    if total == 0:
         return None
-    per_block = [
-        float(np.var(values[labels == g], ddof=1))
-        for g in np.unique(labels)
-        if np.sum(labels == g) >= 2
-    ]
-    return float(np.mean(per_block)) / overall
+    overall = total / (counts.sum() - 1)
+    kept = counts >= 2
+    return float(np.mean(moments.ss[kept] / (counts[kept] - 1))) / overall
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -48,17 +49,13 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what}")
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = _float_array(values, name).copy()
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def sample_variance(values: np.ndarray) -> float | None:
-    """Sample variance with divisor ``len - 1``; ``None`` for a single value."""
-    if len(values) < 2:
-        return None
-    return float(np.var(values, ddof=1))
+def _frozen_array(values, name: str) -> np.ndarray:
+    return _read_only(_float_array(values, name).copy())
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,10 @@ class PotentialOutcomeTable:
     ``blocks`` must already be canonical (integers ``1..K``, each appearing
     at least once). Use :func:`validate_table` or :func:`table_from_arrays`
     to build a table from raw labels.
+
+    The 0-based ``labels``, the ``block_sizes`` and the per-block ``stats``
+    are computed on first use and cached on the table; they are read-only
+    because every caller shares them.
     """
 
     unit_ids: tuple[str, ...]
@@ -102,14 +103,26 @@ class PotentialOutcomeTable:
 
     @property
     def num_blocks(self) -> int:
-        return max(self.blocks)
+        return len(self.block_sizes)
 
-    @property
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """0-based block index of every unit."""
+        return _read_only(np.asarray(self.blocks, dtype=np.intp) - 1)
+
+    @cached_property
     def block_sizes(self) -> np.ndarray:
-        return np.bincount(np.asarray(self.blocks), minlength=self.num_blocks + 1)[1:]
+        return _read_only(np.bincount(self.labels))
+
+    @cached_property
+    def stats(self) -> "BlockStats":
+        """Per-block sufficient statistics of the three arms."""
+        arms = (self.y_t, self.y_c, self.y_t - self.y_c)
+        moments = (centered_moments(y, self.labels, self.block_sizes) for y in arms)
+        return BlockStats(self.n, self.block_sizes, *moments)
 
     def block_indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.blocks) == k)
+        return np.flatnonzero(self.labels == k - 1)
 
     @property
     def sate(self) -> float:
@@ -296,28 +309,100 @@ class TableSummary:
             raise ValueError(f"singleton block(s) {bad}: sample variance undefined")
 
 
-def _summarize_group(y_t: np.ndarray, y_c: np.ndarray) -> BlockSummary:
-    mean_t = float(np.mean(y_t))
-    mean_c = float(np.mean(y_c))
-    return BlockSummary(
-        size=len(y_t),
-        mean_t=mean_t,
-        mean_c=mean_c,
-        tau=mean_t - mean_c,
-        s2_t=sample_variance(y_t),
-        s2_c=sample_variance(y_c),
-        s2_tc=sample_variance(y_t - y_c),
-    )
+@dataclass(frozen=True)
+class ArmStats:
+    """Centered per-group moments of one outcome vector.
+
+    ``dev`` holds each group mean minus the pooled ``mean`` and ``ss`` each
+    group's sum of squared deviations from its own mean. Both are computed
+    from deviations around ``mean`` (two passes, never ``sum x^2 - n
+    mean^2``), so a large common offset in the outcomes cancels before
+    anything is squared.
+    """
+
+    mean: float
+    dev: np.ndarray
+    ss: np.ndarray
+
+    @property
+    def means(self) -> np.ndarray:
+        return self.mean + self.dev
+
+
+def centered_moments(values: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> ArmStats:
+    """Moments of ``values`` grouped by 0-based ``labels``; every group is nonempty."""
+    mean = float(np.mean(values))
+    deviations = values - mean
+    dev = np.bincount(labels, deviations) / counts
+    ss = np.bincount(labels, (deviations - dev[labels]) ** 2)
+    return ArmStats(mean=mean, dev=_read_only(dev), ss=_read_only(ss))
+
+
+def grouped_moments(values, labels) -> tuple[np.ndarray, ArmStats]:
+    """Group sizes and centered moments of ``values`` for arbitrary labels.
+
+    Groups are ordered by sorted label value.
+    """
+    _, inverse, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    return counts, centered_moments(np.asarray(values, dtype=float), inverse.ravel(), counts)
+
+
+@dataclass(frozen=True)
+class BlockStats:
+    """Block sizes ``n_k`` and the centered moments of the arms t, c and tc.
+
+    Every closed form is a few array operations on these, so a table's
+    summaries cost O(n + K) once instead of a rescan per block.
+    """
+
+    n: int
+    n_k: np.ndarray
+    t: ArmStats
+    c: ArmStats
+    tc: ArmStats
+
+    def arm(self, arm: str) -> ArmStats:
+        if arm not in ARMS:
+            raise ValueError(f"arm must be one of {ARMS}")
+        return getattr(self, arm)
+
+    def singletons(self) -> list[int]:
+        """1-based labels of the blocks with a single unit."""
+        return (np.flatnonzero(self.n_k < 2) + 1).tolist()
+
+    def s2(self, arm: str) -> np.ndarray:
+        """Per-block sample variances; raises when a block is a singleton."""
+        bad = self.singletons()
+        if bad:
+            raise ValueError(f"singleton block(s) {bad}: sample variance undefined")
+        return self.arm(arm).ss / (self.n_k - 1)
+
+    def between_ss(self, arm: str) -> float:
+        """``sum_k n_k (mean_k - mean)^2`` for one arm."""
+        return float(self.n_k @ self.arm(arm).dev ** 2)
+
+    def pooled_s2(self, arm: str) -> float:
+        """Pooled sample variance: within plus between sums of squares over ``n - 1``."""
+        return (float(self.arm(arm).ss.sum()) + self.between_ss(arm)) / (self.n - 1)
 
 
 def summarize(table: PotentialOutcomeTable) -> TableSummary:
     """Per-block and pooled means, effects, and sample variances."""
-    per_block = []
-    for k in range(1, table.num_blocks + 1):
-        idx = table.block_indices(k)
-        per_block.append(_summarize_group(table.y_t[idx], table.y_c[idx]))
-    pooled = _summarize_group(table.y_t, table.y_c)
-    return TableSummary(per_block=tuple(per_block), pooled=pooled)
+    st = table.stats
+    sizes = st.n_k.tolist()
+
+    def s2(arm: str) -> list:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = (st.arm(arm).ss / (st.n_k - 1)).tolist()
+        return [v if size > 1 else None for v, size in zip(values, sizes)]
+
+    means = (st.t.means.tolist(), st.c.means.tolist(), st.tc.means.tolist())
+    per_block = zip(sizes, *means, *(s2(arm) for arm in ARMS))
+    pooled_s2 = (st.pooled_s2(arm) if st.n > 1 else None for arm in ARMS)
+    return TableSummary(
+        per_block=tuple(BlockSummary(*row) for row in per_block),
+        pooled=BlockSummary(st.n, st.t.mean, st.c.mean, st.tc.mean, *pooled_s2),
+    )
 
 
 class PooledDecomposition(NamedTuple):
@@ -338,26 +423,17 @@ def pooled_decomposition(table: PotentialOutcomeTable, arm: str) -> PooledDecomp
     """
     if arm not in ARMS:
         raise ValueError(f"arm must be one of {ARMS}")
-    if arm == "t":
-        values = table.y_t
-    elif arm == "c":
-        values = table.y_c
-    else:
-        values = table.y_t - table.y_c
     n = table.n
     if n < 2:
         raise ValueError("decomposition needs n >= 2")
-    grand = float(np.mean(values))
-    within = 0.0
-    between = 0.0
-    for k in range(1, table.num_blocks + 1):
-        idx = table.block_indices(k)
-        if len(idx) < 2:
-            raise ValueError(f"singleton block {k}: decomposition undefined")
-        group = values[idx]
-        within += (len(idx) - 1) / (n - 1) * float(np.var(group, ddof=1))
-        between += len(idx) / (n - 1) * (float(np.mean(group)) - grand) ** 2
-    return PooledDecomposition(within=within, between=between)
+    st = table.stats
+    bad = st.singletons()
+    if bad:
+        raise ValueError(f"singleton block {bad[0]}: decomposition undefined")
+    return PooledDecomposition(
+        within=float(st.arm(arm).ss.sum()) / (n - 1),
+        between=st.between_ss(arm) / (n - 1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,11 @@ class ReplayData:
         return max(self.blocks)
 
     def realized_sizes(self) -> list[int]:
-        blocks = np.asarray(self.blocks)
-        return [int(np.sum(blocks == k)) for k in range(1, self.num_blocks + 1)]
+        return np.bincount(self.blocks)[1:].tolist()
 
     def realized_treated(self) -> list[int]:
-        blocks = np.asarray(self.blocks)
-        treated = np.asarray([v == "t" for v in self.z])
-        return [int(treated[blocks == k].sum()) for k in range(1, self.num_blocks + 1)]
+        treated = np.asarray(self.z) == "t"
+        return np.bincount(self.blocks, treated)[1:].astype(int).tolist()
 
 
 def read_replay_csv(path) -> ReplayData:

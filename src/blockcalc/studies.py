@@ -24,7 +24,7 @@ from .blocking_lab import (
     r2_blocks,
     within_variance_ratio,
 )
-from .pop_model import Blocked, CompleteRandomization, summarize
+from .pop_model import Blocked, CompleteRandomization
 from .variance_estimation import cr_varest_bias_under_blocking, varest_variability
 from .variance_theory import neyman_var_blocked, neyman_var_cr
 
@@ -295,10 +295,8 @@ def _misconceptions_point(args) -> dict:
     var_bk = neyman_var_blocked(table, design)
     misuse = cr_varest_bias_under_blocking(table, p)
     # The blocked estimator's own conservatism: sum_k (n_k/n)^2 S2_tck / n_k.
-    summary = summarize(table)
-    bk_bias = sum(
-        (blk.size / n) ** 2 * blk.s2_tc / blk.size for blk in summary.per_block
-    )
+    st = table.stats
+    bk_bias = float(st.n_k @ st.s2("tc")) / n**2
     var_cr_est = varest_variability(
         table, CompleteRandomization(n_t), reps=reps, seed=_child_seed(master_seed, index, 1)
     )
@@ -348,15 +346,37 @@ def config_from_dict(name: str, overrides: dict | None):
     cfg = cls()
     if not overrides:
         return cfg
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config for {name} must be a JSON object")
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(overrides) - fields
     if unknown:
         raise ValueError(f"unknown config fields for {name}: {sorted(unknown)}")
-    cleaned = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in overrides.items()
-    }
+    cleaned = {}
+    for key, value in overrides.items():
+        default = getattr(cfg, key)
+        if isinstance(default, tuple):
+            ok = isinstance(value, list) and all(_json_type_matches(v, default[0]) for v in value)
+            expected = f"a list of {_JSON_TYPE_NAMES[type(default[0])]}s"
+        else:
+            ok = _json_type_matches(value, default)
+            expected = f"a JSON {_JSON_TYPE_NAMES[type(default)]}"
+        if not ok:
+            raise ValueError(f"config field {key!r} for {name} must be {expected}, got {value!r}")
+        cleaned[key] = tuple(value) if isinstance(default, tuple) else value
     return dataclasses.replace(cfg, **cleaned)
+
+
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
+def _json_type_matches(value, default) -> bool:
+    # bool is an int subclass in Python but a separate JSON type.
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def run_study(

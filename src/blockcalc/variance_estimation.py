@@ -29,7 +29,6 @@ from .pop_model import (
     StrataMoments,
     blocked_design_for_proportion,
     equal_proportions,
-    summarize,
     validate_design,
 )
 from .randomizer import assign_blocked, assign_cr
@@ -138,17 +137,12 @@ def expected_s2_under_blocking(
     p_z = n_z / n
     if n_z < 2:
         raise ValueError("arm size must be at least 2")
-    summary = summarize(table)
-    summary.require_s2()
-    pooled_mean = summary.pooled.mean_t if arm == "t" else summary.pooled.mean_c
-    total = 0.0
-    for k, blk in enumerate(summary.per_block, start=1):
-        s2_zk = blk.s2_t if arm == "t" else blk.s2_c
-        mean_zk = blk.mean_t if arm == "t" else blk.mean_c
-        n_zk = design.n_tk[k - 1] if arm == "t" else blk.size - design.n_tk[k - 1]
-        total += (blk.size / n - p_z * (n - blk.size) / (n * (n_z - 1))) * s2_zk
-        total += n_zk * (mean_zk - pooled_mean) ** 2 / (n_z - 1)
-    return total
+    st = table.stats
+    s2_zk = st.s2(arm)
+    n_zk = np.asarray(design.n_tk) if arm == "t" else st.n_k - np.asarray(design.n_tk)
+    within = float((st.n_k / n - p_z * (n - st.n_k) / (n * (n_z - 1))) @ s2_zk)
+    between = float(n_zk @ st.arm(arm).dev ** 2) / (n_z - 1)
+    return within + between
 
 
 @dataclass(frozen=True)
@@ -187,17 +181,17 @@ def cr_varest_bias_under_blocking(
     n_c = n - n_t
     if n_t < 2 or n_c < 2:
         raise ValueError("both arms need at least 2 units")
-    summary = summarize(table)
-    summary.require_s2()
-    pooled = summary.pooled
-    bias = 0.0
-    for blk in summary.per_block:
-        w = blk.size / n
-        bias += w * (blk.mean_c - pooled.mean_c) ** 2 / (n_c - 1)
-        bias += w * (blk.mean_t - pooled.mean_t) ** 2 / (n_t - 1)
-        bias -= (n - blk.size) * blk.s2_c / (n**2 * (n_c - 1))
-        bias -= (n - blk.size) * blk.s2_t / (n**2 * (n_t - 1))
-        bias += blk.size * blk.s2_tc / n**2
+    st = table.stats
+    s2_t, s2_c, s2_tc = st.s2("t"), st.s2("c"), st.s2("tc")
+    w = st.n_k / n
+    rest = n - st.n_k
+    bias = (
+        float(w @ st.c.dev**2) / (n_c - 1)
+        + float(w @ st.t.dev**2) / (n_t - 1)
+        - float(rest @ s2_c) / (n**2 * (n_c - 1))
+        - float(rest @ s2_t) / (n**2 * (n_t - 1))
+        + float(st.n_k @ s2_tc) / n**2
+    )
     true_var_bk = neyman_var_blocked(table, design)
     return CrEstimatorUnderBlocking(
         expected_varest_cr=true_var_bk + bias,

@@ -30,7 +30,6 @@ from .pop_model import (
     StrataMoments,
     WEIGHT_ATOL,
     blocked_design_for_proportion,
-    summarize,
     table_from_arrays,
     validate_design,
 )
@@ -108,38 +107,23 @@ def neyman_var_cr(table: PotentialOutcomeTable, n_t: int) -> float:
         raise ValueError("need n >= 2")
     if not 0 < n_t < n:
         raise ValueError(f"n_t={n_t} out of range for n={n}")
-    pooled = summarize(table).pooled
-    n_c = n - n_t
-    return pooled.s2_t / n_t + pooled.s2_c / n_c - pooled.s2_tc / n
+    st = table.stats
+    return st.pooled_s2("t") / n_t + st.pooled_s2("c") / (n - n_t) - st.pooled_s2("tc") / n
 
 
 def neyman_var_blocked(table: PotentialOutcomeTable, design: Blocked) -> float:
     """Exact randomization variance of the blocked estimator:
     ``sum_k (n_k/n)^2 (S2_tk/n_tk + S2_ck/n_ck - S2_tck/n_k)``."""
-    validate_design(design, table)
-    summary = summarize(table)
-    summary.require_s2()
-    n = table.n
-    total = 0.0
-    for k, blk in enumerate(summary.per_block, start=1):
-        n_tk = design.n_tk[k - 1]
-        n_ck = blk.size - n_tk
-        total += (blk.size / n) ** 2 * (
-            blk.s2_t / n_tk + blk.s2_c / n_ck - blk.s2_tc / blk.size
-        )
-    return total
+    weights = table.block_sizes / table.n
+    return float(weights**2 @ block_estimator_variances(table, design))
 
 
 def block_estimator_variances(table: PotentialOutcomeTable, design: Blocked) -> np.ndarray:
     """Per-block randomization variances ``var(tau_hat_k)``."""
     validate_design(design, table)
-    summary = summarize(table)
-    summary.require_s2()
-    out = []
-    for k, blk in enumerate(summary.per_block, start=1):
-        n_tk = design.n_tk[k - 1]
-        out.append(blk.s2_t / n_tk + blk.s2_c / (blk.size - n_tk) - blk.s2_tc / blk.size)
-    return np.asarray(out)
+    st = table.stats
+    n_tk = np.asarray(design.n_tk, dtype=float)
+    return st.s2("t") / n_tk + st.s2("c") / (st.n_k - n_tk) - st.s2("tc") / st.n_k
 
 
 def var_diff_finite(table: PotentialOutcomeTable, p: float) -> VarianceReport:
@@ -155,20 +139,17 @@ def var_diff_finite(table: PotentialOutcomeTable, p: float) -> VarianceReport:
     and agrees with ``neyman_var_cr - neyman_var_blocked`` to 1e-12.
     """
     design = blocked_design_for_proportion(table, p)
-    summary = summarize(table)
-    summary.require_s2()
-    n = table.n
-    sizes = table.block_sizes.astype(float)
-    weights = sizes / n
-    mean_c = np.asarray([b.mean_c for b in summary.per_block])
-    mean_t = np.asarray([b.mean_t for b in summary.per_block])
-    between = var_k(_composite_block_means(mean_c, mean_t, p), weights) / (n - 1)
+    st = table.stats
+    n = st.n
+    weights = st.n_k / n
+    # var_k is shift invariant, so the block means enter as deviations from
+    # the pooled means and a large outcome offset never reaches the squares.
+    between = var_k(_composite_block_means(st.c.dev, st.t.dev, p), weights) / (n - 1)
     block_vars = block_estimator_variances(table, design)
-    within = float(np.sum(weights * ((n - sizes) / n) * block_vars)) / (n - 1)
-    n_t = design.n_t
+    within = float((weights * (1 - weights)) @ block_vars) / (n - 1)
     return VarianceReport(
         framework=FRAMEWORK_FINITE,
-        var_cr=neyman_var_cr(table, n_t),
+        var_cr=neyman_var_cr(table, design.n_t),
         var_bk=neyman_var_blocked(table, design),
         diff=between - within,
         decomposition={"between_term": between, "within_term": within},

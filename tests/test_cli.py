@@ -1,9 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import blockcalc
 from blockcalc.cli import main
+
+SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
 
 
 def read_report(path):
@@ -165,6 +173,26 @@ class TestStudyCommand:
         rc = main(["study", "ratio-sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
         assert "unknown config fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"n": "64"}, {"n": True}, {"noise_sigma": "1"}, {"dgps": "linear"}, {"methods": [1]}, [1]],
+    )
+    def test_wrong_config_type_is_one_line_error(self, tmp_path, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockcalc.cli", "study", "flexible-blocking",
+             "--config", str(cfg), "--reps", "1", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("blockcalc: error: config")
+        assert proc.stderr.count("\n") == 1
 
     def test_threads_do_not_change_flexible_blocking_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

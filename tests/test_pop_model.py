@@ -141,6 +141,102 @@ class TestPooledDecomposition:
             assert within + between == pytest.approx(pooled, rel=1e-12, abs=1e-12)
 
 
+def reference_block_moments(table, values):
+    """Per-block (size, mean, sample variance or None) by rescanning the table."""
+    blocks = np.asarray(table.blocks)
+    out = []
+    for k in range(1, max(table.blocks) + 1):
+        group = values[np.flatnonzero(blocks == k)]
+        s2 = float(np.var(group, ddof=1)) if len(group) > 1 else None
+        out.append((len(group), float(np.mean(group)), s2))
+    return out
+
+
+def make_unsorted_table(rng):
+    """Labels in random order, a random scale and offset, some singleton blocks."""
+    k = int(rng.integers(1, 9))
+    n = int(rng.integers(max(k, 2), 5 * k + 1))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    labels = rng.permutation(labels)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    offset = scale * rng.choice([-1, 1]) * 10.0 ** rng.uniform(-1, 4)
+    y_c = offset + scale * rng.standard_normal(n)
+    y_t = y_c + scale * rng.standard_normal(n)
+    return table_from_arrays(labels, y_t, y_c)
+
+
+def assert_close_scaled(got, want, scale, rtol=1e-12):
+    """Elementwise ``|got - want| <= rtol * scale``; ``scale`` is the data's magnitude."""
+    np.testing.assert_allclose(np.asarray(got, dtype=float), want, rtol=0, atol=rtol * scale)
+
+
+class TestBlockStats:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop(self, seed):
+        table = make_unsorted_table(np.random.default_rng(seed))
+        stats = table.stats
+        arms = {"t": table.y_t, "c": table.y_c, "tc": table.y_t - table.y_c}
+        refs = {arm: reference_block_moments(table, values) for arm, values in arms.items()}
+        size = max(float(np.max(np.abs(v))) for v in arms.values())
+        spread2 = max(float(np.max((v - np.mean(v)) ** 2)) for v in arms.values())
+        for arm, values in arms.items():
+            ref = refs[arm]
+            moments = stats.arm(arm)
+            assert stats.n_k.tolist() == [n_k for n_k, _, _ in ref]
+            assert_close_scaled(moments.mean, np.mean(values), size)
+            assert_close_scaled(moments.means, [mean for _, mean, _ in ref], size)
+            assert_close_scaled(moments.dev, [mean - np.mean(values) for _, mean, _ in ref], size)
+            with np.errstate(invalid="ignore"):
+                s2 = np.where(stats.n_k > 1, moments.ss / (stats.n_k - 1), 0.0)
+            assert_close_scaled(s2, [0.0 if v is None else v for _, _, v in ref], spread2)
+            assert_close_scaled(stats.pooled_s2(arm), np.var(values, ddof=1), spread2)
+        summary = summarize(table)
+        for k, blk in enumerate(summary.per_block):
+            (n_k, mean_t, s2_t), (_, mean_c, s2_c), (_, tau, s2_tc) = (
+                refs[arm][k] for arm in ("t", "c", "tc")
+            )
+            assert blk.size == n_k
+            assert_close_scaled([blk.mean_t, blk.mean_c, blk.tau], [mean_t, mean_c, tau], size)
+            for got, want in ((blk.s2_t, s2_t), (blk.s2_c, s2_c), (blk.s2_tc, s2_tc)):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_close_scaled(got, want, spread2)
+        pooled = summary.pooled
+        assert pooled.size == table.n
+        assert_close_scaled(
+            [pooled.s2_t, pooled.s2_c, pooled.s2_tc],
+            [np.var(v, ddof=1) for v in arms.values()],
+            spread2,
+        )
+
+    def test_singleton_error_names_blocks(self):
+        table = table_from_arrays([1, 2, 2, 3], [1, 2, 3, 4], [0, 0, 0, 0])
+        with pytest.raises(ValueError, match=r"singleton block\(s\) \[1, 3\]"):
+            table.stats.s2("t")
+
+    def test_arrays_are_read_only_and_cached(self, mirrored_blocks_table):
+        table = mirrored_blocks_table
+        stats = table.stats
+        assert table.stats is stats
+        assert table.labels is table.labels
+        arrays = [table.labels, table.block_sizes, stats.n_k]
+        arrays += [getattr(stats.arm(arm), name) for arm in ("t", "c", "tc") for name in ("dev", "ss")]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_with_blocks_gets_fresh_stats(self, mirrored_blocks_table):
+        table = mirrored_blocks_table
+        before = table.stats
+        regrouped = table.with_blocks(["A", "B", "A", "B"])
+        assert regrouped.stats is not before
+        assert regrouped.stats.c.dev.tolist() == [-1.0, 1.0]
+        assert regrouped.stats.c.ss.tolist() == [0.0, 0.0]
+        assert before.c.dev.tolist() == [0.0, 0.0]
+        assert table.stats is before
+
+
 class TestDesigns:
     def test_cr_bounds(self, two_unit_table):
         validate_design(CompleteRandomization(1), two_unit_table)

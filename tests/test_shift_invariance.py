@@ -1,0 +1,114 @@
+"""Every variance quantity is unchanged when both outcomes move by 1e8.
+
+Outcomes are multiples of 1/1024 below 16 in magnitude, so adding the
+offset is exact and any difference between the two runs comes from the
+library's own arithmetic. A sum-of-squares formula (``sum x^2 - n mean^2``) or block means
+differenced after the offset is added loses about eight digits here.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from blockcalc.blocking_lab import between_total_ss, r2_blocks, within_variance_ratio
+from blockcalc.cli import main
+from blockcalc.pop_model import (
+    blocked_design_for_proportion,
+    pooled_decomposition,
+    summarize,
+    table_from_arrays,
+    write_table_csv,
+)
+from blockcalc.variance_estimation import cr_varest_bias_under_blocking, expected_s2_under_blocking
+from blockcalc.variance_theory import (
+    block_estimator_variances,
+    neyman_var_blocked,
+    neyman_var_cr,
+    var_diff_finite,
+)
+
+OFFSET = 1e8
+RTOL = 1e-12
+P = 0.5
+
+
+def dyadic_table(offset=0.0, seed=3):
+    """20 blocks of sizes 4/6/8/10 in shuffled row order, dyadic outcomes."""
+    rng = np.random.default_rng(seed)
+    sizes = np.repeat([4, 6, 8, 10], 5)
+    labels = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+    block_c = rng.integers(-2048, 2048, size=len(sizes))[labels - 1]
+    block_tau = rng.integers(-1024, 1024, size=len(sizes))[labels - 1]
+    y_c = (block_c + rng.integers(-4096, 4096, size=len(labels))) / 1024
+    y_t = y_c + (block_tau + rng.integers(-2048, 2048, size=len(labels))) / 1024
+    return table_from_arrays(labels, y_t + offset, y_c + offset)
+
+
+def quantities(table) -> dict:
+    design = blocked_design_for_proportion(table, P)
+    out = {
+        "neyman_var_cr": neyman_var_cr(table, design.n_t),
+        "neyman_var_blocked": neyman_var_blocked(table, design),
+        "r2_blocks": r2_blocks(table),
+        "within_variance_ratio": within_variance_ratio(table.y_c, table.blocks),
+        "between_ss": between_total_ss(table.y_t, np.asarray(table.blocks))[0],
+        "total_ss": between_total_ss(table.y_t, np.asarray(table.blocks))[1],
+    }
+    for k, value in enumerate(block_estimator_variances(table, design)):
+        out[f"block_variance_{k}"] = value
+    report = var_diff_finite(table, P)
+    out.update(
+        var_cr=report.var_cr,
+        var_bk=report.var_bk,
+        diff=report.diff,
+        **report.decomposition,
+    )
+    misuse = cr_varest_bias_under_blocking(table, P)
+    out.update(
+        expected_varest_cr=misuse.expected_varest_cr,
+        true_var_bk=misuse.true_var_bk,
+        bias=misuse.bias,
+    )
+    for arm in ("t", "c"):
+        out[f"expected_s2_{arm}"] = expected_s2_under_blocking(table, arm, design)
+    for arm in ("t", "c", "tc"):
+        within, between = pooled_decomposition(table, arm)
+        out[f"pooled_within_{arm}"] = within
+        out[f"pooled_between_{arm}"] = between
+    summary = summarize(table)
+    for k, blk in enumerate(summary.per_block + (summary.pooled,)):
+        for field in ("tau", "s2_t", "s2_c", "s2_tc"):
+            out[f"summary_{k}_{field}"] = getattr(blk, field)
+    return out
+
+
+def test_offset_changes_no_quantity():
+    base = quantities(dyadic_table())
+    shifted = quantities(dyadic_table(OFFSET))
+    assert base.keys() == shifted.keys()
+    bad = {
+        name: (base[name], shifted[name])
+        for name in base
+        if shifted[name] != pytest.approx(base[name], rel=RTOL, abs=0)
+    }
+    assert not bad
+
+
+def test_variance_command_accepts_offset_outcomes(tmp_path):
+    rows = {}
+    for label, offset in (("base", 0.0), ("shifted", OFFSET)):
+        table = dyadic_table(offset)
+        write_table_csv(table, tmp_path / f"{label}.csv")
+        design = tmp_path / "design.json"
+        n_tk = blocked_design_for_proportion(table, P).n_tk
+        design.write_text(json.dumps({"n_tk": list(n_tk)}))
+        out = tmp_path / label
+        argv = ["variance", str(tmp_path / f"{label}.csv"), "--design", f"blocked:{design}",
+                "--out", str(out), "--no-header-comment"]
+        assert main(argv) == 0
+        header, values = (out / "variance_report.csv").read_text().splitlines()
+        rows[label] = dict(zip(header.split(","), values.split(",")))
+    for column in ("var_cr", "var_bk", "diff", "ratio", "between_term", "within_term"):
+        base, shifted = float(rows["base"][column]), float(rows["shifted"][column])
+        assert shifted == pytest.approx(base, rel=RTOL, abs=0), column
