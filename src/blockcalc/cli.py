@@ -3,10 +3,12 @@
 Commands: ``variance``, ``compare``, ``study``, ``replay``, ``enumerate``.
 Every run writes its report CSVs plus a ``run_manifest.json`` recording the
 command, a digest of the fully resolved configuration, the master seed, the
-library version, timestamps, and the output file list. Report CSVs start
-with a comment line ``# blockcalc <version> seed=<seed>`` unless
-``--no-header-comment`` is given. Reruns with the same seed and config are
-byte-identical regardless of ``--threads``.
+library version, timestamps, and the output file list; runs that enumerate
+assignments (``enumerate``, ``variance --oracle``) add ``method`` and the
+``counts`` of assignments and batches. Report CSVs start with a comment
+line ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment``
+is given. Reruns with the same seed and config are byte-identical
+regardless of ``--threads``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,14 @@ class ManifestWriter:
         self.out_dir = out_dir
         self.outputs: list[str] = []
         self.started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.extra: dict = {}
+
+    def record_enumeration(self, moments) -> None:
+        """Add one exact enumeration's assignment and batch counts to the manifest."""
+        counts = self.extra.setdefault("counts", {"assignments": 0, "chunks": 0})
+        counts["assignments"] += moments.count
+        counts["chunks"] += moments.chunks
+        self.extra["method"] = "enumeration"
 
     def csv_path(self, name: str) -> Path:
         path = self.out_dir / name
@@ -107,6 +117,7 @@ class ManifestWriter:
             "started_at": self.started_at,
             "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": self.outputs,
+            **self.extra,
         }
         path = self.out_dir / "run_manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -122,7 +133,13 @@ def _parse_design(text: str):
     if kind == "blocked":
         with open(value, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return Blocked(tuple(int(m) for m in payload["n_tk"]))
+        n_tk = payload.get("n_tk") if isinstance(payload, dict) else None
+        # bool is a subclass of int; JSON true/false are not counts.
+        if not isinstance(n_tk, list) or not all(type(m) is int for m in n_tk):
+            raise ValueError(
+                f"design file {value} must hold a JSON object whose n_tk is a list of integers"
+            )
+        return Blocked(tuple(n_tk))
     raise ValueError("design must be 'cr:<n_t>' or 'blocked:<file.json>'")
 
 
@@ -181,26 +198,24 @@ def cmd_variance(args) -> int:
             report = var_diff_finite(table, n_t / table.n)
             row["between_term"] = report.decomposition["between_term"]
             row["within_term"] = report.decomposition["within_term"]
-    if args.oracle:
-        match = True
-        oracle_cr = exact_moments(table, CompleteRandomization(n_t), "tau_hat", cap=args.cap)
-        row["oracle_var_cr"] = oracle_cr.variance
-        match &= abs(oracle_cr.variance - row["var_cr"]) <= ORACLE_MATCH_RTOL * max(
-            1.0, abs(oracle_cr.variance)
-        )
-        if blocked:
-            oracle_bk = exact_moments(table, design, "tau_hat", cap=args.cap)
-            row["oracle_var_bk"] = oracle_bk.variance
-            match &= abs(oracle_bk.variance - row["var_bk"]) <= ORACLE_MATCH_RTOL * max(
-                1.0, abs(oracle_bk.variance)
-            )
-        row["oracle_match"] = match
     manifest = ManifestWriter(
         "variance",
         {"table": str(args.table), "design": args.design, "oracle": args.oracle},
         args.seed,
         out,
     )
+    if args.oracle:
+        checks = [("cr", CompleteRandomization(n_t))] + ([("bk", design)] if blocked else [])
+        match = True
+        for name, oracle_design in checks:
+            moments = exact_moments(table, oracle_design, "tau_hat", cap=args.cap)
+            manifest.record_enumeration(moments)
+            oracle, closed = moments.variance, row[f"var_{name}"]
+            row[f"oracle_var_{name}"] = oracle
+            # Scaled by the larger magnitude with no absolute floor, so tiny
+            # outcome scales are checked as strictly as large ones.
+            match &= abs(oracle - closed) <= ORACLE_MATCH_RTOL * max(abs(oracle), abs(closed))
+        row["oracle_match"] = match
     write_report_csv(
         manifest.csv_path("variance_report.csv"),
         list(row.keys()),
@@ -391,6 +406,7 @@ def cmd_enumerate(args) -> int:
         args.seed,
         out,
     )
+    manifest.record_enumeration(moments)
     write_report_csv(
         manifest.csv_path("enumerate_report.csv"),
         list(row.keys()),

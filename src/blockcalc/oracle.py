@@ -2,15 +2,21 @@
 
 Every closed-form variance in this package is validated against these
 enumerations. Assignments are visited in lexicographic order of the treated
-index combinations, nested by block index, which makes the traversal
-deterministic and shardable.
+index combinations, nested by block index with the last block cycling
+fastest, which makes the traversal deterministic and shardable.
+
+Named statistics are evaluated in batches: :func:`iter_assignment_chunks`
+yields boolean ``(rows, n)`` mask matrices in that order, each holding at
+most :data:`CHUNK_CELLS` mask cells, and :func:`batch_statistic` evaluates
+every row of a matrix with array reductions. User-supplied callables see one
+mask at a time from :func:`iter_assignments`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,8 +32,15 @@ from .pop_model import (
 #: Default enumeration cap; keeps worst-case runtime around a minute.
 DEFAULT_CAP = 10_000_000
 
-#: Named statistics usable with :func:`exact_moments`. Each maps
-#: ``(table, treated_mask) -> float``.
+#: Mask cells (rows times units) per batch. Every batch allocates a few
+#: float arrays of this many cells, so this bounds the memory an enumeration
+#: adds whatever its assignment count.
+CHUNK_CELLS = 1 << 14
+
+#: Statistic names understood by :func:`batch_statistic`.
+STATISTICS = ("tau_hat", "var_est_cr", "var_est_blocked")
+
+#: A per-mask statistic ``(table, treated_mask) -> float``.
 Statistic = Callable[[PotentialOutcomeTable, np.ndarray], float]
 
 
@@ -61,77 +74,172 @@ def plan_enumeration(
     return EnumerationPlan(design=design, total_assignments=count_assignments(design, table), cap=cap)
 
 
-def iter_assignments(
+def chunk_rows(n: int) -> int:
+    """Assignments per batch for an ``n``-unit table."""
+    return max(1, CHUNK_CELLS // n)
+
+
+def _combination_matrix(items, m: int, rows: int) -> np.ndarray:
+    """The next ``rows`` size-``m`` combinations from an iterator, one per row."""
+    flat = chain.from_iterable(islice(items, rows))
+    return np.fromiter(flat, dtype=np.intp, count=rows * m).reshape(rows, m)
+
+
+def iter_assignment_chunks(
     table: PotentialOutcomeTable, design: DesignSpec
 ) -> Iterator[np.ndarray]:
-    """Yield every treated mask of the design exactly once.
+    """Yield every treated mask of the design once, as rows of ``(rows, n)`` matrices.
 
     Complete randomization walks ``combinations(range(n), n_t)`` in
     lexicographic order. Blocked designs take the product of per-block
-    combinations, the last block cycling fastest.
+    combinations, the last block cycling fastest: each block's combinations
+    are held as an index matrix, and the flat assignment index is unravelled
+    over the product shape to pick a row of every block's matrix. A matrix
+    holds :func:`chunk_rows` assignments (the last one may hold fewer).
     """
-    validate_design(design, table)
+    total = count_assignments(design, table)
     n = table.n
+    rows = chunk_rows(n)
     if isinstance(design, CompleteRandomization):
-        for chosen in combinations(range(n), design.n_t):
-            mask = np.zeros(n, dtype=bool)
-            mask[list(chosen)] = True
-            yield mask
-        return
-    per_block = [
-        list(combinations(table.block_indices(k).tolist(), design.n_tk[k - 1]))
-        for k in range(1, table.num_blocks + 1)
-    ]
-    for chosen_per_block in product(*per_block):
-        mask = np.zeros(n, dtype=bool)
-        for chosen in chosen_per_block:
-            mask[list(chosen)] = True
-        yield mask
+        per_block = None
+        chosen = combinations(range(n), design.n_t)
+    else:
+        per_block = [
+            _combination_matrix(
+                combinations(table.block_indices(k).tolist(), m), m, math.comb(int(size), m)
+            )
+            for k, (size, m) in enumerate(zip(table.block_sizes, design.n_tk), start=1)
+        ]
+        shape = tuple(len(c) for c in per_block)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        masks = np.zeros((stop - start, n), dtype=bool)
+        row_index = np.arange(stop - start)[:, None]
+        if per_block is None:
+            masks[row_index, _combination_matrix(chosen, design.n_t, stop - start)] = True
+        else:
+            digits = np.unravel_index(np.arange(start, stop), shape)
+            for combos, digit in zip(per_block, digits):
+                masks[row_index, combos[digit]] = True
+        yield masks
 
 
-def _stat_tau_hat(table: PotentialOutcomeTable, mask: np.ndarray) -> float:
-    # Size-weighted difference in means; identical for both designs because
-    # the mask already carries the per-block counts under blocking.
-    blocks = np.asarray(table.blocks)
-    total = 0.0
-    for k in range(1, table.num_blocks + 1):
-        idx = np.flatnonzero(blocks == k)
-        m = mask[idx]
-        total += len(idx) / table.n * (
-            float(np.mean(table.y_t[idx][m])) - float(np.mean(table.y_c[idx][~m]))
-        )
-    return total
+def iter_assignments(
+    table: PotentialOutcomeTable, design: DesignSpec
+) -> Iterator[np.ndarray]:
+    """Yield every treated mask of the design exactly once, one at a time,
+    in :func:`iter_assignment_chunks` order."""
+    for masks in iter_assignment_chunks(table, design):
+        yield from masks
 
 
-def _stat_tau_hat_cr(table: PotentialOutcomeTable, mask: np.ndarray) -> float:
-    return float(np.mean(table.y_t[mask]) - np.mean(table.y_c[~mask]))
+#: Why a statistic is undefined, by (statistic, per block), given the 0-based group.
+_UNDEFINED = {
+    ("tau_hat", False): lambda k: "an arm is empty",
+    ("tau_hat", True): lambda k: f"block {k + 1} has an empty arm",
+    ("var_est_cr", False): lambda k: "each arm needs at least 2 units",
+    ("var_est_blocked", True): lambda k: (
+        f"block {k + 1} has a singleton arm; the blocked variance estimator "
+        "needs at least 2 treated and 2 control units per block"
+    ),
+}
 
 
-def _stat_var_est_cr(table: PotentialOutcomeTable, mask: np.ndarray) -> float:
-    from .variance_estimation import ObservedSample, var_est_cr
+def _raise_undefined(bad: np.ndarray, first: int, reason) -> None:
+    """Report the first row of ``bad`` (rows, groups) that holds a True."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        row = int(rows[0])
+        group = int(np.flatnonzero(bad[row])[0])
+        raise ValueError(f"statistic undefined on assignment #{first + row}: {reason(group)}")
 
-    return var_est_cr(ObservedSample.from_schedule(table, mask))
+
+def batch_statistic(
+    table: PotentialOutcomeTable,
+    design: DesignSpec,
+    statistic: str,
+    masks: np.ndarray,
+    first: int = 0,
+) -> np.ndarray:
+    """Values of a named statistic on every row of a boolean ``(rows, n)`` mask matrix.
+
+    ``tau_hat`` is the difference in means under complete randomization
+    and the size-weighted sum of per-block differences under blocking;
+    ``var_est_cr`` is ``s2_c/n_c + s2_t/n_t`` over the whole table and
+    ``var_est_blocked`` is ``sum_k (n_k/n)^2 (s2_ck/n_ck + s2_tk/n_tk)``.
+    Per row and per group (the whole table, or each block), arm counts and
+    sums come from a one-hot ``(n, groups)`` matrix and arm variances from
+    sums of squares around each row's own arm means (two passes).
+
+    Outcomes are first centered on the table's cached means, per block when
+    the statistic is computed per block and pooled otherwise, so a large
+    common offset cancels before anything is multiplied; ``tau_hat`` adds
+    the pooled mean effect back at the end. A row on which the statistic is
+    undefined (an empty arm for ``tau_hat``, an arm with fewer than two
+    units for the estimators) raises, naming it by ``first`` plus its row.
+    """
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    per_block = statistic == "var_est_blocked" or (
+        statistic == "tau_hat" and isinstance(design, Blocked)
+    )
+    st = table.stats
+    if per_block:
+        labels, sizes = table.labels, st.n_k
+    else:
+        labels, sizes = np.zeros(table.n, dtype=np.intp), np.array([table.n])
+    onehot = np.zeros((table.n, len(sizes)))
+    onehot[np.arange(table.n), labels] = 1.0
+    treated = masks.astype(float)
+    counts_t = treated @ onehot
+    counts_c = sizes - counts_t
+    need = 1 if statistic == "tau_hat" else 2
+    _raise_undefined((counts_t < need) | (counts_c < need), first, _UNDEFINED[statistic, per_block])
+    means, variances = [], []
+    for y, arm, in_arm, counts in (
+        (table.y_t, st.t, treated, counts_t),
+        (table.y_c, st.c, 1.0 - treated, counts_c),
+    ):
+        # y - mean is exact near a large offset; the second pass removes the
+        # rounding of ``mean`` that the deviations still carry.
+        x = y - arm.mean
+        x -= arm.dev[labels] if per_block else np.mean(x)
+        arm_means = (in_arm @ (onehot * x[:, None])) / counts
+        means.append(arm_means)
+        if statistic != "tau_hat":
+            ss = (in_arm * (x - arm_means[:, labels]) ** 2) @ onehot
+            variances.append(ss / ((counts - 1) * counts))
+    weight = sizes / table.n
+    if statistic == "tau_hat":
+        return st.tc.mean + (means[0] - means[1]) @ weight
+    return (variances[0] + variances[1]) @ weight**2
 
 
-def _stat_var_est_blocked(table: PotentialOutcomeTable, mask: np.ndarray) -> float:
-    from .variance_estimation import ObservedSample, var_est_blocked
-
-    return var_est_blocked(ObservedSample.from_schedule(table, mask))
+def enumerate_statistic(
+    table: PotentialOutcomeTable, design: DesignSpec, statistic: str
+) -> tuple[np.ndarray, int]:
+    """A named statistic on every assignment, in enumeration order, and the batch count."""
+    values = np.empty(count_assignments(design, table))
+    start = chunks = 0
+    for masks in iter_assignment_chunks(table, design):
+        stop = start + len(masks)
+        values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
+        start = stop
+        chunks += 1
+    assert start == len(values)
+    return values, chunks
 
 
 def resolve_statistic(statistic, design: DesignSpec) -> Statistic:
-    """Map a statistic name (or callable) to ``(table, mask) -> float``."""
+    """Map a statistic name (or callable) to ``(table, mask) -> float``.
+
+    A name becomes a one-row call of :func:`batch_statistic`.
+    """
     if callable(statistic):
         return statistic
-    if statistic == "tau_hat":
-        if isinstance(design, CompleteRandomization):
-            return _stat_tau_hat_cr
-        return _stat_tau_hat
-    if statistic == "var_est_cr":
-        return _stat_var_est_cr
-    if statistic == "var_est_blocked":
-        return _stat_var_est_blocked
-    raise ValueError(f"unknown statistic {statistic!r}")
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    return lambda table, mask: float(batch_statistic(table, design, statistic, mask[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -139,6 +247,8 @@ class ExactMoments:
     mean: float
     variance: float
     count: int
+    #: Mask matrices evaluated (0 when a callable saw one mask at a time).
+    chunks: int = 0
 
 
 def exact_moments(
@@ -149,27 +259,33 @@ def exact_moments(
 ) -> ExactMoments:
     """Exact mean and population variance of a statistic over all assignments.
 
-    The statistic must be defined for every assignment of the design;
-    otherwise the offending assignment index is reported. Values are
-    accumulated into a preallocated array and reduced with pairwise
-    summation, keeping 1e-12 scale comparisons honest at the cap.
+    Named statistics are evaluated in batches by :func:`batch_statistic`;
+    a callable is called once per mask. The statistic must be defined for
+    every assignment of the design; otherwise the offending assignment index
+    is reported. Values are collected into one array and reduced with
+    pairwise summation, keeping 1e-12 scale comparisons honest at the cap.
     """
     plan = plan_enumeration(design, table, cap=cap)
     if not plan.feasible:
         raise ValueError(
             f"{plan.total_assignments} assignments exceed the enumeration cap {cap}"
         )
-    fn = resolve_statistic(statistic, design)
-    values = np.empty(plan.total_assignments, dtype=float)
-    i = -1
-    for i, mask in enumerate(iter_assignments(table, design)):
-        try:
-            values[i] = fn(table, mask)
-        except ValueError as err:
-            raise ValueError(f"statistic undefined on assignment #{i}: {err}") from err
-    assert i + 1 == plan.total_assignments
+    if callable(statistic):
+        fn = resolve_statistic(statistic, design)
+        values = np.empty(plan.total_assignments, dtype=float)
+        i = -1
+        for i, mask in enumerate(iter_assignments(table, design)):
+            try:
+                values[i] = fn(table, mask)
+            except ValueError as err:
+                raise ValueError(f"statistic undefined on assignment #{i}: {err}") from err
+        assert i + 1 == plan.total_assignments
+        chunks = 0
+    else:
+        values, chunks = enumerate_statistic(table, design, statistic)
     return ExactMoments(
         mean=float(np.mean(values)),
         variance=float(np.var(values)),
         count=plan.total_assignments,
+        chunks=chunks,
     )

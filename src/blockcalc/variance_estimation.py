@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .oracle import count_assignments, iter_assignments
+from .oracle import batch_statistic, chunk_rows, count_assignments, enumerate_statistic
 from .pop_model import (
     Blocked,
     CompleteRandomization,
@@ -242,34 +242,36 @@ def varest_variability(
     Uses the estimator matching the design (arm-pooled for complete
     randomization, per-block for blocking). All assignments are enumerated
     exactly when their count is at most ``exact_limit``; otherwise ``reps``
-    seeded assignments are drawn and the sample variance is reported.
+    seeded assignments are drawn and the sample variance is reported. Either
+    way the estimator is evaluated on batches of masks by
+    :func:`~blockcalc.oracle.batch_statistic`; each Monte Carlo draw still
+    comes from its own per-rep generator.
     """
     validate_design(design, table)
     blocked = isinstance(design, Blocked)
-
-    def estimate(mask: np.ndarray) -> float:
-        obs = ObservedSample.from_schedule(table, mask)
-        return var_est_blocked(obs) if blocked else var_est_cr(obs)
-
+    statistic = "var_est_blocked" if blocked else "var_est_cr"
     total = count_assignments(design, table)
     if total <= exact_limit:
-        values = np.empty(total)
-        for i, mask in enumerate(iter_assignments(table, design)):
-            values[i] = estimate(mask)
+        values, _ = enumerate_statistic(table, design, statistic)
         return VarestVariability(
             mean_varest=float(np.mean(values)),
             var_of_varest=float(np.var(values)),
             method="enumeration",
             reps_used=total,
         )
-    values = np.empty(reps)
-    for r in range(reps):
+
+    def draw(r: int) -> np.ndarray:
         rng = mc.rep_rng(seed, r)
         if blocked:
-            assignment = assign_blocked(table, design, rng)
-        else:
-            assignment = assign_cr(table.n, design.n_t, rng)
-        values[r] = estimate(assignment.treated_mask())
+            return assign_blocked(table, design, rng).treated_mask()
+        return assign_cr(table.n, design.n_t, rng).treated_mask()
+
+    values = np.empty(reps)
+    rows = chunk_rows(table.n)
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
+        masks = np.stack([draw(r) for r in range(start, stop)])
+        values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
     return VarestVariability(
         mean_varest=float(np.mean(values)),
         var_of_varest=float(np.var(values, ddof=1)),

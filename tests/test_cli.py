@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import blockcalc
+from blockcalc import cli
 from blockcalc.cli import main
 
 SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
@@ -54,6 +56,36 @@ class TestVarianceCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["outputs"] == ["variance_report.csv"]
         assert manifest["command"] == "variance"
+        assert manifest["method"] == "enumeration"
+        # C(4, 2) = 6 CR assignments and 2 * 2 blocked ones, one batch each.
+        assert manifest["counts"] == {"assignments": 10, "chunks": 2}
+
+    def test_oracle_mismatch_caught_at_small_outcome_scale(self, tmp_path, monkeypatch):
+        # Outcomes of order 1e-5 give variances of order 1e-10, far below an
+        # absolute tolerance floor of 1e-9: an oracle off by a factor of ten
+        # must still be reported as a mismatch.
+        outcomes = 1e-5 * np.random.default_rng(8).random((8, 2))
+        lines = ["unit_id,block,y_t,y_c"] + [
+            f"u{i},{1 + i // 4},{yt!r},{yc!r}" for i, (yt, yc) in enumerate(outcomes.tolist())
+        ]
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(lines) + "\n")
+        argv = ["variance", str(table), "--design", "cr:4", "--oracle"]
+
+        assert main(argv + ["--out", str(tmp_path / "true")]) == 0
+        assert read_report(tmp_path / "true" / "variance_report.csv")[0]["oracle_match"] == "true"
+
+        exact = cli.exact_moments
+
+        def inflated(*args, **kwargs):
+            moments = exact(*args, **kwargs)
+            return dataclasses.replace(moments, variance=10 * moments.variance)
+
+        monkeypatch.setattr(cli, "exact_moments", inflated)
+        assert main(argv + ["--out", str(tmp_path / "wrong")]) == 0
+        row = read_report(tmp_path / "wrong" / "variance_report.csv")[0]
+        assert float(row["oracle_var_cr"]) < 1e-9
+        assert row["oracle_match"] == "false"
 
     def test_single_block_design(self, tmp_path):
         table = tmp_path / "table.csv"
@@ -244,6 +276,9 @@ class TestEnumerateCommand:
         row = read_report(tmp_path / "enumerate_report.csv")[0]
         assert row["count"] == "6"
         assert float(row["variance"]) == pytest.approx(4.0 / 3.0)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["method"] == "enumeration"
+        assert manifest["counts"] == {"assignments": 6, "chunks": 1}
 
     def test_cap_violation_fails(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -261,3 +296,31 @@ class TestArgumentValidation:
         rc = main(["compare", str(strata), "--framework", "strat", "--out", str(tmp_path)])
         assert rc == 1
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["enumerate", "variance"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '[2, 2]', '{"n_tk": "22"}', '{"n_tk": [2.7, 2]}', '{"n_tk": [true, 1]}',
+            '{"counts": [2, 2]}',
+        ],
+    )
+    def test_malformed_design_json_is_one_line_error(self, tmp_path, command, payload):
+        table = tmp_path / "table.csv"
+        table.write_text("unit_id,block,y_t,y_c\n" + "".join(
+            f"u{i},{1 + i // 4},{i},0\n" for i in range(8)
+        ))
+        design = tmp_path / "design.json"
+        design.write_text(payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockcalc.cli", command, str(table),
+             "--design", f"blocked:{design}", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("blockcalc: error: design file")
+        assert proc.stderr.count("\n") == 1

@@ -1,15 +1,31 @@
+import math
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from blockcalc import (
     Blocked,
     CompleteRandomization,
+    assign_blocked,
+    assign_cr,
     count_assignments,
     exact_moments,
     iter_assignments,
     table_from_arrays,
+    varest_variability,
 )
-from blockcalc.oracle import plan_enumeration
+from blockcalc import mc, oracle
+from blockcalc.oracle import (
+    STATISTICS,
+    batch_statistic,
+    chunk_rows,
+    enumerate_statistic,
+    iter_assignment_chunks,
+    plan_enumeration,
+    resolve_statistic,
+)
+from blockcalc.variance_estimation import ObservedSample, var_est_blocked, var_est_cr
 
 from conftest import make_random_blocked_design, make_random_table
 
@@ -65,3 +81,212 @@ class TestExactMoments:
     def test_undefined_statistic_reports_assignment(self, mirrored_blocks_table):
         with pytest.raises(ValueError, match="assignment #0"):
             exact_moments(mirrored_blocks_table, Blocked((1, 1)), "var_est_blocked")
+
+
+# ---------------------------------------------------------------------------
+# The per-mask reference: one assignment at a time, a rescan per block, and
+# the ObservedSample estimators. It shares no arithmetic with the kernel.
+
+
+def _stat_tau_hat(table, mask):
+    # Size-weighted difference in means; identical for both designs because
+    # the mask already carries the per-block counts under blocking.
+    blocks = np.asarray(table.blocks)
+    total = 0.0
+    for k in range(1, table.num_blocks + 1):
+        idx = np.flatnonzero(blocks == k)
+        m = mask[idx]
+        if not m.any() or m.all():
+            raise ValueError(f"block {k} has an empty arm")
+        total += len(idx) / table.n * (
+            float(np.mean(table.y_t[idx][m])) - float(np.mean(table.y_c[idx][~m]))
+        )
+    return total
+
+
+def _stat_tau_hat_cr(table, mask):
+    if not mask.any() or mask.all():
+        raise ValueError("an arm is empty")
+    return float(np.mean(table.y_t[mask]) - np.mean(table.y_c[~mask]))
+
+
+def _stat_var_est_cr(table, mask):
+    return var_est_cr(ObservedSample.from_schedule(table, mask))
+
+
+def _stat_var_est_blocked(table, mask):
+    return var_est_blocked(ObservedSample.from_schedule(table, mask))
+
+
+def reference_assignments(table, design):
+    """Every treated mask, one Python tuple product at a time: lexicographic
+    combinations, nested by block with the last block cycling fastest."""
+    n = table.n
+    if isinstance(design, CompleteRandomization):
+        per_block = [list(combinations(range(n), design.n_t))]
+    else:
+        per_block = [
+            list(combinations(table.block_indices(k).tolist(), design.n_tk[k - 1]))
+            for k in range(1, table.num_blocks + 1)
+        ]
+    for chosen_per_block in product(*per_block):
+        mask = np.zeros(n, dtype=bool)
+        for chosen in chosen_per_block:
+            mask[list(chosen)] = True
+        yield mask
+
+
+def reference_statistic(statistic, design):
+    if statistic == "tau_hat":
+        return _stat_tau_hat_cr if isinstance(design, CompleteRandomization) else _stat_tau_hat
+    return {"var_est_cr": _stat_var_est_cr, "var_est_blocked": _stat_var_est_blocked}[statistic]
+
+
+def reference_values(table, design, statistic, masks):
+    """Per-mask values, or the index and message of the first undefined mask."""
+    fn = reference_statistic(statistic, design)
+    values = []
+    for i, mask in enumerate(masks):
+        try:
+            values.append(fn(table, mask))
+        except ValueError as err:
+            return None, f"statistic undefined on assignment #{i}: {err}"
+    return np.array(values), None
+
+
+def kernel_values(table, design, statistic):
+    try:
+        return enumerate_statistic(table, design, statistic)[0], None
+    except ValueError as err:
+        return None, str(err)
+
+
+def small_table(rng):
+    """1-3 blocks of 2-6 units in shuffled row order, offset outcomes."""
+    sizes = rng.integers(2, 7, size=int(rng.integers(1, 4)))
+    while sizes.sum() > 12:
+        sizes = sizes[:-1]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    shift = rng.normal(size=len(sizes))[labels]
+    scale = 10.0 ** rng.integers(-3, 4)
+    y_c = scale * (rng.normal(size=len(labels)) + 3 * shift + 5)
+    y_t = y_c + scale * rng.normal(size=len(labels))
+    return table_from_arrays(rng.permutation(26)[labels], y_t, y_c)
+
+
+def small_designs(rng, table):
+    return [
+        CompleteRandomization(int(rng.integers(1, table.n))),
+        Blocked(tuple(int(rng.integers(1, size)) for size in table.block_sizes)),
+        Blocked(tuple(int(size) // 2 for size in table.block_sizes)),
+    ]
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_mask_reference(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        table = small_table(rng)
+        for design in small_designs(rng, table):
+            masks = list(reference_assignments(table, design))
+            for statistic in STATISTICS:
+                want, want_err = reference_values(table, design, statistic, masks)
+                got, got_err = kernel_values(table, design, statistic)
+                assert got_err == want_err, (design, statistic)
+                if want is not None:
+                    scale = np.max(np.abs(want))
+                    assert np.all(np.abs(got - want) <= 1e-12 * scale), (design, statistic)
+
+    def test_one_row_adapter_matches_reference(self):
+        rng = np.random.default_rng(5)
+        table = small_table(rng)
+        design = Blocked(tuple(int(size) // 2 for size in table.block_sizes))
+        for statistic in ("tau_hat", "var_est_cr"):
+            fn = resolve_statistic(statistic, design)
+            ref = reference_statistic(statistic, design)
+            for mask in list(iter_assignments(table, design))[:20]:
+                assert fn(table, mask) == pytest.approx(ref(table, mask), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_undefined_row_is_reported(self, seed):
+        # Arbitrary masks, not tied to the design's counts, so the first
+        # undefined row can fall anywhere; ``first`` shifts the reported index.
+        rng = np.random.default_rng(1300 + seed)
+        labels = rng.permutation(np.repeat([1, 2], 6))
+        six_six = table_from_arrays(labels, rng.normal(size=12), rng.normal(size=12))
+        for table in (small_table(rng), six_six):
+            masks = rng.random((40, table.n)) < rng.uniform(0.15, 0.5)
+            for design in small_designs(rng, table)[:2]:
+                for statistic in STATISTICS:
+                    _, want_err = reference_values(table, design, statistic, list(masks))
+                    if want_err is None:
+                        continue
+                    index = int(want_err.split("#")[1].split(":")[0])
+                    with pytest.raises(ValueError) as err:
+                        batch_statistic(table, design, statistic, masks, first=100)
+                    assert str(err.value) == want_err.replace(f"#{index}:", f"#{100 + index}:")
+
+    def test_unknown_statistic_rejected(self, two_unit_table):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            exact_moments(two_unit_table, CompleteRandomization(1), "tau")
+
+
+class TestAssignmentChunks:
+    @pytest.mark.parametrize("cells", [1, 23, 64])
+    def test_rows_follow_reference_order_across_chunks(self, monkeypatch, cells):
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(77)
+        for _ in range(6):
+            table = small_table(rng)
+            for design in small_designs(rng, table):
+                chunks = list(iter_assignment_chunks(table, design))
+                total = count_assignments(design, table)
+                assert len(chunks) == math.ceil(total / chunk_rows(table.n))
+                assert all(len(c) == chunk_rows(table.n) for c in chunks[:-1])
+                stacked = np.concatenate(chunks)
+                assert stacked.dtype == bool
+                reference = np.array(list(reference_assignments(table, design)))
+                assert np.array_equal(stacked, reference)
+                assert np.array_equal(np.array(list(iter_assignments(table, design))), reference)
+
+    def test_small_chunks_change_no_value(self, monkeypatch):
+        rng = np.random.default_rng(78)
+        table = small_table(rng)
+        design = Blocked(tuple(int(size) // 2 for size in table.block_sizes))
+        whole = exact_moments(table, design, "tau_hat")
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", 2 * table.n)
+        split = exact_moments(table, design, "tau_hat")
+        assert split.chunks == math.ceil(whole.count / 2) > whole.chunks == 1
+        assert split.mean == pytest.approx(whole.mean, rel=1e-14)
+        assert split.variance == pytest.approx(whole.variance, rel=1e-14)
+
+    def test_callables_keep_the_per_mask_path(self, mirrored_blocks_table):
+        moments = exact_moments(mirrored_blocks_table, Blocked((1, 1)), lambda t, m: float(m[0]))
+        assert (moments.count, moments.chunks) == (4, 0)
+
+
+class TestMonteCarloThroughKernel:
+    @pytest.mark.parametrize("cells", [None, 40])
+    def test_matches_per_draw_reference(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(91)
+        table = make_random_table(rng, n_range=(16, 16), k_range=(2, 2), even_sizes=True)
+        while np.any(table.block_sizes < 4):
+            table = make_random_table(rng, n_range=(16, 16), k_range=(2, 2), even_sizes=True)
+        reps, seed = 150, 12
+        halves = Blocked(tuple(int(s) // 2 for s in table.block_sizes))
+        for design in (CompleteRandomization(8), halves):
+            blocked = isinstance(design, Blocked)
+            values = []
+            for r in range(reps):
+                draw = (
+                    assign_blocked(table, design, mc.rep_rng(seed, r)) if blocked
+                    else assign_cr(table.n, design.n_t, mc.rep_rng(seed, r))
+                )
+                obs = ObservedSample.from_schedule(table, draw.treated_mask())
+                values.append(var_est_blocked(obs) if blocked else var_est_cr(obs))
+            result = varest_variability(table, design, reps=reps, seed=seed, exact_limit=0)
+            assert result.method == "monte_carlo" and result.reps_used == reps
+            assert result.mean_varest == pytest.approx(np.mean(values), rel=1e-12)
+            assert result.var_of_varest == pytest.approx(np.var(values, ddof=1), rel=1e-12)

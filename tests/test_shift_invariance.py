@@ -4,6 +4,11 @@ Outcomes are multiples of 1/1024 below 16 in magnitude, so adding the
 offset is exact and any difference between the two runs comes from the
 library's own arithmetic. A sum-of-squares formula (``sum x^2 - n mean^2``) or block means
 differenced after the offset is added loses about eight digits here.
+
+The enumeration oracle and the estimator-variability study are also checked
+under scaling: a quantity of degree ``d`` in the outcomes (1 for the mean of
+``tau_hat``, 2 for a variance, 4 for the variance of a variance estimate)
+scales by ``s**d``.
 """
 
 import json
@@ -13,14 +18,20 @@ import pytest
 
 from blockcalc.blocking_lab import between_total_ss, r2_blocks, within_variance_ratio
 from blockcalc.cli import main
+from blockcalc.oracle import exact_moments
 from blockcalc.pop_model import (
+    CompleteRandomization,
     blocked_design_for_proportion,
     pooled_decomposition,
     summarize,
     table_from_arrays,
     write_table_csv,
 )
-from blockcalc.variance_estimation import cr_varest_bias_under_blocking, expected_s2_under_blocking
+from blockcalc.variance_estimation import (
+    cr_varest_bias_under_blocking,
+    expected_s2_under_blocking,
+    varest_variability,
+)
 from blockcalc.variance_theory import (
     block_estimator_variances,
     neyman_var_blocked,
@@ -33,16 +44,16 @@ RTOL = 1e-12
 P = 0.5
 
 
-def dyadic_table(offset=0.0, seed=3):
-    """20 blocks of sizes 4/6/8/10 in shuffled row order, dyadic outcomes."""
+def dyadic_table(offset=0.0, seed=3, sizes=tuple(np.repeat([4, 6, 8, 10], 5)), scale=1.0):
+    """Blocks of the given sizes (by default 20 of sizes 4/6/8/10) in
+    shuffled row order, dyadic outcomes times ``scale`` plus ``offset``."""
     rng = np.random.default_rng(seed)
-    sizes = np.repeat([4, 6, 8, 10], 5)
     labels = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
     block_c = rng.integers(-2048, 2048, size=len(sizes))[labels - 1]
     block_tau = rng.integers(-1024, 1024, size=len(sizes))[labels - 1]
     y_c = (block_c + rng.integers(-4096, 4096, size=len(labels))) / 1024
     y_t = y_c + (block_tau + rng.integers(-2048, 2048, size=len(labels))) / 1024
-    return table_from_arrays(labels, y_t + offset, y_c + offset)
+    return table_from_arrays(labels, scale * y_t + offset, scale * y_c + offset)
 
 
 def quantities(table) -> dict:
@@ -112,3 +123,40 @@ def test_variance_command_accepts_offset_outcomes(tmp_path):
     for column in ("var_cr", "var_bk", "diff", "ratio", "between_term", "within_term"):
         base, shifted = float(rows["base"][column]), float(rows["shifted"][column])
         assert shifted == pytest.approx(base, rel=RTOL, abs=0), column
+
+
+#: Small enough to enumerate: 3432 CR and 720 blocked assignments.
+ORACLE_SIZES = (4, 4, 6)
+
+
+def oracle_quantities(table) -> dict:
+    """(value, degree in the outcomes) of every oracle and estimator-variability result."""
+    blocked = blocked_design_for_proportion(table, P)
+    designs = {"cr": CompleteRandomization(blocked.n_t), "bk": blocked}
+    out = {}
+    for name, design in designs.items():
+        statistics = ["tau_hat", "var_est_cr"] + (["var_est_blocked"] if name == "bk" else [])
+        for statistic in statistics:
+            moments = exact_moments(table, design, statistic)
+            degree = 1 if statistic == "tau_hat" else 2
+            out[f"{name}_{statistic}_mean"] = (moments.mean, degree)
+            out[f"{name}_{statistic}_variance"] = (moments.variance, 2 * degree)
+        for mode, limit in (("enumeration", 10**6), ("monte_carlo", 0)):
+            result = varest_variability(table, design, reps=300, seed=11, exact_limit=limit)
+            assert result.method == mode
+            out[f"{name}_{mode}_mean_varest"] = (result.mean_varest, 2)
+            out[f"{name}_{mode}_var_of_varest"] = (result.var_of_varest, 4)
+    return out
+
+
+@pytest.mark.parametrize("offset, scale", [(OFFSET, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+def test_oracle_is_shift_and_scale_invariant(offset, scale):
+    base = oracle_quantities(dyadic_table(seed=5, sizes=ORACLE_SIZES))
+    moved = oracle_quantities(dyadic_table(offset, seed=5, sizes=ORACLE_SIZES, scale=scale))
+    assert base.keys() == moved.keys()
+    bad = {
+        name: (base[name][0], moved[name][0])
+        for name, (value, degree) in base.items()
+        if moved[name][0] != pytest.approx(value * scale**degree, rel=RTOL, abs=0)
+    }
+    assert not bad
