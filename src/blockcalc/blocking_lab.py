@@ -178,15 +178,22 @@ def r2_blocks(table: PotentialOutcomeTable) -> float | None:
     return between / total
 
 
-def within_variance_ratio(values, labels) -> float | None:
-    """Average within-block sample variance over the overall sample variance."""
+def within_variance_ratio(values, labels):
+    """Average within-block sample variance over the overall sample variance.
+
+    ``None`` when the values are constant. ``values`` may carry leading axes
+    (one outcome vector per row, all under the same ``labels``); the result
+    is then an array of ratios.
+    """
     counts, moments = grouped_moments(values, labels)
-    total = float(moments.ss.sum()) + float(counts @ moments.dev**2)
+    total = np.sum(moments.ss, axis=-1) + moments.dev**2 @ counts
+    kept = counts >= 2
+    within = np.mean(moments.ss[..., kept] / (counts[kept] - 1), axis=-1)
+    if np.ndim(total):
+        return within / (total / (counts.sum() - 1))
     if total == 0:
         return None
-    overall = total / (counts.sum() - 1)
-    kept = counts >= 2
-    return float(np.mean(moments.ss[kept] / (counts[kept] - 1))) / overall
+    return float(within) / (total / (counts.sum() - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +287,30 @@ def gen_xy_population(
     (odd). Both potential outcomes equal the realized outcome, so design
     variances can be compared without any role for treatment effects.
     """
-    dgp = dgp.lower()
-    if dgp not in DGPS:
-        raise ValueError(f"dgp must be one of {DGPS}")
-    if n % 16:
-        raise ValueError("n must be a multiple of 16")
-    x = np.tile(np.arange(1, 17), n // 16).astype(float)
-    eps = noise_sigma * rng.standard_normal(n)
-    if dgp == "linear":
-        y = x + eps
-    elif dgp == "indep":
-        y = eps
-    else:
-        y = 10.0 * (x.astype(int) % 2 == 1) + eps
+    x = xy_covariate(n)
+    y = xy_outcome(dgp, x, noise_sigma * rng.standard_normal(n))
     sample = covariate_sample_from_values(x)
     table = table_from_arrays(np.ones(n, dtype=int), y, y, unit_ids=sample.unit_ids)
     return sample, table
+
+
+def xy_covariate(n: int) -> np.ndarray:
+    """The covariate of :func:`gen_xy_population`: the integers 1..16 cycled."""
+    if n % 16:
+        raise ValueError("n must be a multiple of 16")
+    return np.tile(np.arange(1, 17), n // 16).astype(float)
+
+
+def xy_outcome(dgp: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Outcome of a DGP of :func:`gen_xy_population` given covariate and noise.
+
+    ``eps`` may carry leading axes (one noise vector per row).
+    """
+    dgp = dgp.lower()
+    if dgp not in DGPS:
+        raise ValueError(f"dgp must be one of {DGPS}")
+    if dgp == "linear":
+        return x + eps
+    if dgp == "indep":
+        return eps
+    return 10.0 * (x.astype(int) % 2 == 1) + eps

@@ -5,9 +5,11 @@ Every run writes its report CSVs plus a ``run_manifest.json`` recording the
 command, a digest of the fully resolved configuration, the master seed, the
 library version, timestamps, and the output file list; runs that enumerate
 assignments (``enumerate``, ``variance --oracle``) add ``method`` and the
-``counts`` of assignments and batches. Report CSVs start with a comment
-line ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment``
-is given. Reruns with the same seed and config are byte-identical
+``counts`` of assignments and batches, Monte Carlo comparisons (``compare
+--framework site|two-stage``) add ``method`` and the ``reps``, and studies
+add the ``counts`` of reps, chunks and workers used. Report CSVs start
+with a comment line ``# blockcalc <version> seed=<seed>`` unless
+``--no-header-comment`` is given. Reruns with the same seed and config are byte-identical
 regardless of ``--threads``.
 """
 
@@ -318,6 +320,8 @@ def cmd_compare(args) -> int:
         args.seed,
         out,
     )
+    if report.reps is not None:
+        manifest.extra.update(method="monte_carlo", counts={"reps": report.reps})
     write_report_csv(
         manifest.csv_path("compare_report.csv"),
         COMPARE_COLUMNS,
@@ -335,7 +339,7 @@ def cmd_study(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
-    rows, columns, resolved = run_study(
+    rows, columns, resolved, counts = run_study(
         args.name,
         config_overrides=overrides,
         seed=args.seed,
@@ -348,6 +352,7 @@ def cmd_study(args) -> int:
         args.seed,
         out,
     )
+    manifest.extra["counts"] = counts
     write_report_csv(
         manifest.csv_path(f"study_{args.name.replace('-', '_')}.csv"),
         columns,

@@ -66,9 +66,9 @@ class PotentialOutcomeTable:
     at least once). Use :func:`validate_table` or :func:`table_from_arrays`
     to build a table from raw labels.
 
-    The 0-based ``labels``, the ``block_sizes`` and the per-block ``stats``
-    are computed on first use and cached on the table; they are read-only
-    because every caller shares them.
+    The 0-based ``labels``, the ``block_sizes``, the ``block_order`` and the
+    per-block ``stats`` are computed on first use and cached on the table;
+    they are read-only because every caller shares them.
     """
 
     unit_ids: tuple[str, ...]
@@ -120,6 +120,11 @@ class PotentialOutcomeTable:
         arms = (self.y_t, self.y_c, self.y_t - self.y_c)
         moments = (centered_moments(y, self.labels, self.block_sizes) for y in arms)
         return BlockStats(self.n, self.block_sizes, *moments)
+
+    @cached_property
+    def block_order(self) -> np.ndarray:
+        """Unit indices grouped by block in label order, unit order within a block."""
+        return _read_only(np.argsort(self.labels, kind="stable"))
 
     def block_indices(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k - 1)
@@ -329,19 +334,39 @@ class ArmStats:
         return self.mean + self.dev
 
 
+def _group_sums(values: np.ndarray, labels: np.ndarray, groups: int) -> np.ndarray:
+    """Sums of ``values`` (..., n) by 0-based ``labels`` along the last axis.
+
+    Every row gets its own range of ``groups`` bins, so one ``np.bincount``
+    serves any number of leading axes.
+    """
+    if values.ndim == 1:
+        return np.bincount(labels, values, minlength=groups)
+    rows = values.reshape(-1, values.shape[-1])
+    bins = (labels + groups * np.arange(len(rows))[:, None]).ravel()
+    sums = np.bincount(bins, rows.ravel(), minlength=groups * len(rows))
+    return sums.reshape(values.shape[:-1] + (groups,))
+
+
 def centered_moments(values: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> ArmStats:
-    """Moments of ``values`` grouped by 0-based ``labels``; every group is nonempty."""
-    mean = float(np.mean(values))
+    """Moments of ``values`` grouped by 0-based ``labels``; every group is nonempty.
+
+    ``values`` may carry leading axes (one outcome vector per row); the
+    groups run along the last axis and ``mean`` then has the leading shape.
+    """
+    mean = values.mean(axis=-1, keepdims=True)
     deviations = values - mean
-    dev = np.bincount(labels, deviations) / counts
-    ss = np.bincount(labels, (deviations - dev[labels]) ** 2)
+    dev = _group_sums(deviations, labels, len(counts)) / counts
+    ss = _group_sums((deviations - dev[..., labels]) ** 2, labels, len(counts))
+    mean = float(mean[0]) if values.ndim == 1 else mean[..., 0]
     return ArmStats(mean=mean, dev=_read_only(dev), ss=_read_only(ss))
 
 
 def grouped_moments(values, labels) -> tuple[np.ndarray, ArmStats]:
     """Group sizes and centered moments of ``values`` for arbitrary labels.
 
-    Groups are ordered by sorted label value.
+    Groups are ordered by sorted label value; ``values`` may carry leading
+    axes, as in :func:`centered_moments`.
     """
     _, inverse, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
     return counts, centered_moments(np.asarray(values, dtype=float), inverse.ravel(), counts)
@@ -384,6 +409,23 @@ class BlockStats:
     def pooled_s2(self, arm: str) -> float:
         """Pooled sample variance: within plus between sums of squares over ``n - 1``."""
         return (float(self.arm(arm).ss.sum()) + self.between_ss(arm)) / (self.n - 1)
+
+
+def pooled_variance(n_k, dev, ss):
+    """Pooled sample variance of blocks gathered in any combination, over a
+    trailing block axis, from block sizes ``n_k``, block means ``dev`` and
+    within-block sums of squares ``ss``.
+
+    This is the identity of :func:`pooled_decomposition` and
+    :meth:`BlockStats.pooled_s2`: within plus between sums of squares over
+    ``n - 1``. Here ``dev`` may be measured from any common reference (the
+    pooled mean of a population the blocks were drawn from, say), so the
+    between part is taken around its size-weighted mean.
+    """
+    n = n_k.sum(axis=-1)
+    center = (n_k * dev).sum(axis=-1) / n
+    between = (n_k * (dev - center[..., None]) ** 2).sum(axis=-1)
+    return (ss.sum(axis=-1) + between) / (n - 1)
 
 
 def summarize(table: PotentialOutcomeTable) -> TableSummary:

@@ -4,7 +4,11 @@ Sampling without replacement is a seeded partial Fisher-Yates shuffle: with
 units indexed ``0..n-1``, step ``i`` swaps position ``i`` with a uniformly
 chosen position in ``i..n-1`` and the first ``n_t`` positions are treated.
 That shuffle order is part of the reproducibility contract: the same
-``numpy.random.Generator`` state always yields the same assignment.
+``numpy.random.Generator`` state always yields the same assignment. Blocked
+designs run one such shuffle per block, in label order. A
+:class:`ShufflePlan` holds the steps of a whole design and
+:func:`draw_masks` draws boolean masks from it; :func:`assign_cr` and
+:func:`assign_blocked` wrap one draw as an :class:`Assignment`.
 
 There is no global generator anywhere in this package. Every randomized
 operation takes an explicit ``rng`` so replications can be seeded
@@ -51,22 +55,72 @@ class Assignment:
         return cls(z=tuple(z))
 
 
-def _partial_shuffle_choose(pool: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``m`` entries of a partial Fisher-Yates shuffle of ``pool``."""
-    pool = pool.copy()
-    n = len(pool)
-    for i in range(m):
-        j = i + int(rng.integers(n - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:m]
+@dataclass(frozen=True)
+class ShufflePlan:
+    """The partial Fisher-Yates steps of one design, with its blocks laid end to end.
+
+    ``pool`` lists the units block by block (unit order within a block; the
+    whole table is one block under complete randomization). Step ``s``
+    swaps pool position ``steps[s]`` with the position ``steps[s] + u``,
+    ``u`` uniform below ``highs[s]``: the positions left in its block. The
+    pool positions of the steps end up treated.
+    """
+
+    n: int
+    pool: tuple[int, ...]
+    steps: tuple[int, ...]
+    highs: np.ndarray
+
+
+def _plan(n: int, pool, sizes, counts) -> ShufflePlan:
+    steps: list[int] = []
+    highs: list[int] = []
+    start = 0
+    for size, m in zip(sizes, counts):
+        steps.extend(range(start, start + m))
+        highs.extend(range(size, size - m, -1))
+        start += size
+    return ShufflePlan(n, tuple(pool), tuple(steps), np.asarray(highs, dtype=np.int64))
+
+
+def shuffle_plan(table: PotentialOutcomeTable, design: DesignSpec) -> ShufflePlan:
+    """The shuffle steps of a design on a table.
+
+    Blocked designs take each block's units from the table's cached
+    ``block_order`` and shuffle the blocks in label order 1..K.
+    """
+    validate_design(design, table)
+    if isinstance(design, CompleteRandomization):
+        return _plan(table.n, range(table.n), [table.n], [design.n_t])
+    return _plan(table.n, table.block_order.tolist(), table.block_sizes.tolist(), design.n_tk)
+
+
+def draw_masks(plan: ShufflePlan, rngs) -> np.ndarray:
+    """One boolean treated mask per generator, as the rows of a ``(draws, n)`` matrix.
+
+    Each generator makes a single ``integers(plan.highs)`` call, which
+    consumes it exactly as one scalar ``integers(high)`` call per step does,
+    so a draw and the generator state after it match the step-by-step
+    shuffle.
+    """
+    steps = plan.steps
+    treated = []
+    for rng in rngs:
+        pool = list(plan.pool)
+        for i, u in zip(steps, rng.integers(plan.highs).tolist()):
+            pool[i], pool[i + u] = pool[i + u], pool[i]
+        treated.append([pool[i] for i in steps])
+    masks = np.zeros((len(treated), plan.n), dtype=bool)
+    masks[np.arange(len(treated))[:, None], treated] = True
+    return masks
 
 
 def assign_cr(n: int, n_t: int, rng: np.random.Generator) -> Assignment:
     """Uniform draw over all size-``n_t`` treated subsets of ``n`` units."""
     if not 0 < n_t < n:
         raise ValueError(f"n_t={n_t} out of range for n={n}")
-    treated = _partial_shuffle_choose(np.arange(n), n_t, rng)
-    return Assignment.from_treated_indices(n, treated)
+    mask = draw_masks(_plan(n, range(n), [n], [n_t]), [rng])[0]
+    return Assignment.from_treated_indices(n, np.flatnonzero(mask))
 
 
 def assign_blocked(
@@ -77,13 +131,8 @@ def assign_blocked(
     Blocks are processed in label order 1..K, so a fixed generator state
     reproduces the assignment exactly.
     """
-    validate_design(design, table)
-    treated: list[int] = []
-    for k in range(1, table.num_blocks + 1):
-        idx = table.block_indices(k)
-        chosen = _partial_shuffle_choose(idx, design.n_tk[k - 1], rng)
-        treated.extend(int(i) for i in chosen)
-    return Assignment.from_treated_indices(table.n, treated)
+    mask = draw_masks(shuffle_plan(table, design), [rng])[0]
+    return Assignment.from_treated_indices(table.n, np.flatnonzero(mask))
 
 
 def _check_consistent(table: PotentialOutcomeTable, assignment: Assignment, design: DesignSpec):

@@ -9,24 +9,34 @@ worker count never changes the output.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mc
 from .blocking_lab import (
+    CovariateSample,
     ScenarioConfig,
+    covariate_sample_from_values,
     gen_scenario_population,
-    gen_xy_population,
     make_blocks_flex,
     make_blocks_interleave,
     make_blocks_peevish,
     r2_blocks,
     within_variance_ratio,
+    xy_covariate,
+    xy_outcome,
 )
-from .pop_model import Blocked, CompleteRandomization
+from .pop_model import Blocked, CompleteRandomization, grouped_moments
 from .variance_estimation import cr_varest_bias_under_blocking, varest_variability
-from .variance_theory import neyman_var_blocked, neyman_var_cr
+from .variance_theory import (
+    block_variances,
+    blocked_variance,
+    cr_variance,
+    neyman_var_blocked,
+    neyman_var_cr,
+)
 
 METHODS = ("flex", "interleave", "peevish")
 
@@ -162,10 +172,10 @@ FLEX_BLOCKING_COLUMNS = [
 ]
 
 
-def _method_labels(cfg: FlexBlockingConfig) -> dict[str, np.ndarray]:
+def _method_labels(cfg: FlexBlockingConfig) -> tuple[CovariateSample, dict[str, np.ndarray]]:
     # The covariate is deterministic, so each method's labels are fixed
     # across replications.
-    sample, _ = gen_xy_population("indep", cfg.n, cfg.noise_sigma, np.random.default_rng(0))
+    sample = covariate_sample_from_values(xy_covariate(cfg.n))
     out = {}
     for method in cfg.methods:
         if method == "flex":
@@ -176,30 +186,45 @@ def _method_labels(cfg: FlexBlockingConfig) -> dict[str, np.ndarray]:
             out[method] = make_blocks_peevish(sample, cfg.block_size)
         else:
             raise ValueError(f"unknown blocking method {method!r}")
-    return out
+    return sample, out
 
 
 def _flex_blocking_chunk(args) -> dict:
+    """Sums over the reps ``lo..hi-1`` of ``var_cr`` per DGP and of each
+    method's ``var_bk`` and outcome within-variance ratio.
+
+    Replication ``r`` draws one ``standard_normal(n)`` per DGP, in DGP
+    order, from ``mc.rep_rng(seed, r)``, as :func:`gen_xy_population`
+    would. The outcomes of every rep and DGP form one ``(dgps, reps, n)``
+    array, evaluated under each method's fixed labels by grouped sums; the
+    two potential outcomes are equal, so every ``S2_tc`` term is 0.
+    """
     cfg, master_seed, lo, hi = args
-    labels = _method_labels(cfg)
-    n_t = cfg.n // 2
+    sample, labels = _method_labels(cfg)
+    n, n_t = cfg.n, cfg.n // 2
+    noise = np.stack(
+        [mc.rep_rng(master_seed, r).standard_normal((len(cfg.dgps), n)) for r in range(lo, hi)],
+        axis=1,
+    )
+    y = np.stack(
+        [xy_outcome(dgp, sample.x, cfg.noise_sigma * eps) for dgp, eps in zip(cfg.dgps, noise)]
+    )
+    s2 = np.var(y, axis=-1, ddof=1)
+    var_cr = cr_variance(s2, s2, 0.0, n, n_t)
     sums = {
-        "var_cr": {dgp: 0.0 for dgp in cfg.dgps},
-        "var_bk": {(m, d): 0.0 for m in cfg.methods for d in cfg.dgps},
-        "y_ratio": {(m, d): 0.0 for m in cfg.methods for d in cfg.dgps},
+        "var_cr": {dgp: float(v) for dgp, v in zip(cfg.dgps, var_cr.sum(axis=1))},
+        "var_bk": {},
+        "y_ratio": {},
     }
-    for r in range(lo, hi):
-        rng = mc.rep_rng(master_seed, r)
-        for dgp in cfg.dgps:
-            _, table = gen_xy_population(dgp, cfg.n, cfg.noise_sigma, rng)
-            sums["var_cr"][dgp] += neyman_var_cr(table, n_t)
-            for method in cfg.methods:
-                blocked_table = table.with_blocks(labels[method])
-                design = Blocked(tuple(int(s) // 2 for s in blocked_table.block_sizes))
-                sums["var_bk"][(method, dgp)] += neyman_var_blocked(blocked_table, design)
-                sums["y_ratio"][(method, dgp)] += within_variance_ratio(
-                    table.y_c, labels[method]
-                )
+    for method in cfg.methods:
+        counts, moments = grouped_moments(y, labels[method])
+        s2_k = moments.ss / (counts - 1)
+        n_tk = np.asarray(Blocked(tuple(int(c) // 2 for c in counts)).n_tk)
+        var_bk = blocked_variance(counts, block_variances(counts, n_tk, s2_k, s2_k, 0.0))
+        y_ratio = within_variance_ratio(y, labels[method])
+        for d, dgp in enumerate(cfg.dgps):
+            sums["var_bk"][(method, dgp)] = float(var_bk[d].sum())
+            sums["y_ratio"][(method, dgp)] = float(y_ratio[d].sum())
     return sums
 
 
@@ -217,8 +242,7 @@ def study_flexible_blocking(
         for group in totals:
             for key in totals[group]:
                 totals[group][key] += part[group][key]
-    labels = _method_labels(cfg)
-    sample, _ = gen_xy_population("indep", cfg.n, cfg.noise_sigma, np.random.default_rng(0))
+    sample, labels = _method_labels(cfg)
     rows = []
     for method in cfg.methods:
         x_ratio = within_variance_ratio(sample.x, labels[method])
@@ -385,18 +409,30 @@ def run_study(
     seed: int = 0,
     reps: int | None = None,
     threads: int = 1,
-) -> tuple[list[dict], list[str], dict]:
-    """Run a named study; returns (rows, column order, resolved config dict)."""
+) -> tuple[list[dict], list[str], dict, dict]:
+    """Run a named study.
+
+    Returns (rows, column order, resolved config dict, counts). ``counts``
+    has the Monte Carlo ``reps`` (per estimator and grid point for
+    ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
+    handed to :func:`mc.map_ordered` (rep chunks for ``flexible-blocking``,
+    grid points otherwise) and the ``workers`` it used.
+    """
     if name not in STUDIES:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
     cfg = config_from_dict(name, config_overrides)
     _, columns = STUDIES[name]
     if name == "ratio-sweep":
+        reps = 0
         rows = study_ratio_sweep(cfg, seed=seed, threads=threads)
+        chunks = len(rows)
     elif name == "flexible-blocking":
-        rows = study_flexible_blocking(
-            cfg, seed=seed, reps=reps or 10_000, threads=threads
-        )
+        reps = reps or 10_000
+        rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads)
+        chunks = math.ceil(reps / mc.CHUNK_SIZE)
     else:
-        rows = study_misconceptions(cfg, seed=seed, reps=reps or 5_000, threads=threads)
-    return rows, columns, dataclasses.asdict(cfg)
+        reps = reps or 5_000
+        rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads)
+        chunks = len(rows)
+    counts = {"reps": reps, "chunks": chunks, "workers": mc.effective_workers(threads, chunks)}
+    return rows, columns, dataclasses.asdict(cfg), counts

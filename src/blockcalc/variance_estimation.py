@@ -31,7 +31,7 @@ from .pop_model import (
     equal_proportions,
     validate_design,
 )
-from .randomizer import assign_blocked, assign_cr
+from .randomizer import draw_masks, shuffle_plan
 
 #: Exact enumeration replaces Monte Carlo below this many assignments.
 EXACT_ENUMERATION_LIMIT = 1_000_000
@@ -245,7 +245,11 @@ def varest_variability(
     seeded assignments are drawn and the sample variance is reported. Either
     way the estimator is evaluated on batches of masks by
     :func:`~blockcalc.oracle.batch_statistic`; each Monte Carlo draw still
-    comes from its own per-rep generator.
+    comes from its own per-rep generator, through
+    :func:`~blockcalc.randomizer.draw_masks` (the draws of
+    :func:`~blockcalc.randomizer.assign_cr` and
+    :func:`~blockcalc.randomizer.assign_blocked`, without building an
+    ``Assignment``).
     """
     validate_design(design, table)
     blocked = isinstance(design, Blocked)
@@ -260,17 +264,12 @@ def varest_variability(
             reps_used=total,
         )
 
-    def draw(r: int) -> np.ndarray:
-        rng = mc.rep_rng(seed, r)
-        if blocked:
-            return assign_blocked(table, design, rng).treated_mask()
-        return assign_cr(table.n, design.n_t, rng).treated_mask()
-
+    plan = shuffle_plan(table, design)
     values = np.empty(reps)
     rows = chunk_rows(table.n)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
-        masks = np.stack([draw(r) for r in range(start, stop)])
+        masks = draw_masks(plan, (mc.rep_rng(seed, r) for r in range(start, stop)))
         values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
     return VarestVariability(
         mean_varest=float(np.mean(values)),

@@ -30,6 +30,7 @@ from .pop_model import (
     StrataMoments,
     WEIGHT_ATOL,
     blocked_design_for_proportion,
+    pooled_variance,
     table_from_arrays,
     validate_design,
 )
@@ -68,9 +69,7 @@ class VarianceReport:
     reps: int | None = None
 
     def __post_init__(self):
-        scale = max(1.0, abs(self.var_cr), abs(self.var_bk))
-        if abs(self.diff - (self.var_cr - self.var_bk)) > 1e-12 * scale:
-            raise ValueError("diff is inconsistent with var_cr - var_bk")
+        check_diff(self.var_cr, self.var_bk, self.diff)
 
     @property
     def ratio(self) -> float | None:
@@ -79,24 +78,61 @@ class VarianceReport:
         return self.var_bk / self.var_cr
 
 
-def var_k(values, weights) -> float:
-    """Weighted between-block variance ``sum w (x - weighted mean)^2``."""
+def check_diff(var_cr, var_bk, diff) -> None:
+    """Raise unless ``diff`` equals ``var_cr - var_bk`` to 1e-12, relative to
+    ``max(1, |var_cr|, |var_bk|)``; arrays are checked element by element."""
+    scale = np.maximum(1.0, np.maximum(np.abs(var_cr), np.abs(var_bk)))
+    if np.any(np.abs(diff - (var_cr - var_bk)) > 1e-12 * scale):
+        raise ValueError("diff is inconsistent with var_cr - var_bk")
+
+
+def var_k(values, weights):
+    """Weighted between-block variance ``sum w (x - weighted mean)^2``.
+
+    Blocks run along the last axis; leading axes hold independent sets of
+    blocks (one per Monte Carlo replication, say) and give an array of
+    variances instead of a float. Values are first taken relative to the
+    first block's, which is exact near a large common offset, so the offset
+    cancels before anything is weighted or squared.
+    """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if values.shape != weights.shape or values.ndim != 1:
-        raise ValueError("values and weights must be 1-d with equal length")
-    if np.any(weights <= 0) or abs(float(weights.sum()) - 1.0) > WEIGHT_ATOL:
+    if values.shape != weights.shape or values.ndim == 0:
+        raise ValueError("values and weights must share a shape, of equal length per block axis")
+    if np.any(weights <= 0) or np.any(np.abs(weights.sum(axis=-1) - 1.0) > WEIGHT_ATOL):
         raise ValueError("weights must be positive and sum to 1")
-    center = float(weights @ values)
-    return float(weights @ (values - center) ** 2)
+    values = values - values[..., :1]
+    center = (weights * values).sum(axis=-1, keepdims=True)
+    result = (weights * (values - center) ** 2).sum(axis=-1)
+    return float(result) if values.ndim == 1 else result
 
 
 def _composite_block_means(mu_c, mu_t, p: float) -> np.ndarray:
     # The linear combination of arm means whose between-block variance is
     # exactly the blocking gain: sqrt(p/(1-p)) mu_c + sqrt((1-p)/p) mu_t.
+    # Only its var_k is used, so each arm is first taken relative to its
+    # first block (exact near a large offset) and the offset never meets
+    # the irrational coefficients.
     a = math.sqrt(p / (1 - p))
     b = math.sqrt((1 - p) / p)
-    return a * np.asarray(mu_c, dtype=float) + b * np.asarray(mu_t, dtype=float)
+    mu_c, mu_t = np.asarray(mu_c, dtype=float), np.asarray(mu_t, dtype=float)
+    return a * (mu_c - mu_c[..., :1]) + b * (mu_t - mu_t[..., :1])
+
+
+def cr_variance(s2_t, s2_c, s2_tc, n, n_t):
+    """``S2_t/n_t + S2_c/n_c - S2_tc/n`` from pooled sample variances (elementwise)."""
+    return s2_t / n_t + s2_c / (n - n_t) - s2_tc / n
+
+
+def block_variances(n_k, n_tk, s2_t, s2_c, s2_tc):
+    """``var(tau_hat_k) = S2_tk/n_tk + S2_ck/n_ck - S2_tck/n_k`` (elementwise)."""
+    return s2_t / n_tk + s2_c / (n_k - n_tk) - s2_tc / n_k
+
+
+def blocked_variance(n_k, block_vars):
+    """``sum_k (n_k/n)^2 var(tau_hat_k)`` over a trailing block axis."""
+    weights = n_k / n_k.sum(axis=-1, keepdims=True)
+    return (weights**2 * block_vars).sum(axis=-1)
 
 
 def neyman_var_cr(table: PotentialOutcomeTable, n_t: int) -> float:
@@ -108,14 +144,13 @@ def neyman_var_cr(table: PotentialOutcomeTable, n_t: int) -> float:
     if not 0 < n_t < n:
         raise ValueError(f"n_t={n_t} out of range for n={n}")
     st = table.stats
-    return st.pooled_s2("t") / n_t + st.pooled_s2("c") / (n - n_t) - st.pooled_s2("tc") / n
+    return cr_variance(st.pooled_s2("t"), st.pooled_s2("c"), st.pooled_s2("tc"), n, n_t)
 
 
 def neyman_var_blocked(table: PotentialOutcomeTable, design: Blocked) -> float:
     """Exact randomization variance of the blocked estimator:
     ``sum_k (n_k/n)^2 (S2_tk/n_tk + S2_ck/n_ck - S2_tck/n_k)``."""
-    weights = table.block_sizes / table.n
-    return float(weights**2 @ block_estimator_variances(table, design))
+    return float(blocked_variance(table.block_sizes, block_estimator_variances(table, design)))
 
 
 def block_estimator_variances(table: PotentialOutcomeTable, design: Blocked) -> np.ndarray:
@@ -123,7 +158,29 @@ def block_estimator_variances(table: PotentialOutcomeTable, design: Blocked) -> 
     validate_design(design, table)
     st = table.stats
     n_tk = np.asarray(design.n_tk, dtype=float)
-    return st.s2("t") / n_tk + st.s2("c") / (st.n_k - n_tk) - st.s2("tc") / st.n_k
+    return block_variances(st.n_k, n_tk, st.s2("t"), st.s2("c"), st.s2("tc"))
+
+
+def _finite_comparison(n_k, n_tk, arms, block_vars, p: float):
+    """``var_cr``, ``var_bk`` and the between and within terms of
+    :func:`var_diff_finite`, over a trailing block axis.
+
+    ``arms`` holds ``(dev, ss)`` for t, c and t-c: block means as deviations
+    from any common reference, and within-block sums of squares. ``var_cr``
+    comes from the pooled within-plus-between identity, so blocks gathered
+    from a population give the values of the table they would form.
+    """
+    n = n_k.sum(axis=-1)
+    weights = n_k / n[..., None]
+    pooled = [pooled_variance(n_k, dev, ss) for dev, ss in arms]
+    var_cr = cr_variance(*pooled, n, n_tk.sum(axis=-1))
+    var_bk = blocked_variance(n_k, block_vars)
+    (dev_t, _), (dev_c, _), _ = arms
+    # var_k is shift invariant, so the block means enter as deviations and a
+    # large outcome offset never reaches the squares.
+    between = var_k(_composite_block_means(dev_c, dev_t, p), weights) / (n - 1)
+    within = (weights * (1 - weights) * block_vars).sum(axis=-1) / (n - 1)
+    return var_cr, var_bk, between, within
 
 
 def var_diff_finite(table: PotentialOutcomeTable, p: float) -> VarianceReport:
@@ -140,17 +197,18 @@ def var_diff_finite(table: PotentialOutcomeTable, p: float) -> VarianceReport:
     """
     design = blocked_design_for_proportion(table, p)
     st = table.stats
-    n = st.n
-    weights = st.n_k / n
-    # var_k is shift invariant, so the block means enter as deviations from
-    # the pooled means and a large outcome offset never reaches the squares.
-    between = var_k(_composite_block_means(st.c.dev, st.t.dev, p), weights) / (n - 1)
-    block_vars = block_estimator_variances(table, design)
-    within = float((weights * (1 - weights)) @ block_vars) / (n - 1)
+    var_cr, var_bk, between, within = _finite_comparison(
+        st.n_k,
+        np.asarray(design.n_tk),
+        [(arm.dev, arm.ss) for arm in (st.t, st.c, st.tc)],
+        block_estimator_variances(table, design),
+        p,
+    )
+    between, within = float(between), float(within)
     return VarianceReport(
         framework=FRAMEWORK_FINITE,
-        var_cr=neyman_var_cr(table, design.n_t),
-        var_bk=neyman_var_blocked(table, design),
+        var_cr=float(var_cr),
+        var_bk=float(var_bk),
         diff=between - within,
         decomposition={"between_term": between, "within_term": within},
     )
@@ -329,6 +387,23 @@ def _mc_report(framework, var_crs, var_bks, diffs, reps) -> VarianceReport:
     )
 
 
+def _monte_carlo(num_types, k_draw, reps, seed, evaluate) -> np.ndarray:
+    """Per-rep ``var_cr``, ``var_bk`` and ``diff`` as the rows of a ``(3, reps)`` array.
+
+    Rep ``r`` draws ``k_draw`` type indices with one ``integers(num_types,
+    size=k_draw)`` call on its own generator ``mc.rep_rng(seed, r)``. Draws
+    are stacked into index matrices of at most ``mc.CHUNK_SIZE`` rows, and
+    ``evaluate`` maps a matrix to the three values of every row.
+    """
+    values = np.empty((3, reps))
+    for lo, hi in mc.chunk_bounds(reps):
+        chosen = np.stack(
+            [mc.rep_rng(seed, r).integers(num_types, size=k_draw) for r in range(lo, hi)]
+        )
+        values[:, lo:hi] = evaluate(chosen)
+    return values
+
+
 def var_diff_site_sampling(
     block_population: Sequence[PotentialOutcomeTable],
     k_draw: int,
@@ -343,34 +418,61 @@ def var_diff_site_sampling(
     a modeling choice documented in the README), assembles them into one
     table, and evaluates the finite-sample difference at proportion ``p``.
     Reported values are averages over draws with the standard error of the
-    mean difference.
+    mean difference; :func:`site_sampling_reps` gives the draws.
+    """
+    values = site_sampling_reps(block_population, k_draw, p, reps, seed)
+    return _mc_report(FRAMEWORK_SITE, *values, reps)
+
+
+def site_sampling_reps(
+    block_population: Sequence[PotentialOutcomeTable],
+    k_draw: int,
+    p: float,
+    reps: int = DEFAULT_REPS,
+    seed: int = 0,
+) -> np.ndarray:
+    """Per-draw ``var_cr``, ``var_bk`` and ``diff`` of
+    :func:`var_diff_site_sampling`, as the rows of a ``(3, reps)`` array.
+
+    No table is assembled: every population block's size, treated count,
+    arm means (as deviations from the population's pooled means), within
+    sums of squares and ``var(tau_hat_j)`` are computed once, and each draw
+    gathers the rows it picked. Every draw's ``diff`` is checked against its
+    ``var_cr - var_bk`` as :class:`VarianceReport` checks one report.
     """
     if not block_population:
         raise ValueError("empty block population")
     if k_draw < 1 or reps < 1:
         raise ValueError("k_draw and reps must be positive")
-    pool = []
     for j, tbl in enumerate(block_population):
         if tbl.n < 2:
             raise ValueError(f"population block {j} has fewer than 2 units")
         m = p * tbl.n
         if abs(m - round(m)) > 1e-9 * tbl.n:
             raise ValueError(f"p*n_k is not an integer for population block {j}")
-        pool.append((tbl.y_t, tbl.y_c))
-    var_crs, var_bks, diffs = [], [], []
-    for r in range(reps):
-        rng = mc.rep_rng(seed, r)
-        chosen = rng.integers(len(pool), size=k_draw)
-        labels = np.concatenate(
-            [np.full(len(pool[j][0]), i + 1) for i, j in enumerate(chosen)]
+    if not 0 < p < 1:
+        raise ValueError("p must be in (0, 1)")
+    # Population block j becomes block j + 1 of one table.
+    population = table_from_arrays(
+        np.repeat(np.arange(1, len(block_population) + 1), [t.n for t in block_population]),
+        np.concatenate([t.y_t for t in block_population]),
+        np.concatenate([t.y_c for t in block_population]),
+    )
+    design = blocked_design_for_proportion(population, p)
+    st = population.stats
+    n_tk = np.asarray(design.n_tk)
+    block_vars = block_estimator_variances(population, design)
+
+    def evaluate(chosen):
+        arms = [(arm.dev[chosen], arm.ss[chosen]) for arm in (st.t, st.c, st.tc)]
+        var_cr, var_bk, between, within = _finite_comparison(
+            st.n_k[chosen], n_tk[chosen], arms, block_vars[chosen], p
         )
-        y_t = np.concatenate([pool[j][0] for j in chosen])
-        y_c = np.concatenate([pool[j][1] for j in chosen])
-        report = var_diff_finite(table_from_arrays(labels, y_t, y_c), p)
-        var_crs.append(report.var_cr)
-        var_bks.append(report.var_bk)
-        diffs.append(report.diff)
-    return _mc_report(FRAMEWORK_SITE, var_crs, var_bks, diffs, reps)
+        diff = between - within
+        check_diff(var_cr, var_bk, diff)
+        return var_cr, var_bk, diff
+
+    return _monte_carlo(len(block_population), k_draw, reps, seed, evaluate)
 
 
 @dataclass(frozen=True)
@@ -421,8 +523,22 @@ def var_diff_two_stage(
     Strata are drawn uniformly with replacement; each draw contributes the
     stratified-sampling between term evaluated on the drawn strata. Every
     per-draw term is nonnegative, so the estimate is nonnegative by
-    construction (blocking cannot hurt here).
+    construction (blocking cannot hurt here). :func:`two_stage_reps` gives
+    the draws.
     """
+    values = two_stage_reps(strata_population, k_draw, p, reps, seed)
+    return _mc_report(FRAMEWORK_TWO_STAGE, *values, reps)
+
+
+def two_stage_reps(
+    strata_population: Sequence[TwoStageStratum],
+    k_draw: int,
+    p: float,
+    reps: int = DEFAULT_REPS,
+    seed: int = 0,
+) -> np.ndarray:
+    """Per-draw ``var_cr``, ``var_bk`` and ``diff`` of
+    :func:`var_diff_two_stage`, as the rows of a ``(3, reps)`` array."""
     if not strata_population:
         raise ValueError("empty strata population")
     if k_draw < 1 or reps < 1:
@@ -439,19 +555,13 @@ def var_diff_two_stage(
     s2_c = np.asarray([s.sigma2_c for s in strata_population])
     sizes = np.asarray([s.n_k for s in strata_population], dtype=float)
     composite = _composite_block_means(mu_c, mu_t, p)
-    var_crs, var_bks, diffs = [], [], []
-    for r in range(reps):
-        rng = mc.rep_rng(seed, r)
-        chosen = rng.integers(len(strata_population), size=k_draw)
+
+    def evaluate(chosen):
         n_k = sizes[chosen]
-        n = float(n_k.sum())
-        weights = n_k / n
-        diff = var_k(composite[chosen], weights) / (n - 1)
+        n = n_k.sum(axis=-1)
+        diff = var_k(composite[chosen], n_k / n[:, None]) / (n - 1)
         n_tk = np.round(p * n_k)
-        var_bk = float(
-            np.sum(weights**2 * (s2_t[chosen] / n_tk + s2_c[chosen] / (n_k - n_tk)))
-        )
-        var_crs.append(var_bk + diff)
-        var_bks.append(var_bk)
-        diffs.append(diff)
-    return _mc_report(FRAMEWORK_TWO_STAGE, var_crs, var_bks, diffs, reps)
+        var_bk = blocked_variance(n_k, s2_t[chosen] / n_tk + s2_c[chosen] / (n_k - n_tk))
+        return var_bk + diff, var_bk, diff
+
+    return _monte_carlo(len(strata_population), k_draw, reps, seed, evaluate)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blockcalc
-from blockcalc import cli
+from blockcalc import cli, mc
 from blockcalc.cli import main
 
 SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
@@ -132,6 +132,8 @@ class TestCompareCommand:
         assert rc == 0
         row = read_report(tmp_path / "compare_report.csv")[0]
         assert float(row["diff"]) == pytest.approx(0.0, abs=1e-15)
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert "method" not in manifest and "counts" not in manifest
 
     def test_unequal_worked_example(self, tmp_path):
         strata = tmp_path / "strata.csv"
@@ -150,6 +152,9 @@ class TestCompareCommand:
         assert rc == 0
         row = read_report(tmp_path / "compare_report.csv")[0]
         assert float(row["diff"]) < 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["method"] == "monte_carlo"
+        assert manifest["counts"] == {"reps": 200}
 
     def test_two_stage_runs(self, tmp_path):
         strata = tmp_path / "strata.csv"
@@ -161,6 +166,9 @@ class TestCompareCommand:
         row = read_report(tmp_path / "compare_report.csv")[0]
         assert float(row["diff"]) > 0
         assert row["mc_se"] != ""
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["method"] == "monte_carlo"
+        assert manifest["counts"] == {"reps": 150}
 
     def test_mixed_modes(self, tmp_path):
         strata = tmp_path / "strata.csv"
@@ -186,6 +194,8 @@ class TestStudyCommand:
         assert rc == 0
         rows = read_report(tmp_path / "study_ratio_sweep.csv")
         assert len(rows) == 36
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["counts"] == {"reps": 0, "chunks": 36, "workers": 1}
         worst = max(float(r["ratio_equal_p"]) for r in rows)
         assert worst > 1.0
 
@@ -198,6 +208,15 @@ class TestStudyCommand:
         assert len(rows) == 2
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["config"]["config"]["spread_scales"] == [0.0, 1.0]
+
+    def test_misconceptions_manifest_counts(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spread_scales": [0.0, 1.0], "rhos": [0.5]}))
+        rc = main(["study", "misconceptions", "--config", str(cfg), "--reps", "30",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["counts"] == {"reps": 30, "chunks": 2, "workers": 1}
 
     def test_unknown_config_field_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -235,6 +254,12 @@ class TestStudyCommand:
         a = (out1 / "study_flexible_blocking.csv").read_bytes()
         b = (out2 / "study_flexible_blocking.csv").read_bytes()
         assert a == b
+        manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (out1, out2)]
+        counts = [manifest["counts"] for manifest in manifests]
+        assert counts == [
+            {"reps": 600, "chunks": 3, "workers": 1},
+            {"reps": 600, "chunks": 3, "workers": mc.effective_workers(3, 3)},
+        ]
 
 
 class TestReplayCommand:

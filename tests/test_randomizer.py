@@ -14,7 +14,8 @@ from blockcalc import (
     table_from_arrays,
     tau_hat,
 )
-from blockcalc.randomizer import tau_hat_reweighted
+from blockcalc import mc
+from blockcalc.randomizer import draw_masks, shuffle_plan, tau_hat_reweighted
 
 from conftest import make_random_blocked_design, make_random_table
 
@@ -132,3 +133,90 @@ class TestReweightingIdentity:
         direct = tau_hat(table, assignment, design)
         reweighted = tau_hat_reweighted(table, assignment, design)
         assert abs(direct - reweighted) <= 1e-12 * max(1.0, abs(direct))
+
+
+# ---------------------------------------------------------------------------
+# Batched mask draws against the step-by-step shuffle
+
+
+def reference_choose(pool, m, rng):
+    """First ``m`` entries of a partial Fisher-Yates shuffle, one ``integers`` call per step."""
+    pool = np.array(pool)
+    for i in range(m):
+        j = i + int(rng.integers(len(pool) - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:m]
+
+
+def reference_mask(table, design, rng):
+    """The draw of a design as a per-block shuffle over ``block_indices`` scans."""
+    mask = np.zeros(table.n, dtype=bool)
+    if isinstance(design, CompleteRandomization):
+        mask[reference_choose(np.arange(table.n), design.n_t, rng)] = True
+        return mask
+    for k in range(1, table.num_blocks + 1):
+        mask[reference_choose(table.block_indices(k), design.n_tk[k - 1], rng)] = True
+    return mask
+
+
+def unsorted_table(seed, sizes):
+    """Blocks of unequal sizes with their rows shuffled, so labels are unsorted."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+    y = rng.standard_normal(len(labels))
+    return table_from_arrays(labels, y, y)
+
+
+def draw_case(sizes, n_t):
+    """A table of the given block sizes and a CR design treating ``n_t``, or
+    (``n_t`` None) a blocked design with varied counts per block."""
+    table = unsorted_table(sum(sizes), sizes)
+    if n_t is not None:
+        return table, CompleteRandomization(n_t)
+    counts = tuple(1 + (3 * k) % (int(s) - 1) for k, s in enumerate(table.block_sizes))
+    return table, Blocked(counts)
+
+
+DRAW_CASES = [
+    ((7,), 3),
+    ((2, 2), None),
+    ((3, 9, 4, 6), None),
+    ((10, 15, 20, 10, 15, 20, 10, 15), None),
+    ((10, 15, 20, 10, 15, 20, 10, 15), 23),
+    ((5, 2, 8), 14),
+]
+
+
+class TestDrawMasks:
+    @pytest.mark.parametrize("sizes, n_t", DRAW_CASES)
+    def test_masks_and_generator_state_match_reference(self, sizes, n_t):
+        table, design = draw_case(sizes, n_t)
+        plan = shuffle_plan(table, design)
+        reps = 500
+        got = draw_masks(plan, (mc.rep_rng(11, r) for r in range(reps)))
+        assert got.dtype == bool and got.shape == (reps, table.n)
+        for r in range(reps):
+            mine, ref = mc.rep_rng(11, r), mc.rep_rng(11, r)
+            draw_masks(plan, [mine])
+            assert np.array_equal(got[r], reference_mask(table, design, ref))
+            assert mine.integers(2**62) == ref.integers(2**62)
+
+    @pytest.mark.parametrize("sizes, n_t", DRAW_CASES)
+    def test_assign_wrappers_return_the_same_draw(self, sizes, n_t):
+        table, design = draw_case(sizes, n_t)
+        for seed in range(50):
+            if n_t is None:
+                assignment = assign_blocked(table, design, np.random.default_rng(seed))
+            else:
+                assignment = assign_cr(table.n, n_t, np.random.default_rng(seed))
+            ref = reference_mask(table, design, np.random.default_rng(seed))
+            assert np.array_equal(assignment.treated_mask(), ref)
+            assert assignment.z == tuple("t" if m else "c" for m in ref)
+
+    def test_no_generators_give_an_empty_matrix(self):
+        plan = shuffle_plan(unsorted_table(0, (3, 4)), Blocked((1, 2)))
+        assert draw_masks(plan, []).shape == (0, 7)
+
+    def test_plan_rejects_infeasible_design(self):
+        with pytest.raises(ValueError, match="block 2"):
+            shuffle_plan(unsorted_table(0, (3, 4)), Blocked((1, 4)))

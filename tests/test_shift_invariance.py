@@ -33,10 +33,13 @@ from blockcalc.variance_estimation import (
     varest_variability,
 )
 from blockcalc.variance_theory import (
+    TwoStageStratum,
     block_estimator_variances,
     neyman_var_blocked,
     neyman_var_cr,
     var_diff_finite,
+    var_diff_site_sampling,
+    var_diff_two_stage,
 )
 
 OFFSET = 1e8
@@ -160,3 +163,46 @@ def test_oracle_is_shift_and_scale_invariant(offset, scale):
         if moved[name][0] != pytest.approx(value * scale**degree, rel=RTOL, abs=0)
     }
     assert not bad
+
+
+def report_fields(report) -> dict:
+    return {name: getattr(report, name) for name in ("var_cr", "var_bk", "diff", "mc_se")}
+
+
+def assert_fields_close(base, moved):
+    bad = {
+        name: (base[name], moved[name])
+        for name in base
+        if moved[name] != pytest.approx(base[name], rel=RTOL, abs=0)
+    }
+    assert not bad
+
+
+@pytest.mark.parametrize("k_draw, p", [(5, 0.5), (3, 0.5), (1, 0.5)])
+def test_site_sampling_is_shift_invariant(k_draw, p):
+    def report(offset):
+        table = dyadic_table(offset)
+        population = [
+            table_from_arrays([1] * len(idx), table.y_t[idx], table.y_c[idx])
+            for idx in (np.flatnonzero(table.labels == k) for k in range(table.num_blocks))
+        ]
+        return var_diff_site_sampling(population, k_draw, p, reps=300, seed=13)
+
+    assert_fields_close(report_fields(report(0.0)), report_fields(report(OFFSET)))
+
+
+@pytest.mark.parametrize("k_draw, p", [(3, 0.5), (4, 0.25), (1, 0.5)])
+def test_two_stage_is_shift_invariant(k_draw, p):
+    rng = np.random.default_rng(29)
+    sizes = (4, 8, 12, 8, 4, 16)
+    mu_t, mu_c = (rng.integers(-4096, 4096, size=len(sizes)) / 1024 for _ in range(2))
+    sigma2 = rng.integers(1, 4096, size=(len(sizes), 2)) / 1024
+
+    def report(offset):
+        strata = [
+            TwoStageStratum(t + offset, c + offset, s2[0], s2[1], n_k=size)
+            for t, c, s2, size in zip(mu_t, mu_c, sigma2, sizes)
+        ]
+        return var_diff_two_stage(strata, k_draw, p, reps=300, seed=31)
+
+    assert_fields_close(report_fields(report(0.0)), report_fields(report(OFFSET)))

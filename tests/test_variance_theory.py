@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,15 @@ from blockcalc import (
     var_diff_two_stage,
     var_k,
 )
+from blockcalc import mc, variance_theory
 from blockcalc.variance_theory import (
     MODE_CR_SRS_VS_BK_STRAT,
     MODE_CR_SRS_VS_CR_STRAT,
     TwoStageStratum,
     VarianceReport,
+    check_diff,
+    site_sampling_reps,
+    two_stage_reps,
 )
 
 from conftest import equal_p_proportions, make_random_table, rel_close
@@ -407,3 +413,245 @@ class TestVarianceReport:
     def test_inconsistent_diff_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             VarianceReport(framework="finite", var_cr=1.0, var_bk=0.5, diff=0.75)
+
+
+# ---------------------------------------------------------------------------
+# Batched Monte Carlo frameworks against per-rep references
+
+
+def reference_site_reps(block_population, k_draw, p, reps, seed):
+    """Per-rep (var_cr, var_bk, diff): assemble each draw's table, call var_diff_finite."""
+    out = np.empty((3, reps))
+    for r in range(reps):
+        chosen = mc.rep_rng(seed, r).integers(len(block_population), size=k_draw)
+        out[:, r] = site_draw([block_population[j] for j in chosen], p)
+    return out
+
+
+def reference_two_stage_reps(strata, k_draw, p, reps, seed):
+    """Per-rep (var_cr, var_bk, diff) of two-stage sampling, one draw at a time."""
+    out = np.empty((3, reps))
+    for r in range(reps):
+        chosen = mc.rep_rng(seed, r).integers(len(strata), size=k_draw)
+        out[:, r] = two_stage_draw([strata[j] for j in chosen], p)
+    return out
+
+
+def two_stage_draw(drawn, p):
+    """(var_cr, var_bk, diff) for one ordered draw of stratum types."""
+    n_k = np.asarray([s.n_k for s in drawn], dtype=float)
+    n = float(n_k.sum())
+    weights = n_k / n
+    a, b = np.sqrt(p / (1 - p)), np.sqrt((1 - p) / p)
+    composite = [a * s.mu_c + b * s.mu_t for s in drawn]
+    diff = var_k(composite, weights) / (n - 1)
+    n_tk = np.round(p * n_k)
+    s2_t = np.asarray([s.sigma2_t for s in drawn])
+    s2_c = np.asarray([s.sigma2_c for s in drawn])
+    var_bk = float(np.sum(weights**2 * (s2_t / n_tk + s2_c / (n_k - n_tk))))
+    return var_bk + diff, var_bk, diff
+
+
+def assert_reps_close(got, want):
+    """Per-rep vectors equal at 1e-12, scaled by each vector's largest magnitude."""
+    assert got.shape == want.shape
+    for name, g, w in zip(("var_cr", "var_bk", "diff"), got, want):
+        scale = max(1e-300, float(np.max(np.abs(w))))
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
+
+
+def site_population(seed, sizes):
+    """Single-block population tables of the given sizes with block-level shifts."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in sizes:
+        shift = rng.standard_normal()
+        y_c = rng.standard_normal(size) + shift
+        y_t = y_c + rng.standard_normal(size) + 0.5 * shift
+        blocks.append(table_from_arrays([1] * size, y_t, y_c))
+    return blocks
+
+
+def two_stage_population(seed, sizes):
+    rng = np.random.default_rng(seed)
+    return [
+        TwoStageStratum(
+            float(rng.normal()), float(rng.normal()), float(rng.random() + 0.1),
+            float(rng.random() + 0.1), n_k=int(size),
+        )
+        for size in sizes
+    ]
+
+
+#: (population sizes, k_draw, p, reps): unequal sizes, k_draw 1, reps that are
+#: not a multiple of the 256-rep chunk.
+SITE_CASES = [
+    ((4, 6, 8, 10, 12, 6, 4), 5, 0.5, 300),
+    ((4, 8, 12), 1, 0.25, 257),
+    ((6, 9, 3, 12), 3, 1 / 3, 70),
+    ((10,) * 5, 8, 0.5, 513),
+]
+
+
+class TestBatchedSiteSampling:
+    @pytest.mark.parametrize("sizes, k_draw, p, reps", SITE_CASES)
+    def test_per_rep_values_match_reference(self, sizes, k_draw, p, reps):
+        population = site_population(len(sizes) + reps, sizes)
+        got = site_sampling_reps(population, k_draw, p, reps, seed=17)
+        assert_reps_close(got, reference_site_reps(population, k_draw, p, reps, 17))
+        report = var_diff_site_sampling(population, k_draw, p, reps, seed=17)
+        assert report.reps == reps
+        assert report.var_cr == float(np.mean(got[0]))
+        assert report.diff == float(np.mean(got[2]))
+        assert report.mc_se == float(np.std(got[2], ddof=1) / np.sqrt(reps))
+
+    def test_every_rep_is_checked(self, monkeypatch):
+        # Two reps move by opposite amounts, so the means stay consistent and
+        # only the per-rep check can see it.
+        original = variance_theory._finite_comparison
+
+        def skewed(*args):
+            var_cr, var_bk, between, within = original(*args)
+            between = between.copy()
+            between[5] += 1e-9
+            between[6] -= 1e-9
+            return var_cr, var_bk, between, within
+
+        monkeypatch.setattr(variance_theory, "_finite_comparison", skewed)
+        population = site_population(2, (4, 6, 8))
+        with pytest.raises(ValueError, match="inconsistent"):
+            var_diff_site_sampling(population, 4, 0.5, reps=20, seed=1)
+
+    def test_rejections_unchanged(self):
+        population = site_population(1, (4, 6))
+        with pytest.raises(ValueError, match="not an integer"):
+            var_diff_site_sampling(population, 2, 0.3, reps=5)
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
+            var_diff_site_sampling(population, 2, 1.5, reps=5)
+        with pytest.raises(ValueError, match="fewer than 2"):
+            var_diff_site_sampling(site_population(1, (1,)), 2, 0.5, reps=5)
+        with pytest.raises(ValueError, match="positive"):
+            var_diff_site_sampling(population, 0, 0.5, reps=5)
+
+
+class TestBatchedTwoStage:
+    @pytest.mark.parametrize(
+        "sizes, k_draw, p, reps",
+        [((4, 6, 8, 4, 12), 4, 0.5, 300), ((4, 8), 1, 0.25, 257), ((6, 3, 9), 3, 1 / 3, 600)],
+    )
+    def test_per_rep_values_match_reference(self, sizes, k_draw, p, reps):
+        strata = two_stage_population(len(sizes) + reps, sizes)
+        got = two_stage_reps(strata, k_draw, p, reps, seed=23)
+        assert_reps_close(got, reference_two_stage_reps(strata, k_draw, p, reps, 23))
+        report = var_diff_two_stage(strata, k_draw, p, reps, seed=23)
+        assert report.diff == float(np.mean(got[2]))
+
+
+class TestCheckDiff:
+    def test_scale_is_the_larger_variance_or_one(self):
+        check_diff(1e6, 5e5, 5e5 + 0.9e-6)
+        with pytest.raises(ValueError, match="inconsistent"):
+            check_diff(1e6, 5e5, 5e5 + 1.1e-6)
+        check_diff(0.25, 0.5, -0.25 + 0.9e-12)
+        with pytest.raises(ValueError, match="inconsistent"):
+            check_diff(0.25, 0.5, -0.25 + 1.1e-12)
+
+    def test_one_bad_element_raises(self):
+        var_cr = np.array([1.0, 2.0, 3.0])
+        var_bk = np.array([0.5, 1.0, 1.5])
+        diff = var_cr - var_bk
+        check_diff(var_cr, var_bk, diff)
+        diff[1] += 1e-11
+        with pytest.raises(ValueError, match="inconsistent"):
+            check_diff(var_cr, var_bk, diff)
+
+
+# ---------------------------------------------------------------------------
+# Exact expectations of the two sampling frameworks by enumerating draws
+
+
+def enumerated_mean(num_types, k_draw, draw_value):
+    """Mean of ``draw_value(chosen)`` over all ``num_types ** k_draw`` equally
+    likely ordered draws."""
+    values = [draw_value(chosen) for chosen in product(range(num_types), repeat=k_draw)]
+    return np.mean(values, axis=0)
+
+
+def site_draw(tables, p):
+    """(var_cr, var_bk, diff) of the table assembled from one ordered draw of blocks."""
+    labels = np.concatenate([np.full(t.n, i + 1) for i, t in enumerate(tables)])
+    table = table_from_arrays(
+        labels,
+        np.concatenate([t.y_t for t in tables]),
+        np.concatenate([t.y_c for t in tables]),
+    )
+    report = var_diff_finite(table, p)
+    return report.var_cr, report.var_bk, report.diff
+
+
+def exact_site(population, k_draw, p):
+    return enumerated_mean(
+        len(population), k_draw, lambda c: site_draw([population[j] for j in c], p)
+    )
+
+
+def exact_two_stage(strata, k_draw, p):
+    return enumerated_mean(len(strata), k_draw, lambda c: two_stage_draw([strata[j] for j in c], p))
+
+
+def composite_variance(means_c, means_t, p):
+    """Var_J of the composite mean over equally likely types (ddof 0)."""
+    a, b = np.sqrt(p / (1 - p)), np.sqrt((1 - p) / p)
+    composite = a * np.asarray(means_c) + b * np.asarray(means_t)
+    return float(np.var(composite))
+
+
+class TestExactSamplingFrameworks:
+    @pytest.mark.parametrize(
+        "sizes, k_draw, p",
+        [((4, 6, 8), 2, 0.5), ((4, 4, 8, 6), 3, 0.5), ((6, 3), 3, 1 / 3), ((4, 4), 1, 0.25)],
+    )
+    def test_site_monte_carlo_mean_within_four_se(self, sizes, k_draw, p):
+        population = site_population(sum(sizes), sizes)
+        exact = exact_site(population, k_draw, p)
+        report = var_diff_site_sampling(population, k_draw, p, reps=3000, seed=41)
+        if k_draw == 1:
+            assert report.diff == 0.0 and exact[2] == 0.0
+        else:
+            assert abs(report.diff - exact[2]) <= 4 * report.mc_se
+
+    @pytest.mark.parametrize("sizes, k_draw, p", [((4, 6, 8), 2, 0.5), ((4, 4, 8, 12), 3, 0.25)])
+    def test_two_stage_monte_carlo_mean_within_four_se(self, sizes, k_draw, p):
+        strata = two_stage_population(sum(sizes), sizes)
+        exact = exact_two_stage(strata, k_draw, p)
+        report = var_diff_two_stage(strata, k_draw, p, reps=3000, seed=43)
+        assert abs(report.diff - exact[2]) <= 4 * report.mc_se
+
+    @pytest.mark.parametrize("num_types, k_draw, m", [(2, 2, 4), (3, 3, 6), (4, 3, 4), (4, 2, 8)])
+    def test_equal_size_two_stage_closed_form(self, num_types, k_draw, m):
+        strata = two_stage_population(10 * num_types + k_draw, (m,) * num_types)
+        p = 0.5
+        enumerated = exact_two_stage(strata, k_draw, p)[2]
+        closed = (
+            (k_draw - 1) / k_draw
+            * composite_variance([s.mu_c for s in strata], [s.mu_t for s in strata], p)
+            / (k_draw * m - 1)
+        )
+        assert abs(enumerated - closed) <= 1e-12 * max(abs(enumerated), abs(closed))
+
+    @pytest.mark.parametrize(
+        "num_types, k_draw, m, p", [(2, 2, 4, 0.5), (3, 3, 4, 0.25), (4, 2, 6, 0.5)]
+    )
+    def test_equal_size_site_closed_form(self, num_types, k_draw, m, p):
+        # E[diff] = (K-1)/(K(n-1)) (Var_J(c_j) - mean_J var(tau_hat_j)), n = K m.
+        population = site_population(num_types * m, (m,) * num_types)
+        enumerated = exact_site(population, k_draw, p)[2]
+        design = Blocked((round(p * m),))
+        block_vars = [neyman_var_blocked(t, design) for t in population]
+        means_c = [float(np.mean(t.y_c)) for t in population]
+        means_t = [float(np.mean(t.y_t)) for t in population]
+        n = k_draw * m
+        closed = (k_draw - 1) / (k_draw * (n - 1)) * (
+            composite_variance(means_c, means_t, p) - float(np.mean(block_vars))
+        )
+        assert abs(enumerated - closed) <= 1e-12 * max(abs(enumerated), abs(closed))
