@@ -19,7 +19,7 @@ from .pop_model import (  # noqa: F401
     table_from_arrays,
     validate_table,
 )
-from .randomizer import Assignment, assign_blocked, assign_cr, tau_hat  # noqa: F401
+from .randomizer import assign_blocked, assign_cr, tau_hat  # noqa: F401
 from .oracle import count_assignments, exact_moments, iter_assignments  # noqa: F401
 from .variance_theory import (  # noqa: F401
     VarianceReport,

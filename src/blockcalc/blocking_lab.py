@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pop_model import PotentialOutcomeTable, grouped_moments, table_from_arrays
+from .pop_model import PotentialOutcomeTable, grouped_moments, read_csv_rows, table_from_arrays
 
 DGPS = ("linear", "indep", "odd")
 
@@ -53,16 +53,7 @@ def covariate_sample_from_values(x) -> CovariateSample:
 
 def read_covariate_csv(path) -> CovariateSample:
     """Read ``unit_id,x`` rows."""
-    import csv
-
-    from .pop_model import _skip_comments
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(_skip_comments(fh)))
-    if not rows:
-        raise ValueError("empty covariate CSV")
-    if "unit_id" not in rows[0] or "x" not in rows[0]:
-        raise ValueError("covariate CSV needs unit_id,x columns")
+    rows = read_csv_rows(path, "covariate", ["unit_id", "x"])
     return CovariateSample(
         unit_ids=tuple(r["unit_id"] for r in rows),
         x=np.asarray([float(r["x"]) for r in rows]),

@@ -44,19 +44,6 @@ STATISTICS = ("tau_hat", "var_est_cr", "var_est_blocked")
 Statistic = Callable[[PotentialOutcomeTable, np.ndarray], float]
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """Exact assignment count for a design, plus the enumeration budget."""
-
-    design: DesignSpec
-    total_assignments: int
-    cap: int = DEFAULT_CAP
-
-    @property
-    def feasible(self) -> bool:
-        return self.total_assignments <= self.cap
-
-
 def count_assignments(design: DesignSpec, table: PotentialOutcomeTable) -> int:
     """Exact number of assignments, in integer arithmetic."""
     validate_design(design, table)
@@ -66,12 +53,6 @@ def count_assignments(design: DesignSpec, table: PotentialOutcomeTable) -> int:
     for size, m in zip(table.block_sizes, design.n_tk):
         total *= math.comb(int(size), m)
     return total
-
-
-def plan_enumeration(
-    design: DesignSpec, table: PotentialOutcomeTable, cap: int = DEFAULT_CAP
-) -> EnumerationPlan:
-    return EnumerationPlan(design=design, total_assignments=count_assignments(design, table), cap=cap)
 
 
 def chunk_rows(n: int) -> int:
@@ -166,10 +147,11 @@ def batch_statistic(
     ``tau_hat`` is the difference in means under complete randomization
     and the size-weighted sum of per-block differences under blocking;
     ``var_est_cr`` is ``s2_c/n_c + s2_t/n_t`` over the whole table and
-    ``var_est_blocked`` is ``sum_k (n_k/n)^2 (s2_ck/n_ck + s2_tk/n_tk)``.
-    Per row and per group (the whole table, or each block), arm counts and
-    sums come from a one-hot ``(n, groups)`` matrix and arm variances from
-    sums of squares around each row's own arm means (two passes).
+    ``var_est_blocked`` is ``sum_k (n_k/n)^2 (s2_ck/n_ck + s2_tk/n_tk)``;
+    only ``tau_hat`` reads ``design``. Per row and per group (the whole
+    table, or each block), arm counts and sums come from a one-hot
+    ``(n, groups)`` matrix and arm variances from sums of squares around
+    each row's own arm means (two passes).
 
     Outcomes are first centered on the table's cached means, per block when
     the statistic is computed per block and pooled otherwise, so a large
@@ -265,27 +247,25 @@ def exact_moments(
     is reported. Values are collected into one array and reduced with
     pairwise summation, keeping 1e-12 scale comparisons honest at the cap.
     """
-    plan = plan_enumeration(design, table, cap=cap)
-    if not plan.feasible:
-        raise ValueError(
-            f"{plan.total_assignments} assignments exceed the enumeration cap {cap}"
-        )
+    total = count_assignments(design, table)
+    if total > cap:
+        raise ValueError(f"{total} assignments exceed the enumeration cap {cap}")
     if callable(statistic):
         fn = resolve_statistic(statistic, design)
-        values = np.empty(plan.total_assignments, dtype=float)
+        values = np.empty(total, dtype=float)
         i = -1
         for i, mask in enumerate(iter_assignments(table, design)):
             try:
                 values[i] = fn(table, mask)
             except ValueError as err:
                 raise ValueError(f"statistic undefined on assignment #{i}: {err}") from err
-        assert i + 1 == plan.total_assignments
+        assert i + 1 == total
         chunks = 0
     else:
         values, chunks = enumerate_statistic(table, design, statistic)
     return ExactMoments(
         mean=float(np.mean(values)),
         variance=float(np.var(values)),
-        count=plan.total_assignments,
+        count=total,
         chunks=chunks,
     )

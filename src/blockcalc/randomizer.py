@@ -1,4 +1,4 @@
-"""Treatment assignment generators and the point estimators they feed.
+"""Treatment assignment draws, as boolean treated masks, and the point estimate.
 
 Sampling without replacement is a seeded partial Fisher-Yates shuffle: with
 units indexed ``0..n-1``, step ``i`` swaps position ``i`` with a uniformly
@@ -8,7 +8,7 @@ That shuffle order is part of the reproducibility contract: the same
 designs run one such shuffle per block, in label order. A
 :class:`ShufflePlan` holds the steps of a whole design and
 :func:`draw_masks` draws boolean masks from it; :func:`assign_cr` and
-:func:`assign_blocked` wrap one draw as an :class:`Assignment`.
+:func:`assign_blocked` return one draw.
 
 There is no global generator anywhere in this package. Every randomized
 operation takes an explicit ``rng`` so replications can be seeded
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import batch_statistic
 from .pop_model import (
     Blocked,
     CompleteRandomization,
@@ -28,31 +29,6 @@ from .pop_model import (
     PotentialOutcomeTable,
     validate_design,
 )
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One realized treatment vector, unit order matching the table."""
-
-    z: tuple[str, ...]
-
-    def __post_init__(self):
-        if any(v not in ("t", "c") for v in self.z):
-            raise ValueError("assignment entries must be 't' or 'c'")
-
-    @property
-    def n(self) -> int:
-        return len(self.z)
-
-    def treated_mask(self) -> np.ndarray:
-        return np.asarray([v == "t" for v in self.z], dtype=bool)
-
-    @classmethod
-    def from_treated_indices(cls, n: int, treated) -> "Assignment":
-        z = ["c"] * n
-        for i in treated:
-            z[i] = "t"
-        return cls(z=tuple(z))
 
 
 @dataclass(frozen=True)
@@ -115,86 +91,43 @@ def draw_masks(plan: ShufflePlan, rngs) -> np.ndarray:
     return masks
 
 
-def assign_cr(n: int, n_t: int, rng: np.random.Generator) -> Assignment:
-    """Uniform draw over all size-``n_t`` treated subsets of ``n`` units."""
+def assign_cr(n: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw over all size-``n_t`` treated subsets of ``n`` units, as a treated mask."""
     if not 0 < n_t < n:
         raise ValueError(f"n_t={n_t} out of range for n={n}")
-    mask = draw_masks(_plan(n, range(n), [n], [n_t]), [rng])[0]
-    return Assignment.from_treated_indices(n, np.flatnonzero(mask))
+    return draw_masks(_plan(n, range(n), [n], [n_t]), [rng])[0]
 
 
 def assign_blocked(
     table: PotentialOutcomeTable, design: Blocked, rng: np.random.Generator
-) -> Assignment:
-    """Independent complete randomization inside every block (product law).
+) -> np.ndarray:
+    """Independent complete randomization inside every block (product law), as a treated mask.
 
     Blocks are processed in label order 1..K, so a fixed generator state
     reproduces the assignment exactly.
     """
-    mask = draw_masks(shuffle_plan(table, design), [rng])[0]
-    return Assignment.from_treated_indices(table.n, np.flatnonzero(mask))
+    return draw_masks(shuffle_plan(table, design), [rng])[0]
 
 
-def _check_consistent(table: PotentialOutcomeTable, assignment: Assignment, design: DesignSpec):
-    if assignment.n != table.n:
-        raise ValueError("assignment length does not match table")
-    mask = assignment.treated_mask()
-    if isinstance(design, CompleteRandomization):
-        if int(mask.sum()) != design.n_t:
-            raise ValueError("assignment has the wrong treated count")
-    else:
-        validate_design(design, table)
-        for k in range(1, table.num_blocks + 1):
-            idx = table.block_indices(k)
-            if int(mask[idx].sum()) != design.n_tk[k - 1]:
-                raise ValueError(f"assignment treats the wrong count in block {k}")
-    return mask
-
-
-def tau_hat(
-    table: PotentialOutcomeTable, assignment: Assignment, design: DesignSpec
-) -> float:
-    """Difference-in-means estimate for the realized assignment.
+def tau_hat(table: PotentialOutcomeTable, mask: np.ndarray, design: DesignSpec) -> float:
+    """Difference-in-means estimate for a realized treated mask.
 
     Complete randomization: treated mean minus control mean. Blocked: the
     size-weighted average ``sum_k (n_k/n) tau_hat_k`` of per-block
-    difference-in-means estimates.
+    difference-in-means estimates. The mask must treat the design's count
+    (in every block, for a blocked design); the estimate is one row of
+    :func:`~blockcalc.oracle.batch_statistic`.
     """
-    mask = _check_consistent(table, assignment, design)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (table.n,):
+        raise ValueError("assignment length does not match table")
+    validate_design(design, table)
+    treated = np.bincount(table.labels, mask)
     if isinstance(design, CompleteRandomization):
-        return float(np.mean(table.y_t[mask]) - np.mean(table.y_c[~mask]))
-    total = 0.0
-    for k in range(1, table.num_blocks + 1):
-        idx = table.block_indices(k)
-        m = mask[idx]
-        if not m.any() or m.all():
-            raise ValueError(f"block {k} has an empty arm")
-        block_est = float(np.mean(table.y_t[idx][m]) - np.mean(table.y_c[idx][~m]))
-        total += len(idx) / table.n * block_est
-    return total
-
-
-def tau_hat_reweighted(
-    table: PotentialOutcomeTable, assignment: Assignment, design: Blocked
-) -> float:
-    """Blocked estimate written as a reweighted sum over observed outcomes.
-
-    With ``p = n_t / n`` and ``p_k = n_tk / n_k``, each treated observation
-    carries weight ``(1/n_t)(p/p_k)`` and each control observation weight
-    ``(1/n_c)((1-p)/(1-p_k))``. Algebraically identical to :func:`tau_hat`
-    under the blocked design; exposed so that identity can be checked
-    directly.
-    """
-    mask = _check_consistent(table, assignment, design)
-    n = table.n
-    n_t = design.n_t
-    n_c = n - n_t
-    p = n_t / n
-    total = 0.0
-    for k in range(1, table.num_blocks + 1):
-        idx = table.block_indices(k)
-        m = mask[idx]
-        p_k = design.n_tk[k - 1] / len(idx)
-        total += (p / p_k) / n_t * float(np.sum(table.y_t[idx][m]))
-        total -= ((1 - p) / (1 - p_k)) / n_c * float(np.sum(table.y_c[idx][~m]))
-    return total
+        if treated.sum() != design.n_t:
+            raise ValueError("assignment has the wrong treated count")
+    else:
+        wrong = np.flatnonzero(treated != design.n_tk)
+        if wrong.size:
+            raise ValueError(f"assignment treats the wrong count in block {wrong[0] + 1}")
+    return float(batch_statistic(table, design, "tau_hat", mask[None])[0])

@@ -19,7 +19,6 @@ Strategies:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import mc
 from .blocking_lab import make_blocks_random
-from .pop_model import Blocked, PotentialOutcomeTable, _canonical_labels, _skip_comments
+from .pop_model import Blocked, PotentialOutcomeTable, _canonical_labels, read_csv_rows
 from .variance_theory import neyman_var_blocked, neyman_var_cr
 
 REPLAY_CSV_HEADER = ["unit_id", "block", "z", "baseline", "y"]
@@ -80,13 +79,7 @@ class ReplayData:
 
 def read_replay_csv(path) -> ReplayData:
     """Read ``unit_id,block,z,baseline,y`` rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(_skip_comments(fh)))
-    if not rows:
-        raise ValueError("empty replay CSV")
-    missing = set(REPLAY_CSV_HEADER) - set(rows[0])
-    if missing:
-        raise ValueError(f"replay CSV missing columns: {sorted(missing)}")
+    rows = read_csv_rows(path, "replay", REPLAY_CSV_HEADER)
     return ReplayData(
         unit_ids=tuple(r["unit_id"] for r in rows),
         blocks=_canonical_labels([r["block"] for r in rows]),

@@ -39,48 +39,48 @@ EXACT_ENUMERATION_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class ObservedSample:
-    """What the analyst sees: block label, arm, and observed outcome per unit."""
+    """What the analyst sees: block label, treated flag and observed outcome per unit.
+
+    ``treated`` and ``y_obs`` are stored as read-only boolean and float arrays.
+    """
 
     blocks: tuple[int, ...]
-    z: tuple[str, ...]
+    treated: np.ndarray
     y_obs: np.ndarray
 
     def __post_init__(self):
-        if not len(self.blocks) == len(self.z) == len(self.y_obs):
+        treated = np.array(self.treated, dtype=bool)
+        y_obs = np.array(self.y_obs, dtype=float)
+        if not len(self.blocks) == len(treated) == len(y_obs):
             raise ValueError("fields must share one length")
-        if any(v not in ("t", "c") for v in self.z):
-            raise ValueError("z entries must be 't' or 'c'")
-        arr = np.asarray(self.y_obs, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "y_obs", arr)
+        for name, arr in (("treated", treated), ("y_obs", y_obs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_schedule(
         cls, table: PotentialOutcomeTable, treated_mask: np.ndarray
     ) -> "ObservedSample":
         y_obs = np.where(treated_mask, table.y_t, table.y_c)
-        z = tuple("t" if m else "c" for m in treated_mask)
-        return cls(blocks=table.blocks, z=z, y_obs=y_obs)
+        return cls(blocks=table.blocks, treated=treated_mask, y_obs=y_obs)
 
-    def arm_values(self, z: str) -> np.ndarray:
-        mask = np.asarray([v == z for v in self.z])
-        return self.y_obs[mask]
 
-    @property
-    def num_blocks(self) -> int:
-        return max(self.blocks)
+def _estimate(obs: ObservedSample, statistic: str) -> float:
+    """A named variance estimator on the sample, as one row of the oracle's kernel.
+
+    The observed outcomes stand in for both potential outcomes (a no-impact
+    table), so each arm reads exactly the values observed in it. The kernel
+    reads no design for the variance estimators.
+    """
+    unit_ids = tuple(str(i) for i in range(len(obs.y_obs)))
+    table = PotentialOutcomeTable(unit_ids, obs.blocks, obs.y_obs, obs.y_obs)
+    return float(batch_statistic(table, None, statistic, obs.treated[None])[0])
 
 
 def var_est_cr(obs: ObservedSample) -> float:
     """Standard variance estimate for complete randomization:
     ``s2_c/n_c + s2_t/n_t`` with sample variances per arm."""
-    treated = obs.arm_values("t")
-    control = obs.arm_values("c")
-    if len(treated) < 2 or len(control) < 2:
-        raise ValueError("each arm needs at least 2 units")
-    return float(np.var(control, ddof=1)) / len(control) + float(
-        np.var(treated, ddof=1)
-    ) / len(treated)
+    return _estimate(obs, "var_est_cr")
 
 
 def var_est_blocked(obs: ObservedSample) -> float:
@@ -88,24 +88,7 @@ def var_est_blocked(obs: ObservedSample) -> float:
 
     Raises if any block has fewer than two units in either arm.
     """
-    blocks = np.asarray(obs.blocks)
-    n = len(blocks)
-    total = 0.0
-    for k in range(1, obs.num_blocks + 1):
-        idx = np.flatnonzero(blocks == k)
-        z = np.asarray([obs.z[i] == "t" for i in idx])
-        treated = obs.y_obs[idx][z]
-        control = obs.y_obs[idx][~z]
-        if len(treated) < 2 or len(control) < 2:
-            raise ValueError(
-                f"block {k} has a singleton arm; the blocked variance estimator "
-                "needs at least 2 treated and 2 control units per block"
-            )
-        total += (len(idx) / n) ** 2 * (
-            float(np.var(control, ddof=1)) / len(control)
-            + float(np.var(treated, ddof=1)) / len(treated)
-        )
-    return total
+    return _estimate(obs, "var_est_blocked")
 
 
 def _require_equal_proportions(table: PotentialOutcomeTable, design: Blocked) -> float:
@@ -248,8 +231,7 @@ def varest_variability(
     comes from its own per-rep generator, through
     :func:`~blockcalc.randomizer.draw_masks` (the draws of
     :func:`~blockcalc.randomizer.assign_cr` and
-    :func:`~blockcalc.randomizer.assign_blocked`, without building an
-    ``Assignment``).
+    :func:`~blockcalc.randomizer.assign_blocked`).
     """
     validate_design(design, table)
     blocked = isinstance(design, Blocked)

@@ -282,3 +282,11 @@ class TestCovariateCsv:
         path.write_text("unit_id\nu1\n")
         with pytest.raises(ValueError, match="unit_id,x"):
             read_covariate_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        from blockcalc.blocking_lab import read_covariate_csv
+
+        path = tmp_path / "cov.csv"
+        path.write_text("# covariates\nunit_id,x\nu1,3.5\nu2\n")
+        with pytest.raises(ValueError, match=r"covariate CSV data row 2 has no value for \['x'\]"):
+            read_covariate_csv(path)

@@ -349,3 +349,40 @@ class TestArgumentValidation:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("blockcalc: error: design file")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, argv, text",
+        [
+            (
+                "table",
+                ["variance", "--design", "cr:2"],
+                "unit_id,block,y_t,y_c\na,A,0,0\nb,A,2\nc,B,0,0\nd,B,2,2\n",
+            ),
+            (
+                "strata",
+                ["compare", "--framework", "strat", "--n", "8", "--p", "0.5"],
+                "# moments\nstratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc\n"
+                "1,0.5,0,0,1,1,0\n2,0.5,0\n",
+            ),
+            (
+                "replay",
+                ["replay"],
+                "unit_id,block,z,baseline,y\na,1,t,0.1,1.0\nb,1,t,0.4\n",
+            ),
+        ],
+    )
+    def test_short_csv_row_is_one_line_error(self, tmp_path, kind, argv, text):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockcalc.cli", argv[0], str(path), *argv[1:],
+             "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"blockcalc: error: {kind} CSV data row 2 has no value")
+        assert proc.stderr.count("\n") == 1

@@ -22,7 +22,6 @@ from blockcalc.oracle import (
     chunk_rows,
     enumerate_statistic,
     iter_assignment_chunks,
-    plan_enumeration,
     resolve_statistic,
 )
 from blockcalc.variance_estimation import ObservedSample, var_est_blocked, var_est_cr
@@ -41,11 +40,10 @@ class TestCounts:
     def test_two_unit_count(self, two_unit_table):
         assert count_assignments(CompleteRandomization(1), two_unit_table) == 2
 
-    def test_plan_feasibility(self, two_unit_table):
-        plan = plan_enumeration(CompleteRandomization(1), two_unit_table, cap=1)
-        assert not plan.feasible
-        with pytest.raises(ValueError, match="cap"):
+    def test_cap_refuses_larger_enumerations(self, two_unit_table):
+        with pytest.raises(ValueError, match="2 assignments exceed the enumeration cap 1"):
             exact_moments(two_unit_table, CompleteRandomization(1), cap=1)
+        assert exact_moments(two_unit_table, CompleteRandomization(1), cap=2).count == 2
 
     def test_enumeration_visits_each_assignment_once(self):
         rng = np.random.default_rng(42)
@@ -84,8 +82,8 @@ class TestExactMoments:
 
 
 # ---------------------------------------------------------------------------
-# The per-mask reference: one assignment at a time, a rescan per block, and
-# the ObservedSample estimators. It shares no arithmetic with the kernel.
+# The per-mask reference: one assignment at a time, a rescan per block,
+# np.mean and np.var per arm. It shares no arithmetic with the kernel.
 
 
 def _stat_tau_hat(table, mask):
@@ -110,12 +108,38 @@ def _stat_tau_hat_cr(table, mask):
     return float(np.mean(table.y_t[mask]) - np.mean(table.y_c[~mask]))
 
 
+def _arm_variance_terms(table, mask, idx):
+    """``s2_c/n_c + s2_t/n_t`` over the units ``idx``, or None if an arm has under 2 units."""
+    m = mask[idx]
+    treated = table.y_t[idx][m]
+    control = table.y_c[idx][~m]
+    if len(treated) < 2 or len(control) < 2:
+        return None
+    return float(np.var(control, ddof=1)) / len(control) + float(
+        np.var(treated, ddof=1)
+    ) / len(treated)
+
+
 def _stat_var_est_cr(table, mask):
-    return var_est_cr(ObservedSample.from_schedule(table, mask))
+    value = _arm_variance_terms(table, mask, np.arange(table.n))
+    if value is None:
+        raise ValueError("each arm needs at least 2 units")
+    return value
 
 
 def _stat_var_est_blocked(table, mask):
-    return var_est_blocked(ObservedSample.from_schedule(table, mask))
+    blocks = np.asarray(table.blocks)
+    total = 0.0
+    for k in range(1, table.num_blocks + 1):
+        idx = np.flatnonzero(blocks == k)
+        value = _arm_variance_terms(table, mask, idx)
+        if value is None:
+            raise ValueError(
+                f"block {k} has a singleton arm; the blocked variance estimator "
+                "needs at least 2 treated and 2 control units per block"
+            )
+        total += (len(idx) / table.n) ** 2 * value
+    return total
 
 
 def reference_assignments(table, design):
@@ -207,6 +231,20 @@ class TestBatchKernel:
             for mask in list(iter_assignments(table, design))[:20]:
                 assert fn(table, mask) == pytest.approx(ref(table, mask), rel=1e-12, abs=0)
 
+    def test_observed_sample_estimators_match_reference(self):
+        # The estimators read the observed outcomes only, through a no-impact
+        # table that keeps the sample's block labels.
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            table = small_table(rng)
+            design = Blocked(tuple(int(size) // 2 for size in table.block_sizes))
+            for mask in list(iter_assignments(table, design))[:20]:
+                sample = ObservedSample.from_schedule(table, mask)
+                want_cr = _stat_var_est_cr(table, mask)
+                want_bk = _stat_var_est_blocked(table, mask)
+                assert var_est_cr(sample) == pytest.approx(want_cr, rel=1e-12, abs=0)
+                assert var_est_blocked(sample) == pytest.approx(want_bk, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_first_undefined_row_is_reported(self, seed):
         # Arbitrary masks, not tied to the design's counts, so the first
@@ -280,12 +318,12 @@ class TestMonteCarloThroughKernel:
             blocked = isinstance(design, Blocked)
             values = []
             for r in range(reps):
-                draw = (
-                    assign_blocked(table, design, mc.rep_rng(seed, r)) if blocked
-                    else assign_cr(table.n, design.n_t, mc.rep_rng(seed, r))
-                )
-                obs = ObservedSample.from_schedule(table, draw.treated_mask())
-                values.append(var_est_blocked(obs) if blocked else var_est_cr(obs))
+                if blocked:
+                    mask = assign_blocked(table, design, mc.rep_rng(seed, r))
+                    values.append(_stat_var_est_blocked(table, mask))
+                else:
+                    mask = assign_cr(table.n, design.n_t, mc.rep_rng(seed, r))
+                    values.append(_stat_var_est_cr(table, mask))
             result = varest_variability(table, design, reps=reps, seed=seed, exact_limit=0)
             assert result.method == "monte_carlo" and result.reps_used == reps
             assert result.mean_varest == pytest.approx(np.mean(values), rel=1e-12)

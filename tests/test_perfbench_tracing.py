@@ -1,0 +1,34 @@
+"""The traced benchmark (``perfbench/run.py --trace 1``) wraps names that exist.
+
+``perfbench/tracing.py`` uses the standard library only, so it is loaded
+from its file here; a renamed or deleted library function or method then
+fails this test instead of the traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import blockcalc
+import blockcalc.cli  # noqa: F401  (the plans read every submodule as an attribute)
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def test_every_traced_function_resolves():
+    plan = tracing._function_plan(blockcalc)
+    missing = [
+        (module.__name__, attr)
+        for module, attr, _ in plan
+        if not callable(getattr(module, attr, None))
+    ]
+    assert plan and not missing
+
+
+def test_every_traced_method_is_defined_on_its_class():
+    plan = tracing._method_plan(blockcalc)
+    missing = [(cls.__qualname__, attr) for cls, attr, _ in plan if attr not in cls.__dict__]
+    assert plan and not missing

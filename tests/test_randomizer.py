@@ -15,7 +15,7 @@ from blockcalc import (
     tau_hat,
 )
 from blockcalc import mc
-from blockcalc.randomizer import draw_masks, shuffle_plan, tau_hat_reweighted
+from blockcalc.randomizer import draw_masks, shuffle_plan
 
 from conftest import make_random_blocked_design, make_random_table
 
@@ -26,7 +26,7 @@ class TestAssignCr:
         draws = 100_000
         hits = np.zeros(2)
         for _ in range(draws):
-            hits += assign_cr(2, 1, rng).treated_mask()
+            hits += assign_cr(2, 1, rng)
         freq = hits / draws
         assert np.all(np.abs(freq - 0.5) < 0.01)
 
@@ -37,7 +37,8 @@ class TestAssignCr:
     def test_fixed_seed_reproduces(self):
         a = assign_cr(10, 4, np.random.default_rng(7))
         b = assign_cr(10, 4, np.random.default_rng(7))
-        assert a == b
+        assert a.dtype == bool and a.sum() == 4
+        assert np.array_equal(a, b)
 
     def test_uniform_over_subsets(self):
         # n=4 choose 2: all 6 subsets near 1/6.
@@ -45,7 +46,7 @@ class TestAssignCr:
         counts = Counter()
         draws = 60_000
         for _ in range(draws):
-            counts[tuple(assign_cr(4, 2, rng).treated_mask())] += 1
+            counts[tuple(assign_cr(4, 2, rng))] += 1
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c / draws - 1 / 6) < 0.01
@@ -58,7 +59,7 @@ class TestAssignBlocked:
         counts = Counter()
         draws = 100_000
         for _ in range(draws):
-            counts[tuple(assign_blocked(mirrored_blocks_table, design, rng).z)] += 1
+            counts[tuple(assign_blocked(mirrored_blocks_table, design, rng))] += 1
         assert len(counts) == 4
         for c in counts.values():
             assert abs(c / draws - 0.25) < 0.01
@@ -71,37 +72,44 @@ class TestAssignBlocked:
         design = Blocked((1, 1))
         a = assign_blocked(mirrored_blocks_table, design, np.random.default_rng(3))
         b = assign_blocked(mirrored_blocks_table, design, np.random.default_rng(3))
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestTauHat:
     def test_cr_hand_value(self, two_unit_table):
-        from blockcalc.randomizer import Assignment
-
-        assignment = Assignment(("t", "c"))
-        assert tau_hat(two_unit_table, assignment, CompleteRandomization(1)) == pytest.approx(1.0)
+        mask = np.array([True, False])
+        assert tau_hat(two_unit_table, mask, CompleteRandomization(1)) == pytest.approx(1.0)
 
     def test_constant_outcomes_give_zero(self):
         table = table_from_arrays([1, 1, 2, 2], [3.0] * 4, [3.0] * 4)
         rng = np.random.default_rng(0)
         design = Blocked((1, 1))
-        assignment = assign_blocked(table, design, rng)
-        assert tau_hat(table, assignment, design) == 0.0
+        mask = assign_blocked(table, design, rng)
+        assert tau_hat(table, mask, design) == 0.0
 
     def test_mirrored_blocks_hand_value(self, mirrored_blocks_table):
-        from blockcalc.randomizer import Assignment
-
         # Treat the 0-unit in each block: both block estimates are -2.
-        assignment = Assignment(("t", "c", "t", "c"))
-        est = tau_hat(mirrored_blocks_table, assignment, Blocked((1, 1)))
+        mask = np.array([True, False, True, False])
+        est = tau_hat(mirrored_blocks_table, mask, Blocked((1, 1)))
         assert est == pytest.approx(-2.0)
 
     def test_empty_arm_rejected(self, mirrored_blocks_table):
-        from blockcalc.randomizer import Assignment
-
-        assignment = Assignment(("t", "t", "c", "c"))
+        mask = np.array([True, True, False, False])
         with pytest.raises(ValueError):
-            tau_hat(mirrored_blocks_table, assignment, Blocked((1, 1)))
+            tau_hat(mirrored_blocks_table, mask, Blocked((1, 1)))
+
+    @pytest.mark.parametrize(
+        "mask, design, message",
+        [
+            ([True, False, True], Blocked((1, 1)), "length"),
+            ([True, True, True, False], CompleteRandomization(2), "wrong treated count"),
+            ([True, False, True, True], Blocked((1, 1)), "wrong count in block 2"),
+            ([True, False, True, False], Blocked((1,)), "wrong number of blocks"),
+        ],
+    )
+    def test_inconsistent_mask_rejected(self, mirrored_blocks_table, mask, design, message):
+        with pytest.raises(ValueError, match=message):
+            tau_hat(mirrored_blocks_table, np.array(mask), design)
 
 
 class TestUnbiasedness:
@@ -122,6 +130,28 @@ class TestUnbiasedness:
         assert abs(moments.mean - table.sate) <= 1e-12 * max(1.0, abs(table.sate))
 
 
+def tau_hat_reweighted(table, mask, design):
+    """Blocked estimate written as a reweighted sum over observed outcomes.
+
+    With ``p = n_t / n`` and ``p_k = n_tk / n_k``, each treated observation
+    carries weight ``(1/n_t)(p/p_k)`` and each control observation weight
+    ``(1/n_c)((1-p)/(1-p_k))``. Algebraically identical to ``tau_hat``
+    under the blocked design.
+    """
+    n = table.n
+    n_t = design.n_t
+    n_c = n - n_t
+    p = n_t / n
+    total = 0.0
+    for k in range(1, table.num_blocks + 1):
+        idx = table.block_indices(k)
+        m = mask[idx]
+        p_k = design.n_tk[k - 1] / len(idx)
+        total += (p / p_k) / n_t * float(np.sum(table.y_t[idx][m]))
+        total -= ((1 - p) / (1 - p_k)) / n_c * float(np.sum(table.y_c[idx][~m]))
+    return total
+
+
 class TestReweightingIdentity:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -129,9 +159,9 @@ class TestReweightingIdentity:
         rng = np.random.default_rng(seed)
         table = make_random_table(rng)
         design = make_random_blocked_design(rng, table)
-        assignment = assign_blocked(table, design, rng)
-        direct = tau_hat(table, assignment, design)
-        reweighted = tau_hat_reweighted(table, assignment, design)
+        mask = assign_blocked(table, design, rng)
+        direct = tau_hat(table, mask, design)
+        reweighted = tau_hat_reweighted(table, mask, design)
         assert abs(direct - reweighted) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -206,12 +236,12 @@ class TestDrawMasks:
         table, design = draw_case(sizes, n_t)
         for seed in range(50):
             if n_t is None:
-                assignment = assign_blocked(table, design, np.random.default_rng(seed))
+                mask = assign_blocked(table, design, np.random.default_rng(seed))
             else:
-                assignment = assign_cr(table.n, n_t, np.random.default_rng(seed))
+                mask = assign_cr(table.n, n_t, np.random.default_rng(seed))
             ref = reference_mask(table, design, np.random.default_rng(seed))
-            assert np.array_equal(assignment.treated_mask(), ref)
-            assert assignment.z == tuple("t" if m else "c" for m in ref)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, ref)
 
     def test_no_generators_give_an_empty_matrix(self):
         plan = shuffle_plan(unsorted_table(0, (3, 4)), Blocked((1, 2)))

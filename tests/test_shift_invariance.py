@@ -5,9 +5,10 @@ offset is exact and any difference between the two runs comes from the
 library's own arithmetic. A sum-of-squares formula (``sum x^2 - n mean^2``) or block means
 differenced after the offset is added loses about eight digits here.
 
-The enumeration oracle and the estimator-variability study are also checked
-under scaling: a quantity of degree ``d`` in the outcomes (1 for the mean of
-``tau_hat``, 2 for a variance, 4 for the variance of a variance estimate)
+The closed forms, the point and variance estimators, the enumeration oracle
+and the estimator-variability study are also checked under scaling: a
+quantity of degree ``d`` in the outcomes (0 for a ratio, 1 for ``tau_hat``
+and its mean, 2 for a variance, 4 for the variance of a variance estimate)
 scales by ``s**d``.
 """
 
@@ -16,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from blockcalc import mc
 from blockcalc.blocking_lab import between_total_ss, r2_blocks, within_variance_ratio
 from blockcalc.cli import main
 from blockcalc.oracle import exact_moments
@@ -27,9 +29,13 @@ from blockcalc.pop_model import (
     table_from_arrays,
     write_table_csv,
 )
+from blockcalc.randomizer import assign_blocked, assign_cr, tau_hat
 from blockcalc.variance_estimation import (
+    ObservedSample,
     cr_varest_bias_under_blocking,
     expected_s2_under_blocking,
+    var_est_blocked,
+    var_est_cr,
     varest_variability,
 )
 from blockcalc.variance_theory import (
@@ -45,6 +51,9 @@ from blockcalc.variance_theory import (
 OFFSET = 1e8
 RTOL = 1e-12
 P = 0.5
+
+#: (offset, scale) pairs every invariance test moves the outcomes by.
+MOVES = [(OFFSET, 1.0), (0.0, 1e-6), (0.0, 1e6)]
 
 
 def dyadic_table(offset=0.0, seed=3, sizes=tuple(np.repeat([4, 6, 8, 10], 5)), scale=1.0):
@@ -97,16 +106,53 @@ def quantities(table) -> dict:
     return out
 
 
-def test_offset_changes_no_quantity():
-    base = quantities(dyadic_table())
-    shifted = quantities(dyadic_table(OFFSET))
-    assert base.keys() == shifted.keys()
+def degree(name: str) -> int:
+    """Degree in the outcomes of a closed-form quantity named by :func:`quantities`."""
+    if name in ("r2_blocks", "within_variance_ratio"):
+        return 0
+    return 1 if name.endswith("_tau") else 2
+
+
+def assert_moved(base: dict, moved: dict, scale: float):
+    """Every ``(value, degree)`` of ``moved`` is its base value times ``scale**degree``."""
+    assert base.keys() == moved.keys()
     bad = {
-        name: (base[name], shifted[name])
-        for name in base
-        if shifted[name] != pytest.approx(base[name], rel=RTOL, abs=0)
+        name: (value, moved[name][0])
+        for name, (value, d) in base.items()
+        if moved[name][0] != pytest.approx(value * scale**d, rel=RTOL, abs=0)
     }
     assert not bad
+
+
+@pytest.mark.parametrize("offset, scale", MOVES)
+def test_offset_changes_no_quantity(offset, scale):
+    def graded(table):
+        return {name: (value, degree(name)) for name, value in quantities(table).items()}
+
+    assert_moved(graded(dyadic_table()), graded(dyadic_table(offset, scale=scale)), scale)
+
+
+def estimates(table) -> dict:
+    """(value, degree) of ``tau_hat`` and both variance estimators on seeded draws."""
+    blocked = blocked_design_for_proportion(table, P)
+    cr = CompleteRandomization(blocked.n_t)
+    out = {}
+    for r in range(10):
+        for name, design, mask in (
+            ("cr", cr, assign_cr(table.n, cr.n_t, mc.rep_rng(17, r))),
+            ("bk", blocked, assign_blocked(table, blocked, mc.rep_rng(17, r))),
+        ):
+            sample = ObservedSample.from_schedule(table, mask)
+            out[f"{name}_{r}_tau_hat"] = (tau_hat(table, mask, design), 1)
+            out[f"{name}_{r}_var_est_cr"] = (var_est_cr(sample), 2)
+            if name == "bk":
+                out[f"{name}_{r}_var_est_blocked"] = (var_est_blocked(sample), 2)
+    return out
+
+
+@pytest.mark.parametrize("offset, scale", MOVES)
+def test_estimators_are_shift_and_scale_invariant(offset, scale):
+    assert_moved(estimates(dyadic_table()), estimates(dyadic_table(offset, scale=scale)), scale)
 
 
 def test_variance_command_accepts_offset_outcomes(tmp_path):
@@ -152,17 +198,11 @@ def oracle_quantities(table) -> dict:
     return out
 
 
-@pytest.mark.parametrize("offset, scale", [(OFFSET, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+@pytest.mark.parametrize("offset, scale", MOVES)
 def test_oracle_is_shift_and_scale_invariant(offset, scale):
     base = oracle_quantities(dyadic_table(seed=5, sizes=ORACLE_SIZES))
     moved = oracle_quantities(dyadic_table(offset, seed=5, sizes=ORACLE_SIZES, scale=scale))
-    assert base.keys() == moved.keys()
-    bad = {
-        name: (base[name][0], moved[name][0])
-        for name, (value, degree) in base.items()
-        if moved[name][0] != pytest.approx(value * scale**degree, rel=RTOL, abs=0)
-    }
-    assert not bad
+    assert_moved(base, moved, scale)
 
 
 def report_fields(report) -> dict:

@@ -22,17 +22,34 @@ from blockcalc.oracle import iter_assignments
 from conftest import make_random_table, rel_close
 
 
-def obs(blocks, z, y):
-    return ObservedSample(blocks=tuple(blocks), z=tuple(z), y_obs=np.asarray(y, dtype=float))
+def obs(blocks, treated, y):
+    return ObservedSample(blocks=tuple(blocks), treated=treated, y_obs=y)
+
+
+class TestObservedSample:
+    def test_fields_are_read_only_arrays(self, mirrored_blocks_table):
+        mask = np.array([True, False, False, True])
+        sample = ObservedSample.from_schedule(mirrored_blocks_table, mask)
+        assert sample.treated.dtype == bool and sample.y_obs.dtype == float
+        np.testing.assert_array_equal(sample.treated, mask)
+        np.testing.assert_array_equal(sample.y_obs, [0.0, 2.0, 0.0, 2.0])
+        mask[0] = False
+        assert sample.treated[0]
+        with pytest.raises(ValueError):
+            sample.treated[0] = False
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            obs([1] * 4, [1, 1, 0], [1.0, 3.0, 0.0, 2.0])
 
 
 class TestVarEstCr:
     def test_arithmetic(self):
-        sample = obs([1] * 4, "ttcc", [1.0, 3.0, 0.0, 2.0])
+        sample = obs([1] * 4, [1, 1, 0, 0], [1.0, 3.0, 0.0, 2.0])
         assert var_est_cr(sample) == pytest.approx(2.0)
 
     def test_constant_arms(self):
-        sample = obs([1] * 4, "ttcc", [1.0, 1.0, 0.0, 0.0])
+        sample = obs([1] * 4, [1, 1, 0, 0], [1.0, 1.0, 0.0, 0.0])
         assert var_est_cr(sample) == 0.0
 
     def test_mirrored_observed_split(self, mirrored_blocks_table):
@@ -42,7 +59,7 @@ class TestVarEstCr:
 
     def test_small_arm_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            var_est_cr(obs([1] * 3, "tcc", [1.0, 0.0, 2.0]))
+            var_est_cr(obs([1] * 3, [1, 0, 0], [1.0, 0.0, 2.0]))
 
 
 class TestVarEstBlocked:
@@ -53,11 +70,11 @@ class TestVarEstBlocked:
             assert var_est_blocked(sample) == 0.0
 
     def test_single_block_equals_cr_estimate(self):
-        sample = obs([1] * 6, "tttccc", [1.0, 2.0, 4.0, 0.0, 1.0, 5.0])
+        sample = obs([1] * 6, [1, 1, 1, 0, 0, 0], [1.0, 2.0, 4.0, 0.0, 1.0, 5.0])
         assert var_est_blocked(sample) == pytest.approx(var_est_cr(sample))
 
     def test_singleton_arm_rejected_with_block_index(self):
-        sample = obs([1, 1, 1, 2, 2, 2], "ttcttc", np.arange(6.0))
+        sample = obs([1, 1, 1, 2, 2, 2], [1, 1, 0, 1, 1, 0], np.arange(6.0))
         with pytest.raises(ValueError, match="block 1"):
             var_est_blocked(sample)
 
