@@ -65,10 +65,12 @@ def _sorted_order(sample: CovariateSample) -> np.ndarray:
     return np.argsort(sample.x, kind="stable")
 
 
-def _labels_from_sorted_chunks(order: np.ndarray, block_size: int, k: int) -> np.ndarray:
+def labels_in_order(order: np.ndarray, sizes) -> np.ndarray:
+    """1-based labels giving the units of ``order`` to blocks of ``sizes`` in turn:
+    the first ``sizes[0]`` units listed form block 1, the next ``sizes[1]``
+    block 2, and so on."""
     labels = np.empty(len(order), dtype=int)
-    for rank, unit in enumerate(order):
-        labels[unit] = min(rank // block_size, k - 1) + 1
+    labels[order] = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return labels
 
 
@@ -83,7 +85,8 @@ def make_blocks_flex(sample: CovariateSample, block_size: int) -> np.ndarray:
     if block_size > sample.n:
         raise ValueError("block_size exceeds the sample size")
     k = sample.n // block_size
-    return _labels_from_sorted_chunks(_sorted_order(sample), block_size, k)
+    sizes = [block_size] * (k - 1) + [sample.n - (k - 1) * block_size]
+    return labels_in_order(_sorted_order(sample), sizes)
 
 
 def make_blocks_interleave(sample: CovariateSample, k: int) -> np.ndarray:
@@ -96,10 +99,8 @@ def make_blocks_interleave(sample: CovariateSample, k: int) -> np.ndarray:
         raise ValueError("need at least 2 blocks")
     if 2 * k > sample.n:
         raise ValueError("blocks would have fewer than 2 units")
-    order = _sorted_order(sample)
     labels = np.empty(sample.n, dtype=int)
-    for rank, unit in enumerate(order):
-        labels[unit] = rank % k + 1
+    labels[_sorted_order(sample)] = np.arange(sample.n) % k + 1
     return labels
 
 
@@ -125,11 +126,10 @@ def make_blocks_peevish(sample: CovariateSample, block_size: int) -> np.ndarray:
     even_sorted = even_units[np.argsort(x[even_units], kind="stable")]
     half = block_size // 2
     k = sample.n // block_size
+    block_of_rank = np.minimum(np.arange(len(odd_units)) // half, k - 1) + 1
     labels = np.empty(sample.n, dtype=int)
-    for rank, unit in enumerate(odd_sorted):
-        labels[unit] = min(rank // half, k - 1) + 1
-    for rank, unit in enumerate(even_sorted):
-        labels[unit] = min(rank // half, k - 1) + 1
+    labels[odd_sorted] = block_of_rank
+    labels[even_sorted] = block_of_rank
     return labels
 
 
@@ -138,13 +138,7 @@ def make_blocks_random(n: int, sizes, rng: np.random.Generator) -> np.ndarray:
     sizes = [int(s) for s in sizes]
     if sum(sizes) != n:
         raise ValueError("sizes must sum to n")
-    perm = rng.permutation(n)
-    labels = np.empty(n, dtype=int)
-    pos = 0
-    for k, size in enumerate(sizes, start=1):
-        labels[perm[pos : pos + size]] = k
-        pos += size
-    return labels
+    return labels_in_order(rng.permutation(n), sizes)
 
 
 def between_total_ss(values: np.ndarray, groups: np.ndarray) -> tuple[float, float]:

@@ -370,11 +370,14 @@ def centered_moments(values: np.ndarray, labels: np.ndarray, counts: np.ndarray)
 
     ``values`` may carry leading axes (one outcome vector per row); the
     groups run along the last axis and ``mean`` then has the leading shape.
+    ``labels`` is one labelling for every row, or a ``(rows, n)`` matrix
+    with one labelling per row whose groups all have the sizes ``counts``.
     """
     mean = values.mean(axis=-1, keepdims=True)
     deviations = values - mean
     dev = _group_sums(deviations, labels, len(counts)) / counts
-    ss = _group_sums((deviations - dev[..., labels]) ** 2, labels, len(counts))
+    means = dev[..., labels] if labels.ndim == 1 else np.take_along_axis(dev, labels, axis=-1)
+    ss = _group_sums((deviations - means) ** 2, labels, len(counts))
     mean = float(mean[0]) if values.ndim == 1 else mean[..., 0]
     return ArmStats(mean=mean, dev=_read_only(dev), ss=_read_only(ss))
 

@@ -15,6 +15,9 @@ Strategies:
 * ``baseline-sorted-blocks``: blocks formed by sorting on the baseline.
 * ``outcome-sorted-blocks``: blocks formed by sorting on the outcome itself,
   the most informative baseline one could have had.
+
+Each blocking is a row of labels with the realized sizes; one grouped-moments
+pass scores a matrix of rows, and ``random-blocks`` is scored in bounded chunks.
 """
 
 from __future__ import annotations
@@ -26,9 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .blocking_lab import make_blocks_random
-from .pop_model import Blocked, PotentialOutcomeTable, _canonical_labels, read_csv_rows
-from .variance_theory import neyman_var_blocked, neyman_var_cr
+from .blocking_lab import labels_in_order, make_blocks_random
+from .oracle import chunk_rows
+from .pop_model import (
+    Blocked,
+    PotentialOutcomeTable,
+    _canonical_labels,
+    centered_moments,
+    read_csv_rows,
+    validate_design,
+)
+from .variance_theory import block_variances, blocked_variance, neyman_var_cr
 
 REPLAY_CSV_HEADER = ["unit_id", "block", "z", "baseline", "y"]
 
@@ -65,10 +76,6 @@ class ReplayData:
     def n(self) -> int:
         return len(self.unit_ids)
 
-    @property
-    def num_blocks(self) -> int:
-        return max(self.blocks)
-
     def realized_sizes(self) -> list[int]:
         return np.bincount(self.blocks)[1:].tolist()
 
@@ -96,8 +103,16 @@ class Strategy:
 
 
 def read_strategies_json(path) -> list[Strategy]:
+    """Read a JSON list of ``{"name": str, "params": {...}}`` objects (``params`` optional)."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError("strategies file must hold a JSON list of objects")
+    for i, item in enumerate(raw, start=1):
+        if not isinstance(item, dict) or not isinstance(item.get("name"), str):
+            raise ValueError(f"strategies file entry {i} must be an object with a string name")
+        if not isinstance(item.get("params", {}), dict):
+            raise ValueError(f"strategies file entry {i} params must be an object")
     return [Strategy(name=item["name"], params=item.get("params", {})) for item in raw]
 
 
@@ -149,37 +164,30 @@ def apportion_counts(n_t: int, sizes: list[int]) -> list[int]:
     return counts
 
 
-def _table_and_design(
-    data: ReplayData, labels, counts_by_label: list[int]
-) -> tuple[PotentialOutcomeTable, Blocked]:
-    """Build a no-impact table plus a design aligned to canonical labels."""
-    labels = [int(v) for v in labels]
-    canonical = _canonical_labels(labels)
-    remap: dict[int, int] = {}
-    for old, new in zip(labels, canonical):
-        remap.setdefault(old, new)
-    counts = [0] * len(counts_by_label)
-    for old, count in enumerate(counts_by_label, start=1):
-        counts[remap[old] - 1] = count
-    table = PotentialOutcomeTable(
-        unit_ids=data.unit_ids, blocks=canonical, y_t=data.y, y_c=data.y
-    )
-    return table, Blocked(tuple(counts))
+def _rel_se_pct(y: np.ndarray, labels: np.ndarray, sizes, counts, var_cr: float):
+    """``100 sqrt(var_bk/var_cr)`` of each row of a ``(blockings, n)`` matrix of
+    0-based labels whose block ``k`` holds ``sizes[k]`` units and treats
+    ``counts[k]``. Both potential outcomes are ``y``, so ``S2_tc`` is 0."""
+    n_k = np.asarray(sizes)
+    s2 = centered_moments(np.broadcast_to(y, labels.shape), labels, n_k).ss / (n_k - 1)
+    block_vars = block_variances(n_k, np.asarray(counts, dtype=float), s2, s2, 0.0)
+    return 100.0 * np.sqrt(blocked_variance(n_k, block_vars) / var_cr)
 
 
-def _sorted_chunk_labels(values: np.ndarray, sizes: list[int]) -> list[int]:
-    order = np.argsort(values, kind="stable")
-    labels = [0] * len(values)
-    pos = 0
-    for k, size in enumerate(sizes, start=1):
-        for unit in order[pos : pos + size]:
-            labels[unit] = k
-        pos += size
-    return labels
-
-
-def _rel_se_pct(var_bk: float, var_cr: float) -> float:
-    return 100.0 * math.sqrt(var_bk / var_cr)
+def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -> np.ndarray:
+    """The ratio of each random partition, allocation ``a`` drawn from
+    ``mc.rep_rng(seed, a)``, scored in chunks of ``chunk_rows(n)`` rows."""
+    rows = chunk_rows(data.n)
+    ratios = []
+    for lo in range(0, allocations, rows):
+        labels = np.stack(
+            [
+                make_blocks_random(data.n, sizes, mc.rep_rng(seed, a))
+                for a in range(lo, min(lo + rows, allocations))
+            ]
+        )
+        ratios.append(_rel_se_pct(data.y, labels - 1, sizes, counts, var_cr))
+    return np.concatenate(ratios)
 
 
 def run_replay(
@@ -197,50 +205,35 @@ def run_replay(
         unit_ids=data.unit_ids, blocks=data.blocks, y_t=data.y, y_c=data.y
     )
     var_cr = neyman_var_cr(no_impact, n_t)
+    sorted_by = {"baseline-sorted-blocks": data.baseline, "outcome-sorted-blocks": data.y}
     rows = []
-    for s_index, strategy in enumerate(strategies):
-        counts = realized
-        if strategy.params.get("balanced") or strategy.name == "balance-proportions":
-            counts = apportion_counts(n_t, sizes)
-        if strategy.name in ("keep-blocks", "balance-proportions"):
-            table, design = _table_and_design(data, data.blocks, counts)
-            rel = _rel_se_pct(neyman_var_blocked(table, design), var_cr)
-            p99 = allocations = None
-        elif strategy.name == "baseline-sorted-blocks":
-            table, design = _table_and_design(
-                data, _sorted_chunk_labels(data.baseline, sizes), counts
-            )
-            rel = _rel_se_pct(neyman_var_blocked(table, design), var_cr)
-            p99 = allocations = None
-        elif strategy.name == "outcome-sorted-blocks":
-            table, design = _table_and_design(
-                data, _sorted_chunk_labels(data.y, sizes), counts
-            )
-            rel = _rel_se_pct(neyman_var_blocked(table, design), var_cr)
-            p99 = allocations = None
-        elif strategy.name == "random-blocks":
-            allocations = int(strategy.params.get("allocations", default_allocations))
-            if allocations < 1:
-                raise ValueError("allocations must be positive")
-            ratios = np.empty(allocations)
-            for a in range(allocations):
-                rng = mc.rep_rng(seed, a)
-                labels = make_blocks_random(data.n, sizes, rng)
-                table, design = _table_and_design(data, labels, counts)
-                ratios[a] = _rel_se_pct(neyman_var_blocked(table, design), var_cr)
-            rel = float(np.mean(ratios))
-            p99 = float(np.quantile(ratios, 0.99))
-        else:
+    for strategy in strategies:
+        if strategy.name not in STRATEGY_NAMES:
             raise ValueError(
                 f"unknown strategy {strategy.name!r}; choose from {STRATEGY_NAMES}"
             )
+        balanced = bool(strategy.params.get("balanced") or strategy.name == "balance-proportions")
+        counts = apportion_counts(n_t, sizes) if balanced else realized
+        # Every blocking keeps the realized sizes, so this one check covers them all.
+        validate_design(Blocked(tuple(counts)), no_impact)
+        p99 = allocations = None
+        if strategy.name == "random-blocks":
+            allocations = int(strategy.params.get("allocations", default_allocations))
+            if allocations < 1:
+                raise ValueError("allocations must be positive")
+            ratios = _random_blocks(data, sizes, counts, var_cr, seed, allocations)
+            rel = float(np.mean(ratios))
+            p99 = float(np.quantile(ratios, 0.99))
+        else:
+            labels = no_impact.labels
+            if strategy.name in sorted_by:
+                order = np.argsort(sorted_by[strategy.name], kind="stable")
+                labels = labels_in_order(order, sizes) - 1
+            rel = float(_rel_se_pct(data.y, labels[None], sizes, counts, var_cr)[0])
         rows.append(
             {
                 "strategy": strategy.name,
-                "balanced": bool(
-                    strategy.params.get("balanced")
-                    or strategy.name == "balance-proportions"
-                ),
+                "balanced": balanced,
                 "rel_se_pct": rel,
                 "rel_se_p99_pct": p99,
                 "allocations": allocations,

@@ -159,6 +159,86 @@ class TestRandomBlockingLawEquivalence:
         assert all(prob == Fraction(1, math.comb(n, n_t)) for prob in law.values())
 
 
+# ---------------------------------------------------------------------------
+# Label makers against their per-unit loop references
+
+
+def reference_flex(sample, block_size):
+    k = sample.n // block_size
+    labels = np.empty(sample.n, dtype=int)
+    for rank, unit in enumerate(np.argsort(sample.x, kind="stable")):
+        labels[unit] = min(rank // block_size, k - 1) + 1
+    return labels
+
+
+def reference_interleave(sample, k):
+    labels = np.empty(sample.n, dtype=int)
+    for rank, unit in enumerate(np.argsort(sample.x, kind="stable")):
+        labels[unit] = rank % k + 1
+    return labels
+
+
+def reference_peevish(sample, block_size):
+    x = sample.x
+    half, k = block_size // 2, sample.n // block_size
+    labels = np.empty(sample.n, dtype=int)
+    for parity in (1, 0):
+        units = np.flatnonzero(x.astype(int) % 2 == parity)
+        for rank, unit in enumerate(units[np.argsort(x[units], kind="stable")]):
+            labels[unit] = min(rank // half, k - 1) + 1
+    return labels
+
+
+def reference_random(n, sizes, rng):
+    perm = rng.permutation(n)
+    labels = np.empty(n, dtype=int)
+    pos = 0
+    for k, size in enumerate(sizes, start=1):
+        labels[perm[pos : pos + size]] = k
+        pos += size
+    return labels
+
+
+def tied_integer_sample(seed, n):
+    """``n`` integer covariates with ties, half of them even, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    odd = 2 * rng.integers(0, 4, n - n // 2) + 1
+    even = 2 * rng.integers(0, 4, n // 2)
+    return covariate_sample_from_values(rng.permutation(np.concatenate([odd, even])))
+
+
+class TestLabelMakersMatchLoops:
+    @pytest.mark.parametrize("n, block_size", [(8, 2), (10, 4), (13, 3), (13, 13), (30, 7)])
+    def test_flex(self, n, block_size):
+        for seed in range(5):
+            sample = tied_integer_sample(seed, n)
+            got = make_blocks_flex(sample, block_size)
+            assert np.array_equal(got, reference_flex(sample, block_size))
+
+    @pytest.mark.parametrize("n, k", [(8, 2), (10, 3), (13, 4), (30, 15)])
+    def test_interleave(self, n, k):
+        for seed in range(5):
+            sample = tied_integer_sample(seed, n)
+            got = make_blocks_interleave(sample, k)
+            assert np.array_equal(got, reference_interleave(sample, k))
+
+    @pytest.mark.parametrize("n, block_size", [(8, 4), (10, 4), (14, 6), (32, 4), (12, 2)])
+    def test_peevish(self, n, block_size):
+        # n=10, block_size=4 and n=14, block_size=6 leave units of each parity over.
+        for seed in range(5):
+            sample = tied_integer_sample(seed, n)
+            got = make_blocks_peevish(sample, block_size)
+            assert np.array_equal(got, reference_peevish(sample, block_size))
+
+    @pytest.mark.parametrize("sizes", [[4], [2, 2], [3, 1, 5], [6, 2, 2, 7]])
+    def test_random_same_labels_and_generator_state(self, sizes):
+        for seed in range(5):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = make_blocks_random(sum(sizes), sizes, mine)
+            assert np.array_equal(got, reference_random(sum(sizes), sizes, ref))
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+
 class TestR2Blocks:
     def test_identical_blocks_give_zero(self, mirrored_blocks_table):
         assert r2_blocks(mirrored_blocks_table) == pytest.approx(0.0)

@@ -291,6 +291,43 @@ class TestReplayCommand:
         rows = read_report(tmp_path / "replay_report.csv")
         assert len(rows) == 6
 
+    @pytest.mark.parametrize(
+        "treated, strategies, message",
+        [
+            ("ttct", None, "n_tk=2 out of range for block 1 (size 2)"),
+            ("tctc", '{"name": "keep-blocks"}', "strategies file must hold a JSON list"),
+            ("tctc", '["keep-blocks"]', "strategies file entry 1 must be an object"),
+            ("tctc", '[{"name": 3}]', "strategies file entry 1 must be an object"),
+            (
+                "tctc",
+                '[{"name": "keep-blocks"}, {"name": "keep-blocks", "params": 5}]',
+                "strategies file entry 2 params must be an object",
+            ),
+        ],
+        ids=["infeasible-counts", "object", "string-entry", "number-name", "number-params"],
+    )
+    def test_bad_input_is_one_line_error(self, tmp_path, treated, strategies, message):
+        table = tmp_path / "replay.csv"
+        table.write_text("unit_id,block,z,baseline,y\n" + "".join(
+            f"u{i},{1 + i // 2},{z},{i},{i * i}\n" for i, z in enumerate(treated)
+        ))
+        argv = [str(table)]
+        if strategies is not None:
+            (tmp_path / "strategies.json").write_text(strategies)
+            argv += ["--strategies", str(tmp_path / "strategies.json")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockcalc.cli", "replay", *argv, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"blockcalc: error: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "replay_report.csv").exists()
+
 
 class TestEnumerateCommand:
     def test_counts_and_moments(self, tmp_path):

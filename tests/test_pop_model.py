@@ -16,6 +16,7 @@ from blockcalc.pop_model import (
     PooledMoments,
     blocked_design_for_proportion,
     equal_proportions,
+    centered_moments,
     read_strata_csv,
     read_table_csv,
     validate_design,
@@ -235,6 +236,20 @@ class TestBlockStats:
         assert regrouped.stats.c.ss.tolist() == [0.0, 0.0]
         assert before.c.dev.tolist() == [0.0, 0.0]
         assert table.stats is before
+
+
+    def test_one_labelling_per_row_matches_row_by_row(self):
+        rng = np.random.default_rng(8)
+        sizes = np.array([3, 5, 2, 6])
+        values = rng.standard_normal((4, sizes.sum())) + 1e3
+        labels = np.stack([rng.permutation(np.repeat(np.arange(4), sizes)) for _ in range(4)])
+        got = centered_moments(values, labels, sizes)
+        for row, (y, lab) in enumerate(zip(values, labels)):
+            want = centered_moments(y, lab, sizes)
+            for name in ("mean", "dev", "ss"):
+                np.testing.assert_allclose(
+                    getattr(got, name)[row], getattr(want, name), rtol=1e-12, atol=1e-12
+                )
 
 
 class TestDesigns:

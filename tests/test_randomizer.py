@@ -21,12 +21,12 @@ from conftest import make_random_blocked_design, make_random_table
 
 
 class TestAssignCr:
-    def test_each_unit_treated_half_the_time(self):
+    def test_each_unit_treated_half_the_time(self, two_unit_table):
+        # One draw_masks call makes the generator calls of `draws` assign_cr calls.
         rng = np.random.default_rng(20240401)
         draws = 100_000
-        hits = np.zeros(2)
-        for _ in range(draws):
-            hits += assign_cr(2, 1, rng)
+        plan = shuffle_plan(two_unit_table, CompleteRandomization(1))
+        hits = draw_masks(plan, [rng] * draws).sum(axis=0)
         freq = hits / draws
         assert np.all(np.abs(freq - 0.5) < 0.01)
 
@@ -40,13 +40,12 @@ class TestAssignCr:
         assert a.dtype == bool and a.sum() == 4
         assert np.array_equal(a, b)
 
-    def test_uniform_over_subsets(self):
+    def test_uniform_over_subsets(self, mirrored_blocks_table):
         # n=4 choose 2: all 6 subsets near 1/6.
         rng = np.random.default_rng(5)
-        counts = Counter()
         draws = 60_000
-        for _ in range(draws):
-            counts[tuple(assign_cr(4, 2, rng))] += 1
+        plan = shuffle_plan(mirrored_blocks_table, CompleteRandomization(2))
+        counts = Counter(map(tuple, draw_masks(plan, [rng] * draws).tolist()))
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c / draws - 1 / 6) < 0.01
@@ -55,11 +54,9 @@ class TestAssignCr:
 class TestAssignBlocked:
     def test_product_law_frequencies(self, mirrored_blocks_table):
         rng = np.random.default_rng(99)
-        design = Blocked((1, 1))
-        counts = Counter()
+        plan = shuffle_plan(mirrored_blocks_table, Blocked((1, 1)))
         draws = 100_000
-        for _ in range(draws):
-            counts[tuple(assign_blocked(mirrored_blocks_table, design, rng))] += 1
+        counts = Counter(map(tuple, draw_masks(plan, [rng] * draws).tolist()))
         assert len(counts) == 4
         for c in counts.values():
             assert abs(c / draws - 0.25) < 0.01
