@@ -48,7 +48,6 @@ from .variance_theory import (
     MODE_CR_SRS_VS_CR_STRAT,
     neyman_var_blocked,
     neyman_var_cr,
-    two_stage_strata_from_moments,
     var_diff_finite,
     var_diff_mixed,
     var_diff_site_sampling,
@@ -265,18 +264,9 @@ def cmd_compare(args) -> int:
     if args.framework == "two-stage":
         _require_args(args, ["n_per_stratum"])
     if args.framework == "site":
-        from .pop_model import table_from_arrays
-
-        # Each block of the input table is one population block.
         table = read_table_csv(args.input)
-        population = []
-        for k in range(1, table.num_blocks + 1):
-            idx = table.block_indices(k)
-            population.append(
-                table_from_arrays([1] * len(idx), table.y_t[idx], table.y_c[idx])
-            )
         report = var_diff_site_sampling(
-            population, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
+            table, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
         )
     else:
         moments = read_strata_csv(args.input).with_derived_pooled()
@@ -295,9 +285,8 @@ def cmd_compare(args) -> int:
             sizes = [int(v) for v in args.n_per_stratum.split(",")]
             if len(sizes) == 1:
                 sizes = sizes * moments.num_strata
-            strata = two_stage_strata_from_moments(moments, sizes)
             report = var_diff_two_stage(
-                strata, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
+                moments, sizes, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
             )
         else:
             raise ValueError(f"unknown framework {args.framework!r}")

@@ -134,10 +134,6 @@ class PotentialOutcomeTable:
         """Average unit-level treatment effect over the table."""
         return float(np.mean(self.y_t - self.y_c))
 
-    def with_blocks(self, labels: Sequence) -> "PotentialOutcomeTable":
-        """Same units and outcomes under a new blocking (labels canonicalized)."""
-        return table_from_arrays(labels, self.y_t, self.y_c, unit_ids=self.unit_ids)
-
 
 def _canonical_labels(raw_labels: Sequence) -> tuple[int, ...]:
     mapping: dict = {}

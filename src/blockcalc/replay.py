@@ -205,6 +205,11 @@ def run_replay(
         unit_ids=data.unit_ids, blocks=data.blocks, y_t=data.y, y_c=data.y
     )
     var_cr = neyman_var_cr(no_impact, n_t)
+    if np.ptp(data.y) == 0:
+        raise ValueError(
+            "outcome y is constant, so the completely randomized variance is 0 "
+            "and relative standard errors are undefined"
+        )
     sorted_by = {"baseline-sorted-blocks": data.baseline, "outcome-sorted-blocks": data.y}
     rows = []
     for strategy in strategies:

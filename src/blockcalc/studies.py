@@ -420,6 +420,8 @@ def run_study(
     """
     if name not in STUDIES:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
+    if reps is not None and reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     cfg = config_from_dict(name, config_overrides)
     _, columns = STUDIES[name]
     if name == "ratio-sweep":
@@ -427,11 +429,11 @@ def run_study(
         rows = study_ratio_sweep(cfg, seed=seed, threads=threads)
         chunks = len(rows)
     elif name == "flexible-blocking":
-        reps = reps or 10_000
+        reps = 10_000 if reps is None else reps
         rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads)
         chunks = math.ceil(reps / mc.CHUNK_SIZE)
     else:
-        reps = reps or 5_000
+        reps = 5_000 if reps is None else reps
         rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads)
         chunks = len(rows)
     counts = {"reps": reps, "chunks": chunks, "workers": mc.effective_workers(threads, chunks)}

@@ -225,8 +225,8 @@ def varest_variability(
     Uses the estimator matching the design (arm-pooled for complete
     randomization, per-block for blocking). All assignments are enumerated
     exactly when their count is at most ``exact_limit``; otherwise ``reps``
-    seeded assignments are drawn and the sample variance is reported. Either
-    way the estimator is evaluated on batches of masks by
+    seeded assignments (at least 2) are drawn and the sample variance is
+    reported. Either way the estimator is evaluated on batches of masks by
     :func:`~blockcalc.oracle.batch_statistic`; each Monte Carlo draw still
     comes from its own per-rep generator, through
     :func:`~blockcalc.randomizer.draw_masks` (the draws of
@@ -246,6 +246,10 @@ def varest_variability(
             reps_used=total,
         )
 
+    if reps < 2:
+        raise ValueError(
+            f"Monte Carlo needs reps >= 2 for a sample variance of the estimator, got {reps}"
+        )
     plan = shuffle_plan(table, design)
     values = np.empty(reps)
     rows = chunk_rows(table.n)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .pop_model import (
     WEIGHT_ATOL,
     blocked_design_for_proportion,
     pooled_variance,
-    table_from_arrays,
     validate_design,
 )
 
@@ -405,7 +403,7 @@ def _monte_carlo(num_types, k_draw, reps, seed, evaluate) -> np.ndarray:
 
 
 def var_diff_site_sampling(
-    block_population: Sequence[PotentialOutcomeTable],
+    population: PotentialOutcomeTable,
     k_draw: int,
     p: float,
     reps: int = DEFAULT_REPS,
@@ -413,19 +411,20 @@ def var_diff_site_sampling(
 ) -> VarianceReport:
     """Expected finite-sample difference when whole blocks are sampled.
 
-    Each draw picks ``k_draw`` blocks i.i.d. with replacement from the
-    population (modeling an effectively infinite population of blocks,
-    a modeling choice documented in the README), assembles them into one
-    table, and evaluates the finite-sample difference at proportion ``p``.
-    Reported values are averages over draws with the standard error of the
-    mean difference; :func:`site_sampling_reps` gives the draws.
+    Block ``j`` of ``population`` (in label order) is population block
+    ``j``. Each draw picks ``k_draw`` blocks i.i.d. with replacement
+    (modeling an effectively infinite population of blocks, a modeling
+    choice documented in the README), assembles them into one table, and
+    evaluates the finite-sample difference at proportion ``p``. Reported
+    values are averages over draws with the standard error of the mean
+    difference; :func:`site_sampling_reps` gives the draws.
     """
-    values = site_sampling_reps(block_population, k_draw, p, reps, seed)
+    values = site_sampling_reps(population, k_draw, p, reps, seed)
     return _mc_report(FRAMEWORK_SITE, *values, reps)
 
 
 def site_sampling_reps(
-    block_population: Sequence[PotentialOutcomeTable],
+    population: PotentialOutcomeTable,
     k_draw: int,
     p: float,
     reps: int = DEFAULT_REPS,
@@ -440,26 +439,13 @@ def site_sampling_reps(
     gathers the rows it picked. Every draw's ``diff`` is checked against its
     ``var_cr - var_bk`` as :class:`VarianceReport` checks one report.
     """
-    if not block_population:
-        raise ValueError("empty block population")
     if k_draw < 1 or reps < 1:
         raise ValueError("k_draw and reps must be positive")
-    for j, tbl in enumerate(block_population):
-        if tbl.n < 2:
-            raise ValueError(f"population block {j} has fewer than 2 units")
-        m = p * tbl.n
-        if abs(m - round(m)) > 1e-9 * tbl.n:
-            raise ValueError(f"p*n_k is not an integer for population block {j}")
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0, 1)")
-    # Population block j becomes block j + 1 of one table.
-    population = table_from_arrays(
-        np.repeat(np.arange(1, len(block_population) + 1), [t.n for t in block_population]),
-        np.concatenate([t.y_t for t in block_population]),
-        np.concatenate([t.y_c for t in block_population]),
-    )
-    design = blocked_design_for_proportion(population, p)
     st = population.stats
+    small = st.singletons()
+    if small:
+        raise ValueError(f"population block {small[0]} has fewer than 2 units")
+    design = blocked_design_for_proportion(population, p)
     n_tk = np.asarray(design.n_tk)
     block_vars = block_estimator_variances(population, design)
 
@@ -472,47 +458,12 @@ def site_sampling_reps(
         check_diff(var_cr, var_bk, diff)
         return var_cr, var_bk, diff
 
-    return _monte_carlo(len(block_population), k_draw, reps, seed, evaluate)
-
-
-@dataclass(frozen=True)
-class TwoStageStratum:
-    """One stratum type for two-stage sampling: moments plus its sample size.
-
-    ``n_k`` is the number of units drawn whenever this stratum is selected;
-    the default rule is a constant size, configurable per type.
-    """
-
-    mu_t: float
-    mu_c: float
-    sigma2_t: float
-    sigma2_c: float
-    n_k: int
-
-    def __post_init__(self):
-        if self.n_k < 2:
-            raise ValueError("n_k must be at least 2")
-        if self.sigma2_t < 0 or self.sigma2_c < 0:
-            raise ValueError("variances must be nonnegative")
-
-
-def two_stage_strata_from_moments(moments: StrataMoments, n_k) -> list[TwoStageStratum]:
-    """Build stratum types from a moments table and per-type sizes."""
-    n_k = np.broadcast_to(np.asarray(n_k, dtype=int), (moments.num_strata,))
-    return [
-        TwoStageStratum(
-            mu_t=float(moments.mu_t[i]),
-            mu_c=float(moments.mu_c[i]),
-            sigma2_t=float(moments.sigma2_t[i]),
-            sigma2_c=float(moments.sigma2_c[i]),
-            n_k=int(n_k[i]),
-        )
-        for i in range(moments.num_strata)
-    ]
+    return _monte_carlo(population.num_blocks, k_draw, reps, seed, evaluate)
 
 
 def var_diff_two_stage(
-    strata_population: Sequence[TwoStageStratum],
+    moments: StrataMoments,
+    n_k,
     k_draw: int,
     p: float,
     reps: int = DEFAULT_REPS,
@@ -520,18 +471,21 @@ def var_diff_two_stage(
 ) -> VarianceReport:
     """Expected variance difference under two-stage sampling.
 
-    Strata are drawn uniformly with replacement; each draw contributes the
-    stratified-sampling between term evaluated on the drawn strata. Every
-    per-draw term is nonnegative, so the estimate is nonnegative by
-    construction (blocking cannot hurt here). :func:`two_stage_reps` gives
-    the draws.
+    Stratum types are drawn uniformly with replacement, and type ``j``
+    brings ``n_k[j]`` units whenever it is drawn. Each draw contributes the
+    stratified-sampling between term evaluated on the drawn strata, from
+    the types' ``mu_t``, ``mu_c``, ``sigma2_t`` and ``sigma2_c``;
+    ``weights`` and ``sigma2_tc`` are not read. Every per-draw term is
+    nonnegative, so the estimate is nonnegative by construction (blocking
+    cannot hurt here). :func:`two_stage_reps` gives the draws.
     """
-    values = two_stage_reps(strata_population, k_draw, p, reps, seed)
+    values = two_stage_reps(moments, n_k, k_draw, p, reps, seed)
     return _mc_report(FRAMEWORK_TWO_STAGE, *values, reps)
 
 
 def two_stage_reps(
-    strata_population: Sequence[TwoStageStratum],
+    moments: StrataMoments,
+    n_k,
     k_draw: int,
     p: float,
     reps: int = DEFAULT_REPS,
@@ -539,29 +493,25 @@ def two_stage_reps(
 ) -> np.ndarray:
     """Per-draw ``var_cr``, ``var_bk`` and ``diff`` of
     :func:`var_diff_two_stage`, as the rows of a ``(3, reps)`` array."""
-    if not strata_population:
-        raise ValueError("empty strata population")
+    sizes = np.asarray(n_k, dtype=float)
+    if sizes.shape != (moments.num_strata,):
+        raise ValueError(
+            f"n_k must give one size per stratum ({moments.num_strata}), got {sizes.size}"
+        )
     if k_draw < 1 or reps < 1:
         raise ValueError("k_draw and reps must be positive")
-    for j, row in enumerate(strata_population):
-        m = p * row.n_k
-        if abs(m - round(m)) > 1e-9 * row.n_k:
-            raise ValueError(f"p*n_k is not an integer for stratum type {j}")
-        if not 0 < round(m) < row.n_k:
-            raise ValueError(f"stratum type {j} would have an empty arm")
-    mu_t = np.asarray([s.mu_t for s in strata_population])
-    mu_c = np.asarray([s.mu_c for s in strata_population])
-    s2_t = np.asarray([s.sigma2_t for s in strata_population])
-    s2_c = np.asarray([s.sigma2_c for s in strata_population])
-    sizes = np.asarray([s.n_k for s in strata_population], dtype=float)
-    composite = _composite_block_means(mu_c, mu_t, p)
+    treated = _treated_counts(sizes, p)
+    if not np.all((treated > 0) & (treated < sizes)):
+        raise ValueError("p * n_k must leave both arms nonempty in every stratum")
+    s2_t, s2_c = moments.sigma2_t, moments.sigma2_c
+    composite = _composite_block_means(moments.mu_c, moments.mu_t, p)
 
     def evaluate(chosen):
         n_k = sizes[chosen]
         n = n_k.sum(axis=-1)
         diff = var_k(composite[chosen], n_k / n[:, None]) / (n - 1)
-        n_tk = np.round(p * n_k)
+        n_tk = treated[chosen]
         var_bk = blocked_variance(n_k, s2_t[chosen] / n_tk + s2_c[chosen] / (n_k - n_tk))
         return var_bk + diff, var_bk, diff
 
-    return _monte_carlo(len(strata_population), k_draw, reps, seed, evaluate)
+    return _monte_carlo(moments.num_strata, k_draw, reps, seed, evaluate)

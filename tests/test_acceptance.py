@@ -207,7 +207,9 @@ def test_criterion_07_independent_covariate_blocking_is_free():
                 np.random.SeedSequence(entropy=MASTER_SEED + 7, spawn_key=(r,))
             )
             _, table = gen_xy_population("indep", cfg_n, sigma, rng)
-            blocked_table = table.with_blocks(labels)
+            blocked_table = table_from_arrays(
+                labels, table.y_t, table.y_c, unit_ids=table.unit_ids
+            )
             design = Blocked(tuple(int(s) // 2 for s in blocked_table.block_sizes))
             diffs[r] = neyman_var_blocked(blocked_table, design) - neyman_var_cr(
                 table, cfg_n // 2

@@ -14,6 +14,25 @@ from blockcalc import cli, mc
 from blockcalc.cli import main
 
 SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "blockcalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+
+
+def assert_one_line_error(proc, message):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"blockcalc: error: {message}")
+    assert proc.stderr.count("\n") == 1
 
 
 def read_report(path):
@@ -170,6 +189,13 @@ class TestCompareCommand:
         assert manifest["method"] == "monte_carlo"
         assert manifest["counts"] == {"reps": 150}
 
+    def test_two_stage_sizes_must_match_strata(self, tmp_path):
+        proc = run_cli("compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage",
+                       "--k-draw", "3", "--p", "0.5", "--n-per-stratum", "4,4",
+                       "--out", str(tmp_path))
+        assert_one_line_error(proc, "n_k must give one size per stratum (6), got 2")
+        assert not (tmp_path / "compare_report.csv").exists()
+
     def test_mixed_modes(self, tmp_path):
         strata = tmp_path / "strata.csv"
         write_strata(strata, mu=(0.0, 2.0))
@@ -232,18 +258,23 @@ class TestStudyCommand:
     def test_wrong_config_type_is_one_line_error(self, tmp_path, override):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(override))
-        proc = subprocess.run(
-            [sys.executable, "-m", "blockcalc.cli", "study", "flexible-blocking",
-             "--config", str(cfg), "--reps", "1", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("blockcalc: error: config")
-        assert proc.stderr.count("\n") == 1
+        proc = run_cli("study", "flexible-blocking", "--config", str(cfg), "--reps", "1",
+                       "--out", str(tmp_path))
+        assert_one_line_error(proc, "config")
+
+    @pytest.mark.parametrize(
+        "name, reps, message",
+        [
+            ("flexible-blocking", "0", "reps must be at least 1, got 0"),
+            ("flexible-blocking", "-1", "reps must be at least 1, got -1"),
+            ("misconceptions", "-3", "reps must be at least 1, got -3"),
+            ("misconceptions", "1", "Monte Carlo needs reps >= 2"),
+        ],
+    )
+    def test_bad_reps_is_one_line_error(self, tmp_path, name, reps, message):
+        proc = run_cli("study", name, "--reps", reps, "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
+        assert not list(tmp_path.glob("study_*.csv"))
 
     def test_threads_do_not_change_flexible_blocking_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -315,17 +346,17 @@ class TestReplayCommand:
         if strategies is not None:
             (tmp_path / "strategies.json").write_text(strategies)
             argv += ["--strategies", str(tmp_path / "strategies.json")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "blockcalc.cli", "replay", *argv, "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"blockcalc: error: {message}")
-        assert proc.stderr.count("\n") == 1
+        proc = run_cli("replay", *argv, "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
+        assert not (tmp_path / "replay_report.csv").exists()
+
+    def test_constant_outcomes_are_one_line_error(self, tmp_path):
+        table = tmp_path / "replay.csv"
+        table.write_text("unit_id,block,z,baseline,y\n" + "".join(
+            f"u{i},{1 + i // 2},{z},{i},2.5\n" for i, z in enumerate("tctc")
+        ))
+        proc = run_cli("replay", str(table), "--out", str(tmp_path))
+        assert_one_line_error(proc, "outcome y is constant")
         assert not (tmp_path / "replay_report.csv").exists()
 
 
@@ -374,18 +405,8 @@ class TestArgumentValidation:
         ))
         design = tmp_path / "design.json"
         design.write_text(payload)
-        proc = subprocess.run(
-            [sys.executable, "-m", "blockcalc.cli", command, str(table),
-             "--design", f"blocked:{design}", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("blockcalc: error: design file")
-        assert proc.stderr.count("\n") == 1
+        proc = run_cli(command, str(table), "--design", f"blocked:{design}", "--out", str(tmp_path))
+        assert_one_line_error(proc, "design file")
 
     @pytest.mark.parametrize(
         "kind, argv, text",
@@ -411,15 +432,5 @@ class TestArgumentValidation:
     def test_short_csv_row_is_one_line_error(self, tmp_path, kind, argv, text):
         path = tmp_path / f"{kind}.csv"
         path.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "blockcalc.cli", argv[0], str(path), *argv[1:],
-             "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"blockcalc: error: {kind} CSV data row 2 has no value")
-        assert proc.stderr.count("\n") == 1
+        proc = run_cli(argv[0], str(path), *argv[1:], "--out", str(tmp_path))
+        assert_one_line_error(proc, f"{kind} CSV data row 2 has no value")

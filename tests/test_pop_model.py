@@ -230,7 +230,9 @@ class TestBlockStats:
     def test_with_blocks_gets_fresh_stats(self, mirrored_blocks_table):
         table = mirrored_blocks_table
         before = table.stats
-        regrouped = table.with_blocks(["A", "B", "A", "B"])
+        regrouped = table_from_arrays(
+            ["A", "B", "A", "B"], table.y_t, table.y_c, unit_ids=table.unit_ids
+        )
         assert regrouped.stats is not before
         assert regrouped.stats.c.dev.tolist() == [-1.0, 1.0]
         assert regrouped.stats.c.ss.tolist() == [0.0, 0.0]

@@ -23,6 +23,7 @@ from blockcalc.cli import main
 from blockcalc.oracle import exact_moments
 from blockcalc.pop_model import (
     CompleteRandomization,
+    StrataMoments,
     blocked_design_for_proportion,
     pooled_decomposition,
     summarize,
@@ -39,7 +40,6 @@ from blockcalc.variance_estimation import (
     varest_variability,
 )
 from blockcalc.variance_theory import (
-    TwoStageStratum,
     block_estimator_variances,
     neyman_var_blocked,
     neyman_var_cr,
@@ -221,12 +221,7 @@ def assert_fields_close(base, moved):
 @pytest.mark.parametrize("k_draw, p", [(5, 0.5), (3, 0.5), (1, 0.5)])
 def test_site_sampling_is_shift_invariant(k_draw, p):
     def report(offset):
-        table = dyadic_table(offset)
-        population = [
-            table_from_arrays([1] * len(idx), table.y_t[idx], table.y_c[idx])
-            for idx in (np.flatnonzero(table.labels == k) for k in range(table.num_blocks))
-        ]
-        return var_diff_site_sampling(population, k_draw, p, reps=300, seed=13)
+        return var_diff_site_sampling(dyadic_table(offset), k_draw, p, reps=300, seed=13)
 
     assert_fields_close(report_fields(report(0.0)), report_fields(report(OFFSET)))
 
@@ -239,10 +234,14 @@ def test_two_stage_is_shift_invariant(k_draw, p):
     sigma2 = rng.integers(1, 4096, size=(len(sizes), 2)) / 1024
 
     def report(offset):
-        strata = [
-            TwoStageStratum(t + offset, c + offset, s2[0], s2[1], n_k=size)
-            for t, c, s2, size in zip(mu_t, mu_c, sigma2, sizes)
-        ]
-        return var_diff_two_stage(strata, k_draw, p, reps=300, seed=31)
+        moments = StrataMoments(
+            weights=np.full(len(sizes), 1 / len(sizes)),
+            mu_t=mu_t + offset,
+            mu_c=mu_c + offset,
+            sigma2_t=sigma2[:, 0],
+            sigma2_c=sigma2[:, 1],
+            sigma2_tc=np.zeros(len(sizes)),
+        )
+        return var_diff_two_stage(moments, sizes, k_draw, p, reps=300, seed=31)
 
     assert_fields_close(report_fields(report(0.0)), report_fields(report(OFFSET)))

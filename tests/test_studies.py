@@ -5,7 +5,7 @@ import pytest
 
 from blockcalc import mc
 from blockcalc.blocking_lab import gen_xy_population, within_variance_ratio
-from blockcalc.pop_model import Blocked
+from blockcalc.pop_model import Blocked, table_from_arrays
 from blockcalc.studies import (
     FlexBlockingConfig,
     _flex_blocking_chunk,
@@ -30,7 +30,9 @@ def reference_chunk(cfg, master_seed, lo, hi):
             _, table = gen_xy_population(dgp, cfg.n, cfg.noise_sigma, rng)
             sums["var_cr"][dgp] += neyman_var_cr(table, n_t)
             for method in cfg.methods:
-                blocked_table = table.with_blocks(labels[method])
+                blocked_table = table_from_arrays(
+                    labels[method], table.y_t, table.y_c, unit_ids=table.unit_ids
+                )
                 design = Blocked(tuple(int(s) // 2 for s in blocked_table.block_sizes))
                 sums["var_bk"][(method, dgp)] += neyman_var_blocked(blocked_table, design)
                 sums["y_ratio"][(method, dgp)] += within_variance_ratio(table.y_c, labels[method])

@@ -27,7 +27,6 @@ from blockcalc import mc, variance_theory
 from blockcalc.variance_theory import (
     MODE_CR_SRS_VS_BK_STRAT,
     MODE_CR_SRS_VS_CR_STRAT,
-    TwoStageStratum,
     VarianceReport,
     check_diff,
     site_sampling_reps,
@@ -347,61 +346,72 @@ class TestVarDiffMixed:
             assert report.diff >= 0
 
 
-class TestVarDiffSiteSampling:
-    def make_block(self, values):
-        values = np.asarray(values, dtype=float)
-        return table_from_arrays([1] * len(values), values, values)
+def site_table(*blocks):
+    """One table whose block ``j + 1`` holds ``blocks[j]`` as both potential outcomes."""
+    values = np.concatenate([np.asarray(v, dtype=float) for v in blocks])
+    labels = np.repeat(np.arange(1, len(blocks) + 1), [len(v) for v in blocks])
+    return table_from_arrays(labels, values, values)
 
+
+class TestVarDiffSiteSampling:
     def test_identical_blocks_make_blocking_costly(self):
-        population = [self.make_block([0.0, 2.0])] * 3
+        population = site_table(*[[0.0, 2.0]] * 3)
         report = var_diff_site_sampling(population, k_draw=4, p=0.5, reps=400, seed=1)
         assert report.diff < 0
         assert report.diff + 3 * report.mc_se < 0
 
     def test_between_spread_only_makes_blocking_helpful(self):
-        population = [self.make_block([0.0, 0.0]), self.make_block([2.0, 2.0])]
+        population = site_table([0.0, 0.0], [2.0, 2.0])
         report = var_diff_site_sampling(population, k_draw=4, p=0.5, reps=400, seed=2)
         assert report.diff > 0
 
     def test_same_seed_reproduces(self):
-        population = [self.make_block([0.0, 1.0]), self.make_block([3.0, 5.0])]
+        population = site_table([0.0, 1.0], [3.0, 5.0])
         a = var_diff_site_sampling(population, k_draw=3, p=0.5, reps=200, seed=9)
         b = var_diff_site_sampling(population, k_draw=3, p=0.5, reps=200, seed=9)
         assert a == b
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            var_diff_site_sampling([], k_draw=2, p=0.5)
+            var_diff_site_sampling(table_from_arrays([], [], []), k_draw=2, p=0.5)
 
 
 class TestVarDiffTwoStage:
     def test_identical_means_exactly_zero(self):
-        rows = [TwoStageStratum(1.0, 0.0, 1.0, 1.0, n_k=4)] * 3
-        report = var_diff_two_stage(rows, k_draw=4, p=0.5, reps=300, seed=3)
+        moments = simple_moments([1.0] * 3, [0.0] * 3)
+        report = var_diff_two_stage(moments, [4] * 3, k_draw=4, p=0.5, reps=300, seed=3)
         assert report.diff == 0.0
 
     def test_two_types_give_positive_estimate(self):
-        rows = [
-            TwoStageStratum(0.0, 0.0, 1.0, 1.0, n_k=4),
-            TwoStageStratum(2.0, 2.0, 1.0, 1.0, n_k=4),
-        ]
-        report = var_diff_two_stage(rows, k_draw=4, p=0.5, reps=400, seed=4)
+        moments = simple_moments([0.0, 2.0], [0.0, 2.0])
+        report = var_diff_two_stage(moments, [4, 4], k_draw=4, p=0.5, reps=400, seed=4)
         assert report.diff > 0
         assert report.var_cr == pytest.approx(report.var_bk + report.diff)
 
     def test_estimate_never_negative(self):
         rng = np.random.default_rng(5)
-        rows = [
-            TwoStageStratum(float(rng.normal()), float(rng.normal()), 1.0, 2.0, n_k=4)
-            for _ in range(5)
-        ]
-        report = var_diff_two_stage(rows, k_draw=3, p=0.25, reps=500, seed=5)
+        mu = rng.normal(size=(5, 2))  # (mu_t, mu_c) per type, drawn in that order
+        moments = simple_moments(
+            mu[:, 0], mu[:, 1], sigma2_t=np.full(5, 1.0), sigma2_c=np.full(5, 2.0)
+        )
+        report = var_diff_two_stage(moments, [4] * 5, k_draw=3, p=0.25, reps=500, seed=5)
         assert report.diff >= 0
 
     def test_same_seed_reproduces(self):
-        rows = [TwoStageStratum(0.0, 1.0, 1.0, 1.0, n_k=4)] * 2
-        a = var_diff_two_stage(rows, k_draw=2, p=0.5, reps=100, seed=6)
-        b = var_diff_two_stage(rows, k_draw=2, p=0.5, reps=100, seed=6)
+        moments = simple_moments([0.0] * 2, [1.0] * 2)
+        a = var_diff_two_stage(moments, [4, 4], k_draw=2, p=0.5, reps=100, seed=6)
+        b = var_diff_two_stage(moments, [4, 4], k_draw=2, p=0.5, reps=100, seed=6)
+        assert a == b
+
+    def test_weights_and_sigma2_tc_are_not_read(self):
+        mu_t, mu_c = [0.0, 1.0, 3.0], [0.5, 0.0, 2.0]
+        uniform = simple_moments(mu_t, mu_c)
+        skewed = StrataMoments(
+            weights=[0.5, 0.25, 0.25], mu_t=mu_t, mu_c=mu_c, sigma2_t=np.ones(3),
+            sigma2_c=np.ones(3), sigma2_tc=[0.0, 4.0, 9.0],
+        )
+        a = var_diff_two_stage(uniform, [4, 6, 8], k_draw=3, p=0.5, reps=100, seed=7)
+        b = var_diff_two_stage(skewed, [4, 6, 8], k_draw=3, p=0.5, reps=100, seed=7)
         assert a == b
 
 
@@ -419,35 +429,42 @@ class TestVarianceReport:
 # Batched Monte Carlo frameworks against per-rep references
 
 
-def reference_site_reps(block_population, k_draw, p, reps, seed):
+def population_blocks(table):
+    """``(y_t, y_c)`` of every block of a table, in label order."""
+    members = [table.labels == j for j in range(table.num_blocks)]
+    return [(table.y_t[mask], table.y_c[mask]) for mask in members]
+
+
+def reference_site_reps(population, k_draw, p, reps, seed):
     """Per-rep (var_cr, var_bk, diff): assemble each draw's table, call var_diff_finite."""
+    blocks = population_blocks(population)
     out = np.empty((3, reps))
     for r in range(reps):
-        chosen = mc.rep_rng(seed, r).integers(len(block_population), size=k_draw)
-        out[:, r] = site_draw([block_population[j] for j in chosen], p)
+        chosen = mc.rep_rng(seed, r).integers(len(blocks), size=k_draw)
+        out[:, r] = site_draw([blocks[j] for j in chosen], p)
     return out
 
 
-def reference_two_stage_reps(strata, k_draw, p, reps, seed):
+def reference_two_stage_reps(moments, n_k, k_draw, p, reps, seed):
     """Per-rep (var_cr, var_bk, diff) of two-stage sampling, one draw at a time."""
     out = np.empty((3, reps))
     for r in range(reps):
-        chosen = mc.rep_rng(seed, r).integers(len(strata), size=k_draw)
-        out[:, r] = two_stage_draw([strata[j] for j in chosen], p)
+        chosen = mc.rep_rng(seed, r).integers(moments.num_strata, size=k_draw)
+        out[:, r] = two_stage_draw(moments, n_k, chosen, p)
     return out
 
 
-def two_stage_draw(drawn, p):
-    """(var_cr, var_bk, diff) for one ordered draw of stratum types."""
-    n_k = np.asarray([s.n_k for s in drawn], dtype=float)
+def two_stage_draw(moments, sizes, chosen, p):
+    """(var_cr, var_bk, diff) for one ordered draw ``chosen`` of stratum types."""
+    n_k = np.asarray([sizes[j] for j in chosen], dtype=float)
     n = float(n_k.sum())
     weights = n_k / n
     a, b = np.sqrt(p / (1 - p)), np.sqrt((1 - p) / p)
-    composite = [a * s.mu_c + b * s.mu_t for s in drawn]
+    composite = [a * moments.mu_c[j] + b * moments.mu_t[j] for j in chosen]
     diff = var_k(composite, weights) / (n - 1)
     n_tk = np.round(p * n_k)
-    s2_t = np.asarray([s.sigma2_t for s in drawn])
-    s2_c = np.asarray([s.sigma2_c for s in drawn])
+    s2_t = np.asarray([moments.sigma2_t[j] for j in chosen])
+    s2_c = np.asarray([moments.sigma2_c[j] for j in chosen])
     var_bk = float(np.sum(weights**2 * (s2_t / n_tk + s2_c / (n_k - n_tk))))
     return var_bk + diff, var_bk, diff
 
@@ -461,26 +478,29 @@ def assert_reps_close(got, want):
 
 
 def site_population(seed, sizes):
-    """Single-block population tables of the given sizes with block-level shifts."""
+    """One table of blocks of the given sizes, each with a block-level shift."""
     rng = np.random.default_rng(seed)
-    blocks = []
+    y_t, y_c = [], []
     for size in sizes:
         shift = rng.standard_normal()
-        y_c = rng.standard_normal(size) + shift
-        y_t = y_c + rng.standard_normal(size) + 0.5 * shift
-        blocks.append(table_from_arrays([1] * size, y_t, y_c))
-    return blocks
+        c = rng.standard_normal(size) + shift
+        y_c.append(c)
+        y_t.append(c + rng.standard_normal(size) + 0.5 * shift)
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return table_from_arrays(labels, np.concatenate(y_t), np.concatenate(y_c))
 
 
 def two_stage_population(seed, sizes):
+    """Moments of ``len(sizes)`` stratum types and the sizes, as ``(moments, n_k)``."""
     rng = np.random.default_rng(seed)
-    return [
-        TwoStageStratum(
-            float(rng.normal()), float(rng.normal()), float(rng.random() + 0.1),
-            float(rng.random() + 0.1), n_k=int(size),
-        )
-        for size in sizes
-    ]
+    # mu_t, mu_c, sigma2_t, sigma2_c per type, drawn type by type.
+    draws = np.array([
+        [rng.normal(), rng.normal(), rng.random() + 0.1, rng.random() + 0.1] for _ in sizes
+    ])
+    moments = simple_moments(
+        draws[:, 0], draws[:, 1], sigma2_t=draws[:, 2], sigma2_c=draws[:, 3]
+    )
+    return moments, list(sizes)
 
 
 #: (population sizes, k_draw, p, reps): unequal sizes, k_draw 1, reps that are
@@ -528,7 +548,7 @@ class TestBatchedSiteSampling:
             var_diff_site_sampling(population, 2, 0.3, reps=5)
         with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
             var_diff_site_sampling(population, 2, 1.5, reps=5)
-        with pytest.raises(ValueError, match="fewer than 2"):
+        with pytest.raises(ValueError, match="population block 1 has fewer than 2"):
             var_diff_site_sampling(site_population(1, (1,)), 2, 0.5, reps=5)
         with pytest.raises(ValueError, match="positive"):
             var_diff_site_sampling(population, 0, 0.5, reps=5)
@@ -540,11 +560,24 @@ class TestBatchedTwoStage:
         [((4, 6, 8, 4, 12), 4, 0.5, 300), ((4, 8), 1, 0.25, 257), ((6, 3, 9), 3, 1 / 3, 600)],
     )
     def test_per_rep_values_match_reference(self, sizes, k_draw, p, reps):
-        strata = two_stage_population(len(sizes) + reps, sizes)
-        got = two_stage_reps(strata, k_draw, p, reps, seed=23)
-        assert_reps_close(got, reference_two_stage_reps(strata, k_draw, p, reps, 23))
-        report = var_diff_two_stage(strata, k_draw, p, reps, seed=23)
+        moments, n_k = two_stage_population(len(sizes) + reps, sizes)
+        got = two_stage_reps(moments, n_k, k_draw, p, reps, seed=23)
+        assert_reps_close(got, reference_two_stage_reps(moments, n_k, k_draw, p, reps, 23))
+        report = var_diff_two_stage(moments, n_k, k_draw, p, reps, seed=23)
         assert report.diff == float(np.mean(got[2]))
+
+    def test_rejections(self):
+        moments, n_k = two_stage_population(1, (4, 6, 8))
+        with pytest.raises(ValueError, match=r"n_k must give one size per stratum \(3\), got 2"):
+            var_diff_two_stage(moments, [4, 4], 2, 0.5, reps=5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            var_diff_two_stage(moments, n_k, 2, 0.3, reps=5)
+        with pytest.raises(ValueError, match="both arms nonempty"):
+            var_diff_two_stage(moments, [4, 0, 8], 2, 0.5, reps=5)
+        with pytest.raises(ValueError, match="both arms nonempty"):
+            var_diff_two_stage(moments, n_k, 2, 1.5, reps=5)
+        with pytest.raises(ValueError, match="positive"):
+            var_diff_two_stage(moments, n_k, 0, 0.5, reps=5)
 
 
 class TestCheckDiff:
@@ -577,26 +610,28 @@ def enumerated_mean(num_types, k_draw, draw_value):
     return np.mean(values, axis=0)
 
 
-def site_draw(tables, p):
-    """(var_cr, var_bk, diff) of the table assembled from one ordered draw of blocks."""
-    labels = np.concatenate([np.full(t.n, i + 1) for i, t in enumerate(tables)])
+def site_draw(blocks, p):
+    """(var_cr, var_bk, diff) of the table assembled from one ordered draw of
+    ``(y_t, y_c)`` blocks."""
+    labels = np.concatenate([np.full(len(y_t), i + 1) for i, (y_t, _) in enumerate(blocks)])
     table = table_from_arrays(
         labels,
-        np.concatenate([t.y_t for t in tables]),
-        np.concatenate([t.y_c for t in tables]),
+        np.concatenate([y_t for y_t, _ in blocks]),
+        np.concatenate([y_c for _, y_c in blocks]),
     )
     report = var_diff_finite(table, p)
     return report.var_cr, report.var_bk, report.diff
 
 
 def exact_site(population, k_draw, p):
+    blocks = population_blocks(population)
+    return enumerated_mean(len(blocks), k_draw, lambda c: site_draw([blocks[j] for j in c], p))
+
+
+def exact_two_stage(moments, n_k, k_draw, p):
     return enumerated_mean(
-        len(population), k_draw, lambda c: site_draw([population[j] for j in c], p)
+        moments.num_strata, k_draw, lambda c: two_stage_draw(moments, n_k, c, p)
     )
-
-
-def exact_two_stage(strata, k_draw, p):
-    return enumerated_mean(len(strata), k_draw, lambda c: two_stage_draw([strata[j] for j in c], p))
 
 
 def composite_variance(means_c, means_t, p):
@@ -622,19 +657,19 @@ class TestExactSamplingFrameworks:
 
     @pytest.mark.parametrize("sizes, k_draw, p", [((4, 6, 8), 2, 0.5), ((4, 4, 8, 12), 3, 0.25)])
     def test_two_stage_monte_carlo_mean_within_four_se(self, sizes, k_draw, p):
-        strata = two_stage_population(sum(sizes), sizes)
-        exact = exact_two_stage(strata, k_draw, p)
-        report = var_diff_two_stage(strata, k_draw, p, reps=3000, seed=43)
+        moments, n_k = two_stage_population(sum(sizes), sizes)
+        exact = exact_two_stage(moments, n_k, k_draw, p)
+        report = var_diff_two_stage(moments, n_k, k_draw, p, reps=3000, seed=43)
         assert abs(report.diff - exact[2]) <= 4 * report.mc_se
 
     @pytest.mark.parametrize("num_types, k_draw, m", [(2, 2, 4), (3, 3, 6), (4, 3, 4), (4, 2, 8)])
     def test_equal_size_two_stage_closed_form(self, num_types, k_draw, m):
-        strata = two_stage_population(10 * num_types + k_draw, (m,) * num_types)
+        moments, n_k = two_stage_population(10 * num_types + k_draw, (m,) * num_types)
         p = 0.5
-        enumerated = exact_two_stage(strata, k_draw, p)[2]
+        enumerated = exact_two_stage(moments, n_k, k_draw, p)[2]
         closed = (
             (k_draw - 1) / k_draw
-            * composite_variance([s.mu_c for s in strata], [s.mu_t for s in strata], p)
+            * composite_variance(moments.mu_c, moments.mu_t, p)
             / (k_draw * m - 1)
         )
         assert abs(enumerated - closed) <= 1e-12 * max(abs(enumerated), abs(closed))
@@ -647,9 +682,12 @@ class TestExactSamplingFrameworks:
         population = site_population(num_types * m, (m,) * num_types)
         enumerated = exact_site(population, k_draw, p)[2]
         design = Blocked((round(p * m),))
-        block_vars = [neyman_var_blocked(t, design) for t in population]
-        means_c = [float(np.mean(t.y_c)) for t in population]
-        means_t = [float(np.mean(t.y_t)) for t in population]
+        blocks = population_blocks(population)
+        block_vars = [
+            neyman_var_blocked(table_from_arrays([1] * m, y_t, y_c), design) for y_t, y_c in blocks
+        ]
+        means_c = [float(np.mean(y_c)) for _, y_c in blocks]
+        means_t = [float(np.mean(y_t)) for y_t, _ in blocks]
         n = k_draw * m
         closed = (k_draw - 1) / (k_draw * (n - 1)) * (
             composite_variance(means_c, means_t, p) - float(np.mean(block_vars))
