@@ -77,7 +77,9 @@ def draw_masks(plan: ShufflePlan, rngs) -> np.ndarray:
     Each generator makes a single ``integers(plan.highs)`` call, which
     consumes it exactly as one scalar ``integers(high)`` call per step does,
     so a draw and the generator state after it match the step-by-step
-    shuffle.
+    shuffle. Each generator is done with before the next is taken, so
+    ``rngs`` may yield one reused generator, as
+    :func:`~blockcalc.mc.rep_rngs` does.
     """
     steps = plan.steps
     treated = []

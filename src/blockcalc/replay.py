@@ -175,15 +175,18 @@ def _rel_se_pct(y: np.ndarray, labels: np.ndarray, sizes, counts, var_cr: float)
 
 
 def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -> np.ndarray:
-    """The ratio of each random partition, allocation ``a`` drawn from
-    ``mc.rep_rng(seed, a)``, scored in chunks of ``chunk_rows(n)`` rows."""
+    """The ratio of each random partition, scored in chunks of ``chunk_rows(n)`` rows.
+
+    Allocation ``a`` is drawn from the generator ``mc.rep_rngs`` yields for
+    rep ``a`` (the state of ``mc.rep_rng(seed, a)``); that generator is
+    reused, so each partition is drawn before the next is asked for."""
     rows = chunk_rows(data.n)
     ratios = []
     for lo in range(0, allocations, rows):
         labels = np.stack(
             [
-                make_blocks_random(data.n, sizes, mc.rep_rng(seed, a))
-                for a in range(lo, min(lo + rows, allocations))
+                make_blocks_random(data.n, sizes, rng)
+                for rng in mc.rep_rngs(seed, lo, min(lo + rows, allocations))
             ]
         )
         ratios.append(_rel_se_pct(data.y, labels - 1, sizes, counts, var_cr))

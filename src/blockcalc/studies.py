@@ -194,16 +194,19 @@ def _flex_blocking_chunk(args) -> dict:
     method's ``var_bk`` and outcome within-variance ratio.
 
     Replication ``r`` draws one ``standard_normal(n)`` per DGP, in DGP
-    order, from ``mc.rep_rng(seed, r)``, as :func:`gen_xy_population`
-    would. The outcomes of every rep and DGP form one ``(dgps, reps, n)``
-    array, evaluated under each method's fixed labels by grouped sums; the
-    two potential outcomes are equal, so every ``S2_tc`` term is 0.
+    order, as :func:`gen_xy_population` would, from the generator
+    ``mc.rep_rngs`` yields for it (the state of ``mc.rep_rng(seed, r)``);
+    that generator is reused, so each rep's draw is made before the next
+    rep's generator is asked for. The outcomes of every rep and DGP form
+    one ``(dgps, reps, n)`` array, evaluated under each method's fixed
+    labels by grouped sums; the two potential outcomes are equal, so every
+    ``S2_tc`` term is 0.
     """
     cfg, master_seed, lo, hi = args
     sample, labels = _method_labels(cfg)
     n, n_t = cfg.n, cfg.n // 2
     noise = np.stack(
-        [mc.rep_rng(master_seed, r).standard_normal((len(cfg.dgps), n)) for r in range(lo, hi)],
+        [rng.standard_normal((len(cfg.dgps), n)) for rng in mc.rep_rngs(master_seed, lo, hi)],
         axis=1,
     )
     y = np.stack(
@@ -416,10 +419,15 @@ def run_study(
     has the Monte Carlo ``reps`` (per estimator and grid point for
     ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
     handed to :func:`mc.map_ordered` (rep chunks for ``flexible-blocking``,
-    grid points otherwise) and the ``workers`` it used.
+    grid points otherwise) and the ``workers`` it used. ``ratio-sweep``
+    rejects any ``reps``, because it would ignore them.
     """
     if name not in STUDIES:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
+    if name == "ratio-sweep" and reps is not None:
+        raise ValueError(
+            f"study ratio-sweep takes no reps (it draws no Monte Carlo replications), got {reps}"
+        )
     if reps is not None and reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     cfg = config_from_dict(name, config_overrides)

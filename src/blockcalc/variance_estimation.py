@@ -227,9 +227,11 @@ def varest_variability(
     exactly when their count is at most ``exact_limit``; otherwise ``reps``
     seeded assignments (at least 2) are drawn and the sample variance is
     reported. Either way the estimator is evaluated on batches of masks by
-    :func:`~blockcalc.oracle.batch_statistic`; each Monte Carlo draw still
-    comes from its own per-rep generator, through
-    :func:`~blockcalc.randomizer.draw_masks` (the draws of
+    :func:`~blockcalc.oracle.batch_statistic`; Monte Carlo draw ``r`` comes
+    from the generator :func:`~blockcalc.mc.rep_rngs` yields for rep ``r``
+    (the state of ``mc.rep_rng(seed, r)``), through
+    :func:`~blockcalc.randomizer.draw_masks`, which is done with each
+    generator before it asks for the next (the draws of
     :func:`~blockcalc.randomizer.assign_cr` and
     :func:`~blockcalc.randomizer.assign_blocked`).
     """
@@ -255,7 +257,7 @@ def varest_variability(
     rows = chunk_rows(table.n)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
-        masks = draw_masks(plan, (mc.rep_rng(seed, r) for r in range(start, stop)))
+        masks = draw_masks(plan, mc.rep_rngs(seed, start, stop))
         values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
     return VarestVariability(
         mean_varest=float(np.mean(values)),

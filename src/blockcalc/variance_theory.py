@@ -372,9 +372,14 @@ def var_diff_mixed(
 # Monte Carlo frameworks
 
 
+def _check_mc_reps(reps: int) -> None:
+    if reps < 2:
+        raise ValueError(f"Monte Carlo needs reps >= 2 for a standard error, got {reps}")
+
+
 def _mc_report(framework, var_crs, var_bks, diffs, reps) -> VarianceReport:
     diffs = np.asarray(diffs)
-    se = float(np.std(diffs, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    se = float(np.std(diffs, ddof=1) / math.sqrt(reps))
     return VarianceReport(
         framework=framework,
         var_cr=float(np.mean(var_crs)),
@@ -389,14 +394,16 @@ def _monte_carlo(num_types, k_draw, reps, seed, evaluate) -> np.ndarray:
     """Per-rep ``var_cr``, ``var_bk`` and ``diff`` as the rows of a ``(3, reps)`` array.
 
     Rep ``r`` draws ``k_draw`` type indices with one ``integers(num_types,
-    size=k_draw)`` call on its own generator ``mc.rep_rng(seed, r)``. Draws
+    size=k_draw)`` call on the generator ``mc.rep_rngs`` yields for it (the
+    state of ``mc.rep_rng(seed, r)``); that generator is reused, so each
+    rep's draw is made before the next rep's generator is asked for. Draws
     are stacked into index matrices of at most ``mc.CHUNK_SIZE`` rows, and
     ``evaluate`` maps a matrix to the three values of every row.
     """
     values = np.empty((3, reps))
     for lo, hi in mc.chunk_bounds(reps):
         chosen = np.stack(
-            [mc.rep_rng(seed, r).integers(num_types, size=k_draw) for r in range(lo, hi)]
+            [rng.integers(num_types, size=k_draw) for rng in mc.rep_rngs(seed, lo, hi)]
         )
         values[:, lo:hi] = evaluate(chosen)
     return values
@@ -417,8 +424,10 @@ def var_diff_site_sampling(
     choice documented in the README), assembles them into one table, and
     evaluates the finite-sample difference at proportion ``p``. Reported
     values are averages over draws with the standard error of the mean
-    difference; :func:`site_sampling_reps` gives the draws.
+    difference, so at least 2 draws are needed; :func:`site_sampling_reps`
+    gives the draws.
     """
+    _check_mc_reps(reps)
     values = site_sampling_reps(population, k_draw, p, reps, seed)
     return _mc_report(FRAMEWORK_SITE, *values, reps)
 
@@ -477,8 +486,10 @@ def var_diff_two_stage(
     the types' ``mu_t``, ``mu_c``, ``sigma2_t`` and ``sigma2_c``;
     ``weights`` and ``sigma2_tc`` are not read. Every per-draw term is
     nonnegative, so the estimate is nonnegative by construction (blocking
-    cannot hurt here). :func:`two_stage_reps` gives the draws.
+    cannot hurt here). Like :func:`var_diff_site_sampling` it needs at least
+    2 draws; :func:`two_stage_reps` gives the draws.
     """
+    _check_mc_reps(reps)
     values = two_stage_reps(moments, n_k, k_draw, p, reps, seed)
     return _mc_report(FRAMEWORK_TWO_STAGE, *values, reps)
 

@@ -196,6 +196,30 @@ class TestCompareCommand:
         assert_one_line_error(proc, "n_k must give one size per stratum (6), got 2")
         assert not (tmp_path / "compare_report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "framework, extra",
+        [
+            ("site", ["input_site_blocks.csv"]),
+            ("two-stage", ["input_strata.csv", "--n-per-stratum", "4"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "reps, seed, message",
+        [
+            ("1", "0", "Monte Carlo needs reps >= 2 for a standard error, got 1"),
+            ("0", "0", "Monte Carlo needs reps >= 2 for a standard error, got 0"),
+            ("50", "-1", "expected non-negative integer"),
+        ],
+    )
+    def test_bad_monte_carlo_args_are_one_line_errors(
+        self, tmp_path, framework, extra, reps, seed, message
+    ):
+        proc = run_cli("compare", str(GOLDEN / extra[0]), *extra[1:], "--framework", framework,
+                       "--k-draw", "3", "--p", "0.5", "--reps", reps, "--seed", seed,
+                       "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
+        assert not (tmp_path / "compare_report.csv").exists()
+
     def test_mixed_modes(self, tmp_path):
         strata = tmp_path / "strata.csv"
         write_strata(strata, mu=(0.0, 2.0))
@@ -274,6 +298,19 @@ class TestStudyCommand:
     def test_bad_reps_is_one_line_error(self, tmp_path, name, reps, message):
         proc = run_cli("study", name, "--reps", reps, "--out", str(tmp_path))
         assert_one_line_error(proc, message)
+        assert not list(tmp_path.glob("study_*.csv"))
+
+    @pytest.mark.parametrize("reps", ["5", "1"])
+    def test_ratio_sweep_rejects_reps(self, tmp_path, reps):
+        proc = run_cli("study", "ratio-sweep", "--reps", reps, "--out", str(tmp_path))
+        assert_one_line_error(proc, "study ratio-sweep takes no reps")
+        assert proc.stderr.rstrip().endswith(f"got {reps}")
+        assert not list(tmp_path.glob("*"))
+
+    @pytest.mark.parametrize("name", ["flexible-blocking", "misconceptions"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, name):
+        proc = run_cli("study", name, "--reps", "5", "--seed", "-1", "--out", str(tmp_path))
+        assert_one_line_error(proc, "expected non-negative integer")
         assert not list(tmp_path.glob("study_*.csv"))
 
     def test_threads_do_not_change_flexible_blocking_bytes(self, tmp_path):
