@@ -12,6 +12,7 @@ from .pop_model import (  # noqa: F401
     PotentialOutcomeTable,
     StrataMoments,
     blocked_design_for_proportion,
+    canonical_labels,
     pooled_decomposition,
     read_strata_csv,
     read_table_csv,

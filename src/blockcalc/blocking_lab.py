@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pop_model import PotentialOutcomeTable, grouped_moments, read_csv_rows, table_from_arrays
+from .pop_model import PotentialOutcomeTable, grouped_moments, read_csv_columns, table_from_arrays
 
 DGPS = ("linear", "indep", "odd")
 
@@ -53,11 +53,8 @@ def covariate_sample_from_values(x) -> CovariateSample:
 
 def read_covariate_csv(path) -> CovariateSample:
     """Read ``unit_id,x`` rows."""
-    rows = read_csv_rows(path, "covariate", ["unit_id", "x"])
-    return CovariateSample(
-        unit_ids=tuple(r["unit_id"] for r in rows),
-        x=np.asarray([float(r["x"]) for r in rows]),
-    )
+    cols = read_csv_columns(path, "covariate", ["unit_id", "x"])
+    return CovariateSample(unit_ids=cols["unit_id"], x=cols["x"])
 
 
 def _sorted_order(sample: CovariateSample) -> np.ndarray:
@@ -249,7 +246,7 @@ def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
     scores = _size_scores(sizes)
     mu_c = config.control_mean_spread * scores
     tau = config.effect_spread * scores
-    labels, y_t, y_c = [], [], []
+    y_t, y_c = [], []
     for k, size in enumerate(sizes):
         e_c = _standardized(rng.standard_normal(size))
         raw = rng.standard_normal(size)
@@ -258,7 +255,7 @@ def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
         e_t = config.rho * e_c + np.sqrt(1 - config.rho**2) * e_u
         y_c.append(mu_c[k] + config.base_sigma * e_c)
         y_t.append(mu_c[k] + tau[k] + config.base_sigma * e_t)
-        labels.extend([k + 1] * size)
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     return table_from_arrays(labels, np.concatenate(y_t), np.concatenate(y_c))
 
 

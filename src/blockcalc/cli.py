@@ -169,6 +169,11 @@ def cmd_variance(args) -> int:
     validate_design(design, table)
     out = _out_dir(args)
     blocked = isinstance(design, Blocked)
+    if args.decompose and not blocked:
+        raise ValueError(
+            "the variance-difference decomposition requires a blocked design "
+            "with an equal treated proportion in every block"
+        )
     n_t = design.n_t
     row: dict = {
         "framework": "finite",
@@ -269,7 +274,7 @@ def cmd_compare(args) -> int:
             table, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
         )
     else:
-        moments = read_strata_csv(args.input).with_derived_pooled()
+        moments = read_strata_csv(args.input)
         if args.framework == "strat":
             report = var_diff_strat(moments, n=args.n, p=args.p)
         elif args.framework == "unequal":

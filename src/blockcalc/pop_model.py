@@ -3,7 +3,8 @@
 Everything downstream consumes one of two inputs: a
 :class:`PotentialOutcomeTable`, the full schedule of treatment and control
 outcomes with block labels for a fixed sample, or a :class:`StrataMoments`,
-known per-stratum superpopulation means and variances.
+known per-stratum superpopulation means and variances whose pooled moments
+are always derived from the mixture identities.
 
 Conventions used throughout the package:
 
@@ -11,11 +12,14 @@ Conventions used throughout the package:
 * the variance of a single unit is undefined and is carried as ``None``
   (never 0 or NaN), so operations that need it must state the
   ``n_k >= 2`` precondition themselves;
-* block labels are canonicalized to dense integers ``1..K`` in order of
-  first appearance, keeping joins downstream stable and reproducible.
+* block labels take one form: :func:`canonical_labels` numbers raw labels
+  ``1..K`` in order of first appearance, and every object that carries
+  labels stores them as one read-only integer array, keeping joins
+  downstream stable and reproducible.
 
-All real arithmetic is 64-bit floating point; internal identity checks use
-the relative tolerance :data:`IDENTITY_RTOL`.
+Every CSV input is read column by column by :func:`read_csv_columns`, and
+numeric columns are parsed whole, exactly as Python's ``float`` parses.
+All real arithmetic is 64-bit floating point.
 """
 
 from __future__ import annotations
@@ -23,13 +27,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-
-#: Relative tolerance for internal identity checks (mixture identities and
-#: decomposition cross-checks).
-IDENTITY_RTOL = 1e-9
 
 #: Absolute tolerance for "weights sum to one" style checks.
 WEIGHT_ATOL = 1e-12
@@ -63,8 +63,9 @@ class PotentialOutcomeTable:
     """Full schedule of both potential outcomes with dense block labels.
 
     ``blocks`` must already be canonical (integers ``1..K``, each appearing
-    at least once). Use :func:`validate_table` or :func:`table_from_arrays`
-    to build a table from raw labels.
+    at least once); it is stored as a read-only integer array. Use
+    :func:`table_from_arrays` or :func:`validate_table` to build a table
+    from raw labels.
 
     The 0-based ``labels``, the ``block_sizes``, the ``block_order`` and the
     per-block ``stats`` are computed on first use and cached on the table;
@@ -72,7 +73,7 @@ class PotentialOutcomeTable:
     """
 
     unit_ids: tuple[str, ...]
-    blocks: tuple[int, ...]
+    blocks: np.ndarray
     y_t: np.ndarray
     y_c: np.ndarray
 
@@ -82,7 +83,8 @@ class PotentialOutcomeTable:
             raise ValueError("empty table")
         if len(set(self.unit_ids)) != n:
             raise ValueError("duplicate unit_id")
-        if len(self.blocks) != n:
+        blocks = np.asarray(self.blocks)
+        if blocks.shape != (n,):
             raise ValueError("blocks length mismatch")
         y_t = _frozen_array(self.y_t, "y_t")
         y_c = _frozen_array(self.y_c, "y_c")
@@ -90,12 +92,18 @@ class PotentialOutcomeTable:
             raise ValueError("outcome length mismatch")
         _require_finite(y_t, "outcome")
         _require_finite(y_c, "outcome")
-        labels = sorted(set(self.blocks))
-        if labels != list(range(1, len(labels) + 1)):
+        if blocks.dtype.kind in "iu":
+            blocks = blocks.astype(np.intp)
+        # Dense labels lie in 1..n, which also bounds the bincount.
+        if (
+            blocks.dtype != np.intp
+            or not 1 <= blocks.min() <= blocks.max() <= n
+            or not np.bincount(blocks)[1:].all()
+        ):
             raise ValueError("block labels must be dense integers 1..K")
         object.__setattr__(self, "y_t", y_t)
         object.__setattr__(self, "y_c", y_c)
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", _read_only(blocks))
 
     @property
     def n(self) -> int:
@@ -108,7 +116,7 @@ class PotentialOutcomeTable:
     @cached_property
     def labels(self) -> np.ndarray:
         """0-based block index of every unit."""
-        return _read_only(np.asarray(self.blocks, dtype=np.intp) - 1)
+        return _read_only(self.blocks - 1)
 
     @cached_property
     def block_sizes(self) -> np.ndarray:
@@ -135,73 +143,63 @@ class PotentialOutcomeTable:
         return float(np.mean(self.y_t - self.y_c))
 
 
-def _canonical_labels(raw_labels: Sequence) -> tuple[int, ...]:
-    mapping: dict = {}
-    out = []
-    for lab in raw_labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-        out.append(mapping[lab])
-    return tuple(out)
+def canonical_labels(raw) -> np.ndarray:
+    """Dense labels ``1..K`` numbering the distinct values of ``raw`` in order
+    of first appearance, as a read-only integer array.
 
-
-def validate_table(records: Iterable[Mapping]) -> PotentialOutcomeTable:
-    """Canonicalize raw records into a :class:`PotentialOutcomeTable`.
-
-    Each record needs the keys ``unit_id``, ``block``, ``y_t`` and ``y_c``.
-    Blocks are relabeled ``1..K`` in first-appearance order; unit order is
-    preserved.
+    Values are told apart as dict keys are, so ``1`` and ``"1"`` are two
+    labels while ``1`` and ``1.0`` are one.
     """
-    unit_ids, labels, y_t, y_c = [], [], [], []
-    for rec in records:
-        unit_ids.append(str(rec["unit_id"]))
-        labels.append(rec["block"])
-        y_t.append(float(rec["y_t"]))
-        y_c.append(float(rec["y_c"]))
-    if not unit_ids:
-        raise ValueError("empty table")
-    return PotentialOutcomeTable(
-        unit_ids=tuple(unit_ids),
-        blocks=_canonical_labels(labels),
-        y_t=np.asarray(y_t, dtype=float),
-        y_c=np.asarray(y_c, dtype=float),
-    )
+    raw = list(raw)
+    number = {label: k for k, label in enumerate(dict.fromkeys(raw), start=1)}
+    return _read_only(np.fromiter(map(number.__getitem__, raw), dtype=np.intp, count=len(raw)))
 
 
 def table_from_arrays(blocks, y_t, y_c, unit_ids=None) -> PotentialOutcomeTable:
-    """Build a table from parallel arrays, canonicalizing block labels."""
-    blocks = list(blocks)
+    """Build a table from parallel arrays, canonicalizing block labels.
+
+    Blocks are relabeled ``1..K`` in first-appearance order; unit order is
+    preserved. Unit ids default to ``u1..un``.
+    """
+    blocks = canonical_labels(blocks)
     if unit_ids is None:
-        unit_ids = tuple(f"u{i + 1}" for i in range(len(blocks)))
-    return PotentialOutcomeTable(
-        unit_ids=tuple(str(u) for u in unit_ids),
-        blocks=_canonical_labels(blocks),
-        y_t=np.asarray(y_t, dtype=float),
-        y_c=np.asarray(y_c, dtype=float),
-    )
+        unit_ids = [f"u{i + 1}" for i in range(len(blocks))]
+    return PotentialOutcomeTable(tuple(map(str, unit_ids)), blocks, y_t, y_c)
+
+
+def validate_table(records: Iterable[Mapping]) -> PotentialOutcomeTable:
+    """Build a table from records with the keys ``unit_id``, ``block``,
+    ``y_t`` and ``y_c``, as :func:`table_from_arrays` does."""
+    rows = [tuple(rec[key] for key in TABLE_CSV_HEADER) for rec in records]
+    if not rows:
+        raise ValueError("empty table")
+    unit_ids, blocks, y_t, y_c = zip(*rows)
+    return table_from_arrays(blocks, y_t, y_c, unit_ids)
 
 
 TABLE_CSV_HEADER = ["unit_id", "block", "y_t", "y_c"]
 
 
-def read_csv_rows(path, kind: str, columns) -> list[dict]:
-    """The data rows of a ``kind`` CSV file (UTF-8, '#' lines are comments).
+def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
+    """The data columns of a ``kind`` CSV file (UTF-8, '#' lines are comments),
+    as ``{header field: values in row order}``.
 
     The header must name every one of ``columns`` and every data row must
     fill every header field; errors name the CSV kind and the 1-based data
-    row. A file without data rows is an error too. Blank lines are skipped
-    and fields past the header's are ignored.
+    row. A file without data rows is an error too, as is one the csv module
+    cannot parse (a field over its size limit, say). Blank lines are
+    skipped and fields past the header's are ignored.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, [])
-        rows = []
-        # One pass that keeps only the dicts: holding every row twice made
-        # the garbage collector slow a 20,000-row read by about a third.
-        for i, row in enumerate(filter(None, reader), start=1):
-            if len(row) < len(header):
-                raise ValueError(f"{kind} CSV data row {i} has no value for {header[len(row):]}")
-            rows.append(dict(zip(header, row)))
+        try:
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+        except csv.Error as err:
+            raise ValueError(f"{kind} CSV is not readable: {err}") from None
+    for i, row in enumerate(rows, start=1):
+        if len(row) < len(header):
+            raise ValueError(f"{kind} CSV data row {i} has no value for {header[len(row):]}")
     if not rows:
         raise ValueError(f"empty {kind} CSV")
     missing = set(columns) - set(header)
@@ -209,19 +207,26 @@ def read_csv_rows(path, kind: str, columns) -> list[dict]:
         raise ValueError(
             f"{kind} CSV missing columns: {sorted(missing)} (needs {','.join(columns)})"
         )
-    return rows
+    return dict(zip(header, zip(*rows)))
 
 
 def read_table_csv(path) -> PotentialOutcomeTable:
-    """Read ``unit_id,block,y_t,y_c`` rows (UTF-8, '.' decimal point)."""
-    return validate_table(read_csv_rows(path, "table", TABLE_CSV_HEADER))
+    """Read ``unit_id,block,y_t,y_c`` rows (UTF-8, '.' decimal point).
+
+    Outcomes parse as Python's ``float`` does. A column is converted whole,
+    so when several values do not parse the error names the first one of
+    the first bad column, ``y_t`` before ``y_c``.
+    """
+    cols = read_csv_columns(path, "table", TABLE_CSV_HEADER)
+    y_t, y_c = (np.asarray(cols[name], dtype=float) for name in ("y_t", "y_c"))
+    return table_from_arrays(cols["block"], y_t, y_c, cols["unit_id"])
 
 
 def write_table_csv(table: PotentialOutcomeTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE_CSV_HEADER)
-        for uid, b, yt, yc in zip(table.unit_ids, table.blocks, table.y_t, table.y_c):
+        for uid, b, yt, yc in zip(table.unit_ids, table.blocks.tolist(), table.y_t, table.y_c):
             writer.writerow([uid, b, repr(float(yt)), repr(float(yc))])
 
 
@@ -511,14 +516,11 @@ class PooledMoments:
 class StrataMoments:
     """Per-stratum superpopulation means and variances with weights.
 
-    Weights are stratum shares ``n_k / n`` and must sum to one. Pooled
-    moments, when supplied, must satisfy the mixture identities
+    Weights are stratum shares ``n_k / n`` and must sum to one. The
+    ``pooled`` moments follow from the mixture identities
 
         pooled mean     = sum_k w_k mu_k
         pooled variance = sum_k w_k sigma2_k + sum_k w_k (mu_k - mean)^2
-
-    to relative tolerance :data:`IDENTITY_RTOL`. Use
-    :meth:`with_derived_pooled` to fill them in by construction.
     """
 
     weights: np.ndarray
@@ -527,7 +529,6 @@ class StrataMoments:
     sigma2_t: np.ndarray
     sigma2_c: np.ndarray
     sigma2_tc: np.ndarray
-    pooled: PooledMoments | None = None
 
     def __post_init__(self):
         fields = ["weights", "mu_t", "mu_c", "sigma2_t", "sigma2_c", "sigma2_tc"]
@@ -549,8 +550,6 @@ class StrataMoments:
         for name in ("sigma2_t", "sigma2_c", "sigma2_tc"):
             if np.any(arrays[name] < 0):
                 raise ValueError(f"{name} must be nonnegative")
-        if self.pooled is not None:
-            self._check_pooled(self.pooled)
 
     @property
     def num_strata(self) -> int:
@@ -560,7 +559,9 @@ class StrataMoments:
     def tau_k(self) -> np.ndarray:
         return self.mu_t - self.mu_c
 
-    def _mixture_pooled(self) -> PooledMoments:
+    @cached_property
+    def pooled(self) -> PooledMoments:
+        """Pooled means and variances of the mixture of the strata."""
         w = self.weights
         mu_t = float(w @ self.mu_t)
         mu_c = float(w @ self.mu_c)
@@ -572,33 +573,6 @@ class StrataMoments:
             sigma2_c=float(w @ self.sigma2_c + w @ (self.mu_c - mu_c) ** 2),
             sigma2_tc=float(w @ self.sigma2_tc + w @ (self.tau_k - tau) ** 2),
         )
-
-    def _check_pooled(self, pooled: PooledMoments) -> None:
-        ref = self._mixture_pooled()
-        for name in ("mu_t", "mu_c", "sigma2_t", "sigma2_c", "sigma2_tc"):
-            got = getattr(pooled, name)
-            want = getattr(ref, name)
-            if abs(got - want) > IDENTITY_RTOL * max(1.0, abs(want)):
-                raise ValueError(
-                    f"pooled {name}={got} violates the mixture identity (expected {want})"
-                )
-
-    def with_derived_pooled(self) -> "StrataMoments":
-        """Copy with pooled moments derived from the mixture identities."""
-        return StrataMoments(
-            weights=self.weights,
-            mu_t=self.mu_t,
-            mu_c=self.mu_c,
-            sigma2_t=self.sigma2_t,
-            sigma2_c=self.sigma2_c,
-            sigma2_tc=self.sigma2_tc,
-            pooled=self._mixture_pooled(),
-        )
-
-    def require_pooled(self) -> PooledMoments:
-        if self.pooled is None:
-            raise ValueError("pooled moments missing; call with_derived_pooled()")
-        return self.pooled
 
 
 STRATA_CSV_HEADER = [
@@ -614,13 +588,6 @@ STRATA_CSV_HEADER = [
 
 def read_strata_csv(path) -> StrataMoments:
     """Read ``stratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc`` rows."""
-    rows = read_csv_rows(path, "strata", STRATA_CSV_HEADER)
-    cols = {name: [float(r[name]) for r in rows] for name in STRATA_CSV_HEADER[1:]}
-    return StrataMoments(
-        weights=cols["weight"],
-        mu_t=cols["mu_t"],
-        mu_c=cols["mu_c"],
-        sigma2_t=cols["sigma2_t"],
-        sigma2_c=cols["sigma2_c"],
-        sigma2_tc=cols["sigma2_tc"],
-    )
+    cols = read_csv_columns(path, "strata", STRATA_CSV_HEADER)
+    # The value columns follow the header in the field order of StrataMoments.
+    return StrataMoments(*(np.asarray(cols[name], dtype=float) for name in STRATA_CSV_HEADER[1:]))

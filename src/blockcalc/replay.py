@@ -34,9 +34,9 @@ from .oracle import chunk_rows
 from .pop_model import (
     Blocked,
     PotentialOutcomeTable,
-    _canonical_labels,
+    canonical_labels,
     centered_moments,
-    read_csv_rows,
+    read_csv_columns,
     validate_design,
 )
 from .variance_theory import block_variances, blocked_variance, neyman_var_cr
@@ -54,18 +54,21 @@ STRATEGY_NAMES = (
 
 @dataclass(frozen=True)
 class ReplayData:
-    """A realized experiment: blocks, arms, baseline, and one outcome."""
+    """A realized experiment: blocks, arms, baseline, and one outcome.
+
+    ``blocks`` holds canonical labels ``1..K`` as a read-only integer array.
+    """
 
     unit_ids: tuple[str, ...]
-    blocks: tuple[int, ...]
+    blocks: np.ndarray
     z: tuple[str, ...]
     baseline: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        for name in ("baseline", "y"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            if arr.size and not np.isfinite(arr).all():
+        for name, dtype in (("blocks", np.intp), ("baseline", float), ("y", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if dtype is float and arr.size and not np.isfinite(arr).all():
                 raise ValueError(f"non-finite {name}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -86,13 +89,13 @@ class ReplayData:
 
 def read_replay_csv(path) -> ReplayData:
     """Read ``unit_id,block,z,baseline,y`` rows."""
-    rows = read_csv_rows(path, "replay", REPLAY_CSV_HEADER)
+    cols = read_csv_columns(path, "replay", REPLAY_CSV_HEADER)
     return ReplayData(
-        unit_ids=tuple(r["unit_id"] for r in rows),
-        blocks=_canonical_labels([r["block"] for r in rows]),
-        z=tuple(r["z"] for r in rows),
-        baseline=np.asarray([float(r["baseline"]) for r in rows]),
-        y=np.asarray([float(r["y"]) for r in rows]),
+        unit_ids=cols["unit_id"],
+        blocks=canonical_labels(cols["block"]),
+        z=cols["z"],
+        baseline=np.asarray(cols["baseline"], dtype=float),
+        y=np.asarray(cols["y"], dtype=float),
     )
 
 
@@ -193,6 +196,33 @@ def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -
     return np.concatenate(ratios)
 
 
+def _checked_params(strategy: Strategy, default_allocations) -> tuple[bool, int | None]:
+    """A strategy's ``(balanced, allocations)``, the second ``None`` unless it
+    draws random blocks; rejects unknown names, unknown params and params
+    of the wrong type."""
+    name, params = strategy.name, strategy.params
+    if name not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+    unknown = set(params) - {"allocations", "balanced"}
+    if unknown:
+        raise ValueError(f"unknown params for strategy {name!r}: {sorted(unknown)}")
+    balanced = params.get("balanced", False)
+    if not isinstance(balanced, bool):
+        raise ValueError(
+            f"strategy {name!r} param 'balanced' must be true or false, got {balanced!r}"
+        )
+    allocations = params.get("allocations", default_allocations)
+    # bool is an int subclass in Python but a separate JSON type.
+    integer = isinstance(allocations, (int, np.integer)) and not isinstance(allocations, bool)
+    if (name == "random-blocks" or "allocations" in params) and not (integer and allocations >= 1):
+        raise ValueError(
+            f"strategy {name!r} param 'allocations' must be an integer >= 1, got {allocations!r}"
+        )
+    if name != "random-blocks":
+        return balanced or name == "balance-proportions", None
+    return balanced, allocations
+
+
 def run_replay(
     data: ReplayData,
     strategies: list[Strategy] | None = None,
@@ -201,6 +231,7 @@ def run_replay(
 ) -> list[dict]:
     """Relative standard error of each strategy against complete randomization."""
     strategies = strategies if strategies is not None else default_strategies(default_allocations)
+    params = [_checked_params(strategy, default_allocations) for strategy in strategies]
     sizes = data.realized_sizes()
     realized = data.realized_treated()
     n_t = sum(realized)
@@ -215,20 +246,12 @@ def run_replay(
         )
     sorted_by = {"baseline-sorted-blocks": data.baseline, "outcome-sorted-blocks": data.y}
     rows = []
-    for strategy in strategies:
-        if strategy.name not in STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown strategy {strategy.name!r}; choose from {STRATEGY_NAMES}"
-            )
-        balanced = bool(strategy.params.get("balanced") or strategy.name == "balance-proportions")
+    for strategy, (balanced, allocations) in zip(strategies, params):
         counts = apportion_counts(n_t, sizes) if balanced else realized
         # Every blocking keeps the realized sizes, so this one check covers them all.
         validate_design(Blocked(tuple(counts)), no_impact)
-        p99 = allocations = None
+        p99 = None
         if strategy.name == "random-blocks":
-            allocations = int(strategy.params.get("allocations", default_allocations))
-            if allocations < 1:
-                raise ValueError("allocations must be positive")
             ratios = _random_blocks(data, sizes, counts, var_cr, seed, allocations)
             rel = float(np.mean(ratios))
             p99 = float(np.quantile(ratios, 0.99))

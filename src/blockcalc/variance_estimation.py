@@ -41,19 +41,21 @@ EXACT_ENUMERATION_LIMIT = 1_000_000
 class ObservedSample:
     """What the analyst sees: block label, treated flag and observed outcome per unit.
 
-    ``treated`` and ``y_obs`` are stored as read-only boolean and float arrays.
+    ``blocks``, ``treated`` and ``y_obs`` are stored as read-only integer,
+    boolean and float arrays.
     """
 
-    blocks: tuple[int, ...]
+    blocks: np.ndarray
     treated: np.ndarray
     y_obs: np.ndarray
 
     def __post_init__(self):
+        blocks = np.array(self.blocks, dtype=np.intp)
         treated = np.array(self.treated, dtype=bool)
         y_obs = np.array(self.y_obs, dtype=float)
-        if not len(self.blocks) == len(treated) == len(y_obs):
+        if not len(blocks) == len(treated) == len(y_obs):
             raise ValueError("fields must share one length")
-        for name, arr in (("treated", treated), ("y_obs", y_obs)):
+        for name, arr in (("blocks", blocks), ("treated", treated), ("y_obs", y_obs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -198,7 +200,7 @@ def cr_varest_bias_strat(moments: StrataMoments, n: int, p: float) -> float:
     n_c = n - n_t
     if n_t < 2 or n_c < 2:
         raise ValueError("both arms need at least 2 units")
-    pooled = moments._mixture_pooled()
+    pooled = moments.pooled
     w = moments.weights
     return float(w @ (moments.mu_c - pooled.mu_c) ** 2) / (n_c - 1) + float(
         w @ (moments.mu_t - pooled.mu_t) ** 2

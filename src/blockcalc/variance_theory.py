@@ -221,7 +221,7 @@ def var_cr_srs(moments: StrataMoments, n_t: int, n_c: int) -> float:
     sampling: ``sigma2_t/n_t + sigma2_c/n_c`` with pooled variances."""
     if n_t < 1 or n_c < 1:
         raise ValueError("n_t and n_c must be positive")
-    pooled = moments.require_pooled()
+    pooled = moments.pooled
     return pooled.sigma2_t / n_t + pooled.sigma2_c / n_c
 
 
@@ -343,7 +343,7 @@ def var_diff_mixed(
     the two sampling schemes; the difference is sign-indefinite and the
     report's ``var_bk`` field holds the stratified-sampling variance.
     """
-    pooled = moments.require_pooled()
+    pooled = moments.pooled
     w = moments.weights
     dev_c = moments.mu_c - pooled.mu_c
     dev_t = moments.mu_t - pooled.mu_t

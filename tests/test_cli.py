@@ -130,6 +130,14 @@ class TestVarianceCommand:
         assert rc == 1
         assert "equal treated proportion" in capsys.readouterr().err
 
+    def test_decompose_rejects_complete_randomization(self, tmp_path):
+        table = tmp_path / "table.csv"
+        write_mirrored_table(table)
+        proc = run_cli("variance", str(table), "--design", "cr:2", "--decompose",
+                       "--out", str(tmp_path))
+        assert_one_line_error(proc, "the variance-difference decomposition requires a blocked design")
+        assert not (tmp_path / "variance_report.csv").exists()
+
     def test_header_comment_toggle(self, tmp_path):
         table = tmp_path / "table.csv"
         write_mirrored_table(table)
@@ -371,8 +379,45 @@ class TestReplayCommand:
                 '[{"name": "keep-blocks"}, {"name": "keep-blocks", "params": 5}]',
                 "strategies file entry 2 params must be an object",
             ),
+            (
+                "tctc",
+                '[{"name": "random-blocks", "params": {"allocations": null}}]',
+                "strategy 'random-blocks' param 'allocations' must be an integer >= 1, got None",
+            ),
+            (
+                "tctc",
+                '[{"name": "random-blocks", "params": {"allocations": 2.7}}]',
+                "strategy 'random-blocks' param 'allocations' must be an integer >= 1, got 2.7",
+            ),
+            (
+                "tctc",
+                '[{"name": "random-blocks", "params": {"allocations": true}}]',
+                "strategy 'random-blocks' param 'allocations' must be an integer >= 1, got True",
+            ),
+            (
+                "tctc",
+                '[{"name": "random-blocks", "params": {"allocations": 0}}]',
+                "strategy 'random-blocks' param 'allocations' must be an integer >= 1, got 0",
+            ),
+            (
+                "tctc",
+                '[{"name": "random-blocks", "params": {"balanced": "no"}}]',
+                "strategy 'random-blocks' param 'balanced' must be true or false, got 'no'",
+            ),
+            (
+                "tctc",
+                '[{"name": "random-blocks", "params": {"allocation": 5}}]',
+                "unknown params for strategy 'random-blocks': ['allocation']",
+            ),
+            (
+                "tctc",
+                '[{"name": "keep-blocks", "params": {"allocations": 2.5}}]',
+                "strategy 'keep-blocks' param 'allocations' must be an integer >= 1, got 2.5",
+            ),
         ],
-        ids=["infeasible-counts", "object", "string-entry", "number-name", "number-params"],
+        ids=["infeasible-counts", "object", "string-entry", "number-name", "number-params",
+             "null-allocations", "float-allocations", "bool-allocations", "zero-allocations",
+             "string-balanced", "unknown-param", "float-allocations-keep-blocks"],
     )
     def test_bad_input_is_one_line_error(self, tmp_path, treated, strategies, message):
         table = tmp_path / "replay.csv"
@@ -419,6 +464,27 @@ class TestEnumerateCommand:
         assert "cap" in capsys.readouterr().err
 
 
+# One CSV per reader with a short second data row, and the command reading it.
+CSV_COMMANDS = [
+    (
+        "table",
+        ["variance", "--design", "cr:2"],
+        "unit_id,block,y_t,y_c\na,A,0,0\nb,A,2\nc,B,0,0\nd,B,2,2\n",
+    ),
+    (
+        "strata",
+        ["compare", "--framework", "strat", "--n", "8", "--p", "0.5"],
+        "# moments\nstratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc\n"
+        "1,0.5,0,0,1,1,0\n2,0.5,0\n",
+    ),
+    (
+        "replay",
+        ["replay"],
+        "unit_id,block,z,baseline,y\na,1,t,0.1,1.0\nb,1,t,0.4\n",
+    ),
+]
+
+
 class TestArgumentValidation:
     def test_missing_framework_args_fail_cleanly(self, tmp_path, capsys):
         strata = tmp_path / "strata.csv"
@@ -445,29 +511,21 @@ class TestArgumentValidation:
         proc = run_cli(command, str(table), "--design", f"blocked:{design}", "--out", str(tmp_path))
         assert_one_line_error(proc, "design file")
 
-    @pytest.mark.parametrize(
-        "kind, argv, text",
-        [
-            (
-                "table",
-                ["variance", "--design", "cr:2"],
-                "unit_id,block,y_t,y_c\na,A,0,0\nb,A,2\nc,B,0,0\nd,B,2,2\n",
-            ),
-            (
-                "strata",
-                ["compare", "--framework", "strat", "--n", "8", "--p", "0.5"],
-                "# moments\nstratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc\n"
-                "1,0.5,0,0,1,1,0\n2,0.5,0\n",
-            ),
-            (
-                "replay",
-                ["replay"],
-                "unit_id,block,z,baseline,y\na,1,t,0.1,1.0\nb,1,t,0.4\n",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("kind, argv, text", CSV_COMMANDS)
     def test_short_csv_row_is_one_line_error(self, tmp_path, kind, argv, text):
         path = tmp_path / f"{kind}.csv"
         path.write_text(text)
         proc = run_cli(argv[0], str(path), *argv[1:], "--out", str(tmp_path))
         assert_one_line_error(proc, f"{kind} CSV data row 2 has no value")
+
+    @pytest.mark.parametrize("kind, argv, text", CSV_COMMANDS)
+    def test_oversized_csv_field_is_one_line_error(self, tmp_path, kind, argv, text):
+        # The csv module refuses a field over 131,072 characters; it fills
+        # the first data row here.
+        lines = text.splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines.insert(header + 1, "9" * 131_073 + "\n")
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("".join(lines))
+        proc = run_cli(argv[0], str(path), *argv[1:], "--out", str(tmp_path))
+        assert_one_line_error(proc, f"{kind} CSV is not readable: field larger than field limit")

@@ -13,7 +13,6 @@ from blockcalc import (
 from blockcalc.pop_model import (
     Blocked,
     CompleteRandomization,
-    PooledMoments,
     blocked_design_for_proportion,
     equal_proportions,
     centered_moments,
@@ -35,14 +34,14 @@ class TestValidateTable:
         table = validate_table(
             records([("a", "A", 1, 0), ("b", "A", 2, 0), ("c", "B", 3, 0), ("d", "B", 4, 0)])
         )
-        assert table.blocks == (1, 1, 2, 2)
+        assert table.blocks.tolist() == [1, 1, 2, 2]
         assert table.num_blocks == 2
         assert list(table.block_sizes) == [2, 2]
 
     def test_single_row_is_valid(self):
         table = validate_table(records([("only", 7, 1.0, 2.0)]))
         assert table.n == 1
-        assert table.blocks == (1,)
+        assert table.blocks.tolist() == [1]
 
     def test_non_finite_outcome_rejected(self):
         with pytest.raises(ValueError, match="non-finite outcome"):
@@ -60,7 +59,7 @@ class TestValidateTable:
         table = validate_table(
             records([("a", "Z", 0, 0), ("b", "A", 0, 0), ("c", "Z", 0, 0), ("d", "A", 0, 0)])
         )
-        assert table.blocks == (1, 2, 1, 2)
+        assert table.blocks.tolist() == [1, 2, 1, 2]
 
 
 class TestSummarize:
@@ -297,21 +296,9 @@ class TestStrataMoments:
             sigma2_t=[1.0, 1.0],
             sigma2_c=[1.0, 1.0],
             sigma2_tc=[0.0, 0.0],
-        ).with_derived_pooled()
+        )
         assert moments.pooled.sigma2_c == pytest.approx(2.0)
         assert moments.pooled.mu_c == pytest.approx(1.0)
-
-    def test_inconsistent_pooled_rejected(self):
-        with pytest.raises(ValueError, match="mixture identity"):
-            StrataMoments(
-                weights=[0.5, 0.5],
-                mu_t=[0.0, 2.0],
-                mu_c=[0.0, 2.0],
-                sigma2_t=[1.0, 1.0],
-                sigma2_c=[1.0, 1.0],
-                sigma2_tc=[0.0, 0.0],
-                pooled=PooledMoments(mu_t=1.0, mu_c=1.0, sigma2_t=2.0, sigma2_c=999.0, sigma2_tc=1.0),
-            )
 
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=6),
@@ -331,17 +318,14 @@ class TestStrataMoments:
             sigma2_t=sig[:k],
             sigma2_c=sig[:k],
             sigma2_tc=np.zeros(k),
-        ).with_derived_pooled()
-        # Round-tripping through the validator must not raise.
-        StrataMoments(
-            weights=moments.weights,
-            mu_t=moments.mu_t,
-            mu_c=moments.mu_c,
-            sigma2_t=moments.sigma2_t,
-            sigma2_c=moments.sigma2_c,
-            sigma2_tc=moments.sigma2_tc,
-            pooled=moments.pooled,
         )
+        # The mixture's raw second moment minus its squared mean, an
+        # independent form of the within-plus-between identity.
+        mu_t = float(w @ mus[:k])
+        second = float(w @ (np.asarray(sig[:k]) + np.asarray(mus[:k]) ** 2))
+        assert moments.pooled.mu_t == pytest.approx(mu_t, abs=1e-12)
+        assert moments.pooled.sigma2_t == pytest.approx(second - mu_t**2, rel=1e-9, abs=1e-9)
+        assert moments.pooled.sigma2_c == pytest.approx(float(w @ np.asarray(sig[:k])), rel=1e-12)
 
 
 class TestCsvRoundTrip:
@@ -349,7 +333,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "table.csv"
         write_table_csv(mirrored_blocks_table, path)
         back = read_table_csv(path)
-        assert back.blocks == mirrored_blocks_table.blocks
+        assert back.blocks.tolist() == mirrored_blocks_table.blocks.tolist()
         np.testing.assert_allclose(back.y_t, mirrored_blocks_table.y_t)
 
     def test_strata_csv(self, tmp_path):

@@ -129,7 +129,7 @@ class TestReplayCsv:
             "d,west,c,1.5,3.0\n"
         )
         data = read_replay_csv(path)
-        assert data.blocks == (1, 1, 2, 2)
+        assert data.blocks.tolist() == [1, 1, 2, 2]
         assert data.realized_treated() == [1, 1]
 
     def test_missing_column_rejected(self, tmp_path):

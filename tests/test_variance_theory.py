@@ -193,24 +193,19 @@ class TestOracleEquivalence:
 
 class TestVarCrSrs:
     def test_arithmetic(self):
-        moments = simple_moments([0.0], [0.0]).with_derived_pooled()
+        moments = simple_moments([0.0], [0.0])
         assert var_cr_srs(moments, 10, 10) == pytest.approx(0.2)
 
     def test_degenerate_arm(self):
         moments = StrataMoments(
             weights=[1.0], mu_t=[0.0], mu_c=[0.0], sigma2_t=[0.0], sigma2_c=[2.0], sigma2_tc=[0.0]
-        ).with_derived_pooled()
+        )
         assert var_cr_srs(moments, 5, 4) == pytest.approx(0.5)
 
     def test_mixture_built_pooled(self):
-        moments = simple_moments([0.0, 2.0], [0.0, 2.0]).with_derived_pooled()
+        moments = simple_moments([0.0, 2.0], [0.0, 2.0])
         assert moments.pooled.sigma2_c == pytest.approx(2.0)
         assert var_cr_srs(moments, 2, 2) == pytest.approx(2.0)
-
-    def test_missing_pooled_rejected(self):
-        moments = simple_moments([0.0, 2.0], [0.0, 2.0])
-        with pytest.raises(ValueError, match="pooled"):
-            var_cr_srs(moments, 2, 2)
 
 
 class TestVarBlockedStrat:
@@ -320,17 +315,17 @@ class TestVarDiffStratUnequal:
 
 class TestVarDiffMixed:
     def test_equal_means_zero_both_modes(self):
-        moments = simple_moments([1.0, 1.0], [0.0, 0.0]).with_derived_pooled()
+        moments = simple_moments([1.0, 1.0], [0.0, 0.0])
         for mode in (MODE_CR_SRS_VS_BK_STRAT, MODE_CR_SRS_VS_CR_STRAT):
             assert var_diff_mixed(moments, 4, 4, mode).diff == pytest.approx(0.0, abs=1e-15)
 
     def test_srs_vs_blocked_worked_example(self):
-        moments = simple_moments([0.0, 2.0], [0.0, 2.0]).with_derived_pooled()
+        moments = simple_moments([0.0, 2.0], [0.0, 2.0])
         report = var_diff_mixed(moments, 2, 2, MODE_CR_SRS_VS_BK_STRAT)
         assert report.diff == pytest.approx(1.0)
 
     def test_srs_vs_stratified_cr_can_be_negative(self):
-        moments = simple_moments([1.0, 3.0], [0.0, 2.0]).with_derived_pooled()
+        moments = simple_moments([1.0, 3.0], [0.0, 2.0])
         report = var_diff_mixed(moments, 2, 2, MODE_CR_SRS_VS_CR_STRAT)
         assert report.diff == pytest.approx(-1.0 / 3.0)
 
@@ -341,7 +336,7 @@ class TestVarDiffMixed:
             w = rng.random(k) + 0.1
             moments = simple_moments(
                 rng.normal(size=k) * 2, rng.normal(size=k) * 2, weights=w / w.sum()
-            ).with_derived_pooled()
+            )
             report = var_diff_mixed(moments, 5, 7, MODE_CR_SRS_VS_BK_STRAT)
             assert report.diff >= 0
 
