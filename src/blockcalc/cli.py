@@ -31,6 +31,7 @@ from .pop_model import (
     Blocked,
     CompleteRandomization,
     equal_proportions,
+    read_json,
     read_strata_csv,
     read_table_csv,
     validate_design,
@@ -132,8 +133,7 @@ def _parse_design(text: str):
     if kind == "cr":
         return CompleteRandomization(n_t=int(value))
     if kind == "blocked":
-        with open(value, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(value, "design")
         n_tk = payload.get("n_tk") if isinstance(payload, dict) else None
         # bool is a subclass of int; JSON true/false are not counts.
         if not isinstance(n_tk, list) or not all(type(m) is int for m in n_tk):
@@ -329,10 +329,7 @@ def cmd_compare(args) -> int:
 
 def cmd_study(args) -> int:
     out = _out_dir(args)
-    overrides = None
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+    overrides = read_json(args.config, "config") if args.config else None
     rows, columns, resolved, counts = run_study(
         args.name,
         config_overrides=overrides,

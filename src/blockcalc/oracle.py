@@ -10,13 +10,20 @@ yields boolean ``(rows, n)`` mask matrices in that order, each holding at
 most :data:`CHUNK_CELLS` mask cells, and :func:`batch_statistic` evaluates
 every row of a matrix with array reductions. User-supplied callables see one
 mask at a time from :func:`iter_assignments`.
+
+Mask rows are written by :func:`_fill_lex` from the split that subsets
+holding the first unit come first, with boolean tables of sub-problems up to
+:data:`CHUNK_CELLS` cells memoised for one enumeration. A blocked design
+fills its first block per chunk and holds each later block as one boolean
+table of its subsets, so what an enumeration holds beyond its chunk is
+bounded by those tables, not by its assignment count.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -60,10 +67,71 @@ def chunk_rows(n: int) -> int:
     return max(1, CHUNK_CELLS // n)
 
 
-def _combination_matrix(items, m: int, rows: int) -> np.ndarray:
-    """The next ``rows`` size-``m`` combinations from an iterator, one per row."""
-    flat = chain.from_iterable(islice(items, rows))
-    return np.fromiter(flat, dtype=np.intp, count=rows * m).reshape(rows, m)
+def _lex_table(n: int, m: int, memo: dict) -> np.ndarray:
+    """Every size-``m`` subset of ``range(n)`` as a boolean row, in lexicographic order.
+
+    Built from the split that subsets holding element 0 come first,
+    ``M(n, m) = [[True, M(n-1, m-1)], [False, M(n-1, m)]]``, and memoised in
+    ``memo`` by ``(n, m)``. Called only when ``comb(n, m) * n <= CHUNK_CELLS``,
+    so for ``0 < m < n`` it holds ``n * n <= CHUNK_CELLS`` and its recursion
+    is at most ``n`` deep.
+    """
+    table = memo.get((n, m))
+    if table is None:
+        table = np.zeros((math.comb(n, m), n), dtype=bool)
+        if m == n:
+            table[:] = True
+        elif m:
+            top = math.comb(n - 1, m - 1)
+            table[:top, 0] = True
+            table[:top, 1:] = _lex_table(n - 1, m - 1, memo)
+            table[top:, 1:] = _lex_table(n - 1, m, memo)
+        memo[n, m] = table
+    return table
+
+
+def _fill_lex(out: np.ndarray, n: int, m: int, lo: int, hi: int, memo: dict) -> None:
+    """Write rows ``[lo, hi)`` of :func:`_lex_table`'s ``M(n, m)`` into the zeroed ``out``.
+
+    Descends the split of :func:`_lex_table` with an explicit stack of
+    ``(first out row, first column, n, m, lo, hi)`` sub-problems until one fits
+    in :data:`CHUNK_CELLS` cells, then copies a slice of its memoised table.
+    A run of leading columns that every row holds, or that no row holds, is
+    skipped in one step by bisecting on ``math.comb``, so no descent walks
+    the columns one by one.
+    """
+    stack = [(0, 0, n, m, lo, hi)]
+    while stack:
+        row, col, n, m, lo, hi = stack.pop()
+        rows = slice(row, row + hi - lo)
+        if m == 0:
+            continue
+        if m == n:
+            out[rows, col : col + n] = True
+            continue
+        if m == 1:
+            # M(n, 1) is the identity, so rows [lo, hi) are one diagonal.
+            np.fill_diagonal(out[rows, col + lo : col + hi], True)
+            continue
+        total = math.comb(n, m)
+        if total * n <= CHUNK_CELLS:
+            out[rows, col : col + n] = _lex_table(n, m, memo)[lo:hi]
+            continue
+        top = math.comb(n - 1, m - 1)
+        if hi <= top:
+            # Rows holding each of the first j columns are the first comb(n - j, m - j).
+            j = bisect_right(range(m + 1), -hi, key=lambda j: -math.comb(n - j, m - j)) - 1
+            out[rows, col : col + j] = True
+            stack.append((row, col + j, n - j, m - j, lo, hi))
+        elif lo >= top:
+            # Rows holding none of the first j columns are the last comb(n - j, m).
+            j = bisect_right(range(n - m + 1), lo, key=lambda j: total - math.comb(n - j, m)) - 1
+            skip = total - math.comb(n - j, m)
+            stack.append((row, col + j, n - j, m, lo - skip, hi - skip))
+        else:
+            out[row : row + top - lo, col] = True
+            stack.append((row, col + 1, n - 1, m - 1, lo, top))
+            stack.append((row + top - lo, col + 1, n - 1, m, 0, hi - top))
 
 
 def iter_assignment_chunks(
@@ -71,37 +139,43 @@ def iter_assignment_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield every treated mask of the design once, as rows of ``(rows, n)`` matrices.
 
-    Complete randomization walks ``combinations(range(n), n_t)`` in
-    lexicographic order. Blocked designs take the product of per-block
-    combinations, the last block cycling fastest: each block's combinations
-    are held as an index matrix, and the flat assignment index is unravelled
-    over the product shape to pick a row of every block's matrix. A matrix
-    holds :func:`chunk_rows` assignments (the last one may hold fewer).
+    Complete randomization walks the size-``n_t`` subsets of the units in
+    lexicographic order, each chunk written by :func:`_fill_lex`. Blocked
+    designs take the product of per-block subsets, the last block cycling
+    fastest: the flat assignment index is unravelled over the product shape,
+    the first block's rows are filled over the chunk's contiguous range of
+    its digit, and every later block's full boolean table (built once) is
+    indexed by its digit. A matrix holds :func:`chunk_rows` assignments (the
+    last one may hold fewer).
     """
     total = count_assignments(design, table)
     n = table.n
     rows = chunk_rows(n)
+    memo: dict = {}
+
+    def lex_rows(size: int, m: int, lo: int, hi: int) -> np.ndarray:
+        out = np.zeros((hi - lo, size), dtype=bool)
+        _fill_lex(out, size, m, lo, hi, memo)
+        return out
+
     if isinstance(design, CompleteRandomization):
-        per_block = None
-        chosen = combinations(range(n), design.n_t)
-    else:
-        per_block = [
-            _combination_matrix(
-                combinations(table.block_indices(k).tolist(), m), m, math.comb(int(size), m)
-            )
-            for k, (size, m) in enumerate(zip(table.block_sizes, design.n_tk), start=1)
-        ]
-        shape = tuple(len(c) for c in per_block)
+        for start in range(0, total, rows):
+            yield lex_rows(n, design.n_t, start, min(start + rows, total))
+        return
+    units = [table.block_indices(k) for k in range(1, table.num_blocks + 1)]
+    shape = tuple(math.comb(len(idx), m) for idx, m in zip(units, design.n_tk))
+    inner = [
+        lex_rows(len(idx), m, 0, count)
+        for idx, m, count in zip(units[1:], design.n_tk[1:], shape[1:])
+    ]
     for start in range(0, total, rows):
         stop = min(start + rows, total)
         masks = np.zeros((stop - start, n), dtype=bool)
-        row_index = np.arange(stop - start)[:, None]
-        if per_block is None:
-            masks[row_index, _combination_matrix(chosen, design.n_t, stop - start)] = True
-        else:
-            digits = np.unravel_index(np.arange(start, stop), shape)
-            for combos, digit in zip(per_block, digits):
-                masks[row_index, combos[digit]] = True
+        digits = np.unravel_index(np.arange(start, stop), shape)
+        lo, hi = int(digits[0][0]), int(digits[0][-1]) + 1
+        masks[:, units[0]] = lex_rows(len(units[0]), design.n_tk[0], lo, hi)[digits[0] - lo]
+        for idx, subsets, digit in zip(units[1:], inner, digits[1:]):
+            masks[:, idx] = subsets[digit]
         yield masks
 
 

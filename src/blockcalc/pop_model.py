@@ -25,6 +25,7 @@ All real arithmetic is 64-bit floating point.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -58,7 +59,7 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return _read_only(_float_array(values, name).copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialOutcomeTable:
     """Full schedule of both potential outcomes with dense block labels.
 
@@ -181,8 +182,8 @@ TABLE_CSV_HEADER = ["unit_id", "block", "y_t", "y_c"]
 
 
 def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
-    """The data columns of a ``kind`` CSV file (UTF-8, '#' lines are comments),
-    as ``{header field: values in row order}``.
+    """The data columns of a ``kind`` CSV file (UTF-8, a leading byte-order
+    mark skipped, '#' lines are comments), as ``{header field: values in row order}``.
 
     The header must name every one of ``columns`` and every data row must
     fill every header field; errors name the CSV kind and the 1-based data
@@ -190,7 +191,7 @@ def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
     cannot parse (a field over its size limit, say). Blank lines are
     skipped and fields past the header's are ignored.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         try:
             header = next(reader, [])
@@ -208,6 +209,20 @@ def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
             f"{kind} CSV missing columns: {sorted(missing)} (needs {','.join(columns)})"
         )
     return dict(zip(header, zip(*rows)))
+
+
+def read_json(path, kind: str):
+    """The value in a ``kind`` JSON file (UTF-8, a leading byte-order mark skipped).
+
+    Bytes that are not UTF-8, text that is not JSON and JSON nested deeper
+    than the parser's recursion limit are a one-line ``ValueError`` naming
+    the file.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{kind} file {path} is not readable JSON: {err}") from None
 
 
 def read_table_csv(path) -> PotentialOutcomeTable:
@@ -512,7 +527,7 @@ class PooledMoments:
     sigma2_tc: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrataMoments:
     """Per-stratum superpopulation means and variances with weights.
 

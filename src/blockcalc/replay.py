@@ -22,7 +22,6 @@ pass scores a matrix of rows, and ``random-blocks`` is scored in bounded chunks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ from .pop_model import (
     canonical_labels,
     centered_moments,
     read_csv_columns,
+    read_json,
     validate_design,
 )
 from .variance_theory import block_variances, blocked_variance, neyman_var_cr
@@ -52,7 +52,7 @@ STRATEGY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplayData:
     """A realized experiment: blocks, arms, baseline, and one outcome.
 
@@ -107,8 +107,7 @@ class Strategy:
 
 def read_strategies_json(path) -> list[Strategy]:
     """Read a JSON list of ``{"name": str, "params": {...}}`` objects (``params`` optional)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "strategies")
     if not isinstance(raw, list):
         raise ValueError("strategies file must hold a JSON list of objects")
     for i, item in enumerate(raw, start=1):

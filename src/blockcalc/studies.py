@@ -368,10 +368,11 @@ STUDIES = {
 
 
 def config_from_dict(name: str, overrides: dict | None):
-    """Build a study config, replacing defaults with JSON-sourced fields."""
+    """Build a study config, replacing defaults with JSON-sourced fields
+    (``None``, or a config file holding JSON ``null``, keeps every default)."""
     cls, _ = STUDIES[name]
     cfg = cls()
-    if not overrides:
+    if overrides is None:
         return cfg
     if not isinstance(overrides, dict):
         raise ValueError(f"config for {name} must be a JSON object")

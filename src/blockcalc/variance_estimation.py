@@ -37,7 +37,7 @@ from .randomizer import draw_masks, shuffle_plan
 EXACT_ENUMERATION_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedSample:
     """What the analyst sees: block label, treated flag and observed outcome per unit.
 

@@ -3,15 +3,22 @@ a fuzz of malformed CSV inputs through the command line."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcalc import canonical_labels
 from blockcalc.cli import main
-from blockcalc.pop_model import TABLE_CSV_HEADER, PotentialOutcomeTable, read_table_csv
+from blockcalc.pop_model import (
+    TABLE_CSV_HEADER,
+    PotentialOutcomeTable,
+    read_strata_csv,
+    read_table_csv,
+)
 from blockcalc.replay import REPLAY_CSV_HEADER, ReplayData, read_replay_csv
 
 # ---------------------------------------------------------------------------
@@ -269,6 +276,34 @@ def malformed_csv(draw):
     return argv, data
 
 
+def valid_csv_text(kind):
+    header, rows, _ = VALID[kind]
+    return "".join(",".join(line) + "\n" for line in [header] + rows)
+
+
+READERS = {"table": read_table_csv, "strata": read_strata_csv, "replay": read_replay_csv}
+
+
+class TestByteOrderMark:
+    # Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark.
+    @pytest.mark.parametrize("kind", sorted(VALID))
+    def test_reads_as_without_mark(self, tmp_path, kind):
+        argv = VALID[kind][2]
+        text = valid_csv_text(kind)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = READERS[kind](plain), READERS[kind](marked)
+        for field in dataclasses.fields(want):
+            name, value = field.name, getattr(want, field.name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(got, name), value), name
+            else:
+                assert getattr(got, name) == value, name
+        assert main([argv[0], str(marked), *argv[1:], "--out", str(tmp_path)]) == 0
+
+
 class TestMalformedCsvThroughCli:
     @given(malformed_csv())
     @settings(max_examples=200, deadline=None)
@@ -284,3 +319,89 @@ class TestMalformedCsvThroughCli:
         assert stderr.getvalue().startswith("blockcalc: error: ")
         assert stderr.getvalue().count("\n") == 1
         assert "Traceback" not in stderr.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Malformed JSON inputs through the command line
+
+# Per JSON input: the command reading it (given the input directory and the
+# JSON path), the document with one value left open, and values that make it
+# wrong.
+JSON_INPUTS = {
+    "design": (
+        lambda d, path: ["variance", str(d / "table.csv"), "--design", f"blocked:{path}"],
+        '{"n_tk": %s}',
+        ['"11"', "true", "[1.5, 1]", "null", "{}", "[1]", "[1, 1, 1]", "[0, 1]", "[true, 1]"],
+    ),
+    "config": (
+        lambda d, path: ["study", "ratio-sweep", "--config", str(path)],
+        '{"rhos": %s}',
+        ['"0.5"', "0.5", "[true]", "[[0.5]]", "{}", "null", '["a"]'],
+    ),
+    "strategies": (
+        lambda d, path: ["replay", str(d / "replay.csv"), "--strategies", str(path)],
+        '[{"name": "random-blocks", "params": {"allocations": %s}}]',
+        ["0", "-1", "2.5", "true", '"2"', "[]", "null", "{}"],
+    ),
+}
+
+
+@st.composite
+def nested(draw):
+    """JSON arrays or objects nested up to far past the parser's recursion limit."""
+    depth = draw(st.one_of(st.integers(2, 2_000), st.just(100_000)))
+    if draw(st.booleans()):
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "0" + "}" * depth
+
+
+@st.composite
+def malformed_json(draw):
+    """``(kind, file bytes)`` of a design, config or strategies JSON with one defect."""
+    kind = draw(st.sampled_from(sorted(JSON_INPUTS)))
+    _, template, bad_values = JSON_INPUTS[kind]
+    defect = draw(st.sampled_from(["nested document", "nested value", "bad value", "truncated",
+                                   "not utf-8"]))
+    if defect == "nested document":
+        text = draw(nested())
+    elif defect == "nested value":
+        text = template % draw(nested())
+    else:
+        text = template % draw(st.sampled_from(bad_values))
+    data = text.encode("utf-8")
+    if defect == "truncated":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif defect == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return kind, data
+
+
+class TestMalformedJsonThroughCli:
+    @given(malformed_json())
+    @settings(max_examples=150, deadline=None)
+    def test_one_line_error(self, tmp_path_factory, case):
+        kind, data = case
+        out = tmp_path_factory.mktemp("malformed")
+        for kind_csv in ("table", "replay"):
+            (out / f"{kind_csv}.csv").write_text(valid_csv_text(kind_csv))
+        path = out / f"{kind}.json"
+        path.write_bytes(data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main([*JSON_INPUTS[kind][0](out, path), "--out", str(out)])
+        assert rc == 1
+        assert stderr.getvalue().startswith("blockcalc: error: ")
+        assert stderr.getvalue().count("\n") == 1
+        assert "Traceback" not in stderr.getvalue()
+
+    @pytest.mark.parametrize("kind", sorted(JSON_INPUTS))
+    def test_deep_nesting_names_the_file(self, tmp_path, capsys, kind):
+        for kind_csv in ("table", "replay"):
+            (tmp_path / f"{kind_csv}.csv").write_text(valid_csv_text(kind_csv))
+        path = tmp_path / f"{kind}.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([*JSON_INPUTS[kind][0](tmp_path, path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"blockcalc: error: {kind} file {path} is not readable JSON: ")
+        assert err.count("\n") == 1

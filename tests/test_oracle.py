@@ -1,5 +1,7 @@
 import math
-from itertools import combinations, product
+import sys
+import tracemalloc
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -269,6 +271,35 @@ class TestBatchKernel:
             exact_moments(two_unit_table, CompleteRandomization(1), "tau")
 
 
+def itertools_masks(n, blocks):
+    """Every mask of ``blocks`` (units, treated count) pairs as ``(rows, n)``
+    boolean rows: ``itertools.combinations`` per block, the last block
+    cycling fastest."""
+    per_block = []
+    for units, m in blocks:
+        count = math.comb(len(units), m)
+        flat = chain.from_iterable(combinations(units.tolist(), m))
+        chosen = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
+        rows = np.zeros((count, n), dtype=bool)
+        rows[np.arange(count)[:, None], chosen] = True
+        per_block.append(rows)
+    masks = per_block[0]
+    for rows in per_block[1:]:
+        masks = (masks[:, None, :] | rows[None, :, :]).reshape(-1, n)
+    return masks
+
+
+def assert_chunks_match(table, design, blocks):
+    """Chunk lengths and rows of the enumeration equal the itertools reference."""
+    reference = itertools_masks(table.n, blocks)
+    rows = chunk_rows(table.n)
+    chunks = list(iter_assignment_chunks(table, design))
+    assert [len(c) for c in chunks] == [
+        min(rows, len(reference) - start) for start in range(0, len(reference), rows)
+    ]
+    assert np.array_equal(np.concatenate(chunks), reference)
+
+
 class TestAssignmentChunks:
     @pytest.mark.parametrize("cells", [1, 23, 64])
     def test_rows_follow_reference_order_across_chunks(self, monkeypatch, cells):
@@ -286,6 +317,49 @@ class TestAssignmentChunks:
                 reference = np.array(list(reference_assignments(table, design)))
                 assert np.array_equal(stacked, reference)
                 assert np.array_equal(np.array(list(iter_assignments(table, design))), reference)
+
+    @pytest.mark.parametrize("n_t", [1, 1499])
+    def test_deep_cr_matches_itertools(self, n_t):
+        # One level of Python recursion per unit would exceed the limit.
+        assert sys.getrecursionlimit() < 1500
+        table = table_from_arrays([1] * 1500, np.zeros(1500), np.zeros(1500))
+        assert_chunks_match(table, CompleteRandomization(n_t), [(np.arange(1500), n_t)])
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_all_but_one_treated_matches_itertools(self, n):
+        table = table_from_arrays([1] * n, np.zeros(n), np.zeros(n))
+        assert_chunks_match(table, CompleteRandomization(n - 1), [(np.arange(n), n - 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            next(iter_assignment_chunks(table, CompleteRandomization(n)))
+
+    def test_single_block_matches_itertools(self):
+        table = table_from_arrays([1] * 20, np.zeros(20), np.zeros(20))
+        assert_chunks_match(table, Blocked((10,)), [(np.arange(20), 10)])
+
+    @pytest.mark.parametrize("cells", [1, 23, 64])
+    def test_first_block_digits_across_chunk_boundaries(self, monkeypatch, cells):
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        labels = np.random.default_rng(5).permutation(np.repeat([1, 2, 3], [4, 3, 4]))
+        table = table_from_arrays(labels, np.zeros(11), np.zeros(11))
+        units = [table.block_indices(k) for k in (1, 2, 3)]
+        rows = chunk_rows(11)
+        for n_tk in [(1, 1, 1), (2, 1, 2), (3, 2, 1)]:
+            total = count_assignments(Blocked(n_tk), table)
+            inner = total // math.comb(len(units[0]), n_tk[0])
+            # Some chunk starts inside the run of rows of one first-block subset.
+            assert any(start % inner for start in range(rows, total, rows))
+            assert_chunks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
+
+    def test_single_block_memory_stays_within_chunks(self):
+        table = table_from_arrays([1] * 20, np.zeros(20), np.zeros(20))
+        tracemalloc.start()
+        try:
+            count = sum(len(masks) for masks in iter_assignment_chunks(table, Blocked((10,))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 184_756
+        assert peak < 4 * 2**20
 
     def test_small_chunks_change_no_value(self, monkeypatch):
         rng = np.random.default_rng(78)

@@ -22,6 +22,9 @@ from blockcalc.pop_model import (
     write_table_csv,
 )
 
+from blockcalc.replay import ReplayData
+from blockcalc.variance_estimation import ObservedSample
+
 from conftest import make_random_table
 
 
@@ -352,3 +355,25 @@ class TestCsvRoundTrip:
         path.write_text("stratum,weight,mu_t\n1,1.0,0.0\n")
         with pytest.raises(ValueError, match="missing columns"):
             read_strata_csv(path)
+
+
+class TestIdentitySemantics:
+    """Array-holding records compare and hash by identity: two tables with
+    equal data are two tables, and neither comparison raises."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: table_from_arrays([1, 1, 2, 2], np.arange(4.0), np.zeros(4)),
+            lambda: ReplayData(("a", "b"), [1, 1], ("t", "c"), [0.0, 1.0], [2.0, 3.0]),
+            lambda: ObservedSample([1, 1], [True, False], [2.0, 3.0]),
+            lambda: StrataMoments([0.5, 0.5], [0, 1], [0, 1], [1, 1], [1, 1], [0, 0]),
+        ],
+        ids=["PotentialOutcomeTable", "ReplayData", "ObservedSample", "StrataMoments"],
+    )
+    def test_eq_and_hash(self, make):
+        record = make()
+        assert record == record
+        assert record != make()
+        assert hash(record) == hash(record)
+        assert len({record, make()}) == 2
