@@ -88,13 +88,20 @@ def _config_digest(config: dict) -> str:
 
 
 class ManifestWriter:
-    def __init__(self, command: str, config: dict, seed: int, out_dir: Path):
-        self.command = command
-        self.config = config
-        self.seed = seed
-        self.out_dir = out_dir
-        self.outputs: list[str] = []
+    """The manifest of one command run, started before the command does any work.
+
+    Creating it stamps ``started_at``, takes ``--seed`` and ``--out`` from the
+    parsed ``args`` and creates the output directory; :meth:`finish` writes
+    the manifest with the resolved configuration.
+    """
+
+    def __init__(self, command: str, args):
         self.started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.command = command
+        self.seed = args.seed
+        self.out_dir = Path(args.out)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs: list[str] = []
         self.extra: dict = {}
 
     def record_enumeration(self, moments) -> None:
@@ -109,11 +116,11 @@ class ManifestWriter:
         self.outputs.append(name)
         return path
 
-    def finish(self) -> Path:
+    def finish(self, config: dict) -> Path:
         manifest = {
             "command": self.command,
-            "config_digest": _config_digest(self.config),
-            "config": self.config,
+            "config_digest": _config_digest(config),
+            "config": config,
             "seed": self.seed,
             "version": __version__,
             "started_at": self.started_at,
@@ -144,12 +151,6 @@ def _parse_design(text: str):
     raise ValueError("design must be 'cr:<n_t>' or 'blocked:<file.json>'")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _add_common(parser, reps_default=None):
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=".", help="output directory")
@@ -164,10 +165,10 @@ def _add_common(parser, reps_default=None):
 
 
 def cmd_variance(args) -> int:
+    manifest = ManifestWriter("variance", args)
     table = read_table_csv(args.table)
     design = _parse_design(args.design)
     validate_design(design, table)
-    out = _out_dir(args)
     blocked = isinstance(design, Blocked)
     if args.decompose and not blocked:
         raise ValueError(
@@ -204,12 +205,6 @@ def cmd_variance(args) -> int:
             report = var_diff_finite(table, n_t / table.n)
             row["between_term"] = report.decomposition["between_term"]
             row["within_term"] = report.decomposition["within_term"]
-    manifest = ManifestWriter(
-        "variance",
-        {"table": str(args.table), "design": args.design, "oracle": args.oracle},
-        args.seed,
-        out,
-    )
     if args.oracle:
         checks = [("cr", CompleteRandomization(n_t))] + ([("bk", design)] if blocked else [])
         match = True
@@ -229,7 +224,7 @@ def cmd_variance(args) -> int:
         args.seed,
         header_comment=not args.no_header_comment,
     )
-    manifest.finish()
+    manifest.finish({"table": str(args.table), "design": args.design, "oracle": args.oracle})
     return 0
 
 
@@ -256,7 +251,7 @@ def _require_args(args, names):
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
+    manifest = ManifestWriter("compare", args)
     mode = None
     if args.framework in ("strat", "unequal"):
         _require_args(args, ["n", "p"])
@@ -308,12 +303,6 @@ def cmd_compare(args) -> int:
         "mc_se": report.mc_se,
         "reps": report.reps,
     }
-    manifest = ManifestWriter(
-        "compare",
-        {"input": str(args.input), "framework": args.framework, "mode": mode},
-        args.seed,
-        out,
-    )
     if report.reps is not None:
         manifest.extra.update(method="monte_carlo", counts={"reps": report.reps})
     write_report_csv(
@@ -323,12 +312,12 @@ def cmd_compare(args) -> int:
         args.seed,
         header_comment=not args.no_header_comment,
     )
-    manifest.finish()
+    manifest.finish({"input": str(args.input), "framework": args.framework, "mode": mode})
     return 0
 
 
 def cmd_study(args) -> int:
-    out = _out_dir(args)
+    manifest = ManifestWriter("study", args)
     overrides = read_json(args.config, "config") if args.config else None
     rows, columns, resolved, counts = run_study(
         args.name,
@@ -336,12 +325,6 @@ def cmd_study(args) -> int:
         seed=args.seed,
         reps=args.reps,
         threads=args.threads,
-    )
-    manifest = ManifestWriter(
-        "study",
-        {"name": args.name, "config": resolved, "reps": args.reps},
-        args.seed,
-        out,
     )
     manifest.extra["counts"] = counts
     write_report_csv(
@@ -351,12 +334,12 @@ def cmd_study(args) -> int:
         args.seed,
         header_comment=not args.no_header_comment,
     )
-    manifest.finish()
+    manifest.finish({"name": args.name, "config": resolved, "reps": args.reps})
     return 0
 
 
 def cmd_replay(args) -> int:
-    out = _out_dir(args)
+    manifest = ManifestWriter("replay", args)
     data = read_replay_csv(args.table)
     strategies = (
         read_strategies_json(args.strategies)
@@ -364,15 +347,6 @@ def cmd_replay(args) -> int:
         else default_strategies(args.reps)
     )
     rows = run_replay(data, strategies, seed=args.seed, default_allocations=args.reps)
-    manifest = ManifestWriter(
-        "replay",
-        {
-            "table": str(args.table),
-            "strategies": [{"name": s.name, "params": s.params} for s in strategies],
-        },
-        args.seed,
-        out,
-    )
     write_report_csv(
         manifest.csv_path("replay_report.csv"),
         REPLAY_COLUMNS,
@@ -380,12 +354,13 @@ def cmd_replay(args) -> int:
         args.seed,
         header_comment=not args.no_header_comment,
     )
-    manifest.finish()
+    named = [{"name": s.name, "params": s.params} for s in strategies]
+    manifest.finish({"table": str(args.table), "strategies": named})
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    out = _out_dir(args)
+    manifest = ManifestWriter("enumerate", args)
     table = read_table_csv(args.table)
     design = _parse_design(args.design)
     moments = exact_moments(table, design, args.statistic, cap=args.cap)
@@ -396,12 +371,6 @@ def cmd_enumerate(args) -> int:
         "mean": moments.mean,
         "variance": moments.variance,
     }
-    manifest = ManifestWriter(
-        "enumerate",
-        {"table": str(args.table), "design": args.design, "statistic": args.statistic},
-        args.seed,
-        out,
-    )
     manifest.record_enumeration(moments)
     write_report_csv(
         manifest.csv_path("enumerate_report.csv"),
@@ -410,7 +379,7 @@ def cmd_enumerate(args) -> int:
         args.seed,
         header_comment=not args.no_header_comment,
     )
-    manifest.finish()
+    manifest.finish({"table": str(args.table), "design": args.design, "statistic": args.statistic})
     return 0
 
 

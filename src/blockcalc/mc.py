@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -177,5 +176,9 @@ def map_ordered(fn: Callable[[T], U], items: Sequence[T], threads: int = 1) -> l
     workers = effective_workers(threads, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # Imported only here, so a one-worker run (the CLI default) never loads
+    # the process-pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -11,12 +11,14 @@ most :data:`CHUNK_CELLS` mask cells, and :func:`batch_statistic` evaluates
 every row of a matrix with array reductions. User-supplied callables see one
 mask at a time from :func:`iter_assignments`.
 
-Mask rows are written by :func:`_fill_lex` from the split that subsets
-holding the first unit come first, with boolean tables of sub-problems up to
-:data:`CHUNK_CELLS` cells memoised for one enumeration. A blocked design
-fills its first block per chunk and holds each later block as one boolean
-table of its subsets, so what an enumeration holds beyond its chunk is
-bounded by those tables, not by its assignment count.
+Every design is enumerated as the product of the subsets of its groups from
+:func:`~blockcalc.pop_model.design_groups` (complete randomization is one
+group of every unit). Mask rows are written by :func:`_fill_lex` from the
+split that subsets holding the first unit come first, with boolean tables of
+sub-problems up to :data:`CHUNK_CELLS` cells memoised for one enumeration.
+Each chunk fills only the range of every group's subsets it uses, so what an
+enumeration holds beyond its chunk is bounded by :data:`CHUNK_CELLS`, not by
+its assignment count or its block order.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import numpy as np
 
 from .pop_model import (
     Blocked,
-    CompleteRandomization,
     DesignSpec,
     PotentialOutcomeTable,
-    validate_design,
+    design_groups,
 )
 
 #: Default enumeration cap; keeps worst-case runtime around a minute.
@@ -53,13 +54,8 @@ Statistic = Callable[[PotentialOutcomeTable, np.ndarray], float]
 
 def count_assignments(design: DesignSpec, table: PotentialOutcomeTable) -> int:
     """Exact number of assignments, in integer arithmetic."""
-    validate_design(design, table)
-    if isinstance(design, CompleteRandomization):
-        return math.comb(table.n, design.n_t)
-    total = 1
-    for size, m in zip(table.block_sizes, design.n_tk):
-        total *= math.comb(int(size), m)
-    return total
+    groups, counts = design_groups(design, table)
+    return math.prod(math.comb(len(units), m) for units, m in zip(groups, counts))
 
 
 def chunk_rows(n: int) -> int:
@@ -139,44 +135,49 @@ def iter_assignment_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield every treated mask of the design once, as rows of ``(rows, n)`` matrices.
 
-    Complete randomization walks the size-``n_t`` subsets of the units in
-    lexicographic order, each chunk written by :func:`_fill_lex`. Blocked
-    designs take the product of per-block subsets, the last block cycling
-    fastest: the flat assignment index is unravelled over the product shape,
-    the first block's rows are filled over the chunk's contiguous range of
-    its digit, and every later block's full boolean table (built once) is
-    indexed by its digit. A matrix holds :func:`chunk_rows` assignments (the
-    last one may hold fewer).
+    Assignments are the product of the subsets of the groups of
+    :func:`~blockcalc.pop_model.design_groups`, the last group cycling
+    fastest: a group's digit is the flat assignment index divided by the
+    group's stride, modulo its radix (its subset count). Within one chunk
+    those quotients are consecutive, so each group's digits cover one cyclic
+    range of at most a chunk of its subsets (or all of them, which then fit
+    in a chunk); :func:`_fill_lex` writes that range for the chunk alone.
+    A matrix holds :func:`chunk_rows` assignments (the last one may hold
+    fewer).
     """
-    total = count_assignments(design, table)
-    n = table.n
-    rows = chunk_rows(n)
+    groups, treated = design_groups(design, table)
+    # Chunks are built with the groups' columns side by side, in the order of
+    # ``pool``, and put back in unit order as they are yielded.
+    pool = np.concatenate(groups)
+    order = None if (pool == np.arange(table.n)).all() else np.argsort(pool)
+    offsets = np.cumsum([0] + [len(units) for units in groups])
+    radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
+    total = math.prod(radices)
+    rows = chunk_rows(table.n)
     memo: dict = {}
-
-    def lex_rows(size: int, m: int, lo: int, hi: int) -> np.ndarray:
-        out = np.zeros((hi - lo, size), dtype=bool)
-        _fill_lex(out, size, m, lo, hi, memo)
-        return out
-
-    if isinstance(design, CompleteRandomization):
-        for start in range(0, total, rows):
-            yield lex_rows(n, design.n_t, start, min(start + rows, total))
-        return
-    units = [table.block_indices(k) for k in range(1, table.num_blocks + 1)]
-    shape = tuple(math.comb(len(idx), m) for idx, m in zip(units, design.n_tk))
-    inner = [
-        lex_rows(len(idx), m, 0, count)
-        for idx, m, count in zip(units[1:], design.n_tk[1:], shape[1:])
-    ]
     for start in range(0, total, rows):
         stop = min(start + rows, total)
-        masks = np.zeros((stop - start, n), dtype=bool)
-        digits = np.unravel_index(np.arange(start, stop), shape)
-        lo, hi = int(digits[0][0]), int(digits[0][-1]) + 1
-        masks[:, units[0]] = lex_rows(len(units[0]), design.n_tk[0], lo, hi)[digits[0] - lo]
-        for idx, subsets, digit in zip(units[1:], inner, digits[1:]):
-            masks[:, idx] = subsets[digit]
-        yield masks
+        chunk = np.zeros((stop - start, table.n), dtype=bool)
+        stride = total
+        for units, m, radix, col in zip(groups, treated, radices, offsets):
+            columns = chunk[:, col : col + len(units)]
+            stride //= radix
+            first, last = start // stride, (stop - 1) // stride
+            span = min(last + 1 - first, radix)
+            lo = first % radix
+            # Row j holds digit (lo + j) % radix; when those are the chunk's
+            # own rows they are written in place.
+            subsets = columns if span == len(chunk) else np.zeros((span, len(units)), dtype=bool)
+            _fill_lex(subsets, len(units), m, lo, min(lo + span, radix), memo)
+            if lo + span > radix:
+                _fill_lex(subsets[radix - lo :], len(units), m, 0, lo + span - radix, memo)
+            if subsets is not columns:
+                # Quotient first + j covers `stride` chunk rows, fewer at either end.
+                repeats = np.full(last + 1 - first, stride)
+                repeats[0] -= start - first * stride
+                repeats[-1] -= (last + 1) * stride - stop
+                columns[:] = np.repeat(subsets[np.arange(len(repeats)) % radix], repeats, axis=0)
+        yield chunk if order is None else chunk[:, order]
 
 
 def iter_assignments(

@@ -17,6 +17,10 @@ Conventions used throughout the package:
   labels stores them as one read-only integer array, keeping joins
   downstream stable and reproducible.
 
+:func:`design_groups` is the one place that splits a table's units into
+the groups a design randomizes independently: complete randomization is a
+single group of every unit, and a blocked design one group per block.
+
 Every CSV input is read column by column by :func:`read_csv_columns`, and
 numeric columns are parsed whole, exactly as Python's ``float`` parses.
 All real arithmetic is 64-bit floating point.
@@ -291,6 +295,21 @@ def validate_design(design: DesignSpec, table: PotentialOutcomeTable) -> None:
     for k, (m, size) in enumerate(zip(design.n_tk, sizes), start=1):
         if not 0 < m < size:
             raise ValueError(f"n_tk={m} out of range for block {k} (size {size})")
+
+
+def design_groups(
+    design: DesignSpec, table: PotentialOutcomeTable
+) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """The groups of units a design randomizes independently, and the treated count of each.
+
+    Complete randomization is one group of every unit, in unit order. A
+    blocked design has one group per block in label order 1..K, each cut
+    from the cached ``block_order`` (unit order within a block).
+    """
+    validate_design(design, table)
+    if isinstance(design, CompleteRandomization):
+        return [np.arange(table.n)], (design.n_t,)
+    return np.split(table.block_order, np.cumsum(table.block_sizes[:-1])), design.n_tk
 
 
 def blocked_design_for_proportion(table: PotentialOutcomeTable, p: float) -> Blocked:

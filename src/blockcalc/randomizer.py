@@ -27,6 +27,7 @@ from .pop_model import (
     CompleteRandomization,
     DesignSpec,
     PotentialOutcomeTable,
+    design_groups,
     validate_design,
 )
 
@@ -60,15 +61,11 @@ def _plan(n: int, pool, sizes, counts) -> ShufflePlan:
 
 
 def shuffle_plan(table: PotentialOutcomeTable, design: DesignSpec) -> ShufflePlan:
-    """The shuffle steps of a design on a table.
-
-    Blocked designs take each block's units from the table's cached
-    ``block_order`` and shuffle the blocks in label order 1..K.
-    """
-    validate_design(design, table)
-    if isinstance(design, CompleteRandomization):
-        return _plan(table.n, range(table.n), [table.n], [design.n_t])
-    return _plan(table.n, table.block_order.tolist(), table.block_sizes.tolist(), design.n_tk)
+    """The shuffle steps of a design on a table: one shuffle per group of
+    :func:`~blockcalc.pop_model.design_groups`, in its order (blocks in
+    label order 1..K)."""
+    groups, counts = design_groups(design, table)
+    return _plan(table.n, np.concatenate(groups).tolist(), map(len, groups), counts)
 
 
 def draw_masks(plan: ShufflePlan, rngs) -> np.ndarray:

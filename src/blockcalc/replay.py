@@ -110,6 +110,8 @@ def read_strategies_json(path) -> list[Strategy]:
     raw = read_json(path, "strategies")
     if not isinstance(raw, list):
         raise ValueError("strategies file must hold a JSON list of objects")
+    if not raw:
+        raise ValueError("strategies file holds an empty list; name at least one strategy")
     for i, item in enumerate(raw, start=1):
         if not isinstance(item, dict) or not isinstance(item.get("name"), str):
             raise ValueError(f"strategies file entry {i} must be an object with a string name")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import datetime
 import json
 import os
 import subprocess
@@ -54,6 +55,18 @@ def write_strata(path, mu=(0.0, 0.0)):
         f"1,0.5,{mu[0]},{mu[0]},1.0,1.0,0.0\n"
         f"2,0.5,{mu[1]},{mu[1]},1.0,1.0,0.0\n"
     )
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    code = "import sys, blockcalc.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.stdout == "False\n"
 
 
 class TestVarianceCommand:
@@ -321,6 +334,18 @@ class TestStudyCommand:
         assert_one_line_error(proc, "expected non-negative integer")
         assert not list(tmp_path.glob("study_*.csv"))
 
+    def test_started_at_is_stamped_before_the_work(self, tmp_path, monkeypatch):
+        called = []
+
+        def run_study(name, **kwargs):
+            called.append(datetime.datetime.now(datetime.timezone.utc))
+            return [], ["ratio"], {}, {}
+
+        monkeypatch.setattr(cli, "run_study", run_study)
+        assert main(["study", "ratio-sweep", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert datetime.datetime.fromisoformat(manifest["started_at"]) <= called[0]
+
     def test_threads_do_not_change_flexible_blocking_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out, threads in ((out1, "1"), (out2, "3")):
@@ -371,6 +396,7 @@ class TestReplayCommand:
         "treated, strategies, message",
         [
             ("ttct", None, "n_tk=2 out of range for block 1 (size 2)"),
+            ("tctc", "[]", "strategies file holds an empty list; name at least one strategy"),
             ("tctc", '{"name": "keep-blocks"}', "strategies file must hold a JSON list"),
             ("tctc", '["keep-blocks"]', "strategies file entry 1 must be an object"),
             ("tctc", '[{"name": 3}]', "strategies file entry 1 must be an object"),
@@ -415,9 +441,9 @@ class TestReplayCommand:
                 "strategy 'keep-blocks' param 'allocations' must be an integer >= 1, got 2.5",
             ),
         ],
-        ids=["infeasible-counts", "object", "string-entry", "number-name", "number-params",
-             "null-allocations", "float-allocations", "bool-allocations", "zero-allocations",
-             "string-balanced", "unknown-param", "float-allocations-keep-blocks"],
+        ids=["infeasible-counts", "empty-list", "object", "string-entry", "number-name",
+             "number-params", "null-allocations", "float-allocations", "bool-allocations",
+             "zero-allocations", "string-balanced", "unknown-param", "float-allocations-keep-blocks"],
     )
     def test_bad_input_is_one_line_error(self, tmp_path, treated, strategies, message):
         table = tmp_path / "replay.csv"

@@ -6,6 +6,7 @@ process pool: the clamp is checked as arithmetic, and the wiring through
 ``map_ordered`` with a stand-in executor that maps inline.
 """
 
+import concurrent.futures
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,7 @@ class InlineExecutor:
 @pytest.fixture
 def inline_pool(monkeypatch):
     InlineExecutor.sizes = []
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     return InlineExecutor.sizes
 

@@ -350,16 +350,28 @@ class TestAssignmentChunks:
             assert any(start % inner for start in range(rows, total, rows))
             assert_chunks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
 
+    @pytest.mark.parametrize("sizes", [(2, 16), (16, 2)])
+    def test_large_block_in_either_order_matches_itertools(self, sizes):
+        # The 16-unit block has 12,870 subsets, far more than a chunk's rows.
+        table = table_from_arrays(np.repeat([1, 2], sizes), np.zeros(18), np.zeros(18))
+        n_tk = tuple(size // 2 for size in sizes)
+        units = [table.block_indices(k) for k in (1, 2)]
+        assert_chunks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
+
     def test_single_block_memory_stays_within_chunks(self):
-        table = table_from_arrays([1] * 20, np.zeros(20), np.zeros(20))
-        tracemalloc.start()
-        try:
-            count = sum(len(masks) for masks in iter_assignment_chunks(table, Blocked((10,))))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert count == 184_756
-        assert peak < 4 * 2**20
+        # A single 20-unit block, then a 22-unit block after a 2-unit one.
+        cases = [([20], (10,), 184_756), ([2, 22], (1, 11), 1_410_864)]
+        for sizes, n_tk, expected in cases:
+            labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+            table = table_from_arrays(labels, np.zeros(len(labels)), np.zeros(len(labels)))
+            tracemalloc.start()
+            try:
+                count = sum(len(masks) for masks in iter_assignment_chunks(table, Blocked(n_tk)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert count == expected
+            assert peak < 4 * 2**20
 
     def test_small_chunks_change_no_value(self, monkeypatch):
         rng = np.random.default_rng(78)
