@@ -1,16 +1,22 @@
 """Command-line front end.
 
 Commands: ``variance``, ``compare``, ``study``, ``replay``, ``enumerate``.
-Every run writes its report CSVs plus a ``run_manifest.json`` recording the
-command, a digest of the fully resolved configuration, the master seed, the
-library version, timestamps, and the output file list; runs that enumerate
-assignments (``enumerate``, ``variance --oracle``) add ``method`` and the
-``counts`` of assignments and batches, Monte Carlo comparisons (``compare
---framework site|two-stage``) add ``method`` and the ``reps``, and studies
-add the ``counts`` of reps, chunks and workers used. Report CSVs start
-with a comment line ``# blockcalc <version> seed=<seed>`` unless
-``--no-header-comment`` is given. Reruns with the same seed and config are byte-identical
-regardless of ``--threads``.
+:func:`main` owns every run: it starts the ``run_manifest.json`` (stamping
+``started_at`` and creating ``--out``) before any input is read, calls the
+command's ``cmd_*`` function, which returns one report, writes that report
+CSV, then finishes the manifest. Any ``ValueError``, ``OSError`` or
+``KeyError`` on the way ends the run in one ``blockcalc: error:`` line.
+
+The manifest records the command, a digest of the fully resolved
+configuration, the master seed, the library version, timestamps, and the
+output file list; runs that enumerate assignments (``enumerate``,
+``variance --oracle``) add ``method`` and the ``counts`` of assignments and
+batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
+add ``method`` and the ``reps``, and studies add the ``counts`` of reps,
+chunks and workers used. Report CSVs start with a comment line
+``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment`` is
+given. Reruns with the same seed and config are byte-identical regardless
+of ``--threads``.
 """
 
 from __future__ import annotations
@@ -58,6 +64,10 @@ from .variance_theory import (
 )
 
 ORACLE_MATCH_RTOL = 1e-9
+
+#: What every ``cmd_*`` returns to :func:`main`: the report file name, its
+#: columns, its rows and the resolved configuration for the manifest.
+Report = tuple[str, list, list, dict]
 
 
 def _fmt(value):
@@ -135,10 +145,23 @@ class ManifestWriter:
         return path
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    """The comma-separated ``kind`` values of ``text``; a bad one is an error naming ``flag``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {noun}, got {text!r}") from None
+
+
 def _parse_design(text: str):
     kind, _, value = text.partition(":")
     if kind == "cr":
-        return CompleteRandomization(n_t=int(value))
+        try:
+            n_t = int(value)
+        except ValueError:
+            raise ValueError(f"--design cr:<n_t> needs an integer n_t, got {text!r}") from None
+        return CompleteRandomization(n_t=n_t)
     if kind == "blocked":
         payload = read_json(value, "design")
         n_tk = payload.get("n_tk") if isinstance(payload, dict) else None
@@ -164,8 +187,7 @@ def _add_common(parser, reps_default=None):
         parser.add_argument("--reps", type=int, default=reps_default)
 
 
-def cmd_variance(args) -> int:
-    manifest = ManifestWriter("variance", args)
+def cmd_variance(args, manifest: ManifestWriter) -> Report:
     table = read_table_csv(args.table)
     design = _parse_design(args.design)
     validate_design(design, table)
@@ -217,15 +239,8 @@ def cmd_variance(args) -> int:
             # outcome scales are checked as strictly as large ones.
             match &= abs(oracle - closed) <= ORACLE_MATCH_RTOL * max(abs(oracle), abs(closed))
         row["oracle_match"] = match
-    write_report_csv(
-        manifest.csv_path("variance_report.csv"),
-        list(row.keys()),
-        [row],
-        args.seed,
-        header_comment=not args.no_header_comment,
-    )
-    manifest.finish({"table": str(args.table), "design": args.design, "oracle": args.oracle})
-    return 0
+    config = {"table": str(args.table), "design": args.design, "oracle": args.oracle}
+    return "variance_report.csv", list(row), [row], config
 
 
 COMPARE_COLUMNS = [
@@ -241,28 +256,23 @@ COMPARE_COLUMNS = [
     "reps",
 ]
 
+#: The options each ``compare --framework`` needs. ``unequal`` takes ``p``
+#: from the weights and ``--p-k``, and checks a ``--p`` that is given.
+FRAMEWORK_NEEDS = {
+    "strat": ["n", "p"],
+    "unequal": ["n", "p_k"],
+    "mixed": ["n_t", "n_c"],
+    "site": ["k_draw", "p"],
+    "two-stage": ["k_draw", "p", "n_per_stratum"],
+}
 
-def _require_args(args, names):
-    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
+
+def cmd_compare(args, manifest: ManifestWriter) -> Report:
+    needs = FRAMEWORK_NEEDS[args.framework]
+    missing = [f"--{name.replace('_', '-')}" for name in needs if getattr(args, name) is None]
     if missing:
-        raise ValueError(
-            f"framework {args.framework!r} needs {', '.join(missing)}"
-        )
-
-
-def cmd_compare(args) -> int:
-    manifest = ManifestWriter("compare", args)
+        raise ValueError(f"framework {args.framework!r} needs {', '.join(missing)}")
     mode = None
-    if args.framework in ("strat", "unequal"):
-        _require_args(args, ["n", "p"])
-    if args.framework == "unequal":
-        _require_args(args, ["p_k"])
-    if args.framework == "mixed":
-        _require_args(args, ["n_t", "n_c"])
-    if args.framework in ("site", "two-stage"):
-        _require_args(args, ["k_draw", "p"])
-    if args.framework == "two-stage":
-        _require_args(args, ["n_per_stratum"])
     if args.framework == "site":
         table = read_table_csv(args.input)
         report = var_diff_site_sampling(
@@ -273,7 +283,7 @@ def cmd_compare(args) -> int:
         if args.framework == "strat":
             report = var_diff_strat(moments, n=args.n, p=args.p)
         elif args.framework == "unequal":
-            p_k = [float(v) for v in args.p_k.split(",")]
+            p_k = _parse_list("--p-k", args.p_k, float)
             report = var_diff_strat_unequal(moments, n=args.n, p_k=p_k, p=args.p)
         elif args.framework == "mixed":
             mode = {
@@ -281,15 +291,13 @@ def cmd_compare(args) -> int:
                 "srs-vs-stratified-cr": MODE_CR_SRS_VS_CR_STRAT,
             }[args.mode]
             report = var_diff_mixed(moments, n_t=args.n_t, n_c=args.n_c, mode=mode)
-        elif args.framework == "two-stage":
-            sizes = [int(v) for v in args.n_per_stratum.split(",")]
+        else:
+            sizes = _parse_list("--n-per-stratum", args.n_per_stratum, int)
             if len(sizes) == 1:
                 sizes = sizes * moments.num_strata
             report = var_diff_two_stage(
                 moments, sizes, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
             )
-        else:
-            raise ValueError(f"unknown framework {args.framework!r}")
     decomposition = report.decomposition or {}
     row = {
         "framework": report.framework,
@@ -305,19 +313,11 @@ def cmd_compare(args) -> int:
     }
     if report.reps is not None:
         manifest.extra.update(method="monte_carlo", counts={"reps": report.reps})
-    write_report_csv(
-        manifest.csv_path("compare_report.csv"),
-        COMPARE_COLUMNS,
-        [row],
-        args.seed,
-        header_comment=not args.no_header_comment,
-    )
-    manifest.finish({"input": str(args.input), "framework": args.framework, "mode": mode})
-    return 0
+    config = {"input": str(args.input), "framework": args.framework, "mode": mode}
+    return "compare_report.csv", COMPARE_COLUMNS, [row], config
 
 
-def cmd_study(args) -> int:
-    manifest = ManifestWriter("study", args)
+def cmd_study(args, manifest: ManifestWriter) -> Report:
     overrides = read_json(args.config, "config") if args.config else None
     rows, columns, resolved, counts = run_study(
         args.name,
@@ -327,19 +327,11 @@ def cmd_study(args) -> int:
         threads=args.threads,
     )
     manifest.extra["counts"] = counts
-    write_report_csv(
-        manifest.csv_path(f"study_{args.name.replace('-', '_')}.csv"),
-        columns,
-        rows,
-        args.seed,
-        header_comment=not args.no_header_comment,
-    )
-    manifest.finish({"name": args.name, "config": resolved, "reps": args.reps})
-    return 0
+    config = {"name": args.name, "config": resolved, "reps": args.reps}
+    return f"study_{args.name.replace('-', '_')}.csv", columns, rows, config
 
 
-def cmd_replay(args) -> int:
-    manifest = ManifestWriter("replay", args)
+def cmd_replay(args, manifest: ManifestWriter) -> Report:
     data = read_replay_csv(args.table)
     strategies = (
         read_strategies_json(args.strategies)
@@ -347,20 +339,12 @@ def cmd_replay(args) -> int:
         else default_strategies(args.reps)
     )
     rows = run_replay(data, strategies, seed=args.seed, default_allocations=args.reps)
-    write_report_csv(
-        manifest.csv_path("replay_report.csv"),
-        REPLAY_COLUMNS,
-        rows,
-        args.seed,
-        header_comment=not args.no_header_comment,
-    )
     named = [{"name": s.name, "params": s.params} for s in strategies]
-    manifest.finish({"table": str(args.table), "strategies": named})
-    return 0
+    config = {"table": str(args.table), "strategies": named}
+    return "replay_report.csv", REPLAY_COLUMNS, rows, config
 
 
-def cmd_enumerate(args) -> int:
-    manifest = ManifestWriter("enumerate", args)
+def cmd_enumerate(args, manifest: ManifestWriter) -> Report:
     table = read_table_csv(args.table)
     design = _parse_design(args.design)
     moments = exact_moments(table, design, args.statistic, cap=args.cap)
@@ -372,15 +356,8 @@ def cmd_enumerate(args) -> int:
         "variance": moments.variance,
     }
     manifest.record_enumeration(moments)
-    write_report_csv(
-        manifest.csv_path("enumerate_report.csv"),
-        list(row.keys()),
-        [row],
-        args.seed,
-        header_comment=not args.no_header_comment,
-    )
-    manifest.finish({"table": str(args.table), "design": args.design, "statistic": args.statistic})
-    return 0
+    config = {"table": str(args.table), "design": args.design, "statistic": args.statistic}
+    return "enumerate_report.csv", list(row), [row], config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["strat", "unequal", "mixed", "two-stage", "site"],
     )
     p_cmp.add_argument("--n", type=int, help="total sample size (strat/unequal)")
-    p_cmp.add_argument("--p", type=float, help="treated proportion")
+    p_cmp.add_argument("--p", type=float, help="treated proportion (optional for unequal)")
     p_cmp.add_argument("--p-k", help="comma-separated per-stratum proportions (unequal)")
     p_cmp.add_argument(
         "--mode",
@@ -460,13 +437,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        manifest = ManifestWriter(args.command, args)
+        name, columns, rows, config = args.fn(args, manifest)
+        write_report_csv(
+            manifest.csv_path(name),
+            columns,
+            rows,
+            args.seed,
+            header_comment=not args.no_header_comment,
+        )
+        manifest.finish(config)
     except (ValueError, OSError, KeyError) as err:
         print(f"blockcalc: error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -154,8 +154,12 @@ class FlexBlockingConfig:
     methods: tuple[str, ...] = METHODS
 
     def __post_init__(self):
-        if self.n % 16:
-            raise ValueError("n must be a multiple of 16")
+        if self.n < 16 or self.n % 16:
+            raise ValueError(f"n must be a positive multiple of 16, got {self.n}")
+        if self.noise_sigma <= 0:
+            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
+        if self.block_size < 2:
+            raise ValueError(f"block_size must be at least 2, got {self.block_size}")
         if self.n % self.block_size:
             raise ValueError("block_size must divide n")
         if self.block_size % 2:
@@ -384,8 +388,10 @@ def config_from_dict(name: str, overrides: dict | None):
     for key, value in overrides.items():
         default = getattr(cfg, key)
         if isinstance(default, tuple):
-            ok = isinstance(value, list) and all(_json_type_matches(v, default[0]) for v in value)
-            expected = f"a list of {_JSON_TYPE_NAMES[type(default[0])]}s"
+            ok = isinstance(value, list) and len(value) > 0 and all(
+                _json_type_matches(v, default[0]) for v in value
+            )
+            expected = f"a non-empty list of {_JSON_TYPE_NAMES[type(default[0])]}s"
         else:
             ok = _json_type_matches(value, default)
             expected = f"a JSON {_JSON_TYPE_NAMES[type(default)]}"
@@ -395,7 +401,7 @@ def config_from_dict(name: str, overrides: dict | None):
     return dataclasses.replace(cfg, **cleaned)
 
 
-_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "finite number", str: "string"}
 
 
 def _json_type_matches(value, default) -> bool:
@@ -403,7 +409,9 @@ def _json_type_matches(value, default) -> bool:
     if isinstance(value, bool):
         return isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        # JSON's NaN and Infinity, and numbers past the float range such as
+        # 1e400, parse to floats that are not finite.
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, type(default))
 
 

@@ -222,7 +222,7 @@ def var_cr_srs(moments: StrataMoments, n_t: int, n_c: int) -> float:
     if n_t < 1 or n_c < 1:
         raise ValueError("n_t and n_c must be positive")
     pooled = moments.pooled
-    return pooled.sigma2_t / n_t + pooled.sigma2_c / n_c
+    return cr_variance(pooled.sigma2_t, pooled.sigma2_c, 0.0, n_t + n_c, n_t)
 
 
 def var_blocked_strat(moments: StrataMoments, n_k, n_tk) -> float:
@@ -234,11 +234,8 @@ def var_blocked_strat(moments: StrataMoments, n_k, n_tk) -> float:
         raise ValueError("counts must match the number of strata")
     if np.any(n_tk < 1) or np.any(n_tk >= n_k):
         raise ValueError("need 0 < n_tk < n_k in every stratum")
-    n = int(n_k.sum())
-    n_ck = n_k - n_tk
-    return float(
-        np.sum((n_k / n) ** 2 * (moments.sigma2_t / n_tk + moments.sigma2_c / n_ck))
-    )
+    block_vars = block_variances(n_k, n_tk, moments.sigma2_t, moments.sigma2_c, 0.0)
+    return float(blocked_variance(n_k, block_vars))
 
 
 def _stratum_counts(moments: StrataMoments, n: int) -> np.ndarray:

@@ -184,6 +184,17 @@ class TestCompareCommand:
         row = read_report(tmp_path / "compare_report.csv")[0]
         assert float(row["diff"]) == pytest.approx(-1.0 / 6.0)
 
+    def test_unequal_takes_p_from_the_proportions(self, tmp_path):
+        strata = tmp_path / "strata.csv"
+        write_strata(strata)
+        reports = []
+        for out, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--p", "0.5"])):
+            rc = main(["compare", str(strata), "--framework", "unequal", "--n", "8",
+                       "--p-k", "0.25,0.75", *extra, "--out", str(out)])
+            assert rc == 0
+            reports.append((out / "compare_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_site_framework_identical_blocks(self, tmp_path):
         table = tmp_path / "blocks.csv"
         write_mirrored_table(table)
@@ -318,6 +329,36 @@ class TestStudyCommand:
     )
     def test_bad_reps_is_one_line_error(self, tmp_path, name, reps, message):
         proc = run_cli("study", name, "--reps", reps, "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
+        assert not list(tmp_path.glob("study_*.csv"))
+
+    @pytest.mark.parametrize(
+        "name, config, message",
+        [
+            ("flexible-blocking", '{"block_size": 0}', "block_size must be at least 2, got 0"),
+            ("flexible-blocking", '{"noise_sigma": 0}', "noise_sigma must be positive, got 0"),
+            ("flexible-blocking", '{"n": -16}', "n must be a positive multiple of 16, got -16"),
+            ("flexible-blocking", '{"noise_sigma": 1e400}',
+             "config field 'noise_sigma' for flexible-blocking must be a JSON finite number"),
+            ("flexible-blocking", '{"noise_sigma": NaN}',
+             "config field 'noise_sigma' for flexible-blocking must be a JSON finite number"),
+            ("ratio-sweep", '{"spread_scales": [0.5, Infinity]}',
+             "config field 'spread_scales' for ratio-sweep must be a non-empty list"),
+            ("ratio-sweep", '{"spread_scales": []}',
+             "config field 'spread_scales' for ratio-sweep must be a non-empty list"),
+            ("misconceptions", '{"rhos": []}',
+             "config field 'rhos' for misconceptions must be a non-empty list"),
+            ("flexible-blocking", '{"methods": []}',
+             "config field 'methods' for flexible-blocking must be a non-empty list"),
+            ("flexible-blocking", '{"dgps": []}',
+             "config field 'dgps' for flexible-blocking must be a non-empty list"),
+        ],
+    )
+    def test_bad_config_value_is_one_line_error(self, tmp_path, name, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        reps = [] if name == "ratio-sweep" else ["--reps", "2"]
+        proc = run_cli("study", name, "--config", str(path), *reps, "--out", str(tmp_path))
         assert_one_line_error(proc, message)
         assert not list(tmp_path.glob("study_*.csv"))
 
@@ -518,6 +559,27 @@ class TestArgumentValidation:
         rc = main(["compare", str(strata), "--framework", "strat", "--out", str(tmp_path)])
         assert rc == 1
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["variance", "{table}", "--design", "cr:abc"],
+             "--design cr:<n_t> needs an integer n_t, got 'cr:abc'"),
+            (["enumerate", "{table}", "--design", "cr:2.5"],
+             "--design cr:<n_t> needs an integer n_t, got 'cr:2.5'"),
+            (["compare", "{strata}", "--framework", "unequal", "--n", "8", "--p-k", "0.5,x"],
+             "--p-k must be comma-separated numbers, got '0.5,x'"),
+            (["compare", "{strata}", "--framework", "two-stage", "--k-draw", "2", "--p", "0.5",
+              "--n-per-stratum", "4,x"],
+             "--n-per-stratum must be comma-separated integers, got '4,x'"),
+        ],
+    )
+    def test_unparsable_flag_value_is_one_line_error(self, tmp_path, argv, message):
+        write_mirrored_table(tmp_path / "table.csv")
+        write_strata(tmp_path / "strata.csv")
+        argv = [str(tmp_path / f"{a[1:-1]}.csv") if a.startswith("{") else a for a in argv]
+        proc = run_cli(*argv, "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
 
     @pytest.mark.parametrize("command", ["enumerate", "variance"])
     @pytest.mark.parametrize(
