@@ -8,8 +8,9 @@ CSV, then finishes the manifest. Any ``ValueError``, ``OSError`` or
 ``KeyError`` on the way ends the run in one ``blockcalc: error:`` line.
 
 The manifest records the command, a digest of the fully resolved
-configuration, the master seed, the library version, timestamps, and the
-output file list; runs that enumerate assignments (``enumerate``,
+configuration, the master seed, the library version, timestamps, the
+output file list and the ``environment`` (Python and numpy versions,
+platform and CPU count); runs that enumerate assignments (``enumerate``,
 ``variance --oracle``) add ``method`` and the ``counts`` of assignments and
 batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
 add ``method`` and the ``reps``, and studies add the ``counts`` of reps,
@@ -26,6 +27,9 @@ import csv
 import datetime
 import hashlib
 import json
+import math
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -127,6 +131,9 @@ class ManifestWriter:
         return path
 
     def finish(self, config: dict) -> Path:
+        # uname, not platform.platform(), which reads the interpreter binary
+        # for its libc version (about 20 ms per run).
+        uname = platform.uname()
         manifest = {
             "command": self.command,
             "config_digest": _config_digest(config),
@@ -136,6 +143,12 @@ class ManifestWriter:
             "started_at": self.started_at,
             "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": self.outputs,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "platform": f"{uname.system}-{uname.release}-{uname.machine}",
+                "cpu_count": os.cpu_count(),
+            },
             **self.extra,
         }
         path = self.out_dir / "run_manifest.json"
@@ -272,6 +285,8 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
     missing = [f"--{name.replace('_', '-')}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValueError(f"framework {args.framework!r} needs {', '.join(missing)}")
+    if args.p is not None and not math.isfinite(args.p):
+        raise ValueError(f"--p must be finite, got {args.p}")
     mode = None
     if args.framework == "site":
         table = read_table_csv(args.input)
@@ -284,6 +299,8 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
             report = var_diff_strat(moments, n=args.n, p=args.p)
         elif args.framework == "unequal":
             p_k = _parse_list("--p-k", args.p_k, float)
+            if not all(map(math.isfinite, p_k)):
+                raise ValueError(f"--p-k must be finite, got {args.p_k!r}")
             report = var_diff_strat_unequal(moments, n=args.n, p_k=p_k, p=args.p)
         elif args.framework == "mixed":
             mode = {

@@ -5,12 +5,25 @@ generator seeded by ``SeedSequence(entropy=s, spawn_key=(r,))``, and partial
 results are reduced in ascending replication order. Worker counts therefore
 change speed, never results.
 
-:func:`rep_rng` builds that generator for one rep. :func:`rep_rngs` derives
-the same generator states for a range of reps without a ``SeedSequence`` or
-``PCG64`` object per rep: it hashes every rep's entropy as uint32 arrays,
-seeds ``PCG64`` in Python integers and sets the state of one reused
-generator, so a caller must be done with each yielded generator before it
-asks for the next.
+:func:`rep_rng` builds that generator for one rep, and is called only for
+the rare reps :func:`rep_integers` redraws. Otherwise no ``SeedSequence``
+or ``PCG64`` object is built per rep: :func:`_seed_slices` hashes every
+rep's entropy as uint32 arrays, in slices of at most :data:`CHUNK_SIZE`
+reps, and two consumers start from those seeds.
+
+- :func:`rep_integers` gives the draws of ``rep_rng(s, r).integers(highs)``
+  for a range of reps as one matrix. It jumps every rep's 128-bit LCG
+  ahead on 32-bit limbs and applies numpy's 32-bit Lemire bounding, so
+  the draws of site and two-stage sampling take no per-rep Python call.
+  Each output costs two 128-bit limb products, far more than a
+  generator's own output, so it pays only while a rep takes few words.
+- :func:`rep_rngs` seeds ``PCG64`` in Python integers and sets the state of
+  one reused generator, so a caller must be done with each yielded
+  generator before it asks for the next. Every other draw stays on it:
+  assignment shuffles take one word per treated unit, so their word count
+  grows with the table; a permutation is a Fisher-Yates pass whose steps
+  each depend on the last; and normals come from a ziggurat with
+  data-dependent rejection.
 
 The worker count is clamped by :func:`effective_workers`: a pool never has
 more workers than items to map or CPUs to run them on.
@@ -18,6 +31,8 @@ more workers than items to map or CPUs to run them on.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import os
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -119,20 +134,14 @@ def _pcg64_seeds(entropy: list) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
-def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """The generators of reps ``lo..hi-1``, in order, each in exactly the state
-    of :func:`rep_rng` for its rep.
-
-    Every item is the same ``Generator`` object, re-seeded in place, so a
-    caller must be done with it before it asks for the next one. Reps are
-    hashed in slices of at most :data:`CHUNK_SIZE`; a slice never mixes spawn
-    keys of different 32-bit word counts. A negative seed raises numpy's
-    ``ValueError``.
+def _seed_slices(master_seed: int, lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, seeds)`` for reps ``lo..hi-1`` in slices of at most
+    :data:`CHUNK_SIZE` reps; a slice never mixes spawn keys of different
+    32-bit word counts. ``seeds`` is the slice's ``(stop - start, 4)``
+    :func:`_pcg64_seeds` array. A negative seed raises numpy's ``ValueError``.
     """
     seed_words = _words(master_seed)
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
     start = lo
     while start < hi:
         key_words = len(_words(start))
@@ -142,7 +151,23 @@ def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator
             np.array([r >> shift & _MASK32 for r in keys], dtype=np.uint32)
             for shift in range(0, 32 * key_words, 32)
         ]
-        for state_hi, state_lo, seq_hi, seq_lo in _pcg64_seeds(seed_words + key_entropy).tolist():
+        yield start, stop, _pcg64_seeds(seed_words + key_entropy)
+        start = stop
+
+
+def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """The generators of reps ``lo..hi-1``, in order, each in exactly the state
+    of :func:`rep_rng` for its rep.
+
+    Every item is the same ``Generator`` object, re-seeded in place, so a
+    caller must be done with it before it asks for the next one. Reps are
+    hashed by :func:`_seed_slices`. A negative seed raises numpy's
+    ``ValueError``.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for _, _, seeds in _seed_slices(master_seed, lo, hi):
+        for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
             # pcg_setseq_128_srandom_r: two LCG steps from state 0, adding initstate between them.
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
             state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
@@ -153,7 +178,111 @@ def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator
                 "uinteger": 0,
             }
             yield rng
-        start = stop
+
+
+def _limbs(value: int) -> list[int]:
+    """The four little-endian 32-bit limbs of a 128-bit ``value``."""
+    return [value >> shift & _MASK32 for shift in range(0, 128, 32)]
+
+
+#: The limb products of ``initstate * MULT^(k+1) + inc * sum_{i <= k+1} MULT^i``
+#: that land below 2^128, as (number, limb, jump-constant limb) with number 0
+#: for ``initstate`` and 1 for ``inc``. They are ordered by the column
+#: ``limb + jump-constant limb`` they add to; column ``k`` spans
+#: ``_COLUMNS[k]:_COLUMNS[k + 1]``.
+_PRODUCTS = [(x, i, k - i) for k in range(4) for x in range(2) for i in range(k + 1)]
+_COLUMNS = [0, 2, 6, 12, 20]
+_FACTOR_LIMB = np.array([4 * x + i for x, i, _ in _PRODUCTS])
+
+#: Where the limbs of ``initstate`` and of the stream ``seq`` sit among a
+#: :func:`_pcg64_seeds` row's eight uint32 words (high uint64 first).
+_SEED_LIMBS = [2, 3, 0, 1, 6, 7, 4, 5]
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(outputs: int) -> np.ndarray:
+    """The LCG jump-ahead constants of ``PCG64`` outputs ``1..outputs``.
+
+    Output ``k`` is taken from the state ``k`` steps after seeding, which is
+    ``initstate * MULT^(k+1) + inc * sum_{i <= k+1} MULT^i`` (seeding itself
+    is one step from ``inc + initstate`` plus ``inc``). Returned as the
+    ``(20, outputs, 1)`` read-only uint64 jump-constant limbs of
+    :data:`_PRODUCTS`; cached, because every chunk of a run asks for the
+    same count.
+    """
+    powers = [1]
+    for _ in range(outputs + 1):
+        powers.append(powers[-1] * _PCG64_MULT & _MASK128)
+    sums = list(itertools.accumulate(powers, lambda a, b: (a + b) & _MASK128))
+    limbs = np.array(
+        [[_limbs(v) for v in powers[2:]], [_limbs(v) for v in sums[2:]]], dtype=np.uint64
+    ).reshape(2, outputs, 4)
+    jumps = np.ascontiguousarray([limbs[x, :, j, None] for x, _, j in _PRODUCTS])
+    jumps.setflags(write=False)
+    return jumps
+
+
+def _pcg64_words(seeds: np.ndarray, outputs: int) -> np.ndarray:
+    """The first ``2 * outputs`` 32-bit words each seeded ``PCG64`` hands out,
+    as the columns of a ``(2 * outputs, reps)`` uint64 array.
+
+    ``seeds`` is a :func:`_pcg64_seeds` array. States are 128-bit numbers in
+    four 32-bit limbs held in uint64 lanes, one lane per rep; each limb
+    product fits in 64 bits, and a column adds at most 8 low halves, 6 high
+    halves and a carry, far below 2^64. Each 64-bit output is the XSL-RR of
+    its state, split into its low, then its high half.
+    """
+    factors = seeds.view("<u4")[:, _SEED_LIMBS].T.astype(np.uint64)
+    seq = factors[4:].copy()
+    # inc = 2 * seq + 1, limb by limb.
+    factors[4:] = seq << np.uint64(1) & _MASK32
+    factors[4] |= np.uint64(1)
+    factors[5:] |= seq[:-1] >> np.uint64(31)
+    factors = factors[_FACTOR_LIMB, None, :]
+    jumps = _jumps(outputs)
+    state = []
+    carry = np.uint64(0)
+    for start, stop in zip(_COLUMNS, _COLUMNS[1:]):
+        products = factors[start:stop] * jumps[start:stop]
+        column = (products & _MASK32).sum(axis=0) + carry
+        state.append(column & _MASK32)
+        carry = (column >> np.uint64(32)) + (products >> np.uint64(32)).sum(axis=0)
+    s0, s1, s2, s3 = state
+    # XSL-RR: rotate (high 64 bits ^ low 64 bits) right by the top 6 bits.
+    xored = (s3 ^ s1) << np.uint64(32) | (s2 ^ s0)
+    rot = s3 >> np.uint64(26)
+    output = xored >> rot | xored << ((np.uint64(64) - rot) & np.uint64(63))
+    words = np.stack([output & _MASK32, output >> np.uint64(32)], axis=1)
+    return words.reshape(2 * outputs, len(seeds))
+
+
+def rep_integers(master_seed: int, lo: int, hi: int, highs) -> np.ndarray:
+    """``rep_rng(master_seed, r).integers(highs)`` for every rep ``r`` in
+    ``lo..hi-1``, as the rows of a ``(hi - lo, len(highs))`` int64 array.
+
+    ``highs`` holds one bound per step, each in ``1..2^32 - 1``. numpy draws
+    such a bound by Lemire's method on one 32-bit word: a word ``w`` gives
+    ``w * high >> 32`` unless ``w * high mod 2^32 < (2^32 - high) mod high``,
+    when it is rejected and another word is drawn; a high of 1 gives 0 and
+    takes no word. Every rep's words come from :func:`_pcg64_words`, and a
+    rep with a rejected word is redrawn from :func:`rep_rng` (for a high
+    of 40, fewer than one word in 10^8 is rejected). Reps are seeded by
+    :func:`_seed_slices`; a negative seed raises numpy's ``ValueError``.
+    """
+    highs = np.asarray(highs, dtype=np.int64)
+    assert np.all((highs >= 1) & (highs < 1 << 32)), "every high must be in 1..2^32-1"
+    drawn = highs > 1
+    bounds = highs[drawn].astype(np.uint64)[:, None]
+    thresholds = ((1 << 32) - bounds) % bounds
+    outputs = -(-len(bounds) // 2)
+    out = np.zeros((hi - lo, len(highs)), dtype=np.int64)
+    for start, stop, seeds in _seed_slices(master_seed, lo, hi):
+        scaled = _pcg64_words(seeds, outputs)[: len(bounds)] * bounds
+        rows = out[start - lo : stop - lo]
+        rows[:, drawn] = (scaled >> np.uint64(32)).T
+        for r in np.flatnonzero(np.any((scaled & _MASK32) < thresholds, axis=0)):
+            rows[r] = rep_rng(master_seed, start + int(r)).integers(highs)
+    return out
 
 
 def chunk_bounds(n: int, chunk: int = CHUNK_SIZE) -> list[tuple[int, int]]:

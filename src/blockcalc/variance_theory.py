@@ -246,6 +246,8 @@ def _stratum_counts(moments: StrataMoments, n: int) -> np.ndarray:
 
 
 def _treated_counts(n_k: np.ndarray, p_k: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(p_k)):
+        raise ValueError("every proportion must be finite")
     n_tk = p_k * n_k
     if np.any(np.abs(n_tk - np.round(n_tk)) > 1e-9 * np.maximum(1, n_k)):
         raise ValueError("p_k * n_k must be an integer in every stratum")
@@ -294,12 +296,12 @@ def var_diff_strat_unequal(
     p_k = np.asarray(p_k, dtype=float)
     if len(p_k) != moments.num_strata:
         raise ValueError("p_k must give one proportion per stratum")
-    if np.any(p_k <= 0) or np.any(p_k >= 1):
+    if not np.all((p_k > 0) & (p_k < 1)):
         raise ValueError("each p_k must be in (0, 1)")
     implied = float(moments.weights @ p_k)
     if p is None:
         p = implied
-    elif abs(p - implied) > 1e-12 * max(1.0, abs(p)):
+    elif not abs(p - implied) <= 1e-12 * max(1.0, abs(implied)):
         raise ValueError(f"p={p} does not equal the weighted mean of p_k ({implied})")
     n_k = _stratum_counts(moments, n)
     n_tk = _treated_counts(n_k, p_k)
@@ -390,19 +392,16 @@ def _mc_report(framework, var_crs, var_bks, diffs, reps) -> VarianceReport:
 def _monte_carlo(num_types, k_draw, reps, seed, evaluate) -> np.ndarray:
     """Per-rep ``var_cr``, ``var_bk`` and ``diff`` as the rows of a ``(3, reps)`` array.
 
-    Rep ``r`` draws ``k_draw`` type indices with one ``integers(num_types,
-    size=k_draw)`` call on the generator ``mc.rep_rngs`` yields for it (the
-    state of ``mc.rep_rng(seed, r)``); that generator is reused, so each
-    rep's draw is made before the next rep's generator is asked for. Draws
-    are stacked into index matrices of at most ``mc.CHUNK_SIZE`` rows, and
-    ``evaluate`` maps a matrix to the three values of every row.
+    Rep ``r`` draws ``k_draw`` type indices below ``num_types``, the draw of
+    ``mc.rep_rng(seed, r).integers(num_types, size=k_draw)``. The draws of
+    at most ``mc.CHUNK_SIZE`` reps come from one :func:`~blockcalc.mc.rep_integers`
+    call as an index matrix, and ``evaluate`` maps a matrix to the three
+    values of every row.
     """
     values = np.empty((3, reps))
+    highs = np.full(k_draw, num_types)
     for lo, hi in mc.chunk_bounds(reps):
-        chosen = np.stack(
-            [rng.integers(num_types, size=k_draw) for rng in mc.rep_rngs(seed, lo, hi)]
-        )
-        values[:, lo:hi] = evaluate(chosen)
+        values[:, lo:hi] = evaluate(mc.rep_integers(seed, lo, hi, highs))
     return values
 
 

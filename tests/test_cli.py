@@ -3,6 +3,7 @@ import dataclasses
 import datetime
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,19 @@ class TestCompareCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["method"] == "monte_carlo"
         assert manifest["counts"] == {"reps": 150}
+
+    def test_manifest_records_environment_and_report_bytes_stay(self, tmp_path):
+        rc = main(["compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage",
+                   "--k-draw", "4", "--p", "0.5", "--n-per-stratum", "4", "--reps", "2000",
+                   "--seed", "0", "--no-header-comment", "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        environment = manifest["environment"]
+        assert sorted(environment) == ["cpu_count", "numpy", "platform", "python"]
+        assert environment["numpy"] == np.__version__
+        assert environment["python"] == platform.python_version()
+        report = (tmp_path / "compare_report.csv").read_bytes()
+        assert report == (GOLDEN / "compare_two_stage.csv").read_bytes()
 
     def test_two_stage_sizes_must_match_strata(self, tmp_path):
         proc = run_cli("compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage",
@@ -580,6 +594,25 @@ class TestArgumentValidation:
         argv = [str(tmp_path / f"{a[1:-1]}.csv") if a.startswith("{") else a for a in argv]
         proc = run_cli(*argv, "--out", str(tmp_path))
         assert_one_line_error(proc, message)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["{strata}", "--framework", "two-stage", "--k-draw", "4", "--n-per-stratum", "4",
+              "--p", "{value}"], "--p"),
+            (["{table}", "--framework", "site", "--k-draw", "3", "--p", "{value}"], "--p"),
+            (["{strata}", "--framework", "unequal", "--n", "8", "--p-k", "0.25,{value}"],
+             "--p-k"),
+        ],
+    )
+    def test_non_finite_proportion_is_one_line_error(self, tmp_path, argv, flag, value):
+        inputs = {"strata": GOLDEN / "input_strata.csv", "table": GOLDEN / "input_site_blocks.csv"}
+        argv = [a.format(value=value, **inputs) for a in argv]
+        proc = run_cli("compare", *argv, "--out", str(tmp_path))
+        got = repr(argv[-1]) if flag == "--p-k" else value
+        assert_one_line_error(proc, f"{flag} must be finite, got {got}")
+        assert not (tmp_path / "compare_report.csv").exists()
 
     @pytest.mark.parametrize("command", ["enumerate", "variance"])
     @pytest.mark.parametrize(

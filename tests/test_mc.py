@@ -1,9 +1,11 @@
-"""Per-rep generators (``mc.rep_rngs``) and worker clamping of ``mc.map_ordered``.
+"""Per-rep generators (``mc.rep_rngs``), per-rep bounded integers
+(``mc.rep_integers``) and worker clamping of ``mc.map_ordered``.
 
 ``mc.rep_rng`` builds each rep's generator from numpy's own ``SeedSequence``
-and ``PCG64`` and is the reference for ``mc.rep_rngs``. No test here starts a
-process pool: the clamp is checked as arithmetic, and the wiring through
-``map_ordered`` with a stand-in executor that maps inline.
+and ``PCG64`` and is the reference for ``mc.rep_rngs`` and
+``mc.rep_integers``. No test here starts a process pool: the clamp is checked
+as arithmetic, and the wiring through ``map_ordered`` with a stand-in
+executor that maps inline.
 """
 
 import concurrent.futures
@@ -15,6 +17,7 @@ import pytest
 from blockcalc import mc
 from blockcalc.oracle import chunk_rows
 from blockcalc.pop_model import Blocked, CompleteRandomization, table_from_arrays
+from blockcalc.randomizer import shuffle_plan
 from blockcalc.replay import Strategy, read_replay_csv, run_replay
 from blockcalc.studies import FlexBlockingConfig, study_flexible_blocking
 from blockcalc.variance_estimation import varest_variability
@@ -79,6 +82,84 @@ class TestRepRngs:
         assert str(error.value) == str(numpy_error.value)
 
 
+def reference_integers(seed, lo, hi, highs):
+    """``mc.rep_rng(seed, r).integers(highs)`` for reps ``lo..hi-1``, stacked."""
+    rows = [mc.rep_rng(seed, r).integers(highs) for r in range(lo, hi)]
+    return np.array(rows, dtype=np.int64).reshape(hi - lo, len(highs))
+
+
+def assert_rep_integers_match(seed, lo, hi, highs):
+    got = mc.rep_integers(seed, lo, hi, highs)
+    assert got.dtype == np.int64 and got.shape == (hi - lo, len(highs))
+    assert np.array_equal(got, reference_integers(seed, lo, hi, highs)), (seed, lo, hi)
+
+
+#: 2^31 + 5 rejects about half the words; 2^32 - 1 is the largest bound.
+HIGHS = [1, 2, 3, 40, 2**31 + 5, 2**32 - 1]
+
+
+class TestRepIntegers:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**130 + 9])
+    @pytest.mark.parametrize("high", HIGHS)
+    def test_matches_rep_rng(self, seed, high):
+        # An odd step count leaves half of the last 64-bit output unused.
+        assert_rep_integers_match(seed, 0, 300, np.full(7, high))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**130 + 9])
+    def test_mixed_highs(self, seed):
+        highs = [40, 1, 2**31 + 5, 3, 1, 2, 2**32 - 1, 40, 3, 1]
+        assert_rep_integers_match(seed, 0, 600, highs)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 0),
+            (300, 300),
+            (mc.CHUNK_SIZE - 1, mc.CHUNK_SIZE + 1),
+            (5, 3 * mc.CHUNK_SIZE + 7),
+            (2**32 - 2, 2**32 + 3),
+            (2**64 - 1, 2**64 + 2),
+        ],
+    )
+    def test_ranges_across_chunk_and_spawn_key_boundaries(self, lo, hi):
+        assert_rep_integers_match(11, lo, hi, [5, 1, 40, 2**31 + 5, 9])
+
+    def test_scalar_high_with_size_is_the_same_draw(self):
+        got = mc.rep_integers(7, 0, 50, np.full(8, 40))
+        want = [mc.rep_rng(7, r).integers(40, size=8) for r in range(50)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 2**130 + 9])
+    def test_blocked_shuffle_plan_highs(self, seed):
+        labels = np.repeat(np.arange(1, 6), [10, 15, 2, 20, 7])
+        y = np.random.default_rng(4).normal(size=labels.size)
+        plan = shuffle_plan(table_from_arrays(labels, y, y), Blocked((4, 7, 1, 10, 6)))
+        assert len(set(plan.highs.tolist())) > 10
+        assert_rep_integers_match(seed, 0, 400, plan.highs)
+
+    def test_rejected_words_are_redrawn_from_rep_rng(self, monkeypatch):
+        highs = np.full(7, 2**31 + 5)
+        want = reference_integers(3, 0, 40, highs)
+        reference_rep_rng = mc.rep_rng
+        redrawn = []
+
+        def counting_rep_rng(seed, rep):
+            redrawn.append(rep)
+            return reference_rep_rng(seed, rep)
+
+        monkeypatch.setattr(mc, "rep_rng", counting_rep_rng)
+        assert np.array_equal(mc.rep_integers(3, 0, 40, highs), want)
+        assert 0 < len(redrawn) <= 40
+
+    @pytest.mark.parametrize("hi", [0, 3])
+    def test_negative_seed_is_numpys_error(self, hi):
+        with pytest.raises(ValueError) as numpy_error:
+            mc.rep_rng(-1, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer") as error:
+            mc.rep_integers(-1, 0, hi, [4])
+        assert str(error.value) == str(numpy_error.value)
+
+
 class SpoilingRepRngs:
     """Stands in for ``mc.rep_rngs``: a fresh reference generator per rep,
     each advanced once the next one is asked for, so a caller that keeps a
@@ -135,7 +216,7 @@ def _replay_random_blocks():
 
 
 @pytest.mark.parametrize(
-    "caller", [_site_sampling, _flexible_blocking, _varest_monte_carlo, _replay_random_blocks]
+    "caller", [_flexible_blocking, _varest_monte_carlo, _replay_random_blocks]
 )
 def test_callers_are_done_with_each_generator_before_the_next(monkeypatch, caller):
     got = caller()
@@ -145,6 +226,26 @@ def test_callers_are_done_with_each_generator_before_the_next(monkeypatch, calle
     monkeypatch.setattr(mc, "rep_rngs", spoiling)
     assert caller() == want == got
     assert spoiling.yielded > mc.CHUNK_SIZE
+
+
+class ReferenceRepIntegers:
+    """Stands in for ``mc.rep_integers`` with one ``mc.rep_rng`` per rep, the
+    reference. Counts the reps it draws."""
+
+    def __init__(self):
+        self.reps = 0
+
+    def __call__(self, seed, lo, hi, highs):
+        self.reps += hi - lo
+        return reference_integers(seed, lo, hi, highs)
+
+
+def test_site_sampling_matches_per_rep_generators(monkeypatch):
+    got = _site_sampling()
+    reference = ReferenceRepIntegers()
+    monkeypatch.setattr(mc, "rep_integers", reference)
+    assert _site_sampling() == got
+    assert reference.reps > mc.CHUNK_SIZE
 
 
 @pytest.mark.parametrize(

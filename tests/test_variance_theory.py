@@ -283,6 +283,14 @@ class TestVarDiffStratUnequal:
         with pytest.raises(ValueError, match="weighted mean"):
             var_diff_strat_unequal(moments, n=8, p_k=[0.25, 0.75], p=0.4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_proportions_rejected(self, bad):
+        moments = simple_moments([0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"each p_k must be in \(0, 1\)"):
+            var_diff_strat_unequal(moments, n=8, p_k=[0.25, bad])
+        with pytest.raises(ValueError, match="weighted mean"):
+            var_diff_strat_unequal(moments, n=8, p_k=[0.25, 0.75], p=bad)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_equal_arm_variance_simplification(self, seed):
         # With sigma2_ck == sigma2_tk == s2_k the varying-proportion term
@@ -397,6 +405,12 @@ class TestVarDiffTwoStage:
         a = var_diff_two_stage(moments, [4, 4], k_draw=2, p=0.5, reps=100, seed=6)
         b = var_diff_two_stage(moments, [4, 4], k_draw=2, p=0.5, reps=100, seed=6)
         assert a == b
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    def test_non_finite_proportion_rejected(self, p):
+        moments = simple_moments([0.0, 2.0], [0.0, 2.0])
+        with pytest.raises(ValueError, match="every proportion must be finite"):
+            var_diff_two_stage(moments, [4, 4], k_draw=4, p=p, reps=10, seed=4)
 
     def test_weights_and_sigma2_tc_are_not_read(self):
         mu_t, mu_c = [0.0, 1.0, 3.0], [0.5, 0.0, 2.0]
