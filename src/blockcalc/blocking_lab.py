@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pop_model import PotentialOutcomeTable, grouped_moments, read_csv_columns, table_from_arrays
+from .pop_model import (
+    PotentialOutcomeTable,
+    centered_moments,
+    default_unit_ids,
+    grouped_moments,
+    read_csv_columns,
+    table_from_arrays,
+)
 
 DGPS = ("linear", "indep", "odd")
 
@@ -48,7 +55,7 @@ class CovariateSample:
 
 def covariate_sample_from_values(x) -> CovariateSample:
     x = np.asarray(x, dtype=float)
-    return CovariateSample(unit_ids=tuple(f"u{i + 1}" for i in range(len(x))), x=x)
+    return CovariateSample(unit_ids=default_unit_ids(len(x)), x=x)
 
 
 def read_covariate_csv(path) -> CovariateSample:
@@ -205,6 +212,9 @@ class ScenarioConfig:
             raise ValueError("treated_counts must match block_sizes")
         if any(not 0 < m < s for m, s in zip(self.treated_counts, self.block_sizes)):
             raise ValueError("need 0 < treated < size in every block")
+        for name in ("base_sigma", "control_mean_spread", "effect_spread"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not -1 <= self.rho <= 1:
             raise ValueError("rho must be in [-1, 1]")
         if self.base_sigma <= 0:
@@ -221,12 +231,13 @@ def _size_scores(sizes: np.ndarray) -> np.ndarray:
     return (sizes.mean() - sizes) / (hi - lo)
 
 
-def _standardized(values: np.ndarray) -> np.ndarray:
-    centered = values - values.mean()
-    sd = centered.std(ddof=1)
-    if sd == 0:
+def _standardized(values: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``values`` centered and scaled to sample sd 1 within each block of ``labels``."""
+    moments = centered_moments(values, labels, sizes)
+    sd = np.sqrt(moments.ss / (sizes - 1))
+    if not sd.all():
         raise ValueError("degenerate draw; cannot standardize")
-    return centered / sd
+    return (values - moments.mean - moments.dev[labels]) / sd[labels]
 
 
 def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
@@ -238,6 +249,14 @@ def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
     residuals via Gram-Schmidt so the empirical within-block correlation is
     exactly ``rho``, then standardized to the treated targets. Needs at
     least 3 units per block for the correlation to be well defined.
+
+    The table takes one ``standard_normal(2n)`` draw, read block by block
+    as ``[c_1, raw_1, c_2, raw_2, ...]``: block ``k``'s control draws, then
+    its raw draws for the treated residual, ``size_k`` normals each. That
+    is the order of one pair of ``standard_normal(size_k)`` calls per
+    block, so populations match earlier versions to 1e-12. Every
+    per-block mean, variance and projection is a segment sum over the
+    block labels (:func:`pop_model.centered_moments` and ``np.bincount``).
     """
     sizes = np.asarray(config.block_sizes, dtype=int)
     if np.any(sizes < 3):
@@ -246,17 +265,21 @@ def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
     scores = _size_scores(sizes)
     mu_c = config.control_mean_spread * scores
     tau = config.effect_spread * scores
-    y_t, y_c = [], []
-    for k, size in enumerate(sizes):
-        e_c = _standardized(rng.standard_normal(size))
-        raw = rng.standard_normal(size)
-        resid = raw - raw.mean() - (raw @ e_c) / (e_c @ e_c) * e_c
-        e_u = _standardized(resid)
-        e_t = config.rho * e_c + np.sqrt(1 - config.rho**2) * e_u
-        y_c.append(mu_c[k] + config.base_sigma * e_c)
-        y_t.append(mu_c[k] + tau[k] + config.base_sigma * e_t)
-    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    return table_from_arrays(labels, np.concatenate(y_t), np.concatenate(y_c))
+    k = len(sizes)
+    labels = np.repeat(np.arange(k), sizes)
+    draws = rng.standard_normal(2 * len(labels))
+    # Unit i of block l sits i - start_l into the block, so its control draw
+    # is at 2 * start_l + (i - start_l) and its raw draw size_l further on.
+    control_at = np.arange(len(labels)) + (np.cumsum(sizes) - sizes)[labels]
+    e_c = _standardized(draws[control_at], labels, sizes)
+    raw = draws[control_at + sizes[labels]]
+    slope = np.bincount(labels, raw * e_c, k) / np.bincount(labels, e_c * e_c, k)
+    # The residual is left uncentered: _standardized centers it.
+    e_u = _standardized(raw - slope[labels] * e_c, labels, sizes)
+    e_t = config.rho * e_c + np.sqrt(1 - config.rho**2) * e_u
+    y_c = mu_c[labels] + config.base_sigma * e_c
+    y_t = (mu_c + tau)[labels] + config.base_sigma * e_t
+    return PotentialOutcomeTable(default_unit_ids(len(labels)), labels + 1, y_t, y_c)
 
 
 def gen_xy_population(

@@ -14,7 +14,9 @@ platform and CPU count); runs that enumerate assignments (``enumerate``,
 ``variance --oracle``) add ``method`` and the ``counts`` of assignments and
 batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
 add ``method`` and the ``reps``, and studies add the ``counts`` of reps,
-chunks and workers used. Report CSVs start with a comment line
+chunks and workers used. Every manifest has ``timings``: the seconds spent
+reading inputs (``load_s``), computing the report (``compute_s``) and
+writing the report CSV (``write_s``). Report CSVs start with a comment line
 ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment`` is
 given. Reruns with the same seed and config are byte-identical regardless
 of ``--threads``.
@@ -31,6 +33,7 @@ import math
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +108,15 @@ class ManifestWriter:
     """The manifest of one command run, started before the command does any work.
 
     Creating it stamps ``started_at``, takes ``--seed`` and ``--out`` from the
-    parsed ``args`` and creates the output directory; :meth:`finish` writes
-    the manifest with the resolved configuration.
+    parsed ``args`` and creates the output directory; :meth:`mark` closes one
+    stage of the run, and :meth:`finish` writes the manifest with the
+    resolved configuration.
     """
 
     def __init__(self, command: str, args):
         self.started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self._clock = time.perf_counter()
+        self.timings: dict[str, float] = {}
         self.command = command
         self.seed = args.seed
         self.out_dir = Path(args.out)
@@ -124,6 +130,12 @@ class ManifestWriter:
         counts["assignments"] += moments.count
         counts["chunks"] += moments.chunks
         self.extra["method"] = "enumeration"
+
+    def mark(self, stage: str) -> None:
+        """Record the seconds since the last mark, or since the start, as ``<stage>_s``."""
+        now = time.perf_counter()
+        self.timings[f"{stage}_s"] = now - self._clock
+        self._clock = now
 
     def csv_path(self, name: str) -> Path:
         path = self.out_dir / name
@@ -143,6 +155,7 @@ class ManifestWriter:
             "started_at": self.started_at,
             "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": self.outputs,
+            "timings": self.timings,
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -203,6 +216,7 @@ def _add_common(parser, reps_default=None):
 def cmd_variance(args, manifest: ManifestWriter) -> Report:
     table = read_table_csv(args.table)
     design = _parse_design(args.design)
+    manifest.mark("load")
     validate_design(design, table)
     blocked = isinstance(design, Blocked)
     if args.decompose and not blocked:
@@ -288,33 +302,33 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
     if args.p is not None and not math.isfinite(args.p):
         raise ValueError(f"--p must be finite, got {args.p}")
     mode = None
-    if args.framework == "site":
-        table = read_table_csv(args.input)
+    site = args.framework == "site"
+    data = read_table_csv(args.input) if site else read_strata_csv(args.input)
+    manifest.mark("load")
+    if site:
         report = var_diff_site_sampling(
-            table, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
+            data, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
         )
+    elif args.framework == "strat":
+        report = var_diff_strat(data, n=args.n, p=args.p)
+    elif args.framework == "unequal":
+        p_k = _parse_list("--p-k", args.p_k, float)
+        if not all(map(math.isfinite, p_k)):
+            raise ValueError(f"--p-k must be finite, got {args.p_k!r}")
+        report = var_diff_strat_unequal(data, n=args.n, p_k=p_k, p=args.p)
+    elif args.framework == "mixed":
+        mode = {
+            "srs-vs-blocked": MODE_CR_SRS_VS_BK_STRAT,
+            "srs-vs-stratified-cr": MODE_CR_SRS_VS_CR_STRAT,
+        }[args.mode]
+        report = var_diff_mixed(data, n_t=args.n_t, n_c=args.n_c, mode=mode)
     else:
-        moments = read_strata_csv(args.input)
-        if args.framework == "strat":
-            report = var_diff_strat(moments, n=args.n, p=args.p)
-        elif args.framework == "unequal":
-            p_k = _parse_list("--p-k", args.p_k, float)
-            if not all(map(math.isfinite, p_k)):
-                raise ValueError(f"--p-k must be finite, got {args.p_k!r}")
-            report = var_diff_strat_unequal(moments, n=args.n, p_k=p_k, p=args.p)
-        elif args.framework == "mixed":
-            mode = {
-                "srs-vs-blocked": MODE_CR_SRS_VS_BK_STRAT,
-                "srs-vs-stratified-cr": MODE_CR_SRS_VS_CR_STRAT,
-            }[args.mode]
-            report = var_diff_mixed(moments, n_t=args.n_t, n_c=args.n_c, mode=mode)
-        else:
-            sizes = _parse_list("--n-per-stratum", args.n_per_stratum, int)
-            if len(sizes) == 1:
-                sizes = sizes * moments.num_strata
-            report = var_diff_two_stage(
-                moments, sizes, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
-            )
+        sizes = _parse_list("--n-per-stratum", args.n_per_stratum, int)
+        if len(sizes) == 1:
+            sizes = sizes * data.num_strata
+        report = var_diff_two_stage(
+            data, sizes, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
+        )
     decomposition = report.decomposition or {}
     row = {
         "framework": report.framework,
@@ -336,6 +350,7 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
 
 def cmd_study(args, manifest: ManifestWriter) -> Report:
     overrides = read_json(args.config, "config") if args.config else None
+    manifest.mark("load")
     rows, columns, resolved, counts = run_study(
         args.name,
         config_overrides=overrides,
@@ -355,6 +370,7 @@ def cmd_replay(args, manifest: ManifestWriter) -> Report:
         if args.strategies
         else default_strategies(args.reps)
     )
+    manifest.mark("load")
     rows = run_replay(data, strategies, seed=args.seed, default_allocations=args.reps)
     named = [{"name": s.name, "params": s.params} for s in strategies]
     config = {"table": str(args.table), "strategies": named}
@@ -364,6 +380,7 @@ def cmd_replay(args, manifest: ManifestWriter) -> Report:
 def cmd_enumerate(args, manifest: ManifestWriter) -> Report:
     table = read_table_csv(args.table)
     design = _parse_design(args.design)
+    manifest.mark("load")
     moments = exact_moments(table, design, args.statistic, cap=args.cap)
     row = {
         "design": args.design,
@@ -458,6 +475,7 @@ def main(argv=None) -> int:
     try:
         manifest = ManifestWriter(args.command, args)
         name, columns, rows, config = args.fn(args, manifest)
+        manifest.mark("compute")
         write_report_csv(
             manifest.csv_path(name),
             columns,
@@ -465,6 +483,7 @@ def main(argv=None) -> int:
             args.seed,
             header_comment=not args.no_header_comment,
         )
+        manifest.mark("write")
         manifest.finish(config)
     except (ValueError, OSError, KeyError) as err:
         print(f"blockcalc: error: {err}", file=sys.stderr)

@@ -144,13 +144,15 @@ def _seed_slices(master_seed: int, lo: int, hi: int) -> Iterator[tuple[int, int,
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
     start = lo
     while start < hi:
-        key_words = len(_words(start))
-        stop = min(hi, start + CHUNK_SIZE, 1 << 32 * key_words)
-        keys = range(start, stop)
-        key_entropy = [
-            np.array([r >> shift & _MASK32 for r in keys], dtype=np.uint32)
-            for shift in range(0, 32 * key_words, 32)
-        ]
+        start_words = _words(start)
+        stop = min(hi, start + CHUNK_SIZE, 1 << 32 * len(start_words))
+        # The keys start + offset, word by word with carries, as uint32 arrays.
+        total = np.arange(stop - start, dtype=np.uint64)
+        key_entropy = []
+        for word in start_words:
+            total = total + np.uint64(word)
+            key_entropy.append((total & _MASK32).astype(np.uint32))
+            total = total >> np.uint64(32)
         yield start, stop, _pcg64_seeds(seed_words + key_entropy)
         start = stop
 

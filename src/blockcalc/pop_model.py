@@ -160,16 +160,20 @@ def canonical_labels(raw) -> np.ndarray:
     return _read_only(np.fromiter(map(number.__getitem__, raw), dtype=np.intp, count=len(raw)))
 
 
+def default_unit_ids(n: int) -> tuple[str, ...]:
+    """The unit ids ``u1..un``."""
+    return tuple(f"u{i + 1}" for i in range(n))
+
+
 def table_from_arrays(blocks, y_t, y_c, unit_ids=None) -> PotentialOutcomeTable:
     """Build a table from parallel arrays, canonicalizing block labels.
 
     Blocks are relabeled ``1..K`` in first-appearance order; unit order is
-    preserved. Unit ids default to ``u1..un``.
+    preserved. Unit ids default to :func:`default_unit_ids`.
     """
     blocks = canonical_labels(blocks)
-    if unit_ids is None:
-        unit_ids = [f"u{i + 1}" for i in range(len(blocks))]
-    return PotentialOutcomeTable(tuple(map(str, unit_ids)), blocks, y_t, y_c)
+    unit_ids = default_unit_ids(len(blocks)) if unit_ids is None else tuple(map(str, unit_ids))
+    return PotentialOutcomeTable(unit_ids, blocks, y_t, y_c)
 
 
 def validate_table(records: Iterable[Mapping]) -> PotentialOutcomeTable:

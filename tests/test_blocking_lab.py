@@ -20,6 +20,7 @@ from blockcalc import (
     table_from_arrays,
 )
 from blockcalc.blocking_lab import (
+    _standardized,
     covariate_sample_from_values,
     within_variance_ratio,
 )
@@ -315,6 +316,74 @@ class TestGenScenarioPopulation:
             gen_scenario_population(
                 self.config(block_sizes=(2, 4), treated_counts=(1, 2))
             )
+
+    @pytest.mark.parametrize("field", ["base_sigma", "control_mean_spread", "effect_spread"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+            self.config(**{field: value})
+
+    def test_degenerate_block_rejected(self):
+        values = np.array([1.0, 1.0, 1.0, 0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="degenerate draw"):
+            _standardized(values, np.repeat([0, 1], 3), np.array([3, 3]))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(5,), (3, 3, 3), (3, 7, 4), (25, 3, 11, 6, 3), (10, 10, 10, 15, 15, 15, 20, 20)],
+    )
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, 0.37, 1.0])
+    def test_matches_per_block_reference(self, sizes, rho):
+        cfg = self.config(
+            block_sizes=sizes,
+            treated_counts=tuple(1 for _ in sizes),
+            rho=rho,
+            base_sigma=2.5,
+            seed=sum(sizes),
+        )
+        table = gen_scenario_population(cfg)
+        want_t, want_c = reference_scenario_population(cfg)
+        scale = max(np.abs(want_t).max(), np.abs(want_c).max())
+        np.testing.assert_allclose(table.y_t, want_t, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(table.y_c, want_c, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_array_equal(table.blocks, np.repeat(np.arange(1, len(sizes) + 1), sizes))
+        assert table.unit_ids == tuple(f"u{i + 1}" for i in range(sum(sizes)))
+
+    @pytest.mark.parametrize("sizes", [(3,), (3, 7, 4), (16, 5, 9, 3)])
+    def test_one_draw_is_the_per_block_pairs(self, sizes):
+        one, pairs = np.random.default_rng(41), np.random.default_rng(41)
+        drawn = one.standard_normal(2 * sum(sizes))
+        expected = np.concatenate(
+            [pairs.standard_normal(size) for size in sizes for _ in range(2)]
+        )
+        np.testing.assert_array_equal(drawn, expected)
+        assert one.bit_generator.state == pairs.bit_generator.state
+
+
+def reference_scenario_population(config):
+    """``(y_t, y_c)`` of the per-block loop the generator replaced: one pair of
+    ``standard_normal(size)`` calls per block, in block order."""
+
+    def standardized(values):
+        centered = values - values.mean()
+        return centered / centered.std(ddof=1)
+
+    sizes = np.asarray(config.block_sizes, dtype=int)
+    rng = np.random.default_rng(config.seed)
+    lo, hi = sizes.min(), sizes.max()
+    scores = np.zeros(len(sizes)) if hi == lo else (sizes.mean() - sizes) / (hi - lo)
+    mu_c = config.control_mean_spread * scores
+    tau = config.effect_spread * scores
+    y_t, y_c = [], []
+    for k, size in enumerate(sizes):
+        e_c = standardized(rng.standard_normal(size))
+        raw = rng.standard_normal(size)
+        resid = raw - raw.mean() - (raw @ e_c) / (e_c @ e_c) * e_c
+        e_u = standardized(resid)
+        e_t = config.rho * e_c + np.sqrt(1 - config.rho**2) * e_u
+        y_c.append(mu_c[k] + config.base_sigma * e_c)
+        y_t.append(mu_c[k] + tau[k] + config.base_sigma * e_t)
+    return np.concatenate(y_t), np.concatenate(y_c)
 
 
 class TestGenXyPopulation:

@@ -235,6 +235,26 @@ class TestCompareCommand:
         report = (tmp_path / "compare_report.csv").read_bytes()
         assert report == (GOLDEN / "compare_two_stage.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["variance", "{table}", "--design", "cr:2", "--oracle"],
+            ["enumerate", "{table}", "--design", "cr:2"],
+            ["compare", "{strata}", "--framework", "strat", "--n", "20", "--p", "0.5"],
+            ["study", "ratio-sweep"],
+            ["replay", str(GOLDEN / "input_replay.csv"), "--reps", "20"],
+        ],
+    )
+    def test_manifest_records_stage_timings(self, tmp_path, argv):
+        table, strata = tmp_path / "table.csv", tmp_path / "strata.csv"
+        write_mirrored_table(table)
+        write_strata(strata)
+        argv = [a.format(table=table, strata=strata) for a in argv]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        timings = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]
+        assert sorted(timings) == ["compute_s", "load_s", "write_s"]
+        assert all(type(v) is float and v >= 0 for v in timings.values())
+
     def test_two_stage_sizes_must_match_strata(self, tmp_path):
         proc = run_cli("compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage",
                        "--k-draw", "3", "--p", "0.5", "--n-per-stratum", "4,4",
@@ -416,6 +436,20 @@ class TestStudyCommand:
             {"reps": 600, "chunks": 3, "workers": 1},
             {"reps": 600, "chunks": 3, "workers": mc.effective_workers(3, 3)},
         ]
+
+    @pytest.mark.parametrize(
+        "study, extra",
+        [("ratio-sweep", []), ("misconceptions", ["--reps", "20"])],
+    )
+    def test_threads_do_not_change_scenario_study_bytes(self, tmp_path, study, extra):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            rc = main(["study", study, "--seed", "4", *extra, "--threads", threads,
+                       "--out", str(out)])
+            assert rc == 0
+            reports.append((out / f"study_{study.replace('-', '_')}.csv").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestReplayCommand:
