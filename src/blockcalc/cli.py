@@ -7,6 +7,12 @@ command's ``cmd_*`` function, which returns one report, writes that report
 CSV, then finishes the manifest. Any ``ValueError``, ``OSError`` or
 ``KeyError`` on the way ends the run in one ``blockcalc: error:`` line.
 
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call. It holds no function objects:
+:func:`main` looks the ``cmd_<command>`` function up by name in this module
+when it runs, so a ``cmd_*`` function wrapped or replaced after the first
+call is the one that runs.
+
 The manifest records the command, a digest of the fully resolved
 configuration, the master seed, the library version, timestamps, the
 output file list and the ``environment`` (Python and numpy versions,
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -395,6 +402,12 @@ def cmd_enumerate(args, manifest: ManifestWriter) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command's arguments.
+
+    It must hold no function objects: one parser serves every :func:`main`
+    call of a process, and ``cmd_*`` functions wrapped or replaced after it
+    was built must still be the ones that run.
+    """
     parser = argparse.ArgumentParser(
         prog="blockcalc",
         description="Variance comparisons of blocked vs. completely randomized designs",
@@ -412,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_var.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_common(p_var)
-    p_var.set_defaults(fn=cmd_variance)
 
     p_cmp = sub.add_parser("compare", help="superpopulation variance comparisons")
     p_cmp.add_argument("input", help="strata CSV (or table CSV for --framework site)")
@@ -438,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="units drawn per selected stratum (two-stage); one value or one per row",
     )
     _add_common(p_cmp, reps_default=10_000)
-    p_cmp.set_defaults(fn=cmd_compare)
 
     p_study = sub.add_parser("study", help="run a canonical simulation study")
     p_study.add_argument(
@@ -447,13 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--config", help="JSON file overriding config fields")
     _add_common(p_study, reps_default=None)
     p_study.add_argument("--reps", type=int, default=None)
-    p_study.set_defaults(fn=cmd_study)
 
     p_replay = sub.add_parser("replay", help="replay blocking strategies on a realized CSV")
     p_replay.add_argument("table", help="replay CSV (unit_id,block,z,baseline,y)")
     p_replay.add_argument("--strategies", help="JSON list of {name, params}")
     _add_common(p_replay, reps_default=1000)
-    p_replay.set_defaults(fn=cmd_replay)
 
     p_enum = sub.add_parser("enumerate", help="exact moments over all assignments")
     p_enum.add_argument("table")
@@ -465,16 +474,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_common(p_enum)
-    p_enum.set_defaults(fn=cmd_enumerate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first :func:`main` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
         manifest = ManifestWriter(args.command, args)
-        name, columns, rows, config = args.fn(args, manifest)
+        name, columns, rows, config = command(args, manifest)
         manifest.mark("compute")
         write_report_csv(
             manifest.csv_path(name),

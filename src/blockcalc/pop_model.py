@@ -54,6 +54,27 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what}")
 
 
+def _require_moments_fit(arms, n: int) -> None:
+    """Refuse outcome arms whose means or sums of squares overflow float64.
+
+    A mean sums ``n`` values and a sum of squares sums ``n`` squared
+    deviations, each at most the arm's span (max - min) squared. So every
+    arm's largest magnitude, and its span squared, must stay within
+    ``float64 max / n``. ``arms`` holds ``(name, values)`` pairs.
+    """
+    limit = float(np.finfo(float).max) / n
+    for name, values in arms:
+        lo, hi = float(values.min()), float(values.max())
+        # Python floats: an overflowing span is inf, with no warning.
+        span, peak = hi - lo, max(hi, -lo)
+        if not (peak <= limit and span * span <= limit):
+            raise ValueError(
+                f"{name} outcomes too large for float64 moments over {n} units: "
+                f"span {span:.3g} (limit {limit ** 0.5:.3g}), "
+                f"magnitude {peak:.3g} (limit {limit:.3g})"
+            )
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -97,6 +118,9 @@ class PotentialOutcomeTable:
             raise ValueError("outcome length mismatch")
         _require_finite(y_t, "outcome")
         _require_finite(y_c, "outcome")
+        with np.errstate(over="ignore"):  # an overflowing effect is refused below
+            effects = y_t - y_c
+        _require_moments_fit((("y_t", y_t), ("y_c", y_c), ("y_t - y_c", effects)), n)
         if blocks.dtype.kind in "iu":
             blocks = blocks.astype(np.intp)
         # Dense labels lie in 1..n, which also bounds the bincount.

@@ -31,6 +31,7 @@ from blockcalc import (
     var_diff_strat_unequal,
     var_k,
 )
+from blockcalc import mc
 from blockcalc.cli import main
 from blockcalc.studies import (
     FlexBlockingConfig,
@@ -198,22 +199,33 @@ def test_criterion_07_independent_covariate_blocking_is_free():
         start = time.monotonic()
         reps = 20_000
         cfg_n, block_size, sigma = 64, 8, 1.0
+        seed = MASTER_SEED + 7
         probe_rng = np.random.default_rng(0)
         sample, _ = gen_xy_population("indep", cfg_n, sigma, probe_rng)
         labels = make_blocks_flex(sample, block_size)
-        diffs = np.empty(reps)
-        for r in range(reps):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=MASTER_SEED + 7, spawn_key=(r,))
-            )
+        # Row r is rep r's outcome as gen_xy_population draws it: under the
+        # indep DGP the outcome is the noise.
+        y = np.stack([sigma * rng.standard_normal(cfg_n) for rng in mc.rep_rngs(seed, 0, reps)])
+        # Both potential outcomes equal y, so S2_tc is 0 in every block and
+        # var(tau_hat) is S2 (1/n_t + 1/n_c), with half of each block treated.
+        var_bk = np.zeros(reps)
+        for k in np.unique(labels):
+            y_k = y[:, labels == k]
+            n_k = y_k.shape[1]
+            m_k = n_k // 2
+            var_bk += (n_k / cfg_n) ** 2 * y_k.var(axis=1, ddof=1) * (1 / m_k + 1 / (n_k - m_k))
+        n_t = cfg_n // 2
+        var_cr = y.var(axis=1, ddof=1) * (1 / n_t + 1 / (cfg_n - n_t))
+        diffs = var_bk - var_cr
+        for r in range(50):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
             _, table = gen_xy_population("indep", cfg_n, sigma, rng)
             blocked_table = table_from_arrays(
                 labels, table.y_t, table.y_c, unit_ids=table.unit_ids
             )
             design = Blocked(tuple(int(s) // 2 for s in blocked_table.block_sizes))
-            diffs[r] = neyman_var_blocked(blocked_table, design) - neyman_var_cr(
-                table, cfg_n // 2
-            )
+            library = neyman_var_blocked(blocked_table, design) - neyman_var_cr(table, n_t)
+            assert abs(diffs[r] - library) <= 1e-12, (r, diffs[r], library)
         se = float(np.std(diffs, ddof=1) / np.sqrt(reps))
         mean = float(np.mean(diffs))
         assert abs(mean) <= 3 * se, f"mean {mean:.3e} vs 3*se {3 * se:.3e}"

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import datetime
@@ -684,3 +685,133 @@ class TestArgumentValidation:
         path.write_text("".join(lines))
         proc = run_cli(argv[0], str(path), *argv[1:], "--out", str(tmp_path))
         assert_one_line_error(proc, f"{kind} CSV is not readable: field larger than field limit")
+
+
+def write_huge_table(path):
+    """Eight units whose outcomes near +-1e200 overflow a float64 sum of squares."""
+    values = [(1e200, -1e200), (-1e200, 1e200), (5e199, 0.0), (0.0, -5e199)] * 2
+    path.write_text("unit_id,block,y_t,y_c\n" + "".join(
+        f"u{i},{1 + i // 4},{y_t!r},{y_c!r}\n" for i, (y_t, y_c) in enumerate(values)
+    ))
+
+
+class TestOutcomeMagnitude:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["variance", "{table}", "--design", "cr:4"],
+            ["enumerate", "{table}", "--design", "cr:4", "--statistic", "var_est_cr"],
+        ],
+    )
+    def test_huge_table_is_one_line_error(self, tmp_path, argv):
+        write_huge_table(tmp_path / "table.csv")
+        argv = [a.format(table=tmp_path / "table.csv") for a in argv]
+        proc = run_cli(*argv, "--out", str(tmp_path))
+        assert_one_line_error(proc, "y_t outcomes too large for float64 moments over 8 units")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list(tmp_path.glob("*_report.csv"))
+
+    @pytest.mark.parametrize("config", [{"spread_scales": [1e308]}, {"base_sigma": 1e300}])
+    @pytest.mark.parametrize("argv", [["ratio-sweep"], ["misconceptions", "--reps", "5"]])
+    def test_huge_scenario_study_is_one_line_error(self, tmp_path, argv, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("study", *argv, "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(proc, "y_t outcomes too large for float64 moments over 115 units")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list(tmp_path.glob("study_*.csv"))
+
+
+def subparsers(parser):
+    """The parser and each command's subparser, by command name ('' for the parser)."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {"": parser, **commands.choices}
+
+
+#: One cheap run of every command, with inputs written by ``write_inputs``.
+EVERY_COMMAND = [
+    ["variance", "{table}", "--design", "blocked:{design}", "--oracle"],
+    ["compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage", "--k-draw", "4",
+     "--p", "0.5", "--n-per-stratum", "4", "--reps", "200"],
+    ["study", "ratio-sweep"],
+    ["replay", str(GOLDEN / "input_replay.csv"), "--reps", "20"],
+    ["enumerate", "{table}", "--design", "cr:2", "--statistic", "var_est_cr"],
+]
+
+
+def write_inputs(tmp_path, argv):
+    table, design = tmp_path / "table.csv", tmp_path / "design.json"
+    write_mirrored_table(table)
+    design.write_text(json.dumps({"n_tk": [1, 1]}))
+    return [a.format(table=table, design=design) for a in argv] + ["--seed", "3"]
+
+
+def report_bytes(out):
+    (report,) = out.glob("*.csv")
+    return report.read_bytes()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and looks commands up when it runs."""
+
+    def test_calls_share_one_parser(self, tmp_path, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1] is cli._parser()
+
+    def test_command_patched_after_a_warm_call_runs(self, tmp_path, monkeypatch):
+        argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
+        assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+        names = []
+
+        def cmd_study(args, manifest):
+            names.append(args.name)
+            return "patched.csv", ["name"], [{"name": args.name}], {}
+
+        monkeypatch.setattr(cli, "cmd_study", cmd_study)
+        out = tmp_path / "patched"
+        assert main(["study", "misconceptions", "--out", str(out)]) == 0
+        assert names == ["misconceptions"]
+        assert read_report(out / "patched.csv") == [{"name": "misconceptions"}]
+
+    def test_help_and_usage_match_a_fresh_parser(self, tmp_path, capsys):
+        argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit):
+            main(["enumerate", "--bogus"])
+        capsys.readouterr()
+        reused, fresh = subparsers(cli._parser()), subparsers(cli.build_parser())
+        assert list(reused) == list(fresh) == ["", *(a[0] for a in EVERY_COMMAND)]
+        for name, parser in reused.items():
+            assert parser.format_help() == fresh[name].format_help(), name
+            assert parser.format_usage() == fresh[name].format_usage(), name
+
+    def test_a_bad_flag_leaves_the_next_call_unchanged(self, tmp_path, capsys):
+        argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv[:-2], "--statistic", "nope"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+        proc = run_cli(*argv, "--out", str(tmp_path / "one_shot"))
+        assert proc.returncode == 0, proc.stderr
+        assert report_bytes(tmp_path / "in_process") == report_bytes(tmp_path / "one_shot")
+
+    def test_every_command_in_one_process_matches_one_shot_runs(self, tmp_path):
+        for i, argv in enumerate(EVERY_COMMAND):
+            argv = write_inputs(tmp_path, argv)
+            in_process, one_shot = tmp_path / f"in_process_{i}", tmp_path / f"one_shot_{i}"
+            assert main([*argv, "--out", str(in_process)]) == 0
+            proc = run_cli(*argv, "--out", str(one_shot))
+            assert proc.returncode == 0, proc.stderr
+            assert report_bytes(in_process) == report_bytes(one_shot), argv[0]

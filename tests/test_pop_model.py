@@ -50,6 +50,29 @@ class TestValidateTable:
         with pytest.raises(ValueError, match="non-finite outcome"):
             validate_table(records([("a", 1, float("nan"), 0.0)]))
 
+    def test_outcomes_just_within_the_moment_limit_are_accepted(self):
+        span = 0.999 * np.sqrt(np.finfo(float).max / 4)
+        table = table_from_arrays([1, 1, 2, 2], [0.0, span, 0.0, span], [0.0] * 4)
+        assert np.isfinite(table.stats.pooled_s2("t"))
+        assert np.isfinite(table.stats.s2("t")).all()
+
+    @pytest.mark.parametrize(
+        "y_t, y_c, arm",
+        [
+            ([0.0, 1e154], [0.0, 0.0], "y_t"),
+            ([0.0, 0.0], [-1e154, 0.0], "y_c"),
+            # Each arm spans 6e153, within the limit of 9.5e153 at n = 2; the
+            # effects span twice that.
+            ([3e153, -3e153], [-3e153, 3e153], "y_t - y_c"),
+            # No span at all, but the mean sums 100 values of 1e307.
+            ([1e307] * 100, [0.0] * 100, "y_t"),
+            ([np.finfo(float).max], [-np.finfo(float).max], "y_t - y_c"),
+        ],
+    )
+    def test_outcomes_past_the_moment_limit_rejected(self, y_t, y_c, arm):
+        with pytest.raises(ValueError, match=f"^{arm} outcomes too large for float64 moments"):
+            table_from_arrays([1] * len(y_t), y_t, y_c)
+
     def test_duplicate_unit_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate unit_id"):
             validate_table(records([("a", 1, 1, 0), ("a", 1, 2, 0)]))
