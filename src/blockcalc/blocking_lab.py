@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pop_model import (
+    ArmStats,
     PotentialOutcomeTable,
     centered_moments,
     default_unit_ids,
@@ -145,23 +146,20 @@ def make_blocks_random(n: int, sizes, rng: np.random.Generator) -> np.ndarray:
     return labels_in_order(rng.permutation(n), sizes)
 
 
-def between_total_ss(values: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
-    """Between-group and total sums of squares around the grand mean."""
-    counts, moments = grouped_moments(values, groups)
-    between = float(counts @ moments.dev**2)
-    return between, float(moments.ss.sum()) + between
-
-
 def r2_blocks(table: PotentialOutcomeTable) -> float | None:
     """Share of outcome variation explained by block membership, in [0, 1].
 
     Computed on the stacked (control then treated) outcome vector with 2K
     groups, so both control-mean spread and effect spread register. ``None``
-    when the stacked vector is constant (zero total sum of squares).
+    when the stacked vector is constant (zero total sum of squares). Read
+    from ``table.stats``: the arm means sit ``tau / 2`` below and above the
+    stacked mean, so the between sum of squares is both arms' own plus
+    ``n * tau**2 / 2``.
     """
-    stacked = np.concatenate([table.y_c, table.y_t])
-    groups = np.concatenate([table.labels, table.labels + table.num_blocks])
-    between, total = between_total_ss(stacked, groups)
+    st = table.stats
+    tau = st.tc.mean
+    between = st.between_ss("c") + st.between_ss("t") + st.n * tau * tau / 2
+    total = between + float(st.c.ss.sum()) + float(st.t.ss.sum())
     if total == 0:
         return None
     return between / total
@@ -174,15 +172,18 @@ def within_variance_ratio(values, labels):
     (one outcome vector per row, all under the same ``labels``); the result
     is then an array of ratios.
     """
-    counts, moments = grouped_moments(values, labels)
+    return grouped_within_ratio(*grouped_moments(values, labels))
+
+
+def grouped_within_ratio(counts, moments: ArmStats):
+    """:func:`within_variance_ratio` of :func:`grouped_moments`'s result;
+    singleton groups are left out of the within-block average."""
     total = np.sum(moments.ss, axis=-1) + moments.dev**2 @ counts
+    if np.ndim(total) == 0 and total == 0:
+        return None
     kept = counts >= 2
     within = np.mean(moments.ss[..., kept] / (counts[kept] - 1), axis=-1)
-    if np.ndim(total):
-        return within / (total / (counts.sum() - 1))
-    if total == 0:
-        return None
-    return float(within) / (total / (counts.sum() - 1))
+    return within / (total / (counts.sum() - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .oracle import DEFAULT_CAP, exact_moments
+from .oracle import DEFAULT_CAP, STATISTICS, exact_moments
 from .pop_model import (
     Blocked,
     CompleteRandomization,
@@ -63,7 +63,7 @@ from .replay import (
     read_strategies_json,
     run_replay,
 )
-from .studies import run_study
+from .studies import STUDIES, run_study
 from .variance_theory import (
     MODE_CR_SRS_VS_BK_STRAT,
     MODE_CR_SRS_VS_CR_STRAT,
@@ -296,8 +296,8 @@ FRAMEWORK_NEEDS = {
     "strat": ["n", "p"],
     "unequal": ["n", "p_k"],
     "mixed": ["n_t", "n_c"],
-    "site": ["k_draw", "p"],
     "two-stage": ["k_draw", "p", "n_per_stratum"],
+    "site": ["k_draw", "p"],
 }
 
 
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--framework",
         required=True,
-        choices=["strat", "unequal", "mixed", "two-stage", "site"],
+        choices=list(FRAMEWORK_NEEDS),
     )
     p_cmp.add_argument("--n", type=int, help="total sample size (strat/unequal)")
     p_cmp.add_argument("--p", type=float, help="treated proportion (optional for unequal)")
@@ -452,9 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmp, reps_default=10_000)
 
     p_study = sub.add_parser("study", help="run a canonical simulation study")
-    p_study.add_argument(
-        "name", choices=["ratio-sweep", "flexible-blocking", "misconceptions"]
-    )
+    p_study.add_argument("name", choices=list(STUDIES))
     p_study.add_argument("--config", help="JSON file overriding config fields")
     _add_common(p_study, reps_default=None)
     p_study.add_argument("--reps", type=int, default=None)
@@ -470,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--statistic",
         default="tau_hat",
-        choices=["tau_hat", "var_est_cr", "var_est_blocked"],
+        choices=STATISTICS,
     )
     p_enum.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_common(p_enum)

@@ -47,12 +47,8 @@ U = TypeVar("U")
 CHUNK_SIZE = 256
 
 
-def rep_seed(master_seed: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,))
-
-
 def rep_rng(master_seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(rep_seed(master_seed, rep))
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,)))
 
 
 # numpy's SeedSequence hash (NEP 19): pool size, hash and mix constants.

@@ -4,12 +4,22 @@ Every study is deterministic given (config, seed): grid points and
 replications draw from generators derived via ``SeedSequence(seed,
 spawn_key=...)``, and partial results are reduced in a fixed order, so the
 worker count never changes the output.
+
+``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
+points (:func:`_grid`), each scoring one population (:func:`_population`)
+by closed forms on its cached ``table.stats``. ``flexible-blocking`` sums
+each chunk of reps into one ``(3, methods, dgps)`` array. A study variance
+that under- or overflows float64 ends the study in one error naming the
+config field that sets the outcome scale (:func:`_require_float_range`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +30,7 @@ from .blocking_lab import (
     ScenarioConfig,
     covariate_sample_from_values,
     gen_scenario_population,
+    grouped_within_ratio,
     make_blocks_flex,
     make_blocks_interleave,
     make_blocks_peevish,
@@ -44,9 +55,50 @@ METHODS = ("flex", "interleave", "peevish")
 #: more, pushing the block-predictiveness measure toward 1.
 DEFAULT_SCALES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
 
+#: Default Monte Carlo reps of ``flexible-blocking`` and, per estimator and
+#: grid point, of ``misconceptions``.
+FLEX_BLOCKING_REPS = 10_000
+MISCONCEPTIONS_REPS = 5_000
+
 
 def _child_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
+
+
+def _grid(cfg, seed: int, *extra) -> list[tuple]:
+    """The work items ``(cfg, seed, index, scale, rho, *extra)`` of a scenario
+    study: every spread scale, then every ``rho`` within it, numbered in turn."""
+    pairs = itertools.product(cfg.spread_scales, cfg.rhos)
+    return [(cfg, seed, i, scale, rho, *extra) for i, (scale, rho) in enumerate(pairs)]
+
+
+def _population(cfg, treated_counts, scale: float, rho: float, seed: int):
+    """The scenario population of one grid point of a scenario study."""
+    return gen_scenario_population(
+        ScenarioConfig(
+            block_sizes=cfg.block_sizes,
+            treated_counts=treated_counts,
+            control_mean_spread=scale,
+            effect_spread=cfg.effect_spread_factor * scale,
+            rho=rho,
+            base_sigma=cfg.base_sigma,
+            seed=seed,
+        )
+    )
+
+
+def _require_float_range(where: str, **values) -> None:
+    """Refuse study variances (or sums of them or of their ratios) that are
+    positive and finite in exact arithmetic but underflowed to 0 or
+    overflowed; callers compute them with numpy's overflow warnings off, so
+    this is the one report. ``where`` names the outcome-scale config field."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} is {float(value)!r} at {where}: outside float64's range")
+
+
+def _scenario_scale(cfg, scale: float, rho: float) -> str:
+    return f"base_sigma {cfg.base_sigma!r} (spread_scale {scale!r}, rho {rho!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +141,19 @@ RATIO_SWEEP_COLUMNS = [
 ]
 
 
-def _scenario(cfg, scale: float, rho: float, seed: int) -> ScenarioConfig:
-    return ScenarioConfig(
-        block_sizes=cfg.block_sizes,
-        treated_counts=cfg.treated_equal,
-        control_mean_spread=scale,
-        effect_spread=cfg.effect_spread_factor * scale,
-        rho=rho,
-        base_sigma=cfg.base_sigma,
-        seed=seed,
-    )
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _ratio_sweep_point(args) -> dict:
     cfg, master_seed, index, scale, rho = args
-    table = gen_scenario_population(_scenario(cfg, scale, rho, _child_seed(master_seed, index)))
-    n_t = sum(cfg.treated_equal)
-    var_cr = neyman_var_cr(table, n_t)
+    table = _population(cfg, cfg.treated_equal, scale, rho, _child_seed(master_seed, index))
+    var_cr = neyman_var_cr(table, sum(cfg.treated_equal))
     var_bk_eq = neyman_var_blocked(table, Blocked(cfg.treated_equal))
     var_bk_uneq = neyman_var_blocked(table, Blocked(cfg.treated_unequal))
+    _require_float_range(
+        _scenario_scale(cfg, scale, rho),
+        var_cr=var_cr,
+        var_bk_equal_p=var_bk_eq,
+        var_bk_unequal_p=var_bk_uneq,
+    )
     return {
         "spread_scale": scale,
         "rho": rho,
@@ -124,13 +170,7 @@ def study_ratio_sweep(
     config: RatioSweepConfig | None = None, seed: int = 0, threads: int = 1
 ) -> list[dict]:
     cfg = config or RatioSweepConfig()
-    grid = [
-        (cfg, seed, i, scale, rho)
-        for i, (scale, rho) in enumerate(
-            (s, r) for s in cfg.spread_scales for r in cfg.rhos
-        )
-    ]
-    return mc.map_ordered(_ratio_sweep_point, grid, threads=threads)
+    return mc.map_ordered(_ratio_sweep_point, _grid(cfg, seed), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +233,20 @@ def _method_labels(cfg: FlexBlockingConfig) -> tuple[CovariateSample, dict[str, 
     return sample, out
 
 
-def _flex_blocking_chunk(args) -> dict:
-    """Sums over the reps ``lo..hi-1`` of ``var_cr`` per DGP and of each
-    method's ``var_bk`` and outcome within-variance ratio.
+@np.errstate(over="ignore", invalid="ignore")
+def _flex_blocking_chunk(args) -> np.ndarray:
+    """Sums over the reps ``lo..hi-1`` of ``var_cr`` (the same for every
+    method), ``var_bk`` and the outcome within-variance ratio, as one
+    ``(3, methods, dgps)`` array.
 
     Replication ``r`` draws one ``standard_normal(n)`` per DGP, in DGP
     order, as :func:`gen_xy_population` would, from the generator
     ``mc.rep_rngs`` yields for it (the state of ``mc.rep_rng(seed, r)``);
     that generator is reused, so each rep's draw is made before the next
     rep's generator is asked for. The outcomes of every rep and DGP form
-    one ``(dgps, reps, n)`` array, evaluated under each method's fixed
-    labels by grouped sums; the two potential outcomes are equal, so every
-    ``S2_tc`` term is 0.
+    one ``(dgps, reps, n)`` array; one grouped pass per method feeds both
+    ``var_bk`` (half of every block treated) and the within-variance ratio.
+    The two potential outcomes are equal, so every ``S2_tc`` term is 0.
     """
     cfg, master_seed, lo, hi = args
     sample, labels = _method_labels(cfg)
@@ -217,55 +259,45 @@ def _flex_blocking_chunk(args) -> dict:
         [xy_outcome(dgp, sample.x, cfg.noise_sigma * eps) for dgp, eps in zip(cfg.dgps, noise)]
     )
     s2 = np.var(y, axis=-1, ddof=1)
-    var_cr = cr_variance(s2, s2, 0.0, n, n_t)
-    sums = {
-        "var_cr": {dgp: float(v) for dgp, v in zip(cfg.dgps, var_cr.sum(axis=1))},
-        "var_bk": {},
-        "y_ratio": {},
-    }
-    for method in cfg.methods:
+    sums = np.empty((3, len(cfg.methods), len(cfg.dgps)))
+    sums[0] = cr_variance(s2, s2, 0.0, n, n_t).sum(axis=1)
+    for m, method in enumerate(cfg.methods):
         counts, moments = grouped_moments(y, labels[method])
         s2_k = moments.ss / (counts - 1)
-        n_tk = np.asarray(Blocked(tuple(int(c) // 2 for c in counts)).n_tk)
-        var_bk = blocked_variance(counts, block_variances(counts, n_tk, s2_k, s2_k, 0.0))
-        y_ratio = within_variance_ratio(y, labels[method])
-        for d, dgp in enumerate(cfg.dgps):
-            sums["var_bk"][(method, dgp)] = float(var_bk[d].sum())
-            sums["y_ratio"][(method, dgp)] = float(y_ratio[d].sum())
+        var_bk = blocked_variance(counts, block_variances(counts, counts // 2, s2_k, s2_k, 0.0))
+        sums[1, m] = var_bk.sum(axis=1)
+        sums[2, m] = grouped_within_ratio(counts, moments).sum(axis=1)
     return sums
 
 
 def study_flexible_blocking(
     config: FlexBlockingConfig | None = None,
     seed: int = 0,
-    reps: int = 10_000,
+    reps: int = FLEX_BLOCKING_REPS,
     threads: int = 1,
 ) -> list[dict]:
     cfg = config or FlexBlockingConfig()
     chunks = [(cfg, seed, lo, hi) for lo, hi in mc.chunk_bounds(reps)]
     partials = mc.map_ordered(_flex_blocking_chunk, chunks, threads=threads)
-    totals = partials[0]
-    for part in partials[1:]:
-        for group in totals:
-            for key in totals[group]:
-                totals[group][key] += part[group][key]
+    var_cr, var_bk, y_ratio = functools.reduce(operator.add, partials)
     sample, labels = _method_labels(cfg)
     rows = []
-    for method in cfg.methods:
+    for m, method in enumerate(cfg.methods):
         x_ratio = within_variance_ratio(sample.x, labels[method])
-        for dgp in cfg.dgps:
+        for d, dgp in enumerate(cfg.dgps):
+            _require_float_range(
+                f"noise_sigma {cfg.noise_sigma!r} (method {method!r}, dgp {dgp!r})",
+                var_cr=var_cr[m, d],
+                var_bk=var_bk[m, d],
+                y_within_ratio=y_ratio[m, d],
+            )
             rows.append(
                 {
                     "method": method,
                     "dgp": dgp,
-                    "rel_se_pct": 100.0
-                    * float(
-                        np.sqrt(totals["var_bk"][(method, dgp)] / totals["var_cr"][dgp])
-                    ),
+                    "rel_se_pct": 100.0 * float(np.sqrt(var_bk[m, d] / var_cr[m, d])),
                     "x_within_over_total_pct": 100.0 * x_ratio,
-                    "y_within_over_total_pct": 100.0
-                    * totals["y_ratio"][(method, dgp)]
-                    / reps,
+                    "y_within_over_total_pct": 100.0 * float(y_ratio[m, d]) / reps,
                     "reps": reps,
                 }
             )
@@ -307,24 +339,15 @@ MISCONCEPTIONS_COLUMNS = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _misconceptions_point(args) -> dict:
     cfg, master_seed, index, scale, rho, reps = args
-    scenario = ScenarioConfig(
-        block_sizes=cfg.block_sizes,
-        treated_counts=cfg.treated_counts,
-        control_mean_spread=scale,
-        effect_spread=cfg.effect_spread_factor * scale,
-        rho=rho,
-        base_sigma=cfg.base_sigma,
-        seed=_child_seed(master_seed, index, 0),
-    )
-    table = gen_scenario_population(scenario)
+    table = _population(cfg, cfg.treated_counts, scale, rho, _child_seed(master_seed, index, 0))
     design = Blocked(cfg.treated_counts)
     n = table.n
     n_t = design.n_t
-    p = n_t / n
     var_bk = neyman_var_blocked(table, design)
-    misuse = cr_varest_bias_under_blocking(table, p)
+    misuse = cr_varest_bias_under_blocking(table, n_t / n)
     # The blocked estimator's own conservatism: sum_k (n_k/n)^2 S2_tck / n_k.
     st = table.stats
     bk_bias = float(st.n_k @ st.s2("tc")) / n**2
@@ -333,6 +356,12 @@ def _misconceptions_point(args) -> dict:
     )
     var_bk_est = varest_variability(
         table, design, reps=reps, seed=_child_seed(master_seed, index, 2)
+    )
+    _require_float_range(
+        _scenario_scale(cfg, scale, rho),
+        var_bk=var_bk,
+        var_varest_cr=var_cr_est.var_of_varest,
+        var_varest_bk=var_bk_est.var_of_varest,
     )
     return {
         "spread_scale": scale,
@@ -351,17 +380,11 @@ def _misconceptions_point(args) -> dict:
 def study_misconceptions(
     config: MisconceptionsConfig | None = None,
     seed: int = 0,
-    reps: int = 5_000,
+    reps: int = MISCONCEPTIONS_REPS,
     threads: int = 1,
 ) -> list[dict]:
     cfg = config or MisconceptionsConfig()
-    grid = [
-        (cfg, seed, i, scale, rho, reps)
-        for i, (scale, rho) in enumerate(
-            (s, r) for s in cfg.spread_scales for r in cfg.rhos
-        )
-    ]
-    return mc.map_ordered(_misconceptions_point, grid, threads=threads)
+    return mc.map_ordered(_misconceptions_point, _grid(cfg, seed, reps), threads=threads)
 
 
 STUDIES = {
@@ -446,11 +469,11 @@ def run_study(
         rows = study_ratio_sweep(cfg, seed=seed, threads=threads)
         chunks = len(rows)
     elif name == "flexible-blocking":
-        reps = 10_000 if reps is None else reps
+        reps = FLEX_BLOCKING_REPS if reps is None else reps
         rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads)
-        chunks = math.ceil(reps / mc.CHUNK_SIZE)
+        chunks = len(mc.chunk_bounds(reps))
     else:
-        reps = 5_000 if reps is None else reps
+        reps = MISCONCEPTIONS_REPS if reps is None else reps
         rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads)
         chunks = len(rows)
     counts = {"reps": reps, "chunks": chunks, "workers": mc.effective_workers(threads, chunks)}

@@ -24,6 +24,7 @@ from blockcalc.blocking_lab import (
     covariate_sample_from_values,
     within_variance_ratio,
 )
+from blockcalc.pop_model import grouped_moments
 
 
 def blocks_as_sets(labels, x):
@@ -269,6 +270,17 @@ class TestR2Blocks:
         )
         assert r2_blocks(transformed) == pytest.approx(base, abs=1e-9)
 
+    @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+    def test_matches_stacked_vector_reference(self, offset, scale):
+        from conftest import make_random_table
+
+        for seed in range(200):
+            table = make_random_table(np.random.default_rng(seed), n_range=(4, 40), k_range=(1, 6))
+            moved = table_from_arrays(
+                table.blocks, scale * table.y_t + offset, scale * table.y_c + offset
+            )
+            assert abs(r2_blocks(moved) - reference_r2_blocks(moved)) <= 1e-12, seed
+
 
 class TestGenScenarioPopulation:
     def config(self, **overrides):
@@ -358,6 +370,16 @@ class TestGenScenarioPopulation:
         )
         np.testing.assert_array_equal(drawn, expected)
         assert one.bit_generator.state == pairs.bit_generator.state
+
+
+def reference_r2_blocks(table):
+    """Between-group share of the total sum of squares of the stacked
+    (control then treated) outcome vector grouped by (block, arm)."""
+    stacked = np.concatenate([table.y_c, table.y_t])
+    groups = np.concatenate([table.labels, table.labels + table.num_blocks])
+    counts, moments = grouped_moments(stacked, groups)
+    between = float(counts @ moments.dev**2)
+    return between / (float(moments.ss.sum()) + between)
 
 
 def reference_scenario_population(config):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import blockcalc
-from blockcalc import cli, mc
+from blockcalc import cli, mc, oracle, studies
 from blockcalc.cli import main
 
 SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
@@ -721,6 +721,49 @@ class TestOutcomeMagnitude:
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.glob("study_*.csv"))
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (
+                ["ratio-sweep"],
+                {"base_sigma": 1e-200, "spread_scales": [0.0]},
+                "var_cr is 0.0 at base_sigma 1e-200 (spread_scale 0.0, rho 0.0)",
+            ),
+            (
+                ["misconceptions", "--reps", "4"],
+                {"base_sigma": 1e-200, "spread_scales": [0.0]},
+                "var_bk is 0.0 at base_sigma 1e-200 (spread_scale 0.0, rho 0.0)",
+            ),
+            (
+                ["flexible-blocking", "--reps", "4"],
+                {"noise_sigma": 1e-200},
+                "var_cr is 0.0 at noise_sigma 1e-200 (method 'flex', dgp 'indep')",
+            ),
+            (
+                ["flexible-blocking", "--reps", "4"],
+                {"noise_sigma": 1e200},
+                "var_cr is inf at noise_sigma 1e+200 (method 'flex', dgp 'linear')",
+            ),
+            (
+                ["misconceptions", "--reps", "5"],
+                {"base_sigma": 1e100},
+                "var_varest_cr is inf at base_sigma 1e+100 (spread_scale 0.0, rho 0.0)",
+            ),
+        ],
+    )
+    def test_study_results_outside_float64_are_one_line_error(
+        self, tmp_path, argv, config, message
+    ):
+        # Each study variance underflows to 0 or overflows to inf at this
+        # outcome scale; the error names the config field that sets it.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("study", *argv, "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(proc, f"{message}: outside float64's range")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list(tmp_path.glob("study_*.csv"))
+        assert not (tmp_path / "run_manifest.json").exists()
+
 
 def subparsers(parser):
     """The parser and each command's subparser, by command name ('' for the parser)."""
@@ -749,6 +792,16 @@ def write_inputs(tmp_path, argv):
 def report_bytes(out):
     (report,) = out.glob("*.csv")
     return report.read_bytes()
+
+
+def test_parser_choices_come_from_their_sources():
+    actions = {
+        name: {a.dest: a.choices for a in parser._actions if a.choices is not None}
+        for name, parser in subparsers(cli.build_parser()).items()
+    }
+    assert list(actions["study"]["name"]) == list(studies.STUDIES)
+    assert list(actions["enumerate"]["statistic"]) == list(oracle.STATISTICS)
+    assert list(actions["compare"]["framework"]) == list(cli.FRAMEWORK_NEEDS)
 
 
 class TestParserReuse:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from blockcalc import mc
-from blockcalc.blocking_lab import between_total_ss, r2_blocks, within_variance_ratio
+from blockcalc.blocking_lab import r2_blocks, within_variance_ratio
 from blockcalc.cli import main
 from blockcalc.oracle import exact_moments
 from blockcalc.pop_model import (
@@ -75,8 +75,6 @@ def quantities(table) -> dict:
         "neyman_var_blocked": neyman_var_blocked(table, design),
         "r2_blocks": r2_blocks(table),
         "within_variance_ratio": within_variance_ratio(table.y_c, table.blocks),
-        "between_ss": between_total_ss(table.y_t, np.asarray(table.blocks))[0],
-        "total_ss": between_total_ss(table.y_t, np.asarray(table.blocks))[1],
     }
     for k, value in enumerate(block_estimator_variances(table, design)):
         out[f"block_variance_{k}"] = value

@@ -16,26 +16,24 @@ from blockcalc.variance_theory import neyman_var_blocked, neyman_var_cr
 
 
 def reference_chunk(cfg, master_seed, lo, hi):
-    """One table per rep and DGP, and one relabelled table per method."""
+    """One table per rep and DGP, and one relabelled table per method, summed
+    into the chunk's ``(3, methods, dgps)`` array: ``var_cr``, ``var_bk`` and
+    the outcome within-variance ratio."""
     _, labels = _method_labels(cfg)
     n_t = cfg.n // 2
-    sums = {
-        "var_cr": {dgp: 0.0 for dgp in cfg.dgps},
-        "var_bk": {(m, d): 0.0 for m in cfg.methods for d in cfg.dgps},
-        "y_ratio": {(m, d): 0.0 for m in cfg.methods for d in cfg.dgps},
-    }
+    sums = np.zeros((3, len(cfg.methods), len(cfg.dgps)))
     for r in range(lo, hi):
         rng = mc.rep_rng(master_seed, r)
-        for dgp in cfg.dgps:
+        for d, dgp in enumerate(cfg.dgps):
             _, table = gen_xy_population(dgp, cfg.n, cfg.noise_sigma, rng)
-            sums["var_cr"][dgp] += neyman_var_cr(table, n_t)
-            for method in cfg.methods:
+            sums[0, :, d] += neyman_var_cr(table, n_t)
+            for m, method in enumerate(cfg.methods):
                 blocked_table = table_from_arrays(
                     labels[method], table.y_t, table.y_c, unit_ids=table.unit_ids
                 )
                 design = Blocked(tuple(int(s) // 2 for s in blocked_table.block_sizes))
-                sums["var_bk"][(method, dgp)] += neyman_var_blocked(blocked_table, design)
-                sums["y_ratio"][(method, dgp)] += within_variance_ratio(table.y_c, labels[method])
+                sums[1, m, d] += neyman_var_blocked(blocked_table, design)
+                sums[2, m, d] += within_variance_ratio(table.y_c, labels[method])
     return sums
 
 
@@ -52,12 +50,10 @@ CONFIGS = [
 def test_chunk_sums_match_reference(cfg, lo, hi):
     got = _flex_blocking_chunk((cfg, 5, lo, hi))
     want = reference_chunk(cfg, 5, lo, hi)
-    assert got.keys() == want.keys()
-    for group in want:
-        assert got[group].keys() == want[group].keys()
-        scale = max(abs(v) for v in want[group].values())
-        for key, value in want[group].items():
-            assert abs(got[group][key] - value) <= 1e-12 * scale, (group, key)
+    assert got.shape == want.shape == (3, len(cfg.methods), len(cfg.dgps))
+    for group, name in enumerate(["var_cr", "var_bk", "y_ratio"]):
+        scale = np.abs(want[group]).max()
+        assert np.all(np.abs(got[group] - want[group]) <= 1e-12 * scale), name
 
 
 def test_study_reduces_chunks_in_order():
@@ -65,11 +61,11 @@ def test_study_reduces_chunks_in_order():
     reps = 300
     rows = study_flexible_blocking(cfg, seed=8, reps=reps)
     parts = [reference_chunk(cfg, 8, lo, hi) for lo, hi in mc.chunk_bounds(reps)]
+    var_cr, var_bk, y_ratio = sum(parts)
     for row in rows:
-        key = (row["method"], row["dgp"])
-        var_bk = sum(part["var_bk"][key] for part in parts)
-        var_cr = sum(part["var_cr"][row["dgp"]] for part in parts)
-        y_ratio = sum(part["y_ratio"][key] for part in parts)
-        assert row["rel_se_pct"] == pytest.approx(100 * np.sqrt(var_bk / var_cr), rel=1e-12)
-        assert row["y_within_over_total_pct"] == pytest.approx(100 * y_ratio / reps, rel=1e-12)
+        m, d = cfg.methods.index(row["method"]), cfg.dgps.index(row["dgp"])
+        rel_se = 100 * np.sqrt(var_bk[m, d] / var_cr[m, d])
+        assert row["rel_se_pct"] == pytest.approx(rel_se, rel=1e-12)
+        y_within = 100 * y_ratio[m, d] / reps
+        assert row["y_within_over_total_pct"] == pytest.approx(y_within, rel=1e-12)
         assert row["reps"] == reps
