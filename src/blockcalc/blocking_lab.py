@@ -23,6 +23,7 @@ import numpy as np
 from .pop_model import (
     ArmStats,
     PotentialOutcomeTable,
+    _group_sums,
     centered_moments,
     default_unit_ids,
     grouped_moments,
@@ -152,17 +153,34 @@ def r2_blocks(table: PotentialOutcomeTable) -> float | None:
     Computed on the stacked (control then treated) outcome vector with 2K
     groups, so both control-mean spread and effect spread register. ``None``
     when the stacked vector is constant (zero total sum of squares). Read
-    from ``table.stats``: the arm means sit ``tau / 2`` below and above the
-    stacked mean, so the between sum of squares is both arms' own plus
-    ``n * tau**2 / 2``.
+    from ``table.stats`` by :func:`stacked_r2`.
     """
     st = table.stats
-    tau = st.tc.mean
-    between = st.between_ss("c") + st.between_ss("t") + st.n * tau * tau / 2
-    total = between + float(st.c.ss.sum()) + float(st.t.ss.sum())
-    if total == 0:
-        return None
-    return between / total
+    r2 = stacked_r2(st.n_k, st.c, st.t, st.tc.mean)
+    return None if np.isnan(r2) else float(r2)
+
+
+def stacked_r2(n_k: np.ndarray, c: ArmStats, t: ArmStats, tau):
+    """:func:`r2_blocks` from block sizes ``n_k``, the block moments of the
+    control and treated arms and the mean effect ``tau``; the moments may
+    carry leading axes (one population per row, all with blocks ``n_k``).
+    ``nan`` where the stacked vector is constant.
+
+    The arm means sit ``tau / 2`` below and above the stacked mean, so the
+    between sum of squares is both arms' own plus ``n * tau**2 / 2``, and
+    the total adds both arms' within-block sums of squares. Every moment is
+    first divided by the largest of ``|dev|``, ``sqrt(ss)`` and ``|tau|``,
+    so no square or sum over- or underflows at any outcome scale.
+    """
+    peak = np.abs(tau)
+    for part in (c.dev, t.dev, np.sqrt(c.ss), np.sqrt(t.ss)):
+        peak = np.maximum(peak, np.abs(part).max(axis=-1))
+    scale = peak[..., None]
+    with np.errstate(invalid="ignore"):  # 0 / 0 where every moment is 0
+        between = ((c.dev / scale) ** 2 + (t.dev / scale) ** 2) @ n_k
+        between = between + n_k.sum() * (tau / peak) ** 2 / 2
+        within = ((c.ss / scale + t.ss / scale) / scale).sum(axis=-1)
+        return between / (between + within)
 
 
 def within_variance_ratio(values, labels):
@@ -223,6 +241,11 @@ class ScenarioConfig:
         if self.control_mean_spread < 0 or self.effect_spread < 0:
             raise ValueError("spreads must be nonnegative")
 
+    def block_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target control means and block effects, one per block."""
+        scores = _size_scores(np.asarray(self.block_sizes, dtype=int))
+        return self.control_mean_spread * scores, self.effect_spread * scores
+
 
 def _size_scores(sizes: np.ndarray) -> np.ndarray:
     # Decreasing in block size, centered, range 1 when sizes differ.
@@ -233,54 +256,91 @@ def _size_scores(sizes: np.ndarray) -> np.ndarray:
 
 
 def _standardized(values: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``values`` centered and scaled to sample sd 1 within each block of ``labels``."""
+    """The rows of ``values`` centered and scaled to sample sd 1 within each
+    block of ``labels``."""
     moments = centered_moments(values, labels, sizes)
     sd = np.sqrt(moments.ss / (sizes - 1))
     if not sd.all():
         raise ValueError("degenerate draw; cannot standardize")
-    return (values - moments.mean - moments.dev[labels]) / sd[labels]
+    return (values - moments.mean[:, None] - moments.dev[:, labels]) / sd[:, labels]
+
+
+def gen_scenario_outcomes(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the populations of ``configs``, which share ``block_sizes``, as one
+    batch: the 0-based block labels and ``y_t`` and ``y_c`` as ``(points, n)``
+    arrays, row ``i`` the population of ``configs[i]``.
+
+    Each population's block moments match its targets exactly: per block,
+    control outcomes are drawn from a normal generator and then affinely
+    standardized so the empirical block mean and sample variance hit the
+    targets; treated outcomes are built from the control residuals via
+    Gram-Schmidt so the empirical within-block correlation is exactly
+    ``rho``, then standardized to the treated targets. Needs at least 3
+    units per block for the correlation to be well defined.
+
+    Row ``i`` takes one ``default_rng(configs[i].seed).standard_normal(2n)``
+    draw, read block by block as ``[c_1, raw_1, c_2, raw_2, ...]``: block
+    ``k``'s control draws, then its raw draws for the treated residual,
+    ``size_k`` normals each. That is the order of one pair of
+    ``standard_normal(size_k)`` calls per block, so populations match
+    earlier versions to 1e-12. Every per-block mean, variance and
+    projection is a segment sum over the block labels, for every row at
+    once (:func:`pop_model.centered_moments`). A degenerate draw in any
+    row fails the batch.
+    """
+    sizes = np.asarray(configs[0].block_sizes, dtype=int)
+    if any(config.block_sizes != configs[0].block_sizes for config in configs):
+        raise ValueError("a scenario batch needs one block_sizes")
+    if np.any(sizes < 3):
+        raise ValueError("every block needs at least 3 units")
+    k = len(sizes)
+    labels = np.repeat(np.arange(k), sizes)
+    n = len(labels)
+    draws = np.stack([np.random.default_rng(c.seed).standard_normal(2 * n) for c in configs])
+    # Unit i of block l sits i - start_l into the block, so its control draw
+    # is at 2 * start_l + (i - start_l) and its raw draw size_l further on.
+    control_at = np.arange(n) + (np.cumsum(sizes) - sizes)[labels]
+    e_c = _standardized(draws[:, control_at], labels, sizes)
+    raw = draws[:, control_at + sizes[labels]]
+    slope = _group_sums(raw * e_c, labels, k) / _group_sums(e_c * e_c, labels, k)
+    # The residual is left uncentered: _standardized centers it.
+    e_u = _standardized(raw - slope[:, labels] * e_c, labels, sizes)
+    rho = np.array([[c.rho] for c in configs])
+    base_sigma = np.array([[c.base_sigma] for c in configs])
+    e_t = rho * e_c + np.sqrt(1 - rho**2) * e_u
+    mu_c, tau = np.stack([c.block_means() for c in configs], axis=1)
+    y_c = mu_c[:, labels] + base_sigma * e_c
+    y_t = (mu_c + tau)[:, labels] + base_sigma * e_t
+    return labels, y_t, y_c
+
+
+def require_noise_resolved(config: ScenarioConfig) -> None:
+    """Refuse a ``base_sigma`` below one ulp of the largest target block mean.
+
+    Added to such means the within-block noise is lost to rounding, and
+    what is left of it is rounding residue, not the population asked for.
+    Both scenario studies check it right after a population's outcome
+    checks (:func:`pop_model.require_outcomes_fit`), which refuse means too
+    large for float64 first.
+    """
+    mu_c, tau = config.block_means()
+    peak = max(float(np.abs(mu_c).max()), float(np.abs(mu_c + tau).max()))
+    if config.base_sigma < np.spacing(peak):
+        raise ValueError(
+            f"base_sigma {config.base_sigma!r} is below one ulp of the largest target block "
+            f"mean {peak!r} (control_mean_spread {config.control_mean_spread!r}, effect_spread "
+            f"{config.effect_spread!r}): float64 cannot hold the within-block spread"
+        )
 
 
 def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
-    """Draw a finite population whose block moments match targets exactly.
-
-    Per block: control outcomes are drawn from a normal generator and then
-    affinely standardized so the empirical block mean and sample variance
-    hit the targets exactly; treated outcomes are built from the control
-    residuals via Gram-Schmidt so the empirical within-block correlation is
-    exactly ``rho``, then standardized to the treated targets. Needs at
-    least 3 units per block for the correlation to be well defined.
-
-    The table takes one ``standard_normal(2n)`` draw, read block by block
-    as ``[c_1, raw_1, c_2, raw_2, ...]``: block ``k``'s control draws, then
-    its raw draws for the treated residual, ``size_k`` normals each. That
-    is the order of one pair of ``standard_normal(size_k)`` calls per
-    block, so populations match earlier versions to 1e-12. Every
-    per-block mean, variance and projection is a segment sum over the
-    block labels (:func:`pop_model.centered_moments` and ``np.bincount``).
-    """
-    sizes = np.asarray(config.block_sizes, dtype=int)
-    if np.any(sizes < 3):
-        raise ValueError("every block needs at least 3 units")
-    rng = np.random.default_rng(config.seed)
-    scores = _size_scores(sizes)
-    mu_c = config.control_mean_spread * scores
-    tau = config.effect_spread * scores
-    k = len(sizes)
-    labels = np.repeat(np.arange(k), sizes)
-    draws = rng.standard_normal(2 * len(labels))
-    # Unit i of block l sits i - start_l into the block, so its control draw
-    # is at 2 * start_l + (i - start_l) and its raw draw size_l further on.
-    control_at = np.arange(len(labels)) + (np.cumsum(sizes) - sizes)[labels]
-    e_c = _standardized(draws[control_at], labels, sizes)
-    raw = draws[control_at + sizes[labels]]
-    slope = np.bincount(labels, raw * e_c, k) / np.bincount(labels, e_c * e_c, k)
-    # The residual is left uncentered: _standardized centers it.
-    e_u = _standardized(raw - slope[labels] * e_c, labels, sizes)
-    e_t = config.rho * e_c + np.sqrt(1 - config.rho**2) * e_u
-    y_c = mu_c[labels] + config.base_sigma * e_c
-    y_t = (mu_c + tau)[labels] + config.base_sigma * e_t
-    return PotentialOutcomeTable(default_unit_ids(len(labels)), labels + 1, y_t, y_c)
+    """The population of one config: :func:`gen_scenario_outcomes` of the batch
+    ``[config]`` as a table with unit ids ``u1..un``, whose noise
+    :func:`require_noise_resolved` has checked."""
+    labels, y_t, y_c = gen_scenario_outcomes([config])
+    table = PotentialOutcomeTable(default_unit_ids(len(labels)), labels + 1, y_t[0], y_c[0])
+    require_noise_resolved(config)
+    return table
 
 
 def gen_xy_population(

@@ -75,6 +75,16 @@ def _require_moments_fit(arms, n: int) -> None:
             )
 
 
+def require_outcomes_fit(y_t: np.ndarray, y_c: np.ndarray) -> None:
+    """The outcome checks of a table: both arms finite, and the moments of
+    ``y_t``, ``y_c`` and ``y_t - y_c`` within float64 over their units."""
+    _require_finite(y_t, "outcome")
+    _require_finite(y_c, "outcome")
+    with np.errstate(over="ignore"):  # an overflowing effect is refused below
+        effects = y_t - y_c
+    _require_moments_fit((("y_t", y_t), ("y_c", y_c), ("y_t - y_c", effects)), len(y_t))
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -116,11 +126,7 @@ class PotentialOutcomeTable:
         y_c = _frozen_array(self.y_c, "y_c")
         if len(y_t) != n or len(y_c) != n:
             raise ValueError("outcome length mismatch")
-        _require_finite(y_t, "outcome")
-        _require_finite(y_c, "outcome")
-        with np.errstate(over="ignore"):  # an overflowing effect is refused below
-            effects = y_t - y_c
-        _require_moments_fit((("y_t", y_t), ("y_c", y_c), ("y_t - y_c", effects)), n)
+        require_outcomes_fit(y_t, y_c)
         if blocks.dtype.kind in "iu":
             blocks = blocks.astype(np.intp)
         # Dense labels lie in 1..n, which also bounds the bincount.
@@ -317,10 +323,15 @@ def validate_design(design: DesignSpec, table: PotentialOutcomeTable) -> None:
         if not 0 < design.n_t < table.n:
             raise ValueError(f"n_t={design.n_t} out of range for n={table.n}")
         return
-    sizes = table.block_sizes
-    if len(design.n_tk) != table.num_blocks:
+    validate_block_counts(design.n_tk, table.block_sizes)
+
+
+def validate_block_counts(n_tk, sizes) -> None:
+    """Check a blocked design's counts ``n_tk`` leave both arms nonempty in
+    blocks of ``sizes``."""
+    if len(n_tk) != len(sizes):
         raise ValueError("design has wrong number of blocks")
-    for k, (m, size) in enumerate(zip(design.n_tk, sizes), start=1):
+    for k, (m, size) in enumerate(zip(n_tk, sizes), start=1):
         if not 0 < m < size:
             raise ValueError(f"n_tk={m} out of range for block {k} (size {size})")
 

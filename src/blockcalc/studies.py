@@ -6,11 +6,16 @@ spawn_key=...)``, and partial results are reduced in a fixed order, so the
 worker count never changes the output.
 
 ``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
-points (:func:`_grid`), each scoring one population (:func:`_population`)
-by closed forms on its cached ``table.stats``. ``flexible-blocking`` sums
-each chunk of reps into one ``(3, methods, dgps)`` array. A study variance
-that under- or overflows float64 ends the study in one error naming the
-config field that sets the outcome scale (:func:`_require_float_range`).
+points (:func:`_grid`), each point a scenario population
+(:func:`_scenario_config`). ``ratio-sweep`` scores the grid in batches of
+at most ``mc.CHUNK_SIZE`` points (:func:`_ratio_sweep_chunk`): one draw
+per point, then one grouped-moments pass per arm over the whole batch
+feeds every closed form, with no table per point. ``misconceptions``
+builds one table per point, which its estimator Monte Carlo reads.
+``flexible-blocking`` sums each chunk of reps into one ``(3, methods,
+dgps)`` array. A study variance that under- or overflows float64 ends the
+study in one error naming the config field that sets the outcome scale
+(:func:`_require_float_range`).
 """
 
 from __future__ import annotations
@@ -29,25 +34,30 @@ from .blocking_lab import (
     CovariateSample,
     ScenarioConfig,
     covariate_sample_from_values,
+    gen_scenario_outcomes,
     gen_scenario_population,
     grouped_within_ratio,
     make_blocks_flex,
     make_blocks_interleave,
     make_blocks_peevish,
     r2_blocks,
+    require_noise_resolved,
+    stacked_r2,
     within_variance_ratio,
     xy_covariate,
     xy_outcome,
 )
-from .pop_model import Blocked, CompleteRandomization, grouped_moments
-from .variance_estimation import cr_varest_bias_under_blocking, varest_variability
-from .variance_theory import (
-    block_variances,
-    blocked_variance,
-    cr_variance,
-    neyman_var_blocked,
-    neyman_var_cr,
+from .pop_model import (
+    Blocked,
+    CompleteRandomization,
+    centered_moments,
+    grouped_moments,
+    pooled_variance,
+    require_outcomes_fit,
+    validate_block_counts,
 )
+from .variance_estimation import cr_varest_bias_under_blocking, varest_variability
+from .variance_theory import block_variances, blocked_variance, cr_variance, neyman_var_blocked
 
 METHODS = ("flex", "interleave", "peevish")
 
@@ -72,18 +82,16 @@ def _grid(cfg, seed: int, *extra) -> list[tuple]:
     return [(cfg, seed, i, scale, rho, *extra) for i, (scale, rho) in enumerate(pairs)]
 
 
-def _population(cfg, treated_counts, scale: float, rho: float, seed: int):
-    """The scenario population of one grid point of a scenario study."""
-    return gen_scenario_population(
-        ScenarioConfig(
-            block_sizes=cfg.block_sizes,
-            treated_counts=treated_counts,
-            control_mean_spread=scale,
-            effect_spread=cfg.effect_spread_factor * scale,
-            rho=rho,
-            base_sigma=cfg.base_sigma,
-            seed=seed,
-        )
+def _scenario_config(cfg, treated_counts, scale: float, rho: float, seed: int) -> ScenarioConfig:
+    """The scenario population setting of one grid point of a scenario study."""
+    return ScenarioConfig(
+        block_sizes=cfg.block_sizes,
+        treated_counts=treated_counts,
+        control_mean_spread=scale,
+        effect_spread=cfg.effect_spread_factor * scale,
+        rho=rho,
+        base_sigma=cfg.base_sigma,
+        seed=seed,
     )
 
 
@@ -127,6 +135,7 @@ class RatioSweepConfig:
     def __post_init__(self):
         if sum(self.treated_equal) != sum(self.treated_unequal):
             raise ValueError("both treatment arms must treat the same total")
+        validate_block_counts(Blocked(self.treated_unequal).n_tk, self.block_sizes)
 
 
 RATIO_SWEEP_COLUMNS = [
@@ -141,36 +150,68 @@ RATIO_SWEEP_COLUMNS = [
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _ratio_sweep_point(args) -> dict:
-    cfg, master_seed, index, scale, rho = args
-    table = _population(cfg, cfg.treated_equal, scale, rho, _child_seed(master_seed, index))
-    var_cr = neyman_var_cr(table, sum(cfg.treated_equal))
-    var_bk_eq = neyman_var_blocked(table, Blocked(cfg.treated_equal))
-    var_bk_uneq = neyman_var_blocked(table, Blocked(cfg.treated_unequal))
-    _require_float_range(
-        _scenario_scale(cfg, scale, rho),
-        var_cr=var_cr,
-        var_bk_equal_p=var_bk_eq,
-        var_bk_unequal_p=var_bk_uneq,
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _ratio_sweep_chunk(points) -> list[dict]:
+    """The rows of ``points``, consecutive work items of :func:`_grid`.
+
+    Their populations are drawn as one batch (:func:`gen_scenario_outcomes`,
+    each point from its own child seed), and one ``centered_moments`` pass
+    per arm (t, c, t - c) over the batch feeds every column. Each point is
+    then checked in grid order: its ``ScenarioConfig`` (a refused one ends
+    the chunk once the points before it pass), its outcomes (a table's
+    checks, then :func:`require_noise_resolved`), then the float64 range of
+    its variances. Only a degenerate draw fails the whole batch at once.
+    """
+    cfg = points[0][0]
+    configs, refusal = [], None
+    try:
+        for _, master_seed, index, scale, rho in points:
+            seed = _child_seed(master_seed, index)
+            configs.append(_scenario_config(cfg, cfg.treated_equal, scale, rho, seed))
+    except ValueError as err:
+        refusal = err
+    if not configs:
+        raise refusal
+    labels, y_t, y_c = gen_scenario_outcomes(configs)
+    n_k = np.bincount(labels)
+    t, c, tc = (centered_moments(y, labels, n_k) for y in (y_t, y_c, y_t - y_c))
+    pooled = (pooled_variance(n_k, arm.dev, arm.ss) for arm in (t, c, tc))
+    var_cr = cr_variance(*pooled, len(labels), sum(cfg.treated_equal))
+    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
+    var_bk_eq, var_bk_uneq = (
+        blocked_variance(n_k, block_variances(n_k, np.asarray(n_tk), *s2))
+        for n_tk in (cfg.treated_equal, cfg.treated_unequal)
     )
-    return {
-        "spread_scale": scale,
-        "rho": rho,
-        "r2": r2_blocks(table),
-        "var_cr": var_cr,
-        "var_bk_equal_p": var_bk_eq,
-        "var_bk_unequal_p": var_bk_uneq,
-        "ratio_equal_p": var_bk_eq / var_cr,
-        "ratio_unequal_p": var_bk_uneq / var_cr,
-    }
+    r2 = stacked_r2(n_k, c, t, tc.mean)
+    cells = np.stack(
+        [r2, var_cr, var_bk_eq, var_bk_uneq, var_bk_eq / var_cr, var_bk_uneq / var_cr], axis=-1
+    )
+    rows = []
+    for config, y_t_i, y_c_i, point, values in zip(configs, y_t, y_c, points, cells.tolist()):
+        scale, rho = point[3:]
+        require_outcomes_fit(y_t_i, y_c_i)
+        require_noise_resolved(config)
+        row = dict(zip(RATIO_SWEEP_COLUMNS, [scale, rho, *values]))
+        _require_float_range(
+            _scenario_scale(cfg, scale, rho),
+            **{name: row[name] for name in ("var_cr", "var_bk_equal_p", "var_bk_unequal_p")},
+        )
+        rows.append(row)
+    if refusal is not None:
+        raise refusal
+    return rows
 
 
 def study_ratio_sweep(
     config: RatioSweepConfig | None = None, seed: int = 0, threads: int = 1
 ) -> list[dict]:
+    """Rows in grid order. The grid is scored in batches of at most
+    ``mc.CHUNK_SIZE`` points; batch bounds depend only on the grid length,
+    so the worker count never moves a bit of the report."""
     cfg = config or RatioSweepConfig()
-    return mc.map_ordered(_ratio_sweep_point, _grid(cfg, seed), threads=threads)
+    grid = _grid(cfg, seed)
+    batches = [grid[lo:hi] for lo, hi in mc.chunk_bounds(len(grid))]
+    return [row for rows in mc.map_ordered(_ratio_sweep_chunk, batches, threads) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +383,8 @@ MISCONCEPTIONS_COLUMNS = [
 @np.errstate(over="ignore", invalid="ignore")
 def _misconceptions_point(args) -> dict:
     cfg, master_seed, index, scale, rho, reps = args
-    table = _population(cfg, cfg.treated_counts, scale, rho, _child_seed(master_seed, index, 0))
+    seed = _child_seed(master_seed, index, 0)
+    table = gen_scenario_population(_scenario_config(cfg, cfg.treated_counts, scale, rho, seed))
     design = Blocked(cfg.treated_counts)
     n = table.n
     n_t = design.n_t
@@ -451,7 +493,8 @@ def run_study(
     has the Monte Carlo ``reps`` (per estimator and grid point for
     ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
     handed to :func:`mc.map_ordered` (rep chunks for ``flexible-blocking``,
-    grid points otherwise) and the ``workers`` it used. ``ratio-sweep``
+    grid-point batches for ``ratio-sweep``, grid points for
+    ``misconceptions``) and the ``workers`` it used. ``ratio-sweep``
     rejects any ``reps``, because it would ignore them.
     """
     if name not in STUDIES:
@@ -467,7 +510,7 @@ def run_study(
     if name == "ratio-sweep":
         reps = 0
         rows = study_ratio_sweep(cfg, seed=seed, threads=threads)
-        chunks = len(rows)
+        chunks = len(mc.chunk_bounds(len(rows)))
     elif name == "flexible-blocking":
         reps = FLEX_BLOCKING_REPS if reps is None else reps
         rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads)

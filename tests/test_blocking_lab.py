@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from blockcalc import (
 from blockcalc.blocking_lab import (
     _standardized,
     covariate_sample_from_values,
+    gen_scenario_outcomes,
     within_variance_ratio,
 )
 from blockcalc.pop_model import grouped_moments
@@ -270,6 +272,20 @@ class TestR2Blocks:
         )
         assert r2_blocks(transformed) == pytest.approx(base, abs=1e-9)
 
+    def test_large_effect_does_not_overflow(self):
+        # n * tau**2 / 2 is past float64's range unless the moments are scaled.
+        table = table_from_arrays([1, 1, 2, 2], [1e200] * 4, [0.0, 1.0, 0.0, 1.0])
+        assert r2_blocks(table) == 1.0
+
+    @pytest.mark.parametrize("factor", [1e100, 1e-100])
+    def test_invariant_to_extreme_scale(self, factor):
+        from conftest import make_random_table
+
+        for seed in range(100):
+            table = make_random_table(np.random.default_rng(seed), n_range=(4, 40), k_range=(1, 6))
+            scaled = table_from_arrays(table.blocks, factor * table.y_t, factor * table.y_c)
+            assert abs(r2_blocks(scaled) - r2_blocks(table)) <= 1e-12, seed
+
     @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-6), (0.0, 1e6)])
     def test_matches_stacked_vector_reference(self, offset, scale):
         from conftest import make_random_table
@@ -360,6 +376,38 @@ class TestGenScenarioPopulation:
         np.testing.assert_allclose(table.y_c, want_c, rtol=0, atol=1e-12 * scale)
         np.testing.assert_array_equal(table.blocks, np.repeat(np.arange(1, len(sizes) + 1), sizes))
         assert table.unit_ids == tuple(f"u{i + 1}" for i in range(sum(sizes)))
+
+    def test_batch_rows_match_single_populations(self):
+        grid = itertools.product([0.0, 0.5, 3.0], [-0.3, 0.5, 1.0])
+        configs = [
+            self.config(control_mean_spread=s, effect_spread=s / 2, rho=r, seed=i)
+            for i, (s, r) in enumerate(grid)
+        ]
+        labels, y_t, y_c = gen_scenario_outcomes(configs)
+        assert y_t.shape == y_c.shape == (len(configs), 115)
+        for config, row_t, row_c in zip(configs, y_t, y_c):
+            table = gen_scenario_population(config)
+            scale = max(np.abs(table.y_t).max(), np.abs(table.y_c).max())
+            np.testing.assert_allclose(row_t, table.y_t, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(row_c, table.y_c, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_array_equal(labels + 1, table.blocks)
+
+    def test_batch_needs_one_block_sizes(self):
+        other = self.config(block_sizes=(5, 5), treated_counts=(2, 2))
+        with pytest.raises(ValueError, match="one block_sizes"):
+            gen_scenario_outcomes([self.config(), other])
+
+    def test_noise_below_one_ulp_of_the_means_rejected(self):
+        # Block means near 1 hold no noise of 1e-160: it would be lost to rounding.
+        with pytest.raises(ValueError, match="^base_sigma 1e-160 is below one ulp of the largest"):
+            gen_scenario_population(self.config(base_sigma=1e-160))
+        gen_scenario_population(self.config(base_sigma=1e-15))
+
+    def test_tiny_noise_around_zero_means_accepted(self):
+        table = gen_scenario_population(
+            self.config(control_mean_spread=0.0, effect_spread=0.0, base_sigma=1e-300)
+        )
+        assert float(np.std(table.y_c[:10] / 1e-300, ddof=1)) == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("sizes", [(3,), (3, 7, 4), (16, 5, 9, 3)])
     def test_one_draw_is_the_per_block_pairs(self, sizes):

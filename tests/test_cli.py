@@ -312,7 +312,7 @@ class TestStudyCommand:
         rows = read_report(tmp_path / "study_ratio_sweep.csv")
         assert len(rows) == 36
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["counts"] == {"reps": 0, "chunks": 36, "workers": 1}
+        assert manifest["counts"] == {"reps": 0, "chunks": 1, "workers": 1}
         worst = max(float(r["ratio_equal_p"]) for r in rows)
         assert worst > 1.0
 
@@ -451,6 +451,25 @@ class TestStudyCommand:
             assert rc == 0
             reports.append((out / f"study_{study.replace('-', '_')}.csv").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_threads_do_not_change_two_batch_ratio_sweep_bytes(self, tmp_path):
+        # 300 grid points are two batches of mc.chunk_bounds, scored in parallel at 2 threads.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spread_scales": [0.05 * i for i in range(100)]}))
+        reports, counts = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            rc = main(["study", "ratio-sweep", "--config", str(cfg), "--seed", "5",
+                       "--threads", threads, "--out", str(out)])
+            assert rc == 0
+            reports.append((out / "study_ratio_sweep.csv").read_bytes())
+            counts.append(json.loads((out / "run_manifest.json").read_text())["counts"])
+        assert reports[0] == reports[1]
+        assert len(read_report(tmp_path / "1" / "study_ratio_sweep.csv")) == 300
+        assert counts == [
+            {"reps": 0, "chunks": 2, "workers": 1},
+            {"reps": 0, "chunks": 2, "workers": mc.effective_workers(2, 2)},
+        ]
 
 
 class TestReplayCommand:
@@ -720,6 +739,38 @@ class TestOutcomeMagnitude:
         assert_one_line_error(proc, "y_t outcomes too large for float64 moments over 115 units")
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.glob("study_*.csv"))
+
+    @pytest.mark.parametrize("argv", [["ratio-sweep"], ["misconceptions", "--reps", "4"]])
+    def test_noise_below_one_ulp_of_the_block_means_is_one_line_error(self, tmp_path, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"base_sigma": 1e-160, "spread_scales": [1.0], "rhos": [0.5]}))
+        proc = run_cli("study", *argv, "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(
+            proc, "base_sigma 1e-160 is below one ulp of the largest target block mean 0.84375"
+        )
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list(tmp_path.glob("study_*.csv"))
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # Point 0 underflows; the noise of point 3 (scale 1.0) is below one ulp.
+            ({"base_sigma": 1e-200, "spread_scales": [0.0, 1.0]},
+             "var_cr is 0.0 at base_sigma 1e-200 (spread_scale 0.0, rho 0.0)"),
+            # Point 0's noise is below one ulp; point 3's ScenarioConfig is refused.
+            ({"base_sigma": 1e-200, "spread_scales": [1.0, -1.0]},
+             "base_sigma 1e-200 is below one ulp"),
+            ({"base_sigma": 1e-200, "spread_scales": [0.0, -1.0]},
+             "var_cr is 0.0 at base_sigma 1e-200 (spread_scale 0.0, rho 0.0)"),
+            ({"spread_scales": [1.0, -1.0]}, "spreads must be nonnegative"),
+        ],
+    )
+    def test_ratio_sweep_checks_points_in_grid_order(self, tmp_path, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("study", "ratio-sweep", "--config", str(path), "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize(
         "argv, config, message",

@@ -1,16 +1,30 @@
-"""The batched flexible-blocking chunk against the per-rep, per-table loop."""
+"""The batched study paths against per-table references: flexible-blocking
+chunks against the per-rep loop, ratio-sweep batches against one table per
+grid point."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from blockcalc import mc
-from blockcalc.blocking_lab import gen_xy_population, within_variance_ratio
+from blockcalc.blocking_lab import (
+    ScenarioConfig,
+    gen_scenario_population,
+    gen_xy_population,
+    r2_blocks,
+    within_variance_ratio,
+)
 from blockcalc.pop_model import Blocked, table_from_arrays
 from blockcalc.studies import (
+    RATIO_SWEEP_COLUMNS,
     FlexBlockingConfig,
+    RatioSweepConfig,
+    _child_seed,
     _flex_blocking_chunk,
     _method_labels,
     study_flexible_blocking,
+    study_ratio_sweep,
 )
 from blockcalc.variance_theory import neyman_var_blocked, neyman_var_cr
 
@@ -69,3 +83,43 @@ def test_study_reduces_chunks_in_order():
         y_within = 100 * y_ratio[m, d] / reps
         assert row["y_within_over_total_pct"] == pytest.approx(y_within, rel=1e-12)
         assert row["reps"] == reps
+
+
+def reference_ratio_sweep(cfg, seed):
+    """The ratio-sweep rows from one table per grid point, in grid order."""
+    rows = []
+    for index, (scale, rho) in enumerate(itertools.product(cfg.spread_scales, cfg.rhos)):
+        config = ScenarioConfig(
+            block_sizes=cfg.block_sizes,
+            treated_counts=cfg.treated_equal,
+            control_mean_spread=scale,
+            effect_spread=cfg.effect_spread_factor * scale,
+            rho=rho,
+            base_sigma=cfg.base_sigma,
+            seed=_child_seed(seed, index),
+        )
+        table = gen_scenario_population(config)
+        var_cr = neyman_var_cr(table, sum(cfg.treated_equal))
+        var_eq = neyman_var_blocked(table, Blocked(cfg.treated_equal))
+        var_uneq = neyman_var_blocked(table, Blocked(cfg.treated_unequal))
+        r2 = r2_blocks(table)
+        rows.append([scale, rho, r2, var_cr, var_eq, var_uneq, var_eq / var_cr, var_uneq / var_cr])
+    return np.array(rows)
+
+
+#: 100 scales by 3 rhos: 300 grid points, two batches of mc.chunk_bounds.
+WIDE_GRID = RatioSweepConfig(spread_scales=tuple(0.06 * i for i in range(100)), base_sigma=0.7)
+
+
+@pytest.mark.parametrize(
+    "cfg, seed", [(RatioSweepConfig(), 0), (RatioSweepConfig(), 7), (RatioSweepConfig(), 12),
+                  (WIDE_GRID, 3)],
+)
+def test_ratio_sweep_rows_match_per_point_reference(cfg, seed):
+    rows = study_ratio_sweep(cfg, seed=seed)
+    got = np.array([[row[name] for name in RATIO_SWEEP_COLUMNS] for row in rows])
+    want = reference_ratio_sweep(cfg, seed)
+    assert got.shape == want.shape == (len(cfg.spread_scales) * len(cfg.rhos), 8)
+    scale = np.abs(want).max(axis=0)
+    for j, name in enumerate(RATIO_SWEEP_COLUMNS):
+        assert np.all(np.abs(got[:, j] - want[:, j]) <= 1e-13 * scale[j]), name
