@@ -6,12 +6,11 @@ spawn_key=...)``, and partial results are reduced in a fixed order, so the
 worker count never changes the output.
 
 ``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
-points (:func:`_grid`), each point a scenario population
-(:func:`_scenario_config`). ``ratio-sweep`` scores the grid in batches of
-at most ``mc.CHUNK_SIZE`` points (:func:`_ratio_sweep_chunk`): one draw
-per point, then one grouped-moments pass per arm over the whole batch
-feeds every closed form, with no table per point. ``misconceptions``
-builds one table per point, which its estimator Monte Carlo reads.
+points (:func:`_grid`), each point a scenario population, and score it in
+batches of at most ``mc.CHUNK_SIZE`` points (:func:`_scenario_chunk`): one
+draw per point, then one grouped-moments pass per arm over the batch feeds
+every closed form. Only ``misconceptions``' estimator Monte Carlo reads a
+table per point, once every point of its batch is checked.
 ``flexible-blocking`` sums each chunk of reps into one ``(3, methods,
 dgps)`` array. A study variance that under- or overflows float64 ends the
 study in one error naming the config field that sets the outcome scale
@@ -35,12 +34,10 @@ from .blocking_lab import (
     ScenarioConfig,
     covariate_sample_from_values,
     gen_scenario_outcomes,
-    gen_scenario_population,
     grouped_within_ratio,
     make_blocks_flex,
     make_blocks_interleave,
     make_blocks_peevish,
-    r2_blocks,
     require_noise_resolved,
     stacked_r2,
     within_variance_ratio,
@@ -50,14 +47,16 @@ from .blocking_lab import (
 from .pop_model import (
     Blocked,
     CompleteRandomization,
+    PotentialOutcomeTable,
     centered_moments,
+    default_unit_ids,
     grouped_moments,
     pooled_variance,
     require_outcomes_fit,
     validate_block_counts,
 )
-from .variance_estimation import cr_varest_bias_under_blocking, varest_variability
-from .variance_theory import block_variances, blocked_variance, cr_variance, neyman_var_blocked
+from .variance_estimation import cr_varest_bias, varest_variability
+from .variance_theory import block_variances, blocked_variance, cr_variance
 
 METHODS = ("flex", "interleave", "peevish")
 
@@ -75,24 +74,11 @@ def _child_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
 
 
-def _grid(cfg, seed: int, *extra) -> list[tuple]:
-    """The work items ``(cfg, seed, index, scale, rho, *extra)`` of a scenario
-    study: every spread scale, then every ``rho`` within it, numbered in turn."""
+def _grid(cfg, seed: int) -> list[tuple]:
+    """The work items ``(cfg, seed, index, scale, rho)`` of a scenario study:
+    every spread scale, then every ``rho`` within it, numbered in turn."""
     pairs = itertools.product(cfg.spread_scales, cfg.rhos)
-    return [(cfg, seed, i, scale, rho, *extra) for i, (scale, rho) in enumerate(pairs)]
-
-
-def _scenario_config(cfg, treated_counts, scale: float, rho: float, seed: int) -> ScenarioConfig:
-    """The scenario population setting of one grid point of a scenario study."""
-    return ScenarioConfig(
-        block_sizes=cfg.block_sizes,
-        treated_counts=treated_counts,
-        control_mean_spread=scale,
-        effect_spread=cfg.effect_spread_factor * scale,
-        rho=rho,
-        base_sigma=cfg.base_sigma,
-        seed=seed,
-    )
+    return [(cfg, seed, i, scale, rho) for i, (scale, rho) in enumerate(pairs)]
 
 
 def _require_float_range(where: str, **values) -> None:
@@ -107,6 +93,58 @@ def _require_float_range(where: str, **values) -> None:
 
 def _scenario_scale(cfg, scale: float, rho: float) -> str:
     return f"base_sigma {cfg.base_sigma!r} (spread_scale {scale!r}, rho {rho!r})"
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _scenario_chunk(points, treated_counts, key: tuple[int, ...], score):
+    """The rows of ``points``, consecutive work items of :func:`_grid`, and
+    the 0-based block labels and ``(points, n)`` outcomes ``y_t``, ``y_c``.
+
+    Point ``index`` draws from the child seed ``(index, *key)``, the batch
+    in one :func:`gen_scenario_outcomes` call; one ``centered_moments`` pass
+    per arm (t, c, t - c) feeds ``score(n_k, t, c, tc)``, which returns
+    ``{column: value per point}`` and the columns to range-check. Each point
+    is then checked in grid order: its ``ScenarioConfig`` (a refused one
+    ends the chunk once the points before it pass), its outcomes (a table's
+    checks, then :func:`require_noise_resolved`), then its checked columns'
+    float64 range. Only a degenerate draw fails the whole batch at once.
+    """
+    cfg = points[0][0]
+    configs, refusal = [], None
+    try:
+        for _, master_seed, index, scale, rho in points:
+            config = ScenarioConfig(
+                block_sizes=cfg.block_sizes,
+                treated_counts=treated_counts,
+                control_mean_spread=scale,
+                effect_spread=cfg.effect_spread_factor * scale,
+                rho=rho,
+                base_sigma=cfg.base_sigma,
+                seed=_child_seed(master_seed, index, *key),
+            )
+            configs.append(config)
+    except ValueError as err:
+        refusal = err
+    if not configs:
+        raise refusal
+    labels, y_t, y_c = gen_scenario_outcomes(configs)
+    n_k = np.bincount(labels)
+    t, c, tc = (centered_moments(y, labels, n_k) for y in (y_t, y_c, y_t - y_c))
+    columns, checked = score(n_k, t, c, tc)
+    cells = np.stack(list(columns.values()), axis=-1).tolist()
+    rows = []
+    for config, y_t_i, y_c_i, point, values in zip(configs, y_t, y_c, points, cells):
+        scale, rho = point[3:]
+        require_outcomes_fit(y_t_i, y_c_i)
+        require_noise_resolved(config)
+        row = dict(zip(["spread_scale", "rho", *columns], [scale, rho, *values]))
+        _require_float_range(
+            _scenario_scale(cfg, scale, rho), **{name: row[name] for name in checked}
+        )
+        rows.append(row)
+    if refusal is not None:
+        raise refusal
+    return rows, labels, y_t, y_c
 
 
 # ---------------------------------------------------------------------------
@@ -150,56 +188,22 @@ RATIO_SWEEP_COLUMNS = [
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _ratio_sweep_chunk(points) -> list[dict]:
-    """The rows of ``points``, consecutive work items of :func:`_grid`.
-
-    Their populations are drawn as one batch (:func:`gen_scenario_outcomes`,
-    each point from its own child seed), and one ``centered_moments`` pass
-    per arm (t, c, t - c) over the batch feeds every column. Each point is
-    then checked in grid order: its ``ScenarioConfig`` (a refused one ends
-    the chunk once the points before it pass), its outcomes (a table's
-    checks, then :func:`require_noise_resolved`), then the float64 range of
-    its variances. Only a degenerate draw fails the whole batch at once.
-    """
+    """The rows of ``points`` (:func:`_scenario_chunk`, child seeds ``(index,)``)."""
     cfg = points[0][0]
-    configs, refusal = [], None
-    try:
-        for _, master_seed, index, scale, rho in points:
-            seed = _child_seed(master_seed, index)
-            configs.append(_scenario_config(cfg, cfg.treated_equal, scale, rho, seed))
-    except ValueError as err:
-        refusal = err
-    if not configs:
-        raise refusal
-    labels, y_t, y_c = gen_scenario_outcomes(configs)
-    n_k = np.bincount(labels)
-    t, c, tc = (centered_moments(y, labels, n_k) for y in (y_t, y_c, y_t - y_c))
-    pooled = (pooled_variance(n_k, arm.dev, arm.ss) for arm in (t, c, tc))
-    var_cr = cr_variance(*pooled, len(labels), sum(cfg.treated_equal))
-    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
-    var_bk_eq, var_bk_uneq = (
-        blocked_variance(n_k, block_variances(n_k, np.asarray(n_tk), *s2))
-        for n_tk in (cfg.treated_equal, cfg.treated_unequal)
-    )
-    r2 = stacked_r2(n_k, c, t, tc.mean)
-    cells = np.stack(
-        [r2, var_cr, var_bk_eq, var_bk_uneq, var_bk_eq / var_cr, var_bk_uneq / var_cr], axis=-1
-    )
-    rows = []
-    for config, y_t_i, y_c_i, point, values in zip(configs, y_t, y_c, points, cells.tolist()):
-        scale, rho = point[3:]
-        require_outcomes_fit(y_t_i, y_c_i)
-        require_noise_resolved(config)
-        row = dict(zip(RATIO_SWEEP_COLUMNS, [scale, rho, *values]))
-        _require_float_range(
-            _scenario_scale(cfg, scale, rho),
-            **{name: row[name] for name in ("var_cr", "var_bk_equal_p", "var_bk_unequal_p")},
+
+    def score(n_k, t, c, tc):
+        pooled = (pooled_variance(n_k, arm.dev, arm.ss) for arm in (t, c, tc))
+        var_cr = cr_variance(*pooled, n_k.sum(), sum(cfg.treated_equal))
+        s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
+        eq, uneq = (
+            blocked_variance(n_k, block_variances(n_k, np.asarray(n_tk), *s2))
+            for n_tk in (cfg.treated_equal, cfg.treated_unequal)
         )
-        rows.append(row)
-    if refusal is not None:
-        raise refusal
-    return rows
+        values = [stacked_r2(n_k, c, t, tc.mean), var_cr, eq, uneq, eq / var_cr, uneq / var_cr]
+        return dict(zip(RATIO_SWEEP_COLUMNS[2:], values)), RATIO_SWEEP_COLUMNS[3:6]
+
+    return _scenario_chunk(points, cfg.treated_equal, (), score)[0]
 
 
 def study_ratio_sweep(
@@ -353,9 +357,11 @@ def study_flexible_blocking(
 class MisconceptionsConfig:
     """Variance-estimator behavior across the same population grid.
 
-    Equal proportions only. For each population the expectations of both
-    variance estimators under the blocked design come from closed forms;
-    the variability of each estimator under its own design is simulated.
+    Equal proportions only: ``treated_counts`` must fit ``block_sizes``,
+    treat the same share of every block and leave both arms 2 units. For
+    each population the expectations of both variance estimators under the
+    blocked design come from closed forms; the variability of each estimator
+    under its own design is simulated.
     """
 
     block_sizes: tuple[int, ...] = (10, 10, 10, 15, 15, 15, 20, 20)
@@ -364,6 +370,19 @@ class MisconceptionsConfig:
     effect_spread_factor: float = 0.5
     rhos: tuple[float, ...] = (0.0, 0.5, 1.0)
     base_sigma: float = 1.0
+
+    def __post_init__(self):
+        counts, sizes = list(self.treated_counts), list(self.block_sizes)
+        try:
+            validate_block_counts(counts, sizes)
+        except ValueError as err:
+            message = f"treated_counts {counts} do not fit block_sizes {sizes}: {err}"
+            raise ValueError(message) from None
+        n, n_t = sum(sizes), sum(counts)
+        if any(m * n != n_t * size for m, size in zip(counts, sizes)):
+            raise ValueError(f"treated_counts {counts} must treat the same share of every block")
+        if min(n_t, n - n_t) < 2:
+            raise ValueError(f"treated_counts {counts} must leave at least 2 units in each arm")
 
 
 MISCONCEPTIONS_COLUMNS = [
@@ -382,41 +401,17 @@ MISCONCEPTIONS_COLUMNS = [
 
 @np.errstate(over="ignore", invalid="ignore")
 def _misconceptions_point(args) -> dict:
-    cfg, master_seed, index, scale, rho, reps = args
-    seed = _child_seed(master_seed, index, 0)
-    table = gen_scenario_population(_scenario_config(cfg, cfg.treated_counts, scale, rho, seed))
-    design = Blocked(cfg.treated_counts)
-    n = table.n
-    n_t = design.n_t
-    var_bk = neyman_var_blocked(table, design)
-    misuse = cr_varest_bias_under_blocking(table, n_t / n)
-    # The blocked estimator's own conservatism: sum_k (n_k/n)^2 S2_tck / n_k.
-    st = table.stats
-    bk_bias = float(st.n_k @ st.s2("tc")) / n**2
-    var_cr_est = varest_variability(
-        table, CompleteRandomization(n_t), reps=reps, seed=_child_seed(master_seed, index, 1)
+    """A checked row of :func:`_scenario_chunk` completed by each variance
+    estimator's variability under its own design, on the point's table."""
+    (cfg, master_seed, index, scale, rho), table, row, reps = args
+    designs = (CompleteRandomization(sum(cfg.treated_counts)), Blocked(cfg.treated_counts))
+    cr, bk = (
+        varest_variability(table, design, reps=reps, seed=_child_seed(master_seed, index, key))
+        .var_of_varest
+        for key, design in enumerate(designs, start=1)
     )
-    var_bk_est = varest_variability(
-        table, design, reps=reps, seed=_child_seed(master_seed, index, 2)
-    )
-    _require_float_range(
-        _scenario_scale(cfg, scale, rho),
-        var_bk=var_bk,
-        var_varest_cr=var_cr_est.var_of_varest,
-        var_varest_bk=var_bk_est.var_of_varest,
-    )
-    return {
-        "spread_scale": scale,
-        "rho": rho,
-        "r2": r2_blocks(table),
-        "var_bk": var_bk,
-        "expected_varest_cr_over_var_bk": misuse.expected_varest_cr / var_bk,
-        "expected_varest_bk_over_var_bk": (var_bk + bk_bias) / var_bk,
-        "var_varest_cr": var_cr_est.var_of_varest,
-        "var_varest_bk": var_bk_est.var_of_varest,
-        "var_varest_cr_over_bk": var_cr_est.var_of_varest / var_bk_est.var_of_varest,
-        "reps": reps,
-    }
+    _require_float_range(_scenario_scale(cfg, scale, rho), var_varest_cr=cr, var_varest_bk=bk)
+    return {**row, **dict(zip(MISCONCEPTIONS_COLUMNS[6:], (cr, bk, cr / bk, reps)))}
 
 
 def study_misconceptions(
@@ -425,8 +420,33 @@ def study_misconceptions(
     reps: int = MISCONCEPTIONS_REPS,
     threads: int = 1,
 ) -> list[dict]:
+    """Rows in grid order, from batches of :func:`_scenario_chunk` (child
+    seeds ``(index, 0)``), each point's estimator Monte Carlo then mapped
+    over its batch. A batch's config, outcome, noise and ``var_bk`` range
+    checks all run before any of its Monte Carlo; the ``var_varest_*``
+    range is checked after, in grid order."""
     cfg = config or MisconceptionsConfig()
-    return mc.map_ordered(_misconceptions_point, _grid(cfg, seed, reps), threads=threads)
+    grid = _grid(cfg, seed)
+    unit_ids = default_unit_ids(sum(cfg.block_sizes))
+    n_tk = np.asarray(cfg.treated_counts)
+
+    def score(n_k, t, c, tc):
+        s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
+        var_bk = blocked_variance(n_k, block_variances(n_k, n_tk, *s2))
+        # The blocked estimator's own conservatism is sum_k (n_k/n)^2 S2_tck / n_k.
+        bias = (cr_varest_bias(n_k, n_tk, t, c, *s2), s2[2] @ n_k / int(n_k.sum()) ** 2)
+        values = [stacked_r2(n_k, c, t, tc.mean), var_bk, *((var_bk + b) / var_bk for b in bias)]
+        return dict(zip(MISCONCEPTIONS_COLUMNS[2:6], values)), ("var_bk",)
+
+    rows = []
+    for lo, hi in mc.chunk_bounds(len(grid)):
+        checked, labels, y_t, y_c = _scenario_chunk(grid[lo:hi], cfg.treated_counts, (0,), score)
+        items = [
+            (point, PotentialOutcomeTable(unit_ids, labels + 1, *outcomes), row, reps)
+            for point, row, *outcomes in zip(grid[lo:hi], checked, y_t, y_c)
+        ]
+        rows += mc.map_ordered(_misconceptions_point, items, threads=threads)
+    return rows
 
 
 STUDIES = {

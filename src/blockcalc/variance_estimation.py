@@ -161,27 +161,35 @@ def cr_varest_bias_under_blocking(
     from .variance_theory import neyman_var_blocked
 
     design = blocked_design_for_proportion(table, p)
-    n = table.n
     n_t = design.n_t
-    n_c = n - n_t
-    if n_t < 2 or n_c < 2:
+    if n_t < 2 or table.n - n_t < 2:
         raise ValueError("both arms need at least 2 units")
     st = table.stats
-    s2_t, s2_c, s2_tc = st.s2("t"), st.s2("c"), st.s2("tc")
-    w = st.n_k / n
-    rest = n - st.n_k
-    bias = (
-        float(w @ st.c.dev**2) / (n_c - 1)
-        + float(w @ st.t.dev**2) / (n_t - 1)
-        - float(rest @ s2_c) / (n**2 * (n_c - 1))
-        - float(rest @ s2_t) / (n**2 * (n_t - 1))
-        + float(st.n_k @ s2_tc) / n**2
-    )
+    n_tk = np.asarray(design.n_tk)
+    bias = float(cr_varest_bias(st.n_k, n_tk, st.t, st.c, st.s2("t"), st.s2("c"), st.s2("tc")))
     true_var_bk = neyman_var_blocked(table, design)
     return CrEstimatorUnderBlocking(
         expected_varest_cr=true_var_bk + bias,
         true_var_bk=true_var_bk,
         bias=bias,
+    )
+
+
+def cr_varest_bias(n_k, n_tk, t, c, s2_t, s2_c, s2_tc):
+    """The bias of :func:`cr_varest_bias_under_blocking` over a trailing block
+    axis, from sizes ``n_k``, equal-proportion counts ``n_tk``, the block
+    moments ``t`` and ``c`` and the block sample variances, which may carry
+    leading axes (one population per row, all with blocks ``n_k``)."""
+    n, n_t = int(n_k.sum()), int(n_tk.sum())
+    n_c = n - n_t
+    w = n_k / n
+    rest = n - n_k
+    return (
+        c.dev**2 @ w / (n_c - 1)
+        + t.dev**2 @ w / (n_t - 1)
+        - s2_c @ rest / (n**2 * (n_c - 1))
+        - s2_t @ rest / (n**2 * (n_t - 1))
+        + s2_tc @ n_k / n**2
     )
 
 

@@ -397,6 +397,33 @@ class TestStudyCommand:
         assert_one_line_error(proc, message)
         assert not list(tmp_path.glob("study_*.csv"))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # 23 of 115 treated overall, but not 20% of every block.
+            ({"treated_counts": [3, 3, 2, 3, 3, 3, 4, 2]},
+             "treated_counts [3, 3, 2, 3, 3, 3, 4, 2] must treat the same share of every block"),
+            ({"treated_counts": [2, 2]},
+             "treated_counts [2, 2] do not fit block_sizes [10, 10, 10, 15, 15, 15, 20, 20]: "
+             "design has wrong number of blocks"),
+            ({"block_sizes": [5, 5], "treated_counts": [5, 5]},
+             "treated_counts [5, 5] do not fit block_sizes [5, 5]: "
+             "n_tk=5 out of range for block 1 (size 5)"),
+            ({"block_sizes": [6], "treated_counts": [1]},
+             "treated_counts [1] must leave at least 2 units in each arm"),
+        ],
+    )
+    def test_misconceptions_refuses_unequal_or_unfit_treated_counts(
+        self, tmp_path, config, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "spread_scales": [1.0], "rhos": [0.5]}))
+        proc = run_cli("study", "misconceptions", "--config", str(path), "--reps", "4",
+                       "--out", str(tmp_path))
+        assert_one_line_error(proc, message)
+        assert proc.stderr.rstrip().endswith(message)
+        assert not list(tmp_path.glob("study_*.csv"))
+
     @pytest.mark.parametrize("reps", ["5", "1"])
     def test_ratio_sweep_rejects_reps(self, tmp_path, reps):
         proc = run_cli("study", "ratio-sweep", "--reps", reps, "--out", str(tmp_path))

@@ -25,6 +25,7 @@ from blockcalc.pop_model import (
     CompleteRandomization,
     StrataMoments,
     blocked_design_for_proportion,
+    centered_moments,
     pooled_decomposition,
     summarize,
     table_from_arrays,
@@ -33,6 +34,7 @@ from blockcalc.pop_model import (
 from blockcalc.randomizer import assign_blocked, assign_cr, tau_hat
 from blockcalc.variance_estimation import (
     ObservedSample,
+    cr_varest_bias,
     cr_varest_bias_under_blocking,
     expected_s2_under_blocking,
     var_est_blocked,
@@ -128,6 +130,22 @@ def test_offset_changes_no_quantity(offset, scale):
         return {name: (value, degree(name)) for name, value in quantities(table).items()}
 
     assert_moved(graded(dyadic_table()), graded(dyadic_table(offset, scale=scale)), scale)
+
+
+@pytest.mark.parametrize("offset", [0.0, OFFSET])
+def test_batched_cr_varest_bias_matches_the_table_function(offset):
+    # Six tables stacked into one batch with one labelling per row; each
+    # table's blocks are renumbered by size, so every row has blocks n_k.
+    tables = [dyadic_table(offset, seed=seed) for seed in range(6)]
+    rank = [np.argsort(np.argsort(table.block_sizes, kind="stable")) for table in tables]
+    labels = np.stack([r[table.labels] for r, table in zip(rank, tables)])
+    n_k = np.sort(tables[0].block_sizes)
+    arms = np.stack([(tb.y_t, tb.y_c, tb.y_t - tb.y_c) for tb in tables], axis=1)
+    t, c, tc = (centered_moments(y, labels, n_k) for y in arms)
+    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
+    got = cr_varest_bias(n_k, n_k // 2, t, c, *s2)
+    want = [cr_varest_bias_under_blocking(dyadic_table(seed=seed), P).bias for seed in range(6)]
+    assert got.tolist() == pytest.approx(want, rel=RTOL, abs=0)
 
 
 def estimates(table) -> dict:

@@ -1,13 +1,13 @@
 """The batched study paths against per-table references: flexible-blocking
-chunks against the per-rep loop, ratio-sweep batches against one table per
-grid point."""
+chunks against the per-rep loop, ratio-sweep and misconceptions batches
+against one table per grid point."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from blockcalc import mc
+from blockcalc import mc, studies
 from blockcalc.blocking_lab import (
     ScenarioConfig,
     gen_scenario_population,
@@ -15,17 +15,21 @@ from blockcalc.blocking_lab import (
     r2_blocks,
     within_variance_ratio,
 )
-from blockcalc.pop_model import Blocked, table_from_arrays
+from blockcalc.pop_model import Blocked, CompleteRandomization, table_from_arrays
 from blockcalc.studies import (
+    MISCONCEPTIONS_COLUMNS,
     RATIO_SWEEP_COLUMNS,
     FlexBlockingConfig,
+    MisconceptionsConfig,
     RatioSweepConfig,
     _child_seed,
     _flex_blocking_chunk,
     _method_labels,
     study_flexible_blocking,
+    study_misconceptions,
     study_ratio_sweep,
 )
+from blockcalc.variance_estimation import cr_varest_bias_under_blocking, varest_variability
 from blockcalc.variance_theory import neyman_var_blocked, neyman_var_cr
 
 
@@ -85,20 +89,26 @@ def test_study_reduces_chunks_in_order():
         assert row["reps"] == reps
 
 
-def reference_ratio_sweep(cfg, seed):
-    """The ratio-sweep rows from one table per grid point, in grid order."""
-    rows = []
+def reference_tables(cfg, seed, treated_counts, *key):
+    """``(index, scale, rho, table)`` of every grid point in grid order, one
+    table per point from the child seed ``(index, *key)``."""
     for index, (scale, rho) in enumerate(itertools.product(cfg.spread_scales, cfg.rhos)):
         config = ScenarioConfig(
             block_sizes=cfg.block_sizes,
-            treated_counts=cfg.treated_equal,
+            treated_counts=treated_counts,
             control_mean_spread=scale,
             effect_spread=cfg.effect_spread_factor * scale,
             rho=rho,
             base_sigma=cfg.base_sigma,
-            seed=_child_seed(seed, index),
+            seed=_child_seed(seed, index, *key),
         )
-        table = gen_scenario_population(config)
+        yield index, scale, rho, gen_scenario_population(config)
+
+
+def reference_ratio_sweep(cfg, seed):
+    """The ratio-sweep rows from one table per grid point, in grid order."""
+    rows = []
+    for _, scale, rho, table in reference_tables(cfg, seed, cfg.treated_equal):
         var_cr = neyman_var_cr(table, sum(cfg.treated_equal))
         var_eq = neyman_var_blocked(table, Blocked(cfg.treated_equal))
         var_uneq = neyman_var_blocked(table, Blocked(cfg.treated_unequal))
@@ -123,3 +133,59 @@ def test_ratio_sweep_rows_match_per_point_reference(cfg, seed):
     scale = np.abs(want).max(axis=0)
     for j, name in enumerate(RATIO_SWEEP_COLUMNS):
         assert np.all(np.abs(got[:, j] - want[:, j]) <= 1e-13 * scale[j]), name
+
+
+def reference_misconceptions(cfg, seed, reps):
+    """The misconceptions rows from one table per grid point, in grid order."""
+    design = Blocked(cfg.treated_counts)
+    rows = []
+    for index, scale, rho, table in reference_tables(cfg, seed, cfg.treated_counts, 0):
+        var_bk = neyman_var_blocked(table, design)
+        misuse = cr_varest_bias_under_blocking(table, design.n_t / table.n)
+        bk_bias = float(table.stats.n_k @ table.stats.s2("tc")) / table.n**2
+        var_varest_cr, var_varest_bk = (
+            varest_variability(table, d, reps=reps, seed=_child_seed(seed, index, key))
+            .var_of_varest
+            for key, d in ((1, CompleteRandomization(design.n_t)), (2, design))
+        )
+        rows.append([
+            scale, rho, r2_blocks(table), var_bk, misuse.expected_varest_cr / var_bk,
+            (var_bk + bk_bias) / var_bk, var_varest_cr, var_varest_bk,
+            var_varest_cr / var_varest_bk, reps,
+        ])
+    return np.array(rows)
+
+
+#: 100 scales by 3 rhos: 300 grid points, two batches of mc.chunk_bounds.
+WIDE_MISCONCEPTIONS = MisconceptionsConfig(spread_scales=tuple(0.06 * i for i in range(100)))
+
+
+@pytest.mark.parametrize(
+    "cfg, seed, reps",
+    [(MisconceptionsConfig(), 0, 30), (MisconceptionsConfig(), 7, 30), (WIDE_MISCONCEPTIONS, 3, 4)],
+)
+def test_misconceptions_rows_match_per_point_reference(cfg, seed, reps):
+    rows = study_misconceptions(cfg, seed=seed, reps=reps)
+    got = np.array([[row[name] for name in MISCONCEPTIONS_COLUMNS] for row in rows])
+    want = reference_misconceptions(cfg, seed, reps)
+    assert got.shape == want.shape == (len(cfg.spread_scales) * len(cfg.rhos), 10)
+    scale = np.abs(want).max(axis=0)
+    for j, name in enumerate(MISCONCEPTIONS_COLUMNS):
+        rtol = 1e-12 if name.startswith("var_varest") else 1e-13
+        assert np.all(np.abs(got[:, j] - want[:, j]) <= rtol * scale[j]), name
+
+
+def test_misconceptions_checks_a_batch_before_any_monte_carlo(monkeypatch):
+    # Points 0-2 (scale 0) pass; points 3-5 overflow. No point's Monte Carlo
+    # may run before the overflow is reported.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return varest_variability(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "varest_variability", counting)
+    cfg = MisconceptionsConfig(spread_scales=(0.0, 1e308))
+    with pytest.raises(ValueError, match="y_t outcomes too large"):
+        study_misconceptions(cfg, reps=4)
+    assert calls == []
