@@ -7,23 +7,25 @@ change speed, never results.
 
 :func:`rep_rng` builds that generator for one rep, and is called only for
 the rare reps :func:`rep_integers` redraws. Otherwise no ``SeedSequence``
-or ``PCG64`` object is built per rep: :func:`_seed_slices` hashes every
-rep's entropy as uint32 arrays, in slices of at most :data:`CHUNK_SIZE`
-reps, and two consumers start from those seeds.
+or ``PCG64`` object is built per rep: :func:`_lane_seeds` hashes the
+entropy of every lane, one master seed and one rep, as uint32 arrays, and
+two consumers start from those seeds.
 
 - :func:`rep_integers` gives the draws of ``rep_rng(s, r).integers(highs)``
-  for a range of reps as one matrix. It jumps every rep's 128-bit LCG
-  ahead on 32-bit limbs and applies numpy's 32-bit Lemire bounding, so
-  the draws of site and two-stage sampling take no per-rep Python call.
-  Each output costs two 128-bit limb products, far more than a
-  generator's own output, so it pays only while a rep takes few words.
+  for a range of reps of one or many master seeds as one matrix. It jumps
+  every lane's 128-bit LCG ahead on 32-bit limbs and applies numpy's
+  32-bit Lemire bounding, so the draws of site and two-stage sampling and
+  the shuffle steps of Monte Carlo assignment draws take no per-rep Python
+  call. Each output costs two 128-bit limb products, far more than a
+  generator's own output, so it pays while a rep takes few words, as a
+  draw of a few sites or a small table's assignment does; past a few
+  hundred words per rep a generator per rep is faster.
 - :func:`rep_rngs` seeds ``PCG64`` in Python integers and sets the state of
   one reused generator, so a caller must be done with each yielded
-  generator before it asks for the next. Every other draw stays on it:
-  assignment shuffles take one word per treated unit, so their word count
-  grows with the table; a permutation is a Fisher-Yates pass whose steps
-  each depend on the last; and normals come from a ziggurat with
-  data-dependent rejection.
+  generator before it asks for the next. It serves the draws whose word
+  count is not known in advance: flexible blocking's normals come from a
+  ziggurat with data-dependent rejection, and replay's permutations from
+  numpy's ``permutation``.
 
 The worker count is clamped by :func:`effective_workers`: a pool never has
 more workers than items to map or CPUs to run them on.
@@ -38,6 +40,8 @@ import os
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
+
+from .oracle import CHUNK_CELLS
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -104,12 +108,13 @@ def _mix(x, y):
 
 def _pcg64_seeds(entropy: list) -> np.ndarray:
     """``generate_state(4, uint64)`` of the ``SeedSequence`` pool mixed from
-    ``entropy``, for every rep at once, as a ``(reps, 4)`` uint64 array.
+    ``entropy``, for every lane at once, as a ``(lanes, 4)`` uint64 array.
 
-    ``entropy`` lists the assembled entropy words: the seed's, padded to the
-    pool size, as Python ints, then the spawn key's as one uint32 array per
-    word with one value per rep. The seed words fill and mix the pool once,
-    as scalars; every later word is mixed into all pool words at once.
+    ``entropy`` lists the assembled entropy words of every lane, one uint32
+    array per word with one value per lane: the seed's words, padded to the
+    pool size, then the spawn key's. The first pool-size words fill and
+    cross-mix the pool word by word; every later word is mixed into all
+    pool words at once.
     """
     consts = _hash_constants(
         _INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
@@ -121,7 +126,7 @@ def _pcg64_seeds(entropy: list) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[j], consts[j + 1]))
                 j += 1
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.array(pool, dtype=np.uint32)
     for word in entropy[_POOL_SIZE:]:
         step = np.array(consts[j : j + _POOL_SIZE + 1], dtype=np.uint32)[:, None]
         pool = _mix(pool, _hashmix(word, step[:-1], step[1:]))
@@ -130,27 +135,48 @@ def _pcg64_seeds(entropy: list) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
-def _seed_slices(master_seed: int, lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, seeds)`` for reps ``lo..hi-1`` in slices of at most
-    :data:`CHUNK_SIZE` reps; a slice never mixes spawn keys of different
-    32-bit word counts. ``seeds`` is the slice's ``(stop - start, 4)``
-    :func:`_pcg64_seeds` array. A negative seed raises numpy's ``ValueError``.
+def _lane_seeds(
+    master_seeds: Sequence[int], lo: int, hi: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, seeds)`` for the lanes of every master seed ``p`` and rep
+    ``r`` in ``lo..hi-1``, in slices of at most ``size`` lanes.
+
+    Lane ``(p, r)`` is row ``p * (hi - lo) + r - lo`` of its caller's
+    output, and ``seeds`` holds the slice's ``(lanes, 4)`` :func:`_pcg64_seeds`
+    array. Lanes are hashed together when their entropy has the same word
+    count: master seeds of up to four words (padded to four) or of five,
+    six and so on, and spawn keys of one 32-bit word, two and so on. The
+    slices of one master seed come in ascending rep order, as
+    :func:`rep_rngs` needs. A negative seed raises numpy's ``ValueError``.
     """
-    seed_words = _words(master_seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    start = lo
-    while start < hi:
-        start_words = _words(start)
-        stop = min(hi, start + CHUNK_SIZE, 1 << 32 * len(start_words))
-        # The keys start + offset, word by word with carries, as uint32 arrays.
-        total = np.arange(stop - start, dtype=np.uint64)
-        key_entropy = []
-        for word in start_words:
-            total = total + np.uint64(word)
-            key_entropy.append((total & _MASK32).astype(np.uint32))
-            total = total >> np.uint64(32)
-        yield start, stop, _pcg64_seeds(seed_words + key_entropy)
-        start = stop
+    reps = hi - lo
+    classes: dict[int, list[tuple[int, list[int]]]] = {}
+    for p, seed in enumerate(master_seeds):
+        words = _words(seed)
+        words += [0] * (_POOL_SIZE - len(words))
+        classes.setdefault(len(words), []).append((p, words))
+    for members in classes.values():
+        index = np.array([p for p, _ in members])
+        seed_words = np.array([words for _, words in members], dtype=np.uint32).T
+        start = lo
+        while start < hi:
+            start_words = _words(start)
+            stop = min(hi, 1 << 32 * len(start_words))
+            lanes = len(members) * (stop - start)
+            # The fewest slices of at most `size` lanes, evened out.
+            step = -(-lanes // -(-lanes // size))
+            for first in range(0, lanes, step):
+                member, offset = np.divmod(np.arange(first, min(first + step, lanes)), stop - start)
+                # The keys start + offset, word by word with carries, as uint32 arrays.
+                total = offset.astype(np.uint64)
+                key_entropy = []
+                for word in start_words:
+                    total = total + np.uint64(word)
+                    key_entropy.append((total & _MASK32).astype(np.uint32))
+                    total = total >> np.uint64(32)
+                rows = index[member] * reps + (start - lo) + offset
+                yield rows, _pcg64_seeds([*seed_words[:, member], *key_entropy])
+            start = stop
 
 
 def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
@@ -159,12 +185,12 @@ def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator
 
     Every item is the same ``Generator`` object, re-seeded in place, so a
     caller must be done with it before it asks for the next one. Reps are
-    hashed by :func:`_seed_slices`. A negative seed raises numpy's
-    ``ValueError``.
+    hashed by :func:`_lane_seeds`, at most :data:`CHUNK_SIZE` at a time. A
+    negative seed raises numpy's ``ValueError``.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for _, _, seeds in _seed_slices(master_seed, lo, hi):
+    for _, seeds in _lane_seeds([master_seed], lo, hi, CHUNK_SIZE):
         for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
             # pcg_setseq_128_srandom_r: two LCG steps from state 0, adding initstate between them.
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
@@ -254,32 +280,42 @@ def _pcg64_words(seeds: np.ndarray, outputs: int) -> np.ndarray:
     return words.reshape(2 * outputs, len(seeds))
 
 
-def rep_integers(master_seed: int, lo: int, hi: int, highs) -> np.ndarray:
-    """``rep_rng(master_seed, r).integers(highs)`` for every rep ``r`` in
-    ``lo..hi-1``, as the rows of a ``(hi - lo, len(highs))`` int64 array.
+def rep_integers(master_seeds: Sequence[int], lo: int, hi: int, highs) -> np.ndarray:
+    """``rep_rng(master_seeds[p], r).integers(highs[p])`` for every master
+    seed ``p`` and rep ``r`` in ``lo..hi-1``, as row ``p * (hi - lo) + r - lo``
+    of a ``(len(master_seeds) * (hi - lo), steps)`` int64 array.
 
-    ``highs`` holds one bound per step, each in ``1..2^32 - 1``. numpy draws
+    ``highs`` holds one bound per step, each in ``1..2^32 - 1``: one row
+    that every master seed shares, or one row per master seed. numpy draws
     such a bound by Lemire's method on one 32-bit word: a word ``w`` gives
     ``w * high >> 32`` unless ``w * high mod 2^32 < (2^32 - high) mod high``,
     when it is rejected and another word is drawn; a high of 1 gives 0 and
-    takes no word. Every rep's words come from :func:`_pcg64_words`, and a
-    rep with a rejected word is redrawn from :func:`rep_rng` (for a high
-    of 40, fewer than one word in 10^8 is rejected). Reps are seeded by
-    :func:`_seed_slices`; a negative seed raises numpy's ``ValueError``.
+    takes no word, so a row padded with 1s draws its own values followed by
+    0s. Every lane's words come from :func:`_pcg64_words`, hashed by
+    :func:`_lane_seeds` in slices that keep lanes times steps within
+    :data:`~blockcalc.oracle.CHUNK_CELLS`, and a lane with a rejected word
+    is redrawn from :func:`rep_rng` (for a high of 40, fewer than one word
+    in 10^8 is rejected). A negative seed raises numpy's ``ValueError``.
     """
     highs = np.asarray(highs, dtype=np.int64)
     assert np.all((highs >= 1) & (highs < 1 << 32)), "every high must be in 1..2^32-1"
-    drawn = highs > 1
-    bounds = highs[drawn].astype(np.uint64)[:, None]
-    thresholds = ((1 << 32) - bounds) % bounds
-    outputs = -(-len(bounds) // 2)
-    out = np.zeros((hi - lo, len(highs)), dtype=np.int64)
-    for start, stop, seeds in _seed_slices(master_seed, lo, hi):
-        scaled = _pcg64_words(seeds, outputs)[: len(bounds)] * bounds
-        rows = out[start - lo : stop - lo]
-        rows[:, drawn] = (scaled >> np.uint64(32)).T
-        for r in np.flatnonzero(np.any((scaled & _MASK32) < thresholds, axis=0)):
-            rows[r] = rep_rng(master_seed, start + int(r)).integers(highs)
+    highs = np.broadcast_to(highs, (len(master_seeds), highs.shape[-1]))
+    reps, steps = hi - lo, highs.shape[1]
+    out = np.zeros((len(master_seeds) * reps, steps), dtype=np.int64)
+    for rows, seeds in _lane_seeds(master_seeds, lo, hi, max(1, CHUNK_CELLS // max(1, steps))):
+        bounds = highs[rows // reps].T.astype(np.uint64)
+        drawn = bounds > 1
+        outputs = -(-int(drawn.sum(axis=0).max(initial=0)) // 2)
+        if not outputs:
+            continue
+        # Drawn step s of a lane reads the lane's word numbered by the drawn steps before it.
+        word = np.maximum(np.cumsum(drawn, axis=0) - 1, 0)
+        scaled = np.take_along_axis(_pcg64_words(seeds, outputs), word, axis=0) * bounds
+        out[rows] = np.where(drawn, scaled >> np.uint64(32), 0).T
+        rejected = drawn & ((scaled & _MASK32) < ((1 << 32) - bounds) % bounds)
+        for lane in np.flatnonzero(rejected.any(axis=0)):
+            p, r = divmod(int(rows[lane]), reps)
+            out[rows[lane]] = rep_rng(master_seeds[p], lo + r).integers(highs[p])
     return out
 
 

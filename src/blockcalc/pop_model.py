@@ -85,6 +85,21 @@ def require_outcomes_fit(y_t: np.ndarray, y_c: np.ndarray) -> None:
     _require_moments_fit((("y_t", y_t), ("y_c", y_c), ("y_t - y_c", effects)), len(y_t))
 
 
+def outcome_rows_fit(y_t: np.ndarray, y_c: np.ndarray) -> np.ndarray:
+    """Whether each row of the ``(rows, n)`` outcomes passes
+    :func:`require_outcomes_fit`, as one boolean per row, from the same
+    range comparisons over all rows at once. A non-finite value makes its
+    row's minimum or maximum non-finite, which fails them."""
+    limit = float(np.finfo(float).max) / y_t.shape[1]
+    fits = np.ones(len(y_t), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in (y_t, y_c, y_t - y_c):
+            lo, hi = values.min(axis=1), values.max(axis=1)
+            span = hi - lo
+            fits &= (np.maximum(hi, -lo) <= limit) & (span * span <= limit)
+    return fits
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -6,13 +6,16 @@ chosen position in ``i..n-1`` and the first ``n_t`` positions are treated.
 That shuffle order is part of the reproducibility contract: the same
 ``numpy.random.Generator`` state always yields the same assignment. Blocked
 designs run one such shuffle per block, in label order. A
-:class:`ShufflePlan` holds the steps of a whole design and
-:func:`draw_masks` draws boolean masks from it; :func:`assign_cr` and
-:func:`assign_blocked` return one draw.
+:class:`ShufflePlan` holds the steps of a whole design, and
+:func:`draw_masks` turns a ``(rows, steps)`` matrix of step draws into
+boolean masks. :func:`assign_cr` and :func:`assign_blocked` return one
+draw, from one ``integers`` call on their generator; the Monte Carlo of
+:mod:`~blockcalc.variance_estimation` takes the rows of many seeded
+replications at once from :func:`~blockcalc.mc.rep_integers`.
 
 There is no global generator anywhere in this package. Every randomized
-operation takes an explicit ``rng`` so replications can be seeded
-independently; parallel callers must use disjoint generators.
+operation takes an explicit ``rng`` or master seed, so replications can be
+seeded independently; parallel callers must use disjoint generators.
 """
 
 from __future__ import annotations
@@ -68,21 +71,20 @@ def shuffle_plan(table: PotentialOutcomeTable, design: DesignSpec) -> ShufflePla
     return _plan(table.n, np.concatenate(groups).tolist(), map(len, groups), counts)
 
 
-def draw_masks(plan: ShufflePlan, rngs) -> np.ndarray:
-    """One boolean treated mask per generator, as the rows of a ``(draws, n)`` matrix.
+def draw_masks(plan: ShufflePlan, draws) -> np.ndarray:
+    """One boolean treated mask per row of ``draws``, as the rows of a ``(rows, n)`` matrix.
 
-    Each generator makes a single ``integers(plan.highs)`` call, which
-    consumes it exactly as one scalar ``integers(high)`` call per step does,
-    so a draw and the generator state after it match the step-by-step
-    shuffle. Each generator is done with before the next is taken, so
-    ``rngs`` may yield one reused generator, as
-    :func:`~blockcalc.mc.rep_rngs` does.
+    ``draws`` is a ``(rows, steps)`` integer matrix whose row holds one
+    draw below each of ``plan.highs``: the row of one
+    ``rng.integers(plan.highs)`` call, which consumes a generator exactly
+    as one scalar ``integers(high)`` call per step does, or of
+    :func:`~blockcalc.mc.rep_integers`.
     """
     steps = plan.steps
     treated = []
-    for rng in rngs:
+    for row in np.asarray(draws).tolist():
         pool = list(plan.pool)
-        for i, u in zip(steps, rng.integers(plan.highs).tolist()):
+        for i, u in zip(steps, row):
             pool[i], pool[i + u] = pool[i + u], pool[i]
         treated.append([pool[i] for i in steps])
     masks = np.zeros((len(treated), plan.n), dtype=bool)
@@ -94,7 +96,8 @@ def assign_cr(n: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw over all size-``n_t`` treated subsets of ``n`` units, as a treated mask."""
     if not 0 < n_t < n:
         raise ValueError(f"n_t={n_t} out of range for n={n}")
-    return draw_masks(_plan(n, range(n), [n], [n_t]), [rng])[0]
+    plan = _plan(n, range(n), [n], [n_t])
+    return draw_masks(plan, rng.integers(plan.highs)[None])[0]
 
 
 def assign_blocked(
@@ -105,7 +108,8 @@ def assign_blocked(
     Blocks are processed in label order 1..K, so a fixed generator state
     reproduces the assignment exactly.
     """
-    return draw_masks(shuffle_plan(table, design), [rng])[0]
+    plan = shuffle_plan(table, design)
+    return draw_masks(plan, rng.integers(plan.highs)[None])[0]
 
 
 def tau_hat(table: PotentialOutcomeTable, mask: np.ndarray, design: DesignSpec) -> float:

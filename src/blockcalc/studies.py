@@ -6,11 +6,13 @@ spawn_key=...)``, and partial results are reduced in a fixed order, so the
 worker count never changes the output.
 
 ``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
-points (:func:`_grid`), each point a scenario population, and score it in
-batches of at most ``mc.CHUNK_SIZE`` points (:func:`_scenario_chunk`): one
-draw per point, then one grouped-moments pass per arm over the batch feeds
-every closed form. Only ``misconceptions``' estimator Monte Carlo reads a
-table per point, once every point of its batch is checked.
+points, each point a scenario population, and map over batches of at most
+``mc.CHUNK_SIZE`` points (:func:`_map_grid`). A batch is scored by
+:func:`_scenario_chunk`: one draw per point, then one grouped-moments pass
+per arm over the batch feeds every closed form. ``misconceptions`` then
+wraps each checked point in a table for its estimator Monte Carlo, which
+draws the assignments of every point and both designs together
+(:func:`~blockcalc.variance_estimation.varest_variabilities`).
 ``flexible-blocking`` sums each chunk of reps into one ``(3, methods,
 dgps)`` array. A study variance that under- or overflows float64 ends the
 study in one error naming the config field that sets the outcome scale
@@ -51,11 +53,12 @@ from .pop_model import (
     centered_moments,
     default_unit_ids,
     grouped_moments,
+    outcome_rows_fit,
     pooled_variance,
     require_outcomes_fit,
     validate_block_counts,
 )
-from .variance_estimation import cr_varest_bias, varest_variability
+from .variance_estimation import cr_varest_bias, varest_variabilities
 from .variance_theory import block_variances, blocked_variance, cr_variance
 
 METHODS = ("flex", "interleave", "peevish")
@@ -74,11 +77,16 @@ def _child_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
 
 
-def _grid(cfg, seed: int) -> list[tuple]:
-    """The work items ``(cfg, seed, index, scale, rho)`` of a scenario study:
-    every spread scale, then every ``rho`` within it, numbered in turn."""
+def _map_grid(chunk, cfg, seed: int, threads: int) -> list[dict]:
+    """The rows of a scenario study in grid order: ``chunk`` mapped over
+    batches of at most ``mc.CHUNK_SIZE`` consecutive work items
+    ``(cfg, seed, index, scale, rho)``, every spread scale, then every
+    ``rho`` within it, numbered in turn. Batch bounds depend only on the
+    grid length, so the worker count never moves a bit of the report."""
     pairs = itertools.product(cfg.spread_scales, cfg.rhos)
-    return [(cfg, seed, i, scale, rho) for i, (scale, rho) in enumerate(pairs)]
+    grid = [(cfg, seed, i, scale, rho) for i, (scale, rho) in enumerate(pairs)]
+    batches = [grid[lo:hi] for lo, hi in mc.chunk_bounds(len(grid))]
+    return [row for rows in mc.map_ordered(chunk, batches, threads) for row in rows]
 
 
 def _require_float_range(where: str, **values) -> None:
@@ -97,7 +105,7 @@ def _scenario_scale(cfg, scale: float, rho: float) -> str:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _scenario_chunk(points, treated_counts, key: tuple[int, ...], score):
-    """The rows of ``points``, consecutive work items of :func:`_grid`, and
+    """The rows of ``points``, consecutive work items of :func:`_map_grid`, and
     the 0-based block labels and ``(points, n)`` outcomes ``y_t``, ``y_c``.
 
     Point ``index`` draws from the child seed ``(index, *key)``, the batch
@@ -106,8 +114,10 @@ def _scenario_chunk(points, treated_counts, key: tuple[int, ...], score):
     ``{column: value per point}`` and the columns to range-check. Each point
     is then checked in grid order: its ``ScenarioConfig`` (a refused one
     ends the chunk once the points before it pass), its outcomes (a table's
-    checks, then :func:`require_noise_resolved`), then its checked columns'
-    float64 range. Only a degenerate draw fails the whole batch at once.
+    checks, tested for the whole batch in one :func:`outcome_rows_fit`
+    pass, with the message built for the first row that fails), then
+    :func:`require_noise_resolved`, then its checked columns' float64
+    range. Only a degenerate draw fails the whole batch at once.
     """
     cfg = points[0][0]
     configs, refusal = [], None
@@ -132,10 +142,12 @@ def _scenario_chunk(points, treated_counts, key: tuple[int, ...], score):
     t, c, tc = (centered_moments(y, labels, n_k) for y in (y_t, y_c, y_t - y_c))
     columns, checked = score(n_k, t, c, tc)
     cells = np.stack(list(columns.values()), axis=-1).tolist()
+    fits = outcome_rows_fit(y_t, y_c)
     rows = []
-    for config, y_t_i, y_c_i, point, values in zip(configs, y_t, y_c, points, cells):
+    for config, fit, y_t_i, y_c_i, point, values in zip(configs, fits, y_t, y_c, points, cells):
         scale, rho = point[3:]
-        require_outcomes_fit(y_t_i, y_c_i)
+        if not fit:
+            require_outcomes_fit(y_t_i, y_c_i)
         require_noise_resolved(config)
         row = dict(zip(["spread_scale", "rho", *columns], [scale, rho, *values]))
         _require_float_range(
@@ -209,13 +221,8 @@ def _ratio_sweep_chunk(points) -> list[dict]:
 def study_ratio_sweep(
     config: RatioSweepConfig | None = None, seed: int = 0, threads: int = 1
 ) -> list[dict]:
-    """Rows in grid order. The grid is scored in batches of at most
-    ``mc.CHUNK_SIZE`` points; batch bounds depend only on the grid length,
-    so the worker count never moves a bit of the report."""
-    cfg = config or RatioSweepConfig()
-    grid = _grid(cfg, seed)
-    batches = [grid[lo:hi] for lo, hi in mc.chunk_bounds(len(grid))]
-    return [row for rows in mc.map_ordered(_ratio_sweep_chunk, batches, threads) for row in rows]
+    """Rows in grid order, from batches of :func:`_ratio_sweep_chunk`."""
+    return _map_grid(_ratio_sweep_chunk, config or RatioSweepConfig(), seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -400,34 +407,18 @@ MISCONCEPTIONS_COLUMNS = [
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _misconceptions_point(args) -> dict:
-    """A checked row of :func:`_scenario_chunk` completed by each variance
-    estimator's variability under its own design, on the point's table."""
-    (cfg, master_seed, index, scale, rho), table, row, reps = args
-    designs = (CompleteRandomization(sum(cfg.treated_counts)), Blocked(cfg.treated_counts))
-    cr, bk = (
-        varest_variability(table, design, reps=reps, seed=_child_seed(master_seed, index, key))
-        .var_of_varest
-        for key, design in enumerate(designs, start=1)
-    )
-    _require_float_range(_scenario_scale(cfg, scale, rho), var_varest_cr=cr, var_varest_bk=bk)
-    return {**row, **dict(zip(MISCONCEPTIONS_COLUMNS[6:], (cr, bk, cr / bk, reps)))}
+def _misconceptions_chunk(points, reps: int) -> list[dict]:
+    """The rows of ``points`` (:func:`_scenario_chunk`, child seeds
+    ``(index, 0)``), each completed by both variance estimators'
+    variability under their own designs, child seeds ``(index, 1)`` for
+    complete randomization and ``(index, 2)`` for blocking.
 
-
-def study_misconceptions(
-    config: MisconceptionsConfig | None = None,
-    seed: int = 0,
-    reps: int = MISCONCEPTIONS_REPS,
-    threads: int = 1,
-) -> list[dict]:
-    """Rows in grid order, from batches of :func:`_scenario_chunk` (child
-    seeds ``(index, 0)``), each point's estimator Monte Carlo then mapped
-    over its batch. A batch's config, outcome, noise and ``var_bk`` range
-    checks all run before any of its Monte Carlo; the ``var_varest_*``
-    range is checked after, in grid order."""
-    cfg = config or MisconceptionsConfig()
-    grid = _grid(cfg, seed)
-    unit_ids = default_unit_ids(sum(cfg.block_sizes))
+    Every check of :func:`_scenario_chunk` runs before any Monte Carlo:
+    each checked row becomes a table, one :func:`varest_variabilities`
+    call draws and scores every point under both designs, and the
+    ``var_varest_*`` range is then checked in grid order.
+    """
+    cfg = points[0][0]
     n_tk = np.asarray(cfg.treated_counts)
 
     def score(n_k, t, c, tc):
@@ -438,15 +429,32 @@ def study_misconceptions(
         values = [stacked_r2(n_k, c, t, tc.mean), var_bk, *((var_bk + b) / var_bk for b in bias)]
         return dict(zip(MISCONCEPTIONS_COLUMNS[2:6], values)), ("var_bk",)
 
+    checked, labels, y_t, y_c = _scenario_chunk(points, cfg.treated_counts, (0,), score)
+    unit_ids = default_unit_ids(len(labels))
+    tables = [PotentialOutcomeTable(unit_ids, labels + 1, *outcomes) for outcomes in zip(y_t, y_c)]
+    designs = (CompleteRandomization(sum(cfg.treated_counts)), Blocked(cfg.treated_counts))
+    seeds = [[_child_seed(point[1], point[2], key) for key in (1, 2)] for point in points]
+    results = varest_variabilities(tables, designs, seeds, reps)
     rows = []
-    for lo, hi in mc.chunk_bounds(len(grid)):
-        checked, labels, y_t, y_c = _scenario_chunk(grid[lo:hi], cfg.treated_counts, (0,), score)
-        items = [
-            (point, PotentialOutcomeTable(unit_ids, labels + 1, *outcomes), row, reps)
-            for point, row, *outcomes in zip(grid[lo:hi], checked, y_t, y_c)
-        ]
-        rows += mc.map_ordered(_misconceptions_point, items, threads=threads)
+    for point, row, (cr, bk) in zip(points, checked, results):
+        cr, bk = cr.var_of_varest, bk.var_of_varest
+        _require_float_range(_scenario_scale(cfg, *point[3:]), var_varest_cr=cr, var_varest_bk=bk)
+        rows.append({**row, **dict(zip(MISCONCEPTIONS_COLUMNS[6:], (cr, bk, cr / bk, reps)))})
     return rows
+
+
+def study_misconceptions(
+    config: MisconceptionsConfig | None = None,
+    seed: int = 0,
+    reps: int = MISCONCEPTIONS_REPS,
+    threads: int = 1,
+) -> list[dict]:
+    """Rows in grid order, from batches of :func:`_misconceptions_chunk`
+    mapped as ``ratio-sweep``'s are. A batch's config, outcome, noise and
+    ``var_bk`` range checks all run before any of its Monte Carlo; the
+    ``var_varest_*`` range is checked after, in grid order."""
+    cfg = config or MisconceptionsConfig()
+    return _map_grid(functools.partial(_misconceptions_chunk, reps=reps), cfg, seed, threads)
 
 
 STUDIES = {
@@ -513,8 +521,8 @@ def run_study(
     has the Monte Carlo ``reps`` (per estimator and grid point for
     ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
     handed to :func:`mc.map_ordered` (rep chunks for ``flexible-blocking``,
-    grid-point batches for ``ratio-sweep``, grid points for
-    ``misconceptions``) and the ``workers`` it used. ``ratio-sweep``
+    grid-point batches for ``ratio-sweep`` and ``misconceptions``) and the
+    ``workers`` it used. ``ratio-sweep``
     rejects any ``reps``, because it would ignore them.
     """
     if name not in STUDIES:
@@ -530,14 +538,12 @@ def run_study(
     if name == "ratio-sweep":
         reps = 0
         rows = study_ratio_sweep(cfg, seed=seed, threads=threads)
-        chunks = len(mc.chunk_bounds(len(rows)))
     elif name == "flexible-blocking":
         reps = FLEX_BLOCKING_REPS if reps is None else reps
         rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads)
-        chunks = len(mc.chunk_bounds(reps))
     else:
         reps = MISCONCEPTIONS_REPS if reps is None else reps
         rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads)
-        chunks = len(rows)
+    chunks = len(mc.chunk_bounds(reps if name == "flexible-blocking" else len(rows)))
     counts = {"reps": reps, "chunks": chunks, "workers": mc.effective_workers(threads, chunks)}
     return rows, columns, dataclasses.asdict(cfg), counts

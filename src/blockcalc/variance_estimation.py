@@ -16,6 +16,7 @@ error naming the offending block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -236,42 +237,83 @@ def varest_variability(
     randomization, per-block for blocking). All assignments are enumerated
     exactly when their count is at most ``exact_limit``; otherwise ``reps``
     seeded assignments (at least 2) are drawn and the sample variance is
-    reported. Either way the estimator is evaluated on batches of masks by
-    :func:`~blockcalc.oracle.batch_statistic`; Monte Carlo draw ``r`` comes
-    from the generator :func:`~blockcalc.mc.rep_rngs` yields for rep ``r``
-    (the state of ``mc.rep_rng(seed, r)``), through
-    :func:`~blockcalc.randomizer.draw_masks`, which is done with each
-    generator before it asks for the next (the draws of
-    :func:`~blockcalc.randomizer.assign_cr` and
-    :func:`~blockcalc.randomizer.assign_blocked`).
+    reported, draw ``r`` being the shuffle of ``mc.rep_rng(seed, r)``. This
+    is the one-table, one-design call of :func:`varest_variabilities`.
     """
-    validate_design(design, table)
-    blocked = isinstance(design, Blocked)
-    statistic = "var_est_blocked" if blocked else "var_est_cr"
-    total = count_assignments(design, table)
-    if total <= exact_limit:
-        values, _ = enumerate_statistic(table, design, statistic)
-        return VarestVariability(
-            mean_varest=float(np.mean(values)),
-            var_of_varest=float(np.var(values)),
-            method="enumeration",
-            reps_used=total,
-        )
+    return varest_variabilities([table], [design], [[seed]], reps, exact_limit)[0][0]
 
+
+def varest_variabilities(
+    tables: Sequence[PotentialOutcomeTable],
+    designs: Sequence[DesignSpec],
+    seeds: Sequence[Sequence[int]],
+    reps: int = 5_000,
+    exact_limit: int = EXACT_ENUMERATION_LIMIT,
+) -> list[list[VarestVariability]]:
+    """:func:`varest_variability` of every table under every design, as
+    ``result[table][design]``, with master seed ``seeds[table][design]``.
+
+    The tables share one block labelling, so a design's assignment count
+    and shuffle steps are those of the first table. A design with at most
+    ``exact_limit`` assignments is enumerated on every table. The others
+    are simulated together: each chunk of :func:`~blockcalc.oracle.chunk_rows`
+    reps takes every table's and design's step draws from one
+    :func:`~blockcalc.mc.rep_integers` call (a design with fewer steps
+    padded with highs of 1, which draw nothing), turns each design's rows
+    into masks with :func:`~blockcalc.randomizer.draw_masks` and evaluates
+    each table's masks of the chunk in one
+    :func:`~blockcalc.oracle.batch_statistic` call, numbered from the
+    chunk's first rep.
+    """
+    first = tables[0]
+    if any(not np.array_equal(table.blocks, first.blocks) for table in tables):
+        raise ValueError("the tables must share one block labelling")
+    results = [[None] * len(designs) for _ in tables]
+    simulated = []
+    for d, design in enumerate(designs):
+        validate_design(design, first)
+        statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+        total = count_assignments(design, first)
+        if total > exact_limit:
+            simulated.append((d, design, statistic, shuffle_plan(first, design)))
+            continue
+        for p, table in enumerate(tables):
+            values, _ = enumerate_statistic(table, design, statistic)
+            results[p][d] = VarestVariability(
+                mean_varest=float(np.mean(values)),
+                var_of_varest=float(np.var(values)),
+                method="enumeration",
+                reps_used=total,
+            )
+    if not simulated:
+        return results
     if reps < 2:
         raise ValueError(
             f"Monte Carlo needs reps >= 2 for a sample variance of the estimator, got {reps}"
         )
-    plan = shuffle_plan(table, design)
-    values = np.empty(reps)
-    rows = chunk_rows(table.n)
+    width = max(len(plan.steps) for *_, plan in simulated)
+    highs = [np.pad(plan.highs, (0, width - len(plan.steps)), constant_values=1)
+             for *_, plan in simulated]
+    lane_seeds = [seeds[p][d] for p in range(len(tables)) for d, *_ in simulated]
+    values = np.empty((len(tables), len(simulated), reps))
+    rows = chunk_rows(first.n)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
-        masks = draw_masks(plan, mc.rep_rngs(seed, start, stop))
-        values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
-    return VarestVariability(
-        mean_varest=float(np.mean(values)),
-        var_of_varest=float(np.var(values, ddof=1)),
-        method="monte_carlo",
-        reps_used=reps,
-    )
+        draws = mc.rep_integers(lane_seeds, start, stop, np.tile(highs, (len(tables), 1)))
+        draws = draws.reshape(len(tables), len(simulated), stop - start, width)
+        for j, (_, design, statistic, plan) in enumerate(simulated):
+            steps = draws[:, j, :, : len(plan.steps)].reshape(-1, len(plan.steps))
+            masks = draw_masks(plan, steps).reshape(len(tables), stop - start, first.n)
+            for p, table in enumerate(tables):
+                values[p, j, start:stop] = batch_statistic(
+                    table, design, statistic, masks[p], first=start
+                )
+    for j, (d, *_) in enumerate(simulated):
+        for p in range(len(tables)):
+            results[p][d] = VarestVariability(
+                mean_varest=float(np.mean(values[p, j])),
+                var_of_varest=float(np.var(values[p, j], ddof=1)),
+                method="monte_carlo",
+                reps_used=reps,
+            )
+    return results

@@ -401,7 +401,7 @@ def _monte_carlo(num_types, k_draw, reps, seed, evaluate) -> np.ndarray:
     values = np.empty((3, reps))
     highs = np.full(k_draw, num_types)
     for lo, hi in mc.chunk_bounds(reps):
-        values[:, lo:hi] = evaluate(mc.rep_integers(seed, lo, hi, highs))
+        values[:, lo:hi] = evaluate(mc.rep_integers([seed], lo, hi, highs))
     return values
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from blockcalc import Blocked, CompleteRandomization, table_from_arrays
+from blockcalc import Blocked, CompleteRandomization, mc, table_from_arrays
+from blockcalc.oracle import batch_statistic, chunk_rows, count_assignments, enumerate_statistic
+from blockcalc.randomizer import draw_masks, shuffle_plan
+from blockcalc.variance_estimation import EXACT_ENUMERATION_LIMIT
 
 
 @pytest.fixture
@@ -78,3 +81,24 @@ def random_table_factory():
 
 def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def reference_varest_variability(table, design, reps, seed, exact_limit=EXACT_ENUMERATION_LIMIT):
+    """``(mean, variance)`` of the design's own variance estimator on one
+    table, one seeded generator from ``mc.rep_rngs`` per rep: the per-point
+    path that ``variance_estimation.varest_variabilities`` batches. Draws
+    are evaluated in the same ``chunk_rows`` chunks, so results are equal
+    bit for bit."""
+    statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+    if count_assignments(design, table) <= exact_limit:
+        values, _ = enumerate_statistic(table, design, statistic)
+        return float(np.mean(values)), float(np.var(values))
+    plan = shuffle_plan(table, design)
+    values = np.empty(reps)
+    rows = chunk_rows(table.n)
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
+        draws = [rng.integers(plan.highs) for rng in mc.rep_rngs(seed, start, stop)]
+        masks = draw_masks(plan, np.array(draws).reshape(stop - start, len(plan.highs)))
+        values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
+    return float(np.mean(values)), float(np.var(values, ddof=1))

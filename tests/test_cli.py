@@ -333,7 +333,7 @@ class TestStudyCommand:
                    "--out", str(tmp_path)])
         assert rc == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["counts"] == {"reps": 30, "chunks": 2, "workers": 1}
+        assert manifest["counts"] == {"reps": 30, "chunks": 1, "workers": 1}
 
     def test_unknown_config_field_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

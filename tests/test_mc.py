@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from blockcalc import mc
-from blockcalc.oracle import chunk_rows
-from blockcalc.pop_model import Blocked, CompleteRandomization, table_from_arrays
+from blockcalc.oracle import CHUNK_CELLS, chunk_rows
+from blockcalc.pop_model import Blocked, table_from_arrays
 from blockcalc.randomizer import shuffle_plan
 from blockcalc.replay import Strategy, read_replay_csv, run_replay
 from blockcalc.studies import FlexBlockingConfig, study_flexible_blocking
-from blockcalc.variance_estimation import varest_variability
 from blockcalc.variance_theory import var_diff_site_sampling
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,20 +81,40 @@ class TestRepRngs:
         assert str(error.value) == str(numpy_error.value)
 
 
-def reference_integers(seed, lo, hi, highs):
-    """``mc.rep_rng(seed, r).integers(highs)`` for reps ``lo..hi-1``, stacked."""
-    rows = [mc.rep_rng(seed, r).integers(highs) for r in range(lo, hi)]
-    return np.array(rows, dtype=np.int64).reshape(hi - lo, len(highs))
+def reference_integers(seeds, lo, hi, highs):
+    """``mc.rep_rng(seed, r).integers(high_row)`` for every seed, with its
+    row of ``highs`` (one row shared by every seed, or one each), and rep
+    ``r`` in ``lo..hi-1``, stacked seed by seed."""
+    highs = np.broadcast_to(np.asarray(highs, dtype=np.int64), (len(seeds), np.shape(highs)[-1]))
+    rows = [mc.rep_rng(s, r).integers(h) for s, h in zip(seeds, highs) for r in range(lo, hi)]
+    return np.array(rows, dtype=np.int64).reshape(len(seeds) * (hi - lo), highs.shape[1])
 
 
-def assert_rep_integers_match(seed, lo, hi, highs):
-    got = mc.rep_integers(seed, lo, hi, highs)
-    assert got.dtype == np.int64 and got.shape == (hi - lo, len(highs))
-    assert np.array_equal(got, reference_integers(seed, lo, hi, highs)), (seed, lo, hi)
+def assert_rep_integers_match(seeds, lo, hi, highs):
+    got = mc.rep_integers(seeds, lo, hi, highs)
+    assert got.dtype == np.int64 and got.shape == (len(seeds) * (hi - lo), np.shape(highs)[-1])
+    assert np.array_equal(got, reference_integers(seeds, lo, hi, highs)), (seeds, lo, hi)
 
 
 #: 2^31 + 5 rejects about half the words; 2^32 - 1 is the largest bound.
 HIGHS = [1, 2, 3, 40, 2**31 + 5, 2**32 - 1]
+
+#: Seeds of 1, 2, 3 and 5 words: up to four words fill one pool, five do not.
+MIXED_SEEDS = [0, 2**70 + 3, 7, 2**40 + 1, 2**130 + 9, 2**64 + 5, 12345]
+
+
+def counting_rep_rng(monkeypatch):
+    """Redraws of ``mc.rep_integers``, recorded as ``(seed, rep)`` while they
+    still come from the reference ``mc.rep_rng``."""
+    reference_rep_rng = mc.rep_rng
+    redrawn = []
+
+    def counting(seed, rep):
+        redrawn.append((seed, rep))
+        return reference_rep_rng(seed, rep)
+
+    monkeypatch.setattr(mc, "rep_rng", counting)
+    return redrawn
 
 
 class TestRepIntegers:
@@ -103,12 +122,12 @@ class TestRepIntegers:
     @pytest.mark.parametrize("high", HIGHS)
     def test_matches_rep_rng(self, seed, high):
         # An odd step count leaves half of the last 64-bit output unused.
-        assert_rep_integers_match(seed, 0, 300, np.full(7, high))
+        assert_rep_integers_match([seed], 0, 300, np.full(7, high))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**130 + 9])
     def test_mixed_highs(self, seed):
         highs = [40, 1, 2**31 + 5, 3, 1, 2, 2**32 - 1, 40, 3, 1]
-        assert_rep_integers_match(seed, 0, 600, highs)
+        assert_rep_integers_match([seed], 0, 600, highs)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -122,10 +141,10 @@ class TestRepIntegers:
         ],
     )
     def test_ranges_across_chunk_and_spawn_key_boundaries(self, lo, hi):
-        assert_rep_integers_match(11, lo, hi, [5, 1, 40, 2**31 + 5, 9])
+        assert_rep_integers_match([11], lo, hi, [5, 1, 40, 2**31 + 5, 9])
 
     def test_scalar_high_with_size_is_the_same_draw(self):
-        got = mc.rep_integers(7, 0, 50, np.full(8, 40))
+        got = mc.rep_integers([7], 0, 50, np.full(8, 40))
         want = [mc.rep_rng(7, r).integers(40, size=8) for r in range(50)]
         assert np.array_equal(got, want)
 
@@ -135,20 +154,13 @@ class TestRepIntegers:
         y = np.random.default_rng(4).normal(size=labels.size)
         plan = shuffle_plan(table_from_arrays(labels, y, y), Blocked((4, 7, 1, 10, 6)))
         assert len(set(plan.highs.tolist())) > 10
-        assert_rep_integers_match(seed, 0, 400, plan.highs)
+        assert_rep_integers_match([seed], 0, 400, plan.highs)
 
     def test_rejected_words_are_redrawn_from_rep_rng(self, monkeypatch):
         highs = np.full(7, 2**31 + 5)
-        want = reference_integers(3, 0, 40, highs)
-        reference_rep_rng = mc.rep_rng
-        redrawn = []
-
-        def counting_rep_rng(seed, rep):
-            redrawn.append(rep)
-            return reference_rep_rng(seed, rep)
-
-        monkeypatch.setattr(mc, "rep_rng", counting_rep_rng)
-        assert np.array_equal(mc.rep_integers(3, 0, 40, highs), want)
+        want = reference_integers([3], 0, 40, highs)
+        redrawn = counting_rep_rng(monkeypatch)
+        assert np.array_equal(mc.rep_integers([3], 0, 40, highs), want)
         assert 0 < len(redrawn) <= 40
 
     @pytest.mark.parametrize("hi", [0, 3])
@@ -156,8 +168,37 @@ class TestRepIntegers:
         with pytest.raises(ValueError) as numpy_error:
             mc.rep_rng(-1, 0)
         with pytest.raises(ValueError, match="expected non-negative integer") as error:
-            mc.rep_integers(-1, 0, hi, [4])
+            mc.rep_integers([5, -1], 0, hi, [4])
         assert str(error.value) == str(numpy_error.value)
+
+    def test_several_seeds_of_one_to_five_words(self):
+        assert_rep_integers_match(MIXED_SEEDS, 0, 300, [5, 1, 40, 2**31 + 5, 9])
+
+    def test_several_seeds_across_a_spawn_key_word(self):
+        # Rep 2^32 takes a two-word spawn key, so each seed's lanes split there.
+        assert_rep_integers_match(MIXED_SEEDS, 2**32 - 3, 2**32 + 4, [7, 40, 1, 3])
+
+    def test_forced_lemire_rejections_of_several_seeds(self, monkeypatch):
+        # A high of 3 * 2^30 rejects a quarter of the words.
+        highs = np.full(6, 3 * 2**30)
+        want = reference_integers(MIXED_SEEDS, 0, 30, highs)
+        redrawn = counting_rep_rng(monkeypatch)
+        assert np.array_equal(mc.rep_integers(MIXED_SEEDS, 0, 30, highs), want)
+        assert {seed for seed, _ in redrawn} == set(MIXED_SEEDS)
+
+    def test_one_row_of_highs_per_seed_with_ones(self):
+        # A high of 1 takes no word, so the rows draw their words at different
+        # steps; the last row draws none.
+        highs = [[4, 1, 1, 7, 40], [1, 9, 1, 1, 3], [2**31 + 5, 2, 40, 1, 1], [1, 1, 1, 1, 1]]
+        assert_rep_integers_match(MIXED_SEEDS[:4], 0, 300, highs)
+
+    def test_lane_slices_split_the_reps_of_a_seed(self):
+        # Slices hold at most CHUNK_CELLS // steps = 4 lanes, so 3 seeds of 5
+        # reps take 4 slices of 4, 4, 4 and 3 lanes, and each seed's reps are
+        # split between two slices.
+        highs = np.arange(CHUNK_CELLS // 4, 0, -1) + 1
+        assert CHUNK_CELLS // len(highs) == 4
+        assert_rep_integers_match([5, 2**70 + 3, 9], 10, 15, highs)
 
 
 class SpoilingRepRngs:
@@ -198,17 +239,6 @@ def _flexible_blocking():
     return study_flexible_blocking(cfg, seed=6, reps=300)
 
 
-def _varest_monte_carlo():
-    labels = np.repeat([1, 2, 3, 4], 4)
-    y = np.random.default_rng(8).normal(size=16)
-    table = table_from_arrays(labels, y, y + 0.5)
-    reps = chunk_rows(table.n) + 50
-    return [
-        varest_variability(table, design, reps=reps, seed=9, exact_limit=1)
-        for design in (CompleteRandomization(8), Blocked((2, 2, 2, 2)))
-    ]
-
-
 def _replay_random_blocks():
     data = read_replay_csv(GOLDEN / "input_replay.csv")
     allocations = chunk_rows(data.n) + 40
@@ -216,7 +246,7 @@ def _replay_random_blocks():
 
 
 @pytest.mark.parametrize(
-    "caller", [_flexible_blocking, _varest_monte_carlo, _replay_random_blocks]
+    "caller", [_flexible_blocking, _replay_random_blocks]
 )
 def test_callers_are_done_with_each_generator_before_the_next(monkeypatch, caller):
     got = caller()
@@ -235,9 +265,9 @@ class ReferenceRepIntegers:
     def __init__(self):
         self.reps = 0
 
-    def __call__(self, seed, lo, hi, highs):
-        self.reps += hi - lo
-        return reference_integers(seed, lo, hi, highs)
+    def __call__(self, seeds, lo, hi, highs):
+        self.reps += len(seeds) * (hi - lo)
+        return reference_integers(seeds, lo, hi, highs)
 
 
 def test_site_sampling_matches_per_rep_generators(monkeypatch):

@@ -20,13 +20,19 @@ from blockcalc.randomizer import draw_masks, shuffle_plan
 from conftest import make_random_blocked_design, make_random_table
 
 
+def generator_rows(plan, rng, draws):
+    """The rows of ``draws`` successive ``rng.integers(plan.highs)`` calls."""
+    return np.array([rng.integers(plan.highs) for _ in range(draws)])
+
+
 class TestAssignCr:
     def test_each_unit_treated_half_the_time(self, two_unit_table):
-        # One draw_masks call makes the generator calls of `draws` assign_cr calls.
+        # One draw_masks call on the rows of the generator calls of `draws`
+        # assign_cr calls.
         rng = np.random.default_rng(20240401)
         draws = 100_000
         plan = shuffle_plan(two_unit_table, CompleteRandomization(1))
-        hits = draw_masks(plan, [rng] * draws).sum(axis=0)
+        hits = draw_masks(plan, generator_rows(plan, rng, draws)).sum(axis=0)
         freq = hits / draws
         assert np.all(np.abs(freq - 0.5) < 0.01)
 
@@ -45,7 +51,7 @@ class TestAssignCr:
         rng = np.random.default_rng(5)
         draws = 60_000
         plan = shuffle_plan(mirrored_blocks_table, CompleteRandomization(2))
-        counts = Counter(map(tuple, draw_masks(plan, [rng] * draws).tolist()))
+        counts = Counter(map(tuple, draw_masks(plan, generator_rows(plan, rng, draws)).tolist()))
         assert len(counts) == 6
         for c in counts.values():
             assert abs(c / draws - 1 / 6) < 0.01
@@ -56,7 +62,7 @@ class TestAssignBlocked:
         rng = np.random.default_rng(99)
         plan = shuffle_plan(mirrored_blocks_table, Blocked((1, 1)))
         draws = 100_000
-        counts = Counter(map(tuple, draw_masks(plan, [rng] * draws).tolist()))
+        counts = Counter(map(tuple, draw_masks(plan, generator_rows(plan, rng, draws)).tolist()))
         assert len(counts) == 4
         for c in counts.values():
             assert abs(c / draws - 0.25) < 0.01
@@ -216,33 +222,31 @@ DRAW_CASES = [
 
 class TestDrawMasks:
     @pytest.mark.parametrize("sizes, n_t", DRAW_CASES)
-    def test_masks_and_generator_state_match_reference(self, sizes, n_t):
+    def test_masks_match_reference(self, sizes, n_t):
         table, design = draw_case(sizes, n_t)
         plan = shuffle_plan(table, design)
         reps = 500
-        got = draw_masks(plan, (mc.rep_rng(11, r) for r in range(reps)))
+        got = draw_masks(plan, [mc.rep_rng(11, r).integers(plan.highs) for r in range(reps)])
         assert got.dtype == bool and got.shape == (reps, table.n)
         for r in range(reps):
-            mine, ref = mc.rep_rng(11, r), mc.rep_rng(11, r)
-            draw_masks(plan, [mine])
-            assert np.array_equal(got[r], reference_mask(table, design, ref))
-            assert mine.integers(2**62) == ref.integers(2**62)
+            assert np.array_equal(got[r], reference_mask(table, design, mc.rep_rng(11, r)))
 
     @pytest.mark.parametrize("sizes, n_t", DRAW_CASES)
     def test_assign_wrappers_return_the_same_draw(self, sizes, n_t):
         table, design = draw_case(sizes, n_t)
         for seed in range(50):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             if n_t is None:
-                mask = assign_blocked(table, design, np.random.default_rng(seed))
+                mask = assign_blocked(table, design, mine)
             else:
-                mask = assign_cr(table.n, n_t, np.random.default_rng(seed))
-            ref = reference_mask(table, design, np.random.default_rng(seed))
+                mask = assign_cr(table.n, n_t, mine)
             assert mask.dtype == bool
-            assert np.array_equal(mask, ref)
+            assert np.array_equal(mask, reference_mask(table, design, ref))
+            assert mine.integers(2**62) == ref.integers(2**62)
 
-    def test_no_generators_give_an_empty_matrix(self):
+    def test_no_draws_give_an_empty_matrix(self):
         plan = shuffle_plan(unsorted_table(0, (3, 4)), Blocked((1, 2)))
-        assert draw_masks(plan, []).shape == (0, 7)
+        assert draw_masks(plan, np.empty((0, 3), dtype=np.int64)).shape == (0, 7)
 
     def test_plan_rejects_infeasible_design(self):
         with pytest.raises(ValueError, match="block 2"):

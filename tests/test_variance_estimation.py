@@ -17,9 +17,10 @@ from blockcalc import (
     varest_variability,
 )
 from blockcalc.pop_model import StrataMoments, blocked_design_for_proportion, summarize
-from blockcalc.oracle import iter_assignments
+from blockcalc.oracle import chunk_rows, iter_assignments
+from blockcalc.variance_estimation import varest_variabilities
 
-from conftest import make_random_table, rel_close
+from conftest import make_random_table, reference_varest_variability, rel_close
 
 
 def obs(blocks, treated, y):
@@ -250,3 +251,33 @@ class TestVarestVariability:
         b = varest_variability(four_strata_table, CompleteRandomization(8), **kwargs)
         assert a == b
         assert a.method == "monte_carlo"
+
+    @pytest.mark.parametrize("design", [CompleteRandomization(8), Blocked((2, 3, 2, 3))])
+    @pytest.mark.parametrize(
+        "reps, seed", [(2, 0), (chunk_rows(18) + 50, 9), (3 * chunk_rows(18) + 1, 2**70 + 3)]
+    )
+    def test_monte_carlo_branch_matches_per_rep_generators(self, design, reps, seed):
+        labels = np.repeat([1, 2, 3, 4], [4, 5, 4, 5])
+        y = np.random.default_rng(8).normal(size=18)
+        table = table_from_arrays(labels, y + 0.5 * labels, y)
+        got = varest_variability(table, design, reps=reps, seed=seed, exact_limit=1)
+        want = reference_varest_variability(table, design, reps, seed, exact_limit=1)
+        assert (got.mean_varest, got.var_of_varest) == want
+        assert (got.method, got.reps_used) == ("monte_carlo", reps)
+
+    def test_batch_of_tables_and_designs_matches_one_at_a_time(self):
+        # CR(5) and CR(9) are simulated, with 5 and 9 shuffle steps; the
+        # blocked design's 3600 assignments are enumerated on every table.
+        labels = np.repeat([1, 2, 3, 4], [4, 5, 4, 5])
+        rng = np.random.default_rng(5)
+        tables = [table_from_arrays(labels, rng.normal(size=18) + 1, rng.normal(size=18))
+                  for _ in range(3)]
+        designs = [CompleteRandomization(5), Blocked((2, 2, 2, 2)), CompleteRandomization(9)]
+        seeds = [[3 * p + d for d in range(3)] for p in range(3)]
+        reps = chunk_rows(18) + 7
+        got = varest_variabilities(tables, designs, seeds, reps=reps, exact_limit=5000)
+        for p, table in enumerate(tables):
+            assert [r.method for r in got[p]] == ["monte_carlo", "enumeration", "monte_carlo"]
+            for d, design in enumerate(designs):
+                want = reference_varest_variability(table, design, reps, seeds[p][d], 5000)
+                assert (got[p][d].mean_varest, got[p][d].var_of_varest) == want
