@@ -371,6 +371,8 @@ def cmd_study(args, manifest: ManifestWriter) -> Report:
 
 
 def cmd_replay(args, manifest: ManifestWriter) -> Report:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     data = read_replay_csv(args.table)
     strategies = (
         read_strategies_json(args.strategies)
@@ -486,6 +488,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         manifest = ManifestWriter(args.command, args)
         name, columns, rows, config = command(args, manifest)
         manifest.mark("compute")

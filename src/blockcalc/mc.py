@@ -27,8 +27,9 @@ two consumers start from those seeds.
   ziggurat with data-dependent rejection, and replay's permutations from
   numpy's ``permutation``.
 
-The worker count is clamped by :func:`effective_workers`: a pool never has
-more workers than items to map or CPUs to run them on.
+Every Monte Carlo and grid loop runs in the batches of :func:`chunk_bounds`,
+sized in cells. The worker count is clamped by :func:`effective_workers`: a
+pool never has more workers than items to map or CPUs to run them on.
 """
 
 from __future__ import annotations
@@ -41,14 +42,10 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .oracle import CHUNK_CELLS
+from .oracle import chunk_rows
 
 T = TypeVar("T")
 U = TypeVar("U")
-
-#: Replications per work chunk. Fixed so that chunk boundaries (and hence
-#: floating-point reduction order) do not depend on the worker count.
-CHUNK_SIZE = 256
 
 
 def rep_rng(master_seed: int, rep: int) -> np.random.Generator:
@@ -185,12 +182,12 @@ def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator
 
     Every item is the same ``Generator`` object, re-seeded in place, so a
     caller must be done with it before it asks for the next one. Reps are
-    hashed by :func:`_lane_seeds`, at most :data:`CHUNK_SIZE` at a time. A
-    negative seed raises numpy's ``ValueError``.
+    hashed by :func:`_lane_seeds`, ``chunk_rows(8)`` at a time: each lane's
+    seed is eight 32-bit words. A negative seed raises numpy's ``ValueError``.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for _, seeds in _lane_seeds([master_seed], lo, hi, CHUNK_SIZE):
+    for _, seeds in _lane_seeds([master_seed], lo, hi, chunk_rows(2 * _POOL_SIZE)):
         for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
             # pcg_setseq_128_srandom_r: two LCG steps from state 0, adding initstate between them.
             inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
@@ -292,17 +289,17 @@ def rep_integers(master_seeds: Sequence[int], lo: int, hi: int, highs) -> np.nda
     when it is rejected and another word is drawn; a high of 1 gives 0 and
     takes no word, so a row padded with 1s draws its own values followed by
     0s. Every lane's words come from :func:`_pcg64_words`, hashed by
-    :func:`_lane_seeds` in slices that keep lanes times steps within
-    :data:`~blockcalc.oracle.CHUNK_CELLS`, and a lane with a rejected word
-    is redrawn from :func:`rep_rng` (for a high of 40, fewer than one word
-    in 10^8 is rejected). A negative seed raises numpy's ``ValueError``.
+    :func:`_lane_seeds` ``chunk_rows(steps)`` lanes at a time, and a lane
+    with a rejected word is redrawn from :func:`rep_rng` (for a high of 40,
+    fewer than one word in 10^8 is rejected). A negative seed raises numpy's
+    ``ValueError``.
     """
     highs = np.asarray(highs, dtype=np.int64)
     assert np.all((highs >= 1) & (highs < 1 << 32)), "every high must be in 1..2^32-1"
     highs = np.broadcast_to(highs, (len(master_seeds), highs.shape[-1]))
     reps, steps = hi - lo, highs.shape[1]
     out = np.zeros((len(master_seeds) * reps, steps), dtype=np.int64)
-    for rows, seeds in _lane_seeds(master_seeds, lo, hi, max(1, CHUNK_CELLS // max(1, steps))):
+    for rows, seeds in _lane_seeds(master_seeds, lo, hi, chunk_rows(max(1, steps))):
         bounds = highs[rows // reps].T.astype(np.uint64)
         drawn = bounds > 1
         outputs = -(-int(drawn.sum(axis=0).max(initial=0)) // 2)
@@ -319,8 +316,10 @@ def rep_integers(master_seeds: Sequence[int], lo: int, hi: int, highs) -> np.nda
     return out
 
 
-def chunk_bounds(n: int, chunk: int = CHUNK_SIZE) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+def chunk_bounds(count: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` batches of ``count`` items, ``chunk_rows(width)`` at most."""
+    rows = chunk_rows(width)
+    return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def effective_workers(threads: int, items: int) -> int:

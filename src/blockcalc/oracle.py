@@ -58,9 +58,9 @@ def count_assignments(design: DesignSpec, table: PotentialOutcomeTable) -> int:
     return math.prod(math.comb(len(units), m) for units, m in zip(groups, counts))
 
 
-def chunk_rows(n: int) -> int:
-    """Assignments per batch for an ``n``-unit table."""
-    return max(1, CHUNK_CELLS // n)
+def chunk_rows(width: int) -> int:
+    """Items of ``width`` cells per batch, such as ``n``-unit assignments."""
+    return max(1, CHUNK_CELLS // width)
 
 
 def _lex_table(n: int, m: int, memo: dict) -> np.ndarray:

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import mc
 from .blocking_lab import labels_in_order, make_blocks_random
-from .oracle import chunk_rows
 from .pop_model import (
     Blocked,
     PotentialOutcomeTable,
@@ -179,20 +178,15 @@ def _rel_se_pct(y: np.ndarray, labels: np.ndarray, sizes, counts, var_cr: float)
 
 
 def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -> np.ndarray:
-    """The ratio of each random partition, scored in chunks of ``chunk_rows(n)`` rows.
+    """The ratio of each random partition, scored in ``mc.chunk_bounds(allocations, n)``.
 
     Allocation ``a`` is drawn from the generator ``mc.rep_rngs`` yields for
     rep ``a`` (the state of ``mc.rep_rng(seed, a)``); that generator is
     reused, so each partition is drawn before the next is asked for."""
-    rows = chunk_rows(data.n)
     ratios = []
-    for lo in range(0, allocations, rows):
-        labels = np.stack(
-            [
-                make_blocks_random(data.n, sizes, rng)
-                for rng in mc.rep_rngs(seed, lo, min(lo + rows, allocations))
-            ]
-        )
+    for lo, hi in mc.chunk_bounds(allocations, data.n):
+        rngs = mc.rep_rngs(seed, lo, hi)
+        labels = np.stack([make_blocks_random(data.n, sizes, rng) for rng in rngs])
         ratios.append(_rel_se_pct(data.y, labels - 1, sizes, counts, var_cr))
     return np.concatenate(ratios)
 

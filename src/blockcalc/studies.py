@@ -5,15 +5,15 @@ replications draw from generators derived via ``SeedSequence(seed,
 spawn_key=...)``, and partial results are reduced in a fixed order, so the
 worker count never changes the output.
 
+Every study maps over the batches of :func:`batch_bounds`, sized in cells.
 ``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
-points, each point a scenario population, and map over batches of at most
-``mc.CHUNK_SIZE`` points (:func:`_map_grid`). A batch is scored by
-:func:`_scenario_chunk`: one draw per point, then one grouped-moments pass
-per arm over the batch feeds every closed form. ``misconceptions`` then
-wraps each checked point in a table for its estimator Monte Carlo, which
-draws the assignments of every point and both designs together
-(:func:`~blockcalc.variance_estimation.varest_variabilities`).
-``flexible-blocking`` sums each chunk of reps into one ``(3, methods,
+points, each point a scenario population (:func:`_map_grid`). A batch is
+scored by :func:`_scenario_chunk`: one draw per point, then one
+grouped-moments pass per arm over the batch feeds every closed form.
+``misconceptions`` then wraps each checked point in a table for its
+estimator Monte Carlo, which draws the assignments of every point and both
+designs together (:func:`~blockcalc.variance_estimation.varest_variabilities`).
+``flexible-blocking`` sums each batch of reps into one ``(3, methods,
 dgps)`` array. A study variance that under- or overflows float64 ends the
 study in one error naming the config field that sets the outcome scale
 (:func:`_require_float_range`).
@@ -77,15 +77,21 @@ def _child_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
 
 
-def _map_grid(chunk, cfg, seed: int, threads: int) -> list[dict]:
-    """The rows of a scenario study in grid order: ``chunk`` mapped over
-    batches of at most ``mc.CHUNK_SIZE`` consecutive work items
+def batch_bounds(cfg, reps: int) -> list[tuple[int, int]]:
+    """A study's ``mc.chunk_bounds``: ``cfg.n`` cells per rep, ``sum(block_sizes)`` per point."""
+    if isinstance(cfg, FlexBlockingConfig):
+        return mc.chunk_bounds(reps, cfg.n)
+    return mc.chunk_bounds(len(cfg.spread_scales) * len(cfg.rhos), sum(cfg.block_sizes))
+
+
+def _map_grid(chunk, cfg, seed: int, threads: int, bounds) -> list[dict]:
+    """The rows of a scenario study in grid order: ``chunk`` mapped over the
+    ``bounds`` (or :func:`batch_bounds`) batches of work items
     ``(cfg, seed, index, scale, rho)``, every spread scale, then every
-    ``rho`` within it, numbered in turn. Batch bounds depend only on the
-    grid length, so the worker count never moves a bit of the report."""
+    ``rho`` within it, numbered in turn."""
     pairs = itertools.product(cfg.spread_scales, cfg.rhos)
     grid = [(cfg, seed, i, scale, rho) for i, (scale, rho) in enumerate(pairs)]
-    batches = [grid[lo:hi] for lo, hi in mc.chunk_bounds(len(grid))]
+    batches = [grid[lo:hi] for lo, hi in bounds or batch_bounds(cfg, 0)]
     return [row for rows in mc.map_ordered(chunk, batches, threads) for row in rows]
 
 
@@ -219,10 +225,10 @@ def _ratio_sweep_chunk(points) -> list[dict]:
 
 
 def study_ratio_sweep(
-    config: RatioSweepConfig | None = None, seed: int = 0, threads: int = 1
+    config: RatioSweepConfig | None = None, seed: int = 0, threads: int = 1, bounds=None
 ) -> list[dict]:
     """Rows in grid order, from batches of :func:`_ratio_sweep_chunk`."""
-    return _map_grid(_ratio_sweep_chunk, config or RatioSweepConfig(), seed, threads)
+    return _map_grid(_ratio_sweep_chunk, config or RatioSweepConfig(), seed, threads, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +333,10 @@ def study_flexible_blocking(
     seed: int = 0,
     reps: int = FLEX_BLOCKING_REPS,
     threads: int = 1,
+    bounds=None,
 ) -> list[dict]:
     cfg = config or FlexBlockingConfig()
-    chunks = [(cfg, seed, lo, hi) for lo, hi in mc.chunk_bounds(reps)]
+    chunks = [(cfg, seed, lo, hi) for lo, hi in bounds or batch_bounds(cfg, reps)]
     partials = mc.map_ordered(_flex_blocking_chunk, chunks, threads=threads)
     var_cr, var_bk, y_ratio = functools.reduce(operator.add, partials)
     sample, labels = _method_labels(cfg)
@@ -448,26 +455,27 @@ def study_misconceptions(
     seed: int = 0,
     reps: int = MISCONCEPTIONS_REPS,
     threads: int = 1,
+    bounds=None,
 ) -> list[dict]:
     """Rows in grid order, from batches of :func:`_misconceptions_chunk`
     mapped as ``ratio-sweep``'s are. A batch's config, outcome, noise and
     ``var_bk`` range checks all run before any of its Monte Carlo; the
     ``var_varest_*`` range is checked after, in grid order."""
-    cfg = config or MisconceptionsConfig()
-    return _map_grid(functools.partial(_misconceptions_chunk, reps=reps), cfg, seed, threads)
+    chunk = functools.partial(_misconceptions_chunk, reps=reps)
+    return _map_grid(chunk, config or MisconceptionsConfig(), seed, threads, bounds)
 
 
 STUDIES = {
-    "ratio-sweep": (RatioSweepConfig, RATIO_SWEEP_COLUMNS),
-    "flexible-blocking": (FlexBlockingConfig, FLEX_BLOCKING_COLUMNS),
-    "misconceptions": (MisconceptionsConfig, MISCONCEPTIONS_COLUMNS),
+    "ratio-sweep": (RatioSweepConfig, RATIO_SWEEP_COLUMNS, 0),
+    "flexible-blocking": (FlexBlockingConfig, FLEX_BLOCKING_COLUMNS, FLEX_BLOCKING_REPS),
+    "misconceptions": (MisconceptionsConfig, MISCONCEPTIONS_COLUMNS, MISCONCEPTIONS_REPS),
 }
 
 
 def config_from_dict(name: str, overrides: dict | None):
     """Build a study config, replacing defaults with JSON-sourced fields
     (``None``, or a config file holding JSON ``null``, keeps every default)."""
-    cls, _ = STUDIES[name]
+    cls = STUDIES[name][0]
     cfg = cls()
     if overrides is None:
         return cfg
@@ -520,9 +528,8 @@ def run_study(
     Returns (rows, column order, resolved config dict, counts). ``counts``
     has the Monte Carlo ``reps`` (per estimator and grid point for
     ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
-    handed to :func:`mc.map_ordered` (rep chunks for ``flexible-blocking``,
-    grid-point batches for ``ratio-sweep`` and ``misconceptions``) and the
-    ``workers`` it used. ``ratio-sweep``
+    handed to :func:`mc.map_ordered` (the one :func:`batch_bounds` list
+    the study maps over) and the ``workers`` it used. ``ratio-sweep``
     rejects any ``reps``, because it would ignore them.
     """
     if name not in STUDIES:
@@ -534,16 +541,15 @@ def run_study(
     if reps is not None and reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     cfg = config_from_dict(name, config_overrides)
-    _, columns = STUDIES[name]
+    _, columns, default_reps = STUDIES[name]
+    reps = default_reps if reps is None else reps
+    bounds = batch_bounds(cfg, reps)
     if name == "ratio-sweep":
-        reps = 0
-        rows = study_ratio_sweep(cfg, seed=seed, threads=threads)
+        rows = study_ratio_sweep(cfg, seed=seed, threads=threads, bounds=bounds)
     elif name == "flexible-blocking":
-        reps = FLEX_BLOCKING_REPS if reps is None else reps
-        rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads)
+        rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads, bounds=bounds)
     else:
-        reps = MISCONCEPTIONS_REPS if reps is None else reps
-        rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads)
-    chunks = len(mc.chunk_bounds(reps if name == "flexible-blocking" else len(rows)))
-    counts = {"reps": reps, "chunks": chunks, "workers": mc.effective_workers(threads, chunks)}
+        rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads, bounds=bounds)
+    workers = mc.effective_workers(threads, len(bounds))
+    counts = {"reps": reps, "chunks": len(bounds), "workers": workers}
     return rows, columns, dataclasses.asdict(cfg), counts

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .oracle import batch_statistic, chunk_rows, count_assignments, enumerate_statistic
+from .oracle import batch_statistic, count_assignments, enumerate_statistic
 from .pop_model import (
     Blocked,
     CompleteRandomization,
@@ -256,14 +256,13 @@ def varest_variabilities(
     The tables share one block labelling, so a design's assignment count
     and shuffle steps are those of the first table. A design with at most
     ``exact_limit`` assignments is enumerated on every table. The others
-    are simulated together: each chunk of :func:`~blockcalc.oracle.chunk_rows`
-    reps takes every table's and design's step draws from one
+    are simulated together: each chunk of ``mc.chunk_bounds(reps, n)`` takes
+    every table's and design's step draws from one
     :func:`~blockcalc.mc.rep_integers` call (a design with fewer steps
     padded with highs of 1, which draw nothing), turns each design's rows
     into masks with :func:`~blockcalc.randomizer.draw_masks` and evaluates
-    each table's masks of the chunk in one
-    :func:`~blockcalc.oracle.batch_statistic` call, numbered from the
-    chunk's first rep.
+    each table's masks of the chunk in one :func:`~blockcalc.oracle.batch_statistic`
+    call, numbered from the chunk's first rep.
     """
     first = tables[0]
     if any(not np.array_equal(table.blocks, first.blocks) for table in tables):
@@ -296,9 +295,7 @@ def varest_variabilities(
              for *_, plan in simulated]
     lane_seeds = [seeds[p][d] for p in range(len(tables)) for d, *_ in simulated]
     values = np.empty((len(tables), len(simulated), reps))
-    rows = chunk_rows(first.n)
-    for start in range(0, reps, rows):
-        stop = min(start + rows, reps)
+    for start, stop in mc.chunk_bounds(reps, first.n):
         draws = mc.rep_integers(lane_seeds, start, stop, np.tile(highs, (len(tables), 1)))
         draws = draws.reshape(len(tables), len(simulated), stop - start, width)
         for j, (_, design, statistic, plan) in enumerate(simulated):

@@ -394,13 +394,13 @@ def _monte_carlo(num_types, k_draw, reps, seed, evaluate) -> np.ndarray:
 
     Rep ``r`` draws ``k_draw`` type indices below ``num_types``, the draw of
     ``mc.rep_rng(seed, r).integers(num_types, size=k_draw)``. The draws of
-    at most ``mc.CHUNK_SIZE`` reps come from one :func:`~blockcalc.mc.rep_integers`
-    call as an index matrix, and ``evaluate`` maps a matrix to the three
-    values of every row.
+    each batch of ``mc.chunk_bounds(reps, k_draw)`` come from one
+    :func:`~blockcalc.mc.rep_integers` call as an index matrix, and
+    ``evaluate`` maps a matrix to the three values of every row.
     """
     values = np.empty((3, reps))
     highs = np.full(k_draw, num_types)
-    for lo, hi in mc.chunk_bounds(reps):
+    for lo, hi in mc.chunk_bounds(reps, k_draw):
         values[:, lo:hi] = evaluate(mc.rep_integers([seed], lo, hi, highs))
     return values
 

@@ -479,8 +479,9 @@ class TestStudyCommand:
             reports.append((out / f"study_{study.replace('-', '_')}.csv").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_threads_do_not_change_two_batch_ratio_sweep_bytes(self, tmp_path):
-        # 300 grid points are two batches of mc.chunk_bounds, scored in parallel at 2 threads.
+    def test_threads_do_not_change_three_batch_ratio_sweep_bytes(self, tmp_path):
+        # 300 grid points of 115 units are three batches of mc.chunk_bounds,
+        # scored in parallel at 2 threads.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spread_scales": [0.05 * i for i in range(100)]}))
         reports, counts = [], []
@@ -494,8 +495,8 @@ class TestStudyCommand:
         assert reports[0] == reports[1]
         assert len(read_report(tmp_path / "1" / "study_ratio_sweep.csv")) == 300
         assert counts == [
-            {"reps": 0, "chunks": 2, "workers": 1},
-            {"reps": 0, "chunks": 2, "workers": mc.effective_workers(2, 2)},
+            {"reps": 0, "chunks": 3, "workers": 1},
+            {"reps": 0, "chunks": 3, "workers": mc.effective_workers(2, 3)},
         ]
 
 
@@ -594,6 +595,21 @@ class TestReplayCommand:
         assert_one_line_error(proc, message)
         assert not (tmp_path / "replay_report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "reps, strategies",
+        [("0", None), ("-5", '[{"name": "keep-blocks"}, {"name": "outcome-sorted-blocks"}]')],
+        ids=["default-strategies", "no-random-blocks"],
+    )
+    def test_reps_below_one_is_one_line_error(self, tmp_path, reps, strategies):
+        argv = [str(GOLDEN / "input_replay.csv"), "--reps", reps]
+        if strategies is not None:
+            (tmp_path / "strategies.json").write_text(strategies)
+            argv += ["--strategies", str(tmp_path / "strategies.json")]
+        proc = run_cli("replay", *argv, "--out", str(tmp_path))
+        assert_one_line_error(proc, f"--reps must be at least 1, got {reps}")
+        assert proc.stderr.rstrip().endswith(f"got {reps}")
+        assert not (tmp_path / "replay_report.csv").exists()
+
     def test_constant_outcomes_are_one_line_error(self, tmp_path):
         table = tmp_path / "replay.csv"
         table.write_text("unit_id,block,z,baseline,y\n" + "".join(
@@ -654,6 +670,30 @@ class TestArgumentValidation:
         rc = main(["compare", str(strata), "--framework", "strat", "--out", str(tmp_path)])
         assert rc == 1
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["variance", "{table}", "--design", "cr:2"],
+            ["compare", "{strata}", "--framework", "strat", "--n", "8", "--p", "0.5"],
+            ["study", "ratio-sweep"],
+            ["replay", "{replay}"],
+            ["enumerate", "{table}", "--design", "cr:2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_threads_below_one_is_one_line_error(self, tmp_path, capsys, argv, threads):
+        inputs = {"table": tmp_path / "table.csv", "strata": tmp_path / "strata.csv",
+                  "replay": GOLDEN / "input_replay.csv"}
+        write_mirrored_table(inputs["table"])
+        write_strata(inputs["strata"])
+        argv = [str(inputs[a[1:-1]]) if a.startswith("{") else a for a in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--threads", threads, "--out", str(out)]) == 1
+        message = f"blockcalc: error: --threads must be at least 1, got {threads}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -53,8 +53,9 @@ class TestRepRngs:
         [
             (0, 0),
             (300, 300),
-            (mc.CHUNK_SIZE - 1, mc.CHUNK_SIZE + 1),
-            (5, 3 * mc.CHUNK_SIZE + 7),
+            # rep_rngs hashes chunk_rows(8) lanes at a time (a lane's seed is 8 words).
+            (chunk_rows(8) - 1, chunk_rows(8) + 1),
+            (5, 3 * chunk_rows(8) + 7),
             (chunk_rows(64) - 2, 2 * chunk_rows(64) + 1),
             (chunk_rows(10) - 1, chunk_rows(10) + 1),
         ],
@@ -134,8 +135,9 @@ class TestRepIntegers:
         [
             (0, 0),
             (300, 300),
-            (mc.CHUNK_SIZE - 1, mc.CHUNK_SIZE + 1),
-            (5, 3 * mc.CHUNK_SIZE + 7),
+            # Five steps per lane: slices of chunk_rows(5) lanes.
+            (chunk_rows(5) - 1, chunk_rows(5) + 1),
+            (5, 3 * chunk_rows(5) + 7),
             (2**32 - 2, 2**32 + 3),
             (2**64 - 1, 2**64 + 2),
         ],
@@ -230,13 +232,14 @@ def reference_rep_rngs(seed, lo, hi):
 def _site_sampling():
     labels = np.repeat(np.arange(5), [4, 6, 8, 10, 12])
     y = np.random.default_rng(3).normal(size=labels.size)
-    report = var_diff_site_sampling(table_from_arrays(labels, y, y + 1), 3, 0.5, reps=300, seed=4)
+    table = table_from_arrays(labels, y, y + 1)
+    report = var_diff_site_sampling(table, 3, 0.5, reps=chunk_rows(3) + 40, seed=4)
     return report.var_cr, report.var_bk, report.diff, report.mc_se
 
 
 def _flexible_blocking():
     cfg = FlexBlockingConfig(n=32, block_size=4, interleave_blocks=5, noise_sigma=0.5)
-    return study_flexible_blocking(cfg, seed=6, reps=300)
+    return study_flexible_blocking(cfg, seed=6, reps=chunk_rows(cfg.n) + 88)
 
 
 def _replay_random_blocks():
@@ -246,16 +249,17 @@ def _replay_random_blocks():
 
 
 @pytest.mark.parametrize(
-    "caller", [_flexible_blocking, _replay_random_blocks]
+    "caller, n", [(_flexible_blocking, 32), (_replay_random_blocks, 64)]
 )
-def test_callers_are_done_with_each_generator_before_the_next(monkeypatch, caller):
+def test_callers_are_done_with_each_generator_before_the_next(monkeypatch, caller, n):
     got = caller()
     monkeypatch.setattr(mc, "rep_rngs", reference_rep_rngs)
     want = caller()
     spoiling = SpoilingRepRngs()
     monkeypatch.setattr(mc, "rep_rngs", spoiling)
     assert caller() == want == got
-    assert spoiling.yielded > mc.CHUNK_SIZE
+    # More than one batch of n-unit reps.
+    assert spoiling.yielded > chunk_rows(n)
 
 
 class ReferenceRepIntegers:
@@ -275,7 +279,7 @@ def test_site_sampling_matches_per_rep_generators(monkeypatch):
     reference = ReferenceRepIntegers()
     monkeypatch.setattr(mc, "rep_integers", reference)
     assert _site_sampling() == got
-    assert reference.reps > mc.CHUNK_SIZE
+    assert reference.reps > chunk_rows(3)
 
 
 @pytest.mark.parametrize(

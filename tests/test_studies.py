@@ -3,11 +3,12 @@ chunks against the per-rep loop, ratio-sweep and misconceptions batches
 against one table per grid point."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blockcalc import mc, studies
+from blockcalc import mc, oracle, studies
 from blockcalc.blocking_lab import (
     ScenarioConfig,
     gen_scenario_outcomes,
@@ -26,6 +27,7 @@ from blockcalc.studies import (
     _child_seed,
     _flex_blocking_chunk,
     _method_labels,
+    run_study,
     study_flexible_blocking,
     study_misconceptions,
     study_ratio_sweep,
@@ -79,9 +81,11 @@ def test_chunk_sums_match_reference(cfg, lo, hi):
 
 def test_study_reduces_chunks_in_order():
     cfg = CONFIGS[1]
-    reps = 300
+    reps = 600
     rows = study_flexible_blocking(cfg, seed=8, reps=reps)
-    parts = [reference_chunk(cfg, 8, lo, hi) for lo, hi in mc.chunk_bounds(reps)]
+    bounds = mc.chunk_bounds(reps, cfg.n)
+    assert len(bounds) == 2
+    parts = [reference_chunk(cfg, 8, lo, hi) for lo, hi in bounds]
     var_cr, var_bk, y_ratio = sum(parts)
     for row in rows:
         m, d = cfg.methods.index(row["method"]), cfg.dgps.index(row["dgp"])
@@ -119,7 +123,7 @@ def batch_drawn_tables(cfg, seed, treated_counts, *key):
     """The table of every grid point in grid order, from the outcomes of its
     batch of ``mc.chunk_bounds``, drawn as the studies draw them."""
     configs = [config for *_, config in reference_configs(cfg, seed, treated_counts, *key)]
-    for lo, hi in mc.chunk_bounds(len(configs)):
+    for lo, hi in mc.chunk_bounds(len(configs), sum(cfg.block_sizes)):
         labels, y_t, y_c = gen_scenario_outcomes(configs[lo:hi])
         for outcomes in zip(y_t, y_c):
             yield table_from_arrays(labels + 1, *outcomes)
@@ -137,7 +141,7 @@ def reference_ratio_sweep(cfg, seed):
     return np.array(rows)
 
 
-#: 100 scales by 3 rhos: 300 grid points, two batches of mc.chunk_bounds.
+#: 100 scales by 3 rhos: 300 grid points of 115 units, three batches of mc.chunk_bounds.
 WIDE_GRID = RatioSweepConfig(spread_scales=tuple(0.06 * i for i in range(100)), base_sigma=0.7)
 
 
@@ -181,7 +185,7 @@ def reference_misconceptions(cfg, seed, reps):
     return np.array(rows)
 
 
-#: 100 scales by 3 rhos: 300 grid points, two batches of mc.chunk_bounds.
+#: 100 scales by 3 rhos: 300 grid points of 115 units, three batches of mc.chunk_bounds.
 WIDE_MISCONCEPTIONS = MisconceptionsConfig(spread_scales=tuple(0.06 * i for i in range(100)))
 
 
@@ -217,3 +221,57 @@ def test_misconceptions_checks_a_batch_before_any_monte_carlo(monkeypatch):
     with pytest.raises(ValueError, match="y_t outcomes too large"):
         study_misconceptions(cfg, reps=4)
     assert calls == []
+
+
+def test_wide_table_grid_memory_stays_within_a_few_batches():
+    # 40 points of 4096 units are ten batches of chunk_rows(4096) = 4 points;
+    # as one batch they peak above 12 MiB.
+    cfg = RatioSweepConfig(
+        block_sizes=(512,) * 8,
+        treated_equal=(100,) * 8,
+        treated_unequal=(90, 110, 100, 100, 95, 105, 100, 100),
+        spread_scales=tuple(0.1 * i for i in range(20)),
+        rhos=(0.0, 0.5),
+    )
+    assert len(studies.batch_bounds(cfg, 0)) == 10
+    study_ratio_sweep(cfg, seed=1)
+    tracemalloc.start()
+    try:
+        rows = study_ratio_sweep(cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 40
+    assert peak < 16 * oracle.CHUNK_CELLS * 8
+
+
+@pytest.mark.parametrize(
+    "name, overrides, reps, chunks",
+    [
+        ("ratio-sweep", {"spread_scales": [0.05 * i for i in range(100)]}, None, 3),
+        ("flexible-blocking", {"n": 32, "block_size": 4}, 600, 2),
+        ("misconceptions", {"spread_scales": [0.5], "rhos": [0.0]}, 4, 1),
+    ],
+)
+def test_run_study_counts_the_bounds_it_maps(monkeypatch, name, overrides, reps, chunks):
+    calls = []
+    chunk_bounds = mc.chunk_bounds
+
+    def counting(count, width):
+        calls.append(chunk_bounds(count, width))
+        return calls[-1]
+
+    monkeypatch.setattr(mc, "chunk_bounds", counting)
+    mapped = []
+    map_ordered = mc.map_ordered
+
+    def recording(fn, items, threads=1):
+        mapped.append(len(items))
+        return map_ordered(fn, items, threads)
+
+    monkeypatch.setattr(mc, "map_ordered", recording)
+    _, _, _, counts = run_study(name, overrides, seed=2, reps=reps)
+    assert mapped == [len(calls[0])] == [counts["chunks"]] == [chunks]
+    # The study's batches are bounded once; each misconceptions batch then
+    # bounds the rep chunks of its estimator Monte Carlo.
+    assert len(calls) == 1 + (name == "misconceptions") * chunks

@@ -23,7 +23,7 @@ from blockcalc import (
     var_diff_two_stage,
     var_k,
 )
-from blockcalc import mc, variance_theory
+from blockcalc import mc, oracle, variance_theory
 from blockcalc.variance_theory import (
     MODE_CR_SRS_VS_BK_STRAT,
     MODE_CR_SRS_VS_CR_STRAT,
@@ -512,13 +512,14 @@ def two_stage_population(seed, sizes):
     return moments, list(sizes)
 
 
-#: (population sizes, k_draw, p, reps): unequal sizes, k_draw 1, reps that are
-#: not a multiple of the 256-rep chunk.
+#: (population sizes, k_draw, p, reps): unequal sizes, k_draw 1, and k_draw
+#: 40, whose 513 reps are two batches of chunk_rows(40) = 409.
 SITE_CASES = [
     ((4, 6, 8, 10, 12, 6, 4), 5, 0.5, 300),
     ((4, 8, 12), 1, 0.25, 257),
     ((6, 9, 3, 12), 3, 1 / 3, 70),
     ((10,) * 5, 8, 0.5, 513),
+    ((10,) * 5, 40, 0.5, 513),
 ]
 
 
@@ -566,7 +567,9 @@ class TestBatchedSiteSampling:
 class TestBatchedTwoStage:
     @pytest.mark.parametrize(
         "sizes, k_draw, p, reps",
-        [((4, 6, 8, 4, 12), 4, 0.5, 300), ((4, 8), 1, 0.25, 257), ((6, 3, 9), 3, 1 / 3, 600)],
+        [((4, 6, 8, 4, 12), 4, 0.5, 300), ((4, 8), 1, 0.25, 257), ((6, 3, 9), 3, 1 / 3, 600),
+         # Four batches of chunk_rows(100) = 163 reps.
+         ((6, 3, 9), 100, 1 / 3, 600)],
     )
     def test_per_rep_values_match_reference(self, sizes, k_draw, p, reps):
         moments, n_k = two_stage_population(len(sizes) + reps, sizes)
@@ -587,6 +590,45 @@ class TestBatchedTwoStage:
             var_diff_two_stage(moments, n_k, 2, 1.5, reps=5)
         with pytest.raises(ValueError, match="positive"):
             var_diff_two_stage(moments, n_k, 0, 0.5, reps=5)
+
+
+class CountingRepIntegers:
+    """Stands in for ``mc.rep_integers``, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.rep_integers = mc.rep_integers
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.rep_integers(*args)
+
+
+@pytest.mark.parametrize("k_draw", [3, 100])
+def test_sampling_reps_do_not_depend_on_the_batch_size(monkeypatch, k_draw):
+    """Site and two-stage draws batched by ``mc.chunk_bounds(reps, k_draw)``
+    are bit-identical whatever ``CHUNK_CELLS`` sets the batches to. At
+    k_draw 100 the default batches hold 163 reps, fewer than 256."""
+    population = site_population(5, (4, 6, 8, 10, 12))
+    moments, n_k = two_stage_population(6, (4, 6, 8, 4, 12))
+    reps = 300
+
+    def both():
+        return (
+            site_sampling_reps(population, k_draw, 0.5, reps, seed=9),
+            two_stage_reps(moments, n_k, k_draw, 0.5, reps, seed=9),
+        )
+
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", 1 << 40)
+    want = both()
+    for cells in [7, 1000, 1 << 14]:
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        counting = CountingRepIntegers()
+        monkeypatch.setattr(mc, "rep_integers", counting)
+        got = both()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), cells
+        # One rep_integers call per batch of each framework.
+        assert counting.calls == 2 * -(-reps // max(1, cells // k_draw)), cells
 
 
 class TestCheckDiff:
