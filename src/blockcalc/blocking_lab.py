@@ -229,6 +229,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.block_sizes) != len(self.treated_counts):
             raise ValueError("treated_counts must match block_sizes")
+        # Two units have a within-block correlation of +-1 whatever rho asks.
+        if any(size < 3 for size in self.block_sizes):
+            raise ValueError("every block needs at least 3 units")
         if any(not 0 < m < s for m, s in zip(self.treated_counts, self.block_sizes)):
             raise ValueError("need 0 < treated < size in every block")
         for name in ("base_sigma", "control_mean_spread", "effect_spread"):
@@ -275,8 +278,8 @@ def gen_scenario_outcomes(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     standardized so the empirical block mean and sample variance hit the
     targets; treated outcomes are built from the control residuals via
     Gram-Schmidt so the empirical within-block correlation is exactly
-    ``rho``, then standardized to the treated targets. Needs at least 3
-    units per block for the correlation to be well defined.
+    ``rho``, then standardized to the treated targets (``ScenarioConfig``
+    refuses blocks of fewer than 3 units, whose correlation is +-1).
 
     Row ``i`` takes one ``default_rng(configs[i].seed).standard_normal(2n)``
     draw, read block by block as ``[c_1, raw_1, c_2, raw_2, ...]``: block
@@ -291,8 +294,6 @@ def gen_scenario_outcomes(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.asarray(configs[0].block_sizes, dtype=int)
     if any(config.block_sizes != configs[0].block_sizes for config in configs):
         raise ValueError("a scenario batch needs one block_sizes")
-    if np.any(sizes < 3):
-        raise ValueError("every block needs at least 3 units")
     k = len(sizes)
     labels = np.repeat(np.arange(k), sizes)
     n = len(labels)
@@ -319,9 +320,11 @@ def require_noise_resolved(config: ScenarioConfig) -> None:
 
     Added to such means the within-block noise is lost to rounding, and
     what is left of it is rounding residue, not the population asked for.
-    Both scenario studies check it right after a population's outcome
-    checks (:func:`pop_model.require_outcomes_fit`), which refuse means too
-    large for float64 first.
+    :func:`gen_scenario_population` and ``misconceptions`` check it right
+    after a population's outcome checks (the ``PotentialOutcomeTable``
+    constructor), which refuse means too large for float64 first.
+    ``ratio-sweep`` draws no population and checks it right after the
+    point's ``ScenarioConfig``.
     """
     mu_c, tau = config.block_means()
     peak = max(float(np.abs(mu_c).max()), float(np.abs(mu_c + tau).max()))

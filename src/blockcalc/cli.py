@@ -207,7 +207,7 @@ def _parse_design(text: str):
     raise ValueError("design must be 'cr:<n_t>' or 'blocked:<file.json>'")
 
 
-def _add_common(parser, reps_default=None):
+def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1, help="worker count (speed only)")
@@ -216,8 +216,6 @@ def _add_common(parser, reps_default=None):
         action="store_true",
         help="omit the leading comment line from report CSVs",
     )
-    if reps_default is not None:
-        parser.add_argument("--reps", type=int, default=reps_default)
 
 
 def cmd_variance(args, manifest: ManifestWriter) -> Report:
@@ -308,13 +306,18 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
         raise ValueError(f"framework {args.framework!r} needs {', '.join(missing)}")
     if args.p is not None and not math.isfinite(args.p):
         raise ValueError(f"--p must be finite, got {args.p}")
+    if args.framework not in ("site", "two-stage") and args.reps is not None:
+        raise ValueError(
+            f"framework {args.framework!r} takes no --reps (it is a closed form), got {args.reps}"
+        )
+    reps = 10_000 if args.reps is None else args.reps
     mode = None
     site = args.framework == "site"
     data = read_table_csv(args.input) if site else read_strata_csv(args.input)
     manifest.mark("load")
     if site:
         report = var_diff_site_sampling(
-            data, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
+            data, k_draw=args.k_draw, p=args.p, reps=reps, seed=args.seed
         )
     elif args.framework == "strat":
         report = var_diff_strat(data, n=args.n, p=args.p)
@@ -334,7 +337,7 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
         if len(sizes) == 1:
             sizes = sizes * data.num_strata
         report = var_diff_two_stage(
-            data, sizes, k_draw=args.k_draw, p=args.p, reps=args.reps, seed=args.seed
+            data, sizes, k_draw=args.k_draw, p=args.p, reps=reps, seed=args.seed
         )
     decomposition = report.decomposition or {}
     row = {
@@ -451,18 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-per-stratum",
         help="units drawn per selected stratum (two-stage); one value or one per row",
     )
-    _add_common(p_cmp, reps_default=10_000)
+    _add_common(p_cmp)
+    p_cmp.add_argument("--reps", type=int, help="Monte Carlo reps (site, two-stage; default 10000)")
 
     p_study = sub.add_parser("study", help="run a canonical simulation study")
     p_study.add_argument("name", choices=list(STUDIES))
     p_study.add_argument("--config", help="JSON file overriding config fields")
-    _add_common(p_study, reps_default=None)
-    p_study.add_argument("--reps", type=int, default=None)
+    _add_common(p_study)
+    p_study.add_argument("--reps", type=int)
 
     p_replay = sub.add_parser("replay", help="replay blocking strategies on a realized CSV")
     p_replay.add_argument("table", help="replay CSV (unit_id,block,z,baseline,y)")
     p_replay.add_argument("--strategies", help="JSON list of {name, params}")
-    _add_common(p_replay, reps_default=1000)
+    _add_common(p_replay)
+    p_replay.add_argument("--reps", type=int, default=1000)
 
     p_enum = sub.add_parser("enumerate", help="exact moments over all assignments")
     p_enum.add_argument("table")

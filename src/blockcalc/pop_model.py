@@ -75,31 +75,6 @@ def _require_moments_fit(arms, n: int) -> None:
             )
 
 
-def require_outcomes_fit(y_t: np.ndarray, y_c: np.ndarray) -> None:
-    """The outcome checks of a table: both arms finite, and the moments of
-    ``y_t``, ``y_c`` and ``y_t - y_c`` within float64 over their units."""
-    _require_finite(y_t, "outcome")
-    _require_finite(y_c, "outcome")
-    with np.errstate(over="ignore"):  # an overflowing effect is refused below
-        effects = y_t - y_c
-    _require_moments_fit((("y_t", y_t), ("y_c", y_c), ("y_t - y_c", effects)), len(y_t))
-
-
-def outcome_rows_fit(y_t: np.ndarray, y_c: np.ndarray) -> np.ndarray:
-    """Whether each row of the ``(rows, n)`` outcomes passes
-    :func:`require_outcomes_fit`, as one boolean per row, from the same
-    range comparisons over all rows at once. A non-finite value makes its
-    row's minimum or maximum non-finite, which fails them."""
-    limit = float(np.finfo(float).max) / y_t.shape[1]
-    fits = np.ones(len(y_t), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for values in (y_t, y_c, y_t - y_c):
-            lo, hi = values.min(axis=1), values.max(axis=1)
-            span = hi - lo
-            fits &= (np.maximum(hi, -lo) <= limit) & (span * span <= limit)
-    return fits
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -141,7 +116,11 @@ class PotentialOutcomeTable:
         y_c = _frozen_array(self.y_c, "y_c")
         if len(y_t) != n or len(y_c) != n:
             raise ValueError("outcome length mismatch")
-        require_outcomes_fit(y_t, y_c)
+        _require_finite(y_t, "outcome")
+        _require_finite(y_c, "outcome")
+        with np.errstate(over="ignore"):  # an overflowing effect is refused below
+            effects = y_t - y_c
+        _require_moments_fit((("y_t", y_t), ("y_c", y_c), ("y_t - y_c", effects)), n)
         if blocks.dtype.kind in "iu":
             blocks = blocks.astype(np.intp)
         # Dense labels lie in 1..n, which also bounds the bincount.

@@ -1,16 +1,20 @@
 """The three canonical simulation studies, exposed to the CLI.
 
-Every study is deterministic given (config, seed): grid points and
-replications draw from generators derived via ``SeedSequence(seed,
-spawn_key=...)``, and partial results are reduced in a fixed order, so the
-worker count never changes the output.
+Every study is deterministic given (config, seed): replications draw from
+generators derived via ``SeedSequence(seed, spawn_key=...)``, and partial
+results are reduced in a fixed order, so the worker count never changes
+the output.
 
-Every study maps over the batches of :func:`batch_bounds`, sized in cells.
 ``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
-points, each point a scenario population (:func:`_map_grid`). A batch is
-scored by :func:`_scenario_chunk`: one draw per point, then one
-grouped-moments pass per arm over the batch feeds every closed form.
-``misconceptions`` then wraps each checked point in a table for its
+points, each point a scenario population whose block means, block
+variances and within-block correlation :func:`gen_scenario_outcomes` hits
+exactly. Their closed forms depend on the schedule only through those
+moments, so both studies score them from the targets alone
+(:func:`target_moments`), one array pass over the points. ``ratio-sweep``
+therefore draws nothing and its rows do not depend on the seed.
+``misconceptions`` maps over the grid batches of :func:`batch_bounds`,
+sized in cells: each batch draws its populations in one
+:func:`gen_scenario_outcomes` call only to build the tables of its
 estimator Monte Carlo, which draws the assignments of every point and both
 designs together (:func:`~blockcalc.variance_estimation.varest_variabilities`).
 ``flexible-blocking`` sums each batch of reps into one ``(3, methods,
@@ -47,15 +51,13 @@ from .blocking_lab import (
     xy_outcome,
 )
 from .pop_model import (
+    ArmStats,
     Blocked,
     CompleteRandomization,
     PotentialOutcomeTable,
-    centered_moments,
     default_unit_ids,
     grouped_moments,
-    outcome_rows_fit,
     pooled_variance,
-    require_outcomes_fit,
     validate_block_counts,
 )
 from .variance_estimation import cr_varest_bias, varest_variabilities
@@ -84,17 +86,6 @@ def batch_bounds(cfg, reps: int) -> list[tuple[int, int]]:
     return mc.chunk_bounds(len(cfg.spread_scales) * len(cfg.rhos), sum(cfg.block_sizes))
 
 
-def _map_grid(chunk, cfg, seed: int, threads: int, bounds) -> list[dict]:
-    """The rows of a scenario study in grid order: ``chunk`` mapped over the
-    ``bounds`` (or :func:`batch_bounds`) batches of work items
-    ``(cfg, seed, index, scale, rho)``, every spread scale, then every
-    ``rho`` within it, numbered in turn."""
-    pairs = itertools.product(cfg.spread_scales, cfg.rhos)
-    grid = [(cfg, seed, i, scale, rho) for i, (scale, rho) in enumerate(pairs)]
-    batches = [grid[lo:hi] for lo, hi in bounds or batch_bounds(cfg, 0)]
-    return [row for rows in mc.map_ordered(chunk, batches, threads) for row in rows]
-
-
 def _require_float_range(where: str, **values) -> None:
     """Refuse study variances (or sums of them or of their ratios) that are
     positive and finite in exact arithmetic but underflowed to 0 or
@@ -105,64 +96,59 @@ def _require_float_range(where: str, **values) -> None:
             raise ValueError(f"{name} is {float(value)!r} at {where}: outside float64's range")
 
 
-def _scenario_scale(cfg, scale: float, rho: float) -> str:
-    return f"base_sigma {cfg.base_sigma!r} (spread_scale {scale!r}, rho {rho!r})"
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _scenario_chunk(points, treated_counts, key: tuple[int, ...], score):
-    """The rows of ``points``, consecutive work items of :func:`_map_grid`, and
-    the 0-based block labels and ``(points, n)`` outcomes ``y_t``, ``y_c``.
-
-    Point ``index`` draws from the child seed ``(index, *key)``, the batch
-    in one :func:`gen_scenario_outcomes` call; one ``centered_moments`` pass
-    per arm (t, c, t - c) feeds ``score(n_k, t, c, tc)``, which returns
-    ``{column: value per point}`` and the columns to range-check. Each point
-    is then checked in grid order: its ``ScenarioConfig`` (a refused one
-    ends the chunk once the points before it pass), its outcomes (a table's
-    checks, tested for the whole batch in one :func:`outcome_rows_fit`
-    pass, with the message built for the first row that fails), then
-    :func:`require_noise_resolved`, then its checked columns' float64
-    range. Only a degenerate draw fails the whole batch at once.
-    """
-    cfg = points[0][0]
-    configs, refusal = [], None
-    try:
-        for _, master_seed, index, scale, rho in points:
-            config = ScenarioConfig(
-                block_sizes=cfg.block_sizes,
-                treated_counts=treated_counts,
-                control_mean_spread=scale,
-                effect_spread=cfg.effect_spread_factor * scale,
-                rho=rho,
-                base_sigma=cfg.base_sigma,
-                seed=_child_seed(master_seed, index, *key),
+def _scenario_configs(cfg, treated_counts, points, seeds) -> tuple[list, ValueError | None]:
+    """The ``ScenarioConfig`` of every ``(scale, rho)`` of ``points``, seeded
+    from ``seeds``, in grid order up to the first one refused, and that
+    refusal (None if there is none). A refusal of the first point is raised,
+    since no point is left to check before it."""
+    configs = []
+    for (scale, rho), seed in zip(points, seeds):
+        spreads = (scale, cfg.effect_spread_factor * scale)
+        try:
+            configs.append(
+                ScenarioConfig(cfg.block_sizes, treated_counts, *spreads, rho, cfg.base_sigma, seed)
             )
-            configs.append(config)
-    except ValueError as err:
-        refusal = err
-    if not configs:
-        raise refusal
-    labels, y_t, y_c = gen_scenario_outcomes(configs)
-    n_k = np.bincount(labels)
-    t, c, tc = (centered_moments(y, labels, n_k) for y in (y_t, y_c, y_t - y_c))
-    columns, checked = score(n_k, t, c, tc)
-    cells = np.stack(list(columns.values()), axis=-1).tolist()
-    fits = outcome_rows_fit(y_t, y_c)
-    rows = []
-    for config, fit, y_t_i, y_c_i, point, values in zip(configs, fits, y_t, y_c, points, cells):
-        scale, rho = point[3:]
-        if not fit:
-            require_outcomes_fit(y_t_i, y_c_i)
-        require_noise_resolved(config)
-        row = dict(zip(["spread_scale", "rho", *columns], [scale, rho, *values]))
-        _require_float_range(
-            _scenario_scale(cfg, scale, rho), **{name: row[name] for name in checked}
-        )
-        rows.append(row)
-    if refusal is not None:
-        raise refusal
-    return rows, labels, y_t, y_c
+        except ValueError as err:
+            if not configs:
+                raise
+            return configs, err
+    return configs, None
+
+
+def target_moments(configs) -> tuple[np.ndarray, ArmStats, ArmStats, ArmStats]:
+    """Block sizes ``n_k`` and the block moments of t, c and t - c of the
+    populations of ``configs``, which share ``block_sizes``, with a leading
+    point axis, from the targets that :func:`gen_scenario_outcomes` hits:
+    block means ``mu_c + tau`` and ``mu_c`` (``ScenarioConfig.block_means``),
+    ``ss = (n_k - 1) base_sigma**2`` in both arms, and, the within-block
+    correlation being ``rho``, ``(n_k - 1) 2 base_sigma**2 (1 - rho)`` for
+    t - c. No population is drawn."""
+    n_k = np.asarray(configs[0].block_sizes)
+    mu_c, tau = np.stack([config.block_means() for config in configs], axis=1)
+    base_sigma, rho = np.array([[config.base_sigma, config.rho] for config in configs]).T
+    ss = (n_k - 1) * base_sigma[:, None] ** 2
+    weights = n_k / n_k.sum()
+
+    def arm(means, ss):
+        mean = means @ weights
+        return ArmStats(mean=mean, dev=means - mean[:, None], ss=ss)
+
+    return n_k, arm(mu_c + tau, ss), arm(mu_c, ss), arm(tau, ss * 2 * (1 - rho[:, None]))
+
+
+def _scenario_scale(config: ScenarioConfig) -> str:
+    scale, rho = config.control_mean_spread, config.rho
+    return f"base_sigma {config.base_sigma!r} (spread_scale {scale!r}, rho {rho!r})"
+
+
+def _scenario_row(config: ScenarioConfig, columns, values, checked) -> dict:
+    """The row ``columns`` of one grid point (spread scale, rho, then
+    ``values``), once :func:`require_noise_resolved` and the float64 range
+    of its ``checked`` columns pass."""
+    require_noise_resolved(config)
+    row = dict(zip(columns, [config.control_mean_spread, config.rho, *values]))
+    _require_float_range(_scenario_scale(config), **{name: row[name] for name in checked})
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +192,35 @@ RATIO_SWEEP_COLUMNS = [
 ]
 
 
-def _ratio_sweep_chunk(points) -> list[dict]:
-    """The rows of ``points`` (:func:`_scenario_chunk`, child seeds ``(index,)``)."""
-    cfg = points[0][0]
-
-    def score(n_k, t, c, tc):
-        pooled = (pooled_variance(n_k, arm.dev, arm.ss) for arm in (t, c, tc))
-        var_cr = cr_variance(*pooled, n_k.sum(), sum(cfg.treated_equal))
-        s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
-        eq, uneq = (
-            blocked_variance(n_k, block_variances(n_k, np.asarray(n_tk), *s2))
-            for n_tk in (cfg.treated_equal, cfg.treated_unequal)
-        )
-        values = [stacked_r2(n_k, c, t, tc.mean), var_cr, eq, uneq, eq / var_cr, uneq / var_cr]
-        return dict(zip(RATIO_SWEEP_COLUMNS[2:], values)), RATIO_SWEEP_COLUMNS[3:6]
-
-    return _scenario_chunk(points, cfg.treated_equal, (), score)[0]
-
-
-def study_ratio_sweep(
-    config: RatioSweepConfig | None = None, seed: int = 0, threads: int = 1, bounds=None
-) -> list[dict]:
-    """Rows in grid order, from batches of :func:`_ratio_sweep_chunk`."""
-    return _map_grid(_ratio_sweep_chunk, config or RatioSweepConfig(), seed, threads, bounds)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def study_ratio_sweep(config: RatioSweepConfig | None = None, seed: int = 0) -> list[dict]:
+    """Rows in grid order, every spread scale, then every ``rho`` within it,
+    scored from :func:`target_moments` in one pass. Nothing is drawn, so
+    ``seed`` (kept for a uniform study signature) changes no row. Each point
+    is checked in grid order: its ``ScenarioConfig`` (a refused one ends the
+    study once the points before it pass), then
+    :func:`require_noise_resolved`, then the float64 range of ``var_cr``
+    and both ``var_bk`` columns."""
+    cfg = config or RatioSweepConfig()
+    points = itertools.product(cfg.spread_scales, cfg.rhos)
+    # ScenarioConfig carries the seed of a draw, and ratio-sweep makes none.
+    configs, refusal = _scenario_configs(cfg, cfg.treated_equal, points, itertools.repeat(0))
+    n_k, t, c, tc = target_moments(configs)
+    pooled = (pooled_variance(n_k, arm.dev, arm.ss) for arm in (t, c, tc))
+    var_cr = cr_variance(*pooled, n_k.sum(), sum(cfg.treated_equal))
+    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
+    eq, uneq = (
+        blocked_variance(n_k, block_variances(n_k, np.asarray(n_tk), *s2))
+        for n_tk in (cfg.treated_equal, cfg.treated_unequal)
+    )
+    values = [stacked_r2(n_k, c, t, tc.mean), var_cr, eq, uneq, eq / var_cr, uneq / var_cr]
+    rows = [
+        _scenario_row(config, RATIO_SWEEP_COLUMNS, cells, RATIO_SWEEP_COLUMNS[3:6])
+        for config, cells in zip(configs, np.stack(values, axis=-1).tolist())
+    ]
+    if refusal is not None:
+        raise refusal
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -413,39 +405,49 @@ MISCONCEPTIONS_COLUMNS = [
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _misconceptions_chunk(points, reps: int) -> list[dict]:
-    """The rows of ``points`` (:func:`_scenario_chunk`, child seeds
-    ``(index, 0)``), each completed by both variance estimators'
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _misconceptions_chunk(args) -> list[dict]:
+    """The rows of the grid points ``lo..hi-1``, scored from
+    :func:`target_moments` and each completed by both variance estimators'
     variability under their own designs, child seeds ``(index, 1)`` for
     complete randomization and ``(index, 2)`` for blocking.
 
-    Every check of :func:`_scenario_chunk` runs before any Monte Carlo:
-    each checked row becomes a table, one :func:`varest_variabilities`
-    call draws and scores every point under both designs, and the
-    ``var_varest_*`` range is then checked in grid order.
+    The estimator Monte Carlo needs each point's table, so the batch's
+    populations are drawn in one :func:`gen_scenario_outcomes` call, point
+    ``index`` from child seed ``(index, 0)``. Each point is then checked
+    in grid order, all before any Monte Carlo: its ``ScenarioConfig`` (a
+    refused one ends the batch once the points before it pass), its
+    outcomes (the ``PotentialOutcomeTable`` constructor), then
+    :func:`require_noise_resolved`, then the float64 range of ``var_bk``.
+    One :func:`varest_variabilities` call draws and scores every point
+    under both designs, and the ``var_varest_*`` range is then checked in
+    grid order.
     """
-    cfg = points[0][0]
+    cfg, master_seed, reps, lo, hi = args
+    points = itertools.islice(itertools.product(cfg.spread_scales, cfg.rhos), lo, hi)
+    seeds = [[_child_seed(master_seed, index, key) for key in range(3)] for index in range(lo, hi)]
+    configs, refusal = _scenario_configs(cfg, cfg.treated_counts, points, [s[0] for s in seeds])
+    n_k, t, c, tc = target_moments(configs)
     n_tk = np.asarray(cfg.treated_counts)
-
-    def score(n_k, t, c, tc):
-        s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
-        var_bk = blocked_variance(n_k, block_variances(n_k, n_tk, *s2))
-        # The blocked estimator's own conservatism is sum_k (n_k/n)^2 S2_tck / n_k.
-        bias = (cr_varest_bias(n_k, n_tk, t, c, *s2), s2[2] @ n_k / int(n_k.sum()) ** 2)
-        values = [stacked_r2(n_k, c, t, tc.mean), var_bk, *((var_bk + b) / var_bk for b in bias)]
-        return dict(zip(MISCONCEPTIONS_COLUMNS[2:6], values)), ("var_bk",)
-
-    checked, labels, y_t, y_c = _scenario_chunk(points, cfg.treated_counts, (0,), score)
+    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
+    var_bk = blocked_variance(n_k, block_variances(n_k, n_tk, *s2))
+    # The blocked estimator's own conservatism is sum_k (n_k/n)^2 S2_tck / n_k.
+    bias = (cr_varest_bias(n_k, n_tk, t, c, *s2), s2[2] @ n_k / int(n_k.sum()) ** 2)
+    values = [stacked_r2(n_k, c, t, tc.mean), var_bk, *((var_bk + b) / var_bk for b in bias)]
+    labels, y_t, y_c = gen_scenario_outcomes(configs)
     unit_ids = default_unit_ids(len(labels))
-    tables = [PotentialOutcomeTable(unit_ids, labels + 1, *outcomes) for outcomes in zip(y_t, y_c)]
+    tables, checked = [], []
+    for config, cells, *outcomes in zip(configs, np.stack(values, axis=-1).tolist(), y_t, y_c):
+        tables.append(PotentialOutcomeTable(unit_ids, labels + 1, *outcomes))
+        checked.append(_scenario_row(config, MISCONCEPTIONS_COLUMNS, cells, ("var_bk",)))
+    if refusal is not None:
+        raise refusal
     designs = (CompleteRandomization(sum(cfg.treated_counts)), Blocked(cfg.treated_counts))
-    seeds = [[_child_seed(point[1], point[2], key) for key in (1, 2)] for point in points]
-    results = varest_variabilities(tables, designs, seeds, reps)
+    results = varest_variabilities(tables, designs, [s[1:] for s in seeds], reps)
     rows = []
-    for point, row, (cr, bk) in zip(points, checked, results):
+    for config, row, (cr, bk) in zip(configs, checked, results):
         cr, bk = cr.var_of_varest, bk.var_of_varest
-        _require_float_range(_scenario_scale(cfg, *point[3:]), var_varest_cr=cr, var_varest_bk=bk)
+        _require_float_range(_scenario_scale(config), var_varest_cr=cr, var_varest_bk=bk)
         rows.append({**row, **dict(zip(MISCONCEPTIONS_COLUMNS[6:], (cr, bk, cr / bk, reps)))})
     return rows
 
@@ -457,12 +459,14 @@ def study_misconceptions(
     threads: int = 1,
     bounds=None,
 ) -> list[dict]:
-    """Rows in grid order, from batches of :func:`_misconceptions_chunk`
-    mapped as ``ratio-sweep``'s are. A batch's config, outcome, noise and
-    ``var_bk`` range checks all run before any of its Monte Carlo; the
-    ``var_varest_*`` range is checked after, in grid order."""
-    chunk = functools.partial(_misconceptions_chunk, reps=reps)
-    return _map_grid(chunk, config or MisconceptionsConfig(), seed, threads, bounds)
+    """Rows in grid order, every spread scale, then every ``rho`` within it,
+    from :func:`_misconceptions_chunk` mapped over the ``bounds`` (or
+    :func:`batch_bounds`) batches of grid points. A batch's config, outcome,
+    noise and ``var_bk`` range checks all run before any of its Monte Carlo;
+    the ``var_varest_*`` range is checked after, in grid order."""
+    cfg = config or MisconceptionsConfig()
+    batches = [(cfg, seed, reps, lo, hi) for lo, hi in bounds or batch_bounds(cfg, 0)]
+    return [row for rows in mc.map_ordered(_misconceptions_chunk, batches, threads) for row in rows]
 
 
 STUDIES = {
@@ -529,8 +533,9 @@ def run_study(
     has the Monte Carlo ``reps`` (per estimator and grid point for
     ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
     handed to :func:`mc.map_ordered` (the one :func:`batch_bounds` list
-    the study maps over) and the ``workers`` it used. ``ratio-sweep``
-    rejects any ``reps``, because it would ignore them.
+    the study maps over) and the ``workers`` it used; ``ratio-sweep``
+    scores its grid in one pass, so one chunk on one worker. It rejects
+    any ``reps``, because it would ignore them.
     """
     if name not in STUDIES:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
@@ -543,13 +548,12 @@ def run_study(
     cfg = config_from_dict(name, config_overrides)
     _, columns, default_reps = STUDIES[name]
     reps = default_reps if reps is None else reps
-    bounds = batch_bounds(cfg, reps)
     if name == "ratio-sweep":
-        rows = study_ratio_sweep(cfg, seed=seed, threads=threads, bounds=bounds)
-    elif name == "flexible-blocking":
-        rows = study_flexible_blocking(cfg, seed=seed, reps=reps, threads=threads, bounds=bounds)
+        rows, counts = study_ratio_sweep(cfg), {"reps": 0, "chunks": 1, "workers": 1}
     else:
-        rows = study_misconceptions(cfg, seed=seed, reps=reps, threads=threads, bounds=bounds)
-    workers = mc.effective_workers(threads, len(bounds))
-    counts = {"reps": reps, "chunks": len(bounds), "workers": workers}
+        bounds = batch_bounds(cfg, reps)
+        study = study_flexible_blocking if name == "flexible-blocking" else study_misconceptions
+        rows = study(cfg, seed=seed, reps=reps, threads=threads, bounds=bounds)
+        workers = mc.effective_workers(threads, len(bounds))
+        counts = {"reps": reps, "chunks": len(bounds), "workers": workers}
     return rows, columns, dataclasses.asdict(cfg), counts

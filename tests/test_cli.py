@@ -287,6 +287,23 @@ class TestCompareCommand:
         assert_one_line_error(proc, message)
         assert not (tmp_path / "compare_report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "framework, extra, reps",
+        [
+            ("strat", ["--n", "8", "--p", "0.5"], "-5"),
+            ("unequal", ["--n", "8", "--p-k", "0.25,0.75"], "10000"),
+            ("mixed", ["--n-t", "2", "--n-c", "2"], "200"),
+        ],
+    )
+    def test_closed_forms_reject_reps(self, tmp_path, framework, extra, reps):
+        strata = tmp_path / "strata.csv"
+        write_strata(strata)
+        proc = run_cli("compare", str(strata), "--framework", framework, *extra, "--reps", reps,
+                       "--out", str(tmp_path))
+        assert_one_line_error(proc, f"framework {framework!r} takes no --reps")
+        assert proc.stderr.rstrip().endswith(f"got {reps}")
+        assert not (tmp_path / "compare_report.csv").exists()
+
     def test_mixed_modes(self, tmp_path):
         strata = tmp_path / "strata.csv"
         write_strata(strata, mu=(0.0, 2.0))
@@ -315,6 +332,15 @@ class TestStudyCommand:
         assert manifest["counts"] == {"reps": 0, "chunks": 1, "workers": 1}
         worst = max(float(r["ratio_equal_p"]) for r in rows)
         assert worst > 1.0
+
+    def test_seed_does_not_change_ratio_sweep_bytes(self, tmp_path):
+        reports = []
+        for seed in ("0", "7", "12345"):
+            rc = main(["study", "ratio-sweep", "--seed", seed, "--no-header-comment",
+                       "--out", str(tmp_path / seed)])
+            assert rc == 0
+            reports.append((tmp_path / seed / "study_ratio_sweep.csv").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -381,6 +407,8 @@ class TestStudyCommand:
              "config field 'spread_scales' for ratio-sweep must be a non-empty list"),
             ("ratio-sweep", '{"spread_scales": []}',
              "config field 'spread_scales' for ratio-sweep must be a non-empty list"),
+            ("ratio-sweep", '{"block_sizes": [2, 10], "treated_equal": [1, 2], '
+             '"treated_unequal": [1, 2]}', "every block needs at least 3 units"),
             ("misconceptions", '{"rhos": []}',
              "config field 'rhos' for misconceptions must be a non-empty list"),
             ("flexible-blocking", '{"methods": []}',
@@ -479,7 +507,7 @@ class TestStudyCommand:
             reports.append((out / f"study_{study.replace('-', '_')}.csv").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_threads_do_not_change_three_batch_ratio_sweep_bytes(self, tmp_path):
+    def test_threads_do_not_change_three_batch_misconceptions_bytes(self, tmp_path):
         # 300 grid points of 115 units are three batches of mc.chunk_bounds,
         # scored in parallel at 2 threads.
         cfg = tmp_path / "cfg.json"
@@ -487,16 +515,16 @@ class TestStudyCommand:
         reports, counts = [], []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            rc = main(["study", "ratio-sweep", "--config", str(cfg), "--seed", "5",
-                       "--threads", threads, "--out", str(out)])
+            rc = main(["study", "misconceptions", "--config", str(cfg), "--seed", "5",
+                       "--reps", "4", "--threads", threads, "--out", str(out)])
             assert rc == 0
-            reports.append((out / "study_ratio_sweep.csv").read_bytes())
+            reports.append((out / "study_misconceptions.csv").read_bytes())
             counts.append(json.loads((out / "run_manifest.json").read_text())["counts"])
         assert reports[0] == reports[1]
-        assert len(read_report(tmp_path / "1" / "study_ratio_sweep.csv")) == 300
+        assert len(read_report(tmp_path / "1" / "study_misconceptions.csv")) == 300
         assert counts == [
-            {"reps": 0, "chunks": 3, "workers": 1},
-            {"reps": 0, "chunks": 3, "workers": mc.effective_workers(2, 3)},
+            {"reps": 4, "chunks": 3, "workers": 1},
+            {"reps": 4, "chunks": 3, "workers": mc.effective_workers(2, 3)},
         ]
 
 
@@ -797,13 +825,26 @@ class TestOutcomeMagnitude:
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.glob("*_report.csv"))
 
-    @pytest.mark.parametrize("config", [{"spread_scales": [1e308]}, {"base_sigma": 1e300}])
-    @pytest.mark.parametrize("argv", [["ratio-sweep"], ["misconceptions", "--reps", "5"]])
-    def test_huge_scenario_study_is_one_line_error(self, tmp_path, argv, config):
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            # ratio-sweep draws no outcomes: the noise check refuses means
+            # near 1e308 first, and base_sigma 1e300 overflows var_cr.
+            (["ratio-sweep"], {"spread_scales": [1e308]},
+             "base_sigma 1.0 is below one ulp of the largest target block mean 8.4375e+307"),
+            (["ratio-sweep"], {"base_sigma": 1e300},
+             "var_cr is nan at base_sigma 1e+300 (spread_scale 0.0, rho 0.0)"),
+            (["misconceptions", "--reps", "5"], {"spread_scales": [1e308]},
+             "y_t outcomes too large for float64 moments over 115 units"),
+            (["misconceptions", "--reps", "5"], {"base_sigma": 1e300},
+             "y_t outcomes too large for float64 moments over 115 units"),
+        ],
+    )
+    def test_huge_scenario_study_is_one_line_error(self, tmp_path, argv, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         proc = run_cli("study", *argv, "--config", str(path), "--out", str(tmp_path))
-        assert_one_line_error(proc, "y_t outcomes too large for float64 moments over 115 units")
+        assert_one_line_error(proc, message)
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.glob("study_*.csv"))
 

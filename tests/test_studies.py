@@ -1,6 +1,6 @@
-"""The batched study paths against per-table references: flexible-blocking
-chunks against the per-rep loop, ratio-sweep and misconceptions batches
-against one table per grid point."""
+"""The study paths against per-table references: flexible-blocking chunks
+against the per-rep loop, and ratio-sweep's target moments and
+misconceptions batches against one drawn table per grid point."""
 
 import itertools
 import tracemalloc
@@ -79,12 +79,14 @@ def test_chunk_sums_match_reference(cfg, lo, hi):
         assert np.all(np.abs(got[group] - want[group]) <= 1e-12 * scale), name
 
 
-def test_study_reduces_chunks_in_order():
+def test_study_reduces_chunks_in_order(monkeypatch):
+    # Batches of 40 reps of 32 units, so 60 reps are two chunks.
     cfg = CONFIGS[1]
-    reps = 600
+    monkeypatch.setattr(oracle, "CHUNK_CELLS", 40 * cfg.n)
+    reps = 60
     rows = study_flexible_blocking(cfg, seed=8, reps=reps)
     bounds = mc.chunk_bounds(reps, cfg.n)
-    assert len(bounds) == 2
+    assert bounds == [(0, 40), (40, 60)]
     parts = [reference_chunk(cfg, 8, lo, hi) for lo, hi in bounds]
     var_cr, var_bk, y_ratio = sum(parts)
     for row in rows:
@@ -141,7 +143,7 @@ def reference_ratio_sweep(cfg, seed):
     return np.array(rows)
 
 
-#: 100 scales by 3 rhos: 300 grid points of 115 units, three batches of mc.chunk_bounds.
+#: 100 scales by 3 rhos: 300 grid points of 115 units.
 WIDE_GRID = RatioSweepConfig(spread_scales=tuple(0.06 * i for i in range(100)), base_sigma=0.7)
 
 
@@ -157,6 +159,26 @@ def test_ratio_sweep_rows_match_per_point_reference(cfg, seed):
     scale = np.abs(want).max(axis=0)
     for j, name in enumerate(RATIO_SWEEP_COLUMNS):
         assert np.all(np.abs(got[:, j] - want[:, j]) <= 1e-13 * scale[j]), name
+
+
+def test_ratio_sweep_r2_is_zero_at_spread_zero():
+    # Every block has the same target means, so no between-block share is left.
+    rows = study_ratio_sweep(RatioSweepConfig(spread_scales=(0.0, 1.0)))
+    assert [row["r2"] for row in rows[:3]] == [0.0, 0.0, 0.0]
+    assert all(row["r2"] > 0 for row in rows[3:])
+
+
+def test_ratio_sweep_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ratio-sweep drew a population or seed")
+
+    monkeypatch.setattr(studies, "gen_scenario_outcomes", refuse)
+    monkeypatch.setattr(studies, "_child_seed", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rows, _, _, counts = run_study("ratio-sweep", {"spread_scales": [0.05 * i for i in range(100)]})
+    assert len(rows) == 300
+    assert counts == {"reps": 0, "chunks": 1, "workers": 1}
 
 
 def reference_misconceptions(cfg, seed, reps):
@@ -225,19 +247,20 @@ def test_misconceptions_checks_a_batch_before_any_monte_carlo(monkeypatch):
 
 def test_wide_table_grid_memory_stays_within_a_few_batches():
     # 40 points of 4096 units are ten batches of chunk_rows(4096) = 4 points;
-    # as one batch they peak above 12 MiB.
-    cfg = RatioSweepConfig(
-        block_sizes=(512,) * 8,
-        treated_equal=(100,) * 8,
-        treated_unequal=(90, 110, 100, 100, 95, 105, 100, 100),
+    # as one batch they peak above 12 MiB, and as five batches of 8 points
+    # above 2.6 MiB. Two treated units per block keep the estimator Monte
+    # Carlo's own working set, which does not grow with the grid, small.
+    cfg = MisconceptionsConfig(
+        block_sizes=(2048, 2048),
+        treated_counts=(2, 2),
         spread_scales=tuple(0.1 * i for i in range(20)),
         rhos=(0.0, 0.5),
     )
     assert len(studies.batch_bounds(cfg, 0)) == 10
-    study_ratio_sweep(cfg, seed=1)
+    study_misconceptions(cfg, seed=1, reps=2)
     tracemalloc.start()
     try:
-        rows = study_ratio_sweep(cfg, seed=1)
+        rows = study_misconceptions(cfg, seed=1, reps=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,9 +271,9 @@ def test_wide_table_grid_memory_stays_within_a_few_batches():
 @pytest.mark.parametrize(
     "name, overrides, reps, chunks",
     [
-        ("ratio-sweep", {"spread_scales": [0.05 * i for i in range(100)]}, None, 3),
         ("flexible-blocking", {"n": 32, "block_size": 4}, 600, 2),
         ("misconceptions", {"spread_scales": [0.5], "rhos": [0.0]}, 4, 1),
+        ("misconceptions", {"spread_scales": [0.05 * i for i in range(100)]}, 2, 3),
     ],
 )
 def test_run_study_counts_the_bounds_it_maps(monkeypatch, name, overrides, reps, chunks):
