@@ -216,6 +216,8 @@ class ScenarioConfig:
     negative relationship (larger blocks get lower means and smaller
     effects), scaled by the two spread knobs. ``rho`` is the within-block
     correlation of the two potential outcomes; 1 means additive effects.
+    ``seed`` seeds the draw of :func:`gen_scenario_outcomes`; a population
+    scored from its target moments alone is never drawn and leaves it 0.
     """
 
     block_sizes: tuple[int, ...]
@@ -224,7 +226,7 @@ class ScenarioConfig:
     effect_spread: float
     rho: float
     base_sigma: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         if len(self.block_sizes) != len(self.treated_counts):

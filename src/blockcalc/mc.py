@@ -262,16 +262,21 @@ def _pcg64_words(seeds: np.ndarray, outputs: int) -> np.ndarray:
     factors = factors[_FACTOR_LIMB, None, :]
     jumps = _jumps(outputs)
     state = []
-    carry = np.uint64(0)
+    carry = np.zeros((outputs, len(seeds)), dtype=np.uint64)
     for start, stop in zip(_COLUMNS, _COLUMNS[1:]):
-        products = factors[start:stop] * jumps[start:stop]
-        column = (products & _MASK32).sum(axis=0) + carry
+        # One limb product at a time, so that no more than one is live.
+        column, carry = carry, np.zeros_like(carry)
+        for factor, jump in zip(factors[start:stop], jumps[start:stop]):
+            product = factor * jump
+            column += product & _MASK32
+            carry += product >> np.uint64(32)
+        carry += column >> np.uint64(32)
         state.append(column & _MASK32)
-        carry = (column >> np.uint64(32)) + (products >> np.uint64(32)).sum(axis=0)
     s0, s1, s2, s3 = state
     # XSL-RR: rotate (high 64 bits ^ low 64 bits) right by the top 6 bits.
     xored = (s3 ^ s1) << np.uint64(32) | (s2 ^ s0)
     rot = s3 >> np.uint64(26)
+    del state, s0, s1, s2, s3
     output = xored >> rot | xored << ((np.uint64(64) - rot) & np.uint64(63))
     words = np.stack([output & _MASK32, output >> np.uint64(32)], axis=1)
     return words.reshape(2 * outputs, len(seeds))

@@ -96,17 +96,18 @@ def _require_float_range(where: str, **values) -> None:
             raise ValueError(f"{name} is {float(value)!r} at {where}: outside float64's range")
 
 
-def _scenario_configs(cfg, treated_counts, points, seeds) -> tuple[list, ValueError | None]:
-    """The ``ScenarioConfig`` of every ``(scale, rho)`` of ``points``, seeded
-    from ``seeds``, in grid order up to the first one refused, and that
-    refusal (None if there is none). A refusal of the first point is raised,
-    since no point is left to check before it."""
+def _scenario_configs(cfg, treated_counts, points) -> tuple[list, ValueError | None]:
+    """The ``ScenarioConfig`` of every ``(scale, rho)`` of ``points``, or of
+    every ``(scale, rho, seed)`` of a population to be drawn, in grid order
+    up to the first one refused, and that refusal (None if there is none).
+    A refusal of the first point is raised, since no point is left to check
+    before it."""
     configs = []
-    for (scale, rho), seed in zip(points, seeds):
+    for scale, rho, *seed in points:
         spreads = (scale, cfg.effect_spread_factor * scale)
         try:
             configs.append(
-                ScenarioConfig(cfg.block_sizes, treated_counts, *spreads, rho, cfg.base_sigma, seed)
+                ScenarioConfig(cfg.block_sizes, treated_counts, *spreads, rho, cfg.base_sigma, *seed)
             )
         except ValueError as err:
             if not configs:
@@ -115,25 +116,26 @@ def _scenario_configs(cfg, treated_counts, points, seeds) -> tuple[list, ValueEr
     return configs, None
 
 
-def target_moments(configs) -> tuple[np.ndarray, ArmStats, ArmStats, ArmStats]:
-    """Block sizes ``n_k`` and the block moments of t, c and t - c of the
-    populations of ``configs``, which share ``block_sizes``, with a leading
-    point axis, from the targets that :func:`gen_scenario_outcomes` hits:
-    block means ``mu_c + tau`` and ``mu_c`` (``ScenarioConfig.block_means``),
-    ``ss = (n_k - 1) base_sigma**2`` in both arms, and, the within-block
-    correlation being ``rho``, ``(n_k - 1) 2 base_sigma**2 (1 - rho)`` for
-    t - c. No population is drawn."""
+def target_moments(configs) -> tuple[np.ndarray, list[ArmStats], list[np.ndarray]]:
+    """Block sizes ``n_k``, the block moments of t, c and t - c of the
+    populations of ``configs``, which share ``block_sizes``, and their block
+    variances ``s2``, each with a leading point axis, from the targets that
+    :func:`gen_scenario_outcomes` hits: block means ``mu_c + tau`` and
+    ``mu_c`` (``ScenarioConfig.block_means``), ``s2 = base_sigma**2`` in both
+    arms and, the within-block correlation being ``rho``,
+    ``2 base_sigma**2 (1 - rho)`` for t - c, and ``ss = (n_k - 1) s2``. No
+    population is drawn."""
     n_k = np.asarray(configs[0].block_sizes)
     mu_c, tau = np.stack([config.block_means() for config in configs], axis=1)
     base_sigma, rho = np.array([[config.base_sigma, config.rho] for config in configs]).T
-    ss = (n_k - 1) * base_sigma[:, None] ** 2
+    s2_arm = np.broadcast_to(base_sigma[:, None] ** 2, (len(configs), len(n_k)))
+    s2 = [s2_arm, s2_arm, s2_arm * 2 * (1 - rho[:, None])]
     weights = n_k / n_k.sum()
-
-    def arm(means, ss):
+    arms = []
+    for means, s2_k in zip((mu_c + tau, mu_c, tau), s2):
         mean = means @ weights
-        return ArmStats(mean=mean, dev=means - mean[:, None], ss=ss)
-
-    return n_k, arm(mu_c + tau, ss), arm(mu_c, ss), arm(tau, ss * 2 * (1 - rho[:, None]))
+        arms.append(ArmStats(mean=mean, dev=means - mean[:, None], ss=(n_k - 1) * s2_k))
+    return n_k, arms, s2
 
 
 def _scenario_scale(config: ScenarioConfig) -> str:
@@ -193,22 +195,19 @@ RATIO_SWEEP_COLUMNS = [
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def study_ratio_sweep(config: RatioSweepConfig | None = None, seed: int = 0) -> list[dict]:
+def study_ratio_sweep(config: RatioSweepConfig | None = None) -> list[dict]:
     """Rows in grid order, every spread scale, then every ``rho`` within it,
-    scored from :func:`target_moments` in one pass. Nothing is drawn, so
-    ``seed`` (kept for a uniform study signature) changes no row. Each point
-    is checked in grid order: its ``ScenarioConfig`` (a refused one ends the
-    study once the points before it pass), then
-    :func:`require_noise_resolved`, then the float64 range of ``var_cr``
-    and both ``var_bk`` columns."""
+    scored from :func:`target_moments` in one pass. Nothing is drawn, so the
+    study takes no seed. Each point is checked in grid order: its
+    ``ScenarioConfig`` (a refused one ends the study once the points before
+    it pass), then :func:`require_noise_resolved`, then the float64 range of
+    ``var_cr`` and both ``var_bk`` columns."""
     cfg = config or RatioSweepConfig()
     points = itertools.product(cfg.spread_scales, cfg.rhos)
-    # ScenarioConfig carries the seed of a draw, and ratio-sweep makes none.
-    configs, refusal = _scenario_configs(cfg, cfg.treated_equal, points, itertools.repeat(0))
-    n_k, t, c, tc = target_moments(configs)
+    configs, refusal = _scenario_configs(cfg, cfg.treated_equal, points)
+    n_k, (t, c, tc), s2 = target_moments(configs)
     pooled = (pooled_variance(n_k, arm.dev, arm.ss) for arm in (t, c, tc))
     var_cr = cr_variance(*pooled, n_k.sum(), sum(cfg.treated_equal))
-    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
     eq, uneq = (
         blocked_variance(n_k, block_variances(n_k, np.asarray(n_tk), *s2))
         for n_tk in (cfg.treated_equal, cfg.treated_unequal)
@@ -426,10 +425,10 @@ def _misconceptions_chunk(args) -> list[dict]:
     cfg, master_seed, reps, lo, hi = args
     points = itertools.islice(itertools.product(cfg.spread_scales, cfg.rhos), lo, hi)
     seeds = [[_child_seed(master_seed, index, key) for key in range(3)] for index in range(lo, hi)]
-    configs, refusal = _scenario_configs(cfg, cfg.treated_counts, points, [s[0] for s in seeds])
-    n_k, t, c, tc = target_moments(configs)
+    points = [(*point, keys[0]) for point, keys in zip(points, seeds)]
+    configs, refusal = _scenario_configs(cfg, cfg.treated_counts, points)
+    n_k, (t, c, tc), s2 = target_moments(configs)
     n_tk = np.asarray(cfg.treated_counts)
-    s2 = [arm.ss / (n_k - 1) for arm in (t, c, tc)]
     var_bk = blocked_variance(n_k, block_variances(n_k, n_tk, *s2))
     # The blocked estimator's own conservatism is sum_k (n_k/n)^2 S2_tck / n_k.
     bias = (cr_varest_bias(n_k, n_tk, t, c, *s2), s2[2] @ n_k / int(n_k.sum()) ** 2)
@@ -440,6 +439,7 @@ def _misconceptions_chunk(args) -> list[dict]:
     for config, cells, *outcomes in zip(configs, np.stack(values, axis=-1).tolist(), y_t, y_c):
         tables.append(PotentialOutcomeTable(unit_ids, labels + 1, *outcomes))
         checked.append(_scenario_row(config, MISCONCEPTIONS_COLUMNS, cells, ("var_bk",)))
+    del y_t, y_c, outcomes  # the tables hold their own copies
     if refusal is not None:
         raise refusal
     designs = (CompleteRandomization(sum(cfg.treated_counts)), Blocked(cfg.treated_counts))
