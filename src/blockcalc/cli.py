@@ -20,12 +20,13 @@ platform and CPU count); runs that enumerate assignments (``enumerate``,
 ``variance --oracle``) add ``method`` and the ``counts`` of assignments and
 batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
 add ``method`` and the ``reps``, and studies add the ``counts`` of reps,
-chunks and workers used. Every manifest has ``timings``: the seconds spent
-reading inputs (``load_s``), computing the report (``compute_s``) and
+chunks and workers (always 1). Every manifest has ``timings``: the seconds
+spent reading inputs (``load_s``), computing the report (``compute_s``) and
 writing the report CSV (``write_s``). Report CSVs start with a comment line
 ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment`` is
-given. Reruns with the same seed and config are byte-identical regardless
-of ``--threads``.
+given. Reruns with the same seed and config are byte-identical. Every
+command runs in this one process; ``--threads`` (at least 1) is accepted
+for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -210,7 +211,12 @@ def _parse_design(text: str):
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker count (speed only)")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="at least 1; accepted for compatibility, changes nothing",
+    )
     parser.add_argument(
         "--no-header-comment",
         action="store_true",
@@ -366,7 +372,6 @@ def cmd_study(args, manifest: ManifestWriter) -> Report:
         config_overrides=overrides,
         seed=args.seed,
         reps=args.reps,
-        threads=args.threads,
     )
     manifest.extra["counts"] = counts
     config = {"name": args.name, "config": resolved, "reps": args.reps}

@@ -2,8 +2,8 @@
 
 Replication ``r`` of a run with master seed ``s`` always draws from a
 generator seeded by ``SeedSequence(entropy=s, spawn_key=(r,))``, and partial
-results are reduced in ascending replication order. Worker counts therefore
-change speed, never results.
+results are reduced in ascending replication order, every batch in one
+process.
 
 :func:`rep_rng` builds that generator for one rep, and is called only for
 the rare reps :func:`rep_integers` redraws. Otherwise no ``SeedSequence``
@@ -28,8 +28,7 @@ two consumers start from those seeds.
   numpy's ``permutation``.
 
 Every Monte Carlo and grid loop runs in the batches of :func:`chunk_bounds`,
-sized in cells. The worker count is clamped by :func:`effective_workers`: a
-pool never has more workers than items to map or CPUs to run them on.
+sized in cells, one after another.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import os
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -327,25 +325,10 @@ def chunk_bounds(count: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
-def effective_workers(threads: int, items: int) -> int:
-    """Workers a map over ``items`` items actually uses: at least 1, and no
-    more than ``threads``, the item count or ``os.cpu_count()``."""
-    return max(1, min(threads, items, os.cpu_count() or 1))
-
-
 def map_ordered(fn: Callable[[T], U], items: Sequence[T], threads: int = 1) -> list[U]:
-    """Map preserving order; a process pool of :func:`effective_workers`
-    workers is used when that count exceeds 1.
+    """``[fn(item) for item in items]``, in order, in this process.
 
-    ``fn`` and the items must be picklable when running with a pool.
+    ``threads`` is accepted for callers that pass a worker count and
+    changes nothing.
     """
-    items = list(items)
-    workers = effective_workers(threads, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    # Imported only here, so a one-worker run (the CLI default) never loads
-    # the process-pool machinery.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

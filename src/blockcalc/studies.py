@@ -2,8 +2,7 @@
 
 Every study is deterministic given (config, seed): replications draw from
 generators derived via ``SeedSequence(seed, spawn_key=...)``, and partial
-results are reduced in a fixed order, so the worker count never changes
-the output.
+results are reduced in a fixed order, every batch in one process.
 
 ``ratio-sweep`` and ``misconceptions`` walk one grid of (spread scale, rho)
 points, each point a scenario population whose block means, block
@@ -323,12 +322,11 @@ def study_flexible_blocking(
     config: FlexBlockingConfig | None = None,
     seed: int = 0,
     reps: int = FLEX_BLOCKING_REPS,
-    threads: int = 1,
     bounds=None,
 ) -> list[dict]:
     cfg = config or FlexBlockingConfig()
     chunks = [(cfg, seed, lo, hi) for lo, hi in bounds or batch_bounds(cfg, reps)]
-    partials = mc.map_ordered(_flex_blocking_chunk, chunks, threads=threads)
+    partials = mc.map_ordered(_flex_blocking_chunk, chunks)
     var_cr, var_bk, y_ratio = functools.reduce(operator.add, partials)
     sample, labels = _method_labels(cfg)
     rows = []
@@ -456,7 +454,6 @@ def study_misconceptions(
     config: MisconceptionsConfig | None = None,
     seed: int = 0,
     reps: int = MISCONCEPTIONS_REPS,
-    threads: int = 1,
     bounds=None,
 ) -> list[dict]:
     """Rows in grid order, every spread scale, then every ``rho`` within it,
@@ -466,7 +463,7 @@ def study_misconceptions(
     the ``var_varest_*`` range is checked after, in grid order."""
     cfg = config or MisconceptionsConfig()
     batches = [(cfg, seed, reps, lo, hi) for lo, hi in bounds or batch_bounds(cfg, 0)]
-    return [row for rows in mc.map_ordered(_misconceptions_chunk, batches, threads) for row in rows]
+    return [row for rows in mc.map_ordered(_misconceptions_chunk, batches) for row in rows]
 
 
 STUDIES = {
@@ -525,7 +522,6 @@ def run_study(
     config_overrides: dict | None = None,
     seed: int = 0,
     reps: int | None = None,
-    threads: int = 1,
 ) -> tuple[list[dict], list[str], dict, dict]:
     """Run a named study.
 
@@ -533,9 +529,9 @@ def run_study(
     has the Monte Carlo ``reps`` (per estimator and grid point for
     ``misconceptions``, 0 for ``ratio-sweep``), the ``chunks`` of work
     handed to :func:`mc.map_ordered` (the one :func:`batch_bounds` list
-    the study maps over) and the ``workers`` it used; ``ratio-sweep``
-    scores its grid in one pass, so one chunk on one worker. It rejects
-    any ``reps``, because it would ignore them.
+    the study maps over) and ``workers``, always 1; ``ratio-sweep``
+    scores its grid in one pass, so one chunk. It rejects any ``reps``,
+    because it would ignore them.
     """
     if name not in STUDIES:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
@@ -549,11 +545,10 @@ def run_study(
     _, columns, default_reps = STUDIES[name]
     reps = default_reps if reps is None else reps
     if name == "ratio-sweep":
-        rows, counts = study_ratio_sweep(cfg), {"reps": 0, "chunks": 1, "workers": 1}
+        rows, chunks = study_ratio_sweep(cfg), 1
     else:
         bounds = batch_bounds(cfg, reps)
         study = study_flexible_blocking if name == "flexible-blocking" else study_misconceptions
-        rows = study(cfg, seed=seed, reps=reps, threads=threads, bounds=bounds)
-        workers = mc.effective_workers(threads, len(bounds))
-        counts = {"reps": reps, "chunks": len(bounds), "workers": workers}
+        rows, chunks = study(cfg, seed=seed, reps=reps, bounds=bounds), len(bounds)
+    counts = {"reps": reps, "chunks": chunks, "workers": 1}
     return rows, columns, dataclasses.asdict(cfg), counts

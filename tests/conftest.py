@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,16 @@ from blockcalc import Blocked, CompleteRandomization, mc, table_from_arrays
 from blockcalc.oracle import batch_statistic, chunk_rows, count_assignments, enumerate_statistic
 from blockcalc.randomizer import draw_masks, shuffle_plan
 from blockcalc.variance_estimation import EXACT_ENUMERATION_LIMIT
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Make any attempt to start a process pool fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ with ``pytest tests/test_acceptance.py -s`` to see them live). Criteria with
 runtime budgets assert them.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -297,7 +298,7 @@ def test_criterion_09_ratio_sweep_bands():
 def test_criterion_10_blocking_method_bands():
     with criterion(10, "blocking-method study lands in the documented bands"):
         start = time.monotonic()
-        rows = study_flexible_blocking(seed=MASTER_SEED + 10, reps=10_000, threads=4)
+        rows = study_flexible_blocking(seed=MASTER_SEED + 10, reps=10_000)
         cell = {(row["method"], row["dgp"]): row for row in rows}
         for method in ("flex", "interleave", "peevish"):
             assert 97.0 <= cell[(method, "indep")]["rel_se_pct"] <= 103.0
@@ -314,7 +315,7 @@ def test_criterion_10_blocking_method_bands():
 
 def test_criterion_11_estimator_variability_crosses_one():
     with criterion(11, "variance-of-estimator ratio exceeds 1 at high R2, dips below at low R2"):
-        rows = study_misconceptions(seed=MASTER_SEED + 11, reps=5_000, threads=4)
+        rows = study_misconceptions(seed=MASTER_SEED + 11, reps=5_000)
         top_r2 = max(row["r2"] for row in rows)
         top_rows = [row for row in rows if row["r2"] == top_r2]
         assert all(row["var_varest_cr_over_bk"] > 1.0 for row in top_rows)
@@ -328,8 +329,8 @@ def test_criterion_11_estimator_variability_crosses_one():
         )
 
 
-def test_criterion_12_thread_count_never_changes_study_bytes(tmp_path):
-    with criterion(12, "same seed, different --threads: byte-identical study CSVs"):
+def test_criterion_12_thread_count_never_changes_study_bytes(tmp_path, no_process_pool):
+    with criterion(12, "same seed, different --threads: byte-identical study CSVs, one worker"):
         runs = [
             ("ratio-sweep", []),
             ("flexible-blocking", ["--reps", "600"]),
@@ -347,4 +348,6 @@ def test_criterion_12_thread_count_never_changes_study_bytes(tmp_path):
                 outputs.append(
                     (out / f"study_{name.replace('-', '_')}.csv").read_bytes()
                 )
+                manifest = json.loads((out / "run_manifest.json").read_text())
+                assert manifest["counts"]["workers"] == 1
             assert outputs[0] == outputs[1], f"{name} differs across thread counts"

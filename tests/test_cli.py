@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import blockcalc
-from blockcalc import cli, mc, oracle, studies
+from blockcalc import cli, oracle, studies
 from blockcalc.cli import main
 
 SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
@@ -477,7 +477,7 @@ class TestStudyCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert datetime.datetime.fromisoformat(manifest["started_at"]) <= called[0]
 
-    def test_threads_do_not_change_flexible_blocking_bytes(self, tmp_path):
+    def test_threads_do_not_change_flexible_blocking_bytes(self, tmp_path, no_process_pool):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out, threads in ((out1, "1"), (out2, "3")):
             rc = main(["study", "flexible-blocking", "--seed", "9", "--reps", "600",
@@ -488,16 +488,15 @@ class TestStudyCommand:
         assert a == b
         manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (out1, out2)]
         counts = [manifest["counts"] for manifest in manifests]
-        assert counts == [
-            {"reps": 600, "chunks": 3, "workers": 1},
-            {"reps": 600, "chunks": 3, "workers": mc.effective_workers(3, 3)},
-        ]
+        assert counts == [{"reps": 600, "chunks": 3, "workers": 1}] * 2
 
     @pytest.mark.parametrize(
         "study, extra",
         [("ratio-sweep", []), ("misconceptions", ["--reps", "20"])],
     )
-    def test_threads_do_not_change_scenario_study_bytes(self, tmp_path, study, extra):
+    def test_threads_do_not_change_scenario_study_bytes(
+        self, tmp_path, no_process_pool, study, extra
+    ):
         reports = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -505,11 +504,14 @@ class TestStudyCommand:
                        "--out", str(out)])
             assert rc == 0
             reports.append((out / f"study_{study.replace('-', '_')}.csv").read_bytes())
+            assert json.loads((out / "run_manifest.json").read_text())["counts"]["workers"] == 1
         assert reports[0] == reports[1]
 
-    def test_threads_do_not_change_three_batch_misconceptions_bytes(self, tmp_path):
+    def test_threads_do_not_change_three_batch_misconceptions_bytes(
+        self, tmp_path, no_process_pool
+    ):
         # 300 grid points of 115 units are three batches of mc.chunk_bounds,
-        # scored in parallel at 2 threads.
+        # run in order in this process at either thread count.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spread_scales": [0.05 * i for i in range(100)]}))
         reports, counts = [], []
@@ -522,10 +524,7 @@ class TestStudyCommand:
             counts.append(json.loads((out / "run_manifest.json").read_text())["counts"])
         assert reports[0] == reports[1]
         assert len(read_report(tmp_path / "1" / "study_misconceptions.csv")) == 300
-        assert counts == [
-            {"reps": 4, "chunks": 3, "workers": 1},
-            {"reps": 4, "chunks": 3, "workers": mc.effective_workers(2, 3)},
-        ]
+        assert counts == [{"reps": 4, "chunks": 3, "workers": 1}] * 2
 
 
 class TestReplayCommand:

@@ -46,8 +46,12 @@ def test_wrappers_installed_after_a_warm_call_record_command_spans(tmp_path):
     installed = tracing.Installation(tracer, blockcalc)
     try:
         assert main(["study", "ratio-sweep", "--out", str(tmp_path / "study")]) == 0
+        # flexible-blocking maps its rep batches through the wrapped mc.map_ordered.
+        flexible_argv = ["study", "flexible-blocking", "--reps", "3"]
+        assert main([*flexible_argv, "--out", str(tmp_path / "flexible")]) == 0
         assert main([*enumerate_argv, "--out", str(tmp_path / "enumerate")]) == 0
     finally:
         installed.remove()
-    assert tracer.calls("cli.study") == 1
+    assert tracer.calls("cli.study") == 2
     assert tracer.calls("cli.enumerate") == 1
+    assert tracer.counts["mc.workers"] == 1
