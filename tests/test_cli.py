@@ -952,6 +952,14 @@ def report_bytes(out):
     return report.read_bytes()
 
 
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_threads_do_not_change_command_bytes(tmp_path, no_process_pool, argv):
+    argv = write_inputs(tmp_path, argv)
+    for threads in ("1", "3"):
+        assert main([*argv, "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    assert report_bytes(tmp_path / "1") == report_bytes(tmp_path / "3")
+
+
 def test_parser_choices_come_from_their_sources():
     actions = {
         name: {a.dest: a.choices for a in parser._actions if a.choices is not None}

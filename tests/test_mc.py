@@ -6,6 +6,7 @@ and ``PCG64`` and is the reference for ``mc.rep_rngs`` and
 ``mc.rep_integers``.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -257,9 +258,6 @@ def test_callers_are_done_with_each_generator_before_the_next(monkeypatch, calle
     assert caller() == want == got
     # More than one batch of n-unit reps.
     assert spoiling.yielded > chunk_rows(n)
-    # Flexible blocking maps its rep batches through map_ordered, which
-    # keeps item order and ignores the worker count it is passed.
-    assert mc.map_ordered(abs, range(-10, 0), 4) == list(range(10, 0, -1))
 
 
 class ReferenceRepIntegers:
@@ -280,3 +278,20 @@ def test_site_sampling_matches_per_rep_generators(monkeypatch):
     monkeypatch.setattr(mc, "rep_integers", reference)
     assert _site_sampling() == got
     assert reference.reps > chunk_rows(3)
+
+
+@pytest.mark.parametrize(
+    "threads, items",
+    [(1, 10), (4, 10), (64, 10), (64, 3), (10**9, 50), (0, 5), (-3, 5), (4, 0), (4, 1), (7, 50)],
+)
+def test_map_ordered_runs_every_item_in_order_in_this_process(no_process_pool, threads, items):
+    # The worker count is passed positionally, as the benchmark's tracing
+    # wrapper passes it, and changes nothing whatever its value.
+    calls = []
+
+    def record(item):
+        calls.append((item, os.getpid()))
+        return -item
+
+    assert mc.map_ordered(record, range(items), threads) == [-i for i in range(items)]
+    assert calls == [(i, os.getpid()) for i in range(items)]
