@@ -24,6 +24,7 @@ from .pop_model import (
     ArmStats,
     PotentialOutcomeTable,
     _group_sums,
+    _read_only,
     centered_moments,
     default_unit_ids,
     grouped_moments,
@@ -245,11 +246,13 @@ class ScenarioConfig:
             raise ValueError("base_sigma must be positive")
         if self.control_mean_spread < 0 or self.effect_spread < 0:
             raise ValueError("spreads must be nonnegative")
+        scores = _size_scores(np.asarray(self.block_sizes, dtype=int))
+        means = (self.control_mean_spread * scores, self.effect_spread * scores)
+        object.__setattr__(self, "_block_means", tuple(map(_read_only, means)))
 
     def block_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Target control means and block effects, one per block."""
-        scores = _size_scores(np.asarray(self.block_sizes, dtype=int))
-        return self.control_mean_spread * scores, self.effect_spread * scores
+        """Target control means and block effects per block, fixed at construction (read-only)."""
+        return self._block_means
 
 
 def _size_scores(sizes: np.ndarray) -> np.ndarray:

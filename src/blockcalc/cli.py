@@ -4,8 +4,8 @@ Commands: ``variance``, ``compare``, ``study``, ``replay``, ``enumerate``.
 :func:`main` owns every run: it starts the ``run_manifest.json`` (stamping
 ``started_at`` and creating ``--out``) before any input is read, calls the
 command's ``cmd_*`` function, which returns one report, writes that report
-CSV, then finishes the manifest. Any ``ValueError``, ``OSError`` or
-``KeyError`` on the way ends the run in one ``blockcalc: error:`` line.
+CSV, then finishes the manifest. A ``ValueError``, ``OSError``, ``KeyError``
+or ``MemoryError`` on the way ends the run in one ``blockcalc: error:`` line.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call. It holds no function objects:
@@ -512,8 +512,8 @@ def main(argv=None) -> int:
         )
         manifest.mark("write")
         manifest.finish(config)
-    except (ValueError, OSError, KeyError) as err:
-        print(f"blockcalc: error: {err}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as err:
+        print(f"blockcalc: error: {err or type(err).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -353,15 +353,24 @@ def blocked_design_for_proportion(table: PotentialOutcomeTable, p: float) -> Blo
     """
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
-    counts = []
-    for k, size in enumerate(table.block_sizes, start=1):
-        m = p * size
-        if abs(m - round(m)) > 1e-9 * max(1.0, size):
-            raise ValueError(f"p*n_k is not an integer for block {k} (p={p}, n_k={size})")
-        counts.append(int(round(m)))
-    design = Blocked(tuple(counts))
+    message = f"p*n_k is not an integer for block {{block}} (p={p}, n_k={{size}})"
+    design = Blocked(_integer_counts(p, table.block_sizes, message))
     validate_design(design, table)
     return design
+
+
+def _integer_counts(shares, sizes, message: str) -> np.ndarray:
+    """``shares * sizes`` rounded to integers. Rounding a product more than
+    ``1e-9 * max(1, size)`` from an integer would change the design, so the
+    first is refused: ``message`` formatted with its 1-based ``block`` and ``size``."""
+    products = np.asarray(shares, dtype=float) * sizes
+    counts = np.round(products)
+    off = np.abs(products - counts) > 1e-9 * np.maximum(1.0, sizes)
+    if off.any():
+        k = int(np.argmax(off))
+        size = np.broadcast_to(sizes, off.shape).flat[k]
+        raise ValueError(message.format(block=k + 1, size=size))
+    return counts.astype(int)
 
 
 def equal_proportions(design: Blocked, table: PotentialOutcomeTable) -> bool:
@@ -495,8 +504,8 @@ class BlockStats:
         return float(self.n_k @ self.arm(arm).dev ** 2)
 
     def pooled_s2(self, arm: str) -> float:
-        """Pooled sample variance: within plus between sums of squares over ``n - 1``."""
-        return (float(self.arm(arm).ss.sum()) + self.between_ss(arm)) / (self.n - 1)
+        """Pooled sample variance: :func:`pooled_variance` of the arm's blocks."""
+        return float(pooled_variance(self.n_k, self.arm(arm).dev, self.arm(arm).ss))
 
 
 def pooled_variance(n_k, dev, ss):
@@ -504,9 +513,9 @@ def pooled_variance(n_k, dev, ss):
     trailing block axis, from block sizes ``n_k``, block means ``dev`` and
     within-block sums of squares ``ss``.
 
-    This is the identity of :func:`pooled_decomposition` and
-    :meth:`BlockStats.pooled_s2`: within plus between sums of squares over
-    ``n - 1``. Here ``dev`` may be measured from any common reference (the
+    This is the identity of :func:`pooled_decomposition`, within plus
+    between sums of squares over ``n - 1``, and :meth:`BlockStats.pooled_s2`
+    reads it. ``dev`` may be measured from any common reference (the
     pooled mean of a population the blocks were drawn from, say), so the
     between part is taken around its size-weighted mean.
     """

@@ -28,6 +28,7 @@ from .pop_model import (
     DesignSpec,
     PotentialOutcomeTable,
     StrataMoments,
+    _integer_counts,
     blocked_design_for_proportion,
     equal_proportions,
     validate_design,
@@ -202,10 +203,7 @@ def cr_varest_bias_strat(moments: StrataMoments, n: int, p: float) -> float:
     """
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
-    n_t = p * n
-    if abs(n_t - round(n_t)) > 1e-9 * n:
-        raise ValueError("p*n must be an integer")
-    n_t = round(n_t)
+    n_t = int(_integer_counts(p, n, "p*n must be an integer"))
     n_c = n - n_t
     if n_t < 2 or n_c < 2:
         raise ValueError("both arms need at least 2 units")

@@ -13,6 +13,12 @@ Notation, for a table summarized per block ``k``:
 
 Superpopulation operations consume :class:`~blockcalc.pop_model.StrataMoments`
 with per-stratum means ``mu(z,k)`` and variances ``sigma2(z,k)``.
+
+Each comparison has one implementation: ``_finite_comparison`` serves
+:func:`var_diff_finite` and every :func:`site_sampling_reps` draw, and
+``_stratified_comparison`` :func:`var_diff_strat`, :func:`var_diff_strat_unequal`
+(which adds only its unequal-proportion term) and every :func:`two_stage_reps`
+draw. Every completely randomized ``var_cr`` reads ``pop_model.pooled_variance``.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .pop_model import (
     PotentialOutcomeTable,
     StrataMoments,
     WEIGHT_ATOL,
+    _integer_counts,
     blocked_design_for_proportion,
     pooled_variance,
     validate_design,
@@ -238,20 +245,31 @@ def var_blocked_strat(moments: StrataMoments, n_k, n_tk) -> float:
     return float(blocked_variance(n_k, block_vars))
 
 
-def _stratum_counts(moments: StrataMoments, n: int) -> np.ndarray:
-    n_k = moments.weights * n
-    if np.any(np.abs(n_k - np.round(n_k)) > 1e-9 * n):
-        raise ValueError("weights * n must give integer stratum sizes")
-    return np.round(n_k).astype(int)
+def _stratified_comparison(n_k, n_tk, weights, s2_t, s2_c, composite):
+    """``var_bk``, by the arithmetic of :func:`var_blocked_strat`, and the
+    between term ``var_k(composite, weights) / (n - 1)`` of the stratified
+    comparison, over a trailing stratum axis."""
+    var_bk = blocked_variance(n_k, block_variances(n_k, n_tk, s2_t, s2_c, 0.0))
+    return var_bk, var_k(composite, weights) / (n_k.sum(axis=-1) - 1)
 
 
 def _treated_counts(n_k: np.ndarray, p_k: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(p_k)):
         raise ValueError("every proportion must be finite")
-    n_tk = p_k * n_k
-    if np.any(np.abs(n_tk - np.round(n_tk)) > 1e-9 * np.maximum(1, n_k)):
-        raise ValueError("p_k * n_k must be an integer in every stratum")
-    return np.round(n_tk).astype(int)
+    return _integer_counts(p_k, n_k, "p_k * n_k must be an integer in every stratum")
+
+
+def _stratified(moments: StrataMoments, n: int, p_k, p: float):
+    """Stratum sizes, ``var_bk`` and the between term of the stratified
+    comparison treating the share ``p_k`` of each stratum, ``p`` overall."""
+    n_k = _integer_counts(moments.weights, n, "weights * n must give integer stratum sizes")
+    n_tk = _treated_counts(n_k, p_k)
+    if np.any(n_tk < 1) or np.any(n_tk >= n_k):
+        raise ValueError("need 0 < n_tk < n_k in every stratum")
+    s2 = moments.sigma2_t, moments.sigma2_c
+    composite = _composite_block_means(moments.mu_c, moments.mu_t, p)
+    var_bk, between = _stratified_comparison(n_k, n_tk, moments.weights, *s2, composite)
+    return n_k, float(var_bk), float(between)
 
 
 def var_diff_strat(moments: StrataMoments, n: int, p: float) -> VarianceReport:
@@ -263,19 +281,9 @@ def var_diff_strat(moments: StrataMoments, n: int, p: float) -> VarianceReport:
     """
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
-    n_k = _stratum_counts(moments, n)
-    n_tk = _treated_counts(n_k, np.full(moments.num_strata, p))
-    between = var_k(
-        _composite_block_means(moments.mu_c, moments.mu_t, p), moments.weights
-    ) / (n - 1)
-    var_bk = var_blocked_strat(moments, n_k, n_tk)
-    return VarianceReport(
-        framework=FRAMEWORK_STRATIFIED,
-        var_cr=var_bk + between,
-        var_bk=var_bk,
-        diff=between,
-        decomposition={"between_term": between},
-    )
+    _, var_bk, between = _stratified(moments, n, np.full(moments.num_strata, p), p)
+    terms = {"between_term": between}
+    return VarianceReport(FRAMEWORK_STRATIFIED, var_bk + between, var_bk, between, terms)
 
 
 def var_diff_strat_unequal(
@@ -290,8 +298,10 @@ def var_diff_strat_unequal(
              + sum_k (p - p_k) n_k / n^2
                  * [sigma2_ck / ((1-p_k)(1-p)) - sigma2_tk / (p_k p)]
 
-    where ``p`` must equal the size-weighted average of the ``p_k``.
-    Reduces exactly to :func:`var_diff_strat` when all ``p_k == p``.
+    where ``p`` must equal the size-weighted average of the ``p_k``. With
+    every ``p_k == p`` and ``p`` given, it equals :func:`var_diff_strat`
+    exactly; left out, ``p`` is that average as rounded, which can miss
+    the common ``p_k`` by an ulp and leave a term of that order.
     """
     p_k = np.asarray(p_k, dtype=float)
     if len(p_k) != moments.num_strata:
@@ -303,31 +313,12 @@ def var_diff_strat_unequal(
         p = implied
     elif not abs(p - implied) <= 1e-12 * max(1.0, abs(implied)):
         raise ValueError(f"p={p} does not equal the weighted mean of p_k ({implied})")
-    n_k = _stratum_counts(moments, n)
-    n_tk = _treated_counts(n_k, p_k)
-    between = var_k(
-        _composite_block_means(moments.mu_c, moments.mu_t, p), moments.weights
-    ) / (n - 1)
-    unequal = float(
-        np.sum(
-            (p - p_k)
-            * n_k
-            / n**2
-            * (
-                moments.sigma2_c / ((1 - p_k) * (1 - p))
-                - moments.sigma2_t / (p_k * p)
-            )
-        )
-    )
-    var_bk = var_blocked_strat(moments, n_k, n_tk)
+    n_k, var_bk, between = _stratified(moments, n, p_k, p)
+    spread = moments.sigma2_c / ((1 - p_k) * (1 - p)) - moments.sigma2_t / (p_k * p)
+    unequal = float(np.sum((p - p_k) * n_k / n**2 * spread))
     diff = between + unequal
-    return VarianceReport(
-        framework=FRAMEWORK_STRATIFIED,
-        var_cr=var_bk + diff,
-        var_bk=var_bk,
-        diff=diff,
-        decomposition={"between_term": between, "unequal_p_term": unequal},
-    )
+    terms = {"between_term": between, "unequal_p_term": unequal}
+    return VarianceReport(FRAMEWORK_STRATIFIED, var_bk + diff, var_bk, diff, terms)
 
 
 def var_diff_mixed(
@@ -510,15 +501,13 @@ def two_stage_reps(
     treated = _treated_counts(sizes, p)
     if not np.all((treated > 0) & (treated < sizes)):
         raise ValueError("p * n_k must leave both arms nonempty in every stratum")
-    s2_t, s2_c = moments.sigma2_t, moments.sigma2_c
     composite = _composite_block_means(moments.mu_c, moments.mu_t, p)
+    types = np.stack([sizes, treated, moments.sigma2_t, moments.sigma2_c, composite])
 
     def evaluate(chosen):
-        n_k = sizes[chosen]
-        n = n_k.sum(axis=-1)
-        diff = var_k(composite[chosen], n_k / n[:, None]) / (n - 1)
-        n_tk = treated[chosen]
-        var_bk = blocked_variance(n_k, s2_t[chosen] / n_tk + s2_c[chosen] / (n_k - n_tk))
+        n_k, n_tk, s2_t, s2_c, means = types[:, chosen]
+        weights = n_k / n_k.sum(axis=-1, keepdims=True)
+        var_bk, diff = _stratified_comparison(n_k, n_tk, weights, s2_t, s2_c, means)
         return var_bk + diff, var_bk, diff
 
     return _monte_carlo(moments.num_strata, k_draw, reps, seed, evaluate)

@@ -5,6 +5,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -921,6 +922,35 @@ class TestOutcomeMagnitude:
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.glob("study_*.csv"))
         assert not (tmp_path / "run_manifest.json").exists()
+
+
+def limit_address_space():
+    """Cap the child's address space at 16 GiB, so an allocation of petabytes
+    fails at once on any machine rather than only where it outgrows the
+    user address space."""
+    limit = 16 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage", "--k-draw",
+          "4", "--p", "0.5", "--n-per-stratum", "4", "--reps", "100000000000000"], "2.13 PiB"),
+        (["study", "misconceptions", "--reps", "100000000000000"], "25.6 PiB"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_reps_too_large_to_hold_is_one_line_error(tmp_path, argv, size):
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockcalc.cli", *argv, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert_one_line_error(proc, f"Unable to allocate {size} for an array")
 
 
 def subparsers(parser):

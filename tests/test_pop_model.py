@@ -295,6 +295,10 @@ class TestDesigns:
         assert design.n_tk == (1, 1)
         with pytest.raises(ValueError, match="not an integer"):
             blocked_design_for_proportion(mirrored_blocks_table, 0.3)
+        # The error names the first block whose count is off, with its size.
+        table = table_from_arrays([1] * 4 + [2] * 6 + [3] * 5, np.arange(15.0), np.zeros(15))
+        with pytest.raises(ValueError, match=r"for block 2 \(p=0.25, n_k=6\)$"):
+            blocked_design_for_proportion(table, 0.25)
 
     def test_equal_proportions_uses_exact_integer_arithmetic(self):
         table = table_from_arrays([1] * 3 + [2] * 6, np.arange(9.0), np.zeros(9))

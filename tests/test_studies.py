@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockcalc import mc, oracle, studies
+from blockcalc import blocking_lab, mc, oracle, studies
 from blockcalc.blocking_lab import (
     ScenarioConfig,
     gen_scenario_outcomes,
@@ -179,6 +179,25 @@ def test_ratio_sweep_draws_nothing(monkeypatch):
     rows, _, _, counts = run_study("ratio-sweep", {"spread_scales": [0.05 * i for i in range(100)]})
     assert len(rows) == 300
     assert counts == {"reps": 0, "chunks": 1, "workers": 1}
+
+
+def test_each_grid_point_computes_its_block_means_once(monkeypatch):
+    """Every check and draw of a point reads one computation of its target
+    block means, across batches too."""
+    calls = []
+
+    def counting(sizes):
+        calls.append(len(sizes))
+        return size_scores(sizes)
+
+    size_scores = blocking_lab._size_scores
+    monkeypatch.setattr(blocking_lab, "_size_scores", counting)
+    study_ratio_sweep()
+    cfg = RatioSweepConfig()
+    assert len(calls) == len(cfg.spread_scales) * len(cfg.rhos)
+    calls.clear()
+    study_misconceptions(reps=2, bounds=[(0, 7), (7, 18)])
+    assert len(calls) == 18
 
 
 def reference_misconceptions(cfg, seed, reps):

@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from blockcalc import (
     var_k,
 )
 from blockcalc import mc, oracle, variance_theory
+from blockcalc.pop_model import blocked_design_for_proportion, read_strata_csv
+from blockcalc.variance_estimation import cr_varest_bias_strat
 from blockcalc.variance_theory import (
     MODE_CR_SRS_VS_BK_STRAT,
     MODE_CR_SRS_VS_CR_STRAT,
@@ -254,8 +257,25 @@ class TestVarDiffStrat:
             assert report.diff >= -1e-12
 
 
+GOLDEN_STRATA = Path(__file__).resolve().parent / "golden" / "input_strata.csv"
+
+
+def random_strata(seed):
+    """Moments of 1-5 strata of sizes that are multiples of 4, as ``(moments, n)``."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    sizes = 4 * rng.integers(1, 5, size=k)
+    n = int(sizes.sum())
+    moments = simple_moments(
+        rng.normal(size=k) * 3, rng.normal(size=k) * 3, weights=sizes / n,
+        sigma2_t=rng.random(k) * 4, sigma2_c=rng.random(k) * 4,
+    )
+    return moments, n
+
+
 class TestVarDiffStratUnequal:
     def test_reduces_to_equal_proportions_exactly(self):
+        # Both reports read one stratified comparison, so every field is equal.
         rng = np.random.default_rng(8)
         k = 3
         w = np.full(k, 1.0 / k)
@@ -263,10 +283,15 @@ class TestVarDiffStratUnequal:
             rng.normal(size=k), rng.normal(size=k), weights=w,
             sigma2_t=rng.random(k) + 0.5, sigma2_c=rng.random(k) + 0.5,
         )
-        equal = var_diff_strat(moments, n=12, p=0.5)
-        unequal = var_diff_strat_unequal(moments, n=12, p_k=[0.5] * k, p=0.5)
-        assert unequal.diff == equal.diff
-        assert unequal.decomposition["unequal_p_term"] == 0.0
+        cases = [(moments, 12, 0.5), (read_strata_csv(GOLDEN_STRATA), 24, 0.25)]
+        cases += [(*random_strata(seed), p) for seed in range(12) for p in (0.25, 0.5, 0.75)]
+        for moments, n, p in cases:
+            equal = var_diff_strat(moments, n=n, p=p)
+            unequal = var_diff_strat_unequal(moments, n=n, p_k=[p] * moments.num_strata, p=p)
+            for name in ("var_cr", "var_bk", "diff"):
+                assert getattr(unequal, name) == getattr(equal, name), name
+            assert unequal.decomposition["between_term"] == equal.decomposition["between_term"]
+            assert unequal.decomposition["unequal_p_term"] == 0.0
 
     def test_worked_negative_example(self):
         moments = simple_moments([0.0, 0.0], [0.0, 0.0])
@@ -629,6 +654,62 @@ def test_sampling_reps_do_not_depend_on_the_batch_size(monkeypatch, k_draw):
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), cells
         # One rep_integers call per batch of each framework.
         assert counting.calls == 2 * -(-reps // max(1, cells // k_draw)), cells
+
+
+class TestOneComparisonPerRule:
+    """Reports that share a closed-form rule read one implementation of it."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_neyman_var_cr_is_var_diff_finite_var_cr(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        base = make_random_table(rng, n_range=(4, 30), k_range=(1, 6), even_sizes=True)
+        table = table_from_arrays(base.blocks, base.y_t + offset, base.y_c + offset)
+        for p in equal_p_proportions(table):
+            n_t = round(p * table.n)
+            assert neyman_var_cr(table, n_t) == var_diff_finite(table, n_t / table.n).var_cr
+
+    @pytest.mark.parametrize(
+        "k_draw, p, sizes", [(8, 0.5, (4,) * 6), (3, 0.25, (4, 8, 12, 4, 8, 4)), (1, 0.5, (6,) * 6)]
+    )
+    def test_two_stage_draws_are_var_diff_strat_of_their_strata(self, k_draw, p, sizes):
+        moments = read_strata_csv(GOLDEN_STRATA)
+        reps = 50
+        got = two_stage_reps(moments, sizes, k_draw, p, reps, seed=7)
+        fields = ("mu_t", "mu_c", "sigma2_t", "sigma2_c", "sigma2_tc")
+        for r in range(reps):
+            chosen = mc.rep_rng(7, r).integers(moments.num_strata, size=k_draw)
+            n_k = np.asarray(sizes)[chosen]
+            n = int(n_k.sum())
+            drawn = StrataMoments(n_k / n, *(getattr(moments, f)[chosen] for f in fields))
+            want = var_diff_strat(drawn, n, p)
+            for name, value in zip(("var_cr", "var_bk", "diff"), got[:, r]):
+                assert abs(value - getattr(want, name)) <= 1e-13 * abs(getattr(want, name)), name
+
+    @pytest.mark.parametrize("off, refused", [(1e-10, False), (1e-8, True)])
+    def test_one_integer_count_check_serves_every_proportion(self, off, refused):
+        """A count ``off`` (relative) from an integer passes or fails alike
+        wherever a share times a size must be a count; each refusal keeps
+        its own message."""
+        moments = simple_moments([0.0, 1.0], [0.0, 2.0])
+        shifted = simple_moments(
+            [0.0, 1.0], [0.0, 2.0], weights=[0.5 * (1 + off), 0.5 * (1 - off)]
+        )
+        table = table_from_arrays([1] * 4 + [2] * 4, np.arange(8.0), np.zeros(8))
+        p = 0.5 * (1 + off)
+        calls = [
+            (lambda: blocked_design_for_proportion(table, p), r"p\*n_k is not an integer"),
+            (lambda: cr_varest_bias_strat(moments, 8, p), r"p\*n must be an integer"),
+            (lambda: var_diff_strat(shifted, 8, 0.5), r"weights \* n must give integer stratum"),
+            (lambda: var_diff_strat(moments, 8, p), r"p_k \* n_k must be an integer"),
+            (lambda: two_stage_reps(moments, [4, 4], 2, p, 2), r"p_k \* n_k must be an integer"),
+        ]
+        for call, message in calls:
+            if refused:
+                with pytest.raises(ValueError, match=message):
+                    call()
+            else:
+                call()
 
 
 class TestCheckDiff:
