@@ -21,8 +21,10 @@ Conventions used throughout the package:
 the groups a design randomizes independently: complete randomization is a
 single group of every unit, and a blocked design one group per block.
 
-Every CSV input is read column by column by :func:`read_csv_columns`, and
-numeric columns are parsed whole, exactly as Python's ``float`` parses.
+Every CSV input is read column by column by :func:`read_csv_columns`, which
+holds at most one batch of parsed rows besides the columns and names the CSV
+kind in every error, a byte that is not UTF-8 included; numeric columns are
+parsed whole, exactly as Python's ``float`` parses.
 All real arithmetic is 64-bit floating point.
 """
 
@@ -32,6 +34,8 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse, islice
+from operator import methodcaller
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -179,7 +183,8 @@ def canonical_labels(raw) -> np.ndarray:
     Values are told apart as dict keys are, so ``1`` and ``"1"`` are two
     labels while ``1`` and ``1.0`` are one.
     """
-    raw = list(raw)
+    if not isinstance(raw, (list, tuple)):
+        raw = list(raw)
     number = {label: k for k, label in enumerate(dict.fromkeys(raw), start=1)}
     return _read_only(np.fromiter(map(number.__getitem__, raw), dtype=np.intp, count=len(raw)))
 
@@ -213,34 +218,51 @@ def validate_table(records: Iterable[Mapping]) -> PotentialOutcomeTable:
 TABLE_CSV_HEADER = ["unit_id", "block", "y_t", "y_c"]
 
 
+#: Data rows parsed per batch: :func:`read_csv_columns` holds at most one
+#: batch of row lists besides the columns, so a long file leaves the cyclic
+#: garbage collector almost nothing to scan.
+_CSV_BATCH_ROWS = 512
+
+
 def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
     """The data columns of a ``kind`` CSV file (UTF-8, a leading byte-order
     mark skipped, '#' lines are comments), as ``{header field: values in row order}``.
 
     The header must name every one of ``columns`` and every data row must
     fill every header field; errors name the CSV kind and the 1-based data
-    row. A file without data rows is an error too, as is one the csv module
-    cannot parse (a field over its size limit, say). Blank lines are
-    skipped and fields past the header's are ignored.
+    row. A file without data rows is an error too, as is one that is not
+    UTF-8 or that the csv module cannot parse (a field over its size limit,
+    say). Blank lines are skipped and fields past the header's are ignored.
+    Rows are parsed in batches of ``_CSV_BATCH_ROWS``, so a short row is
+    reported before a parse error in a later batch.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        reader = csv.reader(filterfalse(methodcaller("startswith", "#"), fh))
         try:
             header = next(reader, [])
-            rows = [row for row in reader if row]
-        except csv.Error as err:
+            rows = filter(None, reader)
+            cols = [[] for _ in header]
+            count = 0
+            while batch := list(islice(rows, _CSV_BATCH_ROWS)):
+                if min(map(len, batch)) < len(header):
+                    for i, row in enumerate(batch, start=count + 1):
+                        if len(row) < len(header):
+                            raise ValueError(
+                                f"{kind} CSV data row {i} has no value for {header[len(row):]}"
+                            )
+                for col, values in zip(cols, zip(*batch)):
+                    col.extend(values)
+                count += len(batch)
+        except (csv.Error, UnicodeDecodeError) as err:
             raise ValueError(f"{kind} CSV is not readable: {err}") from None
-    for i, row in enumerate(rows, start=1):
-        if len(row) < len(header):
-            raise ValueError(f"{kind} CSV data row {i} has no value for {header[len(row):]}")
-    if not rows:
+    if not count:
         raise ValueError(f"empty {kind} CSV")
     missing = set(columns) - set(header)
     if missing:
         raise ValueError(
             f"{kind} CSV missing columns: {sorted(missing)} (needs {','.join(columns)})"
         )
-    return dict(zip(header, zip(*rows)))
+    return dict(zip(header, map(tuple, cols)))
 
 
 def read_json(path, kind: str):
@@ -266,7 +288,8 @@ def read_table_csv(path) -> PotentialOutcomeTable:
     """
     cols = read_csv_columns(path, "table", TABLE_CSV_HEADER)
     y_t, y_c = (np.asarray(cols[name], dtype=float) for name in ("y_t", "y_c"))
-    return table_from_arrays(cols["block"], y_t, y_c, cols["unit_id"])
+    # The reader's columns are tuples of str: no copy or conversion needed.
+    return PotentialOutcomeTable(cols["unit_id"], canonical_labels(cols["block"]), y_t, y_c)
 
 
 def write_table_csv(table: PotentialOutcomeTable, path) -> None:

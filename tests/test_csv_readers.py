@@ -4,14 +4,17 @@ a fuzz of malformed CSV inputs through the command line."""
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcalc import canonical_labels
+from blockcalc import canonical_labels, pop_model
+from blockcalc.blocking_lab import read_covariate_csv
 from blockcalc.cli import main
 from blockcalc.pop_model import (
     TABLE_CSV_HEADER,
@@ -160,6 +163,29 @@ def assert_same_outcome(new, ref):
 
 TABLE_CELLS = {"block": LABELS, "y_t": NUMBERS, "y_c": NUMBERS}
 REPLAY_CELLS = {"block": LABELS, "z": ARMS, "baseline": NUMBERS, "y": NUMBERS}
+# Batch sizes small enough that generated files span several batches.
+SMALL_BATCHES = st.sampled_from([2, 3])
+
+
+def check_table(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    new, ref = outcome(read_table_csv, path), outcome(reference_read_table, path)
+    assert_same_outcome(new, ref)
+    if not isinstance(new, str):
+        assert new.y_t.tobytes() == ref.y_t.tobytes()
+        assert new.y_c.tobytes() == ref.y_c.tobytes()
+
+
+def check_replay(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("replay") / "replay.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    new, ref = outcome(read_replay_csv, path), outcome(reference_read_replay, path)
+    assert_same_outcome(new, ref)
+    if not isinstance(new, str):
+        assert new.z == ref.z
+        assert new.baseline.tobytes() == ref.baseline.tobytes()
+        assert new.y.tobytes() == ref.y.tobytes()
 
 
 class TestMatchesRowReader:
@@ -167,33 +193,86 @@ class TestMatchesRowReader:
     # first unparsable value in file order, the column reader the first one
     # of the first bad column. Both readers parse a replay file's numeric
     # columns one after the other, so any number of bad values is compared.
+    # The generated files have at most 8 data rows, so the batched variants
+    # shrink the reader's batch until they span several batches.
     @given(csv_text(TABLE_CSV_HEADER, TABLE_CELLS, bad_cells=1))
     @settings(max_examples=150, deadline=None)
     def test_table(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("table") / "table.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        new, ref = outcome(read_table_csv, path), outcome(reference_read_table, path)
-        assert_same_outcome(new, ref)
-        if not isinstance(new, str):
-            assert new.y_t.tobytes() == ref.y_t.tobytes()
-            assert new.y_c.tobytes() == ref.y_c.tobytes()
+        check_table(tmp_path_factory, text)
 
     @given(csv_text(REPLAY_CSV_HEADER, REPLAY_CELLS, bad_cells=3))
     @settings(max_examples=150, deadline=None)
     def test_replay(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("replay") / "replay.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        new, ref = outcome(read_replay_csv, path), outcome(reference_read_replay, path)
-        assert_same_outcome(new, ref)
-        if not isinstance(new, str):
-            assert new.z == ref.z
-            assert new.baseline.tobytes() == ref.baseline.tobytes()
-            assert new.y.tobytes() == ref.y.tobytes()
+        check_replay(tmp_path_factory, text)
+
+    @given(csv_text(TABLE_CSV_HEADER, TABLE_CELLS, bad_cells=1), SMALL_BATCHES)
+    @settings(max_examples=150, deadline=None)
+    def test_table_in_small_batches(self, tmp_path_factory, text, batch_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
+            check_table(tmp_path_factory, text)
+
+    @given(csv_text(REPLAY_CSV_HEADER, REPLAY_CELLS, bad_cells=3), SMALL_BATCHES)
+    @settings(max_examples=150, deadline=None)
+    def test_replay_in_small_batches(self, tmp_path_factory, text, batch_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
+            check_replay(tmp_path_factory, text)
 
     def test_labels_compare_as_dict_keys(self):
         raw = [1, "1", 1.0, "a", np.int64(1), "01"]
         assert canonical_labels(raw).tolist() == list(reference_canonical_labels(raw))
         assert not canonical_labels(raw).flags.writeable
+
+
+class TestBatches:
+    def test_short_row_opening_second_batch_is_numbered(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pop_model, "_CSV_BATCH_ROWS", 3)
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "unit_id,block,y_t,y_c\n"
+            "a,1,0,0\nb,1,1,1\nc,2,0,0\n"
+            "# comment\n\n"
+            "d,2,1\n"
+            "e,2,1,1\n"
+        )
+        with pytest.raises(ValueError, match=r"^table CSV data row 4 has no value for \['y_c'\]$"):
+            read_table_csv(path)
+
+    def test_short_row_wins_over_later_parse_error(self, tmp_path, monkeypatch):
+        # A parse error in a batch after the short row's is never reached.
+        monkeypatch.setattr(pop_model, "_CSV_BATCH_ROWS", 2)
+        path = tmp_path / "table.csv"
+        oversized = "9" * 131_073
+        path.write_text(f"unit_id,block,y_t,y_c\na,1,0\nb,1,1,1\nc,2,0,{oversized}\n")
+        with pytest.raises(ValueError, match=r"^table CSV data row 1 has no value"):
+            read_table_csv(path)
+
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython", reason="counts CPython's cyclic collector"
+    )
+    def test_large_table_leaves_collector_idle(self, tmp_path):
+        # The reader keeps one batch of row lists alive, not the whole file's,
+        # so the allocation count that triggers a collection stays low.
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "unit_id,block,y_t,y_c\n"
+            + "".join(f"u{i},b{i % 200},{i / 7!r},{i / 3!r}\n" for i in range(20_000))
+        )
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            table = read_table_csv(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert table.n == 20_000 and table.num_blocks == 200
+        assert len(collections) <= 3, collections
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +313,7 @@ NOT_NUMBERS = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size
 
 @st.composite
 def malformed_csv(draw):
-    """``(argv prefix, file bytes)`` of a table, strata or replay CSV with one defect."""
+    """``(kind, argv prefix, file bytes)`` of a table, strata or replay CSV with one defect."""
     kind = draw(st.sampled_from(sorted(VALID)))
     header, rows, argv = VALID[kind]
     header, rows = list(header), [list(r) for r in rows]
@@ -273,7 +352,7 @@ def malformed_csv(draw):
     if defect == "not utf-8":
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
-    return argv, data
+    return kind, argv, data
 
 
 def valid_csv_text(kind):
@@ -282,6 +361,18 @@ def valid_csv_text(kind):
 
 
 READERS = {"table": read_table_csv, "strata": read_strata_csv, "replay": read_replay_csv}
+
+
+@pytest.mark.parametrize("kind", [*sorted(VALID), "covariate"])
+def test_not_utf8_names_the_csv_kind(tmp_path, kind):
+    text = "unit_id,x\na,1\nb,2\n" if kind == "covariate" else valid_csv_text(kind)
+    path = tmp_path / "input.csv"
+    data = text.encode("utf-8")
+    path.write_bytes(data[:-3] + b"\xff" + data[-3:])
+    read = {**READERS, "covariate": read_covariate_csv}[kind]
+    message = f"^{kind} CSV is not readable: 'utf-8' codec can't decode"
+    with pytest.raises(ValueError, match=message):
+        read(path)
 
 
 class TestByteOrderMark:
@@ -308,7 +399,7 @@ class TestMalformedCsvThroughCli:
     @given(malformed_csv())
     @settings(max_examples=200, deadline=None)
     def test_one_line_error(self, tmp_path_factory, case):
-        argv, data = case
+        kind, argv, data = case
         out = tmp_path_factory.mktemp("malformed")
         path = out / "input.csv"
         path.write_bytes(data)
@@ -319,6 +410,8 @@ class TestMalformedCsvThroughCli:
         assert stderr.getvalue().startswith("blockcalc: error: ")
         assert stderr.getvalue().count("\n") == 1
         assert "Traceback" not in stderr.getvalue()
+        if b"\xff" in data:  # the "not utf-8" defect; UTF-8 text never holds 0xff
+            assert stderr.getvalue().startswith(f"blockcalc: error: {kind} CSV is not readable: ")
 
 
 # ---------------------------------------------------------------------------
