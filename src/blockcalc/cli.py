@@ -411,6 +411,10 @@ def cmd_enumerate(args, manifest: ManifestWriter) -> Report:
     return "enumerate_report.csv", list(row), [row], config
 
 
+#: Help of ``--cap``, which :func:`main` checks before any command runs.
+_CAP_HELP = "most assignments to enumerate, at least 1"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of every command's arguments.
 
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail unless the between/within decomposition applies",
     )
-    p_var.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_var.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     _add_common(p_var)
 
     p_cmp = sub.add_parser("compare", help="superpopulation variance comparisons")
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="tau_hat",
         choices=STATISTICS,
     )
-    p_enum.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_enum.add_argument("--cap", type=int, default=DEFAULT_CAP, help=_CAP_HELP)
     _add_common(p_enum)
 
     return parser
@@ -500,6 +504,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if "cap" in args and args.cap < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         manifest = ManifestWriter(args.command, args)
         name, columns, rows, config = command(args, manifest)
         manifest.mark("compute")

@@ -723,6 +723,18 @@ class TestArgumentValidation:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["variance", "enumerate"])
+    def test_cap_below_one_is_one_line_error(self, tmp_path, capsys, command, cap):
+        # Refused before anything runs, also by `variance` without --oracle.
+        table = tmp_path / "table.csv"
+        write_mirrored_table(table)
+        out = tmp_path / "out"
+        argv = [command, str(table), "--design", "cr:2", "--cap", cap, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"blockcalc: error: --cap must be at least 1, got {cap}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -373,6 +373,64 @@ class TestAssignmentChunks:
             assert count == expected
             assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("cells", [None, 40, 200])
+    def test_tau_hat_sums_match_the_mask_kernel(self, monkeypatch, cells):
+        # Groups of 14-18 units with several treated span more than one memo
+        # leaf, so the sum writer also meets held runs, one-treated diagonals
+        # and splits; small chunks cut every group's range of subsets.
+        if cells is not None:
+            monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(80)
+        cases = [
+            ((14,), [CompleteRandomization(1), CompleteRandomization(13)]),
+            ((16,), [CompleteRandomization(4)]),
+            ((18,), [CompleteRandomization(4)]),
+            ((2, 16), [Blocked((1, 4))]),
+            ((16, 2), [Blocked((4, 1))]),
+            ((4, 3, 4), [Blocked((2, 1, 2)), Blocked((1, 2, 3))]),
+        ]
+        for sizes, designs in cases:
+            # Block k first appears at unit k, so blocks keep the order of
+            # ``sizes``; the other units are shuffled.
+            rest = rng.permutation(np.repeat(np.arange(len(sizes)), np.array(sizes) - 1))
+            labels = np.concatenate([np.arange(len(sizes)), rest])
+            y_c = 1e4 + 5 * rng.normal(size=len(sizes))[labels] + rng.normal(size=len(labels))
+            y_t = y_c + 3 + rng.normal(size=len(labels))
+            table = table_from_arrays(labels + 1, y_t, y_c)
+            assert tuple(table.block_sizes) == sizes
+            for design in designs:
+                values, chunks = enumerate_statistic(table, design, "tau_hat")
+                want = np.concatenate([
+                    batch_statistic(table, design, "tau_hat", masks)
+                    for masks in iter_assignment_chunks(table, design)
+                ])
+                assert len(values) == len(want) == count_assignments(design, table)
+                assert np.all(np.abs(values - want) <= 1e-12 * np.max(np.abs(want))), design
+                assert chunks == math.ceil(len(want) / chunk_rows(table.n))
+
+    def test_tau_hat_sums_memory_stays_within_chunks(self):
+        # Beyond its values, a tau_hat enumeration holds at most a chunk's
+        # rows per group, never a group's full vector of subset sums (the
+        # 22-unit block alone has 705,432, 5.6 MB of them).
+        cases = [
+            ([20], CompleteRandomization(10), 184_756),
+            ([11, 11], Blocked((5, 6)), 213_444),
+            ([2, 22], Blocked((1, 11)), 1_410_864),
+        ]
+        rng = np.random.default_rng(81)
+        for sizes, design, expected in cases:
+            labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+            y_c = rng.normal(size=len(labels))
+            table = table_from_arrays(labels, y_c + 1, y_c)
+            tracemalloc.start()
+            try:
+                values, _ = enumerate_statistic(table, design, "tau_hat")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(values) == expected
+            assert peak - values.nbytes < 2**20, (sizes, peak - values.nbytes)
+
     def test_small_chunks_change_no_value(self, monkeypatch):
         rng = np.random.default_rng(78)
         table = small_table(rng)
