@@ -1,31 +1,46 @@
 """Exact ground truth by enumerating every treatment assignment of a design.
 
 Every closed-form variance in this package is validated against these
-enumerations. Assignments are visited in lexicographic order of the treated
-index combinations, nested by block index with the last block cycling
-fastest, which makes the traversal deterministic and shardable.
+enumerations. Every design is enumerated as the product of the subsets of
+its groups from :func:`~blockcalc.pop_model.design_groups` (complete
+randomization is one group of every unit, blocking one group per block).
+Assignments are visited in lexicographic order of each group's treated
+index combinations, the last group cycling fastest, which makes the
+traversal deterministic and shardable.
 
-Named statistics are evaluated in batches of :func:`chunk_rows` assignments.
-:func:`iter_assignment_chunks` yields each batch as a boolean ``(rows, n)``
-mask matrix of at most :data:`CHUNK_CELLS` cells, and :func:`batch_statistic`,
-the one kernel for arbitrary masks, evaluates every row of a matrix with
-array reductions; the variance estimators are enumerated that way.
-``tau_hat`` builds no masks: on a mask with the design's counts it is
-``c + mask @ u`` (:func:`_tau_hat_linear`), so :func:`enumerate_statistic`
-writes each batch's values as subset sums of ``u``. User-supplied callables
-see one mask at a time from :func:`iter_assignments`.
+Named statistics take one of two paths in :func:`enumerate_statistic`.
 
-Every design is enumerated as the product of the subsets of its groups from
-:func:`~blockcalc.pop_model.design_groups` (complete randomization is one
-group of every unit). One explicit-stack descent, :func:`_fill_lex`, walks
-the split that subsets holding the first unit come first, and hands its
-pieces to a writer: :class:`_MaskWriter` sets mask cells and
-:class:`_SumWriter` adds subset sums. Boolean tables of sub-problems up to
-:data:`CHUNK_CELLS` cells, and their sums, are memoised for one
-enumeration. Each batch fills only the range of every group's subsets it
-uses, at most a batch's rows per group, so what an enumeration holds beyond
-its current batch and its values is bounded by :data:`CHUNK_CELLS`, not by
-its assignment count or its block order.
+* **Group vectors.** ``tau_hat`` under any design, and ``var_est_blocked``
+  under blocking, are sums over the groups of a per-group term. Each
+  group's terms over its own subsets, in lexicographic order, are added in
+  place along the group's axis of ``values.reshape(radices)``, one group at
+  a time, then ``tau_hat`` adds a constant: ``0 + v_1 + ... + v_K + c``.
+  On the design's masks ``tau_hat`` is ``c + mask @ u``
+  (:func:`_tau_hat_linear`), so a group's terms are its subset sums of
+  ``u``, built by ``S(j, r) = [u_j + S(j+1, r-1), S(j+1, r)]``. A group of
+  more than :data:`CHUNK_CELLS` subsets is split at the smallest prefix
+  depth ``d`` whose suffix vectors ``S(d, r)`` fit in :data:`CHUNK_CELLS`
+  floats: lexicographic order of combinations is descending order of their
+  indicator vectors, so each pattern ``P`` of the first ``d`` units, in that
+  order, adds the piece ``fsum(u[P]) + S(d, m - |P|)``. Block ``k``'s
+  ``var_est_blocked`` term, ``w_k^2 (s2_tk/m_k + s2_ck/(n_k - m_k))``, is
+  reduced on the block's own masks in row slices of at most
+  :data:`CHUNK_CELLS` cells, by the arm arithmetic of :func:`batch_statistic`.
+* **Masks.** ``var_est_cr``, and ``var_est_blocked`` under complete
+  randomization, are not sums over the design's groups. :func:`batch_statistic`,
+  the one kernel for arbitrary masks, evaluates them on the boolean
+  ``(rows, n)`` matrices of :func:`iter_assignment_chunks`, each holding
+  :func:`chunk_rows` assignments of at most :data:`CHUNK_CELLS` cells.
+  User-supplied callables see one mask at a time from
+  :func:`iter_assignments`.
+
+Masks come from one explicit-stack descent, :func:`_fill_lex`, of the split
+that subsets holding the first unit come first, down to boolean tables of at
+most :data:`CHUNK_CELLS` cells memoised for one enumeration. Each batch fills
+only the range of every group's subsets it uses. So beyond its values an
+enumeration holds at most :data:`CHUNK_CELLS` floats of group vectors and one
+piece, or one slice or batch of masks and their arm sums, whatever its
+assignment count or its block order.
 """
 
 from __future__ import annotations
@@ -47,9 +62,10 @@ from .pop_model import (
 #: Default enumeration cap; keeps worst-case runtime around a minute.
 DEFAULT_CAP = 10_000_000
 
-#: Mask cells (rows times units) per batch. Every batch allocates a few
-#: float arrays of this many cells, so this bounds the memory an enumeration
-#: adds whatever its assignment count.
+#: Mask cells (rows times units) per batch, and floats of one group's
+#: vectors held at once. Every batch allocates a few float arrays of this
+#: many cells, so this bounds the memory an enumeration adds whatever its
+#: assignment count.
 CHUNK_CELLS = 1 << 14
 
 #: Statistic names understood by :func:`batch_statistic`.
@@ -93,61 +109,16 @@ def _lex_table(n: int, m: int, memo: dict) -> np.ndarray:
     return table
 
 
-class _MaskWriter:
-    """Writes the pieces of a :func:`_fill_lex` descent as True cells of a
-    zeroed boolean ``(rows, n)`` matrix."""
+def _fill_lex(out: np.ndarray, n: int, m: int, lo: int, hi: int, tables: dict) -> None:
+    """Set the True cells of rows ``[lo, hi)`` of :func:`_lex_table`'s ``M(n, m)`` in ``out``.
 
-    def __init__(self, tables: dict):
-        self.tables = tables
-
-    def run(self, out, rows, col, width):
-        out[rows, col : col + width] = True
-
-    def diagonal(self, out, rows, col, width):
-        np.fill_diagonal(out[rows, col : col + width], True)
-
-    def leaf(self, out, rows, col, n, m, lo, hi):
-        out[rows, col : col + n] = _lex_table(n, m, self.tables)[lo:hi]
-
-
-class _SumWriter:
-    """Adds the pieces of a :func:`_fill_lex` descent to a float vector: each
-    row gains the sum of ``u`` over the columns its mask holds.
-
-    A leaf's subset sums ``M(n, m) @ u[col:col + n]`` are memoised by
-    ``(col, n, m)`` for the writer's life, one enumeration of one group.
-    """
-
-    def __init__(self, u: np.ndarray, tables: dict):
-        self.u, self.tables, self.sums = u, tables, {}
-        # A run is summed by math.fsum over floats: exact, and far cheaper
-        # than a numpy reduction for a few columns.
-        self.terms = u.tolist()
-
-    def run(self, out, rows, col, width):
-        out[rows] += math.fsum(self.terms[col : col + width])
-
-    def diagonal(self, out, rows, col, width):
-        out[rows] += self.u[col : col + width]
-
-    def leaf(self, out, rows, col, n, m, lo, hi):
-        sums = self.sums.get((col, n, m))
-        if sums is None:
-            sums = _lex_table(n, m, self.tables) @ self.u[col : col + n]
-            self.sums[col, n, m] = sums
-        out[rows] += sums[lo:hi]
-
-
-def _fill_lex(out: np.ndarray, n: int, m: int, lo: int, hi: int, writer) -> None:
-    """Write rows ``[lo, hi)`` of :func:`_lex_table`'s ``M(n, m)`` into ``out`` with ``writer``.
-
-    Descends the split of :func:`_lex_table` with an explicit stack of
-    ``(first out row, first column, n, m, lo, hi)`` sub-problems until one fits
-    in :data:`CHUNK_CELLS` cells, then hands ``writer`` a slice of its
-    memoised table. A run of leading columns that every row holds, or that
-    no row holds, is skipped in one step by bisecting on ``math.comb``, so no
-    descent walks the columns one by one. ``writer`` is a :class:`_MaskWriter`
-    or a :class:`_SumWriter`.
+    ``out`` is a zeroed boolean ``(hi - lo, n)`` matrix. Descends the split
+    of :func:`_lex_table` with an explicit stack of ``(first out row, first
+    column, n, m, lo, hi)`` sub-problems until one fits in
+    :data:`CHUNK_CELLS` cells, then copies a slice of its table, memoised in
+    ``tables``. A run of leading columns that every row holds, or that no
+    row holds, is skipped in one step by bisecting on ``math.comb``, so no
+    descent walks the columns one by one.
     """
     stack = [(0, 0, n, m, lo, hi)]
     while stack:
@@ -156,21 +127,21 @@ def _fill_lex(out: np.ndarray, n: int, m: int, lo: int, hi: int, writer) -> None
         if m == 0:
             continue
         if m == n:
-            writer.run(out, rows, col, n)
+            out[rows, col : col + n] = True
             continue
         if m == 1:
             # M(n, 1) is the identity, so rows [lo, hi) are one diagonal.
-            writer.diagonal(out, rows, col + lo, hi - lo)
+            np.fill_diagonal(out[rows, col + lo : col + hi], True)
             continue
         total = math.comb(n, m)
         if total * n <= CHUNK_CELLS:
-            writer.leaf(out, rows, col, n, m, lo, hi)
+            out[rows, col : col + n] = _lex_table(n, m, tables)[lo:hi]
             continue
         top = math.comb(n - 1, m - 1)
         if hi <= top:
             # Rows holding each of the first j columns are the first comb(n - j, m - j).
             j = bisect_right(range(m + 1), -hi, key=lambda j: -math.comb(n - j, m - j)) - 1
-            writer.run(out, rows, col, j)
+            out[rows, col : col + j] = True
             stack.append((row, col + j, n - j, m - j, lo, hi))
         elif lo >= top:
             # Rows holding none of the first j columns are the last comb(n - j, m).
@@ -178,7 +149,7 @@ def _fill_lex(out: np.ndarray, n: int, m: int, lo: int, hi: int, writer) -> None
             skip = total - math.comb(n - j, m)
             stack.append((row, col + j, n - j, m, lo - skip, hi - skip))
         else:
-            writer.run(out, slice(row, row + top - lo), col, 1)
+            out[row : row + top - lo, col] = True
             stack.append((row, col + 1, n - 1, m - 1, lo, top))
             stack.append((row + top - lo, col + 1, n - 1, m, 0, hi - top))
 
@@ -213,19 +184,21 @@ def _batches(radices: list[int], rows: int) -> Iterator[tuple[int, int, list]]:
         yield start, stop, digits
 
 
-def _add_digits(out, writer, n: int, m: int, radix: int, lo: int, span: int, repeats) -> None:
-    """Add to the rows of ``out`` one group's subsets for its digits in a
-    :func:`_batches` batch, with ``writer`` (adding is ``or`` on masks).
+def _add_digits(
+    out, n: int, m: int, radix: int, lo: int, span: int, repeats, tables: dict
+) -> None:
+    """Set in the rows of boolean ``out`` one group's subsets for its digits
+    in a :func:`_batches` batch.
 
     Row j holds digit ``(lo + j) % radix``; with no ``repeats`` those are
     the batch's own rows and are written in place.
     """
-    subsets = out if repeats is None else np.zeros((span,) + out.shape[1:], out.dtype)
-    _fill_lex(subsets, n, m, lo, min(lo + span, radix), writer)
+    subsets = out if repeats is None else np.zeros((span,) + out.shape[1:], bool)
+    _fill_lex(subsets, n, m, lo, min(lo + span, radix), tables)
     if lo + span > radix:
-        _fill_lex(subsets[radix - lo :], n, m, 0, lo + span - radix, writer)
+        _fill_lex(subsets[radix - lo :], n, m, 0, lo + span - radix, tables)
     if repeats is not None:
-        out += np.repeat(subsets[np.arange(len(repeats)) % radix], repeats, axis=0)
+        out |= np.repeat(subsets[np.arange(len(repeats)) % radix], repeats, axis=0)
 
 
 def iter_assignment_chunks(
@@ -246,12 +219,12 @@ def iter_assignment_chunks(
     order = None if (pool == np.arange(table.n)).all() else np.argsort(pool)
     offsets = np.cumsum([0] + [len(units) for units in groups])
     radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
-    writer = _MaskWriter({})
+    tables: dict = {}
     for start, stop, digits in _batches(radices, chunk_rows(table.n)):
         chunk = np.zeros((stop - start, table.n), dtype=bool)
         for units, m, radix, col, digit in zip(groups, treated, radices, offsets, digits):
             columns = chunk[:, col : col + len(units)]
-            _add_digits(columns, writer, len(units), m, radix, *digit)
+            _add_digits(columns, len(units), m, radix, *digit, tables)
         yield chunk if order is None else chunk[:, order]
 
 
@@ -345,17 +318,34 @@ def batch_statistic(
     counts_c = sizes - counts_t
     need = 1 if statistic == "tau_hat" else 2
     _raise_undefined((counts_t < need) | (counts_c < need), first, _UNDEFINED[statistic, per_block])
-    means, variances = [], []
-    for x, in_arm, counts in ((x_t, treated, counts_t), (x_c, 1.0 - treated, counts_c)):
-        arm_means = (in_arm @ (onehot * x[:, None])) / counts
-        means.append(arm_means)
-        if statistic != "tau_hat":
-            ss = (in_arm * (x - arm_means[:, labels]) ** 2) @ onehot
-            variances.append(ss / ((counts - 1) * counts))
+    means, spreads = _arm_moments(
+        treated, (x_t, x_c), onehot, labels, (counts_t, counts_c), statistic != "tau_hat"
+    )
     weight = sizes / table.n
     if statistic == "tau_hat":
         return table.stats.tc.mean + (means[0] - means[1]) @ weight
-    return (variances[0] + variances[1]) @ weight**2
+    return (spreads[0] + spreads[1]) @ weight**2
+
+
+def _arm_moments(treated, xs, onehot, labels, counts, spread: bool):
+    """Per row and group, each arm's mean of its outcomes and, with
+    ``spread``, its sample variance divided by its count.
+
+    ``treated`` is a float ``(rows, n)`` mask matrix, ``xs`` the treated and
+    control outcomes ``(x_t, x_c)``, ``onehot`` the ``(n, groups)`` indicator
+    of the ``labels`` and ``counts`` each arm's units per row and group.
+    The variance takes two passes: the arm's sum, then its squares around
+    the row's own arm mean. Returns ``([mean_t, mean_c], [spread_t,
+    spread_c])``, the second list empty without ``spread``.
+    """
+    means, spreads = [], []
+    for x, in_arm, count in zip(xs, (treated, 1.0 - treated), counts):
+        arm_means = (in_arm @ (onehot * x[:, None])) / count
+        means.append(arm_means)
+        if spread:
+            ss = (in_arm * (x - arm_means[:, labels]) ** 2) @ onehot
+            spreads.append(ss / ((count - 1) * count))
+    return means, spreads
 
 
 def _tau_hat_linear(
@@ -381,41 +371,170 @@ def _tau_hat_linear(
     return table.stats.tc.mean - weight @ (residual / control), u
 
 
+def _suffix_sums(terms: list, m: int, d: int) -> dict:
+    """``S(d, r)`` by ``r``: the sums of ``terms[d:]`` over each size-``r``
+    subset in lexicographic order, for every ``r`` that a size-``m`` subset
+    of ``terms`` leaves after its first ``d`` terms.
+
+    Built bottom-up from ``S(n, 0) = [0]`` by the split that subsets holding
+    the first term come first, ``S(j, r) = [t_j + S(j+1, r-1), S(j+1, r)]``,
+    holding two levels at a time.
+    """
+    n = len(terms)
+    level = {0: np.zeros(1)}
+    for j in range(n - 1, d - 1, -1):
+        below, level = level, {}
+        for r in range(max(0, m - j), min(m, n - j) + 1):
+            parts = [terms[j] + below[r - 1]] if r else []
+            if r < n - j:
+                parts.append(below[r])
+            level[r] = np.concatenate(parts)
+    return level
+
+
+def _lex_sums(u: np.ndarray, m: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The sums of ``u`` over its size-``m`` subsets in lexicographic order,
+    as ``(first index, piece)`` runs that together cover them once.
+
+    The first ``d`` units are split off, ``d`` the fewest whose suffix
+    vectors :func:`_suffix_sums` fit in :data:`CHUNK_CELLS` floats.
+    Lexicographic order of combinations is descending order of their
+    indicator vectors, so the sums are, for each pattern ``P`` of the first
+    ``d`` units in descending indicator order, ``fsum(u[P]) + S(d, m - |P|)``.
+    The patterns come from an explicit-stack descent that visits only those
+    a size-``m`` subset can start with. It stops early where one unit of
+    ``u[j:]`` is left to choose, a run of ``fsum(u[P]) + u[j:]``, or one to
+    leave out, a run of the ``fsum`` of ``u[P]`` and ``u[j:]`` minus
+    ``u[j:][::-1]``, so the deep split of a group with few treated or few
+    control units makes no piece per subset. A group of at most
+    :data:`CHUNK_CELLS` subsets is one piece; a larger one holds at most
+    :data:`CHUNK_CELLS` floats of suffix sums and one piece at a time.
+    """
+    n = len(u)
+    terms = u.tolist()
+    d = next(
+        d
+        for d in range(n + 1)
+        if sum(math.comb(n - d, r) for r in range(max(0, m - d), min(m, n - d) + 1)) <= CHUNK_CELLS
+    )
+    # With one unit treated or one not, the whole group is one run below.
+    suffix = _suffix_sums(terms, m, d) if 1 < m < n - 1 else None
+    stack = [(0, m, 0, ())]
+    while stack:
+        j, r, start, held = stack.pop()
+        # math.fsum is exact, and far cheaper than numpy for a few terms.
+        if r == 1:
+            # One unit left to choose, each of u[j:] in turn.
+            yield start, math.fsum(held) + u[j:]
+        elif r == n - j - 1:
+            # One unit left out, the last one first.
+            yield start, math.fsum(held + tuple(terms[j:])) - u[j:][::-1]
+        elif j == d:
+            yield start, math.fsum(held) + suffix[r]
+        else:
+            # Subsets holding unit j come first, comb(n - j - 1, r - 1) of them.
+            stack.append((j + 1, r, start + math.comb(n - j - 1, r - 1), held))
+            stack.append((j + 1, r - 1, start, held + (terms[j],)))
+
+
+def _block_variance_terms(
+    xs, m: int, weight: float, tables: dict
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``weight**2 (s2_t/m + s2_c/(n - m))`` on every size-``m`` subset of a
+    block's ``n`` units in lexicographic order, as ``(first index, piece)``
+    runs of at most :func:`chunk_rows` rows.
+
+    ``xs`` are the block's centered ``(x_t, x_c)``. Each run is the block's
+    own ``(rows, n)`` masks from :func:`_fill_lex`, reduced by
+    :func:`_arm_moments` as :func:`batch_statistic` reduces a block.
+    """
+    n = len(xs[0])
+    ones, labels = np.ones((n, 1)), np.zeros(n, dtype=np.intp)
+    radix, rows = math.comb(n, m), chunk_rows(n)
+    for lo in range(0, radix, rows):
+        masks = np.zeros((min(rows, radix - lo), n), dtype=bool)
+        _fill_lex(masks, n, m, lo, lo + len(masks), tables)
+        _, spreads = _arm_moments(masks.astype(float), xs, ones, labels, (m, n - m), True)
+        yield lo, (spreads[0] + spreads[1])[:, 0] * weight**2
+
+
+def _group_values(table: PotentialOutcomeTable, design: DesignSpec, statistic: str) -> np.ndarray:
+    """``tau_hat``, or ``var_est_blocked`` under blocking, on every
+    assignment, group by group.
+
+    Each group's terms, over its own subsets in lexicographic order, are
+    added in place along the group's axis of ``values.reshape(radices)``
+    (the last group's axis varying fastest), then ``tau_hat`` adds its
+    constant: ``0 + v_1 + ... + v_K + c``. Groups are built one at a time.
+    """
+    groups, treated = design_groups(design, table)
+    radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
+    if statistic == "tau_hat":
+        c, u = _tau_hat_linear(table, design, treated)
+        terms = [_lex_sums(u[units], m) for units, m in zip(groups, treated)]
+    else:
+        bad = [[min(m, len(units) - m) < 2 for units, m in zip(groups, treated)]]
+        _raise_undefined(np.array(bad), 0, _UNDEFINED[statistic, True])
+        c, tables = 0.0, {}
+        _, _, (x_t, x_c) = _centered(table, True)
+        terms = [
+            _block_variance_terms((x_t[units], x_c[units]), m, len(units) / table.n, tables)
+            for units, m in zip(groups, treated)
+        ]
+    values = np.zeros(math.prod(radices))
+    grid = values.reshape(radices)
+    for axis, pieces in enumerate(terms):
+        before, after = (slice(None),) * axis, (1,) * (len(radices) - axis - 1)
+        for start, piece in pieces:
+            grid[before + (slice(start, start + len(piece)),)] += piece.reshape((-1,) + after)
+    if c:
+        values += c
+    return values
+
+
 def enumerate_statistic(
     table: PotentialOutcomeTable, design: DesignSpec, statistic: str
 ) -> tuple[np.ndarray, int]:
-    """A named statistic on every assignment, in enumeration order, and the batch count.
+    """A named statistic on every assignment, in enumeration order, and its
+    :func:`chunk_rows` span, ``ceil(count / chunk_rows(n))``.
 
-    Both paths work in the :func:`chunk_rows` batches of
-    :func:`iter_assignment_chunks`. The estimators are :func:`batch_statistic`
-    on its masks. ``tau_hat`` builds no mask: every group adds its subset
-    sums of :func:`_tau_hat_linear`'s ``u`` to a batch of ``values`` in place
-    through a :class:`_SumWriter`, then the batch adds ``c``.
+    ``tau_hat``, and ``var_est_blocked`` under blocking, are sums of
+    per-group terms, built by :func:`_group_values`. The others are
+    :func:`batch_statistic` on the masks of :func:`iter_assignment_chunks`,
+    one matrix of that span at a time.
     """
-    if statistic != "tau_hat":
-        values = np.empty(count_assignments(design, table))
-        start = chunks = 0
-        for masks in iter_assignment_chunks(table, design):
-            stop = start + len(masks)
-            values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
-            start = stop
-            chunks += 1
-        assert start == len(values)
-        return values, chunks
-    groups, treated = design_groups(design, table)
-    c, u = _tau_hat_linear(table, design, treated)
-    radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
-    tables: dict = {}
-    writers = [_SumWriter(u[units], tables) for units in groups]
-    values = np.zeros(math.prod(radices))
-    chunks = 0
-    for start, stop, digits in _batches(radices, chunk_rows(table.n)):
-        out = values[start:stop]
-        for units, m, radix, writer, digit in zip(groups, treated, radices, writers, digits):
-            _add_digits(out, writer, len(units), m, radix, *digit)
-        out += c
-        chunks += 1
+    total = count_assignments(design, table)
+    chunks = -(-total // chunk_rows(table.n))
+    if statistic == "tau_hat" or (statistic == "var_est_blocked" and isinstance(design, Blocked)):
+        return _group_values(table, design, statistic), chunks
+    values = np.empty(total)
+    start = 0
+    for masks in iter_assignment_chunks(table, design):
+        stop = start + len(masks)
+        values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
+        start = stop
+    assert start == len(values)
     return values, chunks
+
+
+#: Values per block of :func:`population_moments`' sum of squares.
+_MOMENT_BLOCK = 1 << 14
+
+
+def population_moments(values: np.ndarray) -> tuple[float, float]:
+    """Mean and population variance of ``values`` in two passes.
+
+    The mean is numpy's pairwise sum; the squared deviations from it are
+    summed in fixed blocks of :data:`_MOMENT_BLOCK` values, and the block
+    sums with ``math.fsum``, so no full-size temporary is made and the
+    rounding does not depend on how the values were computed.
+    """
+    mean = np.mean(values)
+    sums = []
+    for lo in range(0, len(values), _MOMENT_BLOCK):
+        deviations = values[lo : lo + _MOMENT_BLOCK] - mean
+        sums.append(float(np.sum(np.square(deviations, out=deviations))))
+    return float(mean), math.fsum(sums) / len(values)
 
 
 def resolve_statistic(statistic, design: DesignSpec) -> Statistic:
@@ -435,8 +554,9 @@ class ExactMoments:
     mean: float
     variance: float
     count: int
-    #: Batches of :func:`chunk_rows` assignments evaluated, as mask matrices
-    #: or as ``tau_hat`` subset sums (0 when a callable saw one mask at a time).
+    #: The :func:`chunk_rows` span of the values, ``ceil(count / chunk_rows(n))``,
+    #: which the mask path evaluates one matrix at a time (0 when a callable
+    #: saw one mask at a time).
     chunks: int = 0
 
 
@@ -448,11 +568,12 @@ def exact_moments(
 ) -> ExactMoments:
     """Exact mean and population variance of a statistic over all assignments.
 
-    Named statistics are evaluated in batches by :func:`enumerate_statistic`;
-    a callable is called once per mask. The statistic must be defined for
+    Named statistics are evaluated by :func:`enumerate_statistic`; a
+    callable is called once per mask. The statistic must be defined for
     every assignment of the design; otherwise the offending assignment index
-    is reported. Values are collected into one array and reduced with
-    pairwise summation, keeping 1e-12 scale comparisons honest at the cap.
+    is reported. Values are collected into one array and reduced by
+    :func:`population_moments`, keeping 1e-12 scale comparisons honest at
+    the cap.
     """
     total = count_assignments(design, table)
     if total > cap:
@@ -470,9 +591,5 @@ def exact_moments(
         chunks = 0
     else:
         values, chunks = enumerate_statistic(table, design, statistic)
-    return ExactMoments(
-        mean=float(np.mean(values)),
-        variance=float(np.var(values)),
-        count=total,
-        chunks=chunks,
-    )
+    mean, variance = population_moments(values)
+    return ExactMoments(mean=mean, variance=variance, count=total, chunks=chunks)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .oracle import batch_statistic, count_assignments, enumerate_statistic
+from .oracle import batch_statistic, count_assignments, enumerate_statistic, population_moments
 from .pop_model import (
     Blocked,
     CompleteRandomization,
@@ -275,10 +275,10 @@ def varest_variabilities(
             simulated.append((d, design, statistic, shuffle_plan(first, design)))
             continue
         for p, table in enumerate(tables):
-            values, _ = enumerate_statistic(table, design, statistic)
+            mean, variance = population_moments(enumerate_statistic(table, design, statistic)[0])
             results[p][d] = VarestVariability(
-                mean_varest=float(np.mean(values)),
-                var_of_varest=float(np.var(values)),
+                mean_varest=mean,
+                var_of_varest=variance,
                 method="enumeration",
                 reps_used=total,
             )

@@ -375,9 +375,9 @@ class TestAssignmentChunks:
 
     @pytest.mark.parametrize("cells", [None, 40, 200])
     def test_tau_hat_sums_match_the_mask_kernel(self, monkeypatch, cells):
-        # Groups of 14-18 units with several treated span more than one memo
-        # leaf, so the sum writer also meets held runs, one-treated diagonals
-        # and splits; small chunks cut every group's range of subsets.
+        # Groups of 14-18 units with several treated hold more subsets than
+        # 40 or 200 cells, so their subset sums are built in prefix pieces;
+        # a group with one treated or one control unit is a single run.
         if cells is not None:
             monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
         rng = np.random.default_rng(80)
@@ -409,9 +409,9 @@ class TestAssignmentChunks:
                 assert chunks == math.ceil(len(want) / chunk_rows(table.n))
 
     def test_tau_hat_sums_memory_stays_within_chunks(self):
-        # Beyond its values, a tau_hat enumeration holds at most a chunk's
-        # rows per group, never a group's full vector of subset sums (the
-        # 22-unit block alone has 705,432, 5.6 MB of them).
+        # Beyond its values, a tau_hat enumeration holds at most CHUNK_CELLS
+        # floats of suffix sums and one piece, never a group's full vector of
+        # subset sums (the 22-unit block alone has 705,432, 5.6 MB of them).
         cases = [
             ([20], CompleteRandomization(10), 184_756),
             ([11, 11], Blocked((5, 6)), 213_444),
@@ -430,6 +430,142 @@ class TestAssignmentChunks:
                 tracemalloc.stop()
             assert len(values) == expected
             assert peak - values.nbytes < 2**20, (sizes, peak - values.nbytes)
+
+    @pytest.mark.parametrize("cells", [None, 40, 200])
+    def test_group_vectors_match_the_mask_kernel(self, monkeypatch, cells):
+        # tau_hat under either design and var_est_blocked under blocking are
+        # sums of per-group vectors. A group of more subsets than CHUNK_CELLS
+        # (the 17- and 200-unit groups at the default, most groups at 40 and
+        # 200) is built in pieces, deep ones where few units are treated or
+        # few are not; labels are shuffled and outcomes sit near 1e8.
+        cases = [
+            ((9,), [CompleteRandomization(m) for m in (1, 4, 8)]),
+            ((5, 6), [Blocked((2, 3)), Blocked((1, 5))]),
+            ((4, 3, 5), [Blocked((2, 1, 2)), Blocked((2, 1, 3))]),
+            ((4, 4, 5), [Blocked((2, 2, 3))]),
+            ((12,), [CompleteRandomization(m) for m in (2, 3, 10)]),
+        ]
+        if cells is None:
+            cases += [
+                ((17,), [CompleteRandomization(8)]),
+                ((4, 17), [Blocked((2, 8))]),
+                ((200,), [CompleteRandomization(2), CompleteRandomization(198)]),
+            ]
+        else:
+            monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(82)
+        for sizes, designs in cases:
+            # Block k first appears at unit k, so blocks keep the order of
+            # ``sizes``; the other units are shuffled.
+            rest = rng.permutation(np.repeat(np.arange(len(sizes)), np.array(sizes) - 1))
+            labels = np.concatenate([np.arange(len(sizes)), rest])
+            y_c = 1e8 + 5 * rng.normal(size=len(sizes))[labels] + rng.normal(size=len(labels))
+            y_t = y_c + 3 + rng.normal(size=len(labels))
+            table = table_from_arrays(labels + 1, y_t, y_c)
+            assert tuple(table.block_sizes) == sizes
+            for design in designs:
+                statistics = ["tau_hat"]
+                if isinstance(design, Blocked) and min(
+                    min(m, size - m) for m, size in zip(design.n_tk, sizes)
+                ) >= 2:
+                    statistics.append("var_est_blocked")
+                for statistic in statistics:
+                    values, chunks = enumerate_statistic(table, design, statistic)
+                    want = np.concatenate([
+                        batch_statistic(table, design, statistic, masks)
+                        for masks in iter_assignment_chunks(table, design)
+                    ])
+                    assert len(values) == len(want) == count_assignments(design, table)
+                    scale = np.max(np.abs(want))
+                    assert np.all(np.abs(values - want) <= 1e-12 * scale), (design, statistic)
+                    assert chunks == math.ceil(len(want) / chunk_rows(table.n))
+
+    @pytest.mark.parametrize(
+        "n_tk, block",
+        [((1, 1, 2), 1), ((2, 1, 2), 2), ((2, 3, 1), 2), ((2, 2, 4), 3), ((3, 2, 2), 1)],
+    )
+    def test_singleton_arm_block_is_named(self, n_tk, block):
+        # Every assignment has the design's counts, so the first is undefined,
+        # in the first block with fewer than two units in an arm.
+        rest = np.random.default_rng(83).permutation(np.repeat([1, 2, 3], [3, 3, 4]))
+        table = table_from_arrays(np.concatenate([[1, 2, 3], rest]), np.arange(13.0), np.zeros(13))
+        assert tuple(table.block_sizes) == (4, 4, 5)
+        design = Blocked(n_tk)
+        first = next(iter_assignment_chunks(table, design))
+        with pytest.raises(ValueError) as want:
+            batch_statistic(table, design, "var_est_blocked", first)
+        with pytest.raises(ValueError) as got:
+            enumerate_statistic(table, design, "var_est_blocked")
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(
+            f"statistic undefined on assignment #0: block {block} has a singleton arm"
+        )
+
+    def test_var_est_blocked_memory_stays_within_chunks(self):
+        # Beyond its values, a blocked var_est_blocked enumeration holds one
+        # block's row slice of masks and arm sums at a time, never a block's
+        # full vector (the 20-unit block alone has 184,756 subsets).
+        cases = [
+            ([11, 11], (5, 6), 213_444),
+            ([4, 20], (2, 10), 1_108_536),
+            ([8] * 3, (4,) * 3, 343_000),
+        ]
+        rng = np.random.default_rng(84)
+        for sizes, n_tk, expected in cases:
+            labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+            y_c = rng.normal(size=len(labels))
+            table = table_from_arrays(labels, y_c + rng.normal(size=len(labels)), y_c)
+            tracemalloc.start()
+            try:
+                values, _ = enumerate_statistic(table, Blocked(n_tk), "var_est_blocked")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(values) == expected
+            assert peak - values.nbytes < 2**20, (sizes, peak - values.nbytes)
+
+    def test_estimators_off_the_group_path_reach_the_mask_kernel(self, monkeypatch):
+        calls = []
+        kernel = oracle.batch_statistic
+
+        def counted(table, design, statistic, masks, first=0):
+            calls.append(statistic)
+            return kernel(table, design, statistic, masks, first)
+
+        monkeypatch.setattr(oracle, "batch_statistic", counted)
+        rng = np.random.default_rng(85)
+        one_block = table_from_arrays([1] * 8, rng.normal(size=8), rng.normal(size=8))
+        two_blocks = table_from_arrays([1] * 4 + [2] * 4, rng.normal(size=8), rng.normal(size=8))
+        cases = [
+            (one_block, CompleteRandomization(4), "var_est_cr", True),
+            (one_block, CompleteRandomization(4), "var_est_blocked", True),
+            (two_blocks, Blocked((2, 2)), "var_est_cr", True),
+            (two_blocks, Blocked((2, 2)), "var_est_blocked", False),
+            (two_blocks, Blocked((2, 2)), "tau_hat", False),
+            (one_block, CompleteRandomization(4), "tau_hat", False),
+        ]
+        for table, design, statistic, masked in cases:
+            calls.clear()
+            enumerate_statistic(table, design, statistic)
+            assert bool(calls) == masked, (design, statistic)
+
+    def test_exact_moments_memory_stays_near_its_values(self):
+        # The variance is reduced in fixed blocks of values, with no
+        # full-size array of deviations beside the values.
+        rng = np.random.default_rng(86)
+        y_c = rng.normal(size=20)
+        table = table_from_arrays([1] * 20, y_c + rng.normal(size=20), y_c)
+        values, _ = enumerate_statistic(table, CompleteRandomization(10), "tau_hat")
+        tracemalloc.start()
+        try:
+            moments = exact_moments(table, CompleteRandomization(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert moments.count == len(values) == 184_756
+        assert peak - values.nbytes < 2**20, peak - values.nbytes
+        assert moments.mean == pytest.approx(np.mean(values), rel=1e-14)
+        assert moments.variance == pytest.approx(np.var(values), rel=1e-14)
 
     def test_small_chunks_change_no_value(self, monkeypatch):
         rng = np.random.default_rng(78)
