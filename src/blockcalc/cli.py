@@ -24,7 +24,9 @@ chunks and workers (always 1). Every manifest has ``timings``: the seconds
 spent reading inputs (``load_s``), computing the report (``compute_s``) and
 writing the report CSV (``write_s``). Report CSVs start with a comment line
 ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment`` is
-given. Reruns with the same seed and config are byte-identical. Every
+given. Reruns with the same seed and config are byte-identical. An existing
+report or manifest is overwritten in place and cut to its new length
+(:func:`_write_text`); symlinks are followed as before. Every
 command runs in this one process; ``--threads`` (at least 1) is accepted
 for compatibility and changes nothing.
 """
@@ -36,6 +38,7 @@ import csv
 import datetime
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -97,14 +100,40 @@ def _fmt(value):
     return value
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path``, creating it if missing.
+
+    The file is opened without ``O_TRUNC`` and cut to the bytes written once
+    they are written, or once a write raises, so old bytes never follow new
+    ones. Truncating a non-empty file to zero at open costs ext4 about 0.1 ms
+    (its ``auto_da_alloc`` replace-by-truncate path); writing over it and
+    cutting it costs a few microseconds. A symlink is followed, and an
+    existing file keeps its inode, links and mode; a new one gets 0o666 less
+    the umask. A file that is no longer than what was written, such as a
+    device, is not cut.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def write_report_csv(path, columns, rows, seed, header_comment=True):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# blockcalc {__version__} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _fmt(row.get(key)) for key in columns})
+    text = io.StringIO(newline="")
+    if header_comment:
+        text.write(f"# blockcalc {__version__} seed={seed}\n")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows([_fmt(row.get(key)) for key in columns] for row in rows)
+    _write_text(path, text.getvalue())
 
 
 def _config_digest(config: dict) -> str:
@@ -173,9 +202,7 @@ class ManifestWriter:
             **self.extra,
         }
         path = self.out_dir / "run_manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return path
 
 

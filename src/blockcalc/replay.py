@@ -182,13 +182,15 @@ def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -
 
     Allocation ``a`` is drawn from the generator ``mc.rep_rngs`` yields for
     rep ``a`` (the state of ``mc.rep_rng(seed, a)``); that generator is
-    reused, so each partition is drawn before the next is asked for."""
-    ratios = []
+    reused, so each partition is drawn before the next is asked for. The
+    ratio array (8 bytes an allocation) is allocated before any batch is
+    listed, so an ``allocations`` too large to hold fails at once."""
+    ratios = np.empty(allocations)
     for lo, hi in mc.chunk_bounds(allocations, data.n):
         rngs = mc.rep_rngs(seed, lo, hi)
         labels = np.stack([make_blocks_random(data.n, sizes, rng) for rng in rngs])
-        ratios.append(_rel_se_pct(data.y, labels - 1, sizes, counts, var_cr))
-    return np.concatenate(ratios)
+        ratios[lo:hi] = _rel_se_pct(data.y, labels - 1, sizes, counts, var_cr)
+    return ratios
 
 
 def _checked_params(strategy: Strategy, default_allocations) -> tuple[bool, int | None]:

@@ -1,7 +1,9 @@
 import argparse
+import builtins
 import csv
 import dataclasses
 import datetime
+import errno
 import json
 import os
 import platform
@@ -950,6 +952,7 @@ def limit_address_space():
         (["compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage", "--k-draw",
           "4", "--p", "0.5", "--n-per-stratum", "4", "--reps", "100000000000000"], "2.13 PiB"),
         (["study", "misconceptions", "--reps", "100000000000000"], "25.6 PiB"),
+        (["replay", str(GOLDEN / "input_replay.csv"), "--reps", "100000000000000"], "728. TiB"),
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
@@ -1000,6 +1003,125 @@ def test_threads_do_not_change_command_bytes(tmp_path, no_process_pool, argv):
     for threads in ("1", "3"):
         assert main([*argv, "--threads", threads, "--out", str(tmp_path / threads)]) == 0
     assert report_bytes(tmp_path / "1") == report_bytes(tmp_path / "3")
+
+
+class TestOutputWriter:
+    """Reports and manifests are written over an existing file in place, then cut."""
+
+    def fresh_and_stale(self, tmp_path, argv):
+        """``argv`` with its inputs, a fresh run's ``--out`` and a second ``--out``
+        holding that run's report and manifest names, each filled with more
+        bytes than the run writes."""
+        argv = write_inputs(tmp_path, argv)
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        assert main([*argv, "--out", str(fresh)]) == 0
+        stale.mkdir()
+        for path in fresh.iterdir():
+            (stale / path.name).write_bytes(b"{" + b"x" * (2 * path.stat().st_size + 4096))
+        return argv, fresh, stale
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_rerun_over_longer_files_matches_a_fresh_run(self, tmp_path, monkeypatch, argv):
+        argv, fresh, stale = self.fresh_and_stale(tmp_path, argv)
+        opened = []
+        os_open, builtin_open = os.open, builtins.open
+
+        def guarded_os_open(path, flags, *args, **kwargs):
+            opened.append((Path(path), "O_TRUNC" if flags & os.O_TRUNC else "os.open"))
+            return os_open(path, flags, *args, **kwargs)
+
+        def guarded_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, Path)):
+                opened.append((Path(file), "w" if "w" in mode else mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", guarded_os_open)
+        monkeypatch.setattr(builtins, "open", guarded_open)
+        assert main([*argv, "--out", str(stale)]) == 0
+        monkeypatch.undo()
+        # Each output is opened once, through os.open and without O_TRUNC.
+        outputs = sorted((path, how) for path, how in opened if path.parent == stale)
+        assert outputs == sorted((path, "os.open") for path in stale.iterdir())
+        assert report_bytes(stale) == report_bytes(fresh)
+        text = (stale / "run_manifest.json").read_text()
+        assert json.loads(text)["outputs"] == [next(stale.glob("*.csv")).name]
+        assert text.endswith("}\n")
+
+    @pytest.mark.parametrize("target", ["file", "devnull"])
+    def test_report_symlink_is_written_through(self, tmp_path, target):
+        argv, fresh, stale = self.fresh_and_stale(tmp_path, EVERY_COMMAND[-1])
+        report = stale / "enumerate_report.csv"
+        real = tmp_path / "elsewhere.csv"
+        report.replace(real)
+        if target == "devnull":
+            real = Path(os.devnull)
+        report.symlink_to(real)
+        assert main([*argv, "--out", str(stale)]) == 0
+        assert report.is_symlink() and report.resolve() == real.resolve()
+        if target == "file":
+            assert real.read_bytes() == report_bytes(fresh)
+
+    def test_existing_report_keeps_its_inode_links_and_mode(self, tmp_path):
+        argv, fresh, stale = self.fresh_and_stale(tmp_path, EVERY_COMMAND[-1])
+        report = stale / "enumerate_report.csv"
+        report.chmod(0o640)
+        link = tmp_path / "hard_link.csv"
+        os.link(report, link)
+        before = report.stat()
+        assert main([*argv, "--out", str(stale)]) == 0
+        after = report.stat()
+        assert (after.st_ino, after.st_nlink, after.st_mode) == (
+            before.st_ino, 2, before.st_mode
+        )
+        assert link.read_bytes() == report_bytes(fresh)
+
+    def test_new_report_is_created_with_mode_0o666_less_the_umask(self, tmp_path):
+        argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
+        umask = os.umask(0o027)
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(umask)
+        for path in (tmp_path / "out").iterdir():
+            assert path.stat().st_mode & 0o777 == 0o640, path.name
+
+    @pytest.mark.parametrize("kind", ["directory", "read-only"])
+    def test_unwritable_report_is_one_line_error(self, tmp_path, kind):
+        argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
+        out = tmp_path / "out"
+        report = out / "enumerate_report.csv"
+        out.mkdir()
+        if kind == "directory":
+            report.mkdir()
+            message = f"[Errno {errno.EISDIR}]"
+        else:
+            report.write_text("old\n")
+            report.chmod(0o444)
+            if os.access(report, os.W_OK):
+                pytest.skip("this user writes through a read-only mode")
+            message = f"[Errno {errno.EACCES}]"
+        proc = run_cli(*argv, "--out", str(out))
+        assert_one_line_error(proc, message)
+        assert not (out / "run_manifest.json").exists()
+
+    def test_failed_write_leaves_only_the_new_prefix(self, tmp_path, monkeypatch, capsys):
+        argv, fresh, stale = self.fresh_and_stale(tmp_path, EVERY_COMMAND[-1])
+        os_write = os.write
+        calls = []
+
+        def failing_write(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return os_write(fd, bytes(data[:10]))
+
+        monkeypatch.setattr(cli.os, "write", failing_write)
+        assert main([*argv, "--out", str(stale)]) == 1
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err == f"blockcalc: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert calls == [len(report_bytes(fresh)), len(report_bytes(fresh)) - 10]
+        assert (stale / "enumerate_report.csv").read_bytes() == report_bytes(fresh)[:10]
 
 
 def test_parser_choices_come_from_their_sources():
