@@ -10,37 +10,72 @@ traversal deterministic and shardable.
 
 Named statistics take one of two paths in :func:`enumerate_statistic`.
 
-* **Group vectors.** ``tau_hat`` under any design, and ``var_est_blocked``
-  under blocking, are sums over the groups of a per-group term. Each
+* **Group vectors.** ``tau_hat`` under any design, ``var_est_cr`` under
+  complete randomization and ``var_est_blocked`` under blocking are sums
+  over the design's groups of a term on each group's own subset. Each
   group's terms over its own subsets, in lexicographic order, are added in
   place along the group's axis of ``values.reshape(radices)``, one group at
   a time, then ``tau_hat`` adds a constant: ``0 + v_1 + ... + v_K + c``.
-  On the design's masks ``tau_hat`` is ``c + mask @ u``
-  (:func:`_tau_hat_linear`), so a group's terms are its subset sums of
-  ``u``, built by ``S(j, r) = [u_j + S(j+1, r-1), S(j+1, r)]``. A group of
-  more than :data:`CHUNK_CELLS` subsets is split at the smallest prefix
-  depth ``d`` whose suffix vectors ``S(d, r)`` fit in :data:`CHUNK_CELLS`
-  floats: lexicographic order of combinations is descending order of their
-  indicator vectors, so each pattern ``P`` of the first ``d`` units, in that
-  order, adds the piece ``fsum(u[P]) + S(d, m - |P|)``. Block ``k``'s
-  ``var_est_blocked`` term, ``w_k^2 (s2_tk/m_k + s2_ck/(n_k - m_k))``, is
-  reduced on the block's own masks in row slices of at most
-  :data:`CHUNK_CELLS` cells, by the arm arithmetic of :func:`batch_statistic`.
-* **Masks.** ``var_est_cr``, and ``var_est_blocked`` under complete
-  randomization, are not sums over the design's groups. :func:`batch_statistic`,
-  the one kernel for arbitrary masks, evaluates them on the boolean
-  ``(rows, n)`` matrices of :func:`iter_assignment_chunks`, each holding
-  :func:`chunk_rows` assignments of at most :data:`CHUNK_CELLS` cells.
-  User-supplied callables see one mask at a time from
-  :func:`iter_assignments`.
+  All three take their terms from one kernel, :func:`_lex_sums`: the sums
+  of ``w`` rows of unit values ``u`` over a group's size-``m`` subsets of
+  units, in lexicographic order, built by ``S(j, r) = [u_j + S(j+1, r-1),
+  S(j+1, r)]``. In a design of several groups, a group whose masks fit in
+  :data:`CHUNK_CELLS` cells is one product with its boolean table, which
+  blocks of one shape share. A larger one is split at the smallest
+  prefix depth ``d`` whose suffix vectors ``S(d, r)`` fit in
+  :data:`CHUNK_CELLS` floats: lexicographic order of combinations is
+  descending order of their indicator vectors, so each pattern ``P`` of the
+  first ``d`` units, in that order, adds the piece ``fsum(u[P]) + S(d, m -
+  |P|)``.
+
+  - ``tau_hat`` is ``c + mask @ u`` on the design's masks
+    (:func:`_tau_hat_linear`), so its terms are the subset sums of one row.
+  - An estimator's term on a group of ``n`` of the table's ``N`` units,
+    ``m`` of them treated, is ``(n/N)^2 (SS_T / (m (m-1)) + SS_C / ((n-m)
+    (n-m-1)))`` with ``T`` and ``C`` the arms (``n = N`` under complete
+    randomization). ``SS_T = sum_T x^2 - (sum_T x)^2 / m`` depends on ``T`` only
+    through two sums of the arm's outcomes ``x``, centered by
+    :func:`_centered` (pooled for ``var_est_cr``, per block for
+    ``var_est_blocked``). The treated arm is one stream ``(x_t, x_t^2)``
+    over the size-``m`` subsets. The control arm is its own stream ``(x_c,
+    x_c^2)`` over the size-``(n - m)`` subsets, which are the complements
+    in reverse lexicographic order, so each control piece is added reversed
+    at ``comb(n, m) - start - len``. Control sums are not taken as totals
+    minus treated sums: with 198 of 200 units treated that form was off by
+    up to 260 times ``2^-53`` of the largest value, the complement stream
+    by under 5 times. Arms of equal size share one four-row stream.
+  - **Rounding bound.** Let ``eps = 2^-53`` and ``Q = sum x^2`` over one
+    arm's outcomes in the group, so ``sum x`` is about 0. Every subset sum
+    of ``m`` units rounds at most ``m - 1`` times, each time a partial sum
+    over part of ``T`` (the table product adds its zeros exactly, and an
+    ``fsum`` rounds once). So the computed ``sum_T x^2`` is off by at most
+    ``m eps Q``, squares included. By Cauchy-Schwarz, ``(sum_T |x|)^2 <= m sum_T
+    x^2``, so the error of ``sum_T x`` moves ``(sum_T x)^2 / m`` by at most
+    ``2 (m - 1) eps Q``. With the square, the division and the subtraction,
+    ``SS_T`` is off by at most ``(3m + 1) eps Q``. The largest ``SS_T`` is at
+    least its mean over the subsets, ``(m - 1) / (n - 1) Q``, so each arm's
+    term is within ``(3m + 1)(n - 1) / (m - 1) eps <= 7 (n - 1) eps`` of its
+    largest value when ``m >= 2``. Every value is therefore within ``14 (n -
+    1) eps max|value|`` of exact, ``n`` the largest group, beside one
+    rounding of each term's scale and sum. At ``n = 200`` that is 3.1e-13.
+    The run that leaves one unit out of an ``fsum`` rounds twice over ``m +
+    1`` units, at most ``(10 + 1/sqrt(m)) eps Q``; while :data:`CHUNK_CELLS`
+    is at least ``8 w`` it serves only ``m >= 3``, within the same bound.
+* **Masks.** ``var_est_cr`` under blocking, ``var_est_blocked`` under
+  complete randomization, and callables are not sums over the design's
+  groups. :func:`batch_statistic`, the one kernel for arbitrary masks,
+  evaluates the named ones on the boolean ``(rows, n)`` matrices of
+  :func:`iter_assignment_chunks`, each holding :func:`chunk_rows`
+  assignments of at most :data:`CHUNK_CELLS` cells. User-supplied callables
+  see one mask at a time from :func:`iter_assignments`.
 
 Masks come from one explicit-stack descent, :func:`_fill_lex`, of the split
 that subsets holding the first unit come first, down to boolean tables of at
 most :data:`CHUNK_CELLS` cells memoised for one enumeration. Each batch fills
 only the range of every group's subsets it uses. So beyond its values an
-enumeration holds at most :data:`CHUNK_CELLS` floats of group vectors and one
-piece, or one slice or batch of masks and their arm sums, whatever its
-assignment count or its block order.
+enumeration holds about :data:`CHUNK_CELLS` floats of group vectors and one
+piece, or one batch of masks and their arm sums, whatever its assignment
+count or its block order.
 """
 
 from __future__ import annotations
@@ -248,6 +283,10 @@ _UNDEFINED = {
     ),
 }
 
+#: The (estimator, blocked design) pairs that sum over the design's groups:
+#: each estimator under the design it is made for.
+_GROUP_ESTIMATORS = {("var_est_cr", False), ("var_est_blocked", True)}
+
 
 def _raise_undefined(bad: np.ndarray, first: int, reason) -> None:
     """Report the first row of ``bad`` (rows, groups) that holds a True."""
@@ -318,34 +357,17 @@ def batch_statistic(
     counts_c = sizes - counts_t
     need = 1 if statistic == "tau_hat" else 2
     _raise_undefined((counts_t < need) | (counts_c < need), first, _UNDEFINED[statistic, per_block])
-    means, spreads = _arm_moments(
-        treated, (x_t, x_c), onehot, labels, (counts_t, counts_c), statistic != "tau_hat"
-    )
+    means, spreads = [], []
+    for x, in_arm, counts in ((x_t, treated, counts_t), (x_c, 1.0 - treated, counts_c)):
+        arm_means = (in_arm @ (onehot * x[:, None])) / counts
+        means.append(arm_means)
+        if statistic != "tau_hat":
+            ss = (in_arm * (x - arm_means[:, labels]) ** 2) @ onehot
+            spreads.append(ss / ((counts - 1) * counts))
     weight = sizes / table.n
     if statistic == "tau_hat":
         return table.stats.tc.mean + (means[0] - means[1]) @ weight
     return (spreads[0] + spreads[1]) @ weight**2
-
-
-def _arm_moments(treated, xs, onehot, labels, counts, spread: bool):
-    """Per row and group, each arm's mean of its outcomes and, with
-    ``spread``, its sample variance divided by its count.
-
-    ``treated`` is a float ``(rows, n)`` mask matrix, ``xs`` the treated and
-    control outcomes ``(x_t, x_c)``, ``onehot`` the ``(n, groups)`` indicator
-    of the ``labels`` and ``counts`` each arm's units per row and group.
-    The variance takes two passes: the arm's sum, then its squares around
-    the row's own arm mean. Returns ``([mean_t, mean_c], [spread_t,
-    spread_c])``, the second list empty without ``spread``.
-    """
-    means, spreads = [], []
-    for x, in_arm, count in zip(xs, (treated, 1.0 - treated), counts):
-        arm_means = (in_arm @ (onehot * x[:, None])) / count
-        means.append(arm_means)
-        if spread:
-            ss = (in_arm * (x - arm_means[:, labels]) ** 2) @ onehot
-            spreads.append(ss / ((count - 1) * count))
-    return means, spreads
 
 
 def _tau_hat_linear(
@@ -371,114 +393,166 @@ def _tau_hat_linear(
     return table.stats.tc.mean - weight @ (residual / control), u
 
 
-def _suffix_sums(terms: list, m: int, d: int) -> dict:
-    """``S(d, r)`` by ``r``: the sums of ``terms[d:]`` over each size-``r``
-    subset in lexicographic order, for every ``r`` that a size-``m`` subset
-    of ``terms`` leaves after its first ``d`` terms.
+def _suffix_sums(u: np.ndarray, m: int, d: int) -> dict:
+    """``S(d, r)`` by ``r``: the sums of the units ``d..n-1`` of ``u`` over
+    each size-``r`` subset in lexicographic order, for every ``r`` that a
+    size-``m`` subset of the ``n`` units leaves after its first ``d``.
 
-    Built bottom-up from ``S(n, 0) = [0]`` by the split that subsets holding
-    the first term come first, ``S(j, r) = [t_j + S(j+1, r-1), S(j+1, r)]``,
-    holding two levels at a time.
+    ``u`` holds the units on its last axis, as :func:`_lex_sums` takes it,
+    and so do the sums. Built from ``S(n, 0) = [0]`` by the split that
+    subsets holding the first unit come first, ``S(j, r) = [u_j + S(j+1,
+    r-1), S(j+1, r)]``, for ``j`` from ``n - 1`` down to ``d``. ``S(j+1,
+    r)`` is the tail of ``S(j, r)``, so each ``r`` has one buffer, sized for
+    the shallowest depth that needs it and filled from its end: depth ``j``
+    writes only its ``u_j`` entries. A buffer is dropped once no shallower
+    depth reads it.
     """
-    n = len(terms)
-    level = {0: np.zeros(1)}
+    n = u.shape[-1]
+    sums = {0: np.zeros(u.shape[:-1] + (1,))}
     for j in range(n - 1, d - 1, -1):
-        below, level = level, {}
-        for r in range(max(0, m - j), min(m, n - j) + 1):
-            parts = [terms[j] + below[r - 1]] if r else []
-            if r < n - j:
-                parts.append(below[r])
-            level[r] = np.concatenate(parts)
-    return level
+        u_j = u[..., j : j + 1]
+        for r in range(max(1, m - j), min(m, n - j) + 1):
+            if r not in sums:
+                sums[r] = np.empty(u.shape[:-1] + (math.comb(n - max(d, m - r), r),))
+            head, below, out = math.comb(n - j - 1, r - 1), sums[r - 1], sums[r]
+            col = out.shape[-1] - math.comb(n - j, r)
+            np.add(u_j, below[..., below.shape[-1] - head :], out=out[..., col : col + head])
+        # Depth j - 1 reads sums of no fewer than m - j units.
+        sums.pop(m - j - 1, None)
+    return sums
 
 
-def _lex_sums(u: np.ndarray, m: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The sums of ``u`` over its size-``m`` subsets in lexicographic order,
-    as ``(first index, piece)`` runs that together cover them once.
+def _lex_sums(u: np.ndarray, m: int, tables: dict | None) -> Iterator[tuple[int, np.ndarray]]:
+    """The sums of ``u`` over the size-``m`` subsets of its ``n`` units in
+    lexicographic order, as ``(first index, piece)`` runs that together
+    cover them once.
 
-    The first ``d`` units are split off, ``d`` the fewest whose suffix
-    vectors :func:`_suffix_sums` fit in :data:`CHUNK_CELLS` floats.
-    Lexicographic order of combinations is descending order of their
-    indicator vectors, so the sums are, for each pattern ``P`` of the first
-    ``d`` units in descending indicator order, ``fsum(u[P]) + S(d, m - |P|)``.
-    The patterns come from an explicit-stack descent that visits only those
-    a size-``m`` subset can start with. It stops early where one unit of
-    ``u[j:]`` is left to choose, a run of ``fsum(u[P]) + u[j:]``, or one to
-    leave out, a run of the ``fsum`` of ``u[P]`` and ``u[j:]`` minus
-    ``u[j:][::-1]``, so the deep split of a group with few treated or few
-    control units makes no piece per subset. A group of at most
-    :data:`CHUNK_CELLS` subsets is one piece; a larger one holds at most
+    ``u`` is one row of ``n`` values per unit, or a ``(w, n)`` matrix of
+    ``w`` rows, and each piece has the same rows. Given a ``tables`` memo
+    (a design of several groups, whose blocks of one shape share it), a
+    group with two or more units in and out of the subset whose masks fit
+    in :data:`CHUNK_CELLS` cells is one product with its :func:`_lex_table`.
+    Any other group has its first ``d`` units split off, ``d`` the fewest
+    whose suffix vectors :func:`_suffix_sums` fit in :data:`CHUNK_CELLS`
+    floats, ``w`` per subset. Lexicographic order of combinations is
+    descending order of their indicator vectors, so the sums are, for each
+    pattern ``P`` of the first ``d`` units in descending indicator order,
+    ``fsum(u[P]) + S(d, m - |P|)``, one ``math.fsum`` per row. The patterns
+    come from an explicit-stack descent that visits only those a size-``m``
+    subset can start with. It stops early where one unit of ``u[j:]`` is left to
+    choose, a run of ``fsum(u[P]) + u[j:]``, or one to leave out, a run of
+    the ``fsum`` of ``u[P]`` and ``u[j:]`` minus ``u[j:]`` reversed, so the
+    deep split of a group with few treated or few control units makes no
+    piece per subset. Beyond its table, a group holds about
     :data:`CHUNK_CELLS` floats of suffix sums and one piece at a time.
     """
-    n = len(u)
-    terms = u.tolist()
+    n = u.shape[-1]
+    w = u.size // n
+    if tables is not None and 1 < m < n - 1 and math.comb(n, m) * n <= CHUNK_CELLS:
+        yield 0, u @ _lex_table(n, m, tables).T
+        return
     d = next(
         d
         for d in range(n + 1)
-        if sum(math.comb(n - d, r) for r in range(max(0, m - d), min(m, n - d) + 1)) <= CHUNK_CELLS
+        if w * sum(math.comb(n - d, r) for r in range(max(0, m - d), min(m, n - d) + 1))
+        <= CHUNK_CELLS
     )
-    # With one unit treated or one not, the whole group is one run below.
-    suffix = _suffix_sums(terms, m, d) if 1 < m < n - 1 else None
+    # Each unit's value, or its column of w values.
+    units = u.T.tolist()
+
+    def fsum_rows(held: tuple):
+        return np.array([math.fsum(row) for row in zip(*held)])[:, None] if held else 0.0
+
+    # math.fsum is exact, and far cheaper than numpy for a few terms.
+    fsum = math.fsum if u.ndim == 1 else fsum_rows
+
+    # With one unit chosen or one left out, the whole group is one run below.
+    suffix = _suffix_sums(u, m, d) if 1 < m < n - 1 else None
     stack = [(0, m, 0, ())]
     while stack:
         j, r, start, held = stack.pop()
-        # math.fsum is exact, and far cheaper than numpy for a few terms.
         if r == 1:
             # One unit left to choose, each of u[j:] in turn.
-            yield start, math.fsum(held) + u[j:]
+            yield start, fsum(held) + u[..., j:]
         elif r == n - j - 1:
             # One unit left out, the last one first.
-            yield start, math.fsum(held + tuple(terms[j:])) - u[j:][::-1]
+            yield start, fsum(held + tuple(units[j:])) - u[..., j:][..., ::-1]
         elif j == d:
-            yield start, math.fsum(held) + suffix[r]
+            yield start, fsum(held) + suffix[r]
         else:
             # Subsets holding unit j come first, comb(n - j - 1, r - 1) of them.
             stack.append((j + 1, r, start + math.comb(n - j - 1, r - 1), held))
-            stack.append((j + 1, r - 1, start, held + (terms[j],)))
+            stack.append((j + 1, r - 1, start, held + (units[j],)))
 
 
-def _block_variance_terms(
-    xs, m: int, weight: float, tables: dict
+def _estimator_terms(
+    x_t: np.ndarray, x_c: np.ndarray, m: int, weight: float, tables: dict | None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """``weight**2 (s2_t/m + s2_c/(n - m))`` on every size-``m`` subset of a
-    block's ``n`` units in lexicographic order, as ``(first index, piece)``
-    runs of at most :func:`chunk_rows` rows.
+    """``weight (s2_t/m + s2_c/(n - m))`` on every size-``m`` treated subset
+    of a group's ``n`` units in lexicographic order, as ``(first index,
+    piece)`` runs that together add up to it.
 
-    ``xs`` are the block's centered ``(x_t, x_c)``. Each run is the block's
-    own ``(rows, n)`` masks from :func:`_fill_lex`, reduced by
-    :func:`_arm_moments` as :func:`batch_statistic` reduces a block.
+    ``x_t`` and ``x_c`` are the group's centered outcomes. An arm's term
+    ``SS_T / (size (size - 1))`` on its units ``T`` takes ``SS_T = sum_T x^2
+    - (sum_T x)^2 / size`` from :func:`_lex_sums` of the rows ``(x, x^2)``:
+    the treated arm over the size-``m`` subsets, the control arm over the
+    size-``(n - m)`` complements. Complements of lexicographic subsets come
+    in reverse lexicographic order, so a control run starting at ``start``
+    lands reversed at ``comb(n, m) - start - len``. Arms of equal size share
+    one stream of four rows. A larger group yields each arm's runs; one of
+    at most :data:`CHUNK_CELLS` subsets adds them into one vector first.
     """
-    n = len(xs[0])
-    ones, labels = np.ones((n, 1)), np.zeros(n, dtype=np.intp)
-    radix, rows = math.comb(n, m), chunk_rows(n)
-    for lo in range(0, radix, rows):
-        masks = np.zeros((min(rows, radix - lo), n), dtype=bool)
-        _fill_lex(masks, n, m, lo, lo + len(masks), tables)
-        _, spreads = _arm_moments(masks.astype(float), xs, ones, labels, (m, n - m), True)
-        yield lo, (spreads[0] + spreads[1])[:, 0] * weight**2
+    n = len(x_t)
+    radix = math.comb(n, m)
+    streams: dict = {}
+    for x, size, complement in ((x_t, m, False), (x_c, n - m, True)):
+        streams.setdefault(size, []).append((x, complement))
+    # A group's vector that fits in a chunk is summed here, so that the value
+    # grid takes one pass per group rather than one per arm.
+    whole = np.zeros(radix) if radix <= CHUNK_CELLS else None
+    for size, arms in streams.items():
+        scale = weight / (size * (size - 1))
+        rows = np.array([row for x, _ in arms for row in (x, x * x)])
+        for start, sums in _lex_sums(rows, size, tables):
+            terms = (sums[1::2] - sums[::2] ** 2 / size) * scale
+            for (_, complement), piece in zip(arms, terms):
+                first = start
+                if complement:
+                    first, piece = radix - start - len(piece), piece[::-1]
+                if whole is None:
+                    yield first, piece
+                else:
+                    whole[first : first + len(piece)] += piece
+    if whole is not None:
+        yield 0, whole
 
 
 def _group_values(table: PotentialOutcomeTable, design: DesignSpec, statistic: str) -> np.ndarray:
-    """``tau_hat``, or ``var_est_blocked`` under blocking, on every
-    assignment, group by group.
+    """A statistic that sums over the design's groups, on every assignment.
 
     Each group's terms, over its own subsets in lexicographic order, are
     added in place along the group's axis of ``values.reshape(radices)``
     (the last group's axis varying fastest), then ``tau_hat`` adds its
-    constant: ``0 + v_1 + ... + v_K + c``. Groups are built one at a time.
+    constant: ``0 + v_1 + ... + v_K + c``. ``tau_hat``'s terms are the
+    group's :func:`_lex_sums` of ``u``, an estimator's its
+    :func:`_estimator_terms`. Groups are built one at a time.
     """
     groups, treated = design_groups(design, table)
     radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
+    # Building a group's mask table costs about as much as its suffix sums,
+    # so it pays only when blocks of one shape share it.
+    tables = {} if len(groups) > 1 else None
     if statistic == "tau_hat":
         c, u = _tau_hat_linear(table, design, treated)
-        terms = [_lex_sums(u[units], m) for units, m in zip(groups, treated)]
+        terms = [_lex_sums(u[units], m, tables) for units, m in zip(groups, treated)]
     else:
+        per_block = isinstance(design, Blocked)
         bad = [[min(m, len(units) - m) < 2 for units, m in zip(groups, treated)]]
-        _raise_undefined(np.array(bad), 0, _UNDEFINED[statistic, True])
-        c, tables = 0.0, {}
-        _, _, (x_t, x_c) = _centered(table, True)
+        _raise_undefined(np.array(bad), 0, _UNDEFINED[statistic, per_block])
+        c = 0.0
+        _, _, (x_t, x_c) = _centered(table, per_block)
         terms = [
-            _block_variance_terms((x_t[units], x_c[units]), m, len(units) / table.n, tables)
+            _estimator_terms(x_t[units], x_c[units], m, (len(units) / table.n) ** 2, tables)
             for units, m in zip(groups, treated)
         ]
     values = np.zeros(math.prod(radices))
@@ -498,14 +572,15 @@ def enumerate_statistic(
     """A named statistic on every assignment, in enumeration order, and its
     :func:`chunk_rows` span, ``ceil(count / chunk_rows(n))``.
 
-    ``tau_hat``, and ``var_est_blocked`` under blocking, are sums of
-    per-group terms, built by :func:`_group_values`. The others are
-    :func:`batch_statistic` on the masks of :func:`iter_assignment_chunks`,
-    one matrix of that span at a time.
+    ``tau_hat``, ``var_est_cr`` under complete randomization and
+    ``var_est_blocked`` under blocking are sums of per-group terms, built by
+    :func:`_group_values`. The others are :func:`batch_statistic` on the
+    masks of :func:`iter_assignment_chunks`, one matrix of that span at a
+    time.
     """
     total = count_assignments(design, table)
     chunks = -(-total // chunk_rows(table.n))
-    if statistic == "tau_hat" or (statistic == "var_est_blocked" and isinstance(design, Blocked)):
+    if statistic == "tau_hat" or (statistic, isinstance(design, Blocked)) in _GROUP_ESTIMATORS:
         return _group_values(table, design, statistic), chunks
     values = np.empty(total)
     start = 0

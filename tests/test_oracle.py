@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -289,6 +290,77 @@ def itertools_masks(n, blocks):
     return masks
 
 
+def estimator_table(rng, kind, sizes):
+    """A table of blocks of ``sizes`` (block k first appears at unit k).
+
+    ``random``: normal outcomes; ``bimodal``: each outcome near +-1e3 with
+    1e-6 noise, so every arm of one mode has a tiny spread; ``offset``:
+    outcomes near 1e8; ``shuffled``: normal outcomes with the other units'
+    labels shuffled (the rest keep their blocks in order).
+    """
+    rest = np.repeat(np.arange(len(sizes)), np.array(sizes) - 1)
+    if kind == "shuffled":
+        rest = rng.permutation(rest)
+    labels = np.concatenate([np.arange(len(sizes)), rest])
+    n = len(labels)
+    if kind == "bimodal":
+        y_c = rng.choice([-1e3, 1e3], size=n) + 1e-6 * rng.normal(size=n)
+        y_t = rng.choice([-1e3, 1e3], size=n) + 1e-6 * rng.normal(size=n)
+    else:
+        y_c = 5 * rng.normal(size=len(sizes))[labels] + rng.normal(size=n)
+        y_t = y_c + 3 + rng.normal(size=n)
+        if kind == "offset":
+            y_c, y_t = y_c + 1e8, y_t + 1e8
+    table = table_from_arrays(labels + 1, y_t, y_c)
+    assert tuple(table.block_sizes) == tuple(sizes)
+    return table
+
+
+def mask_values(table, design, statistic):
+    """The statistic on every assignment through the mask kernel."""
+    return np.concatenate([
+        batch_statistic(table, design, statistic, masks)
+        for masks in iter_assignment_chunks(table, design)
+    ])
+
+
+def exact_estimator_values(table, design, statistic):
+    """The estimator on every assignment, in enumeration order, in exact
+    rational arithmetic on the outcomes that the oracle centers."""
+    per_block = statistic == "var_est_blocked"
+    _, _, (x_t, x_c) = oracle._centered(table, per_block)
+    if isinstance(design, CompleteRandomization):
+        groups = [(list(range(table.n)), design.n_t)]
+    else:
+        groups = [
+            (table.block_indices(k).tolist(), design.n_tk[k - 1])
+            for k in range(1, table.num_blocks + 1)
+        ]
+    per_group = []
+    for units, m in groups:
+        weight = Fraction(len(units), table.n) ** 2
+        arms = []
+        for x in (x_t, x_c):
+            values = {i: Fraction(float(x[i])) for i in units}
+            arms.append((values, sum(values.values()), sum(v * v for v in values.values())))
+        terms = []
+        for chosen in combinations(units, m):
+            # Exact sums over the smaller side of the split; the other side's
+            # are the totals minus them.
+            rest = sorted(set(units) - set(chosen))
+            small = chosen if m <= len(rest) else rest
+            term = 0
+            for (values, total, total_sq), side in zip(arms, (chosen, rest)):
+                s1 = sum(values[i] for i in small)
+                s2 = sum(values[i] ** 2 for i in small)
+                if side is not small:
+                    s1, s2 = total - s1, total_sq - s2
+                term += (s2 - s1 * s1 / len(side)) / (len(side) * (len(side) - 1))
+            terms.append(weight * term)
+        per_group.append(terms)
+    return [sum(combo) for combo in product(*per_group)]
+
+
 def assert_chunks_match(table, design, blocks):
     """Chunk lengths and rows of the enumeration equal the itertools reference."""
     reference = itertools_masks(table.n, blocks)
@@ -480,6 +552,117 @@ class TestAssignmentChunks:
                     assert np.all(np.abs(values - want) <= 1e-12 * scale), (design, statistic)
                     assert chunks == math.ceil(len(want) / chunk_rows(table.n))
 
+    @pytest.mark.parametrize("cells", [None, 40, 200])
+    def test_estimator_sums_match_the_mask_kernel(self, monkeypatch, cells):
+        # var_est_cr under complete randomization and var_est_blocked under
+        # blocking come from each arm's subset sums of (x, x^2), the control
+        # arm's over the complements in reverse order. Equal arms share one
+        # stream (CR 6 of 12, blocks of 6 at 3), and small blocks take their
+        # shared mask tables. At 40 and 200 cells groups are built in pieces,
+        # the 40-unit ones by deep descents that stop early; at the default
+        # the 17- and 200-unit groups are.
+        cases = [
+            ((40,), [CompleteRandomization(2), CompleteRandomization(38)]),
+            ((12,), [CompleteRandomization(m) for m in (2, 5, 6, 10)]),
+            ((5, 6), [Blocked((2, 3)), Blocked((3, 2))]),
+            ((4, 4, 5), [Blocked((2, 2, 3)), Blocked((2, 2, 2))]),
+            ((6, 9), [Blocked((3, 4))]),
+        ]
+        if cells is None:
+            cases += [
+                ((17,), [CompleteRandomization(8)]),
+                ((4, 17), [Blocked((2, 8))]),
+                ((200,), [CompleteRandomization(2), CompleteRandomization(198)]),
+            ]
+        else:
+            monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(87)
+        for kind in ("random", "bimodal", "offset", "shuffled"):
+            for sizes, designs in cases:
+                table = estimator_table(rng, kind, sizes)
+                for design in designs:
+                    statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+                    values, chunks = enumerate_statistic(table, design, statistic)
+                    want = mask_values(table, design, statistic)
+                    assert len(values) == len(want) == count_assignments(design, table)
+                    scale = np.max(np.abs(want))
+                    assert np.all(np.abs(values - want) <= 1e-12 * scale), (kind, design)
+                    assert chunks == math.ceil(len(want) / chunk_rows(table.n))
+                    moments = exact_moments(table, design, statistic)
+                    mean, variance = oracle.population_moments(want)
+                    assert moments.mean == pytest.approx(mean, rel=1e-12), (kind, design)
+                    assert moments.variance == pytest.approx(variance, rel=1e-12), (kind, design)
+
+    @pytest.mark.parametrize("cells", [None, 40])
+    def test_estimator_rounding_stays_within_the_stated_bound(self, monkeypatch, cells):
+        # The oracle docstring bounds every value within 14 (n - 1) eps of
+        # max |value| of exact arithmetic on the centered outcomes, n the
+        # largest group. Tight modes at +-1e3 give an arm of one mode sums of
+        # squares near 1e6 around a spread near 1e-12, the one-pass form's
+        # worst cancellation.
+        if cells is not None:
+            monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(88)
+        cases = [
+            ((40,), [CompleteRandomization(2), CompleteRandomization(38)]),
+            ((12,), [CompleteRandomization(5), CompleteRandomization(6)]),
+            ((6, 8), [Blocked((3, 4)), Blocked((2, 5))]),
+        ]
+        for sizes, designs in cases:
+            table = estimator_table(rng, "bimodal", sizes)
+            for design in designs:
+                statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+                values, _ = enumerate_statistic(table, design, statistic)
+                exact = exact_estimator_values(table, design, statistic)
+                assert len(values) == len(exact)
+                largest = max(abs(v) for v in exact)
+                error = max(abs(Fraction(float(v)) - e) for v, e in zip(values, exact))
+                assert error <= 14 * (max(sizes) - 1) * Fraction(1, 2**53) * largest, design
+
+    @pytest.mark.parametrize("kind", ["bimodal", "offset"])
+    def test_control_arm_is_summed_over_its_complements(self, kind):
+        # With 198 of 200 units treated, control sums taken as the totals
+        # minus the treated sums were off by 93 (offset) and 259 (bimodal)
+        # eps of max |value| on these tables; summed over the complements
+        # they are off by under 5, far inside the proved 14 * 199 eps.
+        table = estimator_table(np.random.default_rng(90), kind, (200,))
+        design = CompleteRandomization(198)
+        values, _ = enumerate_statistic(table, design, "var_est_cr")
+        exact = exact_estimator_values(table, design, "var_est_cr")
+        largest = max(abs(v) for v in exact)
+        error = max(abs(Fraction(float(v)) - e) for v, e in zip(values, exact))
+        assert error <= 16 * Fraction(1, 2**53) * largest
+
+    def test_var_est_cr_memory_stays_within_chunks(self):
+        # Beyond its values, a var_est_cr enumeration holds suffix sums and
+        # one piece of its four-row stream, never the 184,756 subsets' sums.
+        rng = np.random.default_rng(89)
+        y_c = rng.normal(size=20)
+        table = table_from_arrays([1] * 20, y_c + rng.normal(size=20), y_c)
+        tracemalloc.start()
+        try:
+            values, _ = enumerate_statistic(table, CompleteRandomization(10), "var_est_cr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 184_756
+        assert peak - values.nbytes < 2**20, peak - values.nbytes
+
+    @pytest.mark.parametrize("n_t", [1, 7])
+    def test_var_est_cr_singleton_arm_is_named(self, n_t):
+        # Every assignment has the design's counts, so the first is undefined.
+        table = table_from_arrays([1] * 8, np.arange(8.0), np.zeros(8))
+        design = CompleteRandomization(n_t)
+        first = next(iter_assignment_chunks(table, design))
+        with pytest.raises(ValueError) as want:
+            batch_statistic(table, design, "var_est_cr", first)
+        with pytest.raises(ValueError) as got:
+            enumerate_statistic(table, design, "var_est_cr")
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == (
+            "statistic undefined on assignment #0: each arm needs at least 2 units"
+        )
+
     @pytest.mark.parametrize(
         "n_tk, block",
         [((1, 1, 2), 1), ((2, 1, 2), 2), ((2, 3, 1), 2), ((2, 2, 4), 3), ((3, 2, 2), 1)],
@@ -537,7 +720,7 @@ class TestAssignmentChunks:
         one_block = table_from_arrays([1] * 8, rng.normal(size=8), rng.normal(size=8))
         two_blocks = table_from_arrays([1] * 4 + [2] * 4, rng.normal(size=8), rng.normal(size=8))
         cases = [
-            (one_block, CompleteRandomization(4), "var_est_cr", True),
+            (one_block, CompleteRandomization(4), "var_est_cr", False),
             (one_block, CompleteRandomization(4), "var_est_blocked", True),
             (two_blocks, Blocked((2, 2)), "var_est_cr", True),
             (two_blocks, Blocked((2, 2)), "var_est_blocked", False),
