@@ -13,13 +13,16 @@ two consumers start from those seeds.
 
 - :func:`rep_integers` gives the draws of ``rep_rng(s, r).integers(highs)``
   for a range of reps of one or many master seeds as one matrix. It jumps
-  every lane's 128-bit LCG ahead on 32-bit limbs and applies numpy's
+  every lane's 128-bit LCG ahead on 64-bit halves and applies numpy's
   32-bit Lemire bounding, so the draws of site and two-stage sampling and
   the shuffle steps of Monte Carlo assignment draws take no per-rep Python
-  call. Each output costs two 128-bit limb products, far more than a
-  generator's own output, so it pays while a rep takes few words, as a
-  draw of a few sites or a small table's assignment does; past a few
-  hundred words per rep a generator per rep is faster.
+  call. Each output costs two 64-by-64-bit products split into 32-bit
+  halves plus four wrapping products, more than a generator's own output,
+  so it pays while a rep takes few words, as a draw of a few sites or a
+  small table's assignment does; past about 400 words per rep (site
+  sampling: between 200 and 1,000 sites) a generator per rep is faster.
+- :func:`child_seeds` hashes many spawn keys of one master seed at once,
+  for the child seeds of a batch of grid points.
 - :func:`rep_rngs` seeds ``PCG64`` in Python integers and sets the state of
   one reused generator, so a caller must be done with each yielded
   generator before it asks for the next. It serves the draws whose word
@@ -174,6 +177,19 @@ def _lane_seeds(
             start = stop
 
 
+def child_seeds(master_seed: int, keys) -> np.ndarray:
+    """``SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0]``
+    for every row ``key`` of the ``(lanes, width)`` integer array ``keys``,
+    whose items are each below 2^32, as a uint32 array: the first 32-bit
+    word of each lane's :func:`_pcg64_seeds` state, hashed in one pass."""
+    keys = np.asarray(keys)
+    assert np.all((keys >= 0) & (keys <= _MASK32)), "every key item must be in 0..2^32-1"
+    words = _words(master_seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(len(keys), word, dtype=np.uint32) for word in words]
+    return _pcg64_seeds([*entropy, *keys.T.astype(np.uint32)]).view("<u4")[:, 0]
+
+
 def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     """The generators of reps ``lo..hi-1``, in order, each in exactly the state
     of :func:`rep_rng` for its rep.
@@ -199,84 +215,101 @@ def rep_rngs(master_seed: int, lo: int, hi: int) -> Iterator[np.random.Generator
             yield rng
 
 
-def _limbs(value: int) -> list[int]:
-    """The four little-endian 32-bit limbs of a 128-bit ``value``."""
-    return [value >> shift & _MASK32 for shift in range(0, 128, 32)]
+_MASK64 = (1 << 64) - 1
 
-
-#: The limb products of ``initstate * MULT^(k+1) + inc * sum_{i <= k+1} MULT^i``
-#: that land below 2^128, as (number, limb, jump-constant limb) with number 0
-#: for ``initstate`` and 1 for ``inc``. They are ordered by the column
-#: ``limb + jump-constant limb`` they add to; column ``k`` spans
-#: ``_COLUMNS[k]:_COLUMNS[k + 1]``.
-_PRODUCTS = [(x, i, k - i) for k in range(4) for x in range(2) for i in range(k + 1)]
-_COLUMNS = [0, 2, 6, 12, 20]
-_FACTOR_LIMB = np.array([4 * x + i for x, i, _ in _PRODUCTS])
-
-#: Where the limbs of ``initstate`` and of the stream ``seq`` sit among a
-#: :func:`_pcg64_seeds` row's eight uint32 words (high uint64 first).
-_SEED_LIMBS = [2, 3, 0, 1, 6, 7, 4, 5]
+# Array constants are uint64 scalars, so numpy 1.24 and numpy 2 promote alike.
+_LOW32, _ONE, _THIRTY_TWO, _FIFTY_EIGHT, _SIXTY_THREE, _SIXTY_FOUR = (
+    np.uint64(v) for v in (_MASK32, 1, 32, 58, 63, 64)
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _jumps(outputs: int) -> np.ndarray:
-    """The LCG jump-ahead constants of ``PCG64`` outputs ``1..outputs``.
+    """The LCG jump-ahead constants ``a`` and ``b`` of ``PCG64`` outputs ``1..outputs``.
 
     Output ``k`` is taken from the state ``k`` steps after seeding, which is
-    ``initstate * MULT^(k+1) + inc * sum_{i <= k+1} MULT^i`` (seeding itself
-    is one step from ``inc + initstate`` plus ``inc``). Returned as the
-    ``(20, outputs, 1)`` read-only uint64 jump-constant limbs of
-    :data:`_PRODUCTS`; cached, because every chunk of a run asks for the
+    ``a_k * initstate + b_k * inc`` with ``a_k = MULT^(k+1)`` and
+    ``b_k = sum_{i <= k+1} MULT^i`` (seeding itself is one step from
+    ``inc + initstate`` plus ``inc``). Returned as a ``(2, 2, outputs, 1)``
+    read-only uint64 array: ``a``, then ``b``, each as its low, then its
+    high 64-bit half. Cached, because every chunk of a run asks for the
     same count.
     """
     powers = [1]
     for _ in range(outputs + 1):
         powers.append(powers[-1] * _PCG64_MULT & _MASK128)
     sums = list(itertools.accumulate(powers, lambda a, b: (a + b) & _MASK128))
-    limbs = np.array(
-        [[_limbs(v) for v in powers[2:]], [_limbs(v) for v in sums[2:]]], dtype=np.uint64
-    ).reshape(2, outputs, 4)
-    jumps = np.ascontiguousarray([limbs[x, :, j, None] for x, _, j in _PRODUCTS])
+    jumps = np.array(
+        [[[v & _MASK64 for v in values], [v >> 64 for v in values]]
+         for values in (powers[2:], sums[2:])],
+        dtype=np.uint64,
+    )[..., None]
     jumps.setflags(write=False)
     return jumps
 
 
+def _wide_product(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 64-bit halves of the 128-bit products ``a * x`` of
+    uint64 arrays. The low half is the wrapping product; the high half adds
+    the four products of 32-bit halves, each below 2^64, by their place."""
+    a0, a1 = a & _LOW32, a >> _THIRTY_TWO
+    x0, x1 = x & _LOW32, x >> _THIRTY_TWO
+    low = a0 * x0
+    cross = a0 * x1
+    other = a1 * x0
+    # Bits 32..63 of the product and their carry: three terms below 2^32.
+    middle = (low >> _THIRTY_TWO) + (cross & _LOW32) + (other & _LOW32)
+    high = a1 * x1
+    high += cross >> _THIRTY_TWO
+    high += other >> _THIRTY_TWO
+    high += middle >> _THIRTY_TWO
+    return a * x, high
+
+
 def _pcg64_words(seeds: np.ndarray, outputs: int) -> np.ndarray:
     """The first ``2 * outputs`` 32-bit words each seeded ``PCG64`` hands out,
-    as the columns of a ``(2 * outputs, reps)`` uint64 array.
+    as the columns of a ``(2 * outputs, lanes)`` uint64 array.
 
-    ``seeds`` is a :func:`_pcg64_seeds` array. States are 128-bit numbers in
-    four 32-bit limbs held in uint64 lanes, one lane per rep; each limb
-    product fits in 64 bits, and a column adds at most 8 low halves, 6 high
-    halves and a carry, far below 2^64. Each 64-bit output is the XSL-RR of
-    its state, split into its low, then its high half.
+    ``seeds`` is a :func:`_pcg64_seeds` array, one lane per row. The state
+    of output ``k`` is ``a_k * initstate + b_k * inc mod 2^128`` (see
+    :func:`_jumps`), held as its low and high 64-bit halves, each an
+    ``(outputs, lanes)`` array. Nothing overflows unaccounted for:
+
+    - numpy's uint64 products and sums wrap, which is exact mod 2^64, and
+      that is all the high half needs of the four cross products
+      (``a_lo * initstate_hi``, ``a_hi * initstate_lo`` and the same of
+      ``b`` and ``inc``) and of the carries into it;
+    - only the two products of low halves, ``a_lo * initstate_lo`` and
+      ``b_lo * inc_lo``, are needed in full: :func:`_wide_product` forms
+      their high halves from 32-bit halves, whose products fit in 64 bits
+      and whose middle sum of three terms below 2^32 stays below
+      ``3 * 2^32``.
+
+    Every product is of arrays: a wrapping product of numpy scalars warns.
+    Each 64-bit output is the XSL-RR of its state, split into its low, then
+    its high 32-bit word.
     """
-    factors = seeds.view("<u4")[:, _SEED_LIMBS].T.astype(np.uint64)
-    seq = factors[4:].copy()
-    # inc = 2 * seq + 1, limb by limb.
-    factors[4:] = seq << np.uint64(1) & _MASK32
-    factors[4] |= np.uint64(1)
-    factors[5:] |= seq[:-1] >> np.uint64(31)
-    factors = factors[_FACTOR_LIMB, None, :]
-    jumps = _jumps(outputs)
-    state = []
-    carry = np.zeros((outputs, len(seeds)), dtype=np.uint64)
-    for start, stop in zip(_COLUMNS, _COLUMNS[1:]):
-        # One limb product at a time, so that no more than one is live.
-        column, carry = carry, np.zeros_like(carry)
-        for factor, jump in zip(factors[start:stop], jumps[start:stop]):
-            product = factor * jump
-            column += product & _MASK32
-            carry += product >> np.uint64(32)
-        carry += column >> np.uint64(32)
-        state.append(column & _MASK32)
-    s0, s1, s2, s3 = state
-    # XSL-RR: rotate (high 64 bits ^ low 64 bits) right by the top 6 bits.
-    xored = (s3 ^ s1) << np.uint64(32) | (s2 ^ s0)
-    rot = s3 >> np.uint64(26)
-    del state, s0, s1, s2, s3
-    output = xored >> rot | xored << ((np.uint64(64) - rot) & np.uint64(63))
-    words = np.stack([output & _MASK32, output >> np.uint64(32)], axis=1)
+    (a_lo, a_hi), (b_lo, b_hi) = _jumps(outputs)
+    state_hi, state_lo, seq_hi, seq_lo = np.ascontiguousarray(seeds.T)
+    # inc = 2 * seq + 1 mod 2^128.
+    inc_lo = seq_lo << _ONE | _ONE
+    inc_hi = seq_hi << _ONE | seq_lo >> _SIXTY_THREE
+    lo, hi = _wide_product(a_lo, state_lo)
+    inc_term, inc_carry = _wide_product(b_lo, inc_lo)
+    lo += inc_term
+    # The high half, mod 2^64: both high halves, the low sum's carry, and
+    # the cross products.
+    hi += inc_carry
+    hi += lo < inc_term
+    hi += a_lo * state_hi
+    hi += a_hi * state_lo
+    hi += b_lo * inc_hi
+    hi += b_hi * inc_lo
+    # XSL-RR: rotate (high half ^ low half) right by the top 6 bits.
+    rot = hi >> _FIFTY_EIGHT
+    hi ^= lo
+    output = hi >> rot | hi << ((_SIXTY_FOUR - rot) & _SIXTY_THREE)
+    words = np.stack([output & _LOW32, output >> _THIRTY_TWO], axis=1)
     return words.reshape(2 * outputs, len(seeds))
 
 
@@ -292,27 +325,38 @@ def rep_integers(master_seeds: Sequence[int], lo: int, hi: int, highs) -> np.nda
     when it is rejected and another word is drawn; a high of 1 gives 0 and
     takes no word, so a row padded with 1s draws its own values followed by
     0s. Every lane's words come from :func:`_pcg64_words`, hashed by
-    :func:`_lane_seeds` ``chunk_rows(steps)`` lanes at a time, and a lane
-    with a rejected word is redrawn from :func:`rep_rng` (for a high of 40,
-    fewer than one word in 10^8 is rejected). A negative seed raises numpy's
-    ``ValueError``.
+    :func:`_lane_seeds` ``chunk_rows(steps)`` lanes at a time. Where no
+    high of a slice's lanes is 1, step ``s`` reads word ``s``; otherwise
+    each step reads the word numbered by the drawn steps before it, and a
+    high of 1 scales its word by 0. A lane with a rejected word is redrawn
+    from :func:`rep_rng` (for a high of 40, fewer than one word in 10^8 is
+    rejected). A negative seed raises numpy's ``ValueError``.
     """
-    highs = np.asarray(highs, dtype=np.int64)
+    highs = np.atleast_2d(np.asarray(highs, dtype=np.int64))
     assert np.all((highs >= 1) & (highs < 1 << 32)), "every high must be in 1..2^32-1"
-    highs = np.broadcast_to(highs, (len(master_seeds), highs.shape[-1]))
+    shared = len(highs) == 1
     reps, steps = hi - lo, highs.shape[1]
+    # Everything a slice reads of its highs, once per call, one column per row.
+    drawn = highs.T > 1
+    counts = drawn.sum(axis=0)
+    factors = np.where(drawn, highs.T, 0).astype(np.uint64)
+    thresholds = (((1 << 32) - highs.T) % highs.T).astype(np.uint64)
+    word = np.maximum(np.cumsum(drawn, axis=0) - 1, 0)
+    highs = np.broadcast_to(highs, (len(master_seeds), steps))
     out = np.zeros((len(master_seeds) * reps, steps), dtype=np.int64)
     for rows, seeds in _lane_seeds(master_seeds, lo, hi, chunk_rows(max(1, steps))):
-        bounds = highs[rows // reps].T.astype(np.uint64)
-        drawn = bounds > 1
-        outputs = -(-int(drawn.sum(axis=0).max(initial=0)) // 2)
+        member = slice(None) if shared else rows // reps
+        outputs = -(-int(counts[member].max(initial=0)) // 2)
         if not outputs:
             continue
-        # Drawn step s of a lane reads the lane's word numbered by the drawn steps before it.
-        word = np.maximum(np.cumsum(drawn, axis=0) - 1, 0)
-        scaled = np.take_along_axis(_pcg64_words(seeds, outputs), word, axis=0) * bounds
-        out[rows] = np.where(drawn, scaled >> np.uint64(32), 0).T
-        rejected = drawn & ((scaled & _MASK32) < ((1 << 32) - bounds) % bounds)
+        words = _pcg64_words(seeds, outputs)
+        if counts[member].min() == steps:
+            words = words[:steps]
+        else:
+            words = np.take_along_axis(words, word[:, member], axis=0)
+        scaled = words * factors[:, member]
+        out[rows] = (scaled >> _THIRTY_TWO).T
+        rejected = (scaled & _LOW32) < thresholds[:, member]
         for lane in np.flatnonzero(rejected.any(axis=0)):
             p, r = divmod(int(rows[lane]), reps)
             out[rows[lane]] = rep_rng(master_seeds[p], lo + r).integers(highs[p])

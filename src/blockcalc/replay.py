@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mc
-from .blocking_lab import labels_in_order, make_blocks_random
+from .blocking_lab import labels_in_order
 from .pop_model import (
     Blocked,
     PotentialOutcomeTable,
@@ -180,16 +180,22 @@ def _rel_se_pct(y: np.ndarray, labels: np.ndarray, sizes, counts, var_cr: float)
 def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -> np.ndarray:
     """The ratio of each random partition, scored in ``mc.chunk_bounds(allocations, n)``.
 
-    Allocation ``a`` is drawn from the generator ``mc.rep_rngs`` yields for
-    rep ``a`` (the state of ``mc.rep_rng(seed, a)``); that generator is
-    reused, so each partition is drawn before the next is asked for. The
-    ratio array (8 bytes an allocation) is allocated before any batch is
-    listed, so an ``allocations`` too large to hold fails at once."""
+    Allocation ``a`` puts unit ``order[i]`` in the block of the ``i``-th
+    unit of the realized size pattern, where ``order`` is one
+    ``permutation(n)`` of the generator ``mc.rep_rngs`` yields for rep
+    ``a`` (the state of ``mc.rep_rng(seed, a)``): the partition of
+    ``make_blocks_random``, with 0-based labels. That generator is reused,
+    so each permutation is drawn before the next is asked for; a batch's
+    labels are then scattered at once. The ratio array (8 bytes an
+    allocation) is allocated before any batch is listed, so an
+    ``allocations`` too large to hold fails at once."""
     ratios = np.empty(allocations)
+    template = np.repeat(np.arange(len(sizes)), sizes)
     for lo, hi in mc.chunk_bounds(allocations, data.n):
-        rngs = mc.rep_rngs(seed, lo, hi)
-        labels = np.stack([make_blocks_random(data.n, sizes, rng) for rng in rngs])
-        ratios[lo:hi] = _rel_se_pct(data.y, labels - 1, sizes, counts, var_cr)
+        orders = np.stack([rng.permutation(data.n) for rng in mc.rep_rngs(seed, lo, hi)])
+        labels = np.empty_like(orders)
+        np.put_along_axis(labels, orders, template, axis=1)
+        ratios[lo:hi] = _rel_se_pct(data.y, labels, sizes, counts, var_cr)
     return ratios
 
 

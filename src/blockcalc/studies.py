@@ -74,8 +74,11 @@ FLEX_BLOCKING_REPS = 10_000
 MISCONCEPTIONS_REPS = 5_000
 
 
-def _child_seed(master_seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
+def _point_seeds(master_seed: int, lo: int, hi: int) -> list[list[int]]:
+    """The child seeds ``(index, 0)``, ``(index, 1)`` and ``(index, 2)`` of
+    every grid point ``index`` in ``lo..hi-1``, from one :func:`mc.child_seeds` pass."""
+    keys = np.stack(np.divmod(np.arange(3 * lo, 3 * hi), 3), axis=1)
+    return mc.child_seeds(master_seed, keys).reshape(hi - lo, 3).tolist()
 
 
 def batch_bounds(cfg, reps: int) -> list[tuple[int, int]]:
@@ -422,8 +425,8 @@ def _misconceptions_chunk(args) -> list[dict]:
     """
     cfg, master_seed, reps, lo, hi = args
     points = itertools.islice(itertools.product(cfg.spread_scales, cfg.rhos), lo, hi)
-    seeds = [[_child_seed(master_seed, index, key) for key in range(3)] for index in range(lo, hi)]
-    points = [(*point, keys[0]) for point, keys in zip(points, seeds)]
+    seeds = _point_seeds(master_seed, lo, hi)
+    points = [(*point, point_seeds[0]) for point, point_seeds in zip(points, seeds)]
     configs, refusal = _scenario_configs(cfg, cfg.treated_counts, points)
     n_k, (t, c, tc), s2 = target_moments(configs)
     n_tk = np.asarray(cfg.treated_counts)

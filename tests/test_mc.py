@@ -6,6 +6,7 @@ and ``PCG64`` and is the reference for ``mc.rep_rngs`` and
 ``mc.rep_integers``.
 """
 
+import itertools
 import os
 from pathlib import Path
 
@@ -199,6 +200,83 @@ class TestRepIntegers:
         highs = np.arange(CHUNK_CELLS // 4, 0, -1) + 1
         assert CHUNK_CELLS // len(highs) == 4
         assert_rep_integers_match([5, 2**70 + 3, 9], 10, 15, highs)
+
+
+#: PCG64's 128-bit LCG multiplier (O'Neill 2014).
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = (1 << 64) - 1
+MASK128 = (1 << 128) - 1
+
+
+def reference_pcg64_words(state_hi, state_lo, seq_hi, seq_lo, outputs):
+    """The first ``2 * outputs`` 32-bit words of ``PCG64`` seeded with
+    ``initstate`` and stream ``seq`` (as 64-bit halves), in plain Python ints:
+    seed with ``(inc + initstate) * MULT + inc``, step, then apply XSL-RR."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * PCG64_MULT + inc) & MASK128
+    words = []
+    for _ in range(outputs):
+        state = (state * PCG64_MULT + inc) & MASK128
+        xored, rot = (state >> 64 ^ state) & MASK64, state >> 122
+        output = (xored >> rot | xored << (64 - rot)) & MASK64
+        words += [output & 0xFFFFFFFF, output >> 32]
+    return words
+
+
+#: Every seed whose four 64-bit halves are each 0, 2^63 or 2^64 - 1, so that
+#: every carry of the low-half products and of inc = 2 * seq + 1 runs.
+EXTREME_SEEDS = np.array(
+    list(itertools.product([0, 2**63, 2**64 - 1], repeat=4)), dtype=np.uint64
+)
+
+
+class TestPcg64Words:
+    @pytest.mark.parametrize("outputs", [1, 4, 29, 200])
+    def test_matches_python_int_arithmetic(self, outputs):
+        got = mc._pcg64_words(EXTREME_SEEDS, outputs)
+        assert got.dtype == np.uint64 and got.shape == (2 * outputs, len(EXTREME_SEEDS))
+        for lane, seed in enumerate(EXTREME_SEEDS.tolist()):
+            assert got[:, lane].tolist() == reference_pcg64_words(*seed, outputs), seed
+
+    def test_reference_is_numpys_pcg64(self):
+        for state_hi, state_lo, seq_hi, seq_lo in EXTREME_SEEDS[::7].tolist():
+            bit_generator = np.random.PCG64(0)
+            # numpy's own seeding, from the 128-bit initstate and stream.
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & MASK128
+            initstate = state_hi << 64 | state_lo
+            state = ((inc + initstate) * PCG64_MULT + inc) & MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            raw = bit_generator.random_raw(5).tolist()
+            words = [w for output in raw for w in (output & 0xFFFFFFFF, output >> 32)]
+            assert words == reference_pcg64_words(state_hi, state_lo, seq_hi, seq_lo, 5)
+
+
+class TestDirectWordReads:
+    """A row with no high of 1 reads its words directly; the same row padded
+    with 1s reads them through the drawn-step count, and must agree."""
+
+    HIGHS = [40, 3, 2**31 + 5, 7, 9]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 300), (chunk_rows(5) - 3, 2 * chunk_rows(5) + 4)])
+    def test_shared_row(self, lo, hi):
+        direct = mc.rep_integers([0, 2**70 + 3], lo, hi, self.HIGHS)
+        padded = mc.rep_integers([0, 2**70 + 3], lo, hi, self.HIGHS + [1, 1, 1])
+        assert np.array_equal(padded[:, :5], direct) and not padded[:, 5:].any()
+
+    def test_rows_per_seed(self):
+        # One seed's row is padded in the middle, so its slices gather.
+        rows = [self.HIGHS, [40, 1, 3, 2**31 + 5, 1], self.HIGHS]
+        seeds = [5, 12345, 2**130 + 9]
+        got = mc.rep_integers(seeds, 0, 200, rows)
+        assert np.array_equal(got, reference_integers(seeds, 0, 200, rows))
+        alone = mc.rep_integers([5, 2**130 + 9], 0, 200, self.HIGHS)
+        assert np.array_equal(got[:200], alone[:200])
+        assert np.array_equal(got[400:], alone[200:])
 
 
 class SpoilingRepRngs:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blockcalc import mc
+from blockcalc import mc, replay
 from blockcalc.blocking_lab import make_blocks_random
 from blockcalc.oracle import chunk_rows
 from blockcalc.pop_model import Blocked, table_from_arrays
@@ -228,3 +228,24 @@ class TestMatchesTablePerBlocking:
             if name != "balance-proportions":
                 with pytest.raises(ValueError, match=r"n_tk=2 out of range for block 1 \(size 2\)"):
                     run_replay(data, [Strategy(name, {"allocations": 3})])
+
+
+@pytest.mark.parametrize("seed", [0, 2**70 + 3])
+def test_random_blocks_labels_are_make_blocks_random(monkeypatch, seed):
+    """Every allocation's batched labels are the partition ``make_blocks_random``
+    draws from the allocation's own generator, 0-based, over four batches."""
+    data = unequal_blocks_experiment(1)
+    sizes, counts = data.realized_sizes(), data.realized_treated()
+    allocations = 3 * chunk_rows(data.n) + 5
+    batches = []
+
+    def recording(y, labels, *args):
+        batches.append(labels.copy())
+        return np.zeros(len(labels))
+
+    monkeypatch.setattr(replay, "_rel_se_pct", recording)
+    replay._random_blocks(data, sizes, counts, 1.0, seed, allocations)
+    assert len(batches) == 4
+    for a, labels in enumerate(np.concatenate(batches)):
+        want = make_blocks_random(data.n, sizes, mc.rep_rng(seed, a)) - 1
+        assert np.array_equal(labels, want), a

@@ -24,9 +24,9 @@ from blockcalc.studies import (
     FlexBlockingConfig,
     MisconceptionsConfig,
     RatioSweepConfig,
-    _child_seed,
     _flex_blocking_chunk,
     _method_labels,
+    _point_seeds,
     run_study,
     study_flexible_blocking,
     study_misconceptions,
@@ -36,6 +36,12 @@ from blockcalc.variance_estimation import cr_varest_bias_under_blocking, varest_
 from blockcalc.variance_theory import neyman_var_blocked, neyman_var_cr
 
 from conftest import reference_varest_variability
+
+
+def _child_seed(master_seed: int, *key: int) -> int:
+    """The first state word of ``SeedSequence(master_seed, spawn_key=key)``:
+    the reference for ``mc.child_seeds``."""
+    return int(np.random.SeedSequence(entropy=master_seed, spawn_key=key).generate_state(1)[0])
 
 
 def reference_chunk(cfg, master_seed, lo, hi):
@@ -96,6 +102,21 @@ def test_study_reduces_chunks_in_order(monkeypatch):
         y_within = 100 * y_ratio[m, d] / reps
         assert row["y_within_over_total_pct"] == pytest.approx(y_within, rel=1e-12)
         assert row["reps"] == reps
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**200 + 1])
+@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 18), (7, 18), (299, 300)])
+def test_batched_child_seeds_are_seed_sequences(seed, lo, hi):
+    # Master seeds of 1, 2 and 7 32-bit words; batches from the grid's start and mid-grid.
+    want = [[_child_seed(seed, index, key) for key in range(3)] for index in range(lo, hi)]
+    assert _point_seeds(seed, lo, hi) == want
+
+
+def test_child_seeds_of_keys_up_to_the_last_word():
+    keys = np.array([[0], [1], [2**31], [2**32 - 1]])
+    got = mc.child_seeds(2**64 + 9, keys)
+    assert got.dtype == np.uint32
+    assert got.tolist() == [_child_seed(2**64 + 9, *key) for key in keys.tolist()]
 
 
 def reference_configs(cfg, seed, treated_counts, *key):
@@ -173,7 +194,7 @@ def test_ratio_sweep_draws_nothing(monkeypatch):
         raise AssertionError("ratio-sweep drew a population or seed")
 
     monkeypatch.setattr(studies, "gen_scenario_outcomes", refuse)
-    monkeypatch.setattr(studies, "_child_seed", refuse)
+    monkeypatch.setattr(mc, "child_seeds", refuse)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     rows, _, _, counts = run_study("ratio-sweep", {"spread_scales": [0.05 * i for i in range(100)]})
