@@ -19,7 +19,9 @@ output file list and the ``environment`` (Python and numpy versions,
 platform and CPU count); runs that enumerate assignments (``enumerate``,
 ``variance --oracle``) add ``method`` and the ``counts`` of assignments and
 batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
-add ``method`` and the ``reps``, and studies add the ``counts`` of reps,
+add ``method`` and the ``reps``, replays that draw ``random-blocks``
+partitions add ``method`` and the ``counts`` of allocations drawn and
+batches of their one shared sweep, and studies add the ``counts`` of reps,
 chunks and workers (always 1). Every manifest has ``timings``: the seconds
 spent reading inputs (``load_s``), computing the report (``compute_s``) and
 writing the report CSV (``write_s``). Report CSVs start with a comment line
@@ -415,7 +417,12 @@ def cmd_replay(args, manifest: ManifestWriter) -> Report:
         else default_strategies(args.reps)
     )
     manifest.mark("load")
-    rows = run_replay(data, strategies, seed=args.seed, default_allocations=args.reps)
+    counts: dict = {}
+    rows = run_replay(
+        data, strategies, seed=args.seed, default_allocations=args.reps, counts=counts
+    )
+    if counts:
+        manifest.extra.update(method="monte_carlo", counts=counts)
     named = [{"name": s.name, "params": s.params} for s in strategies]
     config = {"table": str(args.table), "strategies": named}
     return "replay_report.csv", REPLAY_COLUMNS, rows, config

@@ -16,12 +16,18 @@ Strategies:
 * ``outcome-sorted-blocks``: blocks formed by sorting on the outcome itself,
   the most informative baseline one could have had.
 
-Each blocking is a row of labels with the realized sizes; one grouped-moments
-pass scores a matrix of rows, and ``random-blocks`` is scored in bounded chunks.
+Each blocking is a row of labels with the realized sizes. Scoring takes two
+steps: one grouped-moments pass turns a matrix of rows into each block's
+sample variance, and each strategy turns those into its ratio with its own
+treated counts. The fixed partitions the strategies name are scored in one
+pass. Every ``random-blocks`` strategy reads one sweep of random partitions
+drawn in bounded chunks: partition ``a`` is the same whichever strategy asks,
+and a strategy with fewer allocations reads a prefix of the sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -167,36 +173,53 @@ def apportion_counts(n_t: int, sizes: list[int]) -> list[int]:
     return counts
 
 
-def _rel_se_pct(y: np.ndarray, labels: np.ndarray, sizes, counts, var_cr: float):
-    """``100 sqrt(var_bk/var_cr)`` of each row of a ``(blockings, n)`` matrix of
-    0-based labels whose block ``k`` holds ``sizes[k]`` units and treats
-    ``counts[k]``. Both potential outcomes are ``y``, so ``S2_tc`` is 0."""
+def _block_s2(y: np.ndarray, labels: np.ndarray, sizes) -> np.ndarray:
+    """The sample variance of ``y`` in every block of each row of a
+    ``(partitions, n)`` matrix of 0-based labels whose block ``k`` holds
+    ``sizes[k]`` units, as a ``(partitions, K)`` array. One grouped-moments
+    pass; each row's values depend on that row alone."""
     n_k = np.asarray(sizes)
-    s2 = centered_moments(np.broadcast_to(y, labels.shape), labels, n_k).ss / (n_k - 1)
+    return centered_moments(np.broadcast_to(y, labels.shape), labels, n_k).ss / (n_k - 1)
+
+
+def _rel_se_pct(s2: np.ndarray, sizes, counts, var_cr: float) -> np.ndarray:
+    """``100 sqrt(var_bk/var_cr)`` of each row of a :func:`_block_s2` array
+    when block ``k`` treats ``counts[k]`` units. Both potential outcomes are
+    ``y``, so ``S2_tc`` is 0."""
+    n_k = np.asarray(sizes)
     block_vars = block_variances(n_k, np.asarray(counts, dtype=float), s2, s2, 0.0)
     return 100.0 * np.sqrt(blocked_variance(n_k, block_vars) / var_cr)
 
 
-def _random_blocks(data: ReplayData, sizes, counts, var_cr, seed, allocations) -> np.ndarray:
-    """The ratio of each random partition, scored in ``mc.chunk_bounds(allocations, n)``.
+def _random_blocks(data: ReplayData, sizes, var_cr, seed, scored) -> dict:
+    """Fill every ``(counts, ratios)`` of ``scored`` with the ratios of the
+    first ``len(ratios)`` random partitions; return the sweep's work counts,
+    ``allocations`` (partitions drawn) and ``chunks`` (batches).
 
-    Allocation ``a`` puts unit ``order[i]`` in the block of the ``i``-th
-    unit of the realized size pattern, where ``order`` is one
-    ``permutation(n)`` of the generator ``mc.rep_rngs`` yields for rep
+    One sweep draws ``max(len(ratios))`` partitions in the batches of
+    ``mc.chunk_bounds``. Partition ``a`` puts unit ``order[i]`` in the block
+    of the ``i``-th unit of the realized size pattern, where ``order`` is
+    one ``permutation(n)`` of the generator ``mc.rep_rngs`` yields for rep
     ``a`` (the state of ``mc.rep_rng(seed, a)``): the partition of
-    ``make_blocks_random``, with 0-based labels. That generator is reused,
-    so each permutation is drawn before the next is asked for; a batch's
-    labels are then scattered at once. The ratio array (8 bytes an
-    allocation) is allocated before any batch is listed, so an
-    ``allocations`` too large to hold fails at once."""
-    ratios = np.empty(allocations)
+    ``make_blocks_random``, with 0-based labels. One iterator serves the
+    whole sweep, and each permutation is drawn before the next generator is
+    asked for. A batch's labels are scattered at once and its block
+    variances computed once; every ``ratios`` long enough to reach the
+    batch then scores its prefix of them with its own counts, so a shorter
+    ``ratios`` holds exactly the partitions it would draw alone."""
+    total = max(len(ratios) for _, ratios in scored)
     template = np.repeat(np.arange(len(sizes)), sizes)
-    for lo, hi in mc.chunk_bounds(allocations, data.n):
-        orders = np.stack([rng.permutation(data.n) for rng in mc.rep_rngs(seed, lo, hi)])
+    rngs = mc.rep_rngs(seed, 0, total)
+    bounds = mc.chunk_bounds(total, data.n)
+    for lo, hi in bounds:
+        orders = np.stack([rng.permutation(data.n) for rng in itertools.islice(rngs, hi - lo)])
         labels = np.empty_like(orders)
         np.put_along_axis(labels, orders, template, axis=1)
-        ratios[lo:hi] = _rel_se_pct(data.y, labels, sizes, counts, var_cr)
-    return ratios
+        s2 = _block_s2(data.y, labels, sizes)
+        for counts, ratios in scored:
+            if len(ratios) > lo:
+                ratios[lo:hi] = _rel_se_pct(s2[: len(ratios) - lo], sizes, counts, var_cr)
+    return {"allocations": total, "chunks": len(bounds)}
 
 
 def _checked_params(strategy: Strategy, default_allocations) -> tuple[bool, int | None]:
@@ -231,8 +254,16 @@ def run_replay(
     strategies: list[Strategy] | None = None,
     seed: int = 0,
     default_allocations: int = 1000,
+    counts: dict | None = None,
 ) -> list[dict]:
-    """Relative standard error of each strategy against complete randomization."""
+    """Relative standard error of each strategy against complete randomization.
+
+    Every strategy is checked, in order, before anything is scored. All
+    ``random-blocks`` strategies share one sweep of random partitions, and
+    the fixed partitions the other strategies name are scored in one pass.
+    When a sweep runs, ``counts``, if given, receives its ``allocations``
+    (partitions drawn) and ``chunks`` (batches).
+    """
     strategies = strategies if strategies is not None else default_strategies(default_allocations)
     params = [_checked_params(strategy, default_allocations) for strategy in strategies]
     sizes = data.realized_sizes()
@@ -247,23 +278,43 @@ def run_replay(
             "outcome y is constant, so the completely randomized variance is 0 "
             "and relative standard errors are undefined"
         )
-    sorted_by = {"baseline-sorted-blocks": data.baseline, "outcome-sorted-blocks": data.y}
-    rows = []
+    # Each strategy's treated counts and, for random-blocks, its ratio array
+    # (8 bytes an allocation, allocated before any draw).
+    plans = []
     for strategy, (balanced, allocations) in zip(strategies, params):
-        counts = apportion_counts(n_t, sizes) if balanced else realized
+        block_counts = apportion_counts(n_t, sizes) if balanced else realized
         # Every blocking keeps the realized sizes, so this one check covers them all.
-        validate_design(Blocked(tuple(counts)), no_impact)
+        validate_design(Blocked(tuple(block_counts)), no_impact)
+        ratios = np.empty(allocations) if strategy.name == "random-blocks" else None
+        plans.append((block_counts, ratios))
+    random = [plan for plan in plans if plan[1] is not None]
+    if random:
+        work = _random_blocks(data, sizes, var_cr, seed, random)
+        if counts is not None:
+            counts.update(work)
+    # The partition each other strategy scores: the realized blocks, or
+    # blocks formed by sorting on the baseline or on the outcome.
+    sorted_by = {"baseline-sorted-blocks": data.baseline, "outcome-sorted-blocks": data.y}
+    keys = [s.name if s.name in sorted_by else "realized" for s in strategies]
+    fixed = list(dict.fromkeys(k for k, (_, ratios) in zip(keys, plans) if ratios is None))
+    if fixed:
+        labels = [
+            labels_in_order(np.argsort(sorted_by[key], kind="stable"), sizes) - 1
+            if key in sorted_by
+            else no_impact.labels
+            for key in fixed
+        ]
+        fixed_s2 = dict(zip(fixed, _block_s2(data.y, np.stack(labels), sizes)))
+    rows = []
+    for strategy, (balanced, allocations), key, (block_counts, ratios) in zip(
+        strategies, params, keys, plans
+    ):
         p99 = None
-        if strategy.name == "random-blocks":
-            ratios = _random_blocks(data, sizes, counts, var_cr, seed, allocations)
+        if ratios is not None:
             rel = float(np.mean(ratios))
             p99 = float(np.quantile(ratios, 0.99))
         else:
-            labels = no_impact.labels
-            if strategy.name in sorted_by:
-                order = np.argsort(sorted_by[strategy.name], kind="stable")
-                labels = labels_in_order(order, sizes) - 1
-            rel = float(_rel_se_pct(data.y, labels[None], sizes, counts, var_cr)[0])
+            rel = float(_rel_se_pct(fixed_s2[key][None], sizes, block_counts, var_cr)[0])
         rows.append(
             {
                 "strategy": strategy.name,

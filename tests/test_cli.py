@@ -560,6 +560,43 @@ class TestReplayCommand:
         assert len(rows) == 6
 
     @pytest.mark.parametrize(
+        "strategies, counts",
+        [
+            (None, {"allocations": 100, "chunks": 2}),
+            (
+                [
+                    {"name": "random-blocks", "params": {"allocations": 300}},
+                    {"name": "random-blocks", "params": {"allocations": 20, "balanced": True}},
+                    {"name": "keep-blocks"},
+                ],
+                {"allocations": 300, "chunks": 4},
+            ),
+            ([{"name": "keep-blocks"}, {"name": "outcome-sorted-blocks"}], None),
+        ],
+        ids=["default", "two-random", "no-random"],
+    )
+    def test_manifest_records_the_random_blocks_sweep(self, tmp_path, strategies, counts):
+        """The one shared sweep's partitions drawn and batches (``chunk_rows(200)``
+        is 81), and no method or counts when no strategy draws."""
+        rng = np.random.default_rng(4)
+        lines = ["unit_id,block,z,baseline,y"]
+        for i in range(200):
+            lines.append(f"u{i},{i % 8},{'tc'[i // 8 % 2]},{rng.normal():.6f},{rng.normal():.6f}")
+        table = tmp_path / "replay.csv"
+        table.write_text("\n".join(lines) + "\n")
+        argv = ["replay", str(table), "--reps", "100", "--out", str(tmp_path)]
+        if strategies is not None:
+            (tmp_path / "strategies.json").write_text(json.dumps(strategies))
+            argv += ["--strategies", str(tmp_path / "strategies.json")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        if counts is None:
+            assert "method" not in manifest and "counts" not in manifest
+        else:
+            assert manifest["method"] == "monte_carlo"
+            assert manifest["counts"] == counts
+
+    @pytest.mark.parametrize(
         "treated, strategies, message",
         [
             ("ttct", None, "n_tk=2 out of range for block 1 (size 2)"),

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,13 +240,85 @@ def test_random_blocks_labels_are_make_blocks_random(monkeypatch, seed):
     allocations = 3 * chunk_rows(data.n) + 5
     batches = []
 
-    def recording(y, labels, *args):
+    def recording(y, labels, sizes):
         batches.append(labels.copy())
-        return np.zeros(len(labels))
+        return np.ones((len(labels), len(sizes)))
 
-    monkeypatch.setattr(replay, "_rel_se_pct", recording)
-    replay._random_blocks(data, sizes, counts, 1.0, seed, allocations)
+    monkeypatch.setattr(replay, "_block_s2", recording)
+    work = replay._random_blocks(data, sizes, 1.0, seed, [(counts, np.empty(allocations))])
+    assert work == {"allocations": allocations, "chunks": 4}
     assert len(batches) == 4
     for a, labels in enumerate(np.concatenate(batches)):
         want = make_blocks_random(data.n, sizes, mc.rep_rng(seed, a)) - 1
         assert np.array_equal(labels, want), a
+
+
+def expected_squared_ratio(sizes, counts):
+    """E[ratio^2] over uniformly random partitions with block sizes ``sizes``:
+    each block is a simple random sample of the units, so its sample
+    variance has expectation ``S2`` and ``E[var_bk] / var_cr`` is
+    ``sum_k (n_k/n)^2 (1/n_tk + 1/n_ck) / (1/n_t + 1/n_c)``."""
+    n_k, n_tk = np.asarray(sizes, dtype=float), np.asarray(counts, dtype=float)
+    n, n_t = n_k.sum(), n_tk.sum()
+    blocked = np.sum((n_k / n) ** 2 * (1 / n_tk + 1 / (n_k - n_tk)))
+    return 1e4 * blocked / (1 / n_t + 1 / (n - n_t))
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["golden", "unequal"])
+def test_random_blocks_mean_squared_ratio_is_exact(monkeypatch, equal):
+    """The mean of squared ``random-blocks`` ratios is within 4 Monte Carlo
+    standard errors of its exact value, for both ``balanced`` settings of
+    one shared sweep."""
+    if equal:
+        data = read_replay_csv(Path(__file__).resolve().parent / "golden" / "input_replay.csv")
+    else:
+        data = unequal_blocks_experiment(3)
+    allocations = 2000
+    calls = []
+    scored = replay._rel_se_pct
+
+    def recording(*args):
+        calls.append(scored(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(replay, "_rel_se_pct", recording)
+    strategies = [
+        Strategy("random-blocks", {"allocations": allocations, "balanced": balanced})
+        for balanced in (False, True)
+    ]
+    rows = run_replay(data, strategies, seed=11)
+    sizes, realized = data.realized_sizes(), data.realized_treated()
+    wants = [
+        expected_squared_ratio(sizes, counts)
+        for counts in (realized, apportion_counts(sum(realized), sizes))
+    ]
+    if equal:
+        assert wants == pytest.approx([1e4, 1e4], rel=1e-12)
+    else:
+        assert all(want > 1e4 for want in wants) and wants[0] != pytest.approx(wants[1])
+    # Each batch scores the strategies in order.
+    for i, (row, want) in enumerate(zip(rows, wants)):
+        ratios = np.concatenate(calls[i :: len(strategies)])
+        assert len(ratios) == allocations
+        assert row["rel_se_pct"] == np.mean(ratios)
+        squared = ratios**2
+        se = np.std(squared, ddof=1) / math.sqrt(allocations)
+        assert abs(np.mean(squared) - want) <= 4 * se, (np.mean(squared), want, se)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_shared_scoring_changes_no_bit(reverse):
+    """Each row of a list of strategies equals, bit for bit, the row of that
+    strategy run alone, whatever else shares the sweep and in either order."""
+    data = unequal_blocks_experiment(2)
+    strategies = [
+        Strategy("random-blocks", {"allocations": 3 * chunk_rows(data.n) + 5, "balanced": False}),
+        Strategy("random-blocks", {"allocations": chunk_rows(data.n) - 7, "balanced": True}),
+        Strategy("keep-blocks"),
+        Strategy("outcome-sorted-blocks"),
+    ]
+    if reverse:
+        strategies.reverse()
+    rows = run_replay(data, strategies, seed=5)
+    for strategy, row in zip(strategies, rows):
+        assert row == run_replay(data, [strategy], seed=5)[0], strategy
