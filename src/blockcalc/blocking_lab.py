@@ -372,7 +372,7 @@ def xy_covariate(n: int) -> np.ndarray:
     """The covariate of :func:`gen_xy_population`: the integers 1..16 cycled."""
     if n % 16:
         raise ValueError("n must be a multiple of 16")
-    return np.tile(np.arange(1, 17), n // 16).astype(float)
+    return (np.arange(n) % 16 + 1).astype(float)
 
 
 def xy_outcome(dgp: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ or ``PCG64`` object is built per rep: :func:`_lane_seeds` hashes the
 entropy of every lane, one master seed and one rep, as uint32 arrays, and
 two consumers start from those seeds.
 
-- :func:`rep_integers` gives the draws of ``rep_rng(s, r).integers(highs)``
-  for a range of reps of one or many master seeds as one matrix. It jumps
+- :func:`rep_integers` gives the draws of ``rep_rng(s, r).integers(highs)``,
+  one row of ``highs`` shared by every seed, for a range of reps of one or
+  many master seeds as one matrix. It jumps
   every lane's 128-bit LCG ahead on 64-bit halves and applies numpy's
   32-bit Lemire bounding, so the draws of site and two-stage sampling and
   the shuffle steps of Monte Carlo assignment draws take no per-rep Python
@@ -314,52 +315,42 @@ def _pcg64_words(seeds: np.ndarray, outputs: int) -> np.ndarray:
 
 
 def rep_integers(master_seeds: Sequence[int], lo: int, hi: int, highs) -> np.ndarray:
-    """``rep_rng(master_seeds[p], r).integers(highs[p])`` for every master
+    """``rep_rng(master_seeds[p], r).integers(highs)`` for every master
     seed ``p`` and rep ``r`` in ``lo..hi-1``, as row ``p * (hi - lo) + r - lo``
-    of a ``(len(master_seeds) * (hi - lo), steps)`` int64 array.
+    of a ``(len(master_seeds) * (hi - lo), len(highs))`` int64 array.
 
-    ``highs`` holds one bound per step, each in ``1..2^32 - 1``: one row
-    that every master seed shares, or one row per master seed. numpy draws
+    ``highs`` is one row of bounds, one per step, each in ``1..2^32 - 1``,
+    that every master seed shares; any other shape is refused. numpy draws
     such a bound by Lemire's method on one 32-bit word: a word ``w`` gives
     ``w * high >> 32`` unless ``w * high mod 2^32 < (2^32 - high) mod high``,
     when it is rejected and another word is drawn; a high of 1 gives 0 and
-    takes no word, so a row padded with 1s draws its own values followed by
-    0s. Every lane's words come from :func:`_pcg64_words`, hashed by
-    :func:`_lane_seeds` ``chunk_rows(steps)`` lanes at a time. Where no
-    high of a slice's lanes is 1, step ``s`` reads word ``s``; otherwise
-    each step reads the word numbered by the drawn steps before it, and a
-    high of 1 scales its word by 0. A lane with a rejected word is redrawn
-    from :func:`rep_rng` (for a high of 40, fewer than one word in 10^8 is
+    takes no word. Every lane's words come from :func:`_pcg64_words`, hashed
+    by :func:`_lane_seeds` ``chunk_rows(steps)`` lanes at a time, and each
+    step reads the word numbered by the drawn steps before it (a high of 1
+    scales its word by 0). A lane with a rejected word is redrawn from
+    :func:`rep_rng` (for a high of 40, fewer than one word in 10^8 is
     rejected). A negative seed raises numpy's ``ValueError``.
     """
-    highs = np.atleast_2d(np.asarray(highs, dtype=np.int64))
+    highs = np.asarray(highs, dtype=np.int64)
+    if highs.ndim != 1:
+        raise ValueError(f"highs must be one row of bounds, got shape {highs.shape}")
     assert np.all((highs >= 1) & (highs < 1 << 32)), "every high must be in 1..2^32-1"
-    shared = len(highs) == 1
-    reps, steps = hi - lo, highs.shape[1]
-    # Everything a slice reads of its highs, once per call, one column per row.
-    drawn = highs.T > 1
-    counts = drawn.sum(axis=0)
-    factors = np.where(drawn, highs.T, 0).astype(np.uint64)
-    thresholds = (((1 << 32) - highs.T) % highs.T).astype(np.uint64)
-    word = np.maximum(np.cumsum(drawn, axis=0) - 1, 0)
-    highs = np.broadcast_to(highs, (len(master_seeds), steps))
+    reps, steps = hi - lo, len(highs)
+    drawn = highs > 1
+    # At least one output, so a row of 1s reads word 0 and scales it by 0.
+    outputs = max(1, -(-int(drawn.sum()) // 2))
+    word = np.maximum(np.cumsum(drawn) - 1, 0)
+    factors = np.where(drawn, highs, 0).astype(np.uint64)[:, None]
+    thresholds = (((1 << 32) - highs) % highs).astype(np.uint64)[:, None]
     out = np.zeros((len(master_seeds) * reps, steps), dtype=np.int64)
     for rows, seeds in _lane_seeds(master_seeds, lo, hi, chunk_rows(max(1, steps))):
-        member = slice(None) if shared else rows // reps
-        outputs = -(-int(counts[member].max(initial=0)) // 2)
-        if not outputs:
-            continue
-        words = _pcg64_words(seeds, outputs)
-        if counts[member].min() == steps:
-            words = words[:steps]
-        else:
-            words = np.take_along_axis(words, word[:, member], axis=0)
-        scaled = words * factors[:, member]
+        scaled = _pcg64_words(seeds, outputs)[word]
+        scaled *= factors
         out[rows] = (scaled >> _THIRTY_TWO).T
-        rejected = (scaled & _LOW32) < thresholds[:, member]
+        rejected = (scaled & _LOW32) < thresholds
         for lane in np.flatnonzero(rejected.any(axis=0)):
             p, r = divmod(int(rows[lane]), reps)
-            out[rows[lane]] = rep_rng(master_seeds[p], lo + r).integers(highs[p])
+            out[rows[lane]] = rep_rng(master_seeds[p], lo + r).integers(highs)
     return out
 
 

@@ -35,7 +35,7 @@ from .pop_model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShufflePlan:
     """The partial Fisher-Yates steps of one design, with its blocks laid end to end.
 
@@ -43,13 +43,20 @@ class ShufflePlan:
     whole table is one block under complete randomization). Step ``s``
     swaps pool position ``steps[s]`` with the position ``steps[s] + u``,
     ``u`` uniform below ``highs[s]``: the positions left in its block. The
-    pool positions of the steps end up treated.
+    pool positions of the steps end up treated. ``pool``, ``steps`` and
+    ``highs`` are stored as read-only int64 arrays.
     """
 
     n: int
-    pool: tuple[int, ...]
-    steps: tuple[int, ...]
+    pool: np.ndarray
+    steps: np.ndarray
     highs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("pool", "steps", "highs"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _plan(n: int, pool, sizes, counts) -> ShufflePlan:
@@ -60,7 +67,7 @@ def _plan(n: int, pool, sizes, counts) -> ShufflePlan:
         steps.extend(range(start, start + m))
         highs.extend(range(size, size - m, -1))
         start += size
-    return ShufflePlan(n, tuple(pool), tuple(steps), np.asarray(highs, dtype=np.int64))
+    return ShufflePlan(n, pool, steps, highs)
 
 
 def shuffle_plan(table: PotentialOutcomeTable, design: DesignSpec) -> ShufflePlan:
@@ -68,7 +75,7 @@ def shuffle_plan(table: PotentialOutcomeTable, design: DesignSpec) -> ShufflePla
     :func:`~blockcalc.pop_model.design_groups`, in its order (blocks in
     label order 1..K)."""
     groups, counts = design_groups(design, table)
-    return _plan(table.n, np.concatenate(groups).tolist(), map(len, groups), counts)
+    return _plan(table.n, np.concatenate(groups), map(len, groups), counts)
 
 
 def draw_masks(plan: ShufflePlan, draws) -> np.ndarray:
@@ -80,13 +87,13 @@ def draw_masks(plan: ShufflePlan, draws) -> np.ndarray:
     as one scalar ``integers(high)`` call per step does, or of
     :func:`~blockcalc.mc.rep_integers`.
     """
-    steps = plan.steps
+    pool, steps = plan.pool.tolist(), plan.steps.tolist()
     treated = []
     for row in np.asarray(draws).tolist():
-        pool = list(plan.pool)
+        order = pool.copy()
         for i, u in zip(steps, row):
-            pool[i], pool[i + u] = pool[i + u], pool[i]
-        treated.append([pool[i] for i in steps])
+            order[i], order[i + u] = order[i + u], order[i]
+        treated.append([order[i] for i in steps])
     masks = np.zeros((len(treated), plan.n), dtype=bool)
     masks[np.arange(len(treated))[:, None], treated] = True
     return masks
@@ -96,7 +103,7 @@ def assign_cr(n: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw over all size-``n_t`` treated subsets of ``n`` units, as a treated mask."""
     if not 0 < n_t < n:
         raise ValueError(f"n_t={n_t} out of range for n={n}")
-    plan = _plan(n, range(n), [n], [n_t])
+    plan = _plan(n, np.arange(n), [n], [n_t])
     return draw_masks(plan, rng.integers(plan.highs)[None])[0]
 
 

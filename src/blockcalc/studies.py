@@ -14,8 +14,8 @@ therefore draws nothing and its rows do not depend on the seed.
 ``misconceptions`` maps over the grid batches of :func:`batch_bounds`,
 sized in cells: each batch draws its populations in one
 :func:`gen_scenario_outcomes` call only to build the tables of its
-estimator Monte Carlo, which draws the assignments of every point and both
-designs together (:func:`~blockcalc.variance_estimation.varest_variabilities`).
+estimator Monte Carlo, which draws the assignments of every point together,
+one design at a time (:func:`~blockcalc.variance_estimation.varest_variabilities`).
 ``flexible-blocking`` sums each batch of reps into one ``(3, methods,
 dgps)`` array. A study variance that under- or overflows float64 ends the
 study in one error naming the config field that sets the outcome scale
@@ -419,9 +419,9 @@ def _misconceptions_chunk(args) -> list[dict]:
     refused one ends the batch once the points before it pass), its
     outcomes (the ``PotentialOutcomeTable`` constructor), then
     :func:`require_noise_resolved`, then the float64 range of ``var_bk``.
-    One :func:`varest_variabilities` call draws and scores every point
-    under both designs, and the ``var_varest_*`` range is then checked in
-    grid order.
+    One :func:`varest_variabilities` call per design draws and scores
+    every point, and the ``var_varest_*`` range is then checked in grid
+    order.
     """
     cfg, master_seed, reps, lo, hi = args
     points = itertools.islice(itertools.product(cfg.spread_scales, cfg.rhos), lo, hi)
@@ -444,9 +444,10 @@ def _misconceptions_chunk(args) -> list[dict]:
     if refusal is not None:
         raise refusal
     designs = (CompleteRandomization(sum(cfg.treated_counts)), Blocked(cfg.treated_counts))
-    results = varest_variabilities(tables, designs, [s[1:] for s in seeds], reps)
+    results = [varest_variabilities(tables, design, [s[key] for s in seeds], reps)
+               for key, design in enumerate(designs, 1)]
     rows = []
-    for config, row, (cr, bk) in zip(configs, checked, results):
+    for config, row, cr, bk in zip(configs, checked, *results):
         cr, bk = cr.var_of_varest, bk.var_of_varest
         _require_float_range(_scenario_scale(config), var_varest_cr=cr, var_varest_bk=bk)
         rows.append({**row, **dict(zip(MISCONCEPTIONS_COLUMNS[6:], (cr, bk, cr / bk, reps)))})

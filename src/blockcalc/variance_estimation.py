@@ -227,88 +227,62 @@ def varest_variability(
     design: DesignSpec,
     reps: int = 5_000,
     seed: int = 0,
-    exact_limit: int = EXACT_ENUMERATION_LIMIT,
 ) -> VarestVariability:
     """Mean and variance of the design's own variance estimator.
 
     Uses the estimator matching the design (arm-pooled for complete
     randomization, per-block for blocking). All assignments are enumerated
-    exactly when their count is at most ``exact_limit``; otherwise ``reps``
-    seeded assignments (at least 2) are drawn and the sample variance is
-    reported, draw ``r`` being the shuffle of ``mc.rep_rng(seed, r)``. This
-    is the one-table, one-design call of :func:`varest_variabilities`.
+    exactly when their count is at most ``EXACT_ENUMERATION_LIMIT``;
+    otherwise ``reps`` seeded assignments (at least 2) are drawn and the
+    sample variance is reported, draw ``r`` being the shuffle of
+    ``mc.rep_rng(seed, r)``. This is the one-table call of
+    :func:`varest_variabilities`.
     """
-    return varest_variabilities([table], [design], [[seed]], reps, exact_limit)[0][0]
+    return varest_variabilities([table], design, [seed], reps)[0]
 
 
 def varest_variabilities(
     tables: Sequence[PotentialOutcomeTable],
-    designs: Sequence[DesignSpec],
-    seeds: Sequence[Sequence[int]],
+    design: DesignSpec,
+    seeds: Sequence[int],
     reps: int = 5_000,
-    exact_limit: int = EXACT_ENUMERATION_LIMIT,
-) -> list[list[VarestVariability]]:
-    """:func:`varest_variability` of every table under every design, as
-    ``result[table][design]``, with master seed ``seeds[table][design]``.
+) -> list[VarestVariability]:
+    """:func:`varest_variability` of every table under one design, table
+    ``p`` with master seed ``seeds[p]``.
 
-    The tables share one block labelling, so a design's assignment count
+    The tables share one block labelling, so the design's assignment count
     and shuffle steps are those of the first table. A design with at most
-    ``exact_limit`` assignments is enumerated on every table. The others
-    are simulated together: each chunk of ``mc.chunk_bounds(reps, n)`` takes
-    every table's and design's step draws from one
-    :func:`~blockcalc.mc.rep_integers` call (a design with fewer steps
-    padded with highs of 1, which draw nothing), turns each design's rows
-    into masks with :func:`~blockcalc.randomizer.draw_masks` and evaluates
-    each table's masks of the chunk in one :func:`~blockcalc.oracle.batch_statistic`
+    ``EXACT_ENUMERATION_LIMIT`` assignments (read at call time) is
+    enumerated on every table. Otherwise each chunk of
+    ``mc.chunk_bounds(reps, n)`` takes every table's step draws from one
+    :func:`~blockcalc.mc.rep_integers` call, turns them into masks with one
+    :func:`~blockcalc.randomizer.draw_masks` call and evaluates each
+    table's masks of the chunk in one :func:`~blockcalc.oracle.batch_statistic`
     call, numbered from the chunk's first rep.
     """
     first = tables[0]
     if any(not np.array_equal(table.blocks, first.blocks) for table in tables):
         raise ValueError("the tables must share one block labelling")
-    results = [[None] * len(designs) for _ in tables]
-    simulated = []
-    for d, design in enumerate(designs):
-        validate_design(design, first)
-        statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
-        total = count_assignments(design, first)
-        if total > exact_limit:
-            simulated.append((d, design, statistic, shuffle_plan(first, design)))
-            continue
-        for p, table in enumerate(tables):
-            mean, variance = population_moments(enumerate_statistic(table, design, statistic)[0])
-            results[p][d] = VarestVariability(
-                mean_varest=mean,
-                var_of_varest=variance,
-                method="enumeration",
-                reps_used=total,
-            )
-    if not simulated:
-        return results
+    validate_design(design, first)
+    statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+    total = count_assignments(design, first)
+    if total <= EXACT_ENUMERATION_LIMIT:
+        moments = [population_moments(enumerate_statistic(table, design, statistic)[0])
+                   for table in tables]
+        return [VarestVariability(mean, variance, "enumeration", total)
+                for mean, variance in moments]
     if reps < 2:
         raise ValueError(
             f"Monte Carlo needs reps >= 2 for a sample variance of the estimator, got {reps}"
         )
-    width = max(len(plan.steps) for *_, plan in simulated)
-    highs = [np.pad(plan.highs, (0, width - len(plan.steps)), constant_values=1)
-             for *_, plan in simulated]
-    lane_seeds = [seeds[p][d] for p in range(len(tables)) for d, *_ in simulated]
-    values = np.empty((len(tables), len(simulated), reps))
+    plan = shuffle_plan(first, design)
+    values = np.empty((len(tables), reps))
     for start, stop in mc.chunk_bounds(reps, first.n):
-        draws = mc.rep_integers(lane_seeds, start, stop, np.tile(highs, (len(tables), 1)))
-        draws = draws.reshape(len(tables), len(simulated), stop - start, width)
-        for j, (_, design, statistic, plan) in enumerate(simulated):
-            steps = draws[:, j, :, : len(plan.steps)].reshape(-1, len(plan.steps))
-            masks = draw_masks(plan, steps).reshape(len(tables), stop - start, first.n)
-            for p, table in enumerate(tables):
-                values[p, j, start:stop] = batch_statistic(
-                    table, design, statistic, masks[p], first=start
-                )
-    for j, (d, *_) in enumerate(simulated):
-        for p in range(len(tables)):
-            results[p][d] = VarestVariability(
-                mean_varest=float(np.mean(values[p, j])),
-                var_of_varest=float(np.var(values[p, j], ddof=1)),
-                method="monte_carlo",
-                reps_used=reps,
+        draws = mc.rep_integers(seeds, start, stop, plan.highs)
+        masks = draw_masks(plan, draws).reshape(len(tables), stop - start, first.n)
+        for p, table in enumerate(tables):
+            values[p, start:stop] = batch_statistic(
+                table, design, statistic, masks[p], first=start
             )
-    return results
+    return [VarestVariability(float(np.mean(v)), float(np.var(v, ddof=1)), "monte_carlo", reps)
+            for v in values]

@@ -3,10 +3,9 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from blockcalc import Blocked, CompleteRandomization, mc, table_from_arrays
+from blockcalc import Blocked, CompleteRandomization, mc, table_from_arrays, variance_estimation
 from blockcalc.oracle import batch_statistic, chunk_rows, count_assignments, enumerate_statistic
 from blockcalc.randomizer import draw_masks, shuffle_plan
-from blockcalc.variance_estimation import EXACT_ENUMERATION_LIMIT
 
 
 @pytest.fixture
@@ -95,14 +94,15 @@ def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def reference_varest_variability(table, design, reps, seed, exact_limit=EXACT_ENUMERATION_LIMIT):
+def reference_varest_variability(table, design, reps, seed):
     """``(mean, variance)`` of the design's own variance estimator on one
     table, one seeded generator from ``mc.rep_rngs`` per rep: the per-point
     path that ``variance_estimation.varest_variabilities`` batches. Draws
     are evaluated in the same ``chunk_rows`` chunks, so results are equal
-    bit for bit."""
+    bit for bit. Like the library, it enumerates up to the current
+    ``variance_estimation.EXACT_ENUMERATION_LIMIT``."""
     statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
-    if count_assignments(design, table) <= exact_limit:
+    if count_assignments(design, table) <= variance_estimation.EXACT_ENUMERATION_LIMIT:
         values, _ = enumerate_statistic(table, design, statistic)
         return float(np.mean(values)), float(np.var(values))
     plan = shuffle_plan(table, design)

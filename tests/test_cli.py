@@ -988,7 +988,7 @@ def limit_address_space():
     [
         (["compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage", "--k-draw",
           "4", "--p", "0.5", "--n-per-stratum", "4", "--reps", "100000000000000"], "2.13 PiB"),
-        (["study", "misconceptions", "--reps", "100000000000000"], "25.6 PiB"),
+        (["study", "misconceptions", "--reps", "100000000000000"], "12.8 PiB"),
         (["replay", str(GOLDEN / "input_replay.csv"), "--reps", "100000000000000"], "728. TiB"),
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
@@ -1122,7 +1122,7 @@ class TestOutputWriter:
         for path in (tmp_path / "out").iterdir():
             assert path.stat().st_mode & 0o777 == 0o640, path.name
 
-    @pytest.mark.parametrize("kind", ["directory", "read-only"])
+    @pytest.mark.parametrize("kind", ["directory", "link-under-a-file", "read-only"])
     def test_unwritable_report_is_one_line_error(self, tmp_path, kind):
         argv = write_inputs(tmp_path, EVERY_COMMAND[-1])
         out = tmp_path / "out"
@@ -1131,6 +1131,11 @@ class TestOutputWriter:
         if kind == "directory":
             report.mkdir()
             message = f"[Errno {errno.EISDIR}]"
+        elif kind == "link-under-a-file":
+            # No user, root included, can create a file under a regular file.
+            (tmp_path / "plain").write_text("not a directory\n")
+            report.symlink_to(tmp_path / "plain" / "report.csv")
+            message = f"[Errno {errno.ENOTDIR}]"
         else:
             report.write_text("old\n")
             report.chmod(0o444)

@@ -82,17 +82,15 @@ class TestRepRngs:
 
 
 def reference_integers(seeds, lo, hi, highs):
-    """``mc.rep_rng(seed, r).integers(high_row)`` for every seed, with its
-    row of ``highs`` (one row shared by every seed, or one each), and rep
-    ``r`` in ``lo..hi-1``, stacked seed by seed."""
-    highs = np.broadcast_to(np.asarray(highs, dtype=np.int64), (len(seeds), np.shape(highs)[-1]))
-    rows = [mc.rep_rng(s, r).integers(h) for s, h in zip(seeds, highs) for r in range(lo, hi)]
-    return np.array(rows, dtype=np.int64).reshape(len(seeds) * (hi - lo), highs.shape[1])
+    """``mc.rep_rng(seed, r).integers(highs)`` for every seed and rep ``r``
+    in ``lo..hi-1``, stacked seed by seed."""
+    rows = [mc.rep_rng(s, r).integers(highs) for s in seeds for r in range(lo, hi)]
+    return np.array(rows, dtype=np.int64).reshape(len(seeds) * (hi - lo), len(highs))
 
 
 def assert_rep_integers_match(seeds, lo, hi, highs):
     got = mc.rep_integers(seeds, lo, hi, highs)
-    assert got.dtype == np.int64 and got.shape == (len(seeds) * (hi - lo), np.shape(highs)[-1])
+    assert got.dtype == np.int64 and got.shape == (len(seeds) * (hi - lo), len(highs))
     assert np.array_equal(got, reference_integers(seeds, lo, hi, highs)), (seeds, lo, hi)
 
 
@@ -187,11 +185,18 @@ class TestRepIntegers:
         assert np.array_equal(mc.rep_integers(MIXED_SEEDS, 0, 30, highs), want)
         assert {seed for seed, _ in redrawn} == set(MIXED_SEEDS)
 
-    def test_one_row_of_highs_per_seed_with_ones(self):
-        # A high of 1 takes no word, so the rows draw their words at different
-        # steps; the last row draws none.
-        highs = [[4, 1, 1, 7, 40], [1, 9, 1, 1, 3], [2**31 + 5, 2, 40, 1, 1], [1, 1, 1, 1, 1]]
+    @pytest.mark.parametrize(
+        "highs", [[4, 1, 1, 7, 40], [1, 9, 1, 1, 3], [2**31 + 5, 2, 40, 1, 1], [1, 1, 1, 1, 1]]
+    )
+    def test_shared_row_with_ones(self, highs):
+        # A high of 1 takes no word, so later steps read earlier words; a row
+        # of 1s draws none.
         assert_rep_integers_match(MIXED_SEEDS[:4], 0, 300, highs)
+
+    @pytest.mark.parametrize("highs", [[[4, 7], [9, 3]], [[4, 7]], 5])
+    def test_highs_other_than_one_row_are_refused(self, highs):
+        with pytest.raises(ValueError, match="highs must be one row of bounds"):
+            mc.rep_integers([5, 9], 0, 3, highs)
 
     def test_lane_slices_split_the_reps_of_a_seed(self):
         # Slices hold at most CHUNK_CELLS // steps = 4 lanes, so 3 seeds of 5
@@ -256,27 +261,25 @@ class TestPcg64Words:
             assert words == reference_pcg64_words(state_hi, state_lo, seq_hi, seq_lo, 5)
 
 
-class TestDirectWordReads:
-    """A row with no high of 1 reads its words directly; the same row padded
-    with 1s reads them through the drawn-step count, and must agree."""
+class TestWordIndex:
+    """Every step reads the word numbered by the drawn steps before it, so a
+    row with 1s draws the same values as the row without them."""
 
     HIGHS = [40, 3, 2**31 + 5, 7, 9]
 
     @pytest.mark.parametrize("lo, hi", [(0, 300), (chunk_rows(5) - 3, 2 * chunk_rows(5) + 4)])
-    def test_shared_row(self, lo, hi):
-        direct = mc.rep_integers([0, 2**70 + 3], lo, hi, self.HIGHS)
+    def test_trailing_ones(self, lo, hi):
+        plain = mc.rep_integers([0, 2**70 + 3], lo, hi, self.HIGHS)
         padded = mc.rep_integers([0, 2**70 + 3], lo, hi, self.HIGHS + [1, 1, 1])
-        assert np.array_equal(padded[:, :5], direct) and not padded[:, 5:].any()
+        assert np.array_equal(padded[:, :5], plain) and not padded[:, 5:].any()
 
-    def test_rows_per_seed(self):
-        # One seed's row is padded in the middle, so its slices gather.
-        rows = [self.HIGHS, [40, 1, 3, 2**31 + 5, 1], self.HIGHS]
+    def test_ones_in_the_middle(self):
         seeds = [5, 12345, 2**130 + 9]
-        got = mc.rep_integers(seeds, 0, 200, rows)
-        assert np.array_equal(got, reference_integers(seeds, 0, 200, rows))
-        alone = mc.rep_integers([5, 2**130 + 9], 0, 200, self.HIGHS)
-        assert np.array_equal(got[:200], alone[:200])
-        assert np.array_equal(got[400:], alone[200:])
+        row = [40, 1, 3, 2**31 + 5, 1, 7, 9]
+        got = mc.rep_integers(seeds, 0, 200, row)
+        assert np.array_equal(got, reference_integers(seeds, 0, 200, row))
+        plain = mc.rep_integers(seeds, 0, 200, self.HIGHS)
+        assert np.array_equal(got[:, [0, 2, 3, 5, 6]], plain) and not got[:, [1, 4]].any()
 
 
 class SpoilingRepRngs:

@@ -18,7 +18,7 @@ from blockcalc import (
     table_from_arrays,
     varest_variability,
 )
-from blockcalc import mc, oracle
+from blockcalc import mc, oracle, variance_estimation
 from blockcalc.oracle import (
     STATISTICS,
     batch_statistic,
@@ -769,6 +769,7 @@ class TestAssignmentChunks:
 class TestMonteCarloThroughKernel:
     @pytest.mark.parametrize("cells", [None, 40])
     def test_matches_per_draw_reference(self, monkeypatch, cells):
+        monkeypatch.setattr(variance_estimation, "EXACT_ENUMERATION_LIMIT", 0)
         if cells is not None:
             monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
         rng = np.random.default_rng(91)
@@ -787,7 +788,7 @@ class TestMonteCarloThroughKernel:
                 else:
                     mask = assign_cr(table.n, design.n_t, mc.rep_rng(seed, r))
                     values.append(_stat_var_est_cr(table, mask))
-            result = varest_variability(table, design, reps=reps, seed=seed, exact_limit=0)
+            result = varest_variability(table, design, reps=reps, seed=seed)
             assert result.method == "monte_carlo" and result.reps_used == reps
             assert result.mean_varest == pytest.approx(np.mean(values), rel=1e-12)
             assert result.var_of_varest == pytest.approx(np.var(values, ddof=1), rel=1e-12)

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from blockcalc import mc
+from blockcalc import mc, variance_estimation
 from blockcalc.blocking_lab import r2_blocks, within_variance_ratio
 from blockcalc.cli import main
 from blockcalc.oracle import exact_moments
@@ -207,7 +207,9 @@ def oracle_quantities(table) -> dict:
             out[f"{name}_{statistic}_mean"] = (moments.mean, degree)
             out[f"{name}_{statistic}_variance"] = (moments.variance, 2 * degree)
         for mode, limit in (("enumeration", 10**6), ("monte_carlo", 0)):
-            result = varest_variability(table, design, reps=300, seed=11, exact_limit=limit)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(variance_estimation, "EXACT_ENUMERATION_LIMIT", limit)
+                result = varest_variability(table, design, reps=300, seed=11)
             assert result.method == mode
             out[f"{name}_{mode}_mean_varest"] = (result.mean_varest, 2)
             out[f"{name}_{mode}_var_of_varest"] = (result.var_of_varest, 4)
