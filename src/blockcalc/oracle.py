@@ -8,14 +8,18 @@ Assignments are visited in lexicographic order of each group's treated
 index combinations, the last group cycling fastest, which makes the
 traversal deterministic and shardable.
 
-Named statistics take one of two paths in :func:`enumerate_statistic`.
+Named statistics take one of two paths in :func:`exact_moments`.
 
 * **Group vectors.** ``tau_hat`` under any design, ``var_est_cr`` under
   complete randomization and ``var_est_blocked`` under blocking are sums
-  over the design's groups of a term on each group's own subset. Each
-  group's terms over its own subsets, in lexicographic order, are added in
-  place along the group's axis of ``values.reshape(radices)``, one group at
-  a time, then ``tau_hat`` adds a constant: ``0 + v_1 + ... + v_K + c``.
+  over the design's groups of a term on each group's own subset, plus a
+  constant ``c`` for ``tau_hat``. Each group's terms over its own subsets,
+  in lexicographic order, are added into one vector ``v_k``
+  (:func:`_group_vectors`). The groups are randomized independently, so
+  the statistic's mean is ``c + sum_k mean(v_k)`` and its variance ``sum_k
+  var(v_k)`` (Cochran, *Sampling Techniques*, 1977, on a stratified
+  estimator): every subset of every group is evaluated, ``sum_k comb(n_k,
+  m_k)`` of them, and the product of the groups' subsets is never formed.
   All three take their terms from one kernel, :func:`_lex_sums`: the sums
   of ``w`` rows of unit values ``u`` over a group's size-``m`` subsets of
   units, in lexicographic order, built by ``S(j, r) = [u_j + S(j+1, r-1),
@@ -55,9 +59,10 @@ Named statistics take one of two paths in :func:`enumerate_statistic`.
     ``SS_T`` is off by at most ``(3m + 1) eps Q``. The largest ``SS_T`` is at
     least its mean over the subsets, ``(m - 1) / (n - 1) Q``, so each arm's
     term is within ``(3m + 1)(n - 1) / (m - 1) eps <= 7 (n - 1) eps`` of its
-    largest value when ``m >= 2``. Every value is therefore within ``14 (n -
-    1) eps max|value|`` of exact, ``n`` the largest group, beside one
-    rounding of each term's scale and sum. At ``n = 200`` that is 3.1e-13.
+    largest value when ``m >= 2``. Every entry of a group's vector is
+    therefore within ``14 (n - 1) eps`` times the vector's largest entry of
+    its exact value, ``n`` the group's size, beside one rounding of each
+    term's scale and sum. At ``n = 200`` that is 3.1e-13.
     The run that leaves one unit out of an ``fsum`` rounds twice over ``m +
     1`` units, at most ``(10 + 1/sqrt(m)) eps Q``; while :data:`CHUNK_CELLS`
     is at least ``8 w`` it serves only ``m >= 3``, within the same bound.
@@ -72,10 +77,11 @@ Named statistics take one of two paths in :func:`enumerate_statistic`.
 Masks come from one explicit-stack descent, :func:`_fill_lex`, of the split
 that subsets holding the first unit come first, down to boolean tables of at
 most :data:`CHUNK_CELLS` cells memoised for one enumeration. Each batch fills
-only the range of every group's subsets it uses. So beyond its values an
-enumeration holds about :data:`CHUNK_CELLS` floats of group vectors and one
-piece, or one batch of masks and their arm sums, whatever its assignment
-count or its block order.
+only the range of every group's subsets it uses. So a group-vector
+enumeration holds its ``sum_k comb(n_k, m_k)`` floats of vectors, about
+:data:`CHUNK_CELLS` floats of suffix sums and one piece; a mask enumeration
+holds its values and one batch of masks and their arm sums, whatever its
+block order.
 """
 
 from __future__ import annotations
@@ -499,46 +505,40 @@ def _estimator_terms(
     size-``(n - m)`` complements. Complements of lexicographic subsets come
     in reverse lexicographic order, so a control run starting at ``start``
     lands reversed at ``comb(n, m) - start - len``. Arms of equal size share
-    one stream of four rows. A larger group yields each arm's runs; one of
-    at most :data:`CHUNK_CELLS` subsets adds them into one vector first.
+    one stream of four rows.
     """
     n = len(x_t)
     radix = math.comb(n, m)
     streams: dict = {}
     for x, size, complement in ((x_t, m, False), (x_c, n - m, True)):
         streams.setdefault(size, []).append((x, complement))
-    # A group's vector that fits in a chunk is summed here, so that the value
-    # grid takes one pass per group rather than one per arm.
-    whole = np.zeros(radix) if radix <= CHUNK_CELLS else None
     for size, arms in streams.items():
         scale = weight / (size * (size - 1))
         rows = np.array([row for x, _ in arms for row in (x, x * x)])
         for start, sums in _lex_sums(rows, size, tables):
             terms = (sums[1::2] - sums[::2] ** 2 / size) * scale
             for (_, complement), piece in zip(arms, terms):
-                first = start
                 if complement:
-                    first, piece = radix - start - len(piece), piece[::-1]
-                if whole is None:
-                    yield first, piece
+                    yield radix - start - len(piece), piece[::-1]
                 else:
-                    whole[first : first + len(piece)] += piece
-    if whole is not None:
-        yield 0, whole
+                    yield start, piece
 
 
-def _group_values(table: PotentialOutcomeTable, design: DesignSpec, statistic: str) -> np.ndarray:
-    """A statistic that sums over the design's groups, on every assignment.
+def _group_vectors(
+    table: PotentialOutcomeTable, design: DesignSpec, statistic: str
+) -> tuple[float, list[np.ndarray]]:
+    """A statistic that sums over the design's groups, as ``(c, vectors)``.
 
-    Each group's terms, over its own subsets in lexicographic order, are
-    added in place along the group's axis of ``values.reshape(radices)``
-    (the last group's axis varying fastest), then ``tau_hat`` adds its
-    constant: ``0 + v_1 + ... + v_K + c``. ``tau_hat``'s terms are the
-    group's :func:`_lex_sums` of ``u``, an estimator's its
-    :func:`_estimator_terms`. Groups are built one at a time.
+    ``vectors[k]`` holds group ``k``'s terms over its own subsets in
+    lexicographic order, so the statistic on the assignment that takes
+    subset ``i_k`` of every group ``k`` is ``c + sum_k vectors[k][i_k]``.
+    ``tau_hat``'s terms are the group's :func:`_lex_sums` of ``u`` and its
+    ``c`` comes from :func:`_tau_hat_linear`; an estimator's terms are its
+    :func:`_estimator_terms` and ``c`` is 0. Each group's runs are added
+    into one zeroed vector, so the design holds ``sum_k comb(n_k, m_k)``
+    floats whatever its assignment count.
     """
     groups, treated = design_groups(design, table)
-    radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
     # Building a group's mask table costs about as much as its suffix sums,
     # so it pays only when blocks of one shape share it.
     tables = {} if len(groups) > 1 else None
@@ -555,41 +555,13 @@ def _group_values(table: PotentialOutcomeTable, design: DesignSpec, statistic: s
             _estimator_terms(x_t[units], x_c[units], m, (len(units) / table.n) ** 2, tables)
             for units, m in zip(groups, treated)
         ]
-    values = np.zeros(math.prod(radices))
-    grid = values.reshape(radices)
-    for axis, pieces in enumerate(terms):
-        before, after = (slice(None),) * axis, (1,) * (len(radices) - axis - 1)
+    vectors = []
+    for units, m, pieces in zip(groups, treated, terms):
+        vector = np.zeros(math.comb(len(units), m))
         for start, piece in pieces:
-            grid[before + (slice(start, start + len(piece)),)] += piece.reshape((-1,) + after)
-    if c:
-        values += c
-    return values
-
-
-def enumerate_statistic(
-    table: PotentialOutcomeTable, design: DesignSpec, statistic: str
-) -> tuple[np.ndarray, int]:
-    """A named statistic on every assignment, in enumeration order, and its
-    :func:`chunk_rows` span, ``ceil(count / chunk_rows(n))``.
-
-    ``tau_hat``, ``var_est_cr`` under complete randomization and
-    ``var_est_blocked`` under blocking are sums of per-group terms, built by
-    :func:`_group_values`. The others are :func:`batch_statistic` on the
-    masks of :func:`iter_assignment_chunks`, one matrix of that span at a
-    time.
-    """
-    total = count_assignments(design, table)
-    chunks = -(-total // chunk_rows(table.n))
-    if statistic == "tau_hat" or (statistic, isinstance(design, Blocked)) in _GROUP_ESTIMATORS:
-        return _group_values(table, design, statistic), chunks
-    values = np.empty(total)
-    start = 0
-    for masks in iter_assignment_chunks(table, design):
-        stop = start + len(masks)
-        values[start:stop] = batch_statistic(table, design, statistic, masks, first=start)
-        start = stop
-    assert start == len(values)
-    return values, chunks
+            vector[start : start + len(piece)] += piece
+        vectors.append(vector)
+    return float(c), vectors
 
 
 #: Values per block of :func:`population_moments`' sum of squares.
@@ -643,19 +615,27 @@ def exact_moments(
 ) -> ExactMoments:
     """Exact mean and population variance of a statistic over all assignments.
 
-    Named statistics are evaluated by :func:`enumerate_statistic`; a
-    callable is called once per mask. The statistic must be defined for
-    every assignment of the design; otherwise the offending assignment index
-    is reported. Values are collected into one array and reduced by
-    :func:`population_moments`, keeping 1e-12 scale comparisons honest at
-    the cap.
+    ``cap`` bounds the assignment count on every path. A statistic that sums
+    over the design's groups takes the moments of its :func:`_group_vectors`
+    and adds them over the independent groups with ``math.fsum``, so it
+    evaluates ``sum_k comb(n_k, m_k)`` subsets. Other named statistics are
+    :func:`batch_statistic` on the masks of :func:`iter_assignment_chunks`,
+    and a callable is called once per mask; their values are reduced by
+    :func:`population_moments`. The statistic must be defined for every
+    assignment of the design; otherwise the offending assignment index is
+    reported.
     """
     total = count_assignments(design, table)
     if total > cap:
         raise ValueError(f"{total} assignments exceed the enumeration cap {cap}")
+    chunks = 0 if callable(statistic) else -(-total // chunk_rows(table.n))
+    if statistic == "tau_hat" or (statistic, isinstance(design, Blocked)) in _GROUP_ESTIMATORS:
+        c, vectors = _group_vectors(table, design, statistic)
+        means, variances = zip(*map(population_moments, vectors))
+        return ExactMoments(c + math.fsum(means), math.fsum(variances), total, chunks)
+    values = np.empty(total)
     if callable(statistic):
         fn = resolve_statistic(statistic, design)
-        values = np.empty(total, dtype=float)
         i = -1
         for i, mask in enumerate(iter_assignments(table, design)):
             try:
@@ -663,8 +643,13 @@ def exact_moments(
             except ValueError as err:
                 raise ValueError(f"statistic undefined on assignment #{i}: {err}") from err
         assert i + 1 == total
-        chunks = 0
     else:
-        values, chunks = enumerate_statistic(table, design, statistic)
+        start = 0
+        for masks in iter_assignment_chunks(table, design):
+            values[start : start + len(masks)] = batch_statistic(
+                table, design, statistic, masks, first=start
+            )
+            start += len(masks)
+        assert start == total
     mean, variance = population_moments(values)
-    return ExactMoments(mean=mean, variance=variance, count=total, chunks=chunks)
+    return ExactMoments(mean, variance, total, chunks)

@@ -140,8 +140,14 @@ def apportion_counts(n_t: int, sizes: list[int]) -> list[int]:
     """Split ``n_t`` treated slots across blocks proportionally to size.
 
     Largest-remainder apportionment, then deterministic repair so every
-    block keeps at least one unit in each arm.
+    block keeps at least one unit in each arm; a block of fewer than two
+    units cannot, and is refused by name.
     """
+    for block, size in enumerate(sizes, start=1):
+        if size < 2:
+            raise ValueError(
+                f"block {block} has {size} unit(s), but balanced counts need 2 in every block"
+            )
     k = len(sizes)
     n = sum(sizes)
     if not k <= n_t <= n - k:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .oracle import batch_statistic, count_assignments, enumerate_statistic, population_moments
+from .oracle import batch_statistic, count_assignments, exact_moments
 from .pop_model import (
     Blocked,
     CompleteRandomization,
@@ -231,12 +231,12 @@ def varest_variability(
     """Mean and variance of the design's own variance estimator.
 
     Uses the estimator matching the design (arm-pooled for complete
-    randomization, per-block for blocking). All assignments are enumerated
-    exactly when their count is at most ``EXACT_ENUMERATION_LIMIT``;
-    otherwise ``reps`` seeded assignments (at least 2) are drawn and the
-    sample variance is reported, draw ``r`` being the shuffle of
-    ``mc.rep_rng(seed, r)``. This is the one-table call of
-    :func:`varest_variabilities`.
+    randomization, per-block for blocking). Its exact moments come from
+    :func:`~blockcalc.oracle.exact_moments` when the design has at most
+    ``EXACT_ENUMERATION_LIMIT`` assignments; otherwise ``reps`` seeded
+    assignments (at least 2) are drawn and the sample variance is reported,
+    draw ``r`` being the shuffle of ``mc.rep_rng(seed, r)``. This is the
+    one-table call of :func:`varest_variabilities`.
     """
     return varest_variabilities([table], design, [seed], reps)[0]
 
@@ -252,8 +252,9 @@ def varest_variabilities(
 
     The tables share one block labelling, so the design's assignment count
     and shuffle steps are those of the first table. A design with at most
-    ``EXACT_ENUMERATION_LIMIT`` assignments (read at call time) is
-    enumerated on every table. Otherwise each chunk of
+    ``EXACT_ENUMERATION_LIMIT`` assignments (read at call time) takes
+    :func:`~blockcalc.oracle.exact_moments` on every table, which sums the
+    estimator's moments over the design's groups. Otherwise each chunk of
     ``mc.chunk_bounds(reps, n)`` takes every table's step draws from one
     :func:`~blockcalc.mc.rep_integers` call, turns them into masks with one
     :func:`~blockcalc.randomizer.draw_masks` call and evaluates each
@@ -267,10 +268,8 @@ def varest_variabilities(
     statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
     total = count_assignments(design, first)
     if total <= EXACT_ENUMERATION_LIMIT:
-        moments = [population_moments(enumerate_statistic(table, design, statistic)[0])
-                   for table in tables]
-        return [VarestVariability(mean, variance, "enumeration", total)
-                for mean, variance in moments]
+        moments = [exact_moments(table, design, statistic, cap=total) for table in tables]
+        return [VarestVariability(m.mean, m.variance, "enumeration", total) for m in moments]
     if reps < 2:
         raise ValueError(
             f"Monte Carlo needs reps >= 2 for a sample variance of the estimator, got {reps}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockcalc import Blocked, CompleteRandomization, mc, table_from_arrays, variance_estimation
-from blockcalc.oracle import batch_statistic, chunk_rows, count_assignments, enumerate_statistic
+from blockcalc.oracle import batch_statistic, chunk_rows, count_assignments, exact_moments
 from blockcalc.randomizer import draw_masks, shuffle_plan
 
 
@@ -99,12 +99,13 @@ def reference_varest_variability(table, design, reps, seed):
     table, one seeded generator from ``mc.rep_rngs`` per rep: the per-point
     path that ``variance_estimation.varest_variabilities`` batches. Draws
     are evaluated in the same ``chunk_rows`` chunks, so results are equal
-    bit for bit. Like the library, it enumerates up to the current
-    ``variance_estimation.EXACT_ENUMERATION_LIMIT``."""
+    bit for bit. Like the library, it takes ``exact_moments`` up to the
+    current ``variance_estimation.EXACT_ENUMERATION_LIMIT``."""
     statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
-    if count_assignments(design, table) <= variance_estimation.EXACT_ENUMERATION_LIMIT:
-        values, _ = enumerate_statistic(table, design, statistic)
-        return float(np.mean(values)), float(np.var(values))
+    total = count_assignments(design, table)
+    if total <= variance_estimation.EXACT_ENUMERATION_LIMIT:
+        moments = exact_moments(table, design, statistic, cap=total)
+        return moments.mean, moments.variance
     plan = shuffle_plan(table, design)
     values = np.empty(reps)
     rows = chunk_rows(table.n)

@@ -23,14 +23,14 @@ SRC = str(Path(blockcalc.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=120):
     """Run the CLI in a fresh interpreter, as a user would."""
     return subprocess.run(
         [sys.executable, "-m", "blockcalc.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -675,6 +675,21 @@ class TestReplayCommand:
         proc = run_cli("replay", *argv, "--out", str(tmp_path))
         assert_one_line_error(proc, f"--reps must be at least 1, got {reps}")
         assert proc.stderr.rstrip().endswith(f"got {reps}")
+        assert not (tmp_path / "replay_report.csv").exists()
+
+    @pytest.mark.parametrize("blocks, block", [("ABBBB", 1), ("AAABB" "C", 3)])
+    def test_one_unit_block_under_balanced_counts_is_one_line_error(self, tmp_path, blocks, block):
+        # Balanced counts cannot give a one-unit block a unit in each arm. The
+        # timeout turns an apportioning loop that never ends into a failure.
+        table = tmp_path / "replay.csv"
+        table.write_text("unit_id,block,z,baseline,y\n" + "".join(
+            f"u{i},{b},{'tc'[i % 2]},{i},{i * i}\n" for i, b in enumerate(blocks)
+        ))
+        strategies = tmp_path / "strategies.json"
+        strategies.write_text('[{"name": "balance-proportions"}]')
+        proc = run_cli("replay", str(table), "--strategies", str(strategies),
+                       "--out", str(tmp_path), timeout=30)
+        assert_one_line_error(proc, f"block {block} has 1 unit(s)")
         assert not (tmp_path / "replay_report.csv").exists()
 
     def test_constant_outcomes_are_one_line_error(self, tmp_path):

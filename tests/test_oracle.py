@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -23,10 +24,10 @@ from blockcalc.oracle import (
     STATISTICS,
     batch_statistic,
     chunk_rows,
-    enumerate_statistic,
     iter_assignment_chunks,
     resolve_statistic,
 )
+from blockcalc.pop_model import design_groups
 from blockcalc.variance_estimation import ObservedSample, var_est_blocked, var_est_cr
 
 from conftest import make_random_blocked_design, make_random_table
@@ -182,10 +183,16 @@ def reference_values(table, design, statistic, masks):
 
 
 def kernel_values(table, design, statistic):
+    """Every assignment's value from the path ``exact_moments`` takes, or
+    the message of the first undefined one."""
+    on_group_path = statistic == "tau_hat" or (
+        (statistic, isinstance(design, Blocked)) in oracle._GROUP_ESTIMATORS
+    )
     try:
-        return enumerate_statistic(table, design, statistic)[0], None
+        values = (group_values if on_group_path else mask_values)(table, design, statistic)
     except ValueError as err:
         return None, str(err)
+    return values, None
 
 
 def small_table(rng):
@@ -324,9 +331,50 @@ def mask_values(table, design, statistic):
     ])
 
 
-def exact_estimator_values(table, design, statistic):
-    """The estimator on every assignment, in enumeration order, in exact
-    rational arithmetic on the outcomes that the oracle centers."""
+def group_values(table, design, statistic):
+    """The statistic on every assignment, in enumeration order, from the
+    oracle's group vectors: ``c`` plus their outer sum, the last group
+    cycling fastest."""
+    c, vectors = oracle._group_vectors(table, design, statistic)
+    return c + functools.reduce(np.add.outer, vectors).ravel()
+
+
+def assert_matches_mask_kernel(table, design, statistic):
+    """Every assignment's group-path value within 1e-12 of the mask kernel's
+    largest, and ``exact_moments`` within 1e-12 relative of the moments of
+    the mask kernel's values, with the design's count and chunk span."""
+    want = mask_values(table, design, statistic)
+    values = group_values(table, design, statistic)
+    assert len(values) == len(want) == count_assignments(design, table)
+    scale = np.max(np.abs(want))
+    assert np.all(np.abs(values - want) <= 1e-12 * scale), (design, statistic)
+    moments = exact_moments(table, design, statistic)
+    mean, variance = oracle.population_moments(want)
+    assert moments.mean == pytest.approx(mean, rel=1e-12), (design, statistic)
+    assert moments.variance == pytest.approx(variance, rel=1e-12), (design, statistic)
+    assert moments.count == len(want)
+    assert moments.chunks == math.ceil(len(want) / chunk_rows(table.n))
+
+
+def group_path_peak(table, design, statistic):
+    """``exact_moments``' tracemalloc peak beyond the 8 bytes of each of the
+    design's ``sum_k comb(n_k, m_k)`` group-vector entries, and its count."""
+    groups, treated = design_groups(design, table)
+    held = 8 * sum(math.comb(len(units), m) for units, m in zip(groups, treated))
+    tracemalloc.start()
+    try:
+        count = exact_moments(table, design, statistic).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - held, count
+
+
+def exact_estimator_terms(table, design, statistic):
+    """The estimator's term on every subset of each of the design's groups,
+    in lexicographic order, in exact rational arithmetic on the outcomes
+    that the oracle centers: one list per group, as the oracle's group
+    vectors hold them."""
     per_block = statistic == "var_est_blocked"
     _, _, (x_t, x_c) = oracle._centered(table, per_block)
     if isinstance(design, CompleteRandomization):
@@ -358,7 +406,7 @@ def exact_estimator_values(table, design, statistic):
                 term += (s2 - s1 * s1 / len(side)) / (len(side) * (len(side) - 1))
             terms.append(weight * term)
         per_group.append(terms)
-    return [sum(combo) for combo in product(*per_group)]
+    return per_group
 
 
 def assert_chunks_match(table, design, blocks):
@@ -471,19 +519,12 @@ class TestAssignmentChunks:
             table = table_from_arrays(labels + 1, y_t, y_c)
             assert tuple(table.block_sizes) == sizes
             for design in designs:
-                values, chunks = enumerate_statistic(table, design, "tau_hat")
-                want = np.concatenate([
-                    batch_statistic(table, design, "tau_hat", masks)
-                    for masks in iter_assignment_chunks(table, design)
-                ])
-                assert len(values) == len(want) == count_assignments(design, table)
-                assert np.all(np.abs(values - want) <= 1e-12 * np.max(np.abs(want))), design
-                assert chunks == math.ceil(len(want) / chunk_rows(table.n))
+                assert_matches_mask_kernel(table, design, "tau_hat")
 
     def test_tau_hat_sums_memory_stays_within_chunks(self):
-        # Beyond its values, a tau_hat enumeration holds at most CHUNK_CELLS
-        # floats of suffix sums and one piece, never a group's full vector of
-        # subset sums (the 22-unit block alone has 705,432, 5.6 MB of them).
+        # Beyond its group vectors, a tau_hat enumeration holds at most
+        # CHUNK_CELLS floats of suffix sums and one piece, never the product
+        # of the groups' subsets (1,410,864 values, 11 MB, for the last case).
         cases = [
             ([20], CompleteRandomization(10), 184_756),
             ([11, 11], Blocked((5, 6)), 213_444),
@@ -494,14 +535,9 @@ class TestAssignmentChunks:
             labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
             y_c = rng.normal(size=len(labels))
             table = table_from_arrays(labels, y_c + 1, y_c)
-            tracemalloc.start()
-            try:
-                values, _ = enumerate_statistic(table, design, "tau_hat")
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(values) == expected
-            assert peak - values.nbytes < 2**20, (sizes, peak - values.nbytes)
+            extra, count = group_path_peak(table, design, "tau_hat")
+            assert count == expected
+            assert extra < 2**20, (sizes, extra)
 
     @pytest.mark.parametrize("cells", [None, 40, 200])
     def test_group_vectors_match_the_mask_kernel(self, monkeypatch, cells):
@@ -542,15 +578,7 @@ class TestAssignmentChunks:
                 ) >= 2:
                     statistics.append("var_est_blocked")
                 for statistic in statistics:
-                    values, chunks = enumerate_statistic(table, design, statistic)
-                    want = np.concatenate([
-                        batch_statistic(table, design, statistic, masks)
-                        for masks in iter_assignment_chunks(table, design)
-                    ])
-                    assert len(values) == len(want) == count_assignments(design, table)
-                    scale = np.max(np.abs(want))
-                    assert np.all(np.abs(values - want) <= 1e-12 * scale), (design, statistic)
-                    assert chunks == math.ceil(len(want) / chunk_rows(table.n))
+                    assert_matches_mask_kernel(table, design, statistic)
 
     @pytest.mark.parametrize("cells", [None, 40, 200])
     def test_estimator_sums_match_the_mask_kernel(self, monkeypatch, cells):
@@ -582,22 +610,13 @@ class TestAssignmentChunks:
                 table = estimator_table(rng, kind, sizes)
                 for design in designs:
                     statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
-                    values, chunks = enumerate_statistic(table, design, statistic)
-                    want = mask_values(table, design, statistic)
-                    assert len(values) == len(want) == count_assignments(design, table)
-                    scale = np.max(np.abs(want))
-                    assert np.all(np.abs(values - want) <= 1e-12 * scale), (kind, design)
-                    assert chunks == math.ceil(len(want) / chunk_rows(table.n))
-                    moments = exact_moments(table, design, statistic)
-                    mean, variance = oracle.population_moments(want)
-                    assert moments.mean == pytest.approx(mean, rel=1e-12), (kind, design)
-                    assert moments.variance == pytest.approx(variance, rel=1e-12), (kind, design)
+                    assert_matches_mask_kernel(table, design, statistic)
 
     @pytest.mark.parametrize("cells", [None, 40])
     def test_estimator_rounding_stays_within_the_stated_bound(self, monkeypatch, cells):
-        # The oracle docstring bounds every value within 14 (n - 1) eps of
-        # max |value| of exact arithmetic on the centered outcomes, n the
-        # largest group. Tight modes at +-1e3 give an arm of one mode sums of
+        # The oracle docstring bounds every entry of a group's vector within
+        # 14 (n - 1) eps of the vector's largest entry of exact arithmetic on
+        # the centered outcomes, n the group's size. Tight modes at +-1e3 give an arm of one mode sums of
         # squares near 1e6 around a spread near 1e-12, the one-pass form's
         # worst cancellation.
         if cells is not None:
@@ -612,12 +631,15 @@ class TestAssignmentChunks:
             table = estimator_table(rng, "bimodal", sizes)
             for design in designs:
                 statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
-                values, _ = enumerate_statistic(table, design, statistic)
-                exact = exact_estimator_values(table, design, statistic)
-                assert len(values) == len(exact)
-                largest = max(abs(v) for v in exact)
-                error = max(abs(Fraction(float(v)) - e) for v, e in zip(values, exact))
-                assert error <= 14 * (max(sizes) - 1) * Fraction(1, 2**53) * largest, design
+                _, vectors = oracle._group_vectors(table, design, statistic)
+                per_group = exact_estimator_terms(table, design, statistic)
+                assert len(vectors) == len(per_group)
+                for units, vector, exact in zip(design_groups(design, table)[0], vectors, per_group):
+                    assert len(vector) == len(exact)
+                    largest = max(abs(v) for v in exact)
+                    error = max(abs(Fraction(float(v)) - e) for v, e in zip(vector, exact))
+                    bound = 14 * (len(units) - 1) * Fraction(1, 2**53) * largest
+                    assert error <= bound, design
 
     @pytest.mark.parametrize("kind", ["bimodal", "offset"])
     def test_control_arm_is_summed_over_its_complements(self, kind):
@@ -627,26 +649,22 @@ class TestAssignmentChunks:
         # they are off by under 5, far inside the proved 14 * 199 eps.
         table = estimator_table(np.random.default_rng(90), kind, (200,))
         design = CompleteRandomization(198)
-        values, _ = enumerate_statistic(table, design, "var_est_cr")
-        exact = exact_estimator_values(table, design, "var_est_cr")
+        _, (values,) = oracle._group_vectors(table, design, "var_est_cr")
+        (exact,) = exact_estimator_terms(table, design, "var_est_cr")
         largest = max(abs(v) for v in exact)
         error = max(abs(Fraction(float(v)) - e) for v, e in zip(values, exact))
         assert error <= 16 * Fraction(1, 2**53) * largest
 
     def test_var_est_cr_memory_stays_within_chunks(self):
-        # Beyond its values, a var_est_cr enumeration holds suffix sums and
-        # one piece of its four-row stream, never the 184,756 subsets' sums.
+        # Beyond its vector of 184,756 values, a var_est_cr enumeration holds
+        # suffix sums and one piece of its four-row stream, never each arm's
+        # full vector of subset sums.
         rng = np.random.default_rng(89)
         y_c = rng.normal(size=20)
         table = table_from_arrays([1] * 20, y_c + rng.normal(size=20), y_c)
-        tracemalloc.start()
-        try:
-            values, _ = enumerate_statistic(table, CompleteRandomization(10), "var_est_cr")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(values) == 184_756
-        assert peak - values.nbytes < 2**20, peak - values.nbytes
+        extra, count = group_path_peak(table, CompleteRandomization(10), "var_est_cr")
+        assert count == 184_756
+        assert extra < 2**20, extra
 
     @pytest.mark.parametrize("n_t", [1, 7])
     def test_var_est_cr_singleton_arm_is_named(self, n_t):
@@ -657,7 +675,7 @@ class TestAssignmentChunks:
         with pytest.raises(ValueError) as want:
             batch_statistic(table, design, "var_est_cr", first)
         with pytest.raises(ValueError) as got:
-            enumerate_statistic(table, design, "var_est_cr")
+            exact_moments(table, design, "var_est_cr")
         assert str(got.value) == str(want.value)
         assert str(got.value) == (
             "statistic undefined on assignment #0: each arm needs at least 2 units"
@@ -678,16 +696,16 @@ class TestAssignmentChunks:
         with pytest.raises(ValueError) as want:
             batch_statistic(table, design, "var_est_blocked", first)
         with pytest.raises(ValueError) as got:
-            enumerate_statistic(table, design, "var_est_blocked")
+            exact_moments(table, design, "var_est_blocked")
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(
             f"statistic undefined on assignment #0: block {block} has a singleton arm"
         )
 
     def test_var_est_blocked_memory_stays_within_chunks(self):
-        # Beyond its values, a blocked var_est_blocked enumeration holds one
-        # block's row slice of masks and arm sums at a time, never a block's
-        # full vector (the 20-unit block alone has 184,756 subsets).
+        # Beyond its group vectors, a blocked var_est_blocked enumeration
+        # holds suffix sums and one piece at a time, never the product of the
+        # blocks' subsets (1,108,536 values, 8.9 MB, for the second case).
         cases = [
             ([11, 11], (5, 6), 213_444),
             ([4, 20], (2, 10), 1_108_536),
@@ -698,14 +716,9 @@ class TestAssignmentChunks:
             labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
             y_c = rng.normal(size=len(labels))
             table = table_from_arrays(labels, y_c + rng.normal(size=len(labels)), y_c)
-            tracemalloc.start()
-            try:
-                values, _ = enumerate_statistic(table, Blocked(n_tk), "var_est_blocked")
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(values) == expected
-            assert peak - values.nbytes < 2**20, (sizes, peak - values.nbytes)
+            extra, count = group_path_peak(table, Blocked(n_tk), "var_est_blocked")
+            assert count == expected
+            assert extra < 2**20, (sizes, extra)
 
     def test_estimators_off_the_group_path_reach_the_mask_kernel(self, monkeypatch):
         calls = []
@@ -729,7 +742,7 @@ class TestAssignmentChunks:
         ]
         for table, design, statistic, masked in cases:
             calls.clear()
-            enumerate_statistic(table, design, statistic)
+            exact_moments(table, design, statistic)
             assert bool(calls) == masked, (design, statistic)
 
     def test_exact_moments_memory_stays_near_its_values(self):
@@ -738,7 +751,7 @@ class TestAssignmentChunks:
         rng = np.random.default_rng(86)
         y_c = rng.normal(size=20)
         table = table_from_arrays([1] * 20, y_c + rng.normal(size=20), y_c)
-        values, _ = enumerate_statistic(table, CompleteRandomization(10), "tau_hat")
+        values = group_values(table, CompleteRandomization(10), "tau_hat")
         tracemalloc.start()
         try:
             moments = exact_moments(table, CompleteRandomization(10))
@@ -764,6 +777,45 @@ class TestAssignmentChunks:
     def test_callables_keep_the_per_mask_path(self, mirrored_blocks_table):
         moments = exact_moments(mirrored_blocks_table, Blocked((1, 1)), lambda t, m: float(m[0]))
         assert (moments.count, moments.chunks) == (4, 0)
+
+
+class TestMomentsAddOverGroups:
+    @pytest.mark.parametrize("kind", ["scale-1e-6", "scale-1e6", "offset", "shuffled"])
+    def test_matches_the_mask_kernel(self, kind):
+        # A blocked design randomizes its blocks independently, so the mean
+        # of tau_hat or var_est_blocked is c plus the blocks' means and its
+        # variance the sum of theirs; the mask kernel evaluates the product
+        # of the blocks' subsets. ``offset`` shifts every outcome by 1e8.
+        rng = np.random.default_rng(92)
+        scale = {"scale-1e-6": 1e-6, "scale-1e6": 1e6}.get(kind, 1.0)
+        cases = [
+            ((5, 6), [Blocked((2, 3)), Blocked((3, 4))]),
+            ((4, 4, 5), [Blocked((2, 2, 3)), Blocked((2, 2, 2))]),
+            ((6, 7, 5), [Blocked((3, 3, 2))]),
+        ]
+        for sizes, designs in cases:
+            table = estimator_table(rng, "random" if "scale" in kind else kind, sizes)
+            table = table_from_arrays(table.blocks, scale * table.y_t, scale * table.y_c)
+            for design in designs:
+                for statistic in ("tau_hat", "var_est_blocked"):
+                    assert_matches_mask_kernel(table, design, statistic)
+
+    @pytest.mark.parametrize("statistic", ["tau_hat", "var_est_blocked"])
+    def test_blocked_moments_hold_each_block_once(self, statistic):
+        # 3 blocks of 8 at 4 have 343,000 assignments but 3 * 70 subsets;
+        # the assignments' values alone would fill 2.6 MiB.
+        rng = np.random.default_rng(93)
+        labels = np.repeat([1, 2, 3], 8)
+        y_c = rng.normal(size=24)
+        table = table_from_arrays(labels, y_c + rng.normal(size=24), y_c)
+        tracemalloc.start()
+        try:
+            moments = exact_moments(table, Blocked((4, 4, 4)), statistic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert moments.count == 343_000
+        assert peak < 2**20, peak
 
 
 class TestMonteCarloThroughKernel:

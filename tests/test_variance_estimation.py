@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from blockcalc import (
     var_est_cr,
     varest_variability,
 )
+from blockcalc.blocking_lab import ScenarioConfig, gen_scenario_population
 from blockcalc.pop_model import StrataMoments, blocked_design_for_proportion, summarize
-from blockcalc.oracle import chunk_rows, iter_assignments
+from blockcalc.oracle import _lex_sums, chunk_rows, count_assignments, iter_assignments
 from blockcalc import variance_estimation
+from blockcalc.studies import MisconceptionsConfig
 from blockcalc.variance_estimation import varest_variabilities
 
 from conftest import make_random_table, reference_varest_variability, rel_close
@@ -161,6 +165,48 @@ class TestCrVarestBiasUnderBlocking:
         enumerated = exact_moments(table, design, "var_est_cr")
         result = cr_varest_bias_under_blocking(table, p)
         assert rel_close(result.expected_varest_cr, enumerated.mean, 1e-10)
+
+
+def expected_varest_cr_by_block_enumeration(table, design):
+    """E[var_est_cr] under a blocked design from each block's enumerated arm
+    sums. An arm's ``s2 = (B - A^2 / size) / (size - 1)`` with ``A`` and ``B``
+    its sums of ``x`` and ``x^2``; the blocks are independent, so
+    ``E[A^2] = sum_k var(A_k) + (sum_k E A_k)^2``. A block's control units
+    are the complements of its treated ones, one per subset of their size."""
+    sizes = table.block_sizes.tolist()
+    expected = []
+    for y, counts in ((table.y_t, design.n_tk), (table.y_c, np.subtract(sizes, design.n_tk))):
+        x = y - np.mean(y)
+        means, variances, squares = [], [], []
+        for k, m in enumerate(counts, start=1):
+            units = x[table.block_indices(k)]
+            sums = np.empty((2, math.comb(len(units), int(m))))
+            for start, piece in _lex_sums(np.array([units, units**2]), int(m), None):
+                sums[:, start : start + piece.shape[1]] = piece
+            means.append(np.mean(sums[0]))
+            variances.append(np.var(sums[0]))
+            squares.append(np.mean(sums[1]))
+        size = int(np.sum(counts))
+        square_of_sum = math.fsum(variances) + math.fsum(means) ** 2
+        expected.append((math.fsum(squares) - square_of_sum / size) / ((size - 1) * size))
+    return math.fsum(expected)
+
+
+class TestCrVarestBiasAtStudySize:
+    @pytest.mark.parametrize("scale, rho", [(0.0, 0.0), (1.0, 0.5), (3.0, 1.0)])
+    def test_closed_form_matches_enumeration_of_every_block(self, scale, rho):
+        # The misconceptions grid's own blocks: about 2e20 blocked
+        # assignments, far past any enumeration cap, but 3 * 45 + 3 * 455 +
+        # 2 * 4845 subsets of the blocks' arms.
+        cfg = MisconceptionsConfig()
+        config = ScenarioConfig(cfg.block_sizes, cfg.treated_counts, scale,
+                                cfg.effect_spread_factor * scale, rho, cfg.base_sigma, seed=11)
+        table = gen_scenario_population(config)
+        design = Blocked(cfg.treated_counts)
+        assert count_assignments(design, table) > 2 * 10**20
+        want = cr_varest_bias_under_blocking(table, design.n_t / table.n).expected_varest_cr
+        got = expected_varest_cr_by_block_enumeration(table, design)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCrVarestBiasStrat:
