@@ -63,7 +63,7 @@ def covariate_sample_from_values(x) -> CovariateSample:
 
 def read_covariate_csv(path) -> CovariateSample:
     """Read ``unit_id,x`` rows."""
-    cols = read_csv_columns(path, "covariate", ["unit_id", "x"])
+    cols = read_csv_columns(path, "covariate", {"unit_id": "str", "x": "float"})
     return CovariateSample(unit_ids=cols["unit_id"], x=cols["x"])
 
 

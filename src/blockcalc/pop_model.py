@@ -22,9 +22,10 @@ the groups a design randomizes independently: complete randomization is a
 single group of every unit, and a blocked design one group per block.
 
 Every CSV input is read column by column by :func:`read_csv_columns`, which
-holds at most one batch of parsed rows besides the columns and names the CSV
-kind in every error, a byte that is not UTF-8 included; numeric columns are
-parsed whole, exactly as Python's ``float`` parses.
+converts each batch of parsed rows as soon as it is parsed, keeps only the
+columns its caller asks for (strings, floats parsed exactly as Python's
+``float`` parses, or canonical labels) and names the CSV kind in every
+error, a byte that is not UTF-8 included.
 All real arithmetic is 64-bit floating point.
 """
 
@@ -34,7 +35,7 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 from operator import methodcaller
 from typing import Iterable, Mapping, NamedTuple
 
@@ -185,8 +186,16 @@ def canonical_labels(raw) -> np.ndarray:
     """
     if not isinstance(raw, (list, tuple)):
         raw = list(raw)
-    number = {label: k for k, label in enumerate(dict.fromkeys(raw), start=1)}
-    return _read_only(np.fromiter(map(number.__getitem__, raw), dtype=np.intp, count=len(raw)))
+    return _read_only(_numbered(raw, {}))
+
+
+def _numbered(raw, number: dict) -> np.ndarray:
+    """The labels of ``raw`` as numbered by ``number`` (raw label -> number),
+    which first numbers each new one ``len(number) + 1`` in order of first
+    appearance."""
+    for label in dict.fromkeys(raw):
+        number.setdefault(label, len(number) + 1)
+    return np.fromiter(map(number.__getitem__, raw), dtype=np.intp, count=len(raw))
 
 
 def default_unit_ids(n: int) -> tuple[str, ...]:
@@ -215,33 +224,47 @@ def validate_table(records: Iterable[Mapping]) -> PotentialOutcomeTable:
     return table_from_arrays(blocks, y_t, y_c, unit_ids)
 
 
-TABLE_CSV_HEADER = ["unit_id", "block", "y_t", "y_c"]
+#: What :func:`read_table_csv` makes of each column (see :func:`read_csv_columns`).
+TABLE_CSV_COLUMNS = {"unit_id": "str", "block": "label", "y_t": "float", "y_c": "float"}
+TABLE_CSV_HEADER = list(TABLE_CSV_COLUMNS)
 
 
-#: Data rows parsed per batch: :func:`read_csv_columns` holds at most one
-#: batch of row lists besides the columns, so a long file leaves the cyclic
-#: garbage collector almost nothing to scan.
+#: Data rows parsed per batch: :func:`read_csv_columns` converts each batch
+#: as soon as it is parsed and holds no other row lists, so a long file
+#: leaves the cyclic garbage collector almost nothing to scan.
 _CSV_BATCH_ROWS = 512
 
 
-def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
-    """The data columns of a ``kind`` CSV file (UTF-8, a leading byte-order
-    mark skipped, '#' lines are comments), as ``{header field: values in row order}``.
+def read_csv_columns(path, kind: str, columns: Mapping[str, str | None]) -> dict:
+    """The columns a caller keeps of a ``kind`` CSV file (UTF-8, a leading
+    byte-order mark skipped, '#' lines are comments), in row order.
 
-    The header must name every one of ``columns`` and every data row must
-    fill every header field; errors name the CSV kind and the 1-based data
-    row. A file without data rows is an error too, as is one that is not
-    UTF-8 or that the csv module cannot parse (a field over its size limit,
-    say). Blank lines are skipped and fields past the header's are ignored.
-    Rows are parsed in batches of ``_CSV_BATCH_ROWS``, so a short row is
-    reported before a parse error in a later batch.
+    ``columns`` maps each column the header must name to what it becomes:
+    ``"str"`` a tuple of its strings, ``"float"`` a float64 array parsed as
+    Python's ``float`` parses, ``"label"`` an integer array of labels
+    numbered ``1..K`` over the whole file as :func:`canonical_labels`
+    numbers them, and ``None`` nothing (it is not kept).
+    Rows are parsed and converted in batches of ``_CSV_BATCH_ROWS``; the
+    fields of columns not kept, and those past the header, are dropped with
+    their batch. Blank lines are skipped.
+
+    Errors name the CSV kind and come in this order: a data row that does
+    not fill every header field, a file that is not UTF-8 or that the csv
+    module cannot parse (a field over its size limit, say), in batch order;
+    a file without data rows; a header missing one of ``columns`` or naming
+    one twice; the first unparsable value of the first bad ``"float"``
+    column in the order of ``columns``, with its 1-based data row.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(filterfalse(methodcaller("startswith", "#"), fh))
         try:
             header = next(reader, [])
+            where = {name: header.index(name) for name, how in columns.items()
+                     if how and name in header}
+            parts = {name: [] for name in where}
+            numbers = {name: {} for name in where}  # raw label -> canonical label
+            bad = {}  # "float" column -> the error naming its first unparsable value
             rows = filter(None, reader)
-            cols = [[] for _ in header]
             count = 0
             while batch := list(islice(rows, _CSV_BATCH_ROWS)):
                 if min(map(len, batch)) < len(header):
@@ -250,8 +273,17 @@ def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
                             raise ValueError(
                                 f"{kind} CSV data row {i} has no value for {header[len(row):]}"
                             )
-                for col, values in zip(cols, zip(*batch)):
-                    col.extend(values)
+                fields = list(zip(*batch))
+                for name, j in where.items():
+                    values = fields[j]
+                    if columns[name] == "label":
+                        values = _numbered(values, numbers[name])
+                    elif columns[name] == "float" and name not in bad:
+                        try:
+                            values = np.asarray(values, dtype=float)
+                        except ValueError:
+                            bad[name] = _unparsable(kind, name, values, count + 1)
+                    parts[name].append(values)
                 count += len(batch)
         except (csv.Error, UnicodeDecodeError) as err:
             raise ValueError(f"{kind} CSV is not readable: {err}") from None
@@ -262,7 +294,30 @@ def read_csv_columns(path, kind: str, columns) -> dict[str, tuple[str, ...]]:
         raise ValueError(
             f"{kind} CSV missing columns: {sorted(missing)} (needs {','.join(columns)})"
         )
-    return dict(zip(header, map(tuple, cols)))
+    for name in columns:
+        if header.count(name) > 1:
+            raise ValueError(f"{kind} CSV header names column {name!r} twice")
+    for name in columns:
+        if name in bad:
+            raise ValueError(bad[name])
+    return {name: _joined(how, parts[name]) for name, how in columns.items() if how}
+
+
+def _joined(how: str, parts: list):
+    """One column from its batches' parts: a tuple of strings or an array."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(chain.from_iterable(parts)) if how == "str" else np.concatenate(parts)
+
+
+def _unparsable(kind: str, name: str, values, first_row: int) -> str:
+    """The error naming the first of ``values``, the ``name`` column of data
+    rows ``first_row`` on, that does not parse as a float."""
+    for row, value in enumerate(values, start=first_row):
+        try:
+            float(value)
+        except ValueError as err:
+            return f"{kind} CSV column {name}, data row {row}: {err}"
 
 
 def read_json(path, kind: str):
@@ -282,14 +337,13 @@ def read_json(path, kind: str):
 def read_table_csv(path) -> PotentialOutcomeTable:
     """Read ``unit_id,block,y_t,y_c`` rows (UTF-8, '.' decimal point).
 
-    Outcomes parse as Python's ``float`` does. A column is converted whole,
-    so when several values do not parse the error names the first one of
-    the first bad column, ``y_t`` before ``y_c``.
+    Outcomes parse as Python's ``float`` does, batch by batch, and blocks
+    are numbered as :func:`canonical_labels` numbers them. When several
+    values do not parse, the error names the first one of the first bad
+    column, ``y_t`` before ``y_c``, with its data row.
     """
-    cols = read_csv_columns(path, "table", TABLE_CSV_HEADER)
-    y_t, y_c = (np.asarray(cols[name], dtype=float) for name in ("y_t", "y_c"))
-    # The reader's columns are tuples of str: no copy or conversion needed.
-    return PotentialOutcomeTable(cols["unit_id"], canonical_labels(cols["block"]), y_t, y_c)
+    cols = read_csv_columns(path, "table", TABLE_CSV_COLUMNS)
+    return PotentialOutcomeTable(cols["unit_id"], cols["block"], cols["y_t"], cols["y_c"])
 
 
 def write_table_csv(table: PotentialOutcomeTable, path) -> None:
@@ -687,6 +741,8 @@ STRATA_CSV_HEADER = [
 
 def read_strata_csv(path) -> StrataMoments:
     """Read ``stratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc`` rows."""
-    cols = read_csv_columns(path, "strata", STRATA_CSV_HEADER)
-    # The value columns follow the header in the field order of StrataMoments.
-    return StrataMoments(*(np.asarray(cols[name], dtype=float) for name in STRATA_CSV_HEADER[1:]))
+    # The value columns follow the header in the field order of StrataMoments;
+    # the stratum names are not kept.
+    columns = {"stratum": None, **dict.fromkeys(STRATA_CSV_HEADER[1:], "float")}
+    cols = read_csv_columns(path, "strata", columns)
+    return StrataMoments(*cols.values())

@@ -38,7 +38,6 @@ from .blocking_lab import labels_in_order
 from .pop_model import (
     Blocked,
     PotentialOutcomeTable,
-    canonical_labels,
     centered_moments,
     read_csv_columns,
     read_json,
@@ -46,7 +45,11 @@ from .pop_model import (
 )
 from .variance_theory import block_variances, blocked_variance, neyman_var_cr
 
-REPLAY_CSV_HEADER = ["unit_id", "block", "z", "baseline", "y"]
+#: What :func:`read_replay_csv` makes of each column (see ``read_csv_columns``).
+REPLAY_CSV_COLUMNS = {
+    "unit_id": "str", "block": "label", "z": "str", "baseline": "float", "y": "float"
+}
+REPLAY_CSV_HEADER = list(REPLAY_CSV_COLUMNS)
 
 STRATEGY_NAMES = (
     "keep-blocks",
@@ -94,14 +97,8 @@ class ReplayData:
 
 def read_replay_csv(path) -> ReplayData:
     """Read ``unit_id,block,z,baseline,y`` rows."""
-    cols = read_csv_columns(path, "replay", REPLAY_CSV_HEADER)
-    return ReplayData(
-        unit_ids=cols["unit_id"],
-        blocks=canonical_labels(cols["block"]),
-        z=cols["z"],
-        baseline=np.asarray(cols["baseline"], dtype=float),
-        y=np.asarray(cols["y"], dtype=float),
-    )
+    # The columns follow the field order of ReplayData.
+    return ReplayData(*read_csv_columns(path, "replay", REPLAY_CSV_COLUMNS).values())
 
 
 @dataclass(frozen=True)

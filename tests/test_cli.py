@@ -854,6 +854,23 @@ class TestArgumentValidation:
         proc = run_cli(argv[0], str(path), *argv[1:], "--out", str(tmp_path))
         assert_one_line_error(proc, f"{kind} CSV data row 2 has no value")
 
+    def test_unparsable_csv_value_names_column_and_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("unit_id,block,y_t,y_c\na,A,0,0\nb,A,2,2\nc,B,zero,0\nd,B,2,2\n")
+        proc = run_cli("variance", str(path), "--design", "cr:2", "--out", str(tmp_path))
+        assert_one_line_error(
+            proc, "table CSV column y_t, data row 3: could not convert string to float: 'zero'\n"
+        )
+
+    def test_format_column_named_twice_is_one_line_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "unit_id,block,y_t,y_c,y_t\na,A,0,0,5\nb,A,2,2,6\nc,B,0,0,7\nd,B,2,2,8\n"
+        )
+        proc = run_cli("variance", str(path), "--design", "cr:2", "--out", str(tmp_path))
+        assert_one_line_error(proc, "table CSV header names column 'y_t' twice\n")
+        assert not (tmp_path / "variance_report.csv").exists()
+
     @pytest.mark.parametrize("kind, argv, text", CSV_COMMANDS)
     def test_oversized_csv_field_is_one_line_error(self, tmp_path, kind, argv, text):
         # The csv module refuses a field over 131,072 characters; it fills

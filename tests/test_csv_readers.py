@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import io
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcalc import canonical_labels, pop_model
-from blockcalc.blocking_lab import read_covariate_csv
+from blockcalc.blocking_lab import CovariateSample, read_covariate_csv
 from blockcalc.cli import main
 from blockcalc.pop_model import (
+    STRATA_CSV_HEADER,
     TABLE_CSV_HEADER,
     PotentialOutcomeTable,
     read_strata_csv,
@@ -45,7 +47,23 @@ def reference_csv_rows(path, kind, columns):
         raise ValueError(
             f"{kind} CSV missing columns: {sorted(missing)} (needs {','.join(columns)})"
         )
+    for name in columns:
+        if header.count(name) > 1:
+            raise ValueError(f"{kind} CSV header names column {name!r} twice")
     return rows
+
+
+def reference_float(kind, name, row, text):
+    """``float(text)``, the ``name`` cell of 1-based data ``row``."""
+    try:
+        return float(text)
+    except ValueError as err:
+        raise ValueError(f"{kind} CSV column {name}, data row {row}: {err}") from None
+
+
+def reference_floats(kind, name, rows):
+    """The ``name`` column of ``rows`` parsed top to bottom."""
+    return np.asarray([reference_float(kind, name, i, r[name]) for i, r in enumerate(rows, 1)])
 
 
 def reference_canonical_labels(raw_labels):
@@ -60,11 +78,11 @@ def reference_canonical_labels(raw_labels):
 
 def reference_read_table(path):
     unit_ids, labels, y_t, y_c = [], [], [], []
-    for rec in reference_csv_rows(path, "table", TABLE_CSV_HEADER):
+    for i, rec in enumerate(reference_csv_rows(path, "table", TABLE_CSV_HEADER), start=1):
         unit_ids.append(str(rec["unit_id"]))
         labels.append(rec["block"])
-        y_t.append(float(rec["y_t"]))
-        y_c.append(float(rec["y_c"]))
+        y_t.append(reference_float("table", "y_t", i, rec["y_t"]))
+        y_c.append(reference_float("table", "y_c", i, rec["y_c"]))
     return PotentialOutcomeTable(
         tuple(unit_ids), reference_canonical_labels(labels), np.asarray(y_t), np.asarray(y_c)
     )
@@ -76,8 +94,22 @@ def reference_read_replay(path):
         unit_ids=tuple(r["unit_id"] for r in rows),
         blocks=reference_canonical_labels([r["block"] for r in rows]),
         z=tuple(r["z"] for r in rows),
-        baseline=np.asarray([float(r["baseline"]) for r in rows]),
-        y=np.asarray([float(r["y"]) for r in rows]),
+        baseline=reference_floats("replay", "baseline", rows),
+        y=reference_floats("replay", "y", rows),
+    )
+
+
+def reference_read_strata(path):
+    rows = reference_csv_rows(path, "strata", STRATA_CSV_HEADER)
+    return pop_model.StrataMoments(
+        *(reference_floats("strata", name, rows) for name in STRATA_CSV_HEADER[1:])
+    )
+
+
+def reference_read_covariate(path):
+    rows = reference_csv_rows(path, "covariate", ["unit_id", "x"])
+    return CovariateSample(
+        unit_ids=tuple(r["unit_id"] for r in rows), x=reference_floats("covariate", "x", rows)
     )
 
 
@@ -109,14 +141,16 @@ def one_in(n):
 
 @st.composite
 def csv_text(draw, columns, cells, bad_cells):
-    """CSV text with ``columns`` (reordered, now and then one missing or an
-    extra one), cells drawn from ``cells[column]`` (unit ids are ``u<i>``,
-    now and then a duplicate), quoted fields, extra trailing fields, short
-    rows, comment lines and blank lines. Up to ``bad_cells`` numeric cells
-    get a bad value."""
-    header = draw(st.permutations(list(columns) + ["note"] * draw(st.integers(0, 1))))
+    """CSV text with ``columns`` (reordered, now and then one missing or
+    named twice, with up to two ``note`` columns the format does not use),
+    cells drawn from ``cells[column]`` (unit ids are ``u<i>``, now and then
+    a duplicate), quoted fields, extra trailing fields, short rows, comment
+    lines and blank lines. Up to ``bad_cells`` numeric cells get a bad value."""
+    header = draw(st.permutations(list(columns) + ["note"] * draw(st.integers(0, 2))))
     if draw(one_in(10)):
         header.remove(draw(st.sampled_from(columns)))
+    if draw(one_in(20)):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(columns)))
     rows = []
     for i in range(0 if draw(one_in(20)) else draw(st.integers(1, 8))):
         row = []
@@ -163,6 +197,8 @@ def assert_same_outcome(new, ref):
 
 TABLE_CELLS = {"block": LABELS, "y_t": NUMBERS, "y_c": NUMBERS}
 REPLAY_CELLS = {"block": LABELS, "z": ARMS, "baseline": NUMBERS, "y": NUMBERS}
+STRATA_CELLS = {"stratum": LABELS, **dict.fromkeys(STRATA_CSV_HEADER[1:], NUMBERS)}
+COVARIATE_CELLS = {"x": NUMBERS}
 # Batch sizes small enough that generated files span several batches.
 SMALL_BATCHES = st.sampled_from([2, 3])
 
@@ -186,6 +222,31 @@ def check_replay(tmp_path_factory, text):
         assert new.z == ref.z
         assert new.baseline.tobytes() == ref.baseline.tobytes()
         assert new.y.tobytes() == ref.y.tobytes()
+
+
+def check_strata(tmp_path_factory, text):
+    # Generated weights almost never sum to 1, so both readers hand their
+    # columns to a stand-in for StrataMoments that keeps them as they are.
+    path = tmp_path_factory.mktemp("strata") / "strata.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pop_model, "StrataMoments", lambda *columns: columns)
+        new, ref = outcome(read_strata_csv, path), outcome(reference_read_strata, path)
+    if isinstance(new, str) or isinstance(ref, str):
+        assert new == ref
+        return
+    assert [col.tobytes() for col in new] == [col.tobytes() for col in ref]
+
+
+def check_covariate(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("covariate") / "covariate.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    new, ref = outcome(read_covariate_csv, path), outcome(reference_read_covariate, path)
+    if isinstance(new, str) or isinstance(ref, str):
+        assert new == ref
+        return
+    assert new.unit_ids == ref.unit_ids
+    assert new.x.tobytes() == ref.x.tobytes()
 
 
 class TestMatchesRowReader:
@@ -219,6 +280,23 @@ class TestMatchesRowReader:
             mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
             check_replay(tmp_path_factory, text)
 
+    # The strata and covariate readers, like the replay reader, parse their
+    # numeric columns one after the other, so any number of bad values is
+    # compared.
+    @given(csv_text(STRATA_CSV_HEADER, STRATA_CELLS, bad_cells=3), SMALL_BATCHES)
+    @settings(max_examples=50, deadline=None)
+    def test_strata_in_small_batches(self, tmp_path_factory, text, batch_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
+            check_strata(tmp_path_factory, text)
+
+    @given(csv_text(["unit_id", "x"], COVARIATE_CELLS, bad_cells=3), SMALL_BATCHES)
+    @settings(max_examples=50, deadline=None)
+    def test_covariate_in_small_batches(self, tmp_path_factory, text, batch_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
+            check_covariate(tmp_path_factory, text)
+
     def test_labels_compare_as_dict_keys(self):
         raw = [1, "1", 1.0, "a", np.int64(1), "01"]
         assert canonical_labels(raw).tolist() == list(reference_canonical_labels(raw))
@@ -248,17 +326,32 @@ class TestBatches:
         with pytest.raises(ValueError, match=r"^table CSV data row 1 has no value"):
             read_table_csv(path)
 
+    def test_parse_error_waits_for_a_later_short_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pop_model, "_CSV_BATCH_ROWS", 2)
+        path = tmp_path / "table.csv"
+        path.write_text("unit_id,block,y_t,y_c\na,1,zero,0\nb,1,1,1\nc,2,0\n")
+        with pytest.raises(ValueError, match=r"^table CSV data row 3 has no value"):
+            read_table_csv(path)
+
+    def test_parse_error_names_first_bad_column_in_reader_order(self, tmp_path, monkeypatch):
+        # y_c goes bad in the first batch and y_t only in the second, at the
+        # second row of that batch.
+        monkeypatch.setattr(pop_model, "_CSV_BATCH_ROWS", 2)
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "unit_id,block,y_c,y_t\na,1,one,0\nb,1,1,1\nc,2,0,0\nd,2,0,two\ne,2,0,three\n"
+        )
+        message = r"^table CSV column y_t, data row 4: could not convert string to float: 'two'$"
+        with pytest.raises(ValueError, match=message):
+            read_table_csv(path)
+
     @pytest.mark.skipif(
         platform.python_implementation() != "CPython", reason="counts CPython's cyclic collector"
     )
     def test_large_table_leaves_collector_idle(self, tmp_path):
         # The reader keeps one batch of row lists alive, not the whole file's,
         # so the allocation count that triggers a collection stays low.
-        path = tmp_path / "table.csv"
-        path.write_text(
-            "unit_id,block,y_t,y_c\n"
-            + "".join(f"u{i},b{i % 200},{i / 7!r},{i / 3!r}\n" for i in range(20_000))
-        )
+        path = write_large_table(tmp_path / "table.csv")
         collections = []
 
         def count(phase, info):
@@ -273,6 +366,42 @@ class TestBatches:
             gc.callbacks.remove(count)
         assert table.n == 20_000 and table.num_blocks == 200
         assert len(collections) <= 3, collections
+
+    def test_large_table_holds_little_beyond_the_table(self, tmp_path):
+        # Each batch is converted as it is parsed, so what the reader holds
+        # besides the table it returns stays well under the 6.5 MiB of the
+        # whole file's strings, and fields of columns no reader keeps never
+        # add to it.
+        narrow = traced_read(write_large_table(tmp_path / "narrow.csv"))
+        wide = traced_read(write_large_table(tmp_path / "wide.csv", extra_columns=10))
+        assert narrow["transient"] < 3.5 * 2**20, narrow
+        assert wide["peak"] - narrow["peak"] < 0.25 * 2**20, (narrow, wide)
+
+
+def write_large_table(path, extra_columns=0):
+    """A 20,000-row table of 200 blocks, with ``extra_columns`` columns the
+    format does not use after its own (every other one quoted, holding a comma)."""
+    extra = "".join(f",note{j}" for j in range(extra_columns))
+    with open(path, "w") as fh:
+        fh.write(f"unit_id,block,y_t,y_c{extra}\n")
+        for i in range(20_000):
+            notes = "".join(f',"{i}, {j}"' if j % 2 else f",{i * j}" for j in range(extra_columns))
+            fh.write(f"u{i},b{i % 200},{i / 7!r},{i / 3!r}{notes}\n")
+    return path
+
+
+def traced_read(path):
+    """Bytes traced while ``read_table_csv(path)`` runs: the ``peak``, and the
+    ``transient`` part of it that is not held by the table returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = read_table_csv(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n == 20_000
+    return {"peak": peak, "transient": peak - retained}
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +501,21 @@ def test_not_utf8_names_the_csv_kind(tmp_path, kind):
     read = {**READERS, "covariate": read_covariate_csv}[kind]
     message = f"^{kind} CSV is not readable: 'utf-8' codec can't decode"
     with pytest.raises(ValueError, match=message):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", [*sorted(VALID), "covariate"])
+def test_format_column_named_twice_is_refused(tmp_path, kind):
+    # Repeats of a column the format does not use are read as before.
+    text = "unit_id,x\na,1\nb,2\n" if kind == "covariate" else valid_csv_text(kind)
+    header, *rows = text.splitlines()
+    column = header.split(",")[-1]
+    path = tmp_path / "input.csv"
+    read = {**READERS, "covariate": read_covariate_csv}[kind]
+    path.write_text("\n".join([f"{header},note,note", *(f"{row},n,n" for row in rows)]) + "\n")
+    read(path)
+    path.write_text("\n".join([f"{header},{column}", *(f"{row},5" for row in rows)]) + "\n")
+    with pytest.raises(ValueError, match=f"^{kind} CSV header names column '{column}' twice$"):
         read(path)
 
 
