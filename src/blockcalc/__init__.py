@@ -18,7 +18,6 @@ from .pop_model import (  # noqa: F401
     read_table_csv,
     summarize,
     table_from_arrays,
-    validate_table,
 )
 from .randomizer import assign_blocked, assign_cr, tau_hat  # noqa: F401
 from .oracle import count_assignments, exact_moments, iter_assignments  # noqa: F401

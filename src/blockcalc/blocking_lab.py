@@ -344,7 +344,7 @@ def require_noise_resolved(config: ScenarioConfig) -> None:
 def gen_scenario_population(config: ScenarioConfig) -> PotentialOutcomeTable:
     """The population of one config: :func:`gen_scenario_outcomes` of the batch
     ``[config]`` as a table with unit ids ``u1..un``, whose noise
-    :func:`require_noise_resolved` has checked."""
+    :func:`require_noise_resolved` has checked. Neither study calls it."""
     labels, y_t, y_c = gen_scenario_outcomes([config])
     table = PotentialOutcomeTable(default_unit_ids(len(labels)), labels + 1, y_t[0], y_c[0])
     require_noise_resolved(config)

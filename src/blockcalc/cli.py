@@ -63,6 +63,7 @@ from .pop_model import (
     validate_design,
 )
 from .replay import (
+    DEFAULT_ALLOCATIONS,
     REPLAY_COLUMNS,
     default_strategies,
     read_replay_csv,
@@ -71,6 +72,7 @@ from .replay import (
 )
 from .studies import STUDIES, run_study
 from .variance_theory import (
+    DEFAULT_REPS,
     MODE_CR_SRS_VS_BK_STRAT,
     MODE_CR_SRS_VS_CR_STRAT,
     neyman_var_blocked,
@@ -345,7 +347,7 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
         raise ValueError(
             f"framework {args.framework!r} takes no --reps (it is a closed form), got {args.reps}"
         )
-    reps = 10_000 if args.reps is None else args.reps
+    reps = DEFAULT_REPS if args.reps is None else args.reps
     mode = None
     site = args.framework == "site"
     data = read_table_csv(args.input) if site else read_strata_csv(args.input)
@@ -498,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="units drawn per selected stratum (two-stage); one value or one per row",
     )
     _add_common(p_cmp)
-    p_cmp.add_argument("--reps", type=int, help="Monte Carlo reps (site, two-stage; default 10000)")
+    p_cmp.add_argument(
+        "--reps", type=int, help=f"Monte Carlo reps (site, two-stage; default {DEFAULT_REPS})"
+    )
 
     p_study = sub.add_parser("study", help="run a canonical simulation study")
     p_study.add_argument("name", choices=list(STUDIES))
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("table", help="replay CSV (unit_id,block,z,baseline,y)")
     p_replay.add_argument("--strategies", help="JSON list of {name, params}")
     _add_common(p_replay)
-    p_replay.add_argument("--reps", type=int, default=1000)
+    p_replay.add_argument("--reps", type=int, default=DEFAULT_ALLOCATIONS)
 
     p_enum = sub.add_parser("enumerate", help="exact moments over all assignments")
     p_enum.add_argument("table")

@@ -32,7 +32,9 @@ two consumers start from those seeds.
   numpy's ``permutation``.
 
 Every Monte Carlo and grid loop runs in the batches of :func:`chunk_bounds`,
-sized in cells, one after another.
+one after another, each of about ``oracle.CHUNK_CELLS`` cells whatever an
+item's width, so memory stays bounded for any rep count or grid; every rep
+gets exactly the draws it would make alone.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ U = TypeVar("U")
 
 
 def rep_rng(master_seed: int, rep: int) -> np.random.Generator:
+    """Rep ``rep``'s generator under ``master_seed``: the tests' reference for batched draws."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,)))
 
 

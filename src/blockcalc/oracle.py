@@ -19,7 +19,8 @@ Named statistics take one of two paths in :func:`exact_moments`.
   the statistic's mean is ``c + sum_k mean(v_k)`` and its variance ``sum_k
   var(v_k)`` (Cochran, *Sampling Techniques*, 1977, on a stratified
   estimator): every subset of every group is evaluated, ``sum_k comb(n_k,
-  m_k)`` of them, and the product of the groups' subsets is never formed.
+  m_k)`` of them, and the product of the groups' subsets is never formed
+  (three 9-unit blocks, 4 treated each: 2,000,376 assignments, 378 subsets).
   All three take their terms from one kernel, :func:`_lex_sums`: the sums
   of ``w`` rows of unit values ``u`` over a group's size-``m`` subsets of
   units, in lexicographic order, built by ``S(j, r) = [u_j + S(j+1, r-1),

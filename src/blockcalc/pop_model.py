@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,13 +58,13 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what}")
 
 
-def _require_moments_fit(arms, n: int) -> None:
+def _require_moments_fit(arms, n: int, what: str = "units") -> None:
     """Refuse outcome arms whose means or sums of squares overflow float64.
 
     A mean sums ``n`` values and a sum of squares sums ``n`` squared
     deviations, each at most the arm's span (max - min) squared. So every
     arm's largest magnitude, and its span squared, must stay within
-    ``float64 max / n``. ``arms`` holds ``(name, values)`` pairs.
+    ``float64 max / n``. ``arms`` holds ``(name, values)`` pairs, each of ``n`` ``what``.
     """
     limit = float(np.finfo(float).max) / n
     for name, values in arms:
@@ -73,7 +73,7 @@ def _require_moments_fit(arms, n: int) -> None:
         span, peak = hi - lo, max(hi, -lo)
         if not (peak <= limit and span * span <= limit):
             raise ValueError(
-                f"{name} outcomes too large for float64 moments over {n} units: "
+                f"{name} outcomes too large for float64 moments over {n} {what}: "
                 f"span {span:.3g} (limit {limit ** 0.5:.3g}), "
                 f"magnitude {peak:.3g} (limit {limit:.3g})"
             )
@@ -94,8 +94,7 @@ class PotentialOutcomeTable:
 
     ``blocks`` must already be canonical (integers ``1..K``, each appearing
     at least once); it is stored as a read-only integer array. Use
-    :func:`table_from_arrays` or :func:`validate_table` to build a table
-    from raw labels.
+    :func:`table_from_arrays` to build a table from raw labels.
 
     The 0-based ``labels``, the ``block_sizes``, the ``block_order`` and the
     per-block ``stats`` are computed on first use and cached on the table;
@@ -170,11 +169,6 @@ class PotentialOutcomeTable:
     def block_indices(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k - 1)
 
-    @property
-    def sate(self) -> float:
-        """Average unit-level treatment effect over the table."""
-        return float(np.mean(self.y_t - self.y_c))
-
 
 def canonical_labels(raw) -> np.ndarray:
     """Dense labels ``1..K`` numbering the distinct values of ``raw`` in order
@@ -211,16 +205,6 @@ def table_from_arrays(blocks, y_t, y_c, unit_ids=None) -> PotentialOutcomeTable:
     blocks = canonical_labels(blocks)
     unit_ids = default_unit_ids(len(blocks)) if unit_ids is None else tuple(map(str, unit_ids))
     return PotentialOutcomeTable(unit_ids, blocks, y_t, y_c)
-
-
-def validate_table(records: Iterable[Mapping]) -> PotentialOutcomeTable:
-    """Build a table from records with the keys ``unit_id``, ``block``,
-    ``y_t`` and ``y_c``, as :func:`table_from_arrays` does."""
-    rows = [tuple(rec[key] for key in TABLE_CSV_HEADER) for rec in records]
-    if not rows:
-        raise ValueError("empty table")
-    unit_ids, blocks, y_t, y_c = zip(*rows)
-    return table_from_arrays(blocks, y_t, y_c, unit_ids)
 
 
 #: What :func:`read_table_csv` makes of each column (see :func:`read_csv_columns`).
@@ -263,7 +247,8 @@ def read_csv_columns(path, kind: str, columns: Mapping[str, str | None]) -> dict
     module cannot parse (a field over its size limit, say), in batch order;
     a file without data rows; a header missing one of ``columns`` or naming
     one twice; the first unparsable value of the first bad ``"float"``
-    column in the order of ``columns``, with its 1-based data row.
+    column in the order of ``columns``, with its 1-based data row. Other
+    columns may be named any number of times.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(line for line in fh if line[:1] != "#")
@@ -489,11 +474,6 @@ class TableSummary:
     per_block: tuple[BlockSummary, ...]
     pooled: BlockSummary
 
-    def require_s2(self) -> None:
-        if any(b.s2_t is None for b in self.per_block):
-            bad = [i + 1 for i, b in enumerate(self.per_block) if b.s2_t is None]
-            raise ValueError(f"singleton block(s) {bad}: sample variance undefined")
-
 
 @dataclass(frozen=True)
 class ArmStats:
@@ -672,7 +652,6 @@ class PooledMoments:
     mu_c: float
     sigma2_t: float
     sigma2_c: float
-    sigma2_tc: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,6 +663,9 @@ class StrataMoments:
 
         pooled mean     = sum_k w_k mu_k
         pooled variance = sum_k w_k sigma2_k + sum_k w_k (mu_k - mean)^2
+
+    ``mu_t``, ``mu_c`` and ``mu_t - mu_c`` must fit ``_require_moments_fit``'s
+    limits over the strata.
     """
 
     weights: np.ndarray
@@ -691,10 +673,9 @@ class StrataMoments:
     mu_c: np.ndarray
     sigma2_t: np.ndarray
     sigma2_c: np.ndarray
-    sigma2_tc: np.ndarray
 
     def __post_init__(self):
-        fields = ["weights", "mu_t", "mu_c", "sigma2_t", "sigma2_c", "sigma2_tc"]
+        fields = ["weights", "mu_t", "mu_c", "sigma2_t", "sigma2_c"]
         arrays = {}
         for name in fields:
             arr = _frozen_array(getattr(self, name), name)
@@ -710,17 +691,17 @@ class StrataMoments:
             raise ValueError("weights must be positive")
         if abs(float(arrays["weights"].sum()) - 1.0) > WEIGHT_ATOL:
             raise ValueError("weights must sum to 1")
-        for name in ("sigma2_t", "sigma2_c", "sigma2_tc"):
+        for name in ("sigma2_t", "sigma2_c"):
             if np.any(arrays[name] < 0):
                 raise ValueError(f"{name} must be nonnegative")
+        with np.errstate(over="ignore"):  # an overflowing effect is refused below
+            effects = self.mu_t - self.mu_c
+        arms = (("mu_t", self.mu_t), ("mu_c", self.mu_c), ("mu_t - mu_c", effects))
+        _require_moments_fit(arms, k, "strata")
 
     @property
     def num_strata(self) -> int:
         return len(self.weights)
-
-    @property
-    def tau_k(self) -> np.ndarray:
-        return self.mu_t - self.mu_c
 
     @cached_property
     def pooled(self) -> PooledMoments:
@@ -728,13 +709,11 @@ class StrataMoments:
         w = self.weights
         mu_t = float(w @ self.mu_t)
         mu_c = float(w @ self.mu_c)
-        tau = mu_t - mu_c
         return PooledMoments(
             mu_t=mu_t,
             mu_c=mu_c,
             sigma2_t=float(w @ self.sigma2_t + w @ (self.mu_t - mu_t) ** 2),
             sigma2_c=float(w @ self.sigma2_c + w @ (self.mu_c - mu_c) ** 2),
-            sigma2_tc=float(w @ self.sigma2_tc + w @ (self.tau_k - tau) ** 2),
         )
 
 
@@ -750,9 +729,15 @@ STRATA_CSV_HEADER = [
 
 
 def read_strata_csv(path) -> StrataMoments:
-    """Read ``stratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc`` rows."""
+    """Read ``stratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc`` rows. No formula
+    reads ``sigma2_tc``: it is checked last (finite, nonnegative) and not kept."""
     # The value columns follow the header in the field order of StrataMoments;
     # the stratum names are not kept.
     columns = {"stratum": None, **dict.fromkeys(STRATA_CSV_HEADER[1:], "float")}
     cols = read_csv_columns(path, "strata", columns)
-    return StrataMoments(*cols.values())
+    sigma2_tc = cols.pop("sigma2_tc")
+    moments = StrataMoments(*cols.values())
+    _require_finite(sigma2_tc, "sigma2_tc")
+    if np.any(sigma2_tc < 0):
+        raise ValueError("sigma2_tc must be nonnegative")
+    return moments

@@ -49,7 +49,9 @@ from .variance_theory import block_variances, blocked_variance, neyman_var_cr
 REPLAY_CSV_COLUMNS = {
     "unit_id": "str", "block": "label", "z": "str", "baseline": "float", "y": "float"
 }
-REPLAY_CSV_HEADER = list(REPLAY_CSV_COLUMNS)
+
+#: Allocations of a ``random-blocks`` strategy that sets none (``replay --reps``).
+DEFAULT_ALLOCATIONS = 1000
 
 STRATEGY_NAMES = (
     "keep-blocks",
@@ -122,7 +124,7 @@ def read_strategies_json(path) -> list[Strategy]:
     return [Strategy(name=item["name"], params=item.get("params", {})) for item in raw]
 
 
-def default_strategies(allocations: int = 1000) -> list[Strategy]:
+def default_strategies(allocations: int = DEFAULT_ALLOCATIONS) -> list[Strategy]:
     return [
         Strategy("keep-blocks"),
         Strategy("balance-proportions"),
@@ -256,7 +258,7 @@ def run_replay(
     data: ReplayData,
     strategies: list[Strategy] | None = None,
     seed: int = 0,
-    default_allocations: int = 1000,
+    default_allocations: int = DEFAULT_ALLOCATIONS,
     counts: dict | None = None,
 ) -> list[dict]:
     """Relative standard error of each strategy against complete randomization.

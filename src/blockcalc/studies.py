@@ -15,7 +15,9 @@ therefore draws nothing and its rows do not depend on the seed.
 sized in cells: each batch draws its populations in one
 :func:`gen_scenario_outcomes` call only to build the tables of its
 estimator Monte Carlo, which draws the assignments of every point together,
-one design at a time (:func:`~blockcalc.variance_estimation.varest_variabilities`).
+one design at a time (:func:`~blockcalc.variance_estimation.varest_variabilities`),
+and equals a point-by-point run bit for bit. Batch bounds depend on the grid
+alone, as a batch's shape can move a drawn population's last bits (by 9e-16).
 ``flexible-blocking`` sums each batch of reps into one ``(3, methods,
 dgps)`` array. A study variance that under- or overflows float64 ends the
 study in one error naming the config field that sets the outcome scale

@@ -24,7 +24,6 @@ from . import mc
 from .oracle import batch_statistic, count_assignments, exact_moments
 from .pop_model import (
     Blocked,
-    CompleteRandomization,
     DesignSpec,
     PotentialOutcomeTable,
     StrataMoments,
@@ -34,9 +33,13 @@ from .pop_model import (
     validate_design,
 )
 from .randomizer import draw_masks, shuffle_plan
+from .variance_theory import neyman_var_blocked
 
 #: Exact enumeration replaces Monte Carlo below this many assignments.
 EXACT_ENUMERATION_LIMIT = 1_000_000
+
+#: Monte Carlo draws of the estimator above ``EXACT_ENUMERATION_LIMIT``.
+DEFAULT_VAREST_REPS = 5_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +163,6 @@ def cr_varest_bias_under_blocking(
     potential outcomes. With one block it collapses to ``S2_tc/n``, the
     classical conservatism of the estimator under its own design.
     """
-    from .variance_theory import neyman_var_blocked
-
     design = blocked_design_for_proportion(table, p)
     n_t = design.n_t
     if n_t < 2 or table.n - n_t < 2:
@@ -225,7 +226,7 @@ class VarestVariability:
 def varest_variability(
     table: PotentialOutcomeTable,
     design: DesignSpec,
-    reps: int = 5_000,
+    reps: int = DEFAULT_VAREST_REPS,
     seed: int = 0,
 ) -> VarestVariability:
     """Mean and variance of the design's own variance estimator.
@@ -245,7 +246,7 @@ def varest_variabilities(
     tables: Sequence[PotentialOutcomeTable],
     design: DesignSpec,
     seeds: Sequence[int],
-    reps: int = 5_000,
+    reps: int = DEFAULT_VAREST_REPS,
 ) -> list[VarestVariability]:
     """:func:`varest_variability` of every table under one design, table
     ``p`` with master seed ``seeds[p]``.

@@ -41,7 +41,6 @@ from .pop_model import (
 )
 
 FRAMEWORK_FINITE = "finite"
-FRAMEWORK_SRS = "srs"
 FRAMEWORK_STRATIFIED = "stratified"
 FRAMEWORK_SITE = "site-sampling"
 FRAMEWORK_TWO_STAGE = "two-stage"
@@ -50,7 +49,7 @@ FRAMEWORK_MIXED = "mixed"
 MODE_CR_SRS_VS_BK_STRAT = "cr_srs_vs_bk_strat"
 MODE_CR_SRS_VS_CR_STRAT = "cr_srs_vs_cr_strat"
 
-#: Default replication count for the Monte Carlo operations.
+#: Default replication count for the Monte Carlo operations and ``compare``.
 DEFAULT_REPS = 10_000
 
 
@@ -471,7 +470,7 @@ def var_diff_two_stage(
     brings ``n_k[j]`` units whenever it is drawn. Each draw contributes the
     stratified-sampling between term evaluated on the drawn strata, from
     the types' ``mu_t``, ``mu_c``, ``sigma2_t`` and ``sigma2_c``;
-    ``weights`` and ``sigma2_tc`` are not read. Every per-draw term is
+    ``weights`` are not read. Every per-draw term is
     nonnegative, so the estimate is nonnegative by construction (blocking
     cannot hurt here). Like :func:`var_diff_site_sampling` it needs at least
     2 draws; :func:`two_stage_reps` gives the draws.

@@ -75,13 +75,14 @@ def test_criterion_01_oracle_equivalence():
         start = time.monotonic()
         for table, rng in corpus():
             n_t = int(rng.integers(1, table.n))
+            sate = float(np.mean(table.y_t - table.y_c))
             cr = exact_moments(table, CompleteRandomization(n_t), "tau_hat")
             assert rel_close(neyman_var_cr(table, n_t), cr.variance, 1e-10)
-            assert abs(cr.mean - table.sate) <= 1e-12 * max(1.0, abs(table.sate))
+            assert abs(cr.mean - sate) <= 1e-12 * max(1.0, abs(sate))
             design = make_random_blocked_design(rng, table)
             bk = exact_moments(table, design, "tau_hat")
             assert rel_close(neyman_var_blocked(table, design), bk.variance, 1e-10)
-            assert abs(bk.mean - table.sate) <= 1e-12 * max(1.0, abs(table.sate))
+            assert abs(bk.mean - sate) <= 1e-12 * max(1.0, abs(sate))
         elapsed = time.monotonic() - start
         assert elapsed < 30, f"took {elapsed:.1f}s"
 
@@ -126,7 +127,6 @@ def _fuzzed_moments(rng):
         mu_c=4.0 * rng.standard_normal(k),
         sigma2_t=5.0 * rng.random(k),
         sigma2_c=5.0 * rng.random(k),
-        sigma2_tc=np.zeros(k),
     )
     return moments, n
 
@@ -147,7 +147,7 @@ def test_criterion_03_stratified_sign_and_reduction():
             assert unequal.diff == equal.diff
         worked = StrataMoments(
             weights=[0.5, 0.5], mu_t=[0.0, 0.0], mu_c=[0.0, 0.0],
-            sigma2_t=[1.0, 1.0], sigma2_c=[1.0, 1.0], sigma2_tc=[0.0, 0.0],
+            sigma2_t=[1.0, 1.0], sigma2_c=[1.0, 1.0],
         )
         report = var_diff_strat_unequal(worked, n=8, p_k=[0.25, 0.75], p=0.5)
         assert report.diff == pytest.approx(-1.0 / 6.0, abs=1e-15)

@@ -226,6 +226,22 @@ class TestCompareCommand:
         assert manifest["method"] == "monte_carlo"
         assert manifest["counts"] == {"reps": 150}
 
+    def test_sigma2_tc_is_checked_and_not_kept(self, tmp_path):
+        # A sigma2_tc of 1000 beside sigma2_t 1.76 and sigma2_c 0.80 describes
+        # no joint law, but no formula reads it: the report is the same.
+        lines = (GOLDEN / "input_strata.csv").read_text().splitlines()
+        reports = []
+        for value in ("0.25", "1000"):
+            strata = tmp_path / f"strata_{value}.csv"
+            strata.write_text("\n".join([lines[0], *(f"{line[:line.rindex(',')]},{value}"
+                                                     for line in lines[1:])]) + "\n")
+            out = tmp_path / value
+            rc = main(["compare", str(strata), "--framework", "strat", "--n", "24", "--p", "0.5",
+                       "--out", str(out)])
+            assert rc == 0
+            reports.append((out / "compare_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_manifest_records_environment_and_report_bytes_stay(self, tmp_path):
         rc = main(["compare", str(GOLDEN / "input_strata.csv"), "--framework", "two-stage",
                    "--k-draw", "4", "--p", "0.5", "--n-per-stratum", "4", "--reps", "2000",
@@ -907,6 +923,37 @@ class TestOutcomeMagnitude:
         assert_one_line_error(proc, "y_t outcomes too large for float64 moments over 8 units")
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.glob("*_report.csv"))
+
+    @pytest.mark.parametrize("magnitude", ["1e160", "1e200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--framework", "strat", "--n", "24", "--p", "0.5"],
+            ["--framework", "unequal", "--n", "24", "--p-k", "0.25,0.75,0.25,0.75,0.25,0.75"],
+            ["--framework", "mixed", "--n-t", "12", "--n-c", "12", "--mode", "srs-vs-blocked"],
+            ["--framework", "mixed", "--n-t", "12", "--n-c", "12", "--mode", "srs-vs-stratified-cr"],
+            ["--framework", "two-stage", "--k-draw", "8", "--p", "0.5", "--n-per-stratum", "4",
+             "--reps", "20"],
+        ],
+        ids=["strat", "unequal", "mixed-blocked", "mixed-stratified-cr", "two-stage"],
+    )
+    def test_huge_strata_means_are_one_line_error(self, tmp_path, capsys, argv, magnitude):
+        # The golden strata with mu_t alternately +magnitude and -magnitude.
+        # Without the guard these runs reported inf or nan under overflow
+        # warnings, which this suite turns into errors.
+        header, *rows = (GOLDEN / "input_strata.csv").read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        for k, row in enumerate(rows):
+            row[2] = ("-" if k % 2 else "") + magnitude
+        strata = tmp_path / "strata.csv"
+        strata.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+        assert main(["compare", str(strata), *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "blockcalc: error: mu_t outcomes too large for float64 moments over 6 strata: "
+            f"span 2e+{magnitude[2:]} (limit 5.47e+153), magnitude 1e+{magnitude[2:]} "
+            "(limit 3e+307)\n"
+        )
+        assert not (tmp_path / "compare_report.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, config, message",

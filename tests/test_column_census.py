@@ -202,7 +202,9 @@ CENSUS = {
         # ROADMAP item 5 makes both simulated columns exact.
         "rel_se_pct": (SIMULATED, FLEX_CHUNKS),
         "x_within_over_total_pct": (
-            STATISTIC, "test_acceptance.py::test_criterion_10_blocking_method_bands"
+            STATISTIC,
+            "test_studies.py::test_x_within_over_total_is_exact_at_the_default_config",
+            "test_acceptance.py::test_criterion_10_blocking_method_bands",
         ),
         "y_within_over_total_pct": (SIMULATED, FLEX_CHUNKS),
         "reps": (LABEL, FLEX_CHUNKS),

@@ -24,7 +24,7 @@ from blockcalc.pop_model import (
     read_strata_csv,
     read_table_csv,
 )
-from blockcalc.replay import REPLAY_CSV_HEADER, ReplayData, read_replay_csv
+from blockcalc.replay import REPLAY_CSV_COLUMNS, ReplayData, read_replay_csv
 
 # ---------------------------------------------------------------------------
 # The row-wise reference: one dict per data row, one float() per value, and
@@ -89,7 +89,7 @@ def reference_read_table(path):
 
 
 def reference_read_replay(path):
-    rows = reference_csv_rows(path, "replay", REPLAY_CSV_HEADER)
+    rows = reference_csv_rows(path, "replay", list(REPLAY_CSV_COLUMNS))
     return ReplayData(
         unit_ids=tuple(r["unit_id"] for r in rows),
         blocks=reference_canonical_labels([r["block"] for r in rows]),
@@ -100,10 +100,15 @@ def reference_read_replay(path):
 
 
 def reference_read_strata(path):
+    """The moments of a strata file; ``sigma2_tc`` is checked after them and dropped."""
     rows = reference_csv_rows(path, "strata", STRATA_CSV_HEADER)
-    return pop_model.StrataMoments(
-        *(reference_floats("strata", name, rows) for name in STRATA_CSV_HEADER[1:])
-    )
+    *columns, sigma2_tc = [reference_floats("strata", name, rows) for name in STRATA_CSV_HEADER[1:]]
+    moments = pop_model.StrataMoments(*columns)
+    if not np.isfinite(sigma2_tc).all():
+        raise ValueError("non-finite sigma2_tc")
+    if (sigma2_tc < 0).any():
+        raise ValueError("sigma2_tc must be nonnegative")
+    return moments
 
 
 def reference_read_covariate(path):
@@ -278,7 +283,7 @@ class TestMatchesRowReader:
     def test_table(self, tmp_path_factory, text):
         check_table(tmp_path_factory, text)
 
-    @given(csv_text(REPLAY_CSV_HEADER, REPLAY_CELLS, bad_cells=3))
+    @given(csv_text(list(REPLAY_CSV_COLUMNS), REPLAY_CELLS, bad_cells=3))
     @settings(max_examples=150, deadline=None)
     def test_replay(self, tmp_path_factory, text):
         check_replay(tmp_path_factory, text)
@@ -290,7 +295,7 @@ class TestMatchesRowReader:
             mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
             check_table(tmp_path_factory, text)
 
-    @given(csv_text(REPLAY_CSV_HEADER, REPLAY_CELLS, bad_cells=3), SMALL_BATCHES)
+    @given(csv_text(list(REPLAY_CSV_COLUMNS), REPLAY_CELLS, bad_cells=3), SMALL_BATCHES)
     @settings(max_examples=150, deadline=None)
     def test_replay_in_small_batches(self, tmp_path_factory, text, batch_rows):
         with pytest.MonkeyPatch.context() as mp:

@@ -8,7 +8,6 @@ from blockcalc import (
     pooled_decomposition,
     summarize,
     table_from_arrays,
-    validate_table,
 )
 from blockcalc.pop_model import (
     Blocked,
@@ -28,27 +27,21 @@ from blockcalc.variance_estimation import ObservedSample
 from conftest import make_random_table
 
 
-def records(rows):
-    return [dict(zip(("unit_id", "block", "y_t", "y_c"), row)) for row in rows]
-
-
-class TestValidateTable:
+class TestTableFromArrays:
     def test_relabels_blocks_in_first_appearance_order(self):
-        table = validate_table(
-            records([("a", "A", 1, 0), ("b", "A", 2, 0), ("c", "B", 3, 0), ("d", "B", 4, 0)])
-        )
+        table = table_from_arrays(["A", "A", "B", "B"], [1, 2, 3, 4], [0] * 4, ["a", "b", "c", "d"])
         assert table.blocks.tolist() == [1, 1, 2, 2]
         assert table.num_blocks == 2
         assert list(table.block_sizes) == [2, 2]
 
     def test_single_row_is_valid(self):
-        table = validate_table(records([("only", 7, 1.0, 2.0)]))
+        table = table_from_arrays([7], [1.0], [2.0], ["only"])
         assert table.n == 1
         assert table.blocks.tolist() == [1]
 
     def test_non_finite_outcome_rejected(self):
         with pytest.raises(ValueError, match="non-finite outcome"):
-            validate_table(records([("a", 1, float("nan"), 0.0)]))
+            table_from_arrays([1], [float("nan")], [0.0], ["a"])
 
     def test_outcomes_just_within_the_moment_limit_are_accepted(self):
         span = 0.999 * np.sqrt(np.finfo(float).max / 4)
@@ -75,16 +68,14 @@ class TestValidateTable:
 
     def test_duplicate_unit_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate unit_id"):
-            validate_table(records([("a", 1, 1, 0), ("a", 1, 2, 0)]))
+            table_from_arrays([1, 1], [1, 2], [0, 0], ["a", "a"])
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="empty table"):
-            validate_table([])
+            table_from_arrays([], [], [])
 
     def test_first_appearance_order_not_sorted_order(self):
-        table = validate_table(
-            records([("a", "Z", 0, 0), ("b", "A", 0, 0), ("c", "Z", 0, 0), ("d", "A", 0, 0)])
-        )
+        table = table_from_arrays(["Z", "A", "Z", "A"], [0] * 4, [0] * 4, ["a", "b", "c", "d"])
         assert table.blocks.tolist() == [1, 2, 1, 2]
 
 
@@ -113,8 +104,6 @@ class TestSummarize:
         table = table_from_arrays([1, 2, 2], [1, 2, 3], [0, 0, 0])
         summary = summarize(table)
         assert summary.per_block[0].s2_t is None
-        with pytest.raises(ValueError, match="singleton"):
-            summary.require_s2()
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -315,8 +304,27 @@ class TestStrataMoments:
                 mu_c=[0, 0],
                 sigma2_t=[1, 1],
                 sigma2_c=[1, 1],
-                sigma2_tc=[0, 0],
             )
+
+    @pytest.mark.parametrize(
+        "mu_t, mu_c, arm",
+        [
+            ([0.0, 1e154], [0.0, 0.0], "mu_t"),
+            ([0.0, 0.0], [-1e154, 0.0], "mu_c"),
+            # Each arm spans 6e153, within the limit of 9.5e153 over 2 strata;
+            # the effects span twice that.
+            ([3e153, -3e153], [-3e153, 3e153], "mu_t - mu_c"),
+        ],
+    )
+    def test_means_past_the_moment_limit_rejected(self, mu_t, mu_c, arm):
+        message = f"^{arm} outcomes too large for float64 moments over 2 strata"
+        with pytest.raises(ValueError, match=message):
+            StrataMoments([0.5, 0.5], mu_t, mu_c, [1, 1], [1, 1])
+
+    def test_means_just_within_the_moment_limit_are_accepted(self):
+        span = 0.999 * np.sqrt(np.finfo(float).max / 2)
+        pooled = StrataMoments([0.5, 0.5], [0.0, span], [0.0, span], [1, 1], [1, 1]).pooled
+        assert np.isfinite([pooled.sigma2_t, pooled.sigma2_c]).all()
 
     def test_derived_pooled_satisfies_mixture_identity(self):
         moments = StrataMoments(
@@ -325,7 +333,6 @@ class TestStrataMoments:
             mu_c=[0.0, 2.0],
             sigma2_t=[1.0, 1.0],
             sigma2_c=[1.0, 1.0],
-            sigma2_tc=[0.0, 0.0],
         )
         assert moments.pooled.sigma2_c == pytest.approx(2.0)
         assert moments.pooled.mu_c == pytest.approx(1.0)
@@ -347,7 +354,6 @@ class TestStrataMoments:
             mu_c=np.zeros(k),
             sigma2_t=sig[:k],
             sigma2_c=sig[:k],
-            sigma2_tc=np.zeros(k),
         )
         # The mixture's raw second moment minus its squared mean, an
         # independent form of the within-plus-between identity.
@@ -377,6 +383,21 @@ class TestCsvRoundTrip:
         assert moments.num_strata == 2
         assert moments.mu_t[1] == 2.0
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "^non-finite sigma2_tc$"), ("-inf", "^non-finite sigma2_tc$"),
+         ("-0.5", "^sigma2_tc must be nonnegative$")],
+    )
+    def test_strata_sigma2_tc_is_checked(self, tmp_path, value, message):
+        path = tmp_path / "strata.csv"
+        path.write_text(
+            "stratum,weight,mu_t,mu_c,sigma2_t,sigma2_c,sigma2_tc\n"
+            "1,0.5,0.0,0.0,1.0,1.0,0.0\n"
+            f"2,0.5,2.0,2.0,1.0,1.0,{value}\n"
+        )
+        with pytest.raises(ValueError, match=message):
+            read_strata_csv(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "strata.csv"
         path.write_text("stratum,weight,mu_t\n1,1.0,0.0\n")
@@ -394,7 +415,7 @@ class TestIdentitySemantics:
             lambda: table_from_arrays([1, 1, 2, 2], np.arange(4.0), np.zeros(4)),
             lambda: ReplayData(("a", "b"), [1, 1], ("t", "c"), [0.0, 1.0], [2.0, 3.0]),
             lambda: ObservedSample([1, 1], [True, False], [2.0, 3.0]),
-            lambda: StrataMoments([0.5, 0.5], [0, 1], [0, 1], [1, 1], [1, 1], [0, 0]),
+            lambda: StrataMoments([0.5, 0.5], [0, 1], [0, 1], [1, 1], [1, 1]),
         ],
         ids=["PotentialOutcomeTable", "ReplayData", "ObservedSample", "StrataMoments"],
     )

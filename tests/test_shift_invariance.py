@@ -258,7 +258,6 @@ def test_two_stage_is_shift_invariant(k_draw, p):
             mu_c=mu_c + offset,
             sigma2_t=sigma2[:, 0],
             sigma2_c=sigma2[:, 1],
-            sigma2_tc=np.zeros(len(sizes)),
         )
         return var_diff_two_stage(moments, sizes, k_draw, p, reps=300, seed=31)
 

@@ -104,6 +104,19 @@ def test_study_reduces_chunks_in_order(monkeypatch):
         assert row["reps"] == reps
 
 
+def test_x_within_over_total_is_exact_at_the_default_config():
+    """x is 1..16 four times, so its sample variance is (255/12)(64/63) =
+    1360/63. Flex and peevish blocks of 8 hold two adjacent values four
+    times each (sample variance 2/7); each of the 8 interleave blocks holds
+    every other value of 1..16 once (sample variance 24)."""
+    want = {"flex": 45 / 34, "peevish": 45 / 34, "interleave": 1890 / 17}
+    rows = study_flexible_blocking(FlexBlockingConfig(), seed=0, reps=2)
+    assert len(rows) == 9
+    for row in rows:
+        got = row["x_within_over_total_pct"]
+        assert abs(got - want[row["method"]]) <= 1e-12 * want[row["method"]], row
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**200 + 1])
 @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 18), (7, 18), (299, 300)])
 def test_batched_child_seeds_are_seed_sequences(seed, lo, hi):

@@ -213,14 +213,14 @@ class TestCrVarestBiasStrat:
     def test_equal_stratum_means_zero(self):
         moments = StrataMoments(
             weights=[0.5, 0.5], mu_t=[1.0, 1.0], mu_c=[0.0, 0.0],
-            sigma2_t=[1.0, 2.0], sigma2_c=[1.0, 2.0], sigma2_tc=[0.0, 0.0],
+            sigma2_t=[1.0, 2.0], sigma2_c=[1.0, 2.0],
         )
         assert cr_varest_bias_strat(moments, n=4, p=0.5) == pytest.approx(0.0)
 
     def test_worked_example(self):
         moments = StrataMoments(
             weights=[0.5, 0.5], mu_t=[0.0, 2.0], mu_c=[0.0, 2.0],
-            sigma2_t=[1.0, 1.0], sigma2_c=[1.0, 1.0], sigma2_tc=[0.0, 0.0],
+            sigma2_t=[1.0, 1.0], sigma2_c=[1.0, 1.0],
         )
         assert cr_varest_bias_strat(moments, n=4, p=0.5) == pytest.approx(2.0)
 
@@ -235,7 +235,6 @@ class TestCrVarestBiasStrat:
                 mu_c=rng.normal(size=k) * 4,
                 sigma2_t=rng.random(k),
                 sigma2_c=rng.random(k),
-                sigma2_tc=np.zeros(k),
             )
             assert cr_varest_bias_strat(moments, n=8, p=0.5) >= 0.0
 

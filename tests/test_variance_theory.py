@@ -47,7 +47,6 @@ def simple_moments(mu_t, mu_c, sigma2=1.0, weights=None, sigma2_t=None, sigma2_c
         mu_c=mu_c,
         sigma2_t=sigma2_t if sigma2_t is not None else np.full(k, sigma2),
         sigma2_c=sigma2_c if sigma2_c is not None else np.full(k, sigma2),
-        sigma2_tc=np.zeros(k),
     )
 
 
@@ -201,7 +200,7 @@ class TestVarCrSrs:
 
     def test_degenerate_arm(self):
         moments = StrataMoments(
-            weights=[1.0], mu_t=[0.0], mu_c=[0.0], sigma2_t=[0.0], sigma2_c=[2.0], sigma2_tc=[0.0]
+            weights=[1.0], mu_t=[0.0], mu_c=[0.0], sigma2_t=[0.0], sigma2_c=[2.0]
         )
         assert var_cr_srs(moments, 5, 4) == pytest.approx(0.5)
 
@@ -437,12 +436,12 @@ class TestVarDiffTwoStage:
         with pytest.raises(ValueError, match="every proportion must be finite"):
             var_diff_two_stage(moments, [4, 4], k_draw=4, p=p, reps=10, seed=4)
 
-    def test_weights_and_sigma2_tc_are_not_read(self):
+    def test_weights_are_not_read(self):
         mu_t, mu_c = [0.0, 1.0, 3.0], [0.5, 0.0, 2.0]
         uniform = simple_moments(mu_t, mu_c)
         skewed = StrataMoments(
             weights=[0.5, 0.25, 0.25], mu_t=mu_t, mu_c=mu_c, sigma2_t=np.ones(3),
-            sigma2_c=np.ones(3), sigma2_tc=[0.0, 4.0, 9.0],
+            sigma2_c=np.ones(3),
         )
         a = var_diff_two_stage(uniform, [4, 6, 8], k_draw=3, p=0.5, reps=100, seed=7)
         b = var_diff_two_stage(skewed, [4, 6, 8], k_draw=3, p=0.5, reps=100, seed=7)
@@ -676,7 +675,7 @@ class TestOneComparisonPerRule:
         moments = read_strata_csv(GOLDEN_STRATA)
         reps = 50
         got = two_stage_reps(moments, sizes, k_draw, p, reps, seed=7)
-        fields = ("mu_t", "mu_c", "sigma2_t", "sigma2_c", "sigma2_tc")
+        fields = ("mu_t", "mu_c", "sigma2_t", "sigma2_c")
         for r in range(reps):
             chosen = mc.rep_rng(7, r).integers(moments.num_strata, size=k_draw)
             n_k = np.asarray(sizes)[chosen]
