@@ -28,7 +28,6 @@ from .pop_model import (
     centered_moments,
     default_unit_ids,
     grouped_moments,
-    read_csv_columns,
     table_from_arrays,
 )
 
@@ -59,12 +58,6 @@ class CovariateSample:
 def covariate_sample_from_values(x) -> CovariateSample:
     x = np.asarray(x, dtype=float)
     return CovariateSample(unit_ids=default_unit_ids(len(x)), x=x)
-
-
-def read_covariate_csv(path) -> CovariateSample:
-    """Read ``unit_id,x`` rows."""
-    cols = read_csv_columns(path, "covariate", {"unit_id": "str", "x": "float"})
-    return CovariateSample(unit_ids=cols["unit_id"], x=cols["x"])
 
 
 def _sorted_order(sample: CovariateSample) -> np.ndarray:

@@ -22,7 +22,10 @@ batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
 add ``method`` and the ``reps``, replays that draw ``random-blocks``
 partitions add ``method`` and the ``counts`` of allocations drawn and
 batches of their one shared sweep, and studies add the ``counts`` of reps,
-chunks and workers (always 1). Every manifest has ``timings``: the seconds
+chunks and workers (always 1). A batch or chunk is at most
+``oracle.chunk_rows(n)`` assignments, reps, partitions or (for
+``misconceptions``) grid points of ``n`` units; ``ratio-sweep`` scores its
+whole grid as one chunk. Every manifest has ``timings``: the seconds
 spent reading inputs (``load_s``), computing the report (``compute_s``) and
 writing the report CSV (``write_s``). Report CSVs start with a comment line
 ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment`` is

@@ -366,15 +366,26 @@ def _check_mc_reps(reps: int) -> None:
         raise ValueError(f"Monte Carlo needs reps >= 2 for a standard error, got {reps}")
 
 
+def _rescaled(reduce, values) -> float:
+    """``reduce(values)``, taken on ``values`` divided by a power of two at
+    their largest magnitude and multiplied back.
+
+    Scaling by a power of two is exact, so the result is bit for bit
+    ``reduce(values)`` wherever that is finite and no scaled value is
+    subnormal; but sums and squares of values near the float range no
+    longer overflow.
+    """
+    exponent = math.frexp(float(np.max(np.abs(values))))[1]
+    return math.ldexp(float(reduce(np.ldexp(values, -exponent))), exponent)
+
+
 def _mc_report(framework, var_crs, var_bks, diffs, reps) -> VarianceReport:
-    diffs = np.asarray(diffs)
-    se = float(np.std(diffs, ddof=1) / math.sqrt(reps))
     return VarianceReport(
         framework=framework,
-        var_cr=float(np.mean(var_crs)),
-        var_bk=float(np.mean(var_bks)),
-        diff=float(np.mean(diffs)),
-        mc_se=se,
+        var_cr=_rescaled(np.mean, var_crs),
+        var_bk=_rescaled(np.mean, var_bks),
+        diff=_rescaled(np.mean, diffs),
+        mc_se=_rescaled(lambda d: np.std(d, ddof=1) / math.sqrt(reps), diffs),
         reps=reps,
     )
 

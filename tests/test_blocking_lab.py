@@ -484,28 +484,3 @@ class TestGenXyPopulation:
             gen_xy_population("linear", 20, 1.0, np.random.default_rng(0))
 
 
-class TestCovariateCsv:
-    def test_round_trip(self, tmp_path):
-        from blockcalc.blocking_lab import read_covariate_csv
-
-        path = tmp_path / "cov.csv"
-        path.write_text("unit_id,x\nu1,3.5\nu2,1.0\n")
-        sample = read_covariate_csv(path)
-        assert sample.unit_ids == ("u1", "u2")
-        np.testing.assert_allclose(sample.x, [3.5, 1.0])
-
-    def test_missing_column_rejected(self, tmp_path):
-        from blockcalc.blocking_lab import read_covariate_csv
-
-        path = tmp_path / "cov.csv"
-        path.write_text("unit_id\nu1\n")
-        with pytest.raises(ValueError, match="unit_id,x"):
-            read_covariate_csv(path)
-
-    def test_short_row_rejected(self, tmp_path):
-        from blockcalc.blocking_lab import read_covariate_csv
-
-        path = tmp_path / "cov.csv"
-        path.write_text("# covariates\nunit_id,x\nu1,3.5\nu2\n")
-        with pytest.raises(ValueError, match=r"covariate CSV data row 2 has no value for \['x'\]"):
-            read_covariate_csv(path)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcalc import canonical_labels, pop_model
-from blockcalc.blocking_lab import CovariateSample, read_covariate_csv
 from blockcalc.cli import main
 from blockcalc.pop_model import (
     STRATA_CSV_HEADER,
@@ -109,13 +108,6 @@ def reference_read_strata(path):
     if (sigma2_tc < 0).any():
         raise ValueError("sigma2_tc must be nonnegative")
     return moments
-
-
-def reference_read_covariate(path):
-    rows = reference_csv_rows(path, "covariate", ["unit_id", "x"])
-    return CovariateSample(
-        unit_ids=tuple(r["unit_id"] for r in rows), x=reference_floats("covariate", "x", rows)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +212,6 @@ def assert_same_outcome(new, ref):
 TABLE_CELLS = {"block": LABELS, "y_t": NUMBERS, "y_c": NUMBERS}
 REPLAY_CELLS = {"block": LABELS, "z": ARMS, "baseline": NUMBERS, "y": NUMBERS}
 STRATA_CELLS = {"stratum": LABELS, **dict.fromkeys(STRATA_CSV_HEADER[1:], NUMBERS)}
-COVARIATE_CELLS = {"x": NUMBERS}
 # Batch sizes small enough that generated files span several batches.
 SMALL_BATCHES = st.sampled_from([2, 3])
 
@@ -260,17 +251,6 @@ def check_strata(tmp_path_factory, text):
     assert [col.tobytes() for col in new] == [col.tobytes() for col in ref]
 
 
-def check_covariate(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("covariate") / "covariate.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    new, ref = outcome(read_covariate_csv, path), outcome(reference_read_covariate, path)
-    if isinstance(new, str) or isinstance(ref, str):
-        assert new == ref
-        return
-    assert new.unit_ids == ref.unit_ids
-    assert new.x.tobytes() == ref.x.tobytes()
-
-
 class TestMatchesRowReader:
     # A table file carries at most one bad number: the row reader names the
     # first unparsable value in file order, the column reader the first one
@@ -302,22 +282,14 @@ class TestMatchesRowReader:
             mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
             check_replay(tmp_path_factory, text)
 
-    # The strata and covariate readers, like the replay reader, parse their
-    # numeric columns one after the other, so any number of bad values is
-    # compared.
+    # The strata reader, like the replay reader, parses its numeric columns
+    # one after the other, so any number of bad values is compared.
     @given(csv_text(STRATA_CSV_HEADER, STRATA_CELLS, bad_cells=3), SMALL_BATCHES)
     @settings(max_examples=50, deadline=None)
     def test_strata_in_small_batches(self, tmp_path_factory, text, batch_rows):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
             check_strata(tmp_path_factory, text)
-
-    @given(csv_text(["unit_id", "x"], COVARIATE_CELLS, bad_cells=3), SMALL_BATCHES)
-    @settings(max_examples=50, deadline=None)
-    def test_covariate_in_small_batches(self, tmp_path_factory, text, batch_rows):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pop_model, "_CSV_BATCH_ROWS", batch_rows)
-            check_covariate(tmp_path_factory, text)
 
     def test_labels_compare_as_dict_keys(self):
         raw = [1, "1", 1.0, "a", np.int64(1), "01"]
@@ -532,26 +504,24 @@ def valid_csv_text(kind):
 READERS = {"table": read_table_csv, "strata": read_strata_csv, "replay": read_replay_csv}
 
 
-@pytest.mark.parametrize("kind", [*sorted(VALID), "covariate"])
+@pytest.mark.parametrize("kind", sorted(VALID))
 def test_not_utf8_names_the_csv_kind(tmp_path, kind):
-    text = "unit_id,x\na,1\nb,2\n" if kind == "covariate" else valid_csv_text(kind)
     path = tmp_path / "input.csv"
-    data = text.encode("utf-8")
+    data = valid_csv_text(kind).encode("utf-8")
     path.write_bytes(data[:-3] + b"\xff" + data[-3:])
-    read = {**READERS, "covariate": read_covariate_csv}[kind]
+    read = READERS[kind]
     message = f"^{kind} CSV is not readable: 'utf-8' codec can't decode"
     with pytest.raises(ValueError, match=message):
         read(path)
 
 
-@pytest.mark.parametrize("kind", [*sorted(VALID), "covariate"])
+@pytest.mark.parametrize("kind", sorted(VALID))
 def test_format_column_named_twice_is_refused(tmp_path, kind):
     # Repeats of a column the format does not use are read as before.
-    text = "unit_id,x\na,1\nb,2\n" if kind == "covariate" else valid_csv_text(kind)
-    header, *rows = text.splitlines()
+    header, *rows = valid_csv_text(kind).splitlines()
     column = header.split(",")[-1]
     path = tmp_path / "input.csv"
-    read = {**READERS, "covariate": read_covariate_csv}[kind]
+    read = READERS[kind]
     path.write_text("\n".join([f"{header},note,note", *(f"{row},n,n" for row in rows)]) + "\n")
     read(path)
     path.write_text("\n".join([f"{header},{column}", *(f"{row},5" for row in rows)]) + "\n")

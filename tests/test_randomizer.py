@@ -15,7 +15,8 @@ from blockcalc import (
     tau_hat,
 )
 from blockcalc import mc
-from blockcalc.randomizer import draw_masks, shuffle_plan
+from blockcalc import randomizer
+from blockcalc.randomizer import BATCH_SHUFFLE_ROWS, draw_masks, shuffle_plan
 
 from conftest import make_random_blocked_design, make_random_table
 
@@ -174,6 +175,18 @@ class TestReweightingIdentity:
 # Batched mask draws against the step-by-step shuffle
 
 
+class ScriptedDraws:
+    """Stands in for a generator, handing out one row of step draws in order."""
+
+    def __init__(self, row):
+        self._draws = iter(row.tolist())
+
+    def integers(self, high):
+        u = next(self._draws)
+        assert 0 <= u < high
+        return u
+
+
 def reference_choose(pool, m, rng):
     """First ``m`` entries of a partial Fisher-Yates shuffle, one ``integers`` call per step."""
     pool = np.array(pool)
@@ -221,17 +234,39 @@ DRAW_CASES = [
     ((5, 2, 8), 14),
 ]
 
+#: Row counts on both sides of the shuffle paths' threshold, and one of
+#: ``misconceptions``' default chunks, on a CR and an unsorted blocked plan.
+ROW_CASES = [
+    (sizes, n_t, reps)
+    for sizes, n_t in DRAW_CASES[3:5]
+    for reps in (BATCH_SHUFFLE_ROWS - 1, BATCH_SHUFFLE_ROWS, 2556)
+]
+
 
 class TestDrawMasks:
-    @pytest.mark.parametrize("sizes, n_t", DRAW_CASES)
-    def test_masks_match_reference(self, sizes, n_t):
+    @pytest.mark.parametrize("sizes, n_t, reps", [(*case, 500) for case in DRAW_CASES] + ROW_CASES)
+    def test_masks_match_reference(self, sizes, n_t, reps):
+        # The first row draws 0 and the last row high - 1 at every step; the
+        # others are seeded rows. Each row also goes through a one-row call.
         table, design = draw_case(sizes, n_t)
         plan = shuffle_plan(table, design)
-        reps = 500
-        got = draw_masks(plan, [mc.rep_rng(11, r).integers(plan.highs) for r in range(reps)])
+        draws = mc.rep_integers([11], 0, reps, plan.highs)
+        draws[0], draws[-1] = 0, plan.highs - 1
+        got = draw_masks(plan, draws)
         assert got.dtype == bool and got.shape == (reps, table.n)
-        for r in range(reps):
-            assert np.array_equal(got[r], reference_mask(table, design, mc.rep_rng(11, r)))
+        for mask, row in zip(got, draws):
+            want = reference_mask(table, design, ScriptedDraws(row))
+            assert np.array_equal(mask, want)
+            assert np.array_equal(draw_masks(plan, row[None])[0], want)
+
+    @pytest.mark.parametrize("reps", [1, BATCH_SHUFFLE_ROWS - 1, BATCH_SHUFFLE_ROWS, 2556])
+    def test_row_count_picks_the_path(self, monkeypatch, reps):
+        plan = shuffle_plan(unsorted_table(0, (3, 4)), Blocked((1, 2)))
+        batched, batch_shuffles = [], randomizer._batch_shuffles
+        monkeypatch.setattr(randomizer, "_batch_shuffles",
+                            lambda *args: batched.append(reps) or batch_shuffles(*args))
+        draw_masks(plan, np.zeros((reps, 3), dtype=np.int64))
+        assert batched == ([reps] if reps >= BATCH_SHUFFLE_ROWS else [])
 
     @pytest.mark.parametrize("sizes, n_t", DRAW_CASES)
     def test_assign_wrappers_return_the_same_draw(self, sizes, n_t):

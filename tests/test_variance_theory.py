@@ -1,3 +1,6 @@
+import math
+import statistics
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -446,6 +449,50 @@ class TestVarDiffTwoStage:
         a = var_diff_two_stage(uniform, [4, 6, 8], k_draw=3, p=0.5, reps=100, seed=7)
         b = var_diff_two_stage(skewed, [4, 6, 8], k_draw=3, p=0.5, reps=100, seed=7)
         assert a == b
+
+
+class TestMonteCarloReportNearTheFloatRange:
+    """Per-draw values of order span^2 near the float range, on inputs the
+    table and strata guards accept: the sums and squares of the report's
+    means and standard error would overflow taken as they stand."""
+
+    BIG_SITE = 3e153  # the table guard's span limit over 16 units is 3.35e153
+    BIG_STRATUM = 8.53e153  # 0.9 of the strata guard's span limit at K = 2
+
+    def draws(self, framework, reps):
+        if framework == "site":
+            big = self.BIG_SITE
+            population = site_table([0.0] * 4, [0.0, big, 0.0, big], [big] * 4, [0.0] * 4)
+            args = (population, 4, 0.5, reps, 0)
+            return var_diff_site_sampling(*args), site_sampling_reps(*args)
+        moments = simple_moments([0.0, self.BIG_STRATUM], [0.0, self.BIG_STRATUM])
+        args = (moments, [4, 4], 4, 0.5, reps, 0)
+        return var_diff_two_stage(*args), two_stage_reps(*args)
+
+    @pytest.mark.parametrize("reps", [5, 2000])
+    @pytest.mark.parametrize("framework", ["site", "two-stage"])
+    def test_report_is_finite_without_warnings(self, framework, reps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, (var_crs, var_bks, diffs) = self.draws(framework, reps)
+        # statistics takes sums of squares in exact rationals, so it cannot overflow.
+        assert report.mc_se == pytest.approx(statistics.stdev(diffs) / math.sqrt(reps), rel=1e-12)
+        assert report.diff == pytest.approx(statistics.mean(diffs), rel=1e-12)
+        assert report.var_cr == pytest.approx(statistics.mean(var_crs), rel=1e-12)
+        assert report.var_bk == pytest.approx(statistics.mean(var_bks), rel=1e-12)
+        assert 0 < report.mc_se < report.diff < math.inf
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ordinary_reports_keep_their_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-100, 100)
+        var_crs, var_bks = rng.exponential(scale, size=(2, 37))
+        diffs = var_crs - var_bks
+        report = variance_theory._mc_report("site", var_crs, var_bks, diffs, 37)
+        assert report.var_cr == float(np.mean(var_crs))
+        assert report.var_bk == float(np.mean(var_bks))
+        assert report.diff == float(np.mean(diffs))
+        assert report.mc_se == float(np.std(diffs, ddof=1) / math.sqrt(37))
 
 
 class TestVarianceReport:
