@@ -8,7 +8,12 @@ Assignments are visited in lexicographic order of each group's treated
 index combinations, the last group cycling fastest, which makes the
 traversal deterministic and shardable.
 
-Named statistics take one of two paths in :func:`exact_moments`.
+One exact path serves every named statistic in :func:`exact_moments`: it
+is computed from sums over the design's groups, which evaluate ``sum_k
+comb(n_k, m_k)`` subsets and never form their product (three 9-unit blocks,
+4 treated each: 2,000,376 assignments, 378 subsets). Masks serve only
+callables: :func:`iter_assignments` yields them one at a time, and
+:func:`population_moments` reduces the values.
 
 * **Group vectors.** ``tau_hat`` under any design, ``var_est_cr`` under
   complete randomization and ``var_est_blocked`` under blocking are sums
@@ -18,13 +23,11 @@ Named statistics take one of two paths in :func:`exact_moments`.
   (:func:`_group_vectors`). The groups are randomized independently, so
   the statistic's mean is ``c + sum_k mean(v_k)`` and its variance ``sum_k
   var(v_k)`` (Cochran, *Sampling Techniques*, 1977, on a stratified
-  estimator): every subset of every group is evaluated, ``sum_k comb(n_k,
-  m_k)`` of them, and the product of the groups' subsets is never formed
-  (three 9-unit blocks, 4 treated each: 2,000,376 assignments, 378 subsets).
-  All three take their terms from one kernel, :func:`_lex_sums`: the sums
-  of ``w`` rows of unit values ``u`` over a group's size-``m`` subsets of
-  units, in lexicographic order, built by ``S(j, r) = [u_j + S(j+1, r-1),
-  S(j+1, r)]``. In a design of several groups, a group whose masks fit in
+  estimator); their moments are added with ``math.fsum``. All three take
+  their terms from one kernel, :func:`_lex_sums`: the sums of ``w`` rows of
+  unit values ``u`` over a group's size-``m`` subsets of units, in
+  lexicographic order, built by ``S(j, r) = [u_j + S(j+1, r-1), S(j+1,
+  r)]``. In a design of several groups, a group whose masks fit in
   :data:`CHUNK_CELLS` cells is one product with its boolean table, which
   blocks of one shape share. A larger one is split at the smallest
   prefix depth ``d`` whose suffix vectors ``S(d, r)`` fit in
@@ -67,28 +70,27 @@ Named statistics take one of two paths in :func:`exact_moments`.
     The run that leaves one unit out of an ``fsum`` rounds twice over ``m +
     1`` units, at most ``(10 + 1/sqrt(m)) eps Q``; while :data:`CHUNK_CELLS`
     is at least ``8 w`` it serves only ``m >= 3``, within the same bound.
-* **Masks.** ``var_est_cr`` under blocking, ``var_est_blocked`` under
-  complete randomization, and callables are not sums over the design's
-  groups. :func:`batch_statistic`, the one kernel for arbitrary masks,
-  evaluates the named ones on the boolean ``(rows, n)`` matrices of
-  :func:`iter_assignment_chunks`, each holding :func:`chunk_rows`
-  assignments of at most :data:`CHUNK_CELLS` cells. User-supplied callables
-  see one mask at a time from :func:`iter_assignments`.
+* **Group cumulants.** ``var_est_cr`` under blocking, the paper's
+  misapplied estimator, pools each arm over the blocks, so it is no sum of
+  per-block terms but a quadratic in three such sums. Their joint cumulants
+  up to order 4 add over the blocks and give its moments
+  (:func:`_misapplied_moments`).
+* ``var_est_blocked`` under complete randomization of two or more blocks is
+  refused up front. Block ``k``'s treated count runs over ``[max(0, n_t - n
+  + n_k), min(n_k, n_t)]``, and keeping it within ``[2, n_k - 2]`` for
+  every block needs every ``n_k >= n/2 + 2``, which two blocks cannot meet.
+  With one block it is ``var_est_cr``'s group vector.
 
-Masks come from one explicit-stack descent, :func:`_fill_lex`, of the split
-that subsets holding the first unit come first, down to boolean tables of at
-most :data:`CHUNK_CELLS` cells memoised for one enumeration. Each batch fills
-only the range of every group's subsets it uses. So a group-vector
-enumeration holds its ``sum_k comb(n_k, m_k)`` floats of vectors, about
-:data:`CHUNK_CELLS` floats of suffix sums and one piece; a mask enumeration
-holds its values and one batch of masks and their arm sums, whatever its
-block order.
+A group-vector enumeration holds its ``sum_k comb(n_k, m_k)`` floats, about
+:data:`CHUNK_CELLS` floats of suffix sums and one piece; a cumulant one a few
+vectors of one block; a callable's its values and one chunk of masks. A mean
+or variance that overflows float64 ends in one ``ValueError``, unwarned.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -151,131 +153,40 @@ def _lex_table(n: int, m: int, memo: dict) -> np.ndarray:
     return table
 
 
-def _fill_lex(out: np.ndarray, n: int, m: int, lo: int, hi: int, tables: dict) -> None:
-    """Set the True cells of rows ``[lo, hi)`` of :func:`_lex_table`'s ``M(n, m)`` in ``out``.
-
-    ``out`` is a zeroed boolean ``(hi - lo, n)`` matrix. Descends the split
-    of :func:`_lex_table` with an explicit stack of ``(first out row, first
-    column, n, m, lo, hi)`` sub-problems until one fits in
-    :data:`CHUNK_CELLS` cells, then copies a slice of its table, memoised in
-    ``tables``. A run of leading columns that every row holds, or that no
-    row holds, is skipped in one step by bisecting on ``math.comb``, so no
-    descent walks the columns one by one.
+def _treated_units(groups: list[tuple[list, int]]) -> Iterator[tuple]:
+    """The treated units of every assignment of ``(units, m)`` groups, one
+    ``itertools.combinations`` subset of each, the last group cycling
+    fastest. Each group's combinations restart when they run out, so none
+    is held whole (``itertools.product`` holds 93 MiB for 11 of 22 units).
     """
-    stack = [(0, 0, n, m, lo, hi)]
-    while stack:
-        row, col, n, m, lo, hi = stack.pop()
-        rows = slice(row, row + hi - lo)
-        if m == 0:
-            continue
-        if m == n:
-            out[rows, col : col + n] = True
-            continue
-        if m == 1:
-            # M(n, 1) is the identity, so rows [lo, hi) are one diagonal.
-            np.fill_diagonal(out[rows, col + lo : col + hi], True)
-            continue
-        total = math.comb(n, m)
-        if total * n <= CHUNK_CELLS:
-            out[rows, col : col + n] = _lex_table(n, m, tables)[lo:hi]
-            continue
-        top = math.comb(n - 1, m - 1)
-        if hi <= top:
-            # Rows holding each of the first j columns are the first comb(n - j, m - j).
-            j = bisect_right(range(m + 1), -hi, key=lambda j: -math.comb(n - j, m - j)) - 1
-            out[rows, col : col + j] = True
-            stack.append((row, col + j, n - j, m - j, lo, hi))
-        elif lo >= top:
-            # Rows holding none of the first j columns are the last comb(n - j, m).
-            j = bisect_right(range(n - m + 1), lo, key=lambda j: total - math.comb(n - j, m)) - 1
-            skip = total - math.comb(n - j, m)
-            stack.append((row, col + j, n - j, m, lo - skip, hi - skip))
-        else:
-            out[row : row + top - lo, col] = True
-            stack.append((row, col + 1, n - 1, m - 1, lo, top))
-            stack.append((row + top - lo, col + 1, n - 1, m, 0, hi - top))
-
-
-def _batches(radices: list[int], rows: int) -> Iterator[tuple[int, int, list]]:
-    """Batches of ``rows`` consecutive assignments of groups with subset counts ``radices``.
-
-    Assignments are the product of the groups' subsets, the last group
-    cycling fastest: a group's digit is the flat assignment index divided by
-    the group's stride, modulo its radix. Within one batch those quotients
-    are consecutive, so each group's digits cover one cyclic range of at most
-    a batch of its subsets (or all of them, which then fit in a batch).
-    Yields ``(start, stop, digits)`` with one ``(lo, span, repeats)`` per
-    group for :func:`_add_digits`.
-    """
-    total = math.prod(radices)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        digits = []
-        stride = total
-        for radix in radices:
-            stride //= radix
-            first, last = start // stride, (stop - 1) // stride
-            span = min(last + 1 - first, radix)
-            repeats = None
-            if span < stop - start:
-                # Quotient first + j covers `stride` rows, fewer at either end.
-                repeats = np.full(last + 1 - first, stride)
-                repeats[0] -= start - first * stride
-                repeats[-1] -= (last + 1) * stride - stop
-            digits.append((first % radix, span, repeats))
-        yield start, stop, digits
-
-
-def _add_digits(
-    out, n: int, m: int, radix: int, lo: int, span: int, repeats, tables: dict
-) -> None:
-    """Set in the rows of boolean ``out`` one group's subsets for its digits
-    in a :func:`_batches` batch.
-
-    Row j holds digit ``(lo + j) % radix``; with no ``repeats`` those are
-    the batch's own rows and are written in place.
-    """
-    subsets = out if repeats is None else np.zeros((span,) + out.shape[1:], bool)
-    _fill_lex(subsets, n, m, lo, min(lo + span, radix), tables)
-    if lo + span > radix:
-        _fill_lex(subsets[radix - lo :], n, m, 0, lo + span - radix, tables)
-    if repeats is not None:
-        out |= np.repeat(subsets[np.arange(len(repeats)) % radix], repeats, axis=0)
-
-
-def iter_assignment_chunks(
-    table: PotentialOutcomeTable, design: DesignSpec
-) -> Iterator[np.ndarray]:
-    """Yield every treated mask of the design once, as rows of ``(rows, n)`` matrices.
-
-    Assignments follow the product order of :func:`_batches` over the
-    groups of :func:`~blockcalc.pop_model.design_groups`; each group's
-    columns of a chunk are written by :func:`_fill_lex` for that chunk
-    alone. A matrix holds :func:`chunk_rows` assignments (the last one may
-    hold fewer).
-    """
-    groups, treated = design_groups(design, table)
-    # Chunks are built with the groups' columns side by side, in the order of
-    # ``pool``, and put back in unit order as they are yielded.
-    pool = np.concatenate(groups)
-    order = None if (pool == np.arange(table.n)).all() else np.argsort(pool)
-    offsets = np.cumsum([0] + [len(units) for units in groups])
-    radices = [math.comb(len(units), m) for units, m in zip(groups, treated)]
-    tables: dict = {}
-    for start, stop, digits in _batches(radices, chunk_rows(table.n)):
-        chunk = np.zeros((stop - start, table.n), dtype=bool)
-        for units, m, radix, col, digit in zip(groups, treated, radices, offsets, digits):
-            columns = chunk[:, col : col + len(units)]
-            _add_digits(columns, len(units), m, radix, *digit, tables)
-        yield chunk if order is None else chunk[:, order]
+    runs = [itertools.combinations(*group) for group in groups]
+    held = [next(run) for run in runs]
+    while True:
+        yield tuple(itertools.chain.from_iterable(held))
+        k = len(runs) - 1
+        while (subset := next(runs[k], None)) is None:
+            if k == 0:
+                return
+            runs[k] = itertools.combinations(*groups[k])
+            held[k] = next(runs[k])
+            k -= 1
+        held[k] = subset
 
 
 def iter_assignments(
     table: PotentialOutcomeTable, design: DesignSpec
 ) -> Iterator[np.ndarray]:
     """Yield every treated mask of the design exactly once, one at a time,
-    in :func:`iter_assignment_chunks` order."""
-    for masks in iter_assignment_chunks(table, design):
+    in the order of :func:`_treated_units` over the groups of
+    :func:`~blockcalc.pop_model.design_groups`, built :func:`chunk_rows`
+    masks at a time."""
+    groups, treated = design_groups(design, table)
+    subsets = _treated_units([(units.tolist(), m) for units, m in zip(groups, treated)])
+    width = sum(treated)
+    while chunk := list(itertools.islice(subsets, chunk_rows(table.n))):
+        masks = np.zeros((len(chunk), table.n), dtype=bool)
+        chosen = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * width)
+        masks[np.arange(len(chunk)).repeat(width), chosen] = True
         yield from masks
 
 
@@ -289,11 +200,6 @@ _UNDEFINED = {
         "needs at least 2 treated and 2 control units per block"
     ),
 }
-
-#: The (estimator, blocked design) pairs that sum over the design's groups:
-#: each estimator under the design it is made for.
-_GROUP_ESTIMATORS = {("var_est_cr", False), ("var_est_blocked", True)}
-
 
 def _raise_undefined(bad: np.ndarray, first: int, reason) -> None:
     """Report the first row of ``bad`` (rows, groups) that holds a True."""
@@ -492,37 +398,28 @@ def _lex_sums(u: np.ndarray, m: int, tables: dict | None) -> Iterator[tuple[int,
             stack.append((j + 1, r - 1, start, held + (units[j],)))
 
 
-def _estimator_terms(
-    x_t: np.ndarray, x_c: np.ndarray, m: int, weight: float, tables: dict | None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``weight (s2_t/m + s2_c/(n - m))`` on every size-``m`` treated subset
-    of a group's ``n`` units in lexicographic order, as ``(first index,
-    piece)`` runs that together add up to it.
-
-    ``x_t`` and ``x_c`` are the group's centered outcomes. An arm's term
-    ``SS_T / (size (size - 1))`` on its units ``T`` takes ``SS_T = sum_T x^2
-    - (sum_T x)^2 / size`` from :func:`_lex_sums` of the rows ``(x, x^2)``:
-    the treated arm over the size-``m`` subsets, the control arm over the
-    size-``(n - m)`` complements. Complements of lexicographic subsets come
-    in reverse lexicographic order, so a control run starting at ``start``
-    lands reversed at ``comb(n, m) - start - len``. Arms of equal size share
-    one stream of four rows.
+def _arm_sums(
+    x_t: np.ndarray, x_c: np.ndarray, m: int, tables: dict | None
+) -> Iterator[tuple[int, bool, np.ndarray]]:
+    """Each arm's rows ``(sum x, sum x^2)`` of its centered outcomes ``x_t``
+    or ``x_c`` on every size-``m`` treated subset of a group's ``n`` units in
+    lexicographic order, as ``(first index, control, piece)`` runs that
+    together cover both arms once: :func:`_lex_sums` streams, the control
+    arm's over the complements, laid out as the module docstring says.
     """
     n = len(x_t)
     radix = math.comb(n, m)
     streams: dict = {}
-    for x, size, complement in ((x_t, m, False), (x_c, n - m, True)):
-        streams.setdefault(size, []).append((x, complement))
+    for x, size, control in ((x_t, m, False), (x_c, n - m, True)):
+        streams.setdefault(size, []).append((x, control))
     for size, arms in streams.items():
-        scale = weight / (size * (size - 1))
         rows = np.array([row for x, _ in arms for row in (x, x * x)])
         for start, sums in _lex_sums(rows, size, tables):
-            terms = (sums[1::2] - sums[::2] ** 2 / size) * scale
-            for (_, complement), piece in zip(arms, terms):
-                if complement:
-                    yield radix - start - len(piece), piece[::-1]
+            for (_, control), piece in zip(arms, sums.reshape(len(arms), 2, -1)):
+                if control:
+                    yield radix - start - piece.shape[1], True, piece[:, ::-1]
                 else:
-                    yield start, piece
+                    yield start, False, piece
 
 
 def _group_vectors(
@@ -534,10 +431,12 @@ def _group_vectors(
     lexicographic order, so the statistic on the assignment that takes
     subset ``i_k`` of every group ``k`` is ``c + sum_k vectors[k][i_k]``.
     ``tau_hat``'s terms are the group's :func:`_lex_sums` of ``u`` and its
-    ``c`` comes from :func:`_tau_hat_linear`; an estimator's terms are its
-    :func:`_estimator_terms` and ``c`` is 0. Each group's runs are added
-    into one zeroed vector, so the design holds ``sum_k comb(n_k, m_k)``
-    floats whatever its assignment count.
+    ``c`` comes from :func:`_tau_hat_linear`. An estimator's ``c`` is 0 and
+    its term ``(n_k/n)^2 (SS_T / (m (m - 1)) + SS_C / ((n_k - m) (n_k - m -
+    1)))``, with each arm's ``SS = sum x^2 - (sum x)^2 / size`` from
+    :func:`_arm_sums`. Each group's runs are added into one zeroed vector,
+    so the design holds ``sum_k comb(n_k, m_k)`` floats whatever its
+    assignment count.
     """
     groups, treated = design_groups(design, table)
     # Building a group's mask table costs about as much as its suffix sums,
@@ -547,15 +446,19 @@ def _group_vectors(
         c, u = _tau_hat_linear(table, design, treated)
         terms = [_lex_sums(u[units], m, tables) for units, m in zip(groups, treated)]
     else:
-        per_block = isinstance(design, Blocked)
+        per_block = statistic == "var_est_blocked"
         bad = [[min(m, len(units) - m) < 2 for units, m in zip(groups, treated)]]
         _raise_undefined(np.array(bad), 0, _UNDEFINED[statistic, per_block])
         c = 0.0
         _, _, (x_t, x_c) = _centered(table, per_block)
-        terms = [
-            _estimator_terms(x_t[units], x_c[units], m, (len(units) / table.n) ** 2, tables)
-            for units, m in zip(groups, treated)
-        ]
+
+        def estimator_terms(units, m):
+            weight = (len(units) / table.n) ** 2
+            for start, control, (s1, s2) in _arm_sums(x_t[units], x_c[units], m, tables):
+                size = len(units) - m if control else m
+                yield start, (s2 - s1**2 / size) * (weight / (size * (size - 1)))
+
+        terms = [estimator_terms(units, m) for units, m in zip(groups, treated)]
     vectors = []
     for units, m, pieces in zip(groups, treated, terms):
         vector = np.zeros(math.comb(len(units), m))
@@ -563,6 +466,78 @@ def _group_vectors(
             vector[start : start + len(piece)] += piece
         vectors.append(vector)
     return float(c), vectors
+
+
+def _misapplied_moments(table: PotentialOutcomeTable, design: Blocked) -> tuple[float, float]:
+    """Mean and variance of ``var_est_cr`` over a blocked design's assignments.
+
+    On pooled-centered outcomes the estimator is ``l - a B^2 - g D^2``: ``B``
+    and ``D`` sum the treated and control outcomes, ``l = alpha sum_T x_t^2 +
+    gamma sum_C x_c^2`` with ``alpha = 1 / (n_t (n_t - 1))``, ``gamma`` alike,
+    ``a = alpha / n_t`` and ``g = gamma / n_c``. Each block adds its vectors
+    of ``l_k``, ``B_k`` and ``D_k`` from :func:`_arm_sums` over its subsets,
+    and its joint cumulants to those of ``(l, B, D)`` (Kendall & Stuart, *The
+    Advanced Theory of Statistics*, vol. 1): the central moments of orders 2
+    and 3 and, with ``b``, ``d`` the centered ``B_k``, ``D_k``, ``k_BBBB =
+    E[b^4] - 3 E[b^2]^2``, ``k_DDDD`` alike and ``k_BBDD = E[b^2 d^2] - E[b^2]
+    E[d^2] - 2 E[bd]^2``. Then::
+
+        mean = mu_l - a (k_BB + mu_B^2) - g (k_DD + mu_D^2)
+        Var = k_ll + a^2 V(B^2) + g^2 V(D^2) - 2a C(l, B^2) - 2g C(l, D^2)
+              + 2ag C(B^2, D^2)
+        V(B^2) = k_BBBB + 4 mu_B k_BBB + 4 mu_B^2 k_BB + 2 k_BB^2
+        C(l, B^2) = k_lBB + 2 mu_B k_lB
+        C(B^2, D^2) = k_BBDD + 2 mu_D k_BBD + 2 mu_B k_BDD + 4 mu_B mu_D k_BD + 2 k_BD^2
+    """
+    groups, treated = design_groups(design, table)
+    n_t = sum(treated)
+    n_c = table.n - n_t
+    _raise_undefined(np.array([[min(n_t, n_c) < 2]]), 0, _UNDEFINED["var_est_cr", False])
+    alpha, gamma = 1 / (n_t * (n_t - 1)), 1 / (n_c * (n_c - 1))
+    _, _, (x_t, x_c) = _centered(table, False)
+    tables = {} if len(groups) > 1 else None
+    per_group = []
+    for units, m in zip(groups, treated):
+        l, b, d = vectors = np.zeros((3, math.comb(len(units), m)))
+        for start, control, (s1, s2) in _arm_sums(x_t[units], x_c[units], m, tables):
+            (d if control else b)[start : start + len(s1)] += s1
+            l[start : start + len(s1)] += (gamma if control else alpha) * s2
+        means = vectors.mean(axis=1)
+        vectors -= means[:, None]
+        # Products are summed over fixed blocks, as population_moments sums
+        # squares, so a large block holds its three vectors and little more.
+        sums = []
+        for lo in range(0, vectors.shape[1], _MOMENT_BLOCK):
+            l, b, d = vectors[:, lo : lo + _MOMENT_BLOCK]
+            b2, d2 = b * b, d * d
+            pairs = [(l, l), (l, b), (l, d), (b, b), (d, d), (b, d), (l, b2), (l, d2), (b2, b),
+                     (d2, d), (b2, d), (b, d2), (b2, b2), (d2, d2), (b2, d2)]
+            sums.append([float(np.sum(x * y)) for x, y in pairs])
+        *moments, b4, d4, b2d2 = [_total(column) / vectors.shape[1] for column in zip(*sums)]
+        k_bb, k_dd, k_bd = moments[3:6]
+        fourth = (b4 - 3 * k_bb * k_bb, d4 - 3 * k_dd * k_dd, b2d2 - k_bb * k_dd - 2 * k_bd * k_bd)
+        per_group.append((*means.tolist(), *moments, *fourth))
+    mu_l, mu_b, mu_d, ll, lb, ld, bb, dd, bd, lbb, ldd, bbb, ddd, bbd, bdd, bbbb, dddd, bbdd = (
+        map(_total, zip(*per_group))
+    )
+    a, g = alpha / n_t, gamma / n_c
+    var_b2 = bbbb + 4 * mu_b * bbb + 4 * mu_b * mu_b * bb + 2 * bb * bb
+    var_d2 = dddd + 4 * mu_d * ddd + 4 * mu_d * mu_d * dd + 2 * dd * dd
+    cov_b2d2 = bbdd + 2 * mu_d * bbd + 2 * mu_b * bdd + 4 * mu_b * mu_d * bd + 2 * bd * bd
+    mean = mu_l - a * (bb + mu_b * mu_b) - g * (dd + mu_d * mu_d)
+    variance = (
+        ll + a * a * var_b2 + g * g * var_d2 - 2 * a * (lbb + 2 * mu_b * lb)
+        - 2 * g * (ldd + 2 * mu_d * ld) + 2 * a * g * cov_b2d2
+    )
+    return mean, variance
+
+
+def _total(values) -> float:
+    """``math.fsum``, or inf where it raises on overflow or on ``inf - inf``."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 #: Values per block of :func:`population_moments`' sum of squares.
@@ -602,9 +577,9 @@ class ExactMoments:
     mean: float
     variance: float
     count: int
-    #: The :func:`chunk_rows` span of the values, ``ceil(count / chunk_rows(n))``,
-    #: which the mask path evaluates one matrix at a time (0 when a callable
-    #: saw one mask at a time).
+    #: The batches of :func:`chunk_rows` assignments the count spans,
+    #: ``ceil(count / chunk_rows(n))``, for a named statistic (0 for a
+    #: callable, which sees one mask at a time).
     chunks: int = 0
 
 
@@ -616,27 +591,24 @@ def exact_moments(
 ) -> ExactMoments:
     """Exact mean and population variance of a statistic over all assignments.
 
-    ``cap`` bounds the assignment count on every path. A statistic that sums
-    over the design's groups takes the moments of its :func:`_group_vectors`
-    and adds them over the independent groups with ``math.fsum``, so it
-    evaluates ``sum_k comb(n_k, m_k)`` subsets. Other named statistics are
-    :func:`batch_statistic` on the masks of :func:`iter_assignment_chunks`,
-    and a callable is called once per mask; their values are reduced by
-    :func:`population_moments`. The statistic must be defined for every
-    assignment of the design; otherwise the offending assignment index is
-    reported.
+    ``cap`` bounds the assignment count on every path, which the module
+    docstring describes. The statistic must be defined for every assignment
+    of the design; otherwise the offending assignment index is reported.
     """
+    if not callable(statistic) and statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
     total = count_assignments(design, table)
     if total > cap:
         raise ValueError(f"{total} assignments exceed the enumeration cap {cap}")
-    chunks = 0 if callable(statistic) else -(-total // chunk_rows(table.n))
-    if statistic == "tau_hat" or (statistic, isinstance(design, Blocked)) in _GROUP_ESTIMATORS:
-        c, vectors = _group_vectors(table, design, statistic)
-        means, variances = zip(*map(population_moments, vectors))
-        return ExactMoments(c + math.fsum(means), math.fsum(variances), total, chunks)
-    values = np.empty(total)
+    blocked = isinstance(design, Blocked)
+    if statistic == "var_est_blocked" and not blocked and table.num_blocks > 1:
+        raise ValueError(
+            f"var_est_blocked is undefined under complete randomization of {table.num_blocks} "
+            "blocks: some assignment leaves a block with fewer than 2 units in an arm"
+        )
     if callable(statistic):
         fn = resolve_statistic(statistic, design)
+        values = np.empty(total)
         i = -1
         for i, mask in enumerate(iter_assignments(table, design)):
             try:
@@ -644,13 +616,26 @@ def exact_moments(
             except ValueError as err:
                 raise ValueError(f"statistic undefined on assignment #{i}: {err}") from err
         assert i + 1 == total
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, variance = population_moments(values)
+        chunks, name = 0, "the statistic's"
     else:
-        start = 0
-        for masks in iter_assignment_chunks(table, design):
-            values[start : start + len(masks)] = batch_statistic(
-                table, design, statistic, masks, first=start
-            )
-            start += len(masks)
-        assert start == total
-    mean, variance = population_moments(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if statistic == "var_est_cr" and blocked:
+                mean, variance = _misapplied_moments(table, design)
+            else:
+                c, vectors = _group_vectors(table, design, statistic)
+                means, variances = zip(*map(population_moments, vectors))
+                mean, variance = c + _total(means), _total(variances)
+        chunks, name = -(-total // chunk_rows(table.n)), statistic
+    require_finite_moments(name, mean, variance)
     return ExactMoments(mean, variance, total, chunks)
+
+
+def require_finite_moments(name: str, mean: float, variance: float) -> None:
+    """Refuse a statistic's mean or variance that overflowed float64 (inf or nan)."""
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ValueError(
+            f"{name} moments overflow float64 (mean {mean:.3g}, variance {variance:.3g}): "
+            "the outcomes are too large"
+        )

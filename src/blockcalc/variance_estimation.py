@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .oracle import batch_statistic, count_assignments, exact_moments
+from .oracle import batch_statistic, count_assignments, exact_moments, require_finite_moments
 from .pop_model import (
     Blocked,
     DesignSpec,
@@ -237,9 +237,13 @@ def varest_variability(
     ``EXACT_ENUMERATION_LIMIT`` assignments; otherwise ``reps`` seeded
     assignments (at least 2) are drawn and the sample variance is reported,
     draw ``r`` being the shuffle of ``mc.rep_rng(seed, r)``. This is the
-    one-table call of :func:`varest_variabilities`.
+    one-table call of :func:`varest_variabilities`, and refuses moments that
+    overflow float64 on either path.
     """
-    return varest_variabilities([table], design, [seed], reps)[0]
+    result = varest_variabilities([table], design, [seed], reps)[0]
+    statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+    require_finite_moments(statistic, result.mean_varest, result.var_of_varest)
+    return result
 
 
 def varest_variabilities(
@@ -260,7 +264,9 @@ def varest_variabilities(
     :func:`~blockcalc.mc.rep_integers` call, turns them into masks with one
     :func:`~blockcalc.randomizer.draw_masks` call and evaluates each
     table's masks of the chunk in one :func:`~blockcalc.oracle.batch_statistic`
-    call, numbered from the chunk's first rep.
+    call, numbered from the chunk's first rep. An exact path refuses moments
+    that overflow float64; the Monte Carlo path returns them as inf or nan,
+    without a warning, for the caller to check.
     """
     first = tables[0]
     if any(not np.array_equal(table.blocks, first.blocks) for table in tables):
@@ -284,5 +290,6 @@ def varest_variabilities(
             values[p, start:stop] = batch_statistic(
                 table, design, statistic, masks[p], first=start
             )
-    return [VarestVariability(float(np.mean(v)), float(np.var(v, ddof=1)), "monte_carlo", reps)
-            for v in values]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [VarestVariability(float(np.mean(v)), float(np.var(v, ddof=1)), "monte_carlo", reps)
+                for v in values]

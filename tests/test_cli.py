@@ -739,6 +739,18 @@ class TestEnumerateCommand:
         assert rc == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_blocked_estimator_under_cr_of_two_blocks_is_one_line_error(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        write_mirrored_table(table)
+        rc = main(["enumerate", str(table), "--design", "cr:2", "--statistic", "var_est_blocked",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "blockcalc: error: var_est_blocked is undefined under complete randomization of "
+            "2 blocks: some assignment leaves a block with fewer than 2 units in an arm\n"
+        )
+        assert not (tmp_path / "enumerate_report.csv").exists()
+
 
 # One CSV per reader with a short second data row, and the command reading it.
 CSV_COMMANDS = [
@@ -908,7 +920,54 @@ def write_huge_table(path):
     ))
 
 
+def write_scaled_table(path, exponent):
+    """Eight units in two blocks of four, outcomes of about ``10**exponent``."""
+    values = [(1.0, -1.0), (-1.0, 1.0), (0.5, 0.25), (0.0, -0.5),
+              (0.75, 0.1), (-0.3, 0.2), (0.6, -0.9), (0.2, 0.4)]
+    path.write_text("unit_id,block,y_t,y_c\n" + "".join(
+        f"u{i},{1 + i // 4},{y_t}e{exponent},{y_c}e{exponent}\n"
+        for i, (y_t, y_c) in enumerate(values)
+    ))
+
+
 class TestOutcomeMagnitude:
+    #: ``count``, ``mean`` and ``variance`` at 1e70, as the mask kernel wrote
+    #: them before the blocked ``var_est_cr`` took its group cumulants.
+    ESTIMATOR_ROWS_1E70 = {
+        ("cr:4", "var_est_cr"): ["70", "2.2238839285714284e+139", "2.6208530417375288e+277"],
+        ("blocked", "var_est_cr"): ["36", "2.1670138888888894e+139", "3.086463607976466e+277"],
+        ("blocked", "var_est_blocked"): ["36", "2.565104166666667e+139", "7.681191677517364e+277"],
+    }
+
+    @pytest.mark.parametrize("design, statistic", list(ESTIMATOR_ROWS_1E70))
+    def test_estimator_moments_beyond_float64_are_one_line_error(
+        self, tmp_path, capsys, design, statistic
+    ):
+        # The estimators' variance is of degree 4 in the outcomes. In process,
+        # a numpy overflow warning is an error of this suite, so neither
+        # run may raise one.
+        (tmp_path / "design.json").write_text('{"n_tk": [2, 2]}')
+        argv = ["--design", design if design == "cr:4" else f"blocked:{tmp_path / 'design.json'}",
+                "--statistic", statistic, "--out", str(tmp_path)]
+        write_scaled_table(tmp_path / "table.csv", 70)
+        assert main(["enumerate", str(tmp_path / "table.csv"), *argv]) == 0
+        row = read_report(tmp_path / "enumerate_report.csv")[0]
+        got = [row["count"], row["mean"], row["variance"]]
+        want = self.ESTIMATOR_ROWS_1E70[design, statistic]
+        if (design, statistic) == ("blocked", "var_est_cr"):
+            assert got[0] == want[0]
+            assert [float(v) for v in got[1:]] == pytest.approx(
+                [float(v) for v in want[1:]], rel=1e-12
+            )
+        else:
+            assert got == want
+        capsys.readouterr()
+        write_scaled_table(tmp_path / "table.csv", 80)
+        assert main(["enumerate", str(tmp_path / "table.csv"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"blockcalc: error: {statistic} moments overflow float64 (mean ")
+        assert err.endswith("): the outcomes are too large\n") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,7 +3,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 import pytest
@@ -24,11 +24,15 @@ from blockcalc.oracle import (
     STATISTICS,
     batch_statistic,
     chunk_rows,
-    iter_assignment_chunks,
     resolve_statistic,
 )
-from blockcalc.pop_model import design_groups
-from blockcalc.variance_estimation import ObservedSample, var_est_blocked, var_est_cr
+from blockcalc.pop_model import blocked_design_for_proportion, design_groups
+from blockcalc.variance_estimation import (
+    ObservedSample,
+    cr_varest_bias_under_blocking,
+    var_est_blocked,
+    var_est_cr,
+)
 
 from conftest import make_random_blocked_design, make_random_table
 
@@ -183,13 +187,14 @@ def reference_values(table, design, statistic, masks):
 
 
 def kernel_values(table, design, statistic):
-    """Every assignment's value from the path ``exact_moments`` takes, or
+    """Every assignment's value from the oracle's group vectors where the
+    statistic sums over the design's groups, else from the mask kernel, or
     the message of the first undefined one."""
-    on_group_path = statistic == "tau_hat" or (
-        (statistic, isinstance(design, Blocked)) in oracle._GROUP_ESTIMATORS
-    )
+    off_groups = (statistic, isinstance(design, Blocked)) in {
+        ("var_est_cr", True), ("var_est_blocked", False)
+    }
     try:
-        values = (group_values if on_group_path else mask_values)(table, design, statistic)
+        values = (mask_values if off_groups else group_values)(table, design, statistic)
     except ValueError as err:
         return None, str(err)
     return values, None
@@ -323,12 +328,29 @@ def estimator_table(rng, kind, sizes):
     return table
 
 
+def mask_chunks(table, design):
+    """The masks of ``iter_assignments`` as ``(rows, n)`` matrices of
+    ``chunk_rows(n)`` rows."""
+    masks = iter_assignments(table, design)
+    while chunk := list(islice(masks, chunk_rows(table.n))):
+        yield np.array(chunk)
+
+
 def mask_values(table, design, statistic):
-    """The statistic on every assignment through the mask kernel."""
-    return np.concatenate([
-        batch_statistic(table, design, statistic, masks)
-        for masks in iter_assignment_chunks(table, design)
-    ])
+    """The statistic on every assignment through the mask kernel, numbering
+    an undefined one from the first assignment."""
+    values, start = [], 0
+    for masks in mask_chunks(table, design):
+        values.append(batch_statistic(table, design, statistic, masks, first=start))
+        start += len(masks)
+    return np.concatenate(values)
+
+
+def mask_kernel(statistic, design):
+    """The mask kernel as a callable, one mask at a time, for ``exact_moments``."""
+    return lambda table, mask: float(
+        oracle.batch_statistic(table, design, statistic, mask[None])[0]
+    )
 
 
 def group_values(table, design, statistic):
@@ -409,15 +431,11 @@ def exact_estimator_terms(table, design, statistic):
     return per_group
 
 
-def assert_chunks_match(table, design, blocks):
-    """Chunk lengths and rows of the enumeration equal the itertools reference."""
-    reference = itertools_masks(table.n, blocks)
-    rows = chunk_rows(table.n)
-    chunks = list(iter_assignment_chunks(table, design))
-    assert [len(c) for c in chunks] == [
-        min(rows, len(reference) - start) for start in range(0, len(reference), rows)
-    ]
-    assert np.array_equal(np.concatenate(chunks), reference)
+def assert_masks_match(table, design, blocks):
+    """The enumeration's masks, in order, equal the itertools reference."""
+    masks = np.array(list(iter_assignments(table, design)))
+    assert masks.dtype == bool
+    assert np.array_equal(masks, itertools_masks(table.n, blocks))
 
 
 class TestAssignmentChunks:
@@ -428,36 +446,44 @@ class TestAssignmentChunks:
         for _ in range(6):
             table = small_table(rng)
             for design in small_designs(rng, table):
-                chunks = list(iter_assignment_chunks(table, design))
-                total = count_assignments(design, table)
-                assert len(chunks) == math.ceil(total / chunk_rows(table.n))
-                assert all(len(c) == chunk_rows(table.n) for c in chunks[:-1])
-                stacked = np.concatenate(chunks)
-                assert stacked.dtype == bool
+                masks = np.array(list(iter_assignments(table, design)))
+                assert masks.dtype == bool
+                assert len(masks) == count_assignments(design, table)
                 reference = np.array(list(reference_assignments(table, design)))
-                assert np.array_equal(stacked, reference)
-                assert np.array_equal(np.array(list(iter_assignments(table, design))), reference)
+                assert np.array_equal(masks, reference)
 
     @pytest.mark.parametrize("n_t", [1, 1499])
     def test_deep_cr_matches_itertools(self, n_t):
         # One level of Python recursion per unit would exceed the limit.
         assert sys.getrecursionlimit() < 1500
         table = table_from_arrays([1] * 1500, np.zeros(1500), np.zeros(1500))
-        assert_chunks_match(table, CompleteRandomization(n_t), [(np.arange(1500), n_t)])
+        assert_masks_match(table, CompleteRandomization(n_t), [(np.arange(1500), n_t)])
+
+    def test_many_blocks_start_at_once(self):
+        # One generator per block, each nested in the next, would exceed
+        # the recursion limit before the first mask.
+        k = 1500
+        assert sys.getrecursionlimit() < k
+        labels = np.repeat(np.arange(1, k + 1), 2)
+        table = table_from_arrays(labels, np.zeros(2 * k), np.zeros(2 * k))
+        masks = np.array(list(islice(iter_assignments(table, Blocked((1,) * k)), 4)))
+        want = np.tile([True, False], (4, k))
+        want[1, -2:] = want[3, -2:] = want[2:, -4:-2] = [False, True]
+        assert np.array_equal(masks, want)
 
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_all_but_one_treated_matches_itertools(self, n):
         table = table_from_arrays([1] * n, np.zeros(n), np.zeros(n))
-        assert_chunks_match(table, CompleteRandomization(n - 1), [(np.arange(n), n - 1)])
+        assert_masks_match(table, CompleteRandomization(n - 1), [(np.arange(n), n - 1)])
         with pytest.raises(ValueError, match="out of range"):
-            next(iter_assignment_chunks(table, CompleteRandomization(n)))
+            next(iter_assignments(table, CompleteRandomization(n)))
 
     def test_single_block_matches_itertools(self):
         table = table_from_arrays([1] * 20, np.zeros(20), np.zeros(20))
-        assert_chunks_match(table, Blocked((10,)), [(np.arange(20), 10)])
+        assert_masks_match(table, Blocked((10,)), [(np.arange(20), 10)])
 
     @pytest.mark.parametrize("cells", [1, 23, 64])
-    def test_first_block_digits_across_chunk_boundaries(self, monkeypatch, cells):
+    def test_first_block_subsets_across_chunk_boundaries(self, monkeypatch, cells):
         monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
         labels = np.random.default_rng(5).permutation(np.repeat([1, 2, 3], [4, 3, 4]))
         table = table_from_arrays(labels, np.zeros(11), np.zeros(11))
@@ -466,9 +492,9 @@ class TestAssignmentChunks:
         for n_tk in [(1, 1, 1), (2, 1, 2), (3, 2, 1)]:
             total = count_assignments(Blocked(n_tk), table)
             inner = total // math.comb(len(units[0]), n_tk[0])
-            # Some chunk starts inside the run of rows of one first-block subset.
+            # Some chunk starts inside the run of masks of one first-block subset.
             assert any(start % inner for start in range(rows, total, rows))
-            assert_chunks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
+            assert_masks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
 
     @pytest.mark.parametrize("sizes", [(2, 16), (16, 2)])
     def test_large_block_in_either_order_matches_itertools(self, sizes):
@@ -476,22 +502,25 @@ class TestAssignmentChunks:
         table = table_from_arrays(np.repeat([1, 2], sizes), np.zeros(18), np.zeros(18))
         n_tk = tuple(size // 2 for size in sizes)
         units = [table.block_indices(k) for k in (1, 2)]
-        assert_chunks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
+        assert_masks_match(table, Blocked(n_tk), list(zip(units, n_tk)))
 
-    def test_single_block_memory_stays_within_chunks(self):
-        # A single 20-unit block, then a 22-unit block after a 2-unit one.
-        cases = [([20], (10,), 184_756), ([2, 22], (1, 11), 1_410_864)]
+    def test_memory_stays_within_chunks(self):
+        # A single 20-unit block in full, then the first 200,000 of the
+        # 1,410,864 masks of a 22-unit block after a 2-unit one. Holding
+        # every subset of the large block, as itertools.product does, would
+        # take 93 MiB.
+        cases = [([20], (10,), 184_756), ([2, 22], (1, 11), 200_000)]
         for sizes, n_tk, expected in cases:
             labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
             table = table_from_arrays(labels, np.zeros(len(labels)), np.zeros(len(labels)))
             tracemalloc.start()
             try:
-                count = sum(len(masks) for masks in iter_assignment_chunks(table, Blocked(n_tk)))
+                count = sum(1 for _ in islice(iter_assignments(table, Blocked(n_tk)), expected))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert count == expected
-            assert peak < 4 * 2**20
+            assert peak < 2**20, (sizes, peak)
 
     @pytest.mark.parametrize("cells", [None, 40, 200])
     def test_tau_hat_sums_match_the_mask_kernel(self, monkeypatch, cells):
@@ -671,7 +700,7 @@ class TestAssignmentChunks:
         # Every assignment has the design's counts, so the first is undefined.
         table = table_from_arrays([1] * 8, np.arange(8.0), np.zeros(8))
         design = CompleteRandomization(n_t)
-        first = next(iter_assignment_chunks(table, design))
+        first = next(mask_chunks(table, design))
         with pytest.raises(ValueError) as want:
             batch_statistic(table, design, "var_est_cr", first)
         with pytest.raises(ValueError) as got:
@@ -692,7 +721,7 @@ class TestAssignmentChunks:
         table = table_from_arrays(np.concatenate([[1, 2, 3], rest]), np.arange(13.0), np.zeros(13))
         assert tuple(table.block_sizes) == (4, 4, 5)
         design = Blocked(n_tk)
-        first = next(iter_assignment_chunks(table, design))
+        first = next(mask_chunks(table, design))
         with pytest.raises(ValueError) as want:
             batch_statistic(table, design, "var_est_blocked", first)
         with pytest.raises(ValueError) as got:
@@ -720,7 +749,7 @@ class TestAssignmentChunks:
             assert count == expected
             assert extra < 2**20, (sizes, extra)
 
-    def test_estimators_off_the_group_path_reach_the_mask_kernel(self, monkeypatch):
+    def test_no_named_statistic_reaches_the_mask_kernel(self, monkeypatch):
         calls = []
         kernel = oracle.batch_statistic
 
@@ -732,18 +761,20 @@ class TestAssignmentChunks:
         rng = np.random.default_rng(85)
         one_block = table_from_arrays([1] * 8, rng.normal(size=8), rng.normal(size=8))
         two_blocks = table_from_arrays([1] * 4 + [2] * 4, rng.normal(size=8), rng.normal(size=8))
-        cases = [
-            (one_block, CompleteRandomization(4), "var_est_cr", False),
-            (one_block, CompleteRandomization(4), "var_est_blocked", True),
-            (two_blocks, Blocked((2, 2)), "var_est_cr", True),
-            (two_blocks, Blocked((2, 2)), "var_est_blocked", False),
-            (two_blocks, Blocked((2, 2)), "tau_hat", False),
-            (one_block, CompleteRandomization(4), "tau_hat", False),
-        ]
-        for table, design, statistic, masked in cases:
-            calls.clear()
-            exact_moments(table, design, statistic)
-            assert bool(calls) == masked, (design, statistic)
+        cases = [(one_block, CompleteRandomization(4)), (one_block, Blocked((4,))),
+                 (two_blocks, CompleteRandomization(4)), (two_blocks, Blocked((2, 2)))]
+        for table, design in cases:
+            for statistic in STATISTICS:
+                if table is two_blocks and design == CompleteRandomization(4) and (
+                    statistic == "var_est_blocked"
+                ):
+                    continue  # refused up front, see TestMisappliedEstimator
+                count = exact_moments(table, design, statistic).count
+                assert count == count_assignments(design, table)
+        assert calls == []
+        # A callable is the one way to masks.
+        exact_moments(two_blocks, Blocked((2, 2)), mask_kernel("var_est_cr", Blocked((2, 2))))
+        assert calls == ["var_est_cr"] * 36
 
     def test_exact_moments_memory_stays_near_its_values(self):
         # The variance is reduced in fixed blocks of values, with no
@@ -800,7 +831,7 @@ class TestMomentsAddOverGroups:
                 for statistic in ("tau_hat", "var_est_blocked"):
                     assert_matches_mask_kernel(table, design, statistic)
 
-    @pytest.mark.parametrize("statistic", ["tau_hat", "var_est_blocked"])
+    @pytest.mark.parametrize("statistic", STATISTICS)
     def test_blocked_moments_hold_each_block_once(self, statistic):
         # 3 blocks of 8 at 4 have 343,000 assignments but 3 * 70 subsets;
         # the assignments' values alone would fill 2.6 MiB.
@@ -816,6 +847,160 @@ class TestMomentsAddOverGroups:
             tracemalloc.stop()
         assert moments.count == 343_000
         assert peak < 2**20, peak
+
+
+def misapplied_table(rng, kind, sizes):
+    """An ``estimator_table`` for ``var_est_cr`` under blocking: ``scale-*``
+    multiplies random outcomes by 1e-6 or 1e6, and ``shift`` puts them on a
+    grid of 2^-20 and adds 2^27, which is exact."""
+    table = estimator_table(rng, "random" if kind.startswith(("scale", "shift")) else kind, sizes)
+    y_t, y_c = table.y_t, table.y_c
+    if kind.startswith("scale"):
+        scale = {"scale-1e-6": 1e-6, "scale-1e6": 1e6}[kind]
+        y_t, y_c = scale * y_t, scale * y_c
+    elif kind == "shift":
+        y_t, y_c = (np.round(y * 2**20) / 2**20 + 2**27 for y in (y_t, y_c))
+        assert np.all(y_t - 2**27 == np.round(table.y_t * 2**20) / 2**20)
+    return table_from_arrays(table.blocks, y_t, y_c)
+
+
+class TestMisappliedEstimator:
+    """``var_est_cr`` under blocking, from joint cumulants added over the blocks."""
+
+    CASES = [
+        ((9,), [Blocked((4,)), Blocked((2,))]),
+        ((5, 6), [Blocked((2, 3)), Blocked((1, 5)), Blocked((4, 1))]),
+        ((4, 4, 5), [Blocked((2, 2, 3)), Blocked((1, 3, 1))]),
+        ((6, 7, 5), [Blocked((3, 3, 2))]),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind", ["scale-1e-6", "scale-1e6", "shift", "shuffled", "offset", "bimodal"]
+    )
+    def test_matches_the_mask_kernel(self, kind):
+        # The mask kernel, called once per mask through exact_moments, is the
+        # reference; blocks with a single treated or control unit are fine,
+        # as the arms are pooled over the blocks.
+        rng = np.random.default_rng(95)
+        for sizes, designs in self.CASES:
+            table = misapplied_table(rng, kind, sizes)
+            for design in designs:
+                got = exact_moments(table, design, "var_est_cr")
+                want = exact_moments(table, design, mask_kernel("var_est_cr", design))
+                assert got.count == want.count == count_assignments(design, table)
+                assert got.mean == pytest.approx(want.mean, rel=1e-12), (sizes, design)
+                assert got.variance == pytest.approx(want.variance, rel=1e-12), (sizes, design)
+
+    def test_exact_shift_changes_nothing(self):
+        # Pooled centering removes an exactly representable shift.
+        for sizes, designs in self.CASES:
+            rng = np.random.default_rng(96)
+            shifted = misapplied_table(rng, "shift", sizes)
+            table = table_from_arrays(shifted.blocks, shifted.y_t - 2**27, shifted.y_c - 2**27)
+            for design in designs:
+                got = exact_moments(shifted, design, "var_est_cr")
+                want = exact_moments(table, design, "var_est_cr")
+                assert got.mean == pytest.approx(want.mean, rel=1e-12)
+                assert got.variance == pytest.approx(want.variance, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "offset", "shuffled", "bimodal"])
+    def test_mean_matches_the_closed_form(self, kind):
+        rng = np.random.default_rng(97)
+        for sizes, p in [((4, 4, 6, 6), 0.5), ((3, 6, 9), 1 / 3), ((8, 8, 8), 0.25)]:
+            table = estimator_table(rng, kind, sizes)
+            design = blocked_design_for_proportion(table, p)
+            want = cr_varest_bias_under_blocking(table, p).expected_varest_cr
+            assert exact_moments(table, design, "var_est_cr").mean == pytest.approx(
+                want, rel=1e-12
+            )
+
+    def test_large_block_holds_its_three_vectors(self):
+        # One 20-unit block at 10 treated has 184,756 subsets; beyond its
+        # vectors of l_k, B_k and D_k the products are summed block by block.
+        table = estimator_table(np.random.default_rng(102), "random", (20,))
+        tracemalloc.start()
+        try:
+            count = exact_moments(table, Blocked((10,)), "var_est_cr").count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 184_756
+        assert peak - 3 * 8 * count < 2**20, peak
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_singleton_pooled_arm_is_named(self, m):
+        # Every block keeps a unit in each arm, so only a one-block design
+        # can leave a pooled arm with fewer than two units.
+        table = table_from_arrays([1] * 4, np.arange(4.0), np.zeros(4))
+        design = Blocked((m,))
+        with pytest.raises(ValueError) as want:
+            batch_statistic(table, design, "var_est_cr", next(mask_chunks(table, design)))
+        with pytest.raises(ValueError) as got:
+            exact_moments(table, design, "var_est_cr")
+        assert str(got.value) == str(want.value) == (
+            "statistic undefined on assignment #0: each arm needs at least 2 units"
+        )
+
+    def test_blocked_estimator_refused_under_complete_randomization(self):
+        rng = np.random.default_rng(98)
+        two_blocks = table_from_arrays([1] * 6 + [2] * 9, rng.normal(size=15), rng.normal(size=15))
+        with pytest.raises(ValueError) as err:
+            exact_moments(two_blocks, CompleteRandomization(7), "var_est_blocked")
+        assert str(err.value) == (
+            "var_est_blocked is undefined under complete randomization of 2 blocks: "
+            "some assignment leaves a block with fewer than 2 units in an arm"
+        )
+        # The mask kernel finds such an assignment.
+        _, message = reference_values(
+            two_blocks, CompleteRandomization(7), "var_est_blocked",
+            reference_assignments(two_blocks, CompleteRandomization(7)),
+        )
+        assert "singleton arm" in message
+
+    @pytest.mark.parametrize("kind", ["random", "offset", "bimodal"])
+    def test_blocked_estimator_on_one_block_is_the_pooled_one(self, kind):
+        table = estimator_table(np.random.default_rng(99), kind, (12,))
+        for n_t in (2, 5, 6, 10):
+            design = CompleteRandomization(n_t)
+            got = exact_moments(table, design, "var_est_blocked")
+            want = exact_moments(table, design, "var_est_cr")
+            assert got.mean == pytest.approx(want.mean, rel=1e-12)
+            assert got.variance == pytest.approx(want.variance, rel=1e-12)
+        with pytest.raises(ValueError, match="#0: block 1 has a singleton arm"):
+            exact_moments(table, CompleteRandomization(11), "var_est_blocked")
+
+    def test_overflow_is_one_error(self):
+        # The estimator's variance is of degree 4 in the outcomes: finite
+        # near 1e70, beyond float64 near 1e80. The suite turns a numpy
+        # overflow warning into an error, so none may be raised on the way.
+        rng = np.random.default_rng(100)
+        base = estimator_table(rng, "random", (4, 5))
+        for magnitude, finite in ((1e70, True), (1e80, False)):
+            table = table_from_arrays(base.blocks, magnitude * base.y_t, magnitude * base.y_c)
+            for design, statistic in [
+                (CompleteRandomization(4), "var_est_cr"),
+                (Blocked((2, 2)), "var_est_cr"),
+                (Blocked((2, 2)), "var_est_blocked"),
+            ]:
+                if finite:
+                    moments = exact_moments(table, design, statistic)
+                    assert math.isfinite(moments.mean) and math.isfinite(moments.variance)
+                    continue
+                with pytest.raises(ValueError, match=f"^{statistic} moments overflow float64"):
+                    exact_moments(table, design, statistic)
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_estimator_variability_overflow_is_one_error(self, monkeypatch, limit):
+        # Both of varest_variability's paths, enumeration and (with the
+        # enumeration limit at 0) Monte Carlo, refuse moments beyond float64.
+        if limit is not None:
+            monkeypatch.setattr(variance_estimation, "EXACT_ENUMERATION_LIMIT", limit)
+        base = estimator_table(np.random.default_rng(101), "random", (4, 5))
+        table = table_from_arrays(base.blocks, 1e80 * base.y_t, 1e80 * base.y_c)
+        for design in (CompleteRandomization(4), Blocked((2, 2))):
+            statistic = "var_est_blocked" if isinstance(design, Blocked) else "var_est_cr"
+            with pytest.raises(ValueError, match=f"^{statistic} moments overflow float64"):
+                varest_variability(table, design, reps=50)
 
 
 class TestMonteCarloThroughKernel:
