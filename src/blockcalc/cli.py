@@ -17,15 +17,15 @@ The manifest records the command, a digest of the fully resolved
 configuration, the master seed, the library version, timestamps, the
 output file list and the ``environment`` (Python and numpy versions,
 platform and CPU count); runs that enumerate assignments (``enumerate``,
-``variance --oracle``) add ``method`` and the ``counts`` of assignments and
-batches, Monte Carlo comparisons (``compare --framework site|two-stage``)
-add ``method`` and the ``reps``, replays that draw ``random-blocks``
-partitions add ``method`` and the ``counts`` of allocations drawn and
-batches of their one shared sweep, and studies add the ``counts`` of reps,
-chunks and workers (always 1). A batch or chunk is at most
-``oracle.chunk_rows(n)`` assignments, reps, partitions or (for
-``misconceptions``) grid points of ``n`` units; ``ratio-sweep`` scores its
-whole grid as one chunk. Every manifest has ``timings``: the seconds
+``variance --oracle``) add ``method`` and the ``counts`` of ``assignments``
+and of group subsets ``evaluated``, which ``--cap`` bounds. Monte Carlo
+comparisons (``compare --framework site|two-stage``) add ``method`` and the
+``reps``, replays that draw ``random-blocks`` partitions add ``method`` and
+the ``counts`` of allocations drawn and batches of their one shared sweep,
+and studies add the ``counts`` of reps, chunks and workers (always 1). Those
+batches and chunks are at most ``oracle.chunk_rows(n)`` reps, partitions or
+(for ``misconceptions``) grid points of ``n`` units; ``ratio-sweep`` scores
+its whole grid as one chunk. Every manifest has ``timings``: the seconds
 spent reading inputs (``load_s``), computing the report (``compute_s``) and
 writing the report CSV (``write_s``). Report CSVs start with a comment line
 ``# blockcalc <version> seed=<seed>`` unless ``--no-header-comment`` is
@@ -169,10 +169,10 @@ class ManifestWriter:
         self.extra: dict = {}
 
     def record_enumeration(self, moments) -> None:
-        """Add one exact enumeration's assignment and batch counts to the manifest."""
-        counts = self.extra.setdefault("counts", {"assignments": 0, "chunks": 0})
+        """Add one exact enumeration's assignments and evaluated subsets to the manifest."""
+        counts = self.extra.setdefault("counts", {"assignments": 0, "evaluated": 0})
         counts["assignments"] += moments.count
-        counts["chunks"] += moments.chunks
+        counts["evaluated"] += moments.evaluated
         self.extra["method"] = "enumeration"
 
     def mark(self, stage: str) -> None:
@@ -451,7 +451,7 @@ def cmd_enumerate(args, manifest: ManifestWriter) -> Report:
 
 
 #: Help of ``--cap``, which :func:`main` checks before any command runs.
-_CAP_HELP = "most assignments to enumerate, at least 1"
+_CAP_HELP = "most group subsets to evaluate (under cr:, assignments), at least 1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,10 +543,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        if "cap" in args and args.cap < 1:
-            raise ValueError(f"--cap must be at least 1, got {args.cap}")
+        for flag, least in (("threads", 1), ("seed", 0), ("cap", 1)):
+            if getattr(args, flag, least) < least:
+                raise ValueError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
         manifest = ManifestWriter(args.command, args)
         name, columns, rows, config = command(args, manifest)
         manifest.mark("compute")

@@ -29,6 +29,7 @@ from .pop_model import (
     StrataMoments,
     _integer_counts,
     blocked_design_for_proportion,
+    canonical_labels,
     equal_proportions,
     validate_design,
 )
@@ -46,8 +47,8 @@ DEFAULT_VAREST_REPS = 5_000
 class ObservedSample:
     """What the analyst sees: block label, treated flag and observed outcome per unit.
 
-    ``blocks``, ``treated`` and ``y_obs`` are stored as read-only integer,
-    boolean and float arrays.
+    Stored as read-only arrays: ``blocks`` numbered ``1..K`` as
+    :func:`~blockcalc.pop_model.canonical_labels` numbers them, bools, floats.
     """
 
     blocks: np.ndarray
@@ -55,7 +56,7 @@ class ObservedSample:
     y_obs: np.ndarray
 
     def __post_init__(self):
-        blocks = np.array(self.blocks, dtype=np.intp)
+        blocks = canonical_labels(self.blocks)
         treated = np.array(self.treated, dtype=bool)
         y_obs = np.array(self.y_obs, dtype=float)
         if not len(blocks) == len(treated) == len(y_obs):

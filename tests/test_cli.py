@@ -94,8 +94,8 @@ class TestVarianceCommand:
         assert manifest["outputs"] == ["variance_report.csv"]
         assert manifest["command"] == "variance"
         assert manifest["method"] == "enumeration"
-        # C(4, 2) = 6 CR assignments and 2 * 2 blocked ones, one batch each.
-        assert manifest["counts"] == {"assignments": 10, "chunks": 2}
+        # C(4, 2) = 6 CR assignments, and 2 * 2 blocked ones from 2 + 2 block subsets.
+        assert manifest["counts"] == {"assignments": 10, "evaluated": 10}
 
     def test_oracle_mismatch_caught_at_small_outcome_scale(self, tmp_path, monkeypatch):
         # Outcomes of order 1e-5 give variances of order 1e-10, far below an
@@ -294,7 +294,7 @@ class TestCompareCommand:
         [
             ("1", "0", "Monte Carlo needs reps >= 2 for a standard error, got 1"),
             ("0", "0", "Monte Carlo needs reps >= 2 for a standard error, got 0"),
-            ("50", "-1", "expected non-negative integer"),
+            ("50", "-1", "--seed must be at least 0, got -1"),
         ],
     )
     def test_bad_monte_carlo_args_are_one_line_errors(
@@ -481,7 +481,7 @@ class TestStudyCommand:
     @pytest.mark.parametrize("name", ["flexible-blocking", "misconceptions"])
     def test_negative_seed_is_one_line_error(self, tmp_path, name):
         proc = run_cli("study", name, "--reps", "5", "--seed", "-1", "--out", str(tmp_path))
-        assert_one_line_error(proc, "expected non-negative integer")
+        assert_one_line_error(proc, "--seed must be at least 0, got -1")
         assert not list(tmp_path.glob("study_*.csv"))
 
     def test_started_at_is_stamped_before_the_work(self, tmp_path, monkeypatch):
@@ -729,7 +729,7 @@ class TestEnumerateCommand:
         assert float(row["variance"]) == pytest.approx(4.0 / 3.0)
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["method"] == "enumeration"
-        assert manifest["counts"] == {"assignments": 6, "chunks": 1}
+        assert manifest["counts"] == {"assignments": 6, "evaluated": 6}
 
     def test_cap_violation_fails(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -738,6 +738,33 @@ class TestEnumerateCommand:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statistic", ["tau_hat", "var_est_blocked", "var_est_cr"])
+    def test_misconceptions_design_within_the_default_cap(self, tmp_path, capsys, statistic):
+        # 115 units in blocks of 10, 10, 10, 15, 15, 15, 20 and 20 with a
+        # fifth of each treated: about 2e20 assignments from 11,190 block subsets.
+        sizes, n_tk = (10, 10, 10, 15, 15, 15, 20, 20), [2, 2, 2, 3, 3, 3, 4, 4]
+        y = np.random.default_rng(115).normal(size=(115, 2)).tolist()
+        labels = np.repeat(np.arange(1, 9), sizes)
+        table, design = tmp_path / "table.csv", tmp_path / "design.json"
+        table.write_text("unit_id,block,y_t,y_c\n" + "".join(
+            f"u{i},{label},{yt!r},{yc!r}\n" for i, (label, (yt, yc)) in enumerate(zip(labels, y))
+        ))
+        design.write_text(json.dumps({"n_tk": n_tk}))
+        argv = ["enumerate", str(table), "--design", f"blocked:{design}", "--statistic", statistic]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert read_report(tmp_path / "out" / "enumerate_report.csv")[0]["count"] == str(
+            201492689618710546875
+        )
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["counts"] == {"assignments": 201492689618710546875, "evaluated": 11190}
+        capsys.readouterr()
+        assert main([*argv, "--cap", "11189", "--out", str(tmp_path / "capped")]) == 1
+        assert capsys.readouterr().err == (
+            "blockcalc: error: 11190 group subsets of 201492689618710546875 assignments "
+            "exceed the enumeration cap 11189\n"
+        )
+        assert not (tmp_path / "capped" / "enumerate_report.csv").exists()
 
     def test_blocked_estimator_under_cr_of_two_blocks_is_one_line_error(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -773,6 +800,25 @@ CSV_COMMANDS = [
 ]
 
 
+#: One run of every command, for the flags that :func:`main` checks up front.
+FLAG_COMMANDS = [
+    ["variance", "{table}", "--design", "cr:2"],
+    ["compare", "{strata}", "--framework", "strat", "--n", "8", "--p", "0.5"],
+    ["study", "ratio-sweep"],
+    ["replay", "{replay}"],
+    ["enumerate", "{table}", "--design", "cr:2"],
+]
+
+
+def flag_inputs(tmp_path, argv):
+    """``argv`` of :data:`FLAG_COMMANDS` with its input files written under ``tmp_path``."""
+    inputs = {"table": tmp_path / "table.csv", "strata": tmp_path / "strata.csv",
+              "replay": GOLDEN / "input_replay.csv"}
+    write_mirrored_table(inputs["table"])
+    write_strata(inputs["strata"])
+    return [str(inputs[a[1:-1]]) if a.startswith("{") else a for a in argv]
+
+
 class TestArgumentValidation:
     def test_missing_framework_args_fail_cleanly(self, tmp_path, capsys):
         strata = tmp_path / "strata.csv"
@@ -782,27 +828,21 @@ class TestArgumentValidation:
         assert "--n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["variance", "{table}", "--design", "cr:2"],
-            ["compare", "{strata}", "--framework", "strat", "--n", "8", "--p", "0.5"],
-            ["study", "ratio-sweep"],
-            ["replay", "{replay}"],
-            ["enumerate", "{table}", "--design", "cr:2"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", FLAG_COMMANDS, ids=lambda argv: argv[0])
     def test_threads_below_one_is_one_line_error(self, tmp_path, capsys, argv, threads):
-        inputs = {"table": tmp_path / "table.csv", "strata": tmp_path / "strata.csv",
-                  "replay": GOLDEN / "input_replay.csv"}
-        write_mirrored_table(inputs["table"])
-        write_strata(inputs["strata"])
-        argv = [str(inputs[a[1:-1]]) if a.startswith("{") else a for a in argv]
         out = tmp_path / "out"
-        assert main([*argv, "--threads", threads, "--out", str(out)]) == 1
+        assert main([*flag_inputs(tmp_path, argv), "--threads", threads, "--out", str(out)]) == 1
         message = f"blockcalc: error: --threads must be at least 1, got {threads}\n"
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", FLAG_COMMANDS, ids=lambda argv: argv[0])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, argv):
+        # Refused before anything runs, also by the commands that draw nothing
+        # (variance, compare --framework strat, ratio-sweep, enumerate).
+        out = tmp_path / "out"
+        assert main([*flag_inputs(tmp_path, argv), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "blockcalc: error: --seed must be at least 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -53,6 +53,33 @@ class TestCounts:
             exact_moments(two_unit_table, CompleteRandomization(1), cap=1)
         assert exact_moments(two_unit_table, CompleteRandomization(1), cap=2).count == 2
 
+    def test_cap_bounds_the_work_evaluated(self):
+        # Three 4-unit blocks at 2 treated: 6^3 = 216 assignments from 3 * 6
+        # block subsets. A named statistic evaluates the subsets, a callable
+        # every assignment, and complete randomization is one group.
+        rng = np.random.default_rng(44)
+        table = table_from_arrays([1] * 4 + [2] * 4 + [3] * 4, rng.normal(size=12),
+                                  rng.normal(size=12))
+        blocked, cr = Blocked((2, 2, 2)), CompleteRandomization(6)
+
+        def refusal(design, statistic, cap):
+            with pytest.raises(ValueError) as error:
+                exact_moments(table, design, statistic, cap=cap)
+            return str(error.value)
+
+        for statistic in STATISTICS:
+            moments = exact_moments(table, blocked, statistic, cap=18)
+            assert (moments.count, moments.evaluated) == (216, 18)
+            assert refusal(blocked, statistic, 17) == (
+                "18 group subsets of 216 assignments exceed the enumeration cap 17"
+            )
+        kernel = mask_kernel("tau_hat", blocked)
+        assert refusal(blocked, kernel, 215) == "216 assignments exceed the enumeration cap 215"
+        assert exact_moments(table, blocked, kernel, cap=216).evaluated == 216
+        for statistic in ("tau_hat", "var_est_cr", mask_kernel("tau_hat", cr)):
+            assert exact_moments(table, cr, statistic, cap=924).evaluated == 924
+            assert refusal(cr, statistic, 923) == "924 assignments exceed the enumeration cap 923"
+
     def test_enumeration_visits_each_assignment_once(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -364,7 +391,8 @@ def group_values(table, design, statistic):
 def assert_matches_mask_kernel(table, design, statistic):
     """Every assignment's group-path value within 1e-12 of the mask kernel's
     largest, and ``exact_moments`` within 1e-12 relative of the moments of
-    the mask kernel's values, with the design's count and chunk span."""
+    the mask kernel's values, with the design's count and its groups'
+    ``sum_k comb(n_k, m_k)`` subsets evaluated."""
     want = mask_values(table, design, statistic)
     values = group_values(table, design, statistic)
     assert len(values) == len(want) == count_assignments(design, table)
@@ -375,7 +403,8 @@ def assert_matches_mask_kernel(table, design, statistic):
     assert moments.mean == pytest.approx(mean, rel=1e-12), (design, statistic)
     assert moments.variance == pytest.approx(variance, rel=1e-12), (design, statistic)
     assert moments.count == len(want)
-    assert moments.chunks == math.ceil(len(want) / chunk_rows(table.n))
+    groups, treated = design_groups(design, table)
+    assert moments.evaluated == sum(math.comb(len(units), m) for units, m in zip(groups, treated))
 
 
 def group_path_peak(table, design, statistic):
@@ -801,13 +830,15 @@ class TestAssignmentChunks:
         whole = exact_moments(table, design, "tau_hat")
         monkeypatch.setattr(oracle, "CHUNK_CELLS", 2 * table.n)
         split = exact_moments(table, design, "tau_hat")
-        assert split.chunks == math.ceil(whole.count / 2) > whole.chunks == 1
+        assert split.evaluated == whole.evaluated == sum(
+            math.comb(int(size), int(size) // 2) for size in table.block_sizes
+        )
         assert split.mean == pytest.approx(whole.mean, rel=1e-14)
         assert split.variance == pytest.approx(whole.variance, rel=1e-14)
 
     def test_callables_keep_the_per_mask_path(self, mirrored_blocks_table):
         moments = exact_moments(mirrored_blocks_table, Blocked((1, 1)), lambda t, m: float(m[0]))
-        assert (moments.count, moments.chunks) == (4, 0)
+        assert (moments.count, moments.evaluated) == (4, 4)
 
 
 class TestMomentsAddOverGroups:

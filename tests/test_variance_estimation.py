@@ -20,7 +20,13 @@ from blockcalc import (
 )
 from blockcalc.blocking_lab import ScenarioConfig, gen_scenario_population
 from blockcalc.pop_model import StrataMoments, blocked_design_for_proportion, summarize
-from blockcalc.oracle import _lex_sums, chunk_rows, count_assignments, iter_assignments
+from blockcalc.oracle import (
+    STATISTICS,
+    _lex_sums,
+    chunk_rows,
+    count_assignments,
+    iter_assignments,
+)
 from blockcalc import variance_estimation
 from blockcalc.studies import MisconceptionsConfig
 from blockcalc.variance_estimation import varest_variabilities
@@ -43,6 +49,25 @@ class TestObservedSample:
         assert sample.treated[0]
         with pytest.raises(ValueError):
             sample.treated[0] = False
+
+    @pytest.mark.parametrize("first, second", [(5, 7), ("A", "B"), (7, 5.0)])
+    def test_raw_labels_give_the_bits_of_canonical_ones(self, first, second):
+        # Labels are numbered 1..K in order of first appearance, as a table's are.
+        y = np.random.default_rng(31).normal(size=8)
+        treated = [1, 1, 0, 0, 0, 1, 0, 1]
+        raw = obs([first] * 4 + [second] * 4, treated, y)
+        canonical = obs([1] * 4 + [2] * 4, treated, y)
+        np.testing.assert_array_equal(raw.blocks, canonical.blocks)
+        assert raw.blocks.dtype == np.intp and not raw.blocks.flags.writeable
+        for estimator in (var_est_cr, var_est_blocked):
+            assert estimator(raw).hex() == estimator(canonical).hex()
+
+    def test_from_schedule_keeps_the_table_labels(self):
+        rng = np.random.default_rng(32)
+        table = table_from_arrays(list("bbacacbca"), rng.normal(size=9), rng.normal(size=9))
+        mask = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=bool)
+        sample = ObservedSample.from_schedule(table, mask)
+        np.testing.assert_array_equal(sample.blocks, table.blocks)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one length"):
@@ -196,17 +221,48 @@ class TestCrVarestBiasAtStudySize:
     @pytest.mark.parametrize("scale, rho", [(0.0, 0.0), (1.0, 0.5), (3.0, 1.0)])
     def test_closed_form_matches_enumeration_of_every_block(self, scale, rho):
         # The misconceptions grid's own blocks: about 2e20 blocked
-        # assignments, far past any enumeration cap, but 3 * 45 + 3 * 455 +
-        # 2 * 4845 subsets of the blocks' arms.
-        cfg = MisconceptionsConfig()
-        config = ScenarioConfig(cfg.block_sizes, cfg.treated_counts, scale,
-                                cfg.effect_spread_factor * scale, rho, cfg.base_sigma, seed=11)
-        table = gen_scenario_population(config)
-        design = Blocked(cfg.treated_counts)
+        # assignments, but 3 * 45 + 3 * 455 + 2 * 4845 = 11,190 subsets of the
+        # blocks' arms, well within the default enumeration cap.
+        table, design = study_size_table(scale, rho)
         assert count_assignments(design, table) > 2 * 10**20
         want = cr_varest_bias_under_blocking(table, design.n_t / table.n).expected_varest_cr
         got = expected_varest_cr_by_block_enumeration(table, design)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("scale, rho", [(0.0, 0.0), (1.0, 0.5), (3.0, 1.0)])
+    def test_exact_moments_at_study_size(self, scale, rho):
+        # Every named statistic is enumerated under the default cap from the
+        # blocks' subsets, and matches its closed form.
+        table, design = study_size_table(scale, rho)
+        assert design.n_tk == (2, 2, 2, 3, 3, 3, 4, 4)
+        assert tuple(table.block_sizes) == (10, 10, 10, 15, 15, 15, 20, 20)
+        moments = {s: exact_moments(table, design, s) for s in STATISTICS}
+        for m in moments.values():
+            assert (m.count, m.evaluated) == (201492689618710546875, 11190)
+        blocks = [table.block_indices(k) for k in range(1, 9)]
+        weights = [len(units) / table.n for units in blocks]
+        s2 = lambda y, units: np.var(y[units], ddof=1)
+        tau = moments["tau_hat"]
+        assert tau.mean == pytest.approx(np.mean(table.y_t - table.y_c), rel=1e-12)
+        assert tau.variance == pytest.approx(neyman_var_blocked(table, design), rel=1e-12)
+        want = math.fsum(w * w * (s2(table.y_t, units) / m + s2(table.y_c, units) / (len(units) - m))
+                         for w, units, m in zip(weights, blocks, design.n_tk))
+        assert moments["var_est_blocked"].mean == pytest.approx(want, rel=1e-12)
+        misapplied = moments["var_est_cr"].mean
+        assert misapplied == pytest.approx(
+            cr_varest_bias_under_blocking(table, 0.2).expected_varest_cr, rel=1e-12
+        )
+        assert misapplied == pytest.approx(
+            expected_varest_cr_by_block_enumeration(table, design), rel=1e-12
+        )
+
+
+def study_size_table(scale, rho):
+    """A population of the misconceptions grid's block shape and its design."""
+    cfg = MisconceptionsConfig()
+    config = ScenarioConfig(cfg.block_sizes, cfg.treated_counts, scale,
+                            cfg.effect_spread_factor * scale, rho, cfg.base_sigma, seed=11)
+    return gen_scenario_population(config), Blocked(cfg.treated_counts)
 
 
 class TestCrVarestBiasStrat:
