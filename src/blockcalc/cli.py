@@ -22,7 +22,9 @@ and of group subsets ``evaluated``, which ``--cap`` bounds. Monte Carlo
 comparisons (``compare --framework site|two-stage``) add ``method`` and the
 ``reps``, replays that draw ``random-blocks`` partitions add ``method`` and
 the ``counts`` of allocations drawn and batches of their one shared sweep,
-and studies add the ``counts`` of reps, chunks and workers (always 1). Those
+and studies add the ``counts`` of reps, chunks and workers (always 1);
+``misconceptions`` also adds ``method``, ``enumeration`` or
+``monte_carlo`` for each of ``var_varest_cr`` and ``var_varest_bk``. Those
 batches and chunks are at most ``oracle.chunk_rows(n)`` reps, partitions or
 (for ``misconceptions``) grid points of ``n`` units; ``ratio-sweep`` scores
 its whole grid as one chunk. Every manifest has ``timings``: the seconds
@@ -401,13 +403,17 @@ def cmd_compare(args, manifest: ManifestWriter) -> Report:
 def cmd_study(args, manifest: ManifestWriter) -> Report:
     overrides = read_json(args.config, "config") if args.config else None
     manifest.mark("load")
+    methods: dict = {}
     rows, columns, resolved, counts = run_study(
         args.name,
         config_overrides=overrides,
         seed=args.seed,
         reps=args.reps,
+        methods=methods,
     )
     manifest.extra["counts"] = counts
+    if methods:
+        manifest.extra["method"] = methods
     config = {"name": args.name, "config": resolved, "reps": args.reps}
     return f"study_{args.name.replace('-', '_')}.csv", columns, rows, config
 

@@ -13,7 +13,10 @@ is computed from sums over the design's groups, which evaluate ``sum_k
 comb(n_k, m_k)`` subsets and never form their product (three 9-unit blocks,
 4 treated each: 2,000,376 assignments, 378 subsets). Masks serve only
 callables: :func:`iter_assignments` yields them one at a time, and
-:func:`population_moments` reduces the values.
+:func:`population_moments` reduces the values. Drawn masks, such as the
+estimator Monte Carlo's, are scored by the one mask kernel,
+:func:`stacked_statistic`, for a stack of tables at once;
+:func:`batch_statistic` is its one-table call.
 
 * **Group vectors.** ``tau_hat`` under any design, ``var_est_cr`` under
   complete randomization and ``var_est_blocked`` under blocking are sums
@@ -59,14 +62,22 @@ callables: :func:`iter_assignments` yields them one at a time, and
     ``fsum`` rounds once). So the computed ``sum_T x^2`` is off by at most
     ``m eps Q``, squares included. By Cauchy-Schwarz, ``(sum_T |x|)^2 <= m sum_T
     x^2``, so the error of ``sum_T x`` moves ``(sum_T x)^2 / m`` by at most
-    ``2 (m - 1) eps Q``. With the square, the division and the subtraction,
-    ``SS_T`` is off by at most ``(3m + 1) eps Q``. The largest ``SS_T`` is at
+    ``2 (m - 1) eps Q``. With the division, the product and the
+    subtraction, ``SS_T = sum_T x^2 - sum_T x (sum_T x / m)``
+    (:func:`_sum_of_squares`, finite wherever ``m`` times the largest square
+    is) is off by at most ``(3m + 1) eps Q``. The largest ``SS_T`` is at
     least its mean over the subsets, ``(m - 1) / (n - 1) Q``, so each arm's
     term is within ``(3m + 1)(n - 1) / (m - 1) eps <= 7 (n - 1) eps`` of its
     largest value when ``m >= 2``. Every entry of a group's vector is
     therefore within ``14 (n - 1) eps`` times the vector's largest entry of
     its exact value, ``n`` the group's size, beside one rounding of each
     term's scale and sum. At ``n = 200`` that is 3.1e-13.
+    The bound also covers the Monte Carlo: :func:`stacked_statistic` takes
+    each drawn arm's ``SS_T`` from the same sums of the same centered
+    outcomes, each a product with a one-hot matrix that adds the arm's
+    terms, in any order, and zeros. So each group's term of every drawn
+    value is within ``14 (n - 1) eps`` times the largest term over the
+    group's subsets of its exact value.
     The run that leaves one unit out of an ``fsum`` rounds twice over ``m +
     1`` units, at most ``(10 + 1/sqrt(m)) eps Q``; while :data:`CHUNK_CELLS`
     is at least ``8 w`` it serves only ``m >= 3``, within the same bound.
@@ -97,9 +108,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .pop_model import (
+    ArmStats,
     Blocked,
     DesignSpec,
     PotentialOutcomeTable,
+    centered_moments,
     design_groups,
 )
 
@@ -203,12 +216,31 @@ _UNDEFINED = {
 }
 
 def _raise_undefined(bad: np.ndarray, first: int, reason) -> None:
-    """Report the first row of ``bad`` (rows, groups) that holds a True."""
-    rows = np.flatnonzero(bad.any(axis=1))
-    if rows.size:
-        row = int(rows[0])
-        group = int(np.flatnonzero(bad[row])[0])
+    """Report the first row of ``bad`` (rows, groups) that holds a True, or
+    of the first table that holds one in a ``(tables, rows, groups)`` stack."""
+    hits = np.argwhere(bad)
+    if hits.size:
+        *_, row, group = hits[0].tolist()
         raise ValueError(f"statistic undefined on assignment #{first + row}: {reason(group)}")
+
+
+def _center(y: np.ndarray, arm: ArmStats, labels: np.ndarray, per_block: bool) -> np.ndarray:
+    """``y`` centered on ``arm``'s mean, then per block on its block means
+    ``dev`` or pooled on its own mean. ``y`` is one table's outcomes, or a
+    ``(tables, n)`` stack with ``arm`` the stack's moments."""
+    # y - mean is exact near a large offset; the second pass removes the
+    # rounding of ``mean`` that the deviations still carry.
+    x = y - np.asarray(arm.mean)[..., None]
+    x -= arm.dev[..., labels] if per_block else np.mean(x, axis=-1, keepdims=True)
+    return x
+
+
+def _groups(table: PotentialOutcomeTable, per_block: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A statistic's group labels and sizes: the blocks when ``per_block``,
+    otherwise one group of the whole table."""
+    if per_block:
+        return table.labels, table.block_sizes
+    return np.zeros(table.n, dtype=np.intp), np.array([table.n])
 
 
 def _centered(table: PotentialOutcomeTable, per_block: bool):
@@ -219,18 +251,73 @@ def _centered(table: PotentialOutcomeTable, per_block: bool):
     pooled to match. Returns ``(labels, sizes, (x_t, x_c))``.
     """
     st = table.stats
-    if per_block:
-        labels, sizes = table.labels, st.n_k
-    else:
-        labels, sizes = np.zeros(table.n, dtype=np.intp), np.array([table.n])
+    arms = ((table.y_t, st.t), (table.y_c, st.c))
+    return *_groups(table, per_block), [_center(y, arm, table.labels, per_block) for y, arm in arms]
+
+
+def centered_stack(tables, per_block: bool):
+    """:func:`_centered` of tables that share one block labelling, each arm
+    a ``(tables, n)`` stack centered from one
+    :func:`~blockcalc.pop_model.centered_moments` call, so no table's
+    cached ``stats`` is built. Row ``p`` holds the bits that
+    :func:`_centered` gives table ``p``."""
+    first = tables[0]
     centered = []
-    for y, arm in ((table.y_t, st.t), (table.y_c, st.c)):
-        # y - mean is exact near a large offset; the second pass removes the
-        # rounding of ``mean`` that the deviations still carry.
-        x = y - arm.mean
-        x -= arm.dev[labels] if per_block else np.mean(x)
-        centered.append(x)
-    return labels, sizes, centered
+    for arm in ("y_t", "y_c"):
+        y = np.stack([getattr(table, arm) for table in tables])
+        moments = centered_moments(y, first.labels, first.block_sizes)
+        centered.append(_center(y, moments, first.labels, per_block))
+    return *_groups(first, per_block), centered
+
+
+def _sum_of_squares(s1, s2, size):
+    """An arm's centered sum of squares from its sums ``s1 = sum x`` and
+    ``s2 = sum x^2`` over ``size`` units. ``s1 * (s1 / size)`` stays within
+    ``size`` times the largest square where ``s1**2`` can overflow."""
+    return s2 - s1 * (s1 / size)
+
+
+def stacked_statistic(
+    statistic: str, per_block: bool, centered, masks: np.ndarray, first: int = 0
+) -> np.ndarray:
+    """A named statistic, ``tau_hat`` less the pooled mean effect, on every
+    row of ``(tables, rows, n)`` boolean masks, table ``p`` scored on its
+    own outcomes: the kernel behind :func:`batch_statistic` and the
+    estimator Monte Carlo of
+    :func:`~blockcalc.variance_estimation.varest_variabilities`.
+
+    ``centered`` is :func:`_centered` of one table or :func:`centered_stack`
+    of ``tables``. Per table, row and group, the arm counts and the arm
+    sums ``sum x`` and, for the estimators, ``sum x^2`` are products with
+    one shared one-hot ``(n, groups)`` matrix, and each arm's sum of squares
+    is :func:`_sum_of_squares`, within the rounding bound of the module
+    docstring. Each table's products are their own matrix products, so a
+    stack of tables gives the bits of one call per table. A row on which
+    the statistic is undefined raises, naming it by ``first`` plus its row
+    in the first table that holds one.
+    """
+    labels, sizes, (x_t, x_c) = centered
+    onehot = np.zeros((len(labels), len(sizes)))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    # The masks as floats, then each arm's products in turn: one buffer.
+    terms = masks.astype(float)
+    counts_t = terms @ onehot
+    counts_c = sizes - counts_t
+    need = 1 if statistic == "tau_hat" else 2
+    _raise_undefined((counts_t < need) | (counts_c < need), first, _UNDEFINED[statistic, per_block])
+    arms = []
+    for in_arm, x, counts in ((masks, x_t, counts_t), (~masks, x_c, counts_c)):
+        x = x[..., None, :]
+        s1 = np.multiply(in_arm, x, out=terms) @ onehot
+        if statistic == "tau_hat":
+            arms.append(s1 / counts)
+        else:
+            s2 = np.multiply(terms, x, out=terms) @ onehot
+            arms.append(_sum_of_squares(s1, s2, counts) / ((counts - 1) * counts))
+    weight = sizes / len(labels)
+    if statistic == "tau_hat":
+        return (arms[0] - arms[1]) @ weight
+    return (arms[0] + arms[1]) @ weight**2
 
 
 def batch_statistic(
@@ -246,10 +333,8 @@ def batch_statistic(
     and the size-weighted sum of per-block differences under blocking;
     ``var_est_cr`` is ``s2_c/n_c + s2_t/n_t`` over the whole table and
     ``var_est_blocked`` is ``sum_k (n_k/n)^2 (s2_ck/n_ck + s2_tk/n_tk)``;
-    only ``tau_hat`` reads ``design``. Per row and per group (the whole
-    table, or each block), arm counts and sums come from a one-hot
-    ``(n, groups)`` matrix and arm variances from sums of squares around
-    each row's own arm means (two passes).
+    only ``tau_hat`` reads ``design``. This is the one-table call of
+    :func:`stacked_statistic`.
 
     Outcomes are first centered on the table's cached means, per block when
     the statistic is computed per block and pooled otherwise, so a large
@@ -263,25 +348,9 @@ def batch_statistic(
     per_block = statistic == "var_est_blocked" or (
         statistic == "tau_hat" and isinstance(design, Blocked)
     )
-    labels, sizes, (x_t, x_c) = _centered(table, per_block)
-    onehot = np.zeros((table.n, len(sizes)))
-    onehot[np.arange(table.n), labels] = 1.0
-    treated = masks.astype(float)
-    counts_t = treated @ onehot
-    counts_c = sizes - counts_t
-    need = 1 if statistic == "tau_hat" else 2
-    _raise_undefined((counts_t < need) | (counts_c < need), first, _UNDEFINED[statistic, per_block])
-    means, spreads = [], []
-    for x, in_arm, counts in ((x_t, treated, counts_t), (x_c, 1.0 - treated, counts_c)):
-        arm_means = (in_arm @ (onehot * x[:, None])) / counts
-        means.append(arm_means)
-        if statistic != "tau_hat":
-            ss = (in_arm * (x - arm_means[:, labels]) ** 2) @ onehot
-            spreads.append(ss / ((counts - 1) * counts))
-    weight = sizes / table.n
-    if statistic == "tau_hat":
-        return table.stats.tc.mean + (means[0] - means[1]) @ weight
-    return (spreads[0] + spreads[1]) @ weight**2
+    centered = _centered(table, per_block)
+    values = stacked_statistic(statistic, per_block, centered, masks[None], first)[0]
+    return table.stats.tc.mean + values if statistic == "tau_hat" else values
 
 
 def _tau_hat_linear(
@@ -457,7 +526,7 @@ def _group_vectors(
             weight = (len(units) / table.n) ** 2
             for start, control, (s1, s2) in _arm_sums(x_t[units], x_c[units], m, tables):
                 size = len(units) - m if control else m
-                yield start, (s2 - s1**2 / size) * (weight / (size * (size - 1)))
+                yield start, _sum_of_squares(s1, s2, size) * (weight / (size * (size - 1)))
 
         terms = [estimator_terms(units, m) for units, m in zip(groups, treated)]
     vectors = []

@@ -14,10 +14,13 @@ therefore draws nothing and its rows do not depend on the seed.
 ``misconceptions`` maps over the grid batches of :func:`batch_bounds`,
 sized in cells: each batch draws its populations in one
 :func:`gen_scenario_outcomes` call only to build the tables of its
-estimator Monte Carlo, which draws the assignments of every point together,
-one design at a time (:func:`~blockcalc.variance_estimation.varest_variabilities`),
-and equals a point-by-point run bit for bit. Batch bounds depend on the grid
-alone, as a batch's shape can move a drawn population's last bits (by 9e-16).
+estimator Monte Carlo (:func:`~blockcalc.variance_estimation.varest_variabilities`).
+One design at a time, that centers every point's outcomes at once, draws
+the assignments of every point together and scores each chunk of them for
+every point in one stacked kernel call
+(:func:`~blockcalc.oracle.stacked_statistic`), and it equals a
+point-by-point run bit for bit. Batch bounds depend on the grid alone, as a
+batch's shape can move a drawn population's last bits (by 9e-16).
 ``flexible-blocking`` sums each batch of reps into one ``(3, methods,
 dgps)`` array. A study variance that under- or overflows float64 ends the
 study in one error naming the config field that sets the outcome scale
@@ -408,7 +411,7 @@ MISCONCEPTIONS_COLUMNS = [
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _misconceptions_chunk(args) -> list[dict]:
+def _misconceptions_chunk(args) -> tuple[list[dict], dict]:
     """The rows of the grid points ``lo..hi-1``, scored from
     :func:`target_moments` and each completed by both variance estimators'
     variability under their own designs, child seeds ``(index, 1)`` for
@@ -421,9 +424,11 @@ def _misconceptions_chunk(args) -> list[dict]:
     refused one ends the batch once the points before it pass), its
     outcomes (the ``PotentialOutcomeTable`` constructor), then
     :func:`require_noise_resolved`, then the float64 range of ``var_bk``.
-    One :func:`varest_variabilities` call per design draws and scores
-    every point, and the ``var_varest_*`` range is then checked in grid
-    order.
+    One :func:`varest_variabilities` call per design then centers every
+    point's outcomes at once, building no table's ``stats``, and scores
+    each chunk of draws for every point in one stacked kernel call; the
+    ``var_varest_*`` range is then checked in grid order. Returns the rows
+    and the method of ``var_varest_cr`` and ``var_varest_bk`` by column.
     """
     cfg, master_seed, reps, lo, hi = args
     points = itertools.islice(itertools.product(cfg.spread_scales, cfg.rhos), lo, hi)
@@ -453,7 +458,8 @@ def _misconceptions_chunk(args) -> list[dict]:
         cr, bk = cr.var_of_varest, bk.var_of_varest
         _require_float_range(_scenario_scale(config), var_varest_cr=cr, var_varest_bk=bk)
         rows.append({**row, **dict(zip(MISCONCEPTIONS_COLUMNS[6:], (cr, bk, cr / bk, reps)))})
-    return rows
+    columns = MISCONCEPTIONS_COLUMNS[6:8]
+    return rows, {name: result[0].method for name, result in zip(columns, results)}
 
 
 def study_misconceptions(
@@ -461,15 +467,22 @@ def study_misconceptions(
     seed: int = 0,
     reps: int = MISCONCEPTIONS_REPS,
     bounds=None,
+    methods: dict | None = None,
 ) -> list[dict]:
     """Rows in grid order, every spread scale, then every ``rho`` within it,
     from :func:`_misconceptions_chunk` mapped over the ``bounds`` (or
     :func:`batch_bounds`) batches of grid points. A batch's config, outcome,
     noise and ``var_bk`` range checks all run before any of its Monte Carlo;
-    the ``var_varest_*`` range is checked after, in grid order."""
+    the ``var_varest_*`` range is checked after, in grid order. ``methods``,
+    if given, receives the method of ``var_varest_cr`` and of
+    ``var_varest_bk``, ``enumeration`` or ``monte_carlo``; every point has
+    the same blocks, so each design has one."""
     cfg = config or MisconceptionsConfig()
     batches = [(cfg, seed, reps, lo, hi) for lo, hi in bounds or batch_bounds(cfg, 0)]
-    return [row for rows in mc.map_ordered(_misconceptions_chunk, batches) for row in rows]
+    partials = mc.map_ordered(_misconceptions_chunk, batches)
+    if methods is not None:
+        methods.update(partials[0][1])
+    return [row for rows, _ in partials for row in rows]
 
 
 STUDIES = {
@@ -528,6 +541,7 @@ def run_study(
     config_overrides: dict | None = None,
     seed: int = 0,
     reps: int | None = None,
+    methods: dict | None = None,
 ) -> tuple[list[dict], list[str], dict, dict]:
     """Run a named study.
 
@@ -537,7 +551,8 @@ def run_study(
     handed to :func:`mc.map_ordered` (the one :func:`batch_bounds` list
     the study maps over) and ``workers``, always 1; ``ratio-sweep``
     scores its grid in one pass, so one chunk. It rejects any ``reps``,
-    because it would ignore them.
+    because it would ignore them. ``methods``, if given, receives
+    ``misconceptions``' estimator methods (:func:`study_misconceptions`).
     """
     if name not in STUDIES:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}")
@@ -554,7 +569,10 @@ def run_study(
         rows, chunks = study_ratio_sweep(cfg), 1
     else:
         bounds = batch_bounds(cfg, reps)
-        study = study_flexible_blocking if name == "flexible-blocking" else study_misconceptions
-        rows, chunks = study(cfg, seed=seed, reps=reps, bounds=bounds), len(bounds)
+        if name == "flexible-blocking":
+            rows = study_flexible_blocking(cfg, seed=seed, reps=reps, bounds=bounds)
+        else:
+            rows = study_misconceptions(cfg, seed=seed, reps=reps, bounds=bounds, methods=methods)
+        chunks = len(bounds)
     counts = {"reps": reps, "chunks": chunks, "workers": 1}
     return rows, columns, dataclasses.asdict(cfg), counts

@@ -21,7 +21,14 @@ from typing import Sequence
 import numpy as np
 
 from . import mc
-from .oracle import batch_statistic, count_assignments, exact_moments, require_finite_moments
+from .oracle import (
+    batch_statistic,
+    centered_stack,
+    count_assignments,
+    exact_moments,
+    require_finite_moments,
+    stacked_statistic,
+)
 from .pop_model import (
     Blocked,
     DesignSpec,
@@ -30,6 +37,7 @@ from .pop_model import (
     _integer_counts,
     blocked_design_for_proportion,
     canonical_labels,
+    centered_moments,
     equal_proportions,
     validate_design,
 )
@@ -77,11 +85,19 @@ def _estimate(obs: ObservedSample, statistic: str) -> float:
     """A named variance estimator on the sample, as one row of the oracle's kernel.
 
     The observed outcomes stand in for both potential outcomes (a no-impact
-    table), so each arm reads exactly the values observed in it. The kernel
-    reads no design for the variance estimators.
+    table), so each arm reads exactly the values observed in it. They are
+    first centered on each arm's own mean, per block for the blocked
+    estimator, which moves no estimate: the kernel takes an arm's sum of
+    squares from its sums, and arms far apart would leave it the difference
+    of two large numbers. The kernel reads no design for the variance
+    estimators.
     """
-    unit_ids = tuple(str(i) for i in range(len(obs.y_obs)))
-    table = PotentialOutcomeTable(unit_ids, obs.blocks, obs.y_obs, obs.y_obs)
+    groups = obs.blocks if statistic == "var_est_blocked" else np.zeros_like(obs.blocks)
+    _, cells, sizes = np.unique(2 * groups + obs.treated, return_inverse=True, return_counts=True)
+    moments = centered_moments(obs.y_obs, cells, sizes)
+    y = obs.y_obs - moments.mean - moments.dev[cells]
+    unit_ids = tuple(str(i) for i in range(len(y)))
+    table = PotentialOutcomeTable(unit_ids, obs.blocks, y, y)
     return float(batch_statistic(table, None, statistic, obs.treated[None])[0])
 
 
@@ -260,14 +276,20 @@ def varest_variabilities(
     and shuffle steps are those of the first table. A design with at most
     ``EXACT_ENUMERATION_LIMIT`` assignments (read at call time) takes
     :func:`~blockcalc.oracle.exact_moments` on every table, which sums the
-    estimator's moments over the design's groups. Otherwise each chunk of
-    ``mc.chunk_bounds(reps, n)`` takes every table's step draws from one
+    estimator's moments over the design's groups. Otherwise every table's
+    outcomes are centered at once (:func:`~blockcalc.oracle.centered_stack`,
+    one :func:`~blockcalc.pop_model.centered_moments` call per arm), so no
+    table's cached ``stats`` is built. Each chunk of ``mc.chunk_bounds(reps,
+    n)`` takes every table's step draws from one
     :func:`~blockcalc.mc.rep_integers` call, turns them into masks with one
-    :func:`~blockcalc.randomizer.draw_masks` call and evaluates each
-    table's masks of the chunk in one :func:`~blockcalc.oracle.batch_statistic`
-    call, numbered from the chunk's first rep. An exact path refuses moments
-    that overflow float64; the Monte Carlo path returns them as inf or nan,
-    without a warning, for the caller to check.
+    :func:`~blockcalc.randomizer.draw_masks` call and scores every table's
+    masks in one :func:`~blockcalc.oracle.stacked_statistic` call, rows
+    numbered from the chunk's first rep. The estimates of all tables are
+    then reduced along one axis. Each table's values, mean and variance
+    have the bits of a one-table run through
+    :func:`~blockcalc.oracle.batch_statistic`. An exact path refuses
+    moments that overflow float64; the Monte Carlo path returns them as inf
+    or nan, without a warning, for the caller to check.
     """
     first = tables[0]
     if any(not np.array_equal(table.blocks, first.blocks) for table in tables):
@@ -282,15 +304,15 @@ def varest_variabilities(
         raise ValueError(
             f"Monte Carlo needs reps >= 2 for a sample variance of the estimator, got {reps}"
         )
+    per_block = statistic == "var_est_blocked"
+    centered = centered_stack(tables, per_block)
     plan = shuffle_plan(first, design)
     values = np.empty((len(tables), reps))
     for start, stop in mc.chunk_bounds(reps, first.n):
-        draws = mc.rep_integers(seeds, start, stop, plan.highs)
-        masks = draw_masks(plan, draws).reshape(len(tables), stop - start, first.n)
-        for p, table in enumerate(tables):
-            values[p, start:stop] = batch_statistic(
-                table, design, statistic, masks[p], first=start
-            )
+        masks = draw_masks(plan, mc.rep_integers(seeds, start, stop, plan.highs))
+        masks = masks.reshape(len(tables), stop - start, first.n)
+        values[:, start:stop] = stacked_statistic(statistic, per_block, centered, masks, start)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [VarestVariability(float(np.mean(v)), float(np.var(v, ddof=1)), "monte_carlo", reps)
-                for v in values]
+        means, variances = np.mean(values, axis=1), np.var(values, axis=1, ddof=1)
+    return [VarestVariability(mean, variance, "monte_carlo", reps)
+            for mean, variance in zip(means.tolist(), variances.tolist())]

@@ -380,6 +380,30 @@ class TestStudyCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["counts"] == {"reps": 30, "chunks": 1, "workers": 1}
 
+    @pytest.mark.parametrize(
+        "overrides, cr_method, bk_method",
+        [
+            # Two blocks of 4: 70 CR and 36 blocked assignments, both enumerated.
+            ({"block_sizes": [4, 4], "treated_counts": [2, 2]}, "enumeration", "enumeration"),
+            # Two blocks of 12: 2,704,156 CR assignments are simulated and
+            # 853,776 blocked ones enumerated.
+            ({"block_sizes": [12, 12], "treated_counts": [6, 6]}, "monte_carlo", "enumeration"),
+            # The default 115 units are simulated under both designs.
+            ({}, "monte_carlo", "monte_carlo"),
+        ],
+    )
+    def test_misconceptions_manifest_records_each_estimator_method(
+        self, tmp_path, overrides, cr_method, bk_method
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spread_scales": [0.5], "rhos": [0.0], **overrides}))
+        rc = main(["study", "misconceptions", "--config", str(cfg), "--reps", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["method"] == {"var_varest_cr": cr_method, "var_varest_bk": bk_method}
+        assert manifest["counts"] == {"reps": 4, "chunks": 1, "workers": 1}
+
     def test_unknown_config_field_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))

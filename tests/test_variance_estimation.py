@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from blockcalc.pop_model import StrataMoments, blocked_design_for_proportion, su
 from blockcalc.oracle import (
     STATISTICS,
     _lex_sums,
+    batch_statistic,
     chunk_rows,
     count_assignments,
     iter_assignments,
@@ -108,6 +110,75 @@ class TestVarEstBlocked:
         sample = obs([1, 1, 1, 2, 2, 2], [1, 1, 0, 1, 1, 0], np.arange(6.0))
         with pytest.raises(ValueError, match="block 1"):
             var_est_blocked(sample)
+
+
+def exact_estimate(sample, per_block):
+    """``sum_g (n_g/n)^2 (s2_t/n_t + s2_c/n_c)`` over the blocks, or over the
+    whole sample, in rational arithmetic on the observed floats."""
+    groups = sample.blocks if per_block else np.zeros_like(sample.blocks)
+    n, total = len(sample.y_obs), Fraction(0)
+    for g in np.unique(groups):
+        in_group = groups == g
+        for arm in (True, False):
+            in_arm = in_group & (sample.treated == arm)
+            values = [Fraction(v) for v in sample.y_obs[in_arm].tolist()]
+            mean = sum(values) / len(values)
+            s2 = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+            total += Fraction(int(in_group.sum()), n) ** 2 * s2 / len(values)
+    return total
+
+
+#: Samples whose treated arm sits 1e4 sigma above the control arm: blocks of
+#: 6, 8 and 10 units, half of each treated, and the block (1e4, 1e4 + 1,
+#: -1e4, -1e4 + 1) with its first two units treated.
+FAR_APART = [
+    obs(
+        np.repeat([1, 2, 3], [6, 8, 10]),
+        np.tile([True, False], 12),
+        np.random.default_rng(33).normal(size=24) + 1e4 * np.tile([1.0, 0.0], 12),
+    ),
+    obs([1] * 4, [1, 1, 0, 0], [1e4, 1e4 + 1, -1e4, -1e4 + 1]),
+]
+
+
+class TestEstimatorAccuracy:
+    @pytest.mark.parametrize("sample", FAR_APART)
+    @pytest.mark.parametrize("estimator, per_block", [(var_est_cr, False), (var_est_blocked, True)])
+    def test_far_apart_arms_match_exact_arithmetic(self, sample, estimator, per_block):
+        want = exact_estimate(sample, per_block)
+        assert abs(Fraction(estimator(sample)) - want) <= Fraction(1e-12) * want
+
+    @pytest.mark.parametrize("sample", FAR_APART)
+    @pytest.mark.parametrize("estimator", [var_est_cr, var_est_blocked])
+    def test_scaling_to_the_float64_limit_is_exact(self, sample, estimator):
+        # A power of two scales every step exactly, up to where the outcome
+        # span squared is about 0.9 of float64's largest value over n.
+        n = len(sample.y_obs)
+        span = float(np.ptp(sample.y_obs))
+        limit = 0.9 * np.finfo(float).max / n
+        scale = 2.0 ** math.floor(math.log2(math.sqrt(limit) / span))
+        scaled = obs(sample.blocks, sample.treated, scale * sample.y_obs)
+        assert limit / 4 < (scale * span) ** 2 <= limit
+        got = estimator(scaled)
+        assert math.isfinite(got)
+        assert got == scale**2 * estimator(sample)
+
+    def test_kernel_scaling_to_the_float64_limit_is_exact(self):
+        # Pooled centering leaves an arm's sum far from 0 when the treated
+        # units hold the 32 largest outcomes of 64, from 64 to 95 against
+        # -95 to -64: squaring that sum near the float64 limit overflows,
+        # while the estimate does not.
+        y = np.sign(np.arange(64) - 31.5) * (64 + np.arange(64) % 32)
+        limit = 0.9 * np.finfo(float).max / 64
+        scale = 2.0 ** math.floor(math.log2(math.sqrt(limit) / np.ptp(y)))
+        masks = np.zeros((3, 64), dtype=bool)
+        masks[0, 32:] = masks[1, ::2] = masks[2, :32] = True
+        design = CompleteRandomization(32)
+        for statistic in ("var_est_cr", "var_est_blocked"):
+            tables = [table_from_arrays([1] * 64, s * y, s * y) for s in (1.0, scale)]
+            values = [batch_statistic(table, design, statistic, masks) for table in tables]
+            assert np.all(np.isfinite(values[1]))
+            assert np.array_equal(values[1], scale**2 * values[0])
 
 
 class TestExpectedS2UnderBlocking:
@@ -372,23 +443,29 @@ class TestVarestVariability:
     @pytest.mark.parametrize(
         "design, method",
         [
-            # CR(5) and CR(9) are simulated, with 5 and 9 shuffle steps; the
-            # blocked design's 3600 assignments are enumerated on every table.
+            # The limit sits at a design's assignment count to enumerate it
+            # on every table and one below to simulate it: CR(5) and CR(9)
+            # with 5 and 9 shuffle steps, and blocked designs of 3600.
             (CompleteRandomization(5), "monte_carlo"),
             (Blocked((2, 2, 2, 2)), "enumeration"),
             (CompleteRandomization(9), "monte_carlo"),
+            (Blocked((2, 3, 2, 2)), "monte_carlo"),
         ],
     )
     def test_batch_of_tables_matches_one_at_a_time(self, design, method, monkeypatch):
-        monkeypatch.setattr(variance_estimation, "EXACT_ENUMERATION_LIMIT", 5000)
         labels = np.repeat([1, 2, 3, 4], [4, 5, 4, 5])
         rng = np.random.default_rng(5)
         tables = [table_from_arrays(labels, rng.normal(size=18) + 1, rng.normal(size=18))
                   for _ in range(3)]
+        limit = count_assignments(design, tables[0]) - (method == "monte_carlo")
+        monkeypatch.setattr(variance_estimation, "EXACT_ENUMERATION_LIMIT", limit)
         seeds = [3 * p + 2 for p in range(3)]
         reps = chunk_rows(18) + 7
         got = varest_variabilities(tables, design, seeds, reps=reps)
         assert [r.method for r in got] == [method] * 3
+        if method == "monte_carlo":
+            # The stack is centered at once; no table's cached stats is built.
+            assert all("stats" not in vars(table) for table in tables)
         for table, seed, result in zip(tables, seeds, got):
             want = reference_varest_variability(table, design, reps, seed)
             assert (result.mean_varest, result.var_of_varest) == want
