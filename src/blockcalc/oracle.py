@@ -62,10 +62,8 @@ estimator Monte Carlo's, are scored by the one mask kernel,
     ``fsum`` rounds once). So the computed ``sum_T x^2`` is off by at most
     ``m eps Q``, squares included. By Cauchy-Schwarz, ``(sum_T |x|)^2 <= m sum_T
     x^2``, so the error of ``sum_T x`` moves ``(sum_T x)^2 / m`` by at most
-    ``2 (m - 1) eps Q``. With the division, the product and the
-    subtraction, ``SS_T = sum_T x^2 - sum_T x (sum_T x / m)``
-    (:func:`_sum_of_squares`, finite wherever ``m`` times the largest square
-    is) is off by at most ``(3m + 1) eps Q``. The largest ``SS_T`` is at
+    ``2 (m - 1) eps Q``. With the square, the division and the subtraction,
+    ``SS_T`` is off by at most ``(3m + 1) eps Q``. The largest ``SS_T`` is at
     least its mean over the subsets, ``(m - 1) / (n - 1) Q``, so each arm's
     term is within ``(3m + 1)(n - 1) / (m - 1) eps <= 7 (n - 1) eps`` of its
     largest value when ``m >= 2``. Every entry of a group's vector is
@@ -75,9 +73,15 @@ estimator Monte Carlo's, are scored by the one mask kernel,
     The bound also covers the Monte Carlo: :func:`stacked_statistic` takes
     each drawn arm's ``SS_T`` from the same sums of the same centered
     outcomes, each a product with a one-hot matrix that adds the arm's
-    terms, in any order, and zeros. So each group's term of every drawn
+    terms, in any order, and zeros, as ``sum_T x^2 - sum_T x (sum_T x /
+    m)`` (:func:`_sum_of_squares`: a product for the square, so it is
+    finite wherever ``m`` times the largest square is, and raised to 0
+    where rounding leaves it below). So each group's term of every drawn
     value is within ``14 (n - 1) eps`` times the largest term over the
-    group's subsets of its exact value.
+    group's subsets of its exact value. That bound is absolute: on an arm
+    far from the center compared with its own spread, such as one that
+    leaves out an outlier, a drawn term keeps fewer digits than the bound's
+    scale.
     The run that leaves one unit out of an ``fsum`` rounds twice over ``m +
     1`` units, at most ``(10 + 1/sqrt(m)) eps Q``; while :data:`CHUNK_CELLS`
     is at least ``8 w`` it serves only ``m >= 3``, within the same bound.
@@ -94,8 +98,10 @@ estimator Monte Carlo's, are scored by the one mask kernel,
 
 A group-vector enumeration holds its ``sum_k comb(n_k, m_k)`` floats, about
 :data:`CHUNK_CELLS` floats of suffix sums and one piece; a cumulant one a few
-vectors of one block; a callable's its values and one chunk of masks. A mean
-or variance that overflows float64 ends in one ``ValueError``, unwarned.
+vectors of one block; a callable's its values and one chunk of masks. The
+mask kernel holds, beside its masks and values, one float buffer of at most
+``4 CHUNK_CELLS`` cells or one table's masks. A mean or variance that
+overflows float64 ends in one ``ValueError``, unwarned.
 """
 
 from __future__ import annotations
@@ -272,9 +278,10 @@ def centered_stack(tables, per_block: bool):
 
 def _sum_of_squares(s1, s2, size):
     """An arm's centered sum of squares from its sums ``s1 = sum x`` and
-    ``s2 = sum x^2`` over ``size`` units. ``s1 * (s1 / size)`` stays within
-    ``size`` times the largest square where ``s1**2`` can overflow."""
-    return s2 - s1 * (s1 / size)
+    ``s2 = sum x^2`` over ``size`` units, never below 0. ``s1 * (s1 /
+    size)`` stays within ``size`` times the largest square where ``s1**2``
+    can overflow."""
+    return np.maximum(s2 - s1 * (s1 / size), 0.0)
 
 
 def stacked_statistic(
@@ -286,38 +293,51 @@ def stacked_statistic(
     estimator Monte Carlo of
     :func:`~blockcalc.variance_estimation.varest_variabilities`.
 
-    ``centered`` is :func:`_centered` of one table or :func:`centered_stack`
-    of ``tables``. Per table, row and group, the arm counts and the arm
-    sums ``sum x`` and, for the estimators, ``sum x^2`` are products with
-    one shared one-hot ``(n, groups)`` matrix, and each arm's sum of squares
-    is :func:`_sum_of_squares`, within the rounding bound of the module
-    docstring. Each table's products are their own matrix products, so a
-    stack of tables gives the bits of one call per table. A row on which
-    the statistic is undefined raises, naming it by ``first`` plus its row
-    in the first table that holds one.
+    ``centered`` is ``(labels, sizes, (x_t, x_c))`` with each arm's centered
+    outcomes a ``(tables, n)`` stack: :func:`centered_stack` of ``tables``,
+    or :func:`_centered` of one table with each arm as one row. Per table,
+    row and group, the arm counts and the arm sums ``sum x`` and, for the
+    estimators, ``sum x^2`` are products with one shared one-hot ``(n,
+    groups)`` matrix, and each arm's sum of squares is
+    :func:`_sum_of_squares`, within the rounding bound of the module
+    docstring. The tables are scored in turn, as many at once as keep the
+    products within ``4 CHUNK_CELLS`` mask cells (or one table), so the one
+    float buffer does not grow with the stack. Each table's products are
+    their own matrix products, so a stack of tables gives the bits of one
+    call per table. A row on which the statistic is undefined raises,
+    naming it by ``first`` plus its row in the first table that holds one.
     """
     labels, sizes, (x_t, x_c) = centered
     onehot = np.zeros((len(labels), len(sizes)))
     onehot[np.arange(len(labels)), labels] = 1.0
-    # The masks as floats, then each arm's products in turn: one buffer.
-    terms = masks.astype(float)
-    counts_t = terms @ onehot
-    counts_c = sizes - counts_t
     need = 1 if statistic == "tau_hat" else 2
-    _raise_undefined((counts_t < need) | (counts_c < need), first, _UNDEFINED[statistic, per_block])
-    arms = []
-    for in_arm, x, counts in ((masks, x_t, counts_t), (~masks, x_c, counts_c)):
-        x = x[..., None, :]
-        s1 = np.multiply(in_arm, x, out=terms) @ onehot
-        if statistic == "tau_hat":
-            arms.append(s1 / counts)
-        else:
-            s2 = np.multiply(terms, x, out=terms) @ onehot
-            arms.append(_sum_of_squares(s1, s2, counts) / ((counts - 1) * counts))
     weight = sizes / len(labels)
-    if statistic == "tau_hat":
-        return (arms[0] - arms[1]) @ weight
-    return (arms[0] + arms[1]) @ weight**2
+    values = np.empty(masks.shape[:2])
+    step = max(1, 4 * CHUNK_CELLS // max(1, masks[0].size))
+    buffer = np.empty((min(step, len(masks)), *masks.shape[1:]))
+    for lo in range(0, len(masks), step):
+        part = masks[lo:lo + step]
+        # The masks as floats, then each arm's products in turn: one buffer.
+        terms = buffer[:len(part)]
+        terms[...] = part
+        counts_t = terms @ onehot
+        counts_c = sizes - counts_t
+        bad = (counts_t < need) | (counts_c < need)
+        _raise_undefined(bad, first, _UNDEFINED[statistic, per_block])
+        arms = []
+        for in_arm, x, counts in ((part, x_t, counts_t), (~part, x_c, counts_c)):
+            x = x[lo:lo + step, None, :]
+            s1 = np.multiply(in_arm, x, out=terms) @ onehot
+            if statistic == "tau_hat":
+                arms.append(s1 / counts)
+            else:
+                s2 = np.multiply(terms, x, out=terms) @ onehot
+                arms.append(_sum_of_squares(s1, s2, counts) / ((counts - 1) * counts))
+        if statistic == "tau_hat":
+            values[lo:lo + step] = (arms[0] - arms[1]) @ weight
+        else:
+            values[lo:lo + step] = (arms[0] + arms[1]) @ weight**2
+    return values
 
 
 def batch_statistic(
@@ -342,14 +362,20 @@ def batch_statistic(
     the pooled mean effect back at the end. A row on which the statistic is
     undefined (an empty arm for ``tau_hat``, an arm with fewer than two
     units for the estimators) raises, naming it by ``first`` plus its row.
+    An estimator's value is never below 0 and is within the module
+    docstring's rounding bound, which scales with the group's largest term:
+    a row whose arm sits far from the center compared with its own spread,
+    such as one that leaves out an outlier, keeps fewer digits.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     per_block = statistic == "var_est_blocked" or (
         statistic == "tau_hat" and isinstance(design, Blocked)
     )
-    centered = _centered(table, per_block)
-    values = stacked_statistic(statistic, per_block, centered, masks[None], first)[0]
+    labels, sizes, arms = _centered(table, per_block)
+    centered = labels, sizes, [x[None] for x in arms]
+    masks = np.asarray(masks, dtype=bool)[None]
+    values = stacked_statistic(statistic, per_block, centered, masks, first)[0]
     return table.stats.tc.mean + values if statistic == "tau_hat" else values
 
 
@@ -526,7 +552,7 @@ def _group_vectors(
             weight = (len(units) / table.n) ** 2
             for start, control, (s1, s2) in _arm_sums(x_t[units], x_c[units], m, tables):
                 size = len(units) - m if control else m
-                yield start, _sum_of_squares(s1, s2, size) * (weight / (size * (size - 1)))
+                yield start, (s2 - s1**2 / size) * (weight / (size * (size - 1)))
 
         terms = [estimator_terms(units, m) for units, m in zip(groups, treated)]
     vectors = []

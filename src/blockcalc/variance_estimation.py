@@ -22,7 +22,6 @@ import numpy as np
 
 from . import mc
 from .oracle import (
-    batch_statistic,
     centered_stack,
     count_assignments,
     exact_moments,
@@ -84,21 +83,19 @@ class ObservedSample:
 def _estimate(obs: ObservedSample, statistic: str) -> float:
     """A named variance estimator on the sample, as one row of the oracle's kernel.
 
-    The observed outcomes stand in for both potential outcomes (a no-impact
-    table), so each arm reads exactly the values observed in it. They are
-    first centered on each arm's own mean, per block for the blocked
-    estimator, which moves no estimate: the kernel takes an arm's sum of
-    squares from its sums, and arms far apart would leave it the difference
-    of two large numbers. The kernel reads no design for the variance
-    estimators.
+    The observed outcomes, centered on each arm's own mean (per block for
+    the blocked estimator), stand in for both arms' centered outcomes, so
+    each arm reads exactly the values observed in it. The centering moves
+    no estimate: the kernel takes an arm's sum of squares from its sums,
+    and arms far apart would leave it the difference of two large numbers.
     """
-    groups = obs.blocks if statistic == "var_est_blocked" else np.zeros_like(obs.blocks)
+    per_block = statistic == "var_est_blocked"
+    groups = obs.blocks - 1 if per_block else np.zeros_like(obs.blocks)
     _, cells, sizes = np.unique(2 * groups + obs.treated, return_inverse=True, return_counts=True)
     moments = centered_moments(obs.y_obs, cells, sizes)
-    y = obs.y_obs - moments.mean - moments.dev[cells]
-    unit_ids = tuple(str(i) for i in range(len(y)))
-    table = PotentialOutcomeTable(unit_ids, obs.blocks, y, y)
-    return float(batch_statistic(table, None, statistic, obs.treated[None])[0])
+    y = (obs.y_obs - moments.mean - moments.dev[cells])[None]
+    centered = groups, np.bincount(groups), (y, y)
+    return float(stacked_statistic(statistic, per_block, centered, obs.treated[None, None])[0, 0])
 
 
 def var_est_cr(obs: ObservedSample) -> float:

@@ -272,10 +272,12 @@ class TestBatchKernel:
             ref = reference_statistic(statistic, design)
             for mask in list(iter_assignments(table, design))[:20]:
                 assert fn(table, mask) == pytest.approx(ref(table, mask), rel=1e-12, abs=0)
+                # A 0/1 integer mask reads as the boolean one.
+                assert fn(table, mask.astype(int)) == fn(table, mask)
 
     def test_observed_sample_estimators_match_reference(self):
-        # The estimators read the observed outcomes only, through a no-impact
-        # table that keeps the sample's block labels.
+        # The estimators read the observed outcomes only, centered on each
+        # arm, with the sample's block labels.
         rng = np.random.default_rng(6)
         for _ in range(4):
             table = small_table(rng)

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,12 +24,15 @@ from blockcalc import (
 from blockcalc.blocking_lab import ScenarioConfig, gen_scenario_population
 from blockcalc.pop_model import StrataMoments, blocked_design_for_proportion, summarize
 from blockcalc.oracle import (
+    CHUNK_CELLS,
     STATISTICS,
     _lex_sums,
     batch_statistic,
+    centered_stack,
     chunk_rows,
     count_assignments,
     iter_assignments,
+    stacked_statistic,
 )
 from blockcalc import variance_estimation
 from blockcalc.studies import MisconceptionsConfig
@@ -179,6 +184,28 @@ class TestEstimatorAccuracy:
             values = [batch_statistic(table, design, statistic, masks) for table in tables]
             assert np.all(np.isfinite(values[1]))
             assert np.array_equal(values[1], scale**2 * values[0])
+
+    def test_outlier_values_stay_within_the_absolute_bound(self):
+        # The outlier pulls the treated arm's center to 1.25e6, so a treated
+        # subset without it sits far from the center compared with its own
+        # spread: its sum of squares keeps few digits and, unclamped, its
+        # rounding falls below 0.
+        y_c = np.array([-8, 7, -5, 9, -11, 9, 0, -12]) * 1e-4
+        y_t = np.append(y_c[:-1], 1e7)
+        table = table_from_arrays([1] * 8, y_t, y_c)
+        masks = np.array([np.isin(np.arange(8), c) for c in combinations(range(8), 4)])
+        values = batch_statistic(table, CompleteRandomization(4), "var_est_cr", masks)
+        assert np.all(values >= 0.0)
+        # Every arm's sum of squares is at most its whole table's, Q.
+        q = [sum((Fraction(v) - Fraction(sum(map(Fraction, y.tolist()))) / 8) ** 2
+                 for v in y.tolist()) for y in (y_t, y_c)]
+        bound = 14 * 7 * 2.0**-53 * (q[0] + q[1]) / 12
+        for mask, value in zip(masks, values.tolist()):
+            arms = [y_t[mask].tolist(), y_c[~mask].tolist()]
+            means = [sum(map(Fraction, arm)) / 4 for arm in arms]
+            exact = sum(sum((Fraction(v) - mean) ** 2 for v in arm) / 12
+                        for arm, mean in zip(arms, means))
+            assert abs(Fraction(value) - exact) <= bound
 
 
 class TestExpectedS2UnderBlocking:
@@ -469,3 +496,28 @@ class TestVarestVariability:
         for table, seed, result in zip(tables, seeds, got):
             want = reference_varest_variability(table, design, reps, seed)
             assert (result.mean_varest, result.var_of_varest) == want
+
+    @pytest.mark.parametrize("statistic", ["var_est_cr", "var_est_blocked"])
+    def test_stack_of_full_chunks_keeps_bits_and_bounded_memory(self, statistic):
+        # A chunk of chunk_rows(n) grid points at chunk_rows(n) reps: as one
+        # float buffer its masks alone would take 18.5 MB.
+        cfg = MisconceptionsConfig()
+        n, count = sum(cfg.block_sizes), chunk_rows(sum(cfg.block_sizes))
+        labels = np.repeat(np.arange(1, len(cfg.block_sizes) + 1), cfg.block_sizes)
+        rng = np.random.default_rng(11)
+        tables = [table_from_arrays(labels, rng.normal(size=n), rng.normal(size=n))
+                  for _ in range(count)]
+        masks = np.concatenate([
+            rng.permuted(np.broadcast_to(np.arange(size) < m, (count * count, size)), axis=1)
+            for size, m in zip(cfg.block_sizes, cfg.treated_counts)
+        ], axis=1).reshape(count, count, n)
+        centered = centered_stack(tables, statistic == "var_est_blocked")
+        tracemalloc.start()
+        try:
+            values = stacked_statistic(statistic, statistic == "var_est_blocked", centered, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * CHUNK_CELLS * 8
+        for table, table_masks, row in zip(tables, masks, values):
+            assert np.array_equal(row, batch_statistic(table, None, statistic, table_masks))
